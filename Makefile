@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt fmt-check clippy lint build test test-crates test-transcript study-smoke scenario-smoke timeline-smoke obs-smoke wire-smoke doc bench bench-study bench-timeline golden
+.PHONY: verify fmt fmt-check clippy lint build test test-crates test-transcript study-smoke scenario-smoke timeline-smoke obs-smoke wire-smoke perf-smoke doc golden
 
-verify: fmt-check clippy lint doc build test test-crates test-transcript study-smoke scenario-smoke timeline-smoke obs-smoke wire-smoke
+verify: fmt-check clippy lint doc build test test-crates test-transcript study-smoke scenario-smoke timeline-smoke obs-smoke wire-smoke perf-smoke
 
 fmt:
 	$(CARGO) fmt --all
@@ -45,10 +45,12 @@ test-crates:
 # scheduling, so one lucky interleaving in the default run must not be
 # the only evidence. (The suites also run once each in the targets
 # above; these reruns pin them under serial and oversubscribed
-# schedules.)
+# schedules.) The name filter is checked first: a rename that leaves
+# it matching nothing would otherwise pass by running zero tests.
 test-transcript:
 	$(CARGO) test -q -p psc --test mix_equivalence -- --test-threads=1
 	$(CARGO) test -q -p psc --test mix_equivalence -- --test-threads=8
+	$(CARGO) test -q --test psc_end_to_end -- --list round_transcript per_link | grep -c ': test$$' > /dev/null
 	$(CARGO) test -q --test psc_end_to_end -- round_transcript per_link --test-threads=1
 	$(CARGO) test -q --test psc_end_to_end -- round_transcript per_link --test-threads=4
 
@@ -129,19 +131,13 @@ wire-smoke:
 timeline-smoke:
 	$(CARGO) test -q --release -p torsim --test timeline_smoke
 
-# Sharded-pipeline benchmarks; writes BENCH_pipeline.json at the repo root.
-bench:
-	$(CARGO) bench -p pm-bench --bench pipeline
-
-# Campaign sweep (calendar days × ingestion shards, sequential vs
-# parallel rounds); writes BENCH_study.json at the repo root.
-bench-study:
-	$(CARGO) bench -p pm-bench --bench campaign
-
-# Snapshot-cost sweep at days {30, 90, 365} × {replay, diff}; writes
-# BENCH_timeline.json at the repo root.
-bench-timeline:
-	$(CARGO) bench -p pm-bench --bench timeline
+# The benchmark package (`perfbench/`, the one harness BENCHMARK.json
+# declares) is a workspace of its own that calls this workspace's
+# public API. Its unit tests plus `perf --smoke` compile and drive
+# that frozen surface, so an API change that breaks the benchmark
+# fails here rather than when the benchmark pipeline next runs.
+perf-smoke:
+	$(CARGO) test --release --manifest-path perfbench/Cargo.toml
 
 # Regenerate the committed golden report snapshots after an intentional
 # output change.

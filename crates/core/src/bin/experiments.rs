@@ -17,8 +17,8 @@
 //! `-v` prints them with structured fields.
 //!
 //! `--fabric BACKEND` selects the transport carrying every protocol
-//! frame: `per-link` (default), `single-lock`, or
-//! `wire[:latency_ms[,bw_kbps]]` for real loopback TCP sockets —
+//! frame: `per-link` (default) or `wire[:latency_ms[,bw_kbps]]` for
+//! real loopback TCP sockets —
 //! every report is byte-identical across backends.
 
 use pm_net::FabricChoice;
@@ -58,8 +58,7 @@ fn main() {
                 i += 1;
                 fabric = FabricChoice::parse(&args[i]).unwrap_or_else(|| {
                     eprintln!(
-                        "unknown fabric '{}'; known: per-link, single-lock, \
-                         wire[:latency_ms[,bw_kbps]]",
+                        "unknown fabric '{}'; known: per-link, wire[:latency_ms[,bw_kbps]]",
                         args[i]
                     );
                     std::process::exit(2);
@@ -80,7 +79,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: experiments [--scale S] [--seed N] [--only T4,F1,...] \
-                     [--fabric per-link|single-lock|wire[:latency_ms[,bw_kbps]]] \
+                     [--fabric per-link|wire[:latency_ms[,bw_kbps]]] \
                      [--csv] [--json PATH] [--trace PATH] [-q | -v] [--list]"
                 );
                 return;

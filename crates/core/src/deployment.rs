@@ -119,10 +119,10 @@ pub struct Deployment {
     /// change any report — only memory footprint and wall-clock shape.
     pub max_concurrent_psc_rounds: usize,
     /// Which `pm_net::Fabric` backend carries every round this
-    /// deployment runs: in-process per-link mailboxes (default), the
-    /// single-lock baseline, or real loopback sockets. Under a lossless
-    /// schedule the choice cannot change a report byte — only transport
-    /// wall-clock — which the wire-smoke gate pins.
+    /// deployment runs: in-process per-link mailboxes (default) or
+    /// real loopback sockets. Under a lossless schedule the choice
+    /// cannot change a report byte — only transport wall-clock — which
+    /// the wire-smoke gate pins.
     pub fabric: pm_net::FabricChoice,
     /// Observability handle threaded into every round this deployment
     /// runs (switchboards, CPs, the job runner). The deterministic

@@ -31,7 +31,7 @@
 //!   statistic are dependency-ordered; all other accepted rounds have
 //!   pairwise-disjoint logical intervals, share no data, and run
 //!   wall-clock-concurrently. Reports return in registry order, byte
-//!   for byte equal to [`runner::run_all_sequential`]'s (pinned by
+//!   for byte equal to a one-at-a-time run of the same plan (pinned by
 //!   `tests/runner_parallel.rs`).
 //! * **Within an experiment** — each DC's collection period ingests a
 //!   sharded [`torsim::stream::EventStream`]: [`Deployment::shards`]

@@ -21,10 +21,10 @@
 //!    that many may run at once while PrivCount rounds fill the
 //!    remaining workers.
 //!
-//! [`run_all_sequential`] preserves the classic one-at-a-time execution
-//! and produces the identical reports (experiments derive all
-//! randomness from the deployment seed, not from execution order — the
-//! equivalence is pinned by `tests/runner_parallel.rs`).
+//! Running the same plan one round at a time produces the identical
+//! reports (experiments derive all randomness from the deployment
+//! seed, not from execution order — the equivalence is pinned by
+//! `tests/runner_parallel.rs`).
 //!
 //! The scheduling machinery itself is generic: [`run_jobs`] executes
 //! any dependency graph of [`Job`]s under the same worker pool and
@@ -247,15 +247,12 @@ struct ExecState<T> {
 /// graph and throttling PSC jobs to `psc_cap` in flight, and returns
 /// outputs in job order. The scheduling machinery shared by the
 /// registry runner and the campaign engine.
-pub fn run_jobs<T: Send>(jobs: Vec<Job<'_, T>>, workers: usize, psc_cap: usize) -> Vec<T> {
-    run_jobs_with(jobs, workers, psc_cap, &Recorder::new())
-}
-
-/// [`run_jobs`] with observability: deterministic `runner.jobs` /
+///
+/// `recorder` receives the deterministic `runner.jobs` /
 /// `runner.jobs.psc` counters (job totals are fixed by the plan, never
-/// by scheduling) plus, when `recorder` profiles, a `job.run` span per
+/// by scheduling) plus, when it profiles, a `job.run` span per
 /// executed job and a `job.queue_wait` span per worker wait episode.
-pub fn run_jobs_with<T: Send>(
+pub fn run_jobs<T: Send>(
     jobs: Vec<Job<'_, T>>,
     workers: usize,
     psc_cap: usize,
@@ -411,7 +408,7 @@ fn execute_plan(dep: &Deployment, planned: Vec<PlannedRound>, workers: usize) ->
             run: Box::new(move || (p.entry.run)(dep)),
         })
         .collect();
-    run_jobs_with(jobs, workers, dep.max_concurrent_psc_rounds, &dep.recorder)
+    run_jobs(jobs, workers, dep.max_concurrent_psc_rounds, &dep.recorder)
 }
 
 /// Executes an explicit plan on up to `workers` threads, honouring its
@@ -425,20 +422,13 @@ pub fn run_plan(dep: &Deployment, planned: Vec<PlannedRound>, workers: usize) ->
 /// Runs every experiment: the schedule is validated against the §3.1
 /// rules up front, then logically-disjoint rounds execute concurrently
 /// on a thread pool. Reports come back in registry order, identical to
-/// [`run_all_sequential`]'s.
+/// a one-at-a-time run of the same plan.
 pub fn run_all(dep: &Deployment) -> Vec<Report> {
     let (planned, _accountant) = plan_schedule();
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     execute_plan(dep, planned, workers)
-}
-
-/// Runs every experiment one at a time, in registry order — the
-/// pre-parallelism baseline, kept for comparison tests and profiling.
-pub fn run_all_sequential(dep: &Deployment) -> Vec<Report> {
-    let (planned, _accountant) = plan_schedule();
-    planned.iter().map(|p| (p.entry.run)(dep)).collect()
 }
 
 /// Runs a subset of experiments by id. Subsets skip the §3.1 schedule
@@ -455,7 +445,7 @@ pub fn run_some(dep: &Deployment, ids: &[&str]) -> Vec<Report> {
             run: Box::new(move || (e.run)(dep)),
         })
         .collect();
-    run_jobs_with(jobs, 1, dep.max_concurrent_psc_rounds, &dep.recorder)
+    run_jobs(jobs, 1, dep.max_concurrent_psc_rounds, &dep.recorder)
 }
 
 #[cfg(test)]
@@ -535,7 +525,7 @@ mod tests {
             deps: vec![5],
             run: Box::new(|| ()),
         }];
-        run_jobs(jobs, 2, 1);
+        run_jobs(jobs, 2, 1, &Recorder::new());
     }
 
     #[test]
@@ -548,7 +538,7 @@ mod tests {
             run: Box::new(|| ()),
         };
         // 0 → 1 → 0: would deadlock the pool without the up-front check.
-        run_jobs(vec![mk(vec![1]), mk(vec![0])], 2, 1);
+        run_jobs(vec![mk(vec![1]), mk(vec![0])], 2, 1, &Recorder::new());
     }
 
     #[test]
@@ -560,7 +550,7 @@ mod tests {
             run: Box::new(|| panic!("index out of bounds")),
         }];
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_jobs(jobs, 1, 1);
+            run_jobs(jobs, 1, 1, &Recorder::new());
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().expect("string payload");
@@ -588,7 +578,7 @@ mod tests {
                 }),
             })
             .collect();
-        let out = run_jobs(jobs, 2, 1);
+        let out = run_jobs(jobs, 2, 1, &Recorder::new());
         assert_eq!(out[0], Ok(0));
         assert_eq!(out[2], Err("round r2: share keeper died".into()));
         assert_eq!(out[3], Ok(3));

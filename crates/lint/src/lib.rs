@@ -12,8 +12,8 @@
 //!
 //! 1. **entropy** — `thread_rng`, `from_entropy`, `SystemTime::now`,
 //!    and `Instant::now` are forbidden everywhere the analyzer scans
-//!    (`crates/vendor` and `crates/bench` are excluded — benches may
-//!    time, vendored code is not ours). One structural sanction:
+//!    (`crates/vendor` is excluded — vendored code is not ours). One
+//!    structural sanction:
 //!    `crates/obs/src/clock.rs` may read the wall clock — it is the
 //!    single clock site feeding the profiling plane, which is excluded
 //!    from every transcript.
@@ -65,12 +65,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Directories never scanned, relative to the analyzed root.
-const EXCLUDED_PREFIXES: [&str; 4] = [
-    "target/",
-    "crates/vendor/",
-    "crates/bench/",
-    "crates/lint/fixtures/",
-];
+const EXCLUDED_PREFIXES: [&str; 3] = ["target/", "crates/vendor/", "crates/lint/fixtures/"];
 
 /// Collects every `.rs` file under `root` (sorted, exclusions applied)
 /// as root-relative `/`-separated paths.

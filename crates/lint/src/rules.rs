@@ -7,7 +7,7 @@
 //!
 //! | rule            | scope                                                      |
 //! |-----------------|------------------------------------------------------------|
-//! | `entropy`       | everywhere scanned (vendor and bench are never scanned)    |
+//! | `entropy`       | everywhere scanned (vendor is never scanned)               |
 //! | `unordered-map` | `src/` of `psc`, `privcount`, `net`, `study`, `core`       |
 //! | `seed-label`    | everywhere scanned, minus `tests/`/`benches/` directories  |
 //! | `panic`         | `src/` of `psc`, `privcount`, `net`, `study`               |

@@ -12,8 +12,7 @@
 //!   [`transport::Switchboard`] backend: one mailbox per ordered
 //!   `(from, to)` party link, so traffic on disjoint links never
 //!   serializes behind a shared lock, plus per-link fault injection
-//!   with smoltcp-style drop/duplicate/corrupt knobs (a single-lock
-//!   fabric is kept as the regression baseline);
+//!   with smoltcp-style drop/duplicate/corrupt knobs;
 //! * [`wire`] — the socket-backed [`wire::WireFabric`]: the same frame
 //!   codec length-prefixed onto real TCP loopback links, with
 //!   deterministic latency/bandwidth shaping for WAN-like wall-clock
@@ -37,7 +36,6 @@
 //! | choice        | backend                | delivery                           |
 //! |---------------|------------------------|------------------------------------|
 //! | `PerLink`     | [`transport::Switchboard`] | in-process, per-link mailboxes |
-//! | `SingleLock`  | [`transport::Switchboard`] | in-process, one global lock (regression baseline) |
 //! | `Wire(shape)` | [`wire::WireFabric`]   | TCP loopback sockets, optionally shaped |
 //!
 //! The trait contract protocols may rely on, on **any** backend:

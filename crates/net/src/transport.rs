@@ -20,9 +20,9 @@
 //! round configurations stay `Copy`/`Clone` while the fabric itself is
 //! built at round start.
 //!
-//! # Delivery modes
+//! # Delivery
 //!
-//! The default switchboard keeps one **mailbox per ordered `(from, to)`
+//! The switchboard keeps one **mailbox per ordered `(from, to)`
 //! link**: serialization, fault rolls, and the queue push all happen
 //! under per-link state, so concurrent traffic on disjoint links never
 //! convoys behind a shared lock — TS↔CP and TS↔DC phases of a protocol
@@ -32,10 +32,6 @@
 //! rely on. Fault schedules are **per link**, seeded from
 //! `(seed, from, to)`, so one link's schedule is independent of the
 //! traffic on every other link.
-//!
-//! [`Switchboard::single_lock_with_faults`] keeps the original fabric —
-//! one global lock and one global fault RNG in delivery order — as the
-//! comparison baseline for the fault-injection regression tests.
 
 use crate::frame::{flip_wire_bit, Frame, WireError};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
@@ -281,7 +277,7 @@ pub(crate) enum Verdict {
 
 /// Rolls the fault dice for one frame, mutating `wire` on corruption.
 /// The roll order (drop, corrupt, duplicate) is shared by every
-/// delivery mode so a given RNG produces the same schedule on each.
+/// backend so a given RNG produces the same schedule on each.
 pub(crate) fn roll_faults(
     faults: &FaultConfig,
     rng: &mut StdRng,
@@ -517,9 +513,6 @@ pub enum FabricChoice {
     /// The default in-process switchboard: per-link mailboxes.
     #[default]
     PerLink,
-    /// The legacy single-lock in-process delivery path — the
-    /// comparison baseline for the fault-injection regression tests.
-    SingleLock,
     /// The socket-backed fabric ([`crate::wire`]): real TCP loopback
     /// links, optionally shaped. Rounds over this backend must run
     /// threaded (blocking receives) — the deterministic scheduler
@@ -537,13 +530,10 @@ impl FabricChoice {
     /// `recorder` when the fabric is dropped.
     pub fn build_obs(self, faults: FaultConfig, recorder: Recorder) -> Arc<dyn Fabric> {
         match self {
-            FabricChoice::PerLink => Arc::new(Switchboard::with_faults_obs(faults, recorder)),
-            FabricChoice::SingleLock => {
-                Arc::new(Switchboard::single_lock_with_faults_obs(faults, recorder))
+            FabricChoice::PerLink => Arc::new(Switchboard::with_faults(faults, recorder)),
+            FabricChoice::Wire(shape) => {
+                Arc::new(crate::wire::WireFabric::with_shape(shape, faults, recorder))
             }
-            FabricChoice::Wire(shape) => Arc::new(crate::wire::WireFabric::with_shape_obs(
-                shape, faults, recorder,
-            )),
         }
     }
 
@@ -552,12 +542,11 @@ impl FabricChoice {
         matches!(self, FabricChoice::Wire(_))
     }
 
-    /// Parses the CLI spelling: `per-link`, `single-lock`, `wire`, or
+    /// Parses the CLI spelling: `per-link`, `wire`, or
     /// `wire:<latency_ms>[,<bw_kbps>]`.
     pub fn parse(s: &str) -> Option<FabricChoice> {
         match s {
             "per-link" => Some(FabricChoice::PerLink),
-            "single-lock" => Some(FabricChoice::SingleLock),
             "wire" => Some(FabricChoice::Wire(WireShape::default())),
             other => {
                 let rest = other.strip_prefix("wire:")?;
@@ -578,7 +567,6 @@ impl fmt::Display for FabricChoice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FabricChoice::PerLink => write!(f, "per-link"),
-            FabricChoice::SingleLock => write!(f, "single-lock"),
             FabricChoice::Wire(shape) if *shape == WireShape::default() => write!(f, "wire"),
             FabricChoice::Wire(shape) => {
                 write!(f, "wire:{},{}", shape.latency_ms, shape.bw_kbps)
@@ -623,7 +611,7 @@ struct LinkMailbox {
     rng: Mutex<StdRng>,
 }
 
-/// A registered party's receiving side, per-link mode.
+/// A registered party's receiving side.
 struct PartySlot {
     /// One token per queued frame; its order decides cross-link arrival
     /// order and its disconnection mirrors deregistration.
@@ -633,27 +621,9 @@ struct PartySlot {
     links: Arc<Mutex<HashMap<PartyId, Arc<LinkMailbox>>>>,
 }
 
-/// Per-link delivery state.
-struct PerLinkDelivery {
+struct BoardInner {
     // lint:allow(unordered-map) keyed lookup only; the one key iteration (parties()) sorts before returning
     parties: Mutex<HashMap<PartyId, PartySlot>>,
-}
-
-/// The original single-lock delivery state: one channel per recipient,
-/// one global fault RNG, everything serialized through one mutex.
-struct SingleLockDelivery {
-    // lint:allow(unordered-map) keyed lookup only; the one key iteration (parties()) sorts before returning
-    channels: HashMap<PartyId, Sender<WireMessage>>,
-    rng: StdRng,
-}
-
-enum Delivery {
-    PerLink(PerLinkDelivery),
-    SingleLock(Mutex<SingleLockDelivery>),
-}
-
-struct BoardInner {
-    delivery: Delivery,
     faults: FaultConfig,
     ledger: LinkLedger,
 }
@@ -680,51 +650,19 @@ impl Default for Switchboard {
 }
 
 impl Switchboard {
-    /// Creates a lossless switchboard (per-link delivery).
+    /// Creates a lossless switchboard with an inert recorder.
     pub fn new() -> Switchboard {
-        Switchboard::with_faults(FaultConfig::none())
+        Switchboard::with_faults(FaultConfig::none(), Recorder::new())
     }
 
-    /// Creates a per-link switchboard with fault injection enabled.
-    /// Metrics go to a private, unobserved recorder; use
-    /// [`Switchboard::with_faults_obs`] to publish them.
-    pub fn with_faults(faults: FaultConfig) -> Switchboard {
-        Switchboard::with_faults_obs(faults, Recorder::new())
-    }
-
-    /// Like [`Switchboard::with_faults`], publishing the board's frame
-    /// and per-link counters into `recorder` when the board is dropped.
-    pub fn with_faults_obs(faults: FaultConfig, recorder: Recorder) -> Switchboard {
+    /// Creates a switchboard with fault injection enabled, publishing
+    /// the board's frame and per-link counters into `recorder` when the
+    /// board is dropped.
+    pub fn with_faults(faults: FaultConfig, recorder: Recorder) -> Switchboard {
         Switchboard {
             inner: Arc::new(BoardInner {
-                delivery: Delivery::PerLink(PerLinkDelivery {
-                    // lint:allow(unordered-map) see the PerLinkDelivery field note
-                    parties: Mutex::new(HashMap::new()),
-                }),
-                faults,
-                ledger: LinkLedger::new(recorder),
-            }),
-        }
-    }
-
-    /// Creates a switchboard with the legacy single-lock delivery path:
-    /// all sends serialize behind one mutex and share one fault RNG in
-    /// delivery order. Kept as the regression baseline the per-link
-    /// fabric is tested against.
-    pub fn single_lock_with_faults(faults: FaultConfig) -> Switchboard {
-        Switchboard::single_lock_with_faults_obs(faults, Recorder::new())
-    }
-
-    /// Like [`Switchboard::single_lock_with_faults`], publishing into
-    /// `recorder` when the board is dropped.
-    pub fn single_lock_with_faults_obs(faults: FaultConfig, recorder: Recorder) -> Switchboard {
-        Switchboard {
-            inner: Arc::new(BoardInner {
-                delivery: Delivery::SingleLock(Mutex::new(SingleLockDelivery {
-                    // lint:allow(unordered-map) see the SingleLockDelivery field note
-                    channels: HashMap::new(),
-                    rng: StdRng::seed_from_u64(faults.seed),
-                })),
+                // lint:allow(unordered-map) see the BoardInner::parties field note
+                parties: Mutex::new(HashMap::new()),
                 faults,
                 ledger: LinkLedger::new(recorder),
             }),
@@ -735,47 +673,28 @@ impl Switchboard {
     /// replaces the previous endpoint (the old receiver disconnects).
     pub fn register(&self, id: impl Into<PartyId>) -> Endpoint {
         let id = id.into();
-        let recv: Box<dyn RecvPort> = match &self.inner.delivery {
-            Delivery::PerLink(delivery) => {
-                let (token_tx, token_rx) = unbounded();
-                // lint:allow(unordered-map) see the PartySlot::links field note
-                let links = Arc::new(Mutex::new(HashMap::new()));
-                delivery.parties.lock().insert(
-                    id.clone(),
-                    PartySlot {
-                        token_tx,
-                        links: Arc::clone(&links),
-                    },
-                );
-                Box::new(RecvHalf::PerLink { token_rx, links })
-            }
-            Delivery::SingleLock(delivery) => {
-                let (tx, rx) = unbounded();
-                delivery.lock().channels.insert(id.clone(), tx);
-                Box::new(RecvHalf::SingleLock { rx })
-            }
-        };
+        let (token_tx, token_rx) = unbounded();
+        // lint:allow(unordered-map) see the PartySlot::links field note
+        let links = Arc::new(Mutex::new(HashMap::new()));
+        self.inner.parties.lock().insert(
+            id.clone(),
+            PartySlot {
+                token_tx,
+                links: Arc::clone(&links),
+            },
+        );
+        let recv = Box::new(RecvHalf { token_rx, links });
         Endpoint::from_parts(id, Arc::new(self.clone()), recv)
     }
 
     /// Removes a party from the fabric.
     pub fn deregister(&self, id: &PartyId) {
-        match &self.inner.delivery {
-            Delivery::PerLink(delivery) => {
-                delivery.parties.lock().remove(id);
-            }
-            Delivery::SingleLock(delivery) => {
-                delivery.lock().channels.remove(id);
-            }
-        }
+        self.inner.parties.lock().remove(id);
     }
 
     /// All registered party ids, sorted.
     pub fn parties(&self) -> Vec<PartyId> {
-        let mut v: Vec<PartyId> = match &self.inner.delivery {
-            Delivery::PerLink(delivery) => delivery.parties.lock().keys().cloned().collect(),
-            Delivery::SingleLock(delivery) => delivery.lock().channels.keys().cloned().collect(),
-        };
+        let mut v: Vec<PartyId> = self.inner.parties.lock().keys().cloned().collect();
         v.sort();
         v
     }
@@ -794,77 +713,52 @@ impl Switchboard {
         let mut wire = frame.to_wire().to_vec();
         let record = self.inner.ledger.tally_send(from, to, &wire);
         let stats = self.inner.ledger.stats();
-        match &self.inner.delivery {
-            Delivery::PerLink(delivery) => {
-                // Clone the recipient's handles out of the registry so the
-                // registry lock is never held across serialization, fault
-                // rolls, or queue pushes.
-                let (token_tx, links) = {
-                    let parties = delivery.parties.lock();
-                    let slot = parties
-                        .get(to)
-                        .ok_or_else(|| TransportError::UnknownParty(to.0.clone()))?;
-                    (slot.token_tx.clone(), Arc::clone(&slot.links))
-                };
-                let link = {
-                    let mut links = links.lock();
-                    Arc::clone(links.entry(from.clone()).or_insert_with(|| {
-                        Arc::new(LinkMailbox {
-                            queue: Mutex::new(VecDeque::new()),
-                            rng: Mutex::new(StdRng::seed_from_u64(link_seed(
-                                self.inner.faults.seed,
-                                from,
-                                to,
-                            ))),
-                        })
-                    }))
-                };
-                let verdict = {
-                    let mut rng = link.rng.lock();
-                    roll_faults(&self.inner.faults, &mut rng, &mut wire, stats)
-                };
-                LinkLedger::tally_verdict(&record, &verdict);
-                let copies = match verdict {
-                    Verdict::Drop => return Ok(()),
-                    Verdict::Deliver { copies, .. } => copies,
-                };
-                for _ in 0..copies {
-                    // Reserve-then-commit: the frame push and its
-                    // delivery token must land together. If the
-                    // receiver disconnected mid-round the token send
-                    // fails — roll the push back, or the orphaned
-                    // frame would shift per-sender FIFO for every
-                    // later delivery on this link.
-                    let mut queue = link.queue.lock();
-                    queue.push_back(wire.clone());
-                    if token_tx.send(from.clone()).is_err() {
-                        queue.pop_back();
-                        return Err(TransportError::Disconnected);
-                    }
-                }
-                Ok(())
-            }
-            Delivery::SingleLock(delivery) => {
-                let mut inner = delivery.lock();
-                let verdict = roll_faults(&self.inner.faults, &mut inner.rng, &mut wire, stats);
-                LinkLedger::tally_verdict(&record, &verdict);
-                let copies = match verdict {
-                    Verdict::Drop => return Ok(()),
-                    Verdict::Deliver { copies, .. } => copies,
-                };
-                let tx = inner
-                    .channels
-                    .get(to)
-                    .ok_or_else(|| TransportError::UnknownParty(to.0.clone()))?
-                    .clone();
-                drop(inner);
-                for _ in 0..copies {
-                    tx.send((from.clone(), wire.clone()))
-                        .map_err(|_| TransportError::Disconnected)?;
-                }
-                Ok(())
+        // Clone the recipient's handles out of the registry so the
+        // registry lock is never held across serialization, fault
+        // rolls, or queue pushes.
+        let (token_tx, links) = {
+            let parties = self.inner.parties.lock();
+            let slot = parties
+                .get(to)
+                .ok_or_else(|| TransportError::UnknownParty(to.0.clone()))?;
+            (slot.token_tx.clone(), Arc::clone(&slot.links))
+        };
+        let link = {
+            let mut links = links.lock();
+            Arc::clone(links.entry(from.clone()).or_insert_with(|| {
+                Arc::new(LinkMailbox {
+                    queue: Mutex::new(VecDeque::new()),
+                    rng: Mutex::new(StdRng::seed_from_u64(link_seed(
+                        self.inner.faults.seed,
+                        from,
+                        to,
+                    ))),
+                })
+            }))
+        };
+        let verdict = {
+            let mut rng = link.rng.lock();
+            roll_faults(&self.inner.faults, &mut rng, &mut wire, stats)
+        };
+        LinkLedger::tally_verdict(&record, &verdict);
+        let copies = match verdict {
+            Verdict::Drop => return Ok(()),
+            Verdict::Deliver { copies, .. } => copies,
+        };
+        for _ in 0..copies {
+            // Reserve-then-commit: the frame push and its delivery
+            // token must land together. If the receiver disconnected
+            // mid-round the token send fails — roll the push back, or
+            // the orphaned frame would shift per-sender FIFO for every
+            // later delivery on this link.
+            let mut queue = link.queue.lock();
+            queue.push_back(wire.clone());
+            if token_tx.send(from.clone()).is_err() {
+                queue.pop_back();
+                return Err(TransportError::Disconnected);
             }
         }
+        Ok(())
     }
 }
 
@@ -896,27 +790,24 @@ impl Fabric for Switchboard {
     }
 }
 
-/// A party's receiving machinery, matching the board's delivery mode.
-enum RecvHalf {
-    PerLink {
-        token_rx: Receiver<PartyId>,
-        // lint:allow(unordered-map) see the PartySlot::links field note
-        links: Arc<Mutex<HashMap<PartyId, Arc<LinkMailbox>>>>,
-    },
-    SingleLock {
-        rx: Receiver<WireMessage>,
-    },
+/// A party's receiving machinery: the token queue that orders arrivals
+/// across links, and the per-sender mailboxes the tokens point into.
+struct RecvHalf {
+    token_rx: Receiver<PartyId>,
+    // lint:allow(unordered-map) see the PartySlot::links field note
+    links: Arc<Mutex<HashMap<PartyId, Arc<LinkMailbox>>>>,
 }
 
 impl RecvHalf {
-    fn pop_link(
-        // lint:allow(unordered-map) see the PartySlot::links field note
-        links: &Mutex<HashMap<PartyId, Arc<LinkMailbox>>>,
-        from: PartyId,
-    ) -> Result<(PartyId, Vec<u8>), TransportError> {
-        let link = links.lock().get(&from).map(Arc::clone).ok_or_else(|| {
-            TransportError::Desync(format!("delivery token from {from} names an unknown link"))
-        })?;
+    fn pop_link(&self, from: PartyId) -> Result<WireMessage, TransportError> {
+        let link = self
+            .links
+            .lock()
+            .get(&from)
+            .map(Arc::clone)
+            .ok_or_else(|| {
+                TransportError::Desync(format!("delivery token from {from} names an unknown link"))
+            })?;
         let wire = link.queue.lock().pop_front().ok_or_else(|| {
             TransportError::Desync(format!(
                 "delivery token from {from} arrived but the link queue is empty"
@@ -928,34 +819,23 @@ impl RecvHalf {
 
 impl RecvPort for RecvHalf {
     fn recv_wire(&self) -> Result<WireMessage, TransportError> {
-        match self {
-            RecvHalf::PerLink { token_rx, links } => {
-                let from = token_rx.recv().map_err(|_| TransportError::Disconnected)?;
-                Self::pop_link(links, from)
-            }
-            RecvHalf::SingleLock { rx } => rx.recv().map_err(|_| TransportError::Disconnected),
-        }
+        let from = self
+            .token_rx
+            .recv()
+            .map_err(|_| TransportError::Disconnected)?;
+        self.pop_link(from)
     }
 
     fn try_recv_wire(&self) -> Result<WireMessage, TransportError> {
-        let map_err = |e| match e {
+        let from = self.token_rx.try_recv().map_err(|e| match e {
             TryRecvError::Empty => TransportError::Empty,
             TryRecvError::Disconnected => TransportError::Disconnected,
-        };
-        match self {
-            RecvHalf::PerLink { token_rx, links } => {
-                let from = token_rx.try_recv().map_err(map_err)?;
-                Self::pop_link(links, from)
-            }
-            RecvHalf::SingleLock { rx } => rx.try_recv().map_err(map_err),
-        }
+        })?;
+        self.pop_link(from)
     }
 
     fn pending(&self) -> usize {
-        match self {
-            RecvHalf::PerLink { token_rx, .. } => token_rx.len(),
-            RecvHalf::SingleLock { rx } => rx.len(),
-        }
+        self.token_rx.len()
     }
 }
 
@@ -1029,34 +909,28 @@ mod tests {
         Frame::new(t, Bytes::from_static(body))
     }
 
-    /// Both delivery modes, for tests that must hold on either.
-    fn boards_with(faults: FaultConfig) -> [(&'static str, Switchboard); 2] {
-        [
-            ("per-link", Switchboard::with_faults(faults)),
-            ("single-lock", Switchboard::single_lock_with_faults(faults)),
-        ]
+    fn board_with(faults: FaultConfig) -> Switchboard {
+        Switchboard::with_faults(faults, Recorder::new())
     }
 
     #[test]
     fn basic_send_recv() {
-        for (mode, board) in boards_with(FaultConfig::none()) {
-            let a = board.register("a");
-            let b = board.register("b");
-            a.send(b.id(), frame(1, b"hi")).unwrap();
-            let env = b.recv().unwrap();
-            assert_eq!(env.from.as_str(), "a", "{mode}");
-            assert_eq!(env.frame.msg_type, 1, "{mode}");
-            assert_eq!(env.frame.payload.as_ref(), b"hi", "{mode}");
-        }
+        let board = Switchboard::new();
+        let a = board.register("a");
+        let b = board.register("b");
+        a.send(b.id(), frame(1, b"hi")).unwrap();
+        let env = b.recv().unwrap();
+        assert_eq!(env.from.as_str(), "a");
+        assert_eq!(env.frame.msg_type, 1);
+        assert_eq!(env.frame.payload.as_ref(), b"hi");
     }
 
     #[test]
     fn unknown_party_errors() {
-        for (mode, board) in boards_with(FaultConfig::none()) {
-            let a = board.register("a");
-            let err = a.send(&PartyId::new("ghost"), frame(1, b"x")).unwrap_err();
-            assert_eq!(err, TransportError::UnknownParty("ghost".into()), "{mode}");
-        }
+        let board = Switchboard::new();
+        let a = board.register("a");
+        let err = a.send(&PartyId::new("ghost"), frame(1, b"x")).unwrap_err();
+        assert_eq!(err, TransportError::UnknownParty("ghost".into()));
     }
 
     #[test]
@@ -1073,23 +947,21 @@ mod tests {
 
     #[test]
     fn try_recv_empty() {
-        for (mode, board) in boards_with(FaultConfig::none()) {
-            let a = board.register("a");
-            assert_eq!(a.try_recv().unwrap_err(), TransportError::Empty, "{mode}");
-        }
+        let board = Switchboard::new();
+        let a = board.register("a");
+        assert_eq!(a.try_recv().unwrap_err(), TransportError::Empty);
     }
 
     #[test]
     fn fifo_per_sender() {
-        for (mode, board) in boards_with(FaultConfig::none()) {
-            let a = board.register("a");
-            let b = board.register("b");
-            for i in 0..10u16 {
-                a.send(b.id(), frame(i, b"seq")).unwrap();
-            }
-            for i in 0..10u16 {
-                assert_eq!(b.recv().unwrap().frame.msg_type, i, "{mode}");
-            }
+        let board = Switchboard::new();
+        let a = board.register("a");
+        let b = board.register("b");
+        for i in 0..10u16 {
+            a.send(b.id(), frame(i, b"seq")).unwrap();
+        }
+        for i in 0..10u16 {
+            assert_eq!(b.recv().unwrap().frame.msg_type, i);
         }
     }
 
@@ -1118,89 +990,78 @@ mod tests {
 
     #[test]
     fn drop_faults_lose_messages() {
-        for (mode, board) in boards_with(FaultConfig {
+        let board = board_with(FaultConfig {
             drop_chance: 1.0,
             ..Default::default()
-        }) {
-            let a = board.register("a");
-            let b = board.register("b");
-            a.send(b.id(), frame(1, b"gone")).unwrap();
-            assert_eq!(b.try_recv().unwrap_err(), TransportError::Empty, "{mode}");
-            assert_eq!(board.fault_stats().dropped, 1, "{mode}");
-        }
+        });
+        let a = board.register("a");
+        let b = board.register("b");
+        a.send(b.id(), frame(1, b"gone")).unwrap();
+        assert_eq!(b.try_recv().unwrap_err(), TransportError::Empty);
+        assert_eq!(board.fault_stats().dropped, 1);
     }
 
     #[test]
     fn corrupt_faults_caught_by_checksum() {
-        for (mode, board) in boards_with(FaultConfig {
+        let board = board_with(FaultConfig {
             corrupt_chance: 1.0,
             seed: 3,
             ..Default::default()
-        }) {
-            let a = board.register("a");
-            let b = board.register("b");
-            a.send(b.id(), frame(1, b"precious data")).unwrap();
-            match b.recv() {
-                Err(TransportError::Wire(_)) => {}
-                other => panic!("{mode}: corruption not detected: {other:?}"),
-            }
-            assert_eq!(board.fault_stats().corrupted, 1, "{mode}");
+        });
+        let a = board.register("a");
+        let b = board.register("b");
+        a.send(b.id(), frame(1, b"precious data")).unwrap();
+        match b.recv() {
+            Err(TransportError::Wire(_)) => {}
+            other => panic!("corruption not detected: {other:?}"),
         }
+        assert_eq!(board.fault_stats().corrupted, 1);
     }
 
     #[test]
     fn duplicate_faults_deliver_twice() {
-        for (mode, board) in boards_with(FaultConfig {
+        let board = board_with(FaultConfig {
             duplicate_chance: 1.0,
             ..Default::default()
-        }) {
-            let a = board.register("a");
-            let b = board.register("b");
-            a.send(b.id(), frame(1, b"twice")).unwrap();
-            assert!(b.recv().is_ok(), "{mode}");
-            assert!(b.recv().is_ok(), "{mode}");
-            assert_eq!(b.try_recv().unwrap_err(), TransportError::Empty, "{mode}");
-        }
+        });
+        let a = board.register("a");
+        let b = board.register("b");
+        a.send(b.id(), frame(1, b"twice")).unwrap();
+        assert!(b.recv().is_ok());
+        assert!(b.recv().is_ok());
+        assert_eq!(b.try_recv().unwrap_err(), TransportError::Empty);
     }
 
     #[test]
     fn deterministic_fault_schedule() {
-        for single_lock in [false, true] {
-            let run = |seed| {
-                let faults = FaultConfig {
-                    drop_chance: 0.5,
-                    seed,
-                    ..Default::default()
-                };
-                let board = if single_lock {
-                    Switchboard::single_lock_with_faults(faults)
-                } else {
-                    Switchboard::with_faults(faults)
-                };
-                let a = board.register("a");
-                let b = board.register("b");
-                for _ in 0..100 {
-                    a.send(b.id(), frame(1, b"x")).unwrap();
-                }
-                board.fault_stats().dropped
-            };
-            assert_eq!(run(7), run(7));
-            assert_ne!(run(7), run(8)); // overwhelmingly likely
-        }
+        let run = |seed| {
+            let board = board_with(FaultConfig {
+                drop_chance: 0.5,
+                seed,
+                ..Default::default()
+            });
+            let a = board.register("a");
+            let b = board.register("b");
+            for _ in 0..100 {
+                a.send(b.id(), frame(1, b"x")).unwrap();
+            }
+            board.fault_stats().dropped
+        };
+        assert_eq!(run(7), run(7));
+        assert_ne!(run(7), run(8)); // overwhelmingly likely
     }
 
     #[test]
     fn per_link_fault_schedule_is_link_independent() {
         // The schedule a→c sees must not depend on unrelated traffic
-        // b→c interleaved with it (the single-lock board's global RNG
-        // could not provide this).
+        // b→c interleaved with it.
         let faults = FaultConfig {
             drop_chance: 0.5,
             seed: 11,
             ..Default::default()
         };
         let delivered_alone = {
-            let board = Switchboard::with_faults(faults);
+            let board = board_with(faults);
             let a = board.register("a");
             let c = board.register("c");
             for i in 0..50u16 {
@@ -1213,7 +1074,7 @@ mod tests {
             got
         };
         let delivered_interleaved = {
-            let board = Switchboard::with_faults(faults);
+            let board = board_with(faults);
             let a = board.register("a");
             let b = board.register("b");
             let c = board.register("c");
@@ -1235,59 +1096,50 @@ mod tests {
 
     #[test]
     fn cross_thread_delivery() {
-        for (mode, board) in boards_with(FaultConfig::none()) {
-            let a = board.register("a");
-            let b = board.register("b");
-            let handle = std::thread::spawn(move || {
-                let env = b.recv().unwrap();
-                env.frame.msg_type
-            });
-            a.send(&PartyId::new("b"), frame(42, b"cross-thread"))
-                .unwrap();
-            assert_eq!(handle.join().unwrap(), 42, "{mode}");
-        }
+        let board = Switchboard::new();
+        let a = board.register("a");
+        let b = board.register("b");
+        let handle = std::thread::spawn(move || {
+            let env = b.recv().unwrap();
+            env.frame.msg_type
+        });
+        a.send(&PartyId::new("b"), frame(42, b"cross-thread"))
+            .unwrap();
+        assert_eq!(handle.join().unwrap(), 42);
     }
 
     #[test]
     fn deregistered_party_disconnects() {
-        for (mode, board) in boards_with(FaultConfig::none()) {
-            let a = board.register("a");
-            let b = board.register("b");
-            a.send(b.id(), frame(1, b"before")).unwrap();
-            board.deregister(&PartyId::new("b"));
-            // Queued traffic drains, then the receiver observes the
-            // disconnection; new sends see an unknown party.
-            assert!(b.recv().is_ok(), "{mode}");
-            assert_eq!(
-                b.recv().unwrap_err(),
-                TransportError::Disconnected,
-                "{mode}"
-            );
-            assert_eq!(
-                a.send(&PartyId::new("b"), frame(2, b"after")).unwrap_err(),
-                TransportError::UnknownParty("b".into()),
-                "{mode}"
-            );
-        }
+        let board = Switchboard::new();
+        let a = board.register("a");
+        let b = board.register("b");
+        a.send(b.id(), frame(1, b"before")).unwrap();
+        board.deregister(&PartyId::new("b"));
+        // Queued traffic drains, then the receiver observes the
+        // disconnection; new sends see an unknown party.
+        assert!(b.recv().is_ok());
+        assert_eq!(b.recv().unwrap_err(), TransportError::Disconnected);
+        assert_eq!(
+            a.send(&PartyId::new("b"), frame(2, b"after")).unwrap_err(),
+            TransportError::UnknownParty("b".into())
+        );
     }
 
     #[test]
-    fn disconnect_mid_round_errors_on_both_fabrics() {
+    fn disconnect_mid_round_errors() {
         // A receiver whose endpoint is gone (process died mid-round)
         // but which was never deregistered: sends must fail loudly
-        // with Disconnected on either fabric, not succeed silently.
-        for (mode, board) in boards_with(FaultConfig::none()) {
-            let a = board.register("a");
-            let b = board.register("b");
-            drop(b);
-            for _ in 0..3 {
-                assert_eq!(
-                    a.send(&PartyId::new("b"), frame(1, b"mid-round"))
-                        .unwrap_err(),
-                    TransportError::Disconnected,
-                    "{mode}"
-                );
-            }
+        // with Disconnected, not succeed silently.
+        let board = Switchboard::new();
+        let a = board.register("a");
+        let b = board.register("b");
+        drop(b);
+        for _ in 0..3 {
+            assert_eq!(
+                a.send(&PartyId::new("b"), frame(1, b"mid-round"))
+                    .unwrap_err(),
+                TransportError::Disconnected
+            );
         }
     }
 
@@ -1302,17 +1154,15 @@ mod tests {
         // Establish the a→b link mailbox with a real delivery first.
         a.send(b.id(), frame(1, b"live")).unwrap();
         assert_eq!(b.recv().unwrap().frame.msg_type, 1);
-        let links = match &board.inner.delivery {
-            Delivery::PerLink(delivery) => Arc::clone(
-                &delivery
-                    .parties
-                    .lock()
-                    .get(&PartyId::new("b"))
-                    .unwrap()
-                    .links,
-            ),
-            Delivery::SingleLock(_) => unreachable!("per-link board"),
-        };
+        let links = Arc::clone(
+            &board
+                .inner
+                .parties
+                .lock()
+                .get(&PartyId::new("b"))
+                .unwrap()
+                .links,
+        );
         drop(b);
         for _ in 0..3 {
             assert_eq!(
@@ -1330,38 +1180,37 @@ mod tests {
 
     #[test]
     fn link_stats_track_per_link_outcomes() {
-        for (mode, board) in boards_with(FaultConfig {
+        let board = board_with(FaultConfig {
             corrupt_chance: 1.0,
             seed: 3,
             ..Default::default()
-        }) {
-            let a = board.register("a");
-            let b = board.register("b");
-            let c = board.register("c");
-            a.send(b.id(), frame(1, b"to b")).unwrap();
-            a.send(c.id(), frame(1, b"to c!")).unwrap();
-            a.send(c.id(), frame(1, b"to c again")).unwrap();
-            let stats = board.link_stats();
-            assert_eq!(stats.len(), 2, "{mode}");
-            let ab = &stats[0];
-            assert_eq!(ab.0, (PartyId::new("a"), PartyId::new("b")), "{mode}");
-            assert_eq!(ab.1.sent, 1, "{mode}");
-            let ac = &stats[1];
-            assert_eq!(ac.0, (PartyId::new("a"), PartyId::new("c")), "{mode}");
-            assert_eq!(ac.1.sent, 2, "{mode}");
-            assert!(ac.1.bytes > ab.1.bytes, "{mode}");
-            // Every delivery was corrupted-then-delivered, and the
-            // stats say so — corrupted copies are not folded into the
-            // clean count.
-            assert_eq!(ab.1.delivered_corrupted, 1, "{mode}");
-            assert_eq!(ab.1.delivered_clean, 0, "{mode}");
-            assert_eq!(ac.1.delivered_corrupted, 2, "{mode}");
-        }
+        });
+        let a = board.register("a");
+        let b = board.register("b");
+        let c = board.register("c");
+        a.send(b.id(), frame(1, b"to b")).unwrap();
+        a.send(c.id(), frame(1, b"to c!")).unwrap();
+        a.send(c.id(), frame(1, b"to c again")).unwrap();
+        let stats = board.link_stats();
+        assert_eq!(stats.len(), 2);
+        let ab = &stats[0];
+        assert_eq!(ab.0, (PartyId::new("a"), PartyId::new("b")));
+        assert_eq!(ab.1.sent, 1);
+        let ac = &stats[1];
+        assert_eq!(ac.0, (PartyId::new("a"), PartyId::new("c")));
+        assert_eq!(ac.1.sent, 2);
+        assert!(ac.1.bytes > ab.1.bytes);
+        // Every delivery was corrupted-then-delivered, and the
+        // stats say so — corrupted copies are not folded into the
+        // clean count.
+        assert_eq!(ab.1.delivered_corrupted, 1);
+        assert_eq!(ab.1.delivered_clean, 0);
+        assert_eq!(ac.1.delivered_corrupted, 2);
     }
 
     #[test]
     fn link_stats_split_drop_and_duplicate_outcomes() {
-        let board = Switchboard::with_faults(FaultConfig {
+        let board = board_with(FaultConfig {
             drop_chance: 1.0,
             ..Default::default()
         });
@@ -1375,7 +1224,7 @@ mod tests {
             0
         );
 
-        let board = Switchboard::with_faults(FaultConfig {
+        let board = board_with(FaultConfig {
             duplicate_chance: 1.0,
             ..Default::default()
         });
@@ -1412,7 +1261,7 @@ mod tests {
     fn dropping_the_board_publishes_metrics_once() {
         let rec = Recorder::new();
         {
-            let board = Switchboard::with_faults_obs(FaultConfig::none(), rec.clone());
+            let board = Switchboard::with_faults(FaultConfig::none(), rec.clone());
             let a = board.register("a");
             let b = board.register("b");
             a.send(b.id(), frame(1, b"counted")).unwrap();
@@ -1436,40 +1285,31 @@ mod tests {
     #[test]
     fn unused_board_publishes_nothing() {
         let rec = Recorder::new();
-        drop(Switchboard::with_faults_obs(
-            FaultConfig::none(),
-            rec.clone(),
-        ));
+        drop(Switchboard::with_faults(FaultConfig::none(), rec.clone()));
         assert!(rec.read_snapshot().entries.is_empty());
     }
 
     #[test]
     fn parties_listing() {
-        for (mode, board) in boards_with(FaultConfig::none()) {
-            let _a = board.register("ts");
-            let _b = board.register("dc-1");
-            let _c = board.register("sk-1");
-            assert_eq!(
-                board.parties(),
-                vec![
-                    PartyId::new("dc-1"),
-                    PartyId::new("sk-1"),
-                    PartyId::new("ts")
-                ],
-                "{mode}"
-            );
-            board.deregister(&PartyId::new("dc-1"));
-            assert_eq!(board.parties().len(), 2, "{mode}");
-        }
+        let board = Switchboard::new();
+        let _a = board.register("ts");
+        let _b = board.register("dc-1");
+        let _c = board.register("sk-1");
+        assert_eq!(
+            board.parties(),
+            vec![
+                PartyId::new("dc-1"),
+                PartyId::new("sk-1"),
+                PartyId::new("ts")
+            ]
+        );
+        board.deregister(&PartyId::new("dc-1"));
+        assert_eq!(board.parties().len(), 2);
     }
 
     #[test]
     fn fabric_choice_parses_cli_spellings() {
         assert_eq!(FabricChoice::parse("per-link"), Some(FabricChoice::PerLink));
-        assert_eq!(
-            FabricChoice::parse("single-lock"),
-            Some(FabricChoice::SingleLock)
-        );
         assert_eq!(
             FabricChoice::parse("wire"),
             Some(FabricChoice::Wire(WireShape::default()))
@@ -1488,11 +1328,13 @@ mod tests {
                 bw_kbps: 0
             }))
         );
+        assert_eq!(FabricChoice::parse("single-lock"), None);
         assert_eq!(FabricChoice::parse("carrier-pigeon"), None);
         assert_eq!(FabricChoice::parse("wire:fast"), None);
         // Display round-trips through parse.
-        for s in ["per-link", "single-lock", "wire", "wire:50,1000"] {
+        for s in ["per-link", "wire", "wire:5,1000"] {
             let c = FabricChoice::parse(s).unwrap();
+            assert_eq!(c.to_string(), s);
             assert_eq!(FabricChoice::parse(&c.to_string()), Some(c), "{s}");
         }
     }

@@ -206,19 +206,15 @@ impl Default for WireFabric {
 }
 
 impl WireFabric {
-    /// A lossless, unshaped wire fabric with a detached recorder.
+    /// A lossless, unshaped wire fabric with an inert recorder.
     pub fn new() -> WireFabric {
-        WireFabric::with_shape(WireShape::default(), FaultConfig::none())
+        WireFabric::with_shape(WireShape::default(), FaultConfig::none(), Recorder::new())
     }
 
-    /// A wire fabric with shaping and fault injection, detached recorder.
-    pub fn with_shape(shape: WireShape, faults: FaultConfig) -> WireFabric {
-        WireFabric::with_shape_obs(shape, faults, Recorder::new())
-    }
-
-    /// A wire fabric publishing its counters into `recorder` when the
-    /// last handle (fabric clones and endpoints alike) drops.
-    pub fn with_shape_obs(shape: WireShape, faults: FaultConfig, recorder: Recorder) -> WireFabric {
+    /// A wire fabric with shaping and fault injection, publishing its
+    /// counters into `recorder` when the last handle (fabric clones and
+    /// endpoints alike) drops.
+    pub fn with_shape(shape: WireShape, faults: FaultConfig, recorder: Recorder) -> WireFabric {
         WireFabric {
             inner: Arc::new(WireInner {
                 shape,
@@ -561,7 +557,7 @@ mod tests {
             ..Default::default()
         };
         let run_wire = || {
-            let fabric = WireFabric::with_shape(WireShape::default(), faults);
+            let fabric = WireFabric::with_shape(WireShape::default(), faults, Recorder::new());
             let a = fabric.register(PartyId::new("a"));
             let b = fabric.register(PartyId::new("b"));
             for i in 0..50u16 {
@@ -577,7 +573,7 @@ mod tests {
             got
         };
         let in_process = {
-            let board = Switchboard::with_faults(faults);
+            let board = Switchboard::with_faults(faults, Recorder::new());
             let a = board.register("a");
             let b = board.register("b");
             for i in 0..50u16 {
@@ -624,6 +620,7 @@ mod tests {
                 seed: 3,
                 ..Default::default()
             },
+            Recorder::new(),
         );
         let a = fabric.register(PartyId::new("a"));
         let b = fabric.register(PartyId::new("b"));
@@ -643,6 +640,7 @@ mod tests {
                 duplicate_chance: 1.0,
                 ..Default::default()
             },
+            Recorder::new(),
         );
         let a = fabric.register(PartyId::new("a"));
         let b = fabric.register(PartyId::new("b"));
@@ -656,7 +654,7 @@ mod tests {
         let rec = Recorder::new();
         {
             let fabric =
-                WireFabric::with_shape_obs(WireShape::default(), FaultConfig::none(), rec.clone());
+                WireFabric::with_shape(WireShape::default(), FaultConfig::none(), rec.clone());
             let a = fabric.register(PartyId::new("a"));
             let b = fabric.register(PartyId::new("b"));
             a.send(b.id(), frame(1, b"counted")).unwrap();

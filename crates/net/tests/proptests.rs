@@ -71,11 +71,14 @@ proptest! {
 
     #[test]
     fn drop_rate_statistics(seed in any::<u64>()) {
-        let board = Switchboard::with_faults(FaultConfig {
-            drop_chance: 0.5,
-            seed,
-            ..Default::default()
-        });
+        let board = Switchboard::with_faults(
+            FaultConfig {
+                drop_chance: 0.5,
+                seed,
+                ..Default::default()
+            },
+            pm_obs::Recorder::new(),
+        );
         let a = board.register("a");
         let b = board.register("b");
         let n = 200;

@@ -19,8 +19,8 @@ pub enum NoiseAllocation {
     /// Every DC adds `N(0, σ²/num_dcs)`; the published total carries
     /// exactly `N(0, σ²)` (PrivCount's equal allocation).
     Equal,
-    /// Only the first DC adds `N(0, σ²)` (used by the ablation bench;
-    /// weaker against DC compromise, same output distribution).
+    /// Only the first DC adds `N(0, σ²)` (weaker against DC
+    /// compromise, same output distribution).
     FirstDcOnly,
     /// No noise at all (ground-truth extraction in tests ONLY — never
     /// differentially private).
@@ -44,10 +44,10 @@ pub struct RoundConfig {
     pub threaded: bool,
     /// Optional fault injection on the fabric.
     pub faults: FaultConfig,
-    /// Which [`pm_net::Fabric`] backend carries the round: per-link
-    /// mailboxes (default), the single-lock baseline, or real loopback
-    /// sockets. The wire backend forces threaded execution and rejects
-    /// active adversaries (they need the deterministic scheduler).
+    /// Which [`pm_net::Fabric`] backend carries the round: in-process
+    /// per-link mailboxes (default) or real loopback sockets. The wire
+    /// backend forces threaded execution and rejects active
+    /// adversaries (they need the deterministic scheduler).
     pub fabric: FabricChoice,
     /// Optional Byzantine behaviour injected into one party
     /// ([`crate::adversary`]). Forces the deterministic scheduler when

@@ -34,10 +34,9 @@ pub struct PscConfig {
     /// How CPs execute their per-cell crypto. Every strategy yields the
     /// same transcript; this only shapes wall-clock time.
     pub mix: MixStrategy,
-    /// Which [`pm_net::Fabric`] backend carries the round: per-link
-    /// mailboxes (default), the single-lock baseline for the
-    /// fault-injection regression tests, or real loopback sockets.
-    /// The wire backend forces threaded execution and rejects active
+    /// Which [`pm_net::Fabric`] backend carries the round: in-process
+    /// per-link mailboxes (default) or real loopback sockets. The wire
+    /// backend forces threaded execution and rejects active
     /// adversaries (they need the deterministic scheduler).
     pub fabric: FabricChoice,
     /// Byzantine behaviour to inject ([`crate::adversary`]); `None`

@@ -24,8 +24,8 @@
 //! channel — the scenario-smoke target greps exactly that.
 //!
 //! `--fabric BACKEND` picks the transport carrying every protocol
-//! frame: `per-link` (default), `single-lock`, or
-//! `wire[:latency_ms[,bw_kbps]]` for real loopback TCP sockets —
+//! frame: `per-link` (default) or `wire[:latency_ms[,bw_kbps]]` for
+//! real loopback TCP sockets —
 //! reports are byte-identical across backends under a lossless
 //! schedule.
 //!
@@ -85,8 +85,7 @@ fn main() {
                 i += 1;
                 fabric = FabricChoice::parse(&args[i]).unwrap_or_else(|| {
                     eprintln!(
-                        "unknown fabric '{}'; known: per-link, single-lock, \
-                         wire[:latency_ms[,bw_kbps]]",
+                        "unknown fabric '{}'; known: per-link, wire[:latency_ms[,bw_kbps]]",
                         args[i]
                     );
                     std::process::exit(2);
@@ -122,7 +121,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: campaign [--days N] [--scale S] [--seed N] [--shards K] \
-                     [--workers W] [--fabric per-link|single-lock|wire[:latency_ms[,bw_kbps]]] \
+                     [--workers W] [--fabric per-link|wire[:latency_ms[,bw_kbps]]] \
                      [--attack NAME] [--csv] [--json PATH] [--trace PATH] \
                      [-q | -v] [--list]"
                 );

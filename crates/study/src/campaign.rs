@@ -20,7 +20,7 @@ use torsim::timeline::{
 use torstudy::deployment::Deployment;
 use torstudy::experiments::{client_traffic_streams, privcount_round, psc_round};
 use torstudy::report::{fmt_count, fmt_estimate, Report, ReportRow};
-use torstudy::runner::{run_jobs_with, Job};
+use torstudy::runner::{run_jobs, Job};
 
 /// What a campaign round measures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -480,7 +480,7 @@ impl Campaign {
                 run: Box::new(move || self.run_round(spec)),
             })
             .collect();
-        let outcomes = run_jobs_with(
+        let outcomes = run_jobs(
             jobs,
             workers,
             self.base.max_concurrent_psc_rounds,
@@ -525,12 +525,6 @@ impl Campaign {
             );
         }
         outcomes
-    }
-
-    /// Runs the calendar one round at a time — the baseline the
-    /// parallel path is pinned against.
-    pub fn run_sequential(&self) -> CampaignReport {
-        self.run(1)
     }
 
     /// Lowers the campaign scenario to a PSC-level attack on `cfg`.

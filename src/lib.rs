@@ -16,8 +16,8 @@
 //!
 //! 1. **entropy** — ambient randomness and wall-clock reads
 //!    (`thread_rng`, `from_entropy`, `SystemTime::now`, `Instant::now`)
-//!    are forbidden outside `crates/vendor` and `crates/bench`. All
-//!    randomness flows from seeded `StdRng`s; all time is simulated.
+//!    are forbidden outside `crates/vendor`. All randomness flows
+//!    from seeded `StdRng`s; all time is simulated.
 //!    One structural sanction: `crates/obs/src/clock.rs` — the
 //!    profiling plane's single clock site (see *Observability*).
 //! 2. **unordered-map** — `HashMap`/`HashSet` in the protocol crates

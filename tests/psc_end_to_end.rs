@@ -1,9 +1,10 @@
 //! Integration: PSC over the full simulation, including verified runs
 //! and the statistical estimator chain; transcript equality between
 //! sequential and batched-parallel mixing at the round level;
-//! fault-injection regressions pinning the per-link `Switchboard` to
-//! the single-lock baseline; and fabric-backend equality pinning the
-//! socket-backed wire fabric to the in-process board.
+//! fault-injection regressions pinning the per-link `Switchboard`'s
+//! outcome under total and partial fault schedules; and fabric-backend
+//! equality pinning the socket-backed wire fabric to the in-process
+//! board.
 
 use pm_net::transport::FaultConfig;
 use pm_net::{FabricChoice, WireShape};
@@ -202,9 +203,9 @@ fn round_transcript_equal_across_mix_strategies() {
     }
 }
 
-// ----- fault-injection regressions: per-link vs single-lock board -----
+// ----- fault-injection regressions on the per-link board -----
 
-/// Round outcome reduced to what both boards must agree on: the
+/// Round outcome reduced to what a fault schedule decides: the
 /// published count, or the fact that the round aborted.
 #[derive(Debug, PartialEq)]
 enum Outcome {
@@ -212,7 +213,7 @@ enum Outcome {
     Aborted,
 }
 
-fn run_faulted(faults: FaultConfig, fabric: FabricChoice) -> Outcome {
+fn run_faulted(faults: FaultConfig) -> Outcome {
     let cfg = PscConfig {
         table_size: 64,
         noise_flips_per_cp: 4,
@@ -222,7 +223,7 @@ fn run_faulted(faults: FaultConfig, fabric: FabricChoice) -> Outcome {
         threaded: false,
         faults,
         mix: MixStrategy::Batched { threads: 2 },
-        fabric,
+        fabric: FabricChoice::PerLink,
         adversary: Default::default(),
         recorder: Default::default(),
     };
@@ -236,12 +237,12 @@ fn run_faulted(faults: FaultConfig, fabric: FabricChoice) -> Outcome {
     }
 }
 
-/// Under deterministic fault schedules — lossless, total drop, total
-/// duplication, total corruption — the per-link board must publish the
-/// same `raw.marked` (or abort exactly like) the single-lock baseline,
-/// even though its per-link delivery reorders messages across links.
+/// Under deterministic total fault schedules the per-link board's
+/// outcome is fixed: lossless publishes the pinned `raw.marked` (its
+/// per-link delivery reorders messages across links, which must not
+/// reach the count); total drop, duplication or corruption aborts.
 #[test]
-fn per_link_board_matches_single_lock_under_faults() {
+fn per_link_board_under_total_fault_schedules() {
     let cases = [
         ("lossless", FaultConfig::none()),
         (
@@ -270,15 +271,15 @@ fn per_link_board_matches_single_lock_under_faults() {
         ),
     ];
     for (label, faults) in cases {
-        let per_link = run_faulted(faults, FabricChoice::PerLink);
-        let single_lock = run_faulted(faults, FabricChoice::SingleLock);
-        assert_eq!(per_link, single_lock, "{label}");
+        let outcome = run_faulted(faults);
         if label == "lossless" {
-            assert!(matches!(per_link, Outcome::Published(_)), "{label}");
+            // The 4 distinct IPs' cells plus the noise bits this
+            // seed draws.
+            assert_eq!(outcome, Outcome::Published(10), "{label}");
         } else {
             // A protocol with no retransmission must abort, not
             // publish garbage, under total-loss/duplication schedules.
-            assert_eq!(per_link, Outcome::Aborted, "{label}");
+            assert_eq!(outcome, Outcome::Aborted, "{label}");
         }
     }
 }
@@ -295,8 +296,8 @@ fn per_link_fault_schedule_is_reproducible() {
             seed: 77,
             ..Default::default()
         };
-        let a = run_faulted(faults, FabricChoice::PerLink);
-        let b = run_faulted(faults, FabricChoice::PerLink);
+        let a = run_faulted(faults);
+        let b = run_faulted(faults);
         assert_eq!(a, b, "drop={drop} dup={dup}");
     }
 }
