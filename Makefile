@@ -94,17 +94,17 @@ scenario-smoke:
 # profiling plane live, exporting a chrome://tracing trace. trace-check
 # re-parses the file with the workspace's own validator and fails
 # unless it is well-formed, spans >= 5 distinct categories, and covers
-# the mixnet hot loop, the worker pool, and the timeline cursor by
-# name. Guards the --trace wiring end to end; the planes-separation
-# contract itself (profiling never changes a report byte) lives in
-# tests/obs_planes.rs under `test`.
+# the mixnet hot loop, the worker pool, the timeline cursor and the
+# PSC noise calibration by name. Guards the --trace wiring end to end;
+# the planes-separation contract itself (profiling never changes a
+# report byte) lives in tests/obs_planes.rs under `test`.
 obs-smoke:
 	$(CARGO) run --release -p pm-study --bin campaign -- \
 		--days 17 --scale 2e-4 --seed 2018 -q \
 		--trace target/obs_trace.json > /dev/null
 	$(CARGO) run --release -p pm-obs --bin trace-check -- \
 		target/obs_trace.json --min-cats 5 \
-		mix.batch job.run timeline.checkpoint_restore
+		mix.batch job.run timeline.checkpoint_restore dp.calibrate
 
 # Wire-fabric smoke: one PSC round whose every protocol frame crosses
 # a real loopback TCP socket, pinned byte-for-byte (RawCount and

@@ -198,7 +198,11 @@ pub fn psc_round(
     // Like the Gaussian σ, the noise shrinks with the deployment scale:
     // each synthetic user stands for 1/scale real users, so per-user
     // sensitivity (and thus flips, which grow as k²) scales by scale².
+    let mut calibrate_span = dep.recorder.span("dp.calibrate", "dp");
+    calibrate_span.note("k", sensitivity);
     let full = pm_dp::mechanism::binomial_flips_for(sensitivity, dep.eps(), 1e-6);
+    calibrate_span.note("flips", full);
+    drop(calibrate_span);
     let flips = ((full as f64 * dep.scale * dep.scale).ceil() as u32).max(16);
     // Batch-phase threads share the machine with up to
     // `max_concurrent_psc_rounds` sibling rounds under the parallel

@@ -1,8 +1,17 @@
 //! Noise mechanisms: Gaussian (PrivCount) and Binomial (PSC).
 //!
-//! Calibration uses the classic analytic bounds; in both cases an exact
-//! (ε, δ) verifier is provided so tests can confirm — not assume — that
-//! the calibrated noise satisfies the differential-privacy inequality.
+//! The Gaussian σ uses the classic analytic bound; the binomial flip
+//! count is searched over the exact δ. In both cases an exact (ε, δ)
+//! verifier is provided so tests can confirm — not assume — that the
+//! calibrated noise satisfies the differential-privacy inequality.
+//!
+//! The binomial verifier ([`binomial_delta_exact`]) does not sum all
+//! n + 1 terms of the definition. Bin(n, ½) has a monotone likelihood
+//! ratio under a shift by k, so the terms that survive max(0, ·) form
+//! one lower tail; it sums that tail from its top edge downward until
+//! what remains cannot change the f64 result. That is still the exact
+//! δ, at O(√n) instead of O(n) per evaluation, which keeps calibrating
+//! the two-day exit-domain window (k = 40, n ≈ 10⁶) under a millisecond.
 
 use rand::Rng;
 
@@ -114,10 +123,19 @@ pub fn sample_gaussian<R: Rng + ?Sized>(sigma: f64, rng: &mut R) -> f64 {
 /// Exact δ achieved by adding `Binomial(n, 1/2)` noise to a counting
 /// query whose value changes by at most `k` between adjacent inputs.
 ///
-/// Computed directly from the definition:
+/// Computed from the definition:
 /// δ(ε) = max over shift direction of Σ_x max(0, P[X=x] − e^ε·P[X=x−k]).
 /// By the symmetry of Bin(n, 1/2) both directions agree, so one suffices.
-/// Runs in O(n); intended for calibration-time use.
+///
+/// The likelihood ratio P[X=x]/P[X=x−k] = Π_{i=1..k} (n−x+i)/(x−k+i)
+/// is strictly decreasing in x, so the positive terms are exactly the
+/// lower tail x ≤ x\*: nothing is dropped by summing only that tail.
+/// x\* is found by bisection on the log-ratio, the two pmf values at
+/// x\* are anchored through [`ln_choose`], and the sum walks downward
+/// with the recurrence p(x−1) = p(x)·x/(n−x+1) until the mass still to
+/// come is below f64 resolution of the running sum — about 10 standard
+/// deviations under the mean, so O(k + √n) terms and O(log n)
+/// `ln_gamma` calls, with no allocation.
 pub fn binomial_delta_exact(n: u64, k: u64, eps: f64) -> f64 {
     assert!(n > 0);
     if k == 0 {
@@ -126,17 +144,39 @@ pub fn binomial_delta_exact(n: u64, k: u64, eps: f64) -> f64 {
     if k > n {
         return 1.0;
     }
-    // log pmf of Bin(n, 1/2): ln C(n, x) - n ln 2, via lgamma.
-    let ln2 = std::f64::consts::LN_2;
-    let lpmf = |x: u64| -> f64 { ln_choose(n, x) - n as f64 * ln2 };
+    // Every x < k has a positive term (nothing to subtract), so the
+    // bracket starts there: the ratio at `lo` exceeds e^ε, at `hi` not.
+    let (mut lo, mut hi) = (k - 1, n + 1);
+    while lo + 1 < hi {
+        let mid = lo + (hi - lo) / 2;
+        if ln_choose(n, mid) - ln_choose(n, mid - k) > eps {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let pmf = |x: u64| (ln_choose(n, x) - n as f64 * std::f64::consts::LN_2).exp();
+    let e_eps = eps.exp();
+    let mut x = lo;
+    let mut p = pmf(x);
+    let mut q = if x < k { 0.0 } else { pmf(x - k) };
     let mut delta: f64 = 0.0;
-    for x in 0..=n {
-        let p = lpmf(x).exp();
-        let q = if x < k { 0.0 } else { lpmf(x - k).exp() };
-        let diff = p - eps.exp() * q;
+    loop {
+        let diff = p - e_eps * q;
         if diff > 0.0 {
             delta += diff;
         }
+        // Below the mode each pmf step down shrinks by at least
+        // x/(n−x+1), so all the mass still to come is at most the
+        // geometric tail p·x/(n−2x+1).
+        let settled = 2 * x <= n && p * x as f64 <= delta * f64::EPSILON * (n - 2 * x + 1) as f64;
+        if x == 0 || settled {
+            break;
+        }
+        // q tracks the pmf at x−k and reaches exactly 0 once x < k.
+        q *= x.saturating_sub(k) as f64 / (n - x + k + 1) as f64;
+        p *= x as f64 / (n - x + 1) as f64;
+        x -= 1;
     }
     delta.min(1.0)
 }
@@ -146,12 +186,14 @@ pub fn binomial_delta_exact(n: u64, k: u64, eps: f64) -> f64 {
 /// bisection over the exact δ computation.
 pub fn binomial_flips_for(k: u64, eps: f64, delta: f64) -> u64 {
     assert!(k > 0 && eps > 0.0 && delta > 0.0 && delta < 1.0);
-    let mut hi = 16u64;
+    // `lo` is the last n seen to fail. Before any probe that is 0: no
+    // flips means no noise, and it is never evaluated.
+    let (mut lo, mut hi) = (0u64, 16u64);
     while binomial_delta_exact(hi, k, eps) > delta {
+        lo = hi;
         hi *= 2;
         assert!(hi < 1 << 34, "binomial mechanism calibration diverged");
     }
-    let mut lo = hi / 2;
     while lo + 1 < hi {
         let mid = lo + (hi - lo) / 2;
         if binomial_delta_exact(mid, k, eps) > delta {
@@ -200,8 +242,8 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
 }
 
-/// Samples Binomial(n, 1/2) noise, centered (value − n/2 returned as a
-/// float so callers can keep the raw draw too).
+/// Samples Binomial(n, 1/2) noise and returns the raw count of heads in
+/// `0..=n`; callers that want it centred subtract n/2 themselves.
 pub fn sample_binomial_half<R: Rng + ?Sized>(n: u64, rng: &mut R) -> u64 {
     // For large n use a normal approximation cut to the valid range; the
     // statistical error is far below PSC's reporting granularity. For
@@ -362,14 +404,117 @@ mod tests {
         assert!((got - expect).abs() < 1e-12, "got {got}, expect {expect}");
     }
 
+    /// The definition summed term by term over all of 0..=n, with no
+    /// special cases: the O(n) reference the tail walk is checked against.
+    fn binomial_delta_definition(n: u64, k: u64, eps: f64) -> f64 {
+        let lpmf = |x: u64| ln_choose(n, x) - n as f64 * std::f64::consts::LN_2;
+        let mut delta: f64 = 0.0;
+        for x in 0..=n {
+            let p = lpmf(x).exp();
+            let q = if x < k { 0.0 } else { lpmf(x - k).exp() };
+            let diff = p - eps.exp() * q;
+            if diff > 0.0 {
+                delta += diff;
+            }
+        }
+        delta.min(1.0)
+    }
+
+    fn assert_matches_definition(n: u64, k: u64, eps: f64) {
+        let got = binomial_delta_exact(n, k, eps);
+        let want = binomial_delta_definition(n, k, eps);
+        // The floor covers results so far below the normal range that
+        // f64 keeps no relative precision for them.
+        assert!(
+            (got - want).abs() <= 1e-6 * want + 1e-300,
+            "n={n} k={k} eps={eps}: walk {got:e} vs definition {want:e}"
+        );
+    }
+
+    #[test]
+    fn tail_walk_matches_definition_on_a_grid() {
+        for n in [1u64, 2, 3, 7, 16, 17, 100, 683, 1000, 4097, 20_000] {
+            for k in [1u64, 2, 3, 4, 6, 12, 40] {
+                for eps in [0.0, 0.01, 0.1, 0.3, 1.0, 3.0] {
+                    assert_matches_definition(n, k, eps);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tail_walk_matches_definition_at_the_edges() {
+        // k = 0 moves nothing; k > n leaves no overlap to hide behind.
+        assert_eq!(binomial_delta_exact(10, 0, 0.1), 0.0);
+        assert_eq!(binomial_delta_exact(4, 5, 0.1), 1.0);
+        assert_eq!(binomial_delta_exact(1, 2, 0.1), 1.0);
+        // Those, n = 1, and k = n, where a single term has anything
+        // subtracted, against the definition.
+        for (n, k) in [(10, 0), (4, 5), (1, 2), (1, 1), (9, 9), (64, 64)] {
+            assert_matches_definition(n, k, 0.3);
+        }
+        // x* < k: ε is so large that the ratio at x = k, C(n, k), is
+        // already ≤ e^ε, so only x < k contributes and every surviving
+        // term has nothing subtracted.
+        for (n, k, eps) in [
+            (40, 30, 25.0),
+            (50, 1, 60.0),
+            (5000, 3, 60.0),
+            (5000, 40, 400.0),
+        ] {
+            assert!(ln_choose(n, k) <= eps);
+            assert_matches_definition(n, k, eps);
+            let below_k: f64 = (0..k)
+                .map(|x| (ln_choose(n, x) - n as f64 * std::f64::consts::LN_2).exp())
+                .sum();
+            let got = binomial_delta_exact(n, k, eps);
+            assert!((got - below_k).abs() <= 1e-9 * below_k, "n={n} k={k}");
+        }
+    }
+
+    #[test]
+    fn binomial_flips_pinned_for_the_study_sensitivities() {
+        // The values the O(n) evaluator returned: the calendar's and the
+        // registry's flip counts must not move with the summation.
+        for (k, n) in [
+            (1, 683),
+            (3, 6085),
+            (4, 10811),
+            (6, 24315),
+            (12, 97238),
+            (20, 270091),
+            (40, 1080341),
+        ] {
+            assert_eq!(binomial_flips_for(k, 0.3, 1e-6), n, "k={k}");
+        }
+    }
+
     #[test]
     fn binomial_calibration_is_tight() {
-        let k = 1;
         let eps = 0.3;
         let delta = 1e-6;
-        let n = binomial_flips_for(k, eps, delta);
-        assert!(binomial_delta_exact(n, k, eps) <= delta);
-        assert!(binomial_delta_exact(n - 1, k, eps) > delta);
+        for k in 1..=12 {
+            let n = binomial_flips_for(k, eps, delta);
+            assert!(binomial_delta_definition(n, k, eps) <= delta, "k={k}");
+            assert!(binomial_delta_definition(n - 1, k, eps) > delta, "k={k}");
+        }
+    }
+
+    #[test]
+    fn binomial_calibration_finds_answers_below_the_first_probe() {
+        // Loose targets are met by fewer flips than the first probe of
+        // 16, where no failing n has been seen yet.
+        for (k, eps, delta) in [(1, 3.0, 0.2), (1, 1.0, 0.3), (2, 2.0, 0.5), (1, 0.3, 0.45)] {
+            let smallest = (1..=16)
+                .find(|&n| binomial_delta_definition(n, k, eps) <= delta)
+                .expect("target reachable within the first probe");
+            assert!(smallest <= 8, "case must sit below the old bracket");
+            assert_eq!(
+                binomial_flips_for(k, eps, delta),
+                smallest,
+                "k={k} eps={eps}"
+            );
+        }
     }
 
     #[test]
@@ -399,11 +544,5 @@ mod tests {
                 "n={n}: mean {mean} vs {expect}"
             );
         }
-    }
-
-    #[test]
-    fn binomial_edge_cases() {
-        assert_eq!(binomial_delta_exact(10, 0, 0.1), 0.0);
-        assert_eq!(binomial_delta_exact(4, 5, 0.1), 1.0);
     }
 }

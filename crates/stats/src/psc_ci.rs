@@ -21,16 +21,34 @@ fn binom_half_pmf(n: u64, x: u64) -> f64 {
     (ln_choose(n, x) - n as f64 * std::f64::consts::LN_2).exp()
 }
 
+/// Largest `noise_flips` for which [`observation_cdf`] convolves the
+/// noise exactly.
+const EXACT_NOISE_FLIPS: u64 = 4_096;
+
+/// `cdf[j] = P[Bin(n, 1/2) ≤ j]` for `j` in `0..=n`, summed ascending
+/// from `x = 0`.
+fn binom_half_cdf(n: u64) -> Vec<f64> {
+    let mut acc = 0.0;
+    (0..=n)
+        .map(|x| {
+            acc += binom_half_pmf(n, x);
+            acc
+        })
+        .collect()
+}
+
 /// P[occupied(u) + Bin(n,1/2) ≤ k], computed exactly for small problems
 /// and by moment-matched normal approximation for large ones.
-fn observation_cdf(bins: u64, u: u64, noise_flips: u64, k: i64) -> f64 {
+/// `noise_cdf` is [`binom_half_cdf`] of `noise_flips`, present when
+/// `noise_flips` is within [`EXACT_NOISE_FLIPS`].
+fn observation_cdf(bins: u64, u: u64, noise_flips: u64, noise_cdf: Option<&[f64]>, k: i64) -> f64 {
     if k < 0 {
         return 0.0;
     }
     let k = k as u64;
     // Heuristic cutoff: exact convolution when the DP window × binomial
     // support is small enough to enumerate quickly.
-    if u <= 20_000 && noise_flips <= 4_096 {
+    if let Some(noise_cdf) = noise_cdf.filter(|_| u <= 20_000) {
         let occ = OccupancyDist::exact(bins, u);
         let (lo, hi) = occ.support();
         let mut cdf = 0.0;
@@ -43,11 +61,7 @@ fn observation_cdf(bins: u64, u: u64, noise_flips: u64, k: i64) -> f64 {
                 continue;
             }
             // noise ≤ k - m
-            let mut ncdf = 0.0;
-            for x in 0..=(k - m).min(noise_flips) {
-                ncdf += binom_half_pmf(noise_flips, x);
-            }
-            cdf += pm * ncdf;
+            cdf += pm * noise_cdf[(k - m).min(noise_flips) as usize];
         }
         cdf
     } else {
@@ -82,8 +96,11 @@ pub fn psc_confidence_interval(bins: u64, observed: i64, noise_flips: u64, conf:
     //   P[obs ≤ k | u] > tail  AND  P[obs ≥ k | u] > tail.
     // The observation is stochastically increasing in u, so both
     // boundaries are found by binary search.
-    let accept_low = |u: u64| observation_cdf(bins, u, noise_flips, observed) > tail;
-    let accept_high = |u: u64| 1.0 - observation_cdf(bins, u, noise_flips, observed - 1) > tail;
+    // Every probe below reads the same noise distribution: sum it once.
+    let noise_cdf = (noise_flips <= EXACT_NOISE_FLIPS).then(|| binom_half_cdf(noise_flips));
+    let obs_cdf = |u: u64, k: i64| observation_cdf(bins, u, noise_flips, noise_cdf.as_deref(), k);
+    let accept_low = |u: u64| obs_cdf(u, observed) > tail;
+    let accept_high = |u: u64| 1.0 - obs_cdf(u, observed - 1) > tail;
 
     // Upper bound of search: invert the mean at the most optimistic
     // occupied count, padded generously.
@@ -145,6 +162,48 @@ mod tests {
     use pm_dp::mechanism::sample_binomial_half;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The exact branch of `observation_cdf` with the noise tail re-summed
+    /// from zero for every support point: the form the prefix table
+    /// replaced, kept as its bit-for-bit reference.
+    fn observation_cdf_nested(bins: u64, u: u64, noise_flips: u64, k: u64) -> f64 {
+        let occ = OccupancyDist::exact(bins, u);
+        let (lo, hi) = occ.support();
+        let mut cdf = 0.0;
+        for m in lo..=hi.min(k) {
+            let pm = occ.pmf(m);
+            if pm == 0.0 {
+                continue;
+            }
+            let mut ncdf = 0.0;
+            for x in 0..=(k - m).min(noise_flips) {
+                ncdf += binom_half_pmf(noise_flips, x);
+            }
+            cdf += pm * ncdf;
+        }
+        cdf
+    }
+
+    #[test]
+    fn prefix_table_is_bit_identical_to_nested_sums() {
+        for bins in [64u64, 1 << 10, 1 << 14] {
+            for u in [0u64, 1, 50, 700] {
+                for flips in [0u64, 1, 64, 300, 4096] {
+                    let table = binom_half_cdf(flips);
+                    let centre = OccupancyDist::mean_exact(bins, u) as u64 + flips / 2;
+                    for k in [0, centre / 2, centre.saturating_sub(3), centre, centre + 40] {
+                        let got = observation_cdf(bins, u, flips, Some(&table), k as i64);
+                        let want = observation_cdf_nested(bins, u, flips, k);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "bins={bins} u={u} flips={flips} k={k}: {got:e} vs {want:e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn noiseless_exact_observation() {

@@ -31,11 +31,16 @@ fn calibrated_gaussian_noise_satisfies_paper_epsilon_delta() {
 
 #[test]
 fn calibrated_binomial_noise_satisfies_epsilon_delta() {
-    // PSC noise for the unique-IP sensitivity (4 new IPs/day).
-    let n = binomial_flips_for(4, EPSILON, 1e-6);
-    assert!(binomial_delta_exact(n, 4, EPSILON) <= 1e-6);
-    // And it is tight: one less flip fails.
-    assert!(binomial_delta_exact(n - 1, 4, EPSILON) > 1e-6);
+    // Every Table 1 sensitivity a PSC round is calibrated at: the
+    // campaign calendar's 4 (unique IPs/day), 6 (two-day onion window),
+    // 12 (96 h IP round) and 40 (two-day exit-domain window), plus the
+    // registry's one-day 3, 20 and 30.
+    for k in [3, 4, 6, 12, 20, 30, 40] {
+        let n = binomial_flips_for(k, EPSILON, 1e-6);
+        assert!(binomial_delta_exact(n, k, EPSILON) <= 1e-6, "k={k}");
+        // And it is tight: one less flip fails.
+        assert!(binomial_delta_exact(n - 1, k, EPSILON) > 1e-6, "k={k}");
+    }
 }
 
 #[test]
