@@ -119,7 +119,7 @@ pub struct Deployment {
     /// change any report — only memory footprint and wall-clock shape.
     pub max_concurrent_psc_rounds: usize,
     /// Which `pm_net::Fabric` backend carries every round this
-    /// deployment runs: in-process per-link mailboxes (default) or
+    /// deployment runs: the in-process switchboard (default) or
     /// real loopback sockets. Under a lossless schedule the choice
     /// cannot change a report byte — only transport wall-clock — which
     /// the wire-smoke gate pins.

@@ -394,11 +394,12 @@ pub fn run_jobs<T: Send>(
     outputs
 }
 
-/// Executes planned rounds on up to `workers` threads via [`run_jobs`],
-/// honouring the dependency graph and the deployment's
-/// concurrent-PSC-round cap, and returns reports in plan (= registry)
-/// order.
-fn execute_plan(dep: &Deployment, planned: Vec<PlannedRound>, workers: usize) -> Vec<Report> {
+/// Executes an explicit plan on up to `workers` threads via
+/// [`run_jobs`], honouring its dependency graph and the deployment's
+/// concurrent-PSC-round cap; reports come back in plan (= registry)
+/// order. Public so tests can drive synthetic plans with instrumented
+/// run functions; study code should call [`run_all`].
+pub fn run_plan(dep: &Deployment, planned: Vec<PlannedRound>, workers: usize) -> Vec<Report> {
     let jobs: Vec<Job<'_, Report>> = planned
         .into_iter()
         .map(|p| Job {
@@ -411,14 +412,6 @@ fn execute_plan(dep: &Deployment, planned: Vec<PlannedRound>, workers: usize) ->
     run_jobs(jobs, workers, dep.max_concurrent_psc_rounds, &dep.recorder)
 }
 
-/// Executes an explicit plan on up to `workers` threads, honouring its
-/// dependency graph; reports come back in plan order. Public so tests
-/// can drive synthetic plans with instrumented run functions; study
-/// code should call [`run_all`].
-pub fn run_plan(dep: &Deployment, planned: Vec<PlannedRound>, workers: usize) -> Vec<Report> {
-    execute_plan(dep, planned, workers)
-}
-
 /// Runs every experiment: the schedule is validated against the §3.1
 /// rules up front, then logically-disjoint rounds execute concurrently
 /// on a thread pool. Reports come back in registry order, identical to
@@ -428,7 +421,7 @@ pub fn run_all(dep: &Deployment) -> Vec<Report> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    execute_plan(dep, planned, workers)
+    run_plan(dep, planned, workers)
 }
 
 /// Runs a subset of experiments by id. Subsets skip the §3.1 schedule
@@ -512,8 +505,8 @@ mod tests {
             .collect();
         let dep = crate::deployment::Deployment::at_scale(1e-4, 1);
         // Must re-raise the round's panic on the caller; before the
-        // catch_unwind in execute_plan this deadlocked the pool.
-        let _ = execute_plan(&dep, planned, 2);
+        // catch_unwind in run_jobs this deadlocked the pool.
+        let _ = run_plan(&dep, planned, 2);
     }
 
     #[test]
@@ -624,7 +617,7 @@ mod tests {
             })
             .collect();
         let dep = crate::deployment::Deployment::at_scale(1e-4, 1);
-        let reports = execute_plan(&dep, planned, 3);
+        let reports = run_plan(&dep, planned, 3);
         assert_eq!(
             reports.iter().map(|r| r.id.as_str()).collect::<Vec<_>>(),
             ["0", "1", "2"]

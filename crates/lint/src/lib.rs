@@ -53,13 +53,15 @@
 //! on any unallowed finding. Its own test suite runs the analyzer over
 //! `fixtures/` (a mini-workspace of seeded violations, asserting each
 //! is reported exactly once) and over the real workspace (asserting it
-//! is clean) — the gate cannot rot silently.
+//! is clean, and that the per-rule count of allow markers never
+//! exceeds its recorded ceiling) — the gate cannot rot silently.
 
 pub mod lexer;
 pub mod rules;
 
 pub use rules::Finding;
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -111,11 +113,12 @@ fn relative(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Analyzes every source file under `root` and returns the sorted
-/// findings (file, line, rule).
-pub fn analyze_root(root: &Path) -> io::Result<Vec<Finding>> {
+/// One pass over every source file under `root`: the sorted findings
+/// and the number of valid `lint:allow` markers per rule.
+fn scan_root(root: &Path) -> io::Result<(Vec<Finding>, BTreeMap<String, usize>)> {
     let mut findings = Vec::new();
     let mut seed_labels = Vec::new();
+    let mut markers = BTreeMap::new();
     for path in collect_sources(root)? {
         let rel = relative(root, &path);
         let src = fs::read_to_string(&path)?;
@@ -123,11 +126,26 @@ pub fn analyze_root(root: &Path) -> io::Result<Vec<Finding>> {
         let report = rules::analyze_file(&rel, &scrubbed);
         findings.extend(report.findings);
         seed_labels.extend(report.seed_labels);
+        for rule in report.allow_markers {
+            *markers.entry(rule).or_insert(0) += 1;
+        }
     }
     findings.extend(rules::seed_registry_findings(&seed_labels));
     findings.sort();
     findings.dedup();
-    Ok(findings)
+    Ok((findings, markers))
+}
+
+/// Analyzes every source file under `root` and returns the sorted
+/// findings (file, line, rule).
+pub fn analyze_root(root: &Path) -> io::Result<Vec<Finding>> {
+    Ok(scan_root(root)?.0)
+}
+
+/// Counts the valid `lint:allow(<rule>)` markers under `root`, per
+/// rule — the suppression debt the workspace test ratchets down.
+pub fn allow_marker_counts(root: &Path) -> io::Result<BTreeMap<String, usize>> {
+    Ok(scan_root(root)?.1)
 }
 
 /// Renders findings as a JSON document (hand-rolled — the gate stays

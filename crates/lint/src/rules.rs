@@ -104,6 +104,9 @@ struct Marker {
 pub struct FileReport {
     pub findings: Vec<Finding>,
     pub seed_labels: Vec<SeedLabel>,
+    /// The rule named by each valid allow marker in the file, in
+    /// source order (the workspace ratchet counts these).
+    pub allow_markers: Vec<String>,
 }
 
 fn in_unordered_scope(rel: &str) -> bool {
@@ -598,9 +601,15 @@ pub fn analyze_file(rel: &str, scrubbed: &Scrubbed) -> FileReport {
         }
     }
 
+    let allow_markers = markers
+        .into_iter()
+        .filter(|m| m.valid)
+        .map(|m| m.rule)
+        .collect();
     FileReport {
         findings,
         seed_labels,
+        allow_markers,
     }
 }
 

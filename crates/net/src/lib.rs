@@ -9,10 +9,10 @@
 //!   built directly on [`bytes`] (hand-written codecs, no serde on the
 //!   wire);
 //! * [`transport`] — the [`transport::Fabric`] trait and the in-memory
-//!   [`transport::Switchboard`] backend: one mailbox per ordered
-//!   `(from, to)` party link, so traffic on disjoint links never
-//!   serializes behind a shared lock, plus per-link fault injection
-//!   with smoltcp-style drop/duplicate/corrupt knobs;
+//!   [`transport::Switchboard`] backend: one inbox per party, with
+//!   fault injection (smoltcp-style drop/duplicate/corrupt knobs),
+//!   accounting and transcript digests kept per ordered `(from, to)`
+//!   link;
 //! * [`wire`] — the socket-backed [`wire::WireFabric`]: the same frame
 //!   codec length-prefixed onto real TCP loopback links, with
 //!   deterministic latency/bandwidth shaping for WAN-like wall-clock
@@ -35,14 +35,18 @@
 //!
 //! | choice        | backend                | delivery                           |
 //! |---------------|------------------------|------------------------------------|
-//! | `PerLink`     | [`transport::Switchboard`] | in-process, per-link mailboxes |
+//! | `PerLink`     | [`transport::Switchboard`] | in-process, one inbox per party |
 //! | `Wire(shape)` | [`wire::WireFabric`]   | TCP loopback sockets, optionally shaped |
+//!
+//! "Per link" names the admission path — fault schedules, accounting
+//! and digests are kept per ordered `(from, to)` link — not a queue:
+//! both backends deliver into one inbox per party.
 //!
 //! The trait contract protocols may rely on, on **any** backend:
 //!
 //! * **Per-sender FIFO is the only ordering guarantee.** Frames from
 //!   one sender to one recipient arrive in send order; the interleaving
-//!   of different senders is a schedule artifact (token queue, OS
+//!   of different senders is a schedule artifact (send order, OS
 //!   scheduler, or TCP timing) and must never affect a transcript byte.
 //! * Every submitted frame is counted in the fault/link statistics at
 //!   the send site, so backends fed the same transcript report the

@@ -18,7 +18,7 @@
 //! The runner is backend-generic: it holds an `Arc<dyn Fabric>` and
 //! registers its parties through the trait. Protocol state machines
 //! may rely on per-sender FIFO order only — cross-sender arrival order
-//! is a schedule artifact on every backend (token queue, OS scheduler,
+//! is a schedule artifact on every backend (send order, OS scheduler,
 //! or TCP timing).
 
 use crate::transport::{Endpoint, Envelope, Fabric, PartyId, TransportError};

@@ -2,8 +2,8 @@
 //! and the fault-injection layer.
 //!
 //! Every party registers under a [`PartyId`] and receives an
-//! [`Endpoint`]. Sends serialize the frame to wire bytes and enqueue them
-//! on the recipient's mailbox; receives parse and checksum-verify. The
+//! [`Endpoint`]. Sends serialize the frame to wire bytes and push them
+//! onto the recipient's inbox; receives parse and checksum-verify. The
 //! serialize/parse round trip through real wire bytes is deliberate: it
 //! keeps the codecs honest and gives fault injection something faithful
 //! to corrupt.
@@ -15,33 +15,40 @@
 //! frames, expose per-link [`LinkStats`], and fold the frame/byte
 //! counters into the round's recorder exactly once when the last
 //! handle drops. Two backends live in this crate: the in-process
-//! [`Switchboard`] below and the socket-backed
-//! [`crate::wire::WireFabric`]. [`FabricChoice`] names the backends so
-//! round configurations stay `Copy`/`Clone` while the fabric itself is
-//! built at round start.
+//! [`Switchboard`] and the socket-backed [`crate::wire::WireFabric`].
+//! [`FabricChoice`] names the backends so round configurations stay
+//! `Copy`/`Clone` while the fabric itself is built at round start.
 //!
 //! # Delivery
 //!
-//! The switchboard keeps one **mailbox per ordered `(from, to)`
-//! link**: serialization, fault rolls, and the queue push all happen
-//! under per-link state, so concurrent traffic on disjoint links never
-//! convoys behind a shared lock — TS↔CP and TS↔DC phases of a protocol
-//! round overlap freely. Per-recipient arrival order is decided by a
-//! tiny token queue (one token per delivered frame); within a link,
-//! FIFO order is preserved, which is the only ordering the protocols
-//! rely on. Fault schedules are **per link**, seeded from
-//! `(seed, from, to)`, so one link's schedule is independent of the
-//! traffic on every other link.
+//! Each registered party owns **one inbox**: a FIFO channel whose
+//! receiver sits in the party's [`Endpoint`]. A send serializes the
+//! frame, accounts it on its ordered `(from, to)` link, looks the
+//! recipient up, rolls the link's fault dice, and pushes the surviving
+//! copies onto the recipient's inbox. One sender thread per party and
+//! one FIFO per recipient give per-sender FIFO, the only ordering the
+//! protocols rely on; on the switchboard a recipient's arrival order
+//! across senders is simply the order the sends ran in.
+//!
+//! What is **per link** is the admission path, not the queue: fault
+//! schedules (seeded from `(seed, from, to)`, so one link's schedule is
+//! independent of the traffic on every other link), frame/byte
+//! accounting, and transcript digests. That state lives in the
+//! fabric's ledger for the fabric's whole life, so a link's schedule
+//! continues across a re-registration of either endpoint on every
+//! backend (no protocol round re-registers a party).
 
-use crate::frame::{flip_wire_bit, Frame, WireError};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::Mutex;
+mod ledger;
+mod switchboard;
+
+pub(crate) use ledger::LinkLedger;
+pub use ledger::{FaultConfig, FaultStats, LinkStats};
+pub use switchboard::Switchboard;
+
+use crate::frame::{Frame, WireError};
+use crossbeam::channel::{Receiver, TryRecvError};
 use pm_obs::Recorder;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A party's stable name on the fabric (e.g. `"ts"`, `"sk-1"`, `"dc-7"`).
@@ -99,11 +106,6 @@ pub enum TransportError {
     /// The received bytes failed to parse as a frame (or the wire
     /// stream failed to reassemble into frames).
     Wire(WireError),
-    /// The per-link token queue and link mailboxes disagree — a
-    /// delivery token arrived for a link that has no mailbox or no
-    /// queued frame. Indicates a fabric bookkeeping bug (e.g. an
-    /// orphaned frame left behind by a failed delivery).
-    Desync(String),
 }
 
 impl fmt::Display for TransportError {
@@ -113,342 +115,14 @@ impl fmt::Display for TransportError {
             TransportError::Disconnected => write!(f, "party disconnected"),
             TransportError::Empty => write!(f, "no message available"),
             TransportError::Wire(e) => write!(f, "wire error: {e}"),
-            TransportError::Desync(s) => write!(f, "link desync: {s}"),
         }
     }
 }
 
 impl std::error::Error for TransportError {}
 
-/// Fault-injection knobs, mirroring smoltcp's example options.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultConfig {
-    /// Probability a sent frame is silently dropped.
-    pub drop_chance: f64,
-    /// Probability a sent frame is delivered twice.
-    pub duplicate_chance: f64,
-    /// Probability one byte of the frame is flipped in flight.
-    pub corrupt_chance: f64,
-    /// RNG seed for deterministic fault schedules.
-    pub seed: u64,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            drop_chance: 0.0,
-            duplicate_chance: 0.0,
-            corrupt_chance: 0.0,
-            seed: 0,
-        }
-    }
-}
-
-impl FaultConfig {
-    /// A lossless configuration (the default).
-    pub fn none() -> FaultConfig {
-        FaultConfig::default()
-    }
-
-    /// True if any fault is possible.
-    pub fn is_active(&self) -> bool {
-        self.drop_chance > 0.0 || self.duplicate_chance > 0.0 || self.corrupt_chance > 0.0
-    }
-}
-
+/// What sits in a party's inbox: the sender and one frame's wire bytes.
 pub(crate) type WireMessage = (PartyId, Vec<u8>);
-
-/// Delivery statistics, for tests and the fault-injection examples.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Frames submitted for delivery.
-    pub sent: u64,
-    /// Frames silently dropped.
-    pub dropped: u64,
-    /// Extra deliveries due to duplication.
-    pub duplicated: u64,
-    /// Frames with a byte flipped.
-    pub corrupted: u64,
-}
-
-#[derive(Default)]
-pub(crate) struct AtomicStats {
-    pub(crate) sent: AtomicU64,
-    pub(crate) dropped: AtomicU64,
-    pub(crate) duplicated: AtomicU64,
-    pub(crate) corrupted: AtomicU64,
-}
-
-impl AtomicStats {
-    fn snapshot(&self) -> FaultStats {
-        FaultStats {
-            sent: self.sent.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            corrupted: self.corrupted.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Per-link delivery statistics: everything that happened on one
-/// ordered `(from, to)` link, with corrupted-then-delivered frames
-/// counted apart from clean ones (the board-wide [`FaultStats`]
-/// aggregate cannot make that distinction per link).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Frames submitted for delivery on this link.
-    pub sent: u64,
-    /// Wire bytes submitted (pre-corruption; bit flips preserve size).
-    pub bytes: u64,
-    /// Order-sensitive FNV-1a digest of every wire byte submitted on
-    /// this link, in send order (pre-fault, like `bytes`). Two fabrics
-    /// carried the *same transcript* on a link exactly when their
-    /// digests agree — the wire-vs-in-process equality tests pin this.
-    pub digest: u64,
-    /// Frames silently dropped.
-    pub dropped: u64,
-    /// Frames the duplicate fault delivered twice.
-    pub duplicated: u64,
-    /// Copies committed for delivery with intact wire bytes.
-    pub delivered_clean: u64,
-    /// Copies committed for delivery with a flipped bit — the receiver
-    /// sees these as checksum failures, the stats see them distinctly.
-    pub delivered_corrupted: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_fold(mut h: u64, data: &[u8]) -> u64 {
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// One link's counters plus its running transcript digest. The digest
-/// sits behind a mutex (not an atomic) because it is order-sensitive:
-/// per-link send order is well-defined — one sender, per-sender FIFO —
-/// and the fold must observe it.
-pub(crate) struct LinkRecord {
-    sent: AtomicU64,
-    bytes: AtomicU64,
-    digest: Mutex<u64>,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    delivered_clean: AtomicU64,
-    delivered_corrupted: AtomicU64,
-}
-
-impl Default for LinkRecord {
-    fn default() -> Self {
-        LinkRecord {
-            sent: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            digest: Mutex::new(FNV_OFFSET),
-            dropped: AtomicU64::new(0),
-            duplicated: AtomicU64::new(0),
-            delivered_clean: AtomicU64::new(0),
-            delivered_corrupted: AtomicU64::new(0),
-        }
-    }
-}
-
-impl LinkRecord {
-    fn snapshot(&self) -> LinkStats {
-        LinkStats {
-            sent: self.sent.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            digest: *self.digest.lock(),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            delivered_clean: self.delivered_clean.load(Ordering::Relaxed),
-            delivered_corrupted: self.delivered_corrupted.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// What the fault layer decided for one frame.
-pub(crate) enum Verdict {
-    Deliver { copies: usize, corrupted: bool },
-    Drop,
-}
-
-/// Rolls the fault dice for one frame, mutating `wire` on corruption.
-/// The roll order (drop, corrupt, duplicate) is shared by every
-/// backend so a given RNG produces the same schedule on each.
-pub(crate) fn roll_faults(
-    faults: &FaultConfig,
-    rng: &mut StdRng,
-    wire: &mut [u8],
-    stats: &AtomicStats,
-) -> Verdict {
-    if !faults.is_active() {
-        return Verdict::Deliver {
-            copies: 1,
-            corrupted: false,
-        };
-    }
-    let drop_roll: f64 = rng.gen();
-    if drop_roll < faults.drop_chance {
-        stats.dropped.fetch_add(1, Ordering::Relaxed);
-        return Verdict::Drop; // silently dropped, like a lossy link
-    }
-    let corrupt_roll: f64 = rng.gen();
-    let corrupted = corrupt_roll < faults.corrupt_chance && !wire.is_empty();
-    if corrupted {
-        let idx = rng.gen_range(0..wire.len());
-        let bit = rng.gen_range(0..8u32);
-        flip_wire_bit(wire, idx, bit);
-        stats.corrupted.fetch_add(1, Ordering::Relaxed);
-    }
-    let dup_roll: f64 = rng.gen();
-    if dup_roll < faults.duplicate_chance {
-        stats.duplicated.fetch_add(1, Ordering::Relaxed);
-        Verdict::Deliver {
-            copies: 2,
-            corrupted,
-        }
-    } else {
-        Verdict::Deliver {
-            copies: 1,
-            corrupted,
-        }
-    }
-}
-
-/// Per-link fault-schedule seed: the workspace's labelled seed
-/// derivation over the fabric seed and both endpoint names (the same
-/// scheme torsim uses for its per-partition RNGs). Shared by every
-/// backend so a given `(seed, from, to)` link sees the identical fault
-/// schedule on the in-process and the socket fabric alike.
-pub(crate) fn link_seed(seed: u64, from: &PartyId, to: &PartyId) -> u64 {
-    pm_stats::sampling::derive_seed(seed, &format!("link/{from}\u{0}->\u{0}{to}"))
-}
-
-/// The send-side accounting every backend shares: the board-wide
-/// [`FaultStats`], the per-link [`LinkRecord`]s (keyed by ordered
-/// `(from, to)`, sorted so iteration is deterministic), and the
-/// publish-on-last-drop metrics contract. Backends embed one and call
-/// [`LinkLedger::tally_send`] / [`LinkLedger::tally_verdict`] at the
-/// same points, which is what makes the shared `net.*` counters
-/// backend-invariant under a lossless schedule.
-pub(crate) struct LinkLedger {
-    stats: AtomicStats,
-    links: Mutex<BTreeMap<(PartyId, PartyId), Arc<LinkRecord>>>,
-    recorder: Recorder,
-}
-
-impl LinkLedger {
-    pub(crate) fn new(recorder: Recorder) -> LinkLedger {
-        LinkLedger {
-            stats: AtomicStats::default(),
-            links: Mutex::new(BTreeMap::new()),
-            recorder,
-        }
-    }
-
-    pub(crate) fn stats(&self) -> &AtomicStats {
-        &self.stats
-    }
-
-    /// Counts one submitted frame: board-wide `sent`, the link's
-    /// `sent`/`bytes`, and the link's transcript digest (pre-fault
-    /// wire bytes, in send order). Returns the link record so the
-    /// caller can tally the fault verdict on it.
-    pub(crate) fn tally_send(&self, from: &PartyId, to: &PartyId, wire: &[u8]) -> Arc<LinkRecord> {
-        self.stats.sent.fetch_add(1, Ordering::Relaxed);
-        let record = {
-            let mut links = self.links.lock();
-            Arc::clone(
-                links
-                    .entry((from.clone(), to.clone()))
-                    .or_insert_with(|| Arc::new(LinkRecord::default())),
-            )
-        };
-        record.sent.fetch_add(1, Ordering::Relaxed);
-        record.bytes.fetch_add(wire.len() as u64, Ordering::Relaxed);
-        {
-            let mut digest = record.digest.lock();
-            *digest = fnv1a_fold(*digest, wire);
-        }
-        record
-    }
-
-    /// Records the fault verdict for one frame on its link's counters.
-    pub(crate) fn tally_verdict(record: &LinkRecord, verdict: &Verdict) {
-        match verdict {
-            Verdict::Drop => {
-                record.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            Verdict::Deliver { copies, corrupted } => {
-                if *copies > 1 {
-                    record.duplicated.fetch_add(1, Ordering::Relaxed);
-                }
-                let delivered = if *corrupted {
-                    &record.delivered_corrupted
-                } else {
-                    &record.delivered_clean
-                };
-                delivered.fetch_add(*copies as u64, Ordering::Relaxed);
-            }
-        }
-    }
-
-    pub(crate) fn fault_stats(&self) -> FaultStats {
-        self.stats.snapshot()
-    }
-
-    pub(crate) fn link_stats(&self) -> Vec<((PartyId, PartyId), LinkStats)> {
-        self.links
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect()
-    }
-
-    /// Folds this fabric's totals into the recorder's metrics registry:
-    /// board-wide frame/byte counters plus one `net.link.{from}->{to}.*`
-    /// family per link (fault-outcome keys only where the outcome
-    /// occurred — the fault schedule is deterministic, so key presence
-    /// is too). `extra` carries backend-specific counters (the wire
-    /// backend's `net.wire.*` family); they are published after the
-    /// shared keys and never under the shared names.
-    pub(crate) fn publish_metrics(&self, extra: &[(&str, u64)]) {
-        let links = self.links.lock();
-        if links.is_empty() {
-            return; // fabric never carried a frame
-        }
-        let s = self.stats.snapshot();
-        self.recorder.add("net.frames.sent", s.sent);
-        self.recorder.add("net.frames.dropped", s.dropped);
-        self.recorder.add("net.frames.duplicated", s.duplicated);
-        self.recorder.add("net.frames.corrupted", s.corrupted);
-        for ((from, to), record) in links.iter() {
-            let s = record.snapshot();
-            self.recorder.add("net.bytes.sent", s.bytes);
-            let key = |field: &str| format!("net.link.{from}->{to}.{field}");
-            self.recorder.add(&key("sent"), s.sent);
-            self.recorder.add(&key("bytes"), s.bytes);
-            self.recorder.add(&key("digest"), s.digest);
-            if s.dropped > 0 {
-                self.recorder.add(&key("dropped"), s.dropped);
-            }
-            if s.duplicated > 0 {
-                self.recorder.add(&key("duplicated"), s.duplicated);
-            }
-            if s.delivered_corrupted > 0 {
-                self.recorder.add(&key("corrupted"), s.delivered_corrupted);
-            }
-        }
-        for (key, value) in extra {
-            self.recorder.add(key, *value);
-        }
-    }
-}
-
-// ----- the backend abstraction -----
 
 /// A message fabric connecting the parties of a deployment: the
 /// send/recv/link-stats/metrics-publication surface protocol drivers
@@ -459,7 +133,7 @@ impl LinkLedger {
 /// * **Ordering.** Per-sender FIFO is the only order protocols may
 ///   rely on, on any backend: frames from one sender to one recipient
 ///   arrive in send order; cross-sender interleaving is a schedule
-///   artifact (token queue, OS scheduler, or TCP timing).
+///   artifact (send order, OS scheduler, or TCP timing).
 /// * **Accounting.** Every submitted frame is counted in
 ///   [`Fabric::fault_stats`] and the per-link [`Fabric::link_stats`]
 ///   at the send site, before delivery can fail — so two backends fed
@@ -476,8 +150,9 @@ impl LinkLedger {
 ///   fails synchronously.
 pub trait Fabric: Send + Sync {
     /// Registers a party and returns its endpoint. Re-registering a
-    /// name replaces the previous endpoint (the old receiver
-    /// disconnects).
+    /// name replaces the previous endpoint: the old receiver
+    /// disconnects, later sends reach the new one, and the fault
+    /// schedules of the links into and out of the name continue.
     fn register(&self, id: PartyId) -> Endpoint;
 
     /// Removes a party from the fabric.
@@ -498,19 +173,13 @@ pub(crate) trait SendPort: Send + Sync {
     fn deliver(&self, from: &PartyId, to: &PartyId, frame: &Frame) -> Result<(), TransportError>;
 }
 
-/// A backend's receive half for one registered party.
-pub(crate) trait RecvPort: Send {
-    fn recv_wire(&self) -> Result<WireMessage, TransportError>;
-    fn try_recv_wire(&self) -> Result<WireMessage, TransportError>;
-    fn pending(&self) -> usize;
-}
-
 /// Which [`Fabric`] backend a round should run over. `Copy`, so round
 /// configurations stay cheap to clone and rebuild; the fabric itself
 /// is constructed at round start via [`FabricChoice::build_obs`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FabricChoice {
-    /// The default in-process switchboard: per-link mailboxes.
+    /// The default in-process switchboard: one inbox per party, fault
+    /// schedules and accounting per link.
     #[default]
     PerLink,
     /// The socket-backed fabric ([`crate::wire`]): real TCP loopback
@@ -602,259 +271,23 @@ impl WireShape {
     }
 }
 
-// ----- the in-process backend -----
-
-/// One ordered `(from, to)` link: its queued wire frames and its own
-/// fault RNG. Senders on different links never touch each other's state.
-struct LinkMailbox {
-    queue: Mutex<VecDeque<Vec<u8>>>,
-    rng: Mutex<StdRng>,
-}
-
-/// A registered party's receiving side.
-struct PartySlot {
-    /// One token per queued frame; its order decides cross-link arrival
-    /// order and its disconnection mirrors deregistration.
-    token_tx: Sender<PartyId>,
-    /// Per-sender mailboxes, created lazily on first frame.
-    // lint:allow(unordered-map) keyed lookup only; the one key iteration (parties()) sorts before returning
-    links: Arc<Mutex<HashMap<PartyId, Arc<LinkMailbox>>>>,
-}
-
-struct BoardInner {
-    // lint:allow(unordered-map) keyed lookup only; the one key iteration (parties()) sorts before returning
-    parties: Mutex<HashMap<PartyId, PartySlot>>,
-    faults: FaultConfig,
-    ledger: LinkLedger,
-}
-
-impl Drop for BoardInner {
-    /// Every board publishes its metrics exactly once, when the last
-    /// handle goes away — round runners drop their boards at round end
-    /// on success *and* abort paths alike, so no path skips accounting.
-    fn drop(&mut self) {
-        self.ledger.publish_metrics(&[]);
-    }
-}
-
-/// The in-memory message fabric connecting all parties of a deployment.
-#[derive(Clone)]
-pub struct Switchboard {
-    inner: Arc<BoardInner>,
-}
-
-impl Default for Switchboard {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Switchboard {
-    /// Creates a lossless switchboard with an inert recorder.
-    pub fn new() -> Switchboard {
-        Switchboard::with_faults(FaultConfig::none(), Recorder::new())
-    }
-
-    /// Creates a switchboard with fault injection enabled, publishing
-    /// the board's frame and per-link counters into `recorder` when the
-    /// board is dropped.
-    pub fn with_faults(faults: FaultConfig, recorder: Recorder) -> Switchboard {
-        Switchboard {
-            inner: Arc::new(BoardInner {
-                // lint:allow(unordered-map) see the BoardInner::parties field note
-                parties: Mutex::new(HashMap::new()),
-                faults,
-                ledger: LinkLedger::new(recorder),
-            }),
-        }
-    }
-
-    /// Registers a party and returns its endpoint. Re-registering a name
-    /// replaces the previous endpoint (the old receiver disconnects).
-    pub fn register(&self, id: impl Into<PartyId>) -> Endpoint {
-        let id = id.into();
-        let (token_tx, token_rx) = unbounded();
-        // lint:allow(unordered-map) see the PartySlot::links field note
-        let links = Arc::new(Mutex::new(HashMap::new()));
-        self.inner.parties.lock().insert(
-            id.clone(),
-            PartySlot {
-                token_tx,
-                links: Arc::clone(&links),
-            },
-        );
-        let recv = Box::new(RecvHalf { token_rx, links });
-        Endpoint::from_parts(id, Arc::new(self.clone()), recv)
-    }
-
-    /// Removes a party from the fabric.
-    pub fn deregister(&self, id: &PartyId) {
-        self.inner.parties.lock().remove(id);
-    }
-
-    /// All registered party ids, sorted.
-    pub fn parties(&self) -> Vec<PartyId> {
-        let mut v: Vec<PartyId> = self.inner.parties.lock().keys().cloned().collect();
-        v.sort();
-        v
-    }
-
-    /// Current fault-injection statistics.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.inner.ledger.fault_stats()
-    }
-
-    /// Current per-link statistics, in `(from, to)` order.
-    pub fn link_stats(&self) -> Vec<((PartyId, PartyId), LinkStats)> {
-        self.inner.ledger.link_stats()
-    }
-
-    fn deliver(&self, from: &PartyId, to: &PartyId, frame: &Frame) -> Result<(), TransportError> {
-        let mut wire = frame.to_wire().to_vec();
-        let record = self.inner.ledger.tally_send(from, to, &wire);
-        let stats = self.inner.ledger.stats();
-        // Clone the recipient's handles out of the registry so the
-        // registry lock is never held across serialization, fault
-        // rolls, or queue pushes.
-        let (token_tx, links) = {
-            let parties = self.inner.parties.lock();
-            let slot = parties
-                .get(to)
-                .ok_or_else(|| TransportError::UnknownParty(to.0.clone()))?;
-            (slot.token_tx.clone(), Arc::clone(&slot.links))
-        };
-        let link = {
-            let mut links = links.lock();
-            Arc::clone(links.entry(from.clone()).or_insert_with(|| {
-                Arc::new(LinkMailbox {
-                    queue: Mutex::new(VecDeque::new()),
-                    rng: Mutex::new(StdRng::seed_from_u64(link_seed(
-                        self.inner.faults.seed,
-                        from,
-                        to,
-                    ))),
-                })
-            }))
-        };
-        let verdict = {
-            let mut rng = link.rng.lock();
-            roll_faults(&self.inner.faults, &mut rng, &mut wire, stats)
-        };
-        LinkLedger::tally_verdict(&record, &verdict);
-        let copies = match verdict {
-            Verdict::Drop => return Ok(()),
-            Verdict::Deliver { copies, .. } => copies,
-        };
-        for _ in 0..copies {
-            // Reserve-then-commit: the frame push and its delivery
-            // token must land together. If the receiver disconnected
-            // mid-round the token send fails — roll the push back, or
-            // the orphaned frame would shift per-sender FIFO for every
-            // later delivery on this link.
-            let mut queue = link.queue.lock();
-            queue.push_back(wire.clone());
-            if token_tx.send(from.clone()).is_err() {
-                queue.pop_back();
-                return Err(TransportError::Disconnected);
-            }
-        }
-        Ok(())
-    }
-}
-
-impl SendPort for Switchboard {
-    fn deliver(&self, from: &PartyId, to: &PartyId, frame: &Frame) -> Result<(), TransportError> {
-        Switchboard::deliver(self, from, to, frame)
-    }
-}
-
-impl Fabric for Switchboard {
-    fn register(&self, id: PartyId) -> Endpoint {
-        Switchboard::register(self, id)
-    }
-
-    fn deregister(&self, id: &PartyId) {
-        Switchboard::deregister(self, id)
-    }
-
-    fn parties(&self) -> Vec<PartyId> {
-        Switchboard::parties(self)
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        Switchboard::fault_stats(self)
-    }
-
-    fn link_stats(&self) -> Vec<((PartyId, PartyId), LinkStats)> {
-        Switchboard::link_stats(self)
-    }
-}
-
-/// A party's receiving machinery: the token queue that orders arrivals
-/// across links, and the per-sender mailboxes the tokens point into.
-struct RecvHalf {
-    token_rx: Receiver<PartyId>,
-    // lint:allow(unordered-map) see the PartySlot::links field note
-    links: Arc<Mutex<HashMap<PartyId, Arc<LinkMailbox>>>>,
-}
-
-impl RecvHalf {
-    fn pop_link(&self, from: PartyId) -> Result<WireMessage, TransportError> {
-        let link = self
-            .links
-            .lock()
-            .get(&from)
-            .map(Arc::clone)
-            .ok_or_else(|| {
-                TransportError::Desync(format!("delivery token from {from} names an unknown link"))
-            })?;
-        let wire = link.queue.lock().pop_front().ok_or_else(|| {
-            TransportError::Desync(format!(
-                "delivery token from {from} arrived but the link queue is empty"
-            ))
-        })?;
-        Ok((from, wire))
-    }
-}
-
-impl RecvPort for RecvHalf {
-    fn recv_wire(&self) -> Result<WireMessage, TransportError> {
-        let from = self
-            .token_rx
-            .recv()
-            .map_err(|_| TransportError::Disconnected)?;
-        self.pop_link(from)
-    }
-
-    fn try_recv_wire(&self) -> Result<WireMessage, TransportError> {
-        let from = self.token_rx.try_recv().map_err(|e| match e {
-            TryRecvError::Empty => TransportError::Empty,
-            TryRecvError::Disconnected => TransportError::Disconnected,
-        })?;
-        self.pop_link(from)
-    }
-
-    fn pending(&self) -> usize {
-        self.token_rx.len()
-    }
-}
-
 /// A party's handle on its fabric: send to anyone, receive your own
-/// mailbox. Backend-generic — the same endpoint type fronts the
-/// in-process switchboard and the socket fabric.
+/// inbox. Backend-generic — the same endpoint type fronts the
+/// in-process switchboard and the socket fabric; a backend differs
+/// only in what feeds the inbox.
 pub struct Endpoint {
     id: PartyId,
     send: Arc<dyn SendPort>,
-    recv: Box<dyn RecvPort>,
+    inbox: Receiver<WireMessage>,
 }
 
 impl Endpoint {
     pub(crate) fn from_parts(
         id: PartyId,
         send: Arc<dyn SendPort>,
-        recv: Box<dyn RecvPort>,
+        inbox: Receiver<WireMessage>,
     ) -> Endpoint {
-        Endpoint { id, send, recv }
+        Endpoint { id, send, inbox }
     }
 
     /// This endpoint's party id.
@@ -878,25 +311,29 @@ impl Endpoint {
     /// Blocking receive. Frames that fail to parse are surfaced as
     /// [`TransportError::Wire`] so callers can count/ignore them.
     pub fn recv(&self) -> Result<Envelope, TransportError> {
-        let (from, wire) = self.recv.recv_wire()?;
-        match Frame::from_wire(wire.into()) {
-            Ok(frame) => Ok(Envelope { from, frame }),
-            Err(e) => Err(TransportError::Wire(e)),
-        }
+        let message = self.inbox.recv();
+        parse(message.map_err(|_| TransportError::Disconnected)?)
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<Envelope, TransportError> {
-        let (from, wire) = self.recv.try_recv_wire()?;
-        match Frame::from_wire(wire.into()) {
-            Ok(frame) => Ok(Envelope { from, frame }),
-            Err(e) => Err(TransportError::Wire(e)),
-        }
+        let message = self.inbox.try_recv();
+        parse(message.map_err(|e| match e {
+            TryRecvError::Empty => TransportError::Empty,
+            TryRecvError::Disconnected => TransportError::Disconnected,
+        })?)
     }
 
     /// Number of messages waiting (approximate under concurrency).
     pub fn pending(&self) -> usize {
-        self.recv.pending()
+        self.inbox.len()
+    }
+}
+
+fn parse((from, wire): WireMessage) -> Result<Envelope, TransportError> {
+    match Frame::from_wire(wire.into()) {
+        Ok(frame) => Ok(Envelope { from, frame }),
+        Err(e) => Err(TransportError::Wire(e)),
     }
 }
 
@@ -1144,38 +581,30 @@ mod tests {
     }
 
     #[test]
-    fn failed_token_send_rolls_back_queued_frame() {
-        // White box: after a failed delivery the per-link queue must
-        // not retain the orphaned frame — an orphan would shift
-        // per-sender FIFO for every later frame on the link.
+    fn reregistered_party_receives_only_later_frames() {
+        // Sends that failed against a dropped receiver must leave
+        // nothing behind: once the party re-registers, its inbox holds
+        // exactly the frames sent afterwards, in order.
         let board = Switchboard::new();
         let a = board.register("a");
         let b = board.register("b");
-        // Establish the a→b link mailbox with a real delivery first.
         a.send(b.id(), frame(1, b"live")).unwrap();
         assert_eq!(b.recv().unwrap().frame.msg_type, 1);
-        let links = Arc::clone(
-            &board
-                .inner
-                .parties
-                .lock()
-                .get(&PartyId::new("b"))
-                .unwrap()
-                .links,
-        );
         drop(b);
         for _ in 0..3 {
             assert_eq!(
-                a.send(&PartyId::new("b"), frame(2, b"orphan")).unwrap_err(),
+                a.send(&PartyId::new("b"), frame(2, b"lost")).unwrap_err(),
                 TransportError::Disconnected
             );
         }
-        let link = Arc::clone(links.lock().get(&PartyId::new("a")).unwrap());
-        assert_eq!(
-            link.queue.lock().len(),
-            0,
-            "failed deliveries left orphaned frames queued"
-        );
+        let b = board.register("b");
+        a.send(b.id(), frame(3, b"after")).unwrap();
+        a.send(b.id(), frame(4, b"after")).unwrap();
+        assert_eq!(b.recv().unwrap().frame.msg_type, 3);
+        assert_eq!(b.recv().unwrap().frame.msg_type, 4);
+        assert_eq!(b.try_recv().unwrap_err(), TransportError::Empty);
+        // Failed sends were still submitted frames.
+        assert_eq!(board.fault_stats().sent, 6);
     }
 
     #[test]

@@ -1,0 +1,132 @@
+//! The in-process backend: one inbox channel per registered party.
+
+use super::ledger::{FaultConfig, FaultStats, LinkLedger, LinkStats};
+use super::{Endpoint, Fabric, PartyId, SendPort, TransportError, WireMessage};
+use crate::frame::Frame;
+use crossbeam::channel::{unbounded, Sender};
+use parking_lot::Mutex;
+use pm_obs::Recorder;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+struct BoardInner {
+    /// Each registered party's inbox sender; the matching receiver
+    /// lives in the party's [`Endpoint`]. Removing or replacing an
+    /// entry drops the only long-lived sender, which is how the old
+    /// receiver observes deregistration.
+    parties: Mutex<BTreeMap<PartyId, Sender<WireMessage>>>,
+    ledger: LinkLedger,
+}
+
+impl Drop for BoardInner {
+    /// Every board publishes its metrics exactly once, when the last
+    /// handle goes away — round runners drop their boards at round end
+    /// on success *and* abort paths alike, so no path skips accounting.
+    fn drop(&mut self) {
+        self.ledger.publish_metrics(&[]);
+    }
+}
+
+/// The in-memory message fabric connecting all parties of a deployment.
+#[derive(Clone)]
+pub struct Switchboard {
+    inner: Arc<BoardInner>,
+}
+
+impl Default for Switchboard {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Switchboard {
+    /// Creates a lossless switchboard with an inert recorder.
+    pub fn new() -> Switchboard {
+        Switchboard::with_faults(FaultConfig::none(), Recorder::new())
+    }
+
+    /// Creates a switchboard with fault injection enabled, publishing
+    /// the board's frame and per-link counters into `recorder` when the
+    /// board is dropped.
+    pub fn with_faults(faults: FaultConfig, recorder: Recorder) -> Switchboard {
+        Switchboard {
+            inner: Arc::new(BoardInner {
+                parties: Mutex::new(BTreeMap::new()),
+                ledger: LinkLedger::new(faults, recorder),
+            }),
+        }
+    }
+
+    /// Registers a party and returns its endpoint. Re-registering a name
+    /// replaces the previous endpoint (the old receiver disconnects).
+    pub fn register(&self, id: impl Into<PartyId>) -> Endpoint {
+        let id = id.into();
+        let (inbox_tx, inbox_rx) = unbounded();
+        self.inner.parties.lock().insert(id.clone(), inbox_tx);
+        Endpoint::from_parts(id, Arc::new(self.clone()), inbox_rx)
+    }
+
+    /// Removes a party from the fabric.
+    pub fn deregister(&self, id: &PartyId) {
+        self.inner.parties.lock().remove(id);
+    }
+
+    /// All registered party ids, sorted.
+    pub fn parties(&self) -> Vec<PartyId> {
+        self.inner.parties.lock().keys().cloned().collect()
+    }
+
+    /// Current fault-injection statistics.
+    pub fn fault_stats(&self) -> FaultStats {
+        self.inner.ledger.fault_stats()
+    }
+
+    /// Current per-link statistics, in `(from, to)` order.
+    pub fn link_stats(&self) -> Vec<((PartyId, PartyId), LinkStats)> {
+        self.inner.ledger.link_stats()
+    }
+}
+
+impl SendPort for Switchboard {
+    fn deliver(&self, from: &PartyId, to: &PartyId, frame: &Frame) -> Result<(), TransportError> {
+        let mut wire = frame.to_wire().to_vec();
+        let record = self.inner.ledger.tally_send(from, to, &wire);
+        // The sender is cloned out so the registry lock is never held
+        // across fault rolls or inbox pushes.
+        let inbox = self
+            .inner
+            .parties
+            .lock()
+            .get(to)
+            .cloned()
+            .ok_or_else(|| TransportError::UnknownParty(to.0.clone()))?;
+        for _ in 0..self.inner.ledger.roll(&record, &mut wire) {
+            inbox
+                .send((from.clone(), wire.clone()))
+                .map_err(|_| TransportError::Disconnected)?;
+        }
+        Ok(())
+    }
+}
+
+impl Fabric for Switchboard {
+    fn register(&self, id: PartyId) -> Endpoint {
+        Switchboard::register(self, id)
+    }
+
+    fn deregister(&self, id: &PartyId) {
+        Switchboard::deregister(self, id)
+    }
+
+    fn parties(&self) -> Vec<PartyId> {
+        Switchboard::parties(self)
+    }
+
+    fn fault_stats(&self) -> FaultStats {
+        Switchboard::fault_stats(self)
+    }
+
+    fn link_stats(&self) -> Vec<((PartyId, PartyId), LinkStats)> {
+        Switchboard::link_stats(self)
+    }
+}

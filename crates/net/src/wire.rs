@@ -6,13 +6,16 @@
 //!
 //! Registration binds one `TcpListener` per party on `127.0.0.1:0` and
 //! spawns an acceptor thread for it. Sending dials **one TCP
-//! connection per ordered `(from, to)` link** on first use — mirroring
-//! the per-link mailbox state of the in-process fabric — and announces
-//! the dialing party's id as the connection's first blob. Each accepted
-//! connection gets its own reader thread that reassembles the byte
-//! stream and forwards `(sender, frame-bytes)` into the recipient's
-//! inbox channel. One party instance is pinned per thread (or per
-//! process): a party's endpoint is its only handle on its sockets.
+//! connection per ordered `(from, to)` link** on first use and
+//! announces the dialing party's id as the connection's first blob.
+//! Each accepted connection gets its own reader thread that
+//! reassembles the byte stream and forwards `(sender, frame-bytes)`
+//! into the recipient's inbox channel — the same one-inbox-per-party
+//! [`Endpoint`] the in-process fabric feeds directly. Re-registering or
+//! deregistering a party evicts the connections dialed into its old
+//! listener, so the next send on each of those links redials. One
+//! party instance is pinned per thread (or per process): a party's
+//! endpoint is its only handle on its sockets.
 //!
 //! **Per-sender FIFO** — the only ordering the [`Fabric`] contract
 //! grants — holds because each ordered link is exactly one TCP
@@ -34,9 +37,10 @@
 //!
 //! # Determinism and shaping
 //!
-//! Fault schedules reuse the in-process fabric's per-link RNGs (seeded
-//! from `(seed, from, to)`), so a given link sees the identical
-//! drop/duplicate/corrupt schedule on either backend. The optional
+//! Fault schedules come from the shared ledger's per-link RNGs (seeded
+//! from `(seed, from, to)`, kept for the fabric's life), so a given
+//! link sees the identical drop/duplicate/corrupt schedule on either
+//! backend, re-registrations included. The optional
 //! [`WireShape`] delays each send by a time computed purely from the
 //! configuration and the frame length — no clock is read — so WAN-like
 //! wall-clock is measurable via the profiling spans and the per-link
@@ -61,14 +65,12 @@
 
 use crate::frame::{Frame, WireError};
 use crate::transport::{
-    link_seed, roll_faults, Endpoint, Fabric, FaultConfig, FaultStats, LinkLedger, LinkStats,
-    PartyId, RecvPort, SendPort, TransportError, Verdict, WireMessage, WireShape,
+    Endpoint, Fabric, FaultConfig, FaultStats, LinkLedger, LinkStats, PartyId, SendPort,
+    TransportError, WireMessage, WireShape,
 };
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use pm_obs::Recorder;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -155,18 +157,15 @@ struct PartyRecord {
     stop: Arc<AtomicBool>,
 }
 
-/// One dialed `(from, to)` link: its connection and its fault RNG.
-struct LinkConn {
-    stream: Mutex<TcpStream>,
-    rng: Mutex<StdRng>,
-}
+/// One dialed `(from, to)` link: its connection.
+type LinkConn = Arc<Mutex<TcpStream>>;
 
 struct WireInner {
     shape: WireShape,
-    faults: FaultConfig,
     ledger: LinkLedger,
     registry: Mutex<BTreeMap<PartyId, PartyRecord>>,
-    conns: Mutex<BTreeMap<(PartyId, PartyId), Arc<LinkConn>>>,
+    /// Locked after `registry`, never before it.
+    conns: Mutex<BTreeMap<(PartyId, PartyId), LinkConn>>,
     dialed: AtomicU64,
     accepted: Arc<AtomicU64>,
 }
@@ -218,8 +217,7 @@ impl WireFabric {
         WireFabric {
             inner: Arc::new(WireInner {
                 shape,
-                faults,
-                ledger: LinkLedger::new(recorder),
+                ledger: LinkLedger::new(faults, recorder),
                 registry: Mutex::new(BTreeMap::new()),
                 conns: Mutex::new(BTreeMap::new()),
                 dialed: AtomicU64::new(0),
@@ -258,15 +256,21 @@ impl WireFabric {
                 // Re-registration replaces the previous endpoint: its
                 // acceptor stops and its inbox sender drops here.
                 old.stop.store(true, Ordering::Relaxed);
+                self.evict_conns_into(&id);
             }
         }
         let accepted = Arc::clone(&self.inner.accepted);
         std::thread::spawn(move || accept_loop(listener, inbox_tx, stop, accepted));
-        Endpoint::from_parts(
-            id,
-            Arc::new(self.clone()),
-            Box::new(WireRecv { rx: inbox_rx }),
-        )
+        Endpoint::from_parts(id, Arc::new(self.clone()), inbox_rx)
+    }
+
+    /// Forgets every connection dialed into `to`'s previous listener so
+    /// the next send on each of those links redials the current one.
+    /// Called with the registry lock held, so a sender that looks the
+    /// party up afterwards never pairs the new address (or its
+    /// absence) with a stale connection.
+    fn evict_conns_into(&self, to: &PartyId) {
+        self.inner.conns.lock().retain(|(_, t), _| t != to);
     }
 }
 
@@ -332,27 +336,6 @@ fn read_loop(mut stream: TcpStream, tx: Sender<WireMessage>) {
     }
 }
 
-struct WireRecv {
-    rx: Receiver<WireMessage>,
-}
-
-impl RecvPort for WireRecv {
-    fn recv_wire(&self) -> Result<WireMessage, TransportError> {
-        self.rx.recv().map_err(|_| TransportError::Disconnected)
-    }
-
-    fn try_recv_wire(&self) -> Result<WireMessage, TransportError> {
-        self.rx.try_recv().map_err(|e| match e {
-            TryRecvError::Empty => TransportError::Empty,
-            TryRecvError::Disconnected => TransportError::Disconnected,
-        })
-    }
-
-    fn pending(&self) -> usize {
-        self.rx.len()
-    }
-}
-
 impl SendPort for WireFabric {
     fn deliver(&self, from: &PartyId, to: &PartyId, frame: &Frame) -> Result<(), TransportError> {
         let inner = &*self.inner;
@@ -372,42 +355,29 @@ impl SendPort for WireFabric {
             match conns.get(&(from.clone(), to.clone())) {
                 Some(conn) => Arc::clone(conn),
                 None => {
-                    // First frame on this ordered link: dial, announce
-                    // the sender, seed the link's fault RNG exactly as
-                    // the in-process fabric would.
-                    let stream =
+                    // First frame on this ordered link (or the first
+                    // since its recipient re-registered): dial and
+                    // announce the sender.
+                    let mut stream =
                         TcpStream::connect(addr).map_err(|_| TransportError::Disconnected)?;
                     let _ = stream.set_nodelay(true);
                     inner.dialed.fetch_add(1, Ordering::Relaxed);
-                    let conn = Arc::new(LinkConn {
-                        stream: Mutex::new(stream),
-                        rng: Mutex::new(StdRng::seed_from_u64(link_seed(
-                            inner.faults.seed,
-                            from,
-                            to,
-                        ))),
-                    });
-                    conn.stream
-                        .lock()
+                    stream
                         .write_all(&encode_blob(from.0.as_bytes()))
                         .map_err(|_| TransportError::Disconnected)?;
+                    let conn: LinkConn = Arc::new(Mutex::new(stream));
                     conns.insert((from.clone(), to.clone()), Arc::clone(&conn));
                     conn
                 }
             }
         };
-        let verdict = {
-            let mut rng = conn.rng.lock();
-            roll_faults(&inner.faults, &mut rng, &mut wire, inner.ledger.stats())
-        };
-        LinkLedger::tally_verdict(&record, &verdict);
-        let copies = match verdict {
-            Verdict::Drop => return Ok(()), // modelled loss: never written
-            Verdict::Deliver { copies, .. } => copies,
-        };
+        let copies = inner.ledger.roll(&record, &mut wire);
+        if copies == 0 {
+            return Ok(()); // modelled loss: never written
+        }
         let blob = encode_blob(&wire);
         let delay = inner.shape.delay_ms(wire.len());
-        let mut stream = conn.stream.lock();
+        let mut stream = conn.lock();
         for _ in 0..copies {
             if delay > 0 {
                 // Deterministic shaping: a pure function of config and
@@ -430,8 +400,10 @@ impl Fabric for WireFabric {
     }
 
     fn deregister(&self, id: &PartyId) {
-        if let Some(record) = self.inner.registry.lock().remove(id) {
+        let mut registry = self.inner.registry.lock();
+        if let Some(record) = registry.remove(id) {
             record.stop.store(true, Ordering::Relaxed);
+            self.evict_conns_into(id);
         }
     }
 
@@ -609,6 +581,148 @@ mod tests {
         let board = Switchboard::new();
         let wire = WireFabric::new();
         assert_eq!(drive(&board), drive(&wire));
+    }
+
+    /// Blocks for the `copies` next arrivals on `ep` (a corrupted copy
+    /// arrives as a checksum failure) and returns the intact frames'
+    /// message types.
+    fn arrivals(ep: &Endpoint, copies: u64) -> Vec<u16> {
+        (0..copies)
+            .filter_map(|_| match ep.recv() {
+                Ok(env) => Some(env.frame.msg_type),
+                Err(TransportError::Wire(_)) => None,
+                Err(e) => panic!("arrival lost: {e}"),
+            })
+            .collect()
+    }
+
+    fn both_backends(faults: FaultConfig) -> [Arc<dyn Fabric>; 2] {
+        [
+            Arc::new(Switchboard::with_faults(faults, Recorder::new())),
+            Arc::new(WireFabric::with_shape(
+                WireShape::default(),
+                faults,
+                Recorder::new(),
+            )),
+        ]
+    }
+
+    #[test]
+    fn wire_reregistration_redials() {
+        // A connection dialed into a party's old listener must not
+        // outlive the registration: the next send reaches the new
+        // endpoint instead of vanishing into the dead socket.
+        let fabric = WireFabric::new();
+        let a = fabric.register(PartyId::new("a"));
+        let b = fabric.register(PartyId::new("b"));
+        a.send(b.id(), frame(1, b"old")).unwrap();
+        assert_eq!(b.recv().unwrap().frame.msg_type, 1);
+        drop(b);
+        let b = fabric.register(PartyId::new("b"));
+        a.send(b.id(), frame(2, b"new")).unwrap();
+        assert_eq!(b.recv().unwrap().frame.msg_type, 2);
+        // Same through deregister + register.
+        fabric.deregister(b.id());
+        let b = fabric.register(PartyId::new("b"));
+        a.send(b.id(), frame(3, b"newer")).unwrap();
+        assert_eq!(b.recv().unwrap().frame.msg_type, 3);
+    }
+
+    #[test]
+    fn unknown_party_send_is_counted_and_rolls_no_fault() {
+        // A send to an unregistered party fails before the link's
+        // fault dice are touched: whatever is delivered on the link
+        // later gets the verdict it would have had anyway.
+        let faults = FaultConfig {
+            drop_chance: 0.4,
+            duplicate_chance: 0.2,
+            seed: 11,
+            ..Default::default()
+        };
+        let ab = (PartyId::new("a"), PartyId::new("b"));
+        let run = |fabric: &dyn Fabric, early: u64| {
+            let a = fabric.register(ab.0.clone());
+            for _ in 0..early {
+                assert_eq!(
+                    a.send(&ab.1, frame(999, b"early")).unwrap_err(),
+                    TransportError::UnknownParty("b".into())
+                );
+            }
+            let b = fabric.register(ab.1.clone());
+            for i in 0..40u16 {
+                a.send(b.id(), frame(i, b"x")).unwrap();
+            }
+            assert_eq!(fabric.fault_stats().sent, early + 40);
+            let (link, stats) = fabric.link_stats().remove(0);
+            assert_eq!((link, stats.sent), (ab.clone(), early + 40));
+            assert!(stats.dropped > 0 && stats.duplicated > 0);
+            arrivals(&b, stats.delivered_clean)
+        };
+        let [board, _] = both_backends(faults);
+        let undisturbed = run(&*board, 0);
+        for early in [0, 5] {
+            for fabric in both_backends(faults) {
+                assert_eq!(run(&*fabric, early), undisturbed, "early={early}");
+            }
+        }
+    }
+
+    #[test]
+    fn fault_schedule_continues_across_reregistration_on_both_backends() {
+        // The link's fault RNG lives in the ledger, not in the
+        // recipient's registration or the dialed connection: when the
+        // recipient re-registers mid-sequence both backends carry on
+        // with the same schedule and report identical per-link stats.
+        let faults = FaultConfig {
+            drop_chance: 0.3,
+            duplicate_chance: 0.3,
+            corrupt_chance: 0.3,
+            seed: 5,
+        };
+        let delivered = |fabric: &dyn Fabric| {
+            let s = fabric.link_stats()[0].1;
+            (s.delivered_clean, s.delivered_clean + s.delivered_corrupted)
+        };
+        let drive = |fabric: &dyn Fabric| {
+            let a = fabric.register(PartyId::new("a"));
+            let b = fabric.register(PartyId::new("b"));
+            for i in 0..30u16 {
+                a.send(b.id(), frame(i, b"first registration")).unwrap();
+            }
+            let (clean_before, copies_before) = delivered(fabric);
+            let got_before = arrivals(&b, copies_before);
+            let b = fabric.register(PartyId::new("b"));
+            for i in 30..60u16 {
+                a.send(b.id(), frame(i, b"second registration")).unwrap();
+            }
+            let (clean, copies) = delivered(fabric);
+            let got_after = arrivals(&b, copies - copies_before);
+            assert_eq!(got_before.len() as u64, clean_before);
+            assert_eq!(got_after.len() as u64, clean - clean_before);
+            assert!(got_after.iter().all(|t| *t >= 30));
+            (
+                got_before,
+                got_after,
+                fabric.fault_stats(),
+                fabric.link_stats(),
+            )
+        };
+        let [board, wire] = both_backends(faults);
+        let in_process = drive(&*board);
+        let s = in_process.3[0].1;
+        assert!(s.dropped > 0 && s.duplicated > 0 && s.delivered_corrupted > 0);
+        assert_eq!(drive(&*wire), in_process);
+        // And the sequence is the one an undisturbed link would see.
+        let undisturbed = Switchboard::with_faults(faults, Recorder::new());
+        let a = undisturbed.register("a");
+        let b = undisturbed.register("b");
+        for i in 0..30u16 {
+            a.send(b.id(), frame(i, b"first registration")).unwrap();
+        }
+        for i in 30..60u16 {
+            a.send(b.id(), frame(i, b"second registration")).unwrap();
+        }
+        assert_eq!(undisturbed.link_stats(), in_process.3);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use bytes::Bytes;
 use pm_net::frame::{Frame, WireError};
-use pm_net::transport::{FaultConfig, Switchboard, TransportError};
-use pm_net::wire::{encode_blob, StreamDecoder};
+use pm_net::transport::{Fabric, FaultConfig, PartyId, Switchboard, TransportError};
+use pm_net::wire::{encode_blob, StreamDecoder, WireFabric};
 use proptest::prelude::*;
 
 proptest! {
@@ -66,6 +66,49 @@ proptest! {
         for i in 0..count {
             let env = b.recv().unwrap();
             prop_assert_eq!(env.frame.msg_type, i as u16);
+        }
+    }
+
+    /// One inbox per party: for any single-threaded interleaving of
+    /// sends from several senders to one recipient, the in-process
+    /// board delivers in global send order, and every backend delivers
+    /// each sender's frames in that sender's send order (per-sender
+    /// FIFO, the only order the `Fabric` contract grants).
+    #[test]
+    fn inbox_arrival_order_follows_send_order(
+        schedule in proptest::collection::vec(0usize..4, 1..60),
+    ) {
+        let board = Switchboard::new();
+        let wire = WireFabric::new();
+        let backends: [(&dyn Fabric, bool); 2] = [(&board, true), (&wire, false)];
+        for (fabric, global_order) in backends {
+            let rx = fabric.register(PartyId::new("rx"));
+            let senders: Vec<_> = (0..4)
+                .map(|i| fabric.register(PartyId::new(format!("s{i}"))))
+                .collect();
+            for (seq, &s) in schedule.iter().enumerate() {
+                senders[s].send(rx.id(), Frame::new(seq as u16, Bytes::new())).unwrap();
+            }
+            let mut got = Vec::new();
+            for _ in 0..schedule.len() {
+                let env = rx.recv().unwrap();
+                got.push((env.from.as_str().to_string(), env.frame.msg_type));
+            }
+            let sent: Vec<(String, u16)> = schedule
+                .iter()
+                .enumerate()
+                .map(|(seq, s)| (format!("s{s}"), seq as u16))
+                .collect();
+            if global_order {
+                prop_assert_eq!(&got, &sent);
+            }
+            for s in 0..4 {
+                let name = format!("s{s}");
+                let of = |v: &[(String, u16)]| -> Vec<u16> {
+                    v.iter().filter(|(from, _)| *from == name).map(|(_, t)| *t).collect()
+                };
+                prop_assert_eq!(of(&got), of(&sent), "sender {}", name);
+            }
         }
     }
 

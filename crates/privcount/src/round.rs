@@ -19,9 +19,6 @@ pub enum NoiseAllocation {
     /// Every DC adds `N(0, σ²/num_dcs)`; the published total carries
     /// exactly `N(0, σ²)` (PrivCount's equal allocation).
     Equal,
-    /// Only the first DC adds `N(0, σ²)` (weaker against DC
-    /// compromise, same output distribution).
-    FirstDcOnly,
     /// No noise at all (ground-truth extraction in tests ONLY — never
     /// differentially private).
     None,
@@ -44,8 +41,8 @@ pub struct RoundConfig {
     pub threaded: bool,
     /// Optional fault injection on the fabric.
     pub faults: FaultConfig,
-    /// Which [`pm_net::Fabric`] backend carries the round: in-process
-    /// per-link mailboxes (default) or real loopback sockets. The wire
+    /// Which [`pm_net::Fabric`] backend carries the round: the
+    /// in-process switchboard (default) or real loopback sockets. The wire
     /// backend forces threaded execution and rejects active
     /// adversaries (they need the deterministic scheduler).
     pub fabric: FabricChoice,
@@ -212,13 +209,6 @@ pub fn run_round_sources(
     for (i, (dc, source)) in dc_names.iter().zip(dc_sources).enumerate() {
         let noise_scale = match cfg.noise {
             NoiseAllocation::Equal => 1.0 / (num_dcs as f64).sqrt(),
-            NoiseAllocation::FirstDcOnly => {
-                if i == 0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
             NoiseAllocation::None => 0.0,
         };
         let schema = crate::counter::Schema::new(cfg.counters.clone(), cfg.mapper.clone());
@@ -338,17 +328,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(result.total("connections"), 36);
-    }
-
-    #[test]
-    fn first_dc_only_noise() {
-        let result = run_round(
-            counting_config(NoiseAllocation::FirstDcOnly, 25.0, false),
-            generators(&[1000, 1000]),
-        )
-        .unwrap();
-        let total = result.total("connections");
-        assert!((total - 2000).abs() < 150, "{total}");
     }
 
     #[test]

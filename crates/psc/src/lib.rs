@@ -41,9 +41,10 @@
 //!   randomness-derivation pass and a data-parallel per-cell batch
 //!   phase ([`cp::MixStrategy::Batched`]) — bit-identical to the
 //!   sequential reference at every thread count;
-//! * **message delivery** rides `pm-net`'s per-link mailboxes, so
-//!   TS↔CP and TS↔DC traffic of a round never convoys behind one
-//!   global delivery lock.
+//! * **message delivery** rides a `pm-net` fabric: one inbox per
+//!   party, with fault schedules, accounting and transcript digests
+//!   kept per ordered link, so a link's schedule never depends on the
+//!   traffic of any other link.
 //!
 //! ## Threat model and failure behaviour
 //!

@@ -34,8 +34,8 @@ pub struct PscConfig {
     /// How CPs execute their per-cell crypto. Every strategy yields the
     /// same transcript; this only shapes wall-clock time.
     pub mix: MixStrategy,
-    /// Which [`pm_net::Fabric`] backend carries the round: in-process
-    /// per-link mailboxes (default) or real loopback sockets. The wire
+    /// Which [`pm_net::Fabric`] backend carries the round: the
+    /// in-process switchboard (default) or real loopback sockets. The wire
     /// backend forces threaded execution and rejects active
     /// adversaries (they need the deterministic scheduler).
     pub fabric: FabricChoice,

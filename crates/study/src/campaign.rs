@@ -188,6 +188,12 @@ impl RoundSpec {
     pub fn days(&self) -> Range<u64> {
         self.start_day..self.start_day + self.duration_days
     }
+
+    /// The collection window as report titles spell it.
+    fn window(&self) -> String {
+        let days = self.days();
+        format!("days {}..{}", days.start, days.end)
+    }
 }
 
 /// Campaign parameters.
@@ -300,6 +306,30 @@ pub struct RoundOutcome {
     /// [`crate::anomaly`]); the campaign report folds every round's
     /// records into one channel.
     pub anomalies: Vec<Anomaly>,
+}
+
+impl RoundOutcome {
+    /// A completed outcome carrying only its report; each runner fills
+    /// in what its round kind produces.
+    fn empty(spec: &RoundSpec, report: Report) -> RoundOutcome {
+        RoundOutcome {
+            spec: spec.clone(),
+            report,
+            day_truths: Vec::new(),
+            domain_truths: Vec::new(),
+            onion_truths: Vec::new(),
+            estimate: None,
+            network_estimate: None,
+            reconcile_estimate: None,
+            status: RoundStatus::Completed,
+            anomalies: Vec::new(),
+        }
+    }
+}
+
+/// Per-day fractions as report notes print them (4 decimals).
+fn fmt_fractions(fractions: &[f64]) -> Vec<String> {
+    fractions.iter().map(|p| format!("{p:.4}")).collect()
 }
 
 /// A planned, validated, runnable campaign.
@@ -607,23 +637,10 @@ impl Campaign {
         let reason = err.reason();
         let mut report = Report::new(
             spec.id.clone(),
-            format!(
-                "Round {}, days {}..{} — ABORTED",
-                spec.id,
-                spec.start_day,
-                spec.start_day + spec.duration_days
-            ),
+            format!("Round {}, {} — ABORTED", spec.id, spec.window()),
         );
         report.note(format!("aborted: {reason} (detected by {detected_by})"));
         RoundOutcome {
-            spec: spec.clone(),
-            report,
-            day_truths: Vec::new(),
-            domain_truths: Vec::new(),
-            onion_truths: Vec::new(),
-            estimate: None,
-            network_estimate: None,
-            reconcile_estimate: None,
             anomalies: vec![Anomaly::new(
                 AnomalyKind::Aborted,
                 spec.id.clone(),
@@ -634,6 +651,7 @@ impl Campaign {
                 reason,
                 detected_by,
             },
+            ..RoundOutcome::empty(spec, report)
         }
     }
 
@@ -692,15 +710,17 @@ impl Campaign {
         }
     }
 
-    /// Executes one round against its day-indexed deployment.
+    /// Executes one round against its day-indexed deployment; a
+    /// protocol failure in any runner becomes an aborted outcome here.
     fn run_round(&self, spec: &RoundSpec) -> RoundOutcome {
-        match spec.kind {
+        let outcome = match spec.kind {
             RoundKind::UniqueIps => self.run_unique_ips(spec),
             RoundKind::UniqueCountries => self.run_unique_countries(spec),
             RoundKind::ClientTraffic => self.run_client_traffic(spec),
             RoundKind::ExitDomains => self.run_exit_domains(spec),
             RoundKind::OnionServices => self.run_onion_services(spec),
-        }
+        };
+        outcome.unwrap_or_else(|err| self.aborted_outcome(spec, err))
     }
 
     /// The day's observation probability for a client: the snapshot's
@@ -716,7 +736,7 @@ impl Campaign {
     /// One PSC unique-IP round over the window's churned daily pools:
     /// per-day streams chained into a single oblivious-table round,
     /// truth merged associatively, network inference per-day-fraction.
-    fn run_unique_ips(&self, spec: &RoundSpec) -> RoundOutcome {
+    fn run_unique_ips(&self, spec: &RoundSpec) -> Result<RoundOutcome, NodeError> {
         let dep = self.base.for_day(&self.timeline.snapshot(spec.start_day));
         let prom = self.timeline.promiscuous() as f64;
         let mut day_streams: Vec<Vec<EventStream>> = Vec::new();
@@ -763,11 +783,7 @@ impl Campaign {
         let expected = union.unique() as f64;
         let mut cfg = psc_round(&dep, expected, sensitivity, &spec.id);
         self.apply_psc_attack(&mut cfg);
-        let result =
-            match psc::run_psc_round_days(cfg, psc::items::unique_client_ips(), day_streams) {
-                Ok(result) => result,
-                Err(err) => return self.aborted_outcome(spec, err),
-            };
+        let result = psc::run_psc_round_days(cfg, psc::items::unique_client_ips(), day_streams)?;
         let mut anomalies = Vec::new();
         let est = result.estimate(0.95);
         // Split the measured union into the known promiscuous component
@@ -793,11 +809,7 @@ impl Campaign {
 
         let mut report = Report::new(
             spec.id.clone(),
-            format!(
-                "Unique client IPs, days {}..{} (PSC)",
-                spec.start_day,
-                spec.start_day + spec.duration_days
-            ),
+            format!("Unique client IPs, {} (PSC)", spec.window()),
         );
         report.row(ReportRow::new(
             format!("unique IPs ({} day(s), at scale)", spec.duration_days),
@@ -833,29 +845,23 @@ impl Campaign {
         ));
         report.note(format!(
             "per-day guard fractions {:?}",
-            guard_fractions
-                .iter()
-                .map(|p| format!("{p:.4}"))
-                .collect::<Vec<_>>()
+            fmt_fractions(&guard_fractions)
         ));
         let status =
             Self::plausibility_status(spec, &est, expected, 2.5, &mut report, &mut anomalies);
-        RoundOutcome {
-            spec: spec.clone(),
-            report,
+        Ok(RoundOutcome {
             day_truths,
-            domain_truths: Vec::new(),
-            onion_truths: Vec::new(),
             estimate: Some(est),
             network_estimate: Some(network),
             reconcile_estimate: Some(reconcile_est),
             status,
             anomalies,
-        }
+            ..RoundOutcome::empty(spec, report)
+        })
     }
 
     /// One PSC unique-country round on the round's day.
-    fn run_unique_countries(&self, spec: &RoundSpec) -> RoundOutcome {
+    fn run_unique_countries(&self, spec: &RoundSpec) -> Result<RoundOutcome, NodeError> {
         let day = spec.start_day;
         let snap = self.timeline.snapshot(day);
         let dep = self.base.for_day(&snap);
@@ -867,14 +873,11 @@ impl Campaign {
             truth.ips.iter().map(|ip| dep.geo.country_of(*ip)).collect();
         let mut cfg = psc_round(&dep, 260.0, 4, &spec.id);
         self.apply_psc_attack(&mut cfg);
-        let result = match psc::run_psc_round_streams(
+        let result = psc::run_psc_round_streams(
             cfg,
             psc::items::unique_countries(Arc::clone(&dep.geo)),
             vec![stream],
-        ) {
-            Ok(result) => result,
-            Err(err) => return self.aborted_outcome(spec, err),
-        };
+        )?;
         let mut anomalies = Vec::new();
         let est = result.estimate(0.95);
         let mut report = Report::new(
@@ -888,29 +891,20 @@ impl Campaign {
             "203 [141; 250]",
         ));
         let status = Self::plausibility_status(spec, &est, 260.0, 2.5, &mut report, &mut anomalies);
-        RoundOutcome {
-            spec: spec.clone(),
-            report,
+        Ok(RoundOutcome {
             day_truths: vec![truth],
-            domain_truths: Vec::new(),
-            onion_truths: Vec::new(),
             estimate: Some(est),
-            network_estimate: None,
-            reconcile_estimate: None,
             status,
             anomalies,
-        }
+            ..RoundOutcome::empty(spec, report)
+        })
     }
 
     /// Day-indexed PrivCount traffic sub-rounds over the window.
-    fn run_client_traffic(&self, spec: &RoundSpec) -> RoundOutcome {
+    fn run_client_traffic(&self, spec: &RoundSpec) -> Result<RoundOutcome, NodeError> {
         let mut report = Report::new(
             spec.id.clone(),
-            format!(
-                "Client traffic, days {}..{} (PrivCount)",
-                spec.start_day,
-                spec.start_day + spec.duration_days
-            ),
+            format!("Client traffic, {} (PrivCount)", spec.window()),
         );
         let mut day_streams = Vec::new();
         let mut fractions = Vec::new();
@@ -927,10 +921,7 @@ impl Campaign {
         let schema = privcount::queries::client_traffic(first_dep.eps(), first_dep.delta());
         let mut cfg = privcount_round(first_dep, schema, &spec.id);
         self.apply_privcount_attack(&mut cfg);
-        let results = match privcount::run_round_days(cfg, day_streams) {
-            Ok(results) => results,
-            Err(err) => return self.aborted_outcome(spec, err),
-        };
+        let results = privcount::run_round_days(cfg, day_streams)?;
         let mut anomalies = Vec::new();
         let t = &self.base.workload.clients;
         for ((day, result), p) in spec.days().zip(&results).zip(&fractions) {
@@ -956,18 +947,12 @@ impl Campaign {
             &mut report,
             &mut anomalies,
         );
-        RoundOutcome {
-            spec: spec.clone(),
-            report,
-            day_truths: Vec::new(),
-            domain_truths: Vec::new(),
-            onion_truths: Vec::new(),
+        Ok(RoundOutcome {
             estimate: Some(est),
-            network_estimate: None,
-            reconcile_estimate: None,
             status,
             anomalies,
-        }
+            ..RoundOutcome::empty(spec, report)
+        })
     }
 
     /// One exit-domain window: a PSC unique-SLD round chained over the
@@ -977,7 +962,7 @@ impl Campaign {
     /// streams, and a network-wide unique-SLD extrapolation in which
     /// each day's fresh contribution divides by that day's own exit
     /// fraction (`pm_stats::union::multi_day_network_estimate`).
-    fn run_exit_domains(&self, spec: &RoundSpec) -> RoundOutcome {
+    fn run_exit_domains(&self, spec: &RoundSpec) -> Result<RoundOutcome, NodeError> {
         let dep = self.base.for_day(&self.timeline.snapshot(spec.start_day));
         let mut psc_days: Vec<Vec<EventStream>> = Vec::new();
         let mut pc_days: Vec<Vec<EventStream>> = Vec::new();
@@ -1017,14 +1002,11 @@ impl Campaign {
         let expected = union.unique() as f64;
         let mut cfg = psc_round(&dep, expected, sensitivity, &spec.id);
         self.apply_psc_attack(&mut cfg);
-        let result = match psc::run_psc_round_days(
+        let result = psc::run_psc_round_days(
             cfg,
             psc::items::unique_slds(Arc::clone(&dep.sites), false),
             psc_days,
-        ) {
-            Ok(result) => result,
-            Err(err) => return self.aborted_outcome(spec, err),
-        };
+        )?;
         let mut anomalies = Vec::new();
         let est = result.estimate(0.95);
         let network = (shares.iter().map(|s| s.share).sum::<f64>() > 0.0)
@@ -1032,17 +1014,13 @@ impl Campaign {
 
         let schema = privcount::queries::exit_streams(dep.eps(), dep.delta());
         let pc_cfg = privcount_round(&dep, schema, &format!("{}-pc", spec.id));
-        let results = match privcount::run_round_days(pc_cfg, pc_days) {
-            Ok(results) => results,
-            Err(err) => return self.aborted_outcome(spec, err),
-        };
+        let results = privcount::run_round_days(pc_cfg, pc_days)?;
 
         let mut report = Report::new(
             spec.id.clone(),
             format!(
-                "Exit domains, days {}..{} (PSC SLDs + PrivCount streams)",
-                spec.start_day,
-                spec.start_day + spec.duration_days
+                "Exit domains, {} (PSC SLDs + PrivCount streams)",
+                spec.window()
             ),
         );
         report.row(ReportRow::new(
@@ -1083,25 +1061,18 @@ impl Campaign {
         }
         report.note(format!(
             "per-day exit fractions {:?}",
-            exit_fractions
-                .iter()
-                .map(|p| format!("{p:.4}"))
-                .collect::<Vec<_>>()
+            fmt_fractions(&exit_fractions)
         ));
         let status =
             Self::plausibility_status(spec, &est, expected, 2.5, &mut report, &mut anomalies);
-        RoundOutcome {
-            spec: spec.clone(),
-            report,
-            day_truths: Vec::new(),
+        Ok(RoundOutcome {
             domain_truths: day_truths,
-            onion_truths: Vec::new(),
             estimate: Some(est),
             network_estimate: network,
-            reconcile_estimate: None,
             status,
             anomalies,
-        }
+            ..RoundOutcome::empty(spec, report)
+        })
     }
 
     /// One onion-service window: a PSC unique-published-address round
@@ -1113,7 +1084,7 @@ impl Campaign {
     /// combined probability `1 − Π(1 − q_d)` with each day's own
     /// HSDir fraction — §6.1's replica extrapolation extended across
     /// the window's days.
-    fn run_onion_services(&self, spec: &RoundSpec) -> RoundOutcome {
+    fn run_onion_services(&self, spec: &RoundSpec) -> Result<RoundOutcome, NodeError> {
         let dep = self.base.for_day(&self.timeline.snapshot(spec.start_day));
         let mut psc_days: Vec<Vec<EventStream>> = Vec::new();
         let mut pc_days: Vec<Vec<EventStream>> = Vec::new();
@@ -1149,11 +1120,7 @@ impl Campaign {
         let expected = (union.unique() as f64).max(64.0);
         let mut cfg = psc_round(&dep, expected, sensitivity, &spec.id);
         self.apply_psc_attack(&mut cfg);
-        let result =
-            match psc::run_psc_round_days(cfg, psc::items::unique_onions_published(), psc_days) {
-                Ok(result) => result,
-                Err(err) => return self.aborted_outcome(spec, err),
-            };
+        let result = psc::run_psc_round_days(cfg, psc::items::unique_onions_published(), psc_days)?;
         let mut anomalies = Vec::new();
         let est = result.estimate(0.95);
         let combined = 1.0 - publish_observes.iter().map(|q| 1.0 - q).product::<f64>();
@@ -1162,17 +1129,13 @@ impl Campaign {
 
         let schema = privcount::queries::rendezvous(dep.eps(), dep.delta());
         let pc_cfg = privcount_round(&dep, schema, &format!("{}-pc", spec.id));
-        let results = match privcount::run_round_days(pc_cfg, pc_days) {
-            Ok(results) => results,
-            Err(err) => return self.aborted_outcome(spec, err),
-        };
+        let results = privcount::run_round_days(pc_cfg, pc_days)?;
 
         let mut report = Report::new(
             spec.id.clone(),
             format!(
-                "Onion services, days {}..{} (PSC publishes + PrivCount rendezvous)",
-                spec.start_day,
-                spec.start_day + spec.duration_days
+                "Onion services, {} (PSC publishes + PrivCount rendezvous)",
+                spec.window()
             ),
         );
         report.row(ReportRow::new(
@@ -1212,29 +1175,19 @@ impl Campaign {
         }
         report.note(format!(
             "per-day publish observe probs {:?}, rend fractions {:?}",
-            publish_observes
-                .iter()
-                .map(|p| format!("{p:.4}"))
-                .collect::<Vec<_>>(),
-            rend_fractions
-                .iter()
-                .map(|p| format!("{p:.4}"))
-                .collect::<Vec<_>>()
+            fmt_fractions(&publish_observes),
+            fmt_fractions(&rend_fractions)
         ));
         let status =
             Self::plausibility_status(spec, &est, expected, 2.5, &mut report, &mut anomalies);
-        RoundOutcome {
-            spec: spec.clone(),
-            report,
-            day_truths: Vec::new(),
-            domain_truths: Vec::new(),
+        Ok(RoundOutcome {
             onion_truths: day_truths,
             estimate: Some(est),
             network_estimate: network,
-            reconcile_estimate: None,
             status,
             anomalies,
-        }
+            ..RoundOutcome::empty(spec, report)
+        })
     }
 }
 

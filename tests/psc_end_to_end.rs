@@ -238,8 +238,8 @@ fn run_faulted(faults: FaultConfig) -> Outcome {
 }
 
 /// Under deterministic total fault schedules the per-link board's
-/// outcome is fixed: lossless publishes the pinned `raw.marked` (its
-/// per-link delivery reorders messages across links, which must not
+/// outcome is fixed: lossless publishes the pinned `raw.marked`
+/// (cross-sender arrival order is a schedule artifact, which must not
 /// reach the count); total drop, duplication or corruption aborts.
 #[test]
 fn per_link_board_under_total_fault_schedules() {
