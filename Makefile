@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt fmt-check clippy lint build test test-crates test-transcript study-smoke scenario-smoke timeline-smoke obs-smoke wire-smoke perf-smoke doc golden
+.PHONY: verify fmt fmt-check clippy lint build test test-crates test-transcript study-smoke scenario-smoke timeline-smoke obs-smoke wire-smoke perf-smoke perf-pairs doc golden
 
 verify: fmt-check clippy lint doc build test test-crates test-transcript study-smoke scenario-smoke timeline-smoke obs-smoke wire-smoke perf-smoke
 
@@ -138,6 +138,19 @@ timeline-smoke:
 # fails here rather than when the benchmark pipeline next runs.
 perf-smoke:
 	$(CARGO) test --release --manifest-path perfbench/Cargo.toml
+
+# The measurement behind a perf claim: alternating parent/change pairs
+# of the benchmark, every run printed, then per workload the medians,
+# the ratio, the pairs won and the report digests; exits nonzero when a
+# digest differs between the sides. PARENT is required; the parent tree
+# is exported and built under target/perf-pairs/. Not part of `verify`:
+# minutes of wall-clock, and its numbers are for a human to read.
+#   make perf-pairs PARENT=HEAD~1 WORKLOADS="psc_verified ips7d_mix" PAIRS=10
+WORKLOADS ?= campaign17d ips7d_mix psc_verified tor_day
+PAIRS ?= 4
+SECONDS ?= 6
+perf-pairs:
+	scripts/perf_pairs.sh "$(PARENT)" "$(WORKLOADS)" "$(PAIRS)" "$(SECONDS)"
 
 # Regenerate the committed golden report snapshots after an intentional
 # output change.

@@ -5,11 +5,37 @@
 //! `Z_q`. [`GroupParams`] bundles both moduli and the generator and is the
 //! handle through which all group operations are performed (elements and
 //! scalars are inert data).
+//!
+//! # Membership is a Jacobi symbol
+//!
+//! `Z_p^*` is cyclic of order `p - 1 = 2q`, so it has exactly one
+//! subgroup of index two — the squares — and that subgroup has order
+//! `q`: for a safe prime the order-`q` subgroup *is* the set of
+//! quadratic residues. By Euler's criterion `x^q = x^((p-1)/2)` is the
+//! Legendre symbol `(x/p)`, so the textbook test `x^q == 1` and
+//! `(x/p) == 1` accept exactly the same `x`, and
+//! [`GroupParams::is_element`] evaluates the symbol with the binary
+//! Jacobi algorithm ([`crate::modarith::jacobi`]: shifts and
+//! subtractions, no exponentiation). The `x^q` form is kept as the test
+//! oracle.
+//!
+//! # The generator's table
+//!
+//! `g` is the base of most exponentiations in the system, so the
+//! shipped parameter set gets one process-wide fixed-base table
+//! ([`crate::batch::FixedBasePowers`], 32 KiB, built on first use) and
+//! [`GroupParams::g_pow`] goes through it. `GroupParams` stays a small
+//! `Copy` value: the table hangs off a `OnceLock` keyed on the shipped
+//! `(p, g)`, not off the struct, and other parameter sets
+//! ([`GroupParams::generate`]) fall back to [`GroupParams::pow`]. As
+//! everywhere in this crate, none of it is constant-time.
 
-use crate::modarith::{is_probable_prime, Modulus};
+use crate::batch::FixedBasePowers;
+use crate::modarith::{is_probable_prime, jacobi, Modulus};
 use crate::sha256::sha256_concat;
 use crate::u256::U256;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// An element of the order-`q` subgroup of `Z_p^*` (a quadratic residue).
 ///
@@ -142,13 +168,55 @@ impl GroupParams {
         GroupElement(self.p.pow(&base.0, &e.0))
     }
 
-    /// `g^e`, the most common exponentiation.
-    pub fn g_pow(&self, e: &Scalar) -> GroupElement {
-        self.pow(&self.g, e)
+    /// `a^x · b^y mod p` in one simultaneous exponentiation
+    /// ([`Modulus::pow2`]) — about 0.62× the cost of two [`Self::pow`]s.
+    pub(crate) fn pow2(
+        &self,
+        a: &GroupElement,
+        x: &Scalar,
+        b: &GroupElement,
+        y: &Scalar,
+    ) -> GroupElement {
+        GroupElement(self.p.pow2(&a.0, &x.0, &b.0, &y.0))
     }
 
-    /// True if `x` is a valid element of the order-`q` subgroup.
+    /// `g^e`, the most common exponentiation: through the process-wide
+    /// table for the shipped parameters, [`Self::pow`] otherwise.
+    pub fn g_pow(&self, e: &Scalar) -> GroupElement {
+        match self.shipped_g_table() {
+            Some(table) => table.pow(self, e),
+            None => self.pow(&self.g, e),
+        }
+    }
+
+    /// The process-wide fixed-base table for the shipped generator, if
+    /// these are the shipped parameters.
+    pub(crate) fn shipped_g_table(&self) -> Option<&'static FixedBasePowers> {
+        static SHIPPED: OnceLock<(U256, FixedBasePowers)> = OnceLock::new();
+        let (p, table) = SHIPPED.get_or_init(|| {
+            let gp = GroupParams::default_params();
+            (*gp.p(), FixedBasePowers::new(&gp, &gp.g))
+        });
+        (self.p.modulus() == p && self.g == *table.base()).then_some(table)
+    }
+
+    /// The modulus context for `p` (crate-internal: Montgomery-resident
+    /// callers multiply through it directly).
+    pub(crate) fn p_modulus(&self) -> &Modulus {
+        &self.p
+    }
+
+    /// True if `x` is a valid element of the order-`q` subgroup:
+    /// `0 < x < p` and `(x/p) = 1` (exact for `p = 2q + 1`; see the
+    /// module docs).
     pub fn is_element(&self, x: &GroupElement) -> bool {
+        !x.0.is_zero() && x.0 < *self.p.modulus() && jacobi(&x.0, self.p.modulus()) == 1
+    }
+
+    /// Membership by the subgroup's definition, `x^q == 1`: the
+    /// exponentiation [`Self::is_element`] avoids, kept as its oracle.
+    #[cfg(test)]
+    fn is_element_by_order(&self, x: &GroupElement) -> bool {
         !x.0.is_zero() && x.0 < *self.p.modulus() && self.p.pow(&x.0, self.q.modulus()) == U256::ONE
     }
 
@@ -345,6 +413,81 @@ mod tests {
             }
         }
         assert!(found, "some small non-residue exists");
+    }
+
+    #[test]
+    fn jacobi_membership_matches_the_order_test() {
+        let gp = params();
+        let p = *gp.p();
+        for x in [
+            U256::ZERO,
+            U256::ONE,
+            U256::from_u64(2),
+            U256::from_u64(3),
+            gp.generator().0,
+            p.wrapping_sub(&U256::ONE),
+            p,
+            p.wrapping_add(&U256::ONE),
+            U256::MAX,
+        ] {
+            let x = GroupElement(x);
+            assert_eq!(gp.is_element(&x), gp.is_element_by_order(&x), "{x:?}");
+        }
+        // -1 has order 2: never in the odd-order subgroup.
+        assert!(!gp.is_element(&GroupElement(p.wrapping_sub(&U256::ONE))));
+        let mut rng = StdRng::seed_from_u64(50);
+        let (mut members, mut others) = (0, 0);
+        for _ in 0..10_000 {
+            // Uniform in [0, p): residues and non-residues, half each.
+            let x = GroupElement(gp.p.sample(&mut rng));
+            let expect = gp.is_element_by_order(&x);
+            assert_eq!(gp.is_element(&x), expect, "{x:?}");
+            if expect {
+                members += 1;
+            } else {
+                others += 1;
+            }
+        }
+        assert!(members > 4_000 && others > 4_000, "{members} / {others}");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn jacobi_membership_matches_on_arbitrary_words(limbs in proptest::prelude::any::<[u64; 4]>()) {
+            let gp = params();
+            let x = GroupElement(U256(limbs));
+            proptest::prop_assert_eq!(gp.is_element(&x), gp.is_element_by_order(&x));
+        }
+    }
+
+    #[test]
+    fn generator_table_and_two_base_pow_match_plain_pow() {
+        let mut rng = StdRng::seed_from_u64(51);
+        // The shipped parameters go through the process-wide table, a
+        // generated set through the fallback.
+        let small = GroupParams::generate(64, &mut rng);
+        assert!(params().shipped_g_table().is_some());
+        assert!(small.shipped_g_table().is_none());
+        for gp in [params(), small] {
+            let g = gp.generator();
+            let edges = [
+                Scalar::ZERO,
+                gp.scalar_from_u64(1),
+                Scalar(gp.q().wrapping_sub(&U256::ONE)),
+                Scalar(U256::MAX),
+            ];
+            let random: Vec<Scalar> = (0..20).map(|_| gp.random_scalar(&mut rng)).collect();
+            for e in edges.iter().chain(&random) {
+                assert_eq!(gp.g_pow(e), gp.pow(&g, e));
+            }
+            let (a, b) = (gp.random_element(&mut rng), gp.random_element(&mut rng));
+            for (x, y) in random.iter().zip(random.iter().rev()) {
+                assert_eq!(
+                    gp.pow2(&a, x, &b, y),
+                    gp.mul(&gp.pow(&a, x), &gp.pow(&b, y))
+                );
+            }
+        }
     }
 
     #[test]

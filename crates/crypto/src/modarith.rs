@@ -1,12 +1,87 @@
 //! Modular arithmetic over 256-bit odd moduli.
 //!
-//! [`Modulus`] packages a modulus with precomputed Montgomery constants and
-//! provides constant-flow-friendly add/sub/mul/pow/inv plus Miller–Rabin
-//! primality testing. All group and field operations in this crate are
-//! built on it.
+//! [`Modulus`] packages a modulus with precomputed Montgomery constants
+//! and provides add/sub/mul/pow/inv, the Jacobi symbol ([`jacobi`]) and
+//! Miller–Rabin primality testing. All group and field operations in
+//! this crate are built on it.
+//!
+//! # Kernels and op counts
+//!
+//! Everything expensive is a chain of calls to one kernel, the
+//! Montgomery product `montmul`: a fully unrolled four-limb
+//! operand-scanning routine in plain `u128` arithmetic, which also
+//! serves as the squaring (a dedicated squaring kernel measured no
+//! faster — the chain is latency-bound, not multiplier-bound). It is
+//! `#[inline(always)]` on purpose. An exponentiation is one long
+//! dependent chain of kernel calls, and behind a call boundary each
+//! link round-trips its four limbs through memory — measured, the same
+//! kernel costs a third more out of line. The cost of every primitive
+//! is therefore stated, and pinned by unit tests, in kernel calls,
+//! which are exact on any machine:
+//!
+//! | operation | kernel calls (256-bit exponent) |
+//! |---|---|
+//! | [`Modulus::mul`] | 2 (into Montgomery form, multiply back out) |
+//! | [`Modulus::pow`] | ≤ 331: 15 table + 63·4 squarings + ≤ 63 products + 1 out |
+//! | [`Modulus::pow2`] | ≤ 410: 30 table + 252 squarings + ≤ 127 products + 1 out |
+//! | [`crate::batch::FixedBasePowers::pow`] | ≤ 64: ≤ 63 products + 1 out |
+//!
+//! [`Modulus::pow`] is a left-to-right 4-bit fixed window: the table
+//! holds `base^0 … base^15`, the top window seeds the accumulator, and
+//! each further window costs four squarings and at most one product.
+//! (The binary ladder it replaced paid 255 squarings + ~128 products;
+//! it survives as the test oracle.) Fixed-base tables
+//! ([`crate::batch`]) stay in Montgomery form end to end and
+//! convert once per exponentiation.
+//!
+//! None of this is constant-time: window lookups index by secret
+//! nibbles, zero windows skip their product, and the final subtraction
+//! branches. The crate-level security disclaimer stands.
 
 use crate::u256::U256;
 use rand::Rng;
+
+/// Window width of [`Modulus::pow`] and [`Modulus::pow2`], in bits
+/// ([`window`] and the 16-entry tables are written for exactly this
+/// width; a 5-bit sliding window was swept in PR 16 and did not win).
+const WINDOW_BITS: u32 = 4;
+
+/// Window `w` (bits `4w .. 4w+3`) of `e`.
+#[inline(always)]
+fn window(e: &U256, w: u32) -> usize {
+    ((e.0[(w / 16) as usize] >> (WINDOW_BITS * (w % 16))) & 0xF) as usize
+}
+
+/// A residue held in Montgomery form (`x · 2^256 mod m`). Only
+/// [`Modulus`] creates and consumes these, so a plain residue cannot be
+/// mistaken for one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Mont(U256);
+
+/// Kernel-call counter for the op-count unit tests: thread-local, so
+/// concurrently running tests do not see each other's calls, and
+/// compiled out of every non-test build.
+#[cfg(test)]
+pub(crate) mod ops {
+    use std::cell::Cell;
+
+    thread_local! {
+        static CALLS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    #[inline(always)]
+    pub(super) fn tick() {
+        CALLS.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Runs `f` and returns its result with the number of
+    /// `montmul` calls it made on this thread.
+    pub(crate) fn count<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = CALLS.with(Cell::get);
+        let out = f();
+        (out, CALLS.with(Cell::get) - before)
+    }
+}
 
 /// An odd 256-bit modulus with precomputed Montgomery parameters.
 ///
@@ -80,50 +155,86 @@ impl Modulus {
         }
     }
 
-    /// Montgomery product `a * b * 2^-256 mod m` (CIOS).
+    /// Montgomery product `a · b · 2^-256 mod m`: four unrolled
+    /// multiply-then-reduce rounds, one per limb of `a`, carried in
+    /// `u128`s. Inlined into every caller — see the module docs.
+    #[inline(always)]
     fn montmul(&self, a: &U256, b: &U256) -> U256 {
-        let mut t = [0u64; 6]; // 4 limbs + 2 overflow words
-        #[allow(clippy::needless_range_loop)] // limb arithmetic reads clearest indexed
-        for i in 0..4 {
-            // t += a[i] * b
-            let mut carry: u64 = 0;
-            for j in 0..4 {
-                let acc = t[j] as u128 + (a.0[i] as u128) * (b.0[j] as u128) + carry as u128;
-                t[j] = acc as u64;
-                carry = (acc >> 64) as u64;
-            }
-            let acc = t[4] as u128 + carry as u128;
-            t[4] = acc as u64;
-            t[5] = (acc >> 64) as u64;
+        #[cfg(test)]
+        ops::tick();
+        let (b, m, n0inv) = (&b.0, &self.m.0, self.n0inv);
+        let (mut t0, mut t1, mut t2, mut t3, mut t4) = (0u64, 0u64, 0u64, 0u64, 0u64);
+        for &ai in &a.0 {
+            // t += a[i]·b
+            let ai = ai as u128;
+            let x0 = t0 as u128 + ai * b[0] as u128;
+            let x1 = t1 as u128 + ai * b[1] as u128 + (x0 >> 64);
+            let x2 = t2 as u128 + ai * b[2] as u128 + (x1 >> 64);
+            let x3 = t3 as u128 + ai * b[3] as u128 + (x2 >> 64);
+            let x4 = t4 as u128 + (x3 >> 64);
+            // t = (t + q·m) / 2^64 with q chosen so the low limb cancels
+            let q = (x0 as u64).wrapping_mul(n0inv) as u128;
+            let r0 = (x0 as u64) as u128 + q * m[0] as u128;
+            let r1 = (x1 as u64) as u128 + q * m[1] as u128 + (r0 >> 64);
+            let r2 = (x2 as u64) as u128 + q * m[2] as u128 + (r1 >> 64);
+            let r3 = (x3 as u64) as u128 + q * m[3] as u128 + (r2 >> 64);
+            let r4 = x4 + (r3 >> 64);
+            (t0, t1, t2, t3, t4) = (
+                r1 as u64,
+                r2 as u64,
+                r3 as u64,
+                r4 as u64,
+                (r4 >> 64) as u64,
+            );
+        }
+        // t4·2^256 + t < 2m: at most one subtraction of `m`.
+        let t = U256([t0, t1, t2, t3]);
+        let (d, borrow) = t.overflowing_sub(&self.m);
+        if t4 != 0 || !borrow {
+            d
+        } else {
+            t
+        }
+    }
 
-            // m_i = t[0] * n0inv mod 2^64; t += m_i * m; t >>= 64
-            let mi = t[0].wrapping_mul(self.n0inv);
-            let acc = t[0] as u128 + (mi as u128) * (self.m.0[0] as u128);
-            let mut carry = (acc >> 64) as u64;
-            for j in 1..4 {
-                let acc = t[j] as u128 + (mi as u128) * (self.m.0[j] as u128) + carry as u128;
-                t[j - 1] = acc as u64;
-                carry = (acc >> 64) as u64;
-            }
-            let acc = t[4] as u128 + carry as u128;
-            t[3] = acc as u64;
-            let acc2 = t[5] as u128 + (acc >> 64);
-            t[4] = acc2 as u64;
-            t[5] = (acc2 >> 64) as u64;
-        }
-        let mut out = U256([t[0], t[1], t[2], t[3]]);
-        if t[4] != 0 || out >= self.m {
-            out = out.wrapping_sub(&self.m);
-        }
-        out
+    /// `a` in Montgomery form.
+    #[inline(always)]
+    pub(crate) fn mont_in(&self, a: &U256) -> Mont {
+        debug_assert!(a < &self.m);
+        Mont(self.montmul(a, &self.r2))
+    }
+
+    /// Leaves Montgomery form.
+    #[inline(always)]
+    pub(crate) fn mont_out(&self, a: &Mont) -> U256 {
+        self.montmul(&a.0, &U256::ONE)
+    }
+
+    /// The Montgomery form of 1.
+    pub(crate) fn mont_one(&self) -> Mont {
+        Mont(self.r1)
+    }
+
+    /// Product of two Montgomery-form residues, in Montgomery form.
+    #[inline(always)]
+    pub(crate) fn mont_mul(&self, a: &Mont, b: &Mont) -> Mont {
+        Mont(self.montmul(&a.0, &b.0))
+    }
+
+    /// `a · b mod m` for a Montgomery-form `a` and a plain reduced `b`,
+    /// as a plain residue: the multiplication that also leaves
+    /// Montgomery form.
+    #[inline(always)]
+    pub(crate) fn mont_mul_plain(&self, a: &Mont, b: &U256) -> U256 {
+        debug_assert!(b < &self.m);
+        self.montmul(&a.0, b)
     }
 
     /// `a * b mod m` for reduced inputs.
     pub fn mul(&self, a: &U256, b: &U256) -> U256 {
         debug_assert!(a < &self.m && b < &self.m);
-        let am = self.montmul(a, &self.r2); // to Montgomery form
-        let abm = self.montmul(&am, b); // a*b*R*R^-1 = a*b ... still * 1
-        abm
+        // montmul(a, R²) = a·R; montmul(a·R, b) = a·b — two kernel calls.
+        self.montmul(&self.montmul(a, &self.r2), b)
     }
 
     /// `a^2 mod m`.
@@ -131,23 +242,70 @@ impl Modulus {
         self.mul(a, a)
     }
 
-    /// `base^exp mod m` via left-to-right binary exponentiation in
-    /// Montgomery form.
-    pub fn pow(&self, base: &U256, exp: &U256) -> U256 {
+    /// `base^0 … base^15` in Montgomery form (15 kernel calls).
+    #[inline(always)]
+    fn window_table(&self, base: &U256) -> [U256; 16] {
         debug_assert!(base < &self.m);
+        let mut t = [self.r1; 16];
+        t[1] = self.montmul(base, &self.r2);
+        for j in 2..16 {
+            t[j] = self.montmul(&t[j - 1], &t[1]);
+        }
+        t
+    }
+
+    /// `base^exp mod m` by a 4-bit fixed window in Montgomery form
+    /// (≤ 331 kernel calls for a 256-bit exponent; see the module docs).
+    pub fn pow(&self, base: &U256, exp: &U256) -> U256 {
         if exp.is_zero() {
             return one_mod(&self.m);
         }
-        let bm = self.montmul(base, &self.r2);
-        let mut acc = self.r1; // Montgomery form of 1
-        let nbits = exp.bits();
-        for i in (0..nbits).rev() {
-            acc = self.montmul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.montmul(&acc, &bm);
+        let table = self.window_table(base);
+        let top = (exp.bits() - 1) / WINDOW_BITS;
+        // The top window is nonzero by construction: start from its entry.
+        let mut acc = table[window(exp, top)];
+        for w in (0..top).rev() {
+            for _ in 0..WINDOW_BITS {
+                acc = self.montmul(&acc, &acc);
+            }
+            let j = window(exp, w);
+            if j != 0 {
+                acc = self.montmul(&acc, &table[j]);
             }
         }
         self.montmul(&acc, &U256::ONE) // out of Montgomery form
+    }
+
+    /// `a^x · b^y mod m` by Straus' simultaneous exponentiation: one
+    /// shared run of squarings, two 4-bit window tables (≤ 410 kernel
+    /// calls against ≤ 664 for two [`Modulus::pow`]s and a product).
+    pub fn pow2(&self, a: &U256, x: &U256, b: &U256, y: &U256) -> U256 {
+        let bits = x.bits().max(y.bits());
+        if bits == 0 {
+            return one_mod(&self.m);
+        }
+        let (ta, tb) = (self.window_table(a), self.window_table(b));
+        let top = (bits - 1) / WINDOW_BITS;
+        // Entry 0 of a table is the Montgomery 1, so a zero window of
+        // `x` costs nothing here.
+        let mut acc = ta[window(x, top)];
+        let j = window(y, top);
+        if j != 0 {
+            acc = self.montmul(&acc, &tb[j]);
+        }
+        for w in (0..top).rev() {
+            for _ in 0..WINDOW_BITS {
+                acc = self.montmul(&acc, &acc);
+            }
+            let (i, j) = (window(x, w), window(y, w));
+            if i != 0 {
+                acc = self.montmul(&acc, &ta[i]);
+            }
+            if j != 0 {
+                acc = self.montmul(&acc, &tb[j]);
+            }
+        }
+        self.montmul(&acc, &U256::ONE)
     }
 
     /// Reduces an arbitrary `U256` modulo `m` (binary reduction; fine for
@@ -173,14 +331,13 @@ impl Modulus {
         }
     }
 
-    /// Reduces a 512-bit value `(lo, hi)` modulo `m` using Montgomery
-    /// arithmetic: `x mod m = montmul(lo, R2)·R^-1... ` computed as
-    /// `lo mod m + hi·(2^256 mod m)`.
+    /// Reduces the 512-bit value `hi·2^256 + lo` modulo `m`, as
+    /// `(lo mod m) + (hi mod m)·(2^256 mod m)`.
     pub fn reduce_wide(&self, lo: &U256, hi: &U256) -> U256 {
         let lo_r = self.reduce(lo);
         let hi_r = self.reduce(hi);
-        // hi * 2^256 mod m = montmul(hi, r2) since montmul multiplies by R^-1:
-        // montmul(hi, r2) = hi * 2^512 * 2^-256 = hi * 2^256 mod m.
+        // montmul multiplies by 2^-256, so against R² = 2^512 it yields
+        // hi · 2^512 · 2^-256 = hi · 2^256 mod m.
         let hi_shift = self.montmul(&hi_r, &self.r2);
         self.add(&lo_r, &hi_shift)
     }
@@ -242,6 +399,91 @@ fn double_mod(a: &U256, m: &U256) -> U256 {
     } else {
         d
     }
+}
+
+/// The Jacobi symbol `(a/n)` for odd `n`: `0` when `gcd(a, n) ≠ 1`,
+/// otherwise `±1`. For prime `n` this is the Legendre symbol, i.e.
+/// `a^((n-1)/2) mod n` (Euler's criterion) without the exponentiation.
+///
+/// Binary algorithm, no division: strip factors of two from `a` (each
+/// contributes `(2/n) = -1` iff `n ≡ ±3 mod 8`), keep `a ≥ n` by
+/// swapping under quadratic reciprocity (a sign flip iff both are
+/// `≡ 3 mod 4`), and replace `a` by `a - n`, which leaves the symbol
+/// unchanged and makes `a` even again — about 1.4 steps per input bit.
+/// The loop runs on bare limbs, and hands over to `u128` arithmetic
+/// once both values fit (about half the steps): ≈ 1.4 µs for 256-bit
+/// inputs against ≈ 7 µs for the exponentiation.
+pub fn jacobi(a: &U256, n: &U256) -> i8 {
+    assert!(n.is_odd(), "the Jacobi symbol needs an odd modulus");
+    let (mut a, mut n) = (a.0, n.0);
+    // Bit 1 holds the sign (set = negative); the other bits are noise.
+    let mut sign = 0u64;
+    while a != [0; 4] {
+        if a[2] | a[3] | n[2] | n[3] == 0 {
+            let (a, n) = (U256(a).low_u128(), U256(n).low_u128());
+            return jacobi_u128(a, n, sign);
+        }
+        while a[0] == 0 {
+            // 64 factors of two: an even count, no sign change.
+            a = [a[1], a[2], a[3], 0];
+        }
+        let twos = a[0].trailing_zeros();
+        if twos != 0 {
+            a = [
+                (a[0] >> twos) | (a[1] << (64 - twos)),
+                (a[1] >> twos) | (a[2] << (64 - twos)),
+                (a[2] >> twos) | (a[3] << (64 - twos)),
+                a[3] >> twos,
+            ];
+            sign ^= (twos as u64 & 1) * ((n[0] ^ (n[0] >> 1)) & 2);
+        }
+        let (d, borrow) = sub_limbs(&a, &n);
+        if borrow {
+            sign ^= a[0] & n[0];
+            (a, n) = (sub_limbs(&n, &a).0, a);
+        } else {
+            a = d;
+        }
+    }
+    jacobi_result(n == [1, 0, 0, 0], sign)
+}
+
+/// [`jacobi`]'s loop for values that fit 128 bits.
+fn jacobi_u128(mut a: u128, mut n: u128, mut sign: u64) -> i8 {
+    while a != 0 {
+        let twos = a.trailing_zeros();
+        a >>= twos;
+        sign ^= (twos as u64 & 1) * ((n as u64 ^ (n as u64 >> 1)) & 2);
+        if a < n {
+            sign ^= a as u64 & n as u64;
+            std::mem::swap(&mut a, &mut n);
+        }
+        a -= n;
+    }
+    jacobi_result(n == 1, sign)
+}
+
+/// The symbol once `a` reached 0: `n` is then `gcd(a, n)`.
+fn jacobi_result(coprime: bool, sign: u64) -> i8 {
+    match (coprime, sign & 2) {
+        (false, _) => 0,
+        (true, 0) => 1,
+        (true, _) => -1,
+    }
+}
+
+/// `a - b` over four limbs, with the borrow out.
+#[inline(always)]
+fn sub_limbs(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], bool) {
+    let mut out = [0u64; 4];
+    let mut borrow = false;
+    for i in 0..4 {
+        let (d, b1) = a[i].overflowing_sub(b[i]);
+        let (d, b2) = d.overflowing_sub(borrow as u64);
+        out[i] = d;
+        borrow = b1 | b2;
+    }
+    (out, borrow)
 }
 
 /// Inverse of an odd `x` modulo `2^64` by Newton iteration.
@@ -396,6 +638,207 @@ mod tests {
         // Fermat: a^(p-1) = 1
         let e = m.modulus().wrapping_sub(&U256::ONE);
         assert_eq!(m.pow(&U256::from_u64(123456), &e), U256::ONE);
+    }
+
+    /// `a · b mod m` by shift-and-add: shares nothing with `montmul`.
+    fn mul_shift_add(m: &Modulus, a: &U256, b: &U256) -> U256 {
+        let mut acc = U256::ZERO;
+        for i in (0..256).rev() {
+            acc = double_mod(&acc, m.modulus());
+            if b.bit(i) {
+                acc = m.add(&acc, a);
+            }
+        }
+        acc
+    }
+
+    /// The binary square-and-multiply ladder `pow` replaced.
+    fn pow_ladder(m: &Modulus, base: &U256, exp: &U256) -> U256 {
+        let mut acc = one_mod(m.modulus());
+        for i in (0..exp.bits()).rev() {
+            acc = m.mul(&acc, &acc);
+            if exp.bit(i) {
+                acc = m.mul(&acc, base);
+            }
+        }
+        acc
+    }
+
+    fn shipped_p() -> Modulus {
+        Modulus::new(U256::from_hex(crate::group::P_HEX).unwrap())
+    }
+
+    fn shipped_q() -> Modulus {
+        Modulus::new(U256::from_hex(crate::group::Q_HEX).unwrap())
+    }
+
+    /// Exponents that exercise every window position and both extremes.
+    fn edge_exponents(m: &Modulus) -> Vec<U256> {
+        let mut e = vec![
+            U256::ZERO,
+            U256::ONE,
+            m.modulus().wrapping_sub(&U256::ONE),
+            m.modulus().wrapping_sub(&U256::from_u64(2)),
+            U256::MAX,
+        ];
+        e.extend((0..256).map(|k| U256::ONE.shl(k)));
+        e
+    }
+
+    #[test]
+    fn kernel_matches_shift_and_add() {
+        let mut rng = StdRng::seed_from_u64(20);
+        for m in [shipped_p(), shipped_q(), m_small()] {
+            let top = m.modulus().wrapping_sub(&U256::ONE);
+            let mut values = vec![U256::ZERO, U256::ONE, top];
+            values.extend((0..40).map(|_| m.sample(&mut rng)));
+            for a in &values {
+                for b in &values {
+                    assert_eq!(m.mul(a, b), mul_shift_add(&m, a, b));
+                }
+                assert_eq!(m.sqr(a), mul_shift_add(&m, a, a));
+                assert_eq!(m.mont_out(&m.mont_in(a)), *a);
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_pow_matches_the_ladder() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for m in [shipped_p(), shipped_q(), m_small()] {
+            let mut exps = edge_exponents(&m);
+            exps.extend((0..40).map(|_| U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()])));
+            let top = m.modulus().wrapping_sub(&U256::ONE);
+            for base in [U256::ZERO, U256::ONE, top, m.sample(&mut rng)] {
+                for e in &exps {
+                    assert_eq!(m.pow(&base, e), pow_ladder(&m, &base, e), "{base} ^ {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_base_pow_matches_two_ladders() {
+        let mut rng = StdRng::seed_from_u64(22);
+        for m in [shipped_p(), shipped_q(), m_small()] {
+            let edges = [
+                U256::ZERO,
+                U256::ONE,
+                m.modulus().wrapping_sub(&U256::ONE),
+                U256::MAX,
+                U256::ONE.shl(255),
+                U256::ONE.shl(4),
+            ];
+            let (a, b) = (m.sample_nonzero(&mut rng), m.sample_nonzero(&mut rng));
+            let expect = |x: &U256, y: &U256| m.mul(&pow_ladder(&m, &a, x), &pow_ladder(&m, &b, y));
+            for x in &edges {
+                for y in &edges {
+                    assert_eq!(m.pow2(&a, x, &b, y), expect(x, y), "x = {x}, y = {y}");
+                }
+            }
+            for _ in 0..40 {
+                let x = U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()]);
+                let y = m.sample(&mut rng);
+                assert_eq!(m.pow2(&a, &x, &b, &y), expect(&x, &y));
+            }
+            assert_eq!(m.pow2(&U256::ZERO, &U256::ONE, &b, &U256::ONE), U256::ZERO);
+        }
+    }
+
+    /// The machine-independent cost of the exponentiations, in kernel
+    /// calls. The all-ones exponent is the worst case; the ladder the
+    /// window replaced paid 2 + 255 + 255 + 1 = 513 on it.
+    #[test]
+    fn exponentiation_kernel_calls_are_pinned() {
+        let p = shipped_p();
+        let mut rng = StdRng::seed_from_u64(23);
+        let (a, b) = (p.sample_nonzero(&mut rng), p.sample_nonzero(&mut rng));
+        assert_eq!(ops::count(|| p.mul(&a, &b)).1, 2);
+        assert_eq!(ops::count(|| p.pow(&a, &U256::MAX)).1, 15 + 252 + 63 + 1);
+        assert_eq!(
+            ops::count(|| p.pow2(&a, &U256::MAX, &b, &U256::MAX)).1,
+            30 + 252 + 127 + 1
+        );
+        assert_eq!(ops::count(|| p.pow(&a, &U256::ONE)).1, 15 + 1);
+        assert_eq!(ops::count(|| p.pow(&a, &U256::ZERO)).1, 0);
+        for _ in 0..50 {
+            let (x, y) = (shipped_q().sample(&mut rng), shipped_q().sample(&mut rng));
+            assert!(ops::count(|| p.pow(&a, &x)).1 <= 331);
+            assert!(ops::count(|| p.pow2(&a, &x, &b, &y)).1 <= 410);
+        }
+    }
+
+    /// Legendre symbol by Euler's criterion, the exponentiation the
+    /// Jacobi algorithm avoids.
+    fn euler(a: &U256, prime: &Modulus) -> i8 {
+        let half = prime.modulus().wrapping_sub(&U256::ONE).shr(1);
+        let r = prime.pow(&prime.reduce(a), &half);
+        if r.is_zero() {
+            0
+        } else if r == U256::ONE {
+            1
+        } else {
+            assert_eq!(r, prime.modulus().wrapping_sub(&U256::ONE));
+            -1
+        }
+    }
+
+    #[test]
+    fn jacobi_matches_eulers_criterion_on_primes() {
+        let mut rng = StdRng::seed_from_u64(24);
+        for m in [shipped_p(), shipped_q(), m_small()] {
+            let n = m.modulus();
+            for a in [
+                U256::ZERO,
+                U256::ONE,
+                U256::from_u64(2),
+                n.wrapping_sub(&U256::ONE),
+            ] {
+                assert_eq!(jacobi(&a, n), euler(&a, &m), "({a}/{n})");
+            }
+            for _ in 0..300 {
+                let a = m.sample(&mut rng);
+                assert_eq!(jacobi(&a, n), euler(&a, &m), "({a}/{n})");
+                // Any number of factors of two, including whole limbs.
+                let shifted = m.reduce(&a.shl(rng.gen_range(0..200)));
+                assert_eq!(jacobi(&shifted, n), euler(&shifted, &m));
+                // Arguments at or above the modulus reduce first.
+                let wide = U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()]);
+                assert_eq!(jacobi(&wide, n), euler(&wide, &m));
+            }
+        }
+    }
+
+    #[test]
+    fn jacobi_matches_the_definition_on_small_odd_moduli() {
+        // (a/n) = Π (a/p_i)^{e_i} over n's prime factorization, each
+        // Legendre symbol read off the list of squares mod p_i.
+        let legendre = |a: u64, p: u64| -> i8 {
+            match a % p {
+                0 => 0,
+                r if (1..p).any(|x| x * x % p == r) => 1,
+                _ => -1,
+            }
+        };
+        for n in (1u64..400).step_by(2) {
+            for a in 0..2 * n {
+                let (mut rest, mut expect) = (n, 1i8);
+                for p in 3..=n {
+                    while rest % p == 0 {
+                        rest /= p;
+                        expect *= legendre(a, p);
+                    }
+                }
+                let got = jacobi(&U256::from_u64(a), &U256::from_u64(n));
+                assert_eq!(got, expect, "({a}/{n})");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "odd modulus")]
+    fn jacobi_rejects_even_moduli() {
+        jacobi(&U256::ONE, &U256::from_u64(8));
     }
 
     #[test]

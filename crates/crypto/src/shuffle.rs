@@ -11,6 +11,7 @@
 //! a cheating prover survives each round with probability 1/2, giving
 //! soundness error `2^-t`.
 
+use crate::batch::{par_map_indexed, PrecomputedKey};
 use crate::elgamal::{rerandomize_with, Ciphertext, PublicKey};
 use crate::group::{GroupParams, Scalar};
 use crate::zkp::Transcript;
@@ -100,11 +101,21 @@ pub fn shuffle<R: Rng + ?Sized>(
     input: &[Ciphertext],
     rng: &mut R,
 ) -> (Vec<Ciphertext>, ShuffleWitness) {
-    let n = input.len();
-    let perm = Permutation::random(n, rng);
-    let rerand: Vec<Scalar> = (0..n).map(|_| gp.random_scalar(rng)).collect();
-    let output = apply_shuffle(gp, y, input, &perm, &rerand);
-    (output, ShuffleWitness { perm, rerand })
+    let w = ShuffleWitness::random(gp, input.len(), rng);
+    let output = apply_shuffle(gp, y, input, &w.perm, &w.rerand);
+    (output, w)
+}
+
+impl ShuffleWitness {
+    /// Draws a uniformly random witness for `n` cells: the permutation
+    /// first, then the `n` rerandomizers (the order [`shuffle`] and
+    /// every transcript-pinned caller relies on).
+    pub fn random<R: Rng + ?Sized>(gp: &GroupParams, n: usize, rng: &mut R) -> ShuffleWitness {
+        ShuffleWitness {
+            perm: Permutation::random(n, rng),
+            rerand: (0..n).map(|_| gp.random_scalar(rng)).collect(),
+        }
+    }
 }
 
 /// Applies a known permutation + rerandomization.
@@ -172,12 +183,18 @@ impl ShuffleProof {
         rounds: usize,
         rng: &mut R,
     ) -> ShuffleProof {
-        // Generate shadows.
+        // Generate shadows: the draws of `rounds` calls to [`shuffle`],
+        // the rerandomizations through fixed-base tables for `g` and `y`.
+        let pk = PrecomputedKey::new(gp, y);
         let mut shadow_witnesses = Vec::with_capacity(rounds);
         let mut shadows = Vec::with_capacity(rounds);
         for _ in 0..rounds {
-            let (shadow, sw) = shuffle(gp, y, input, rng);
-            shadows.push(shadow);
+            let sw = ShuffleWitness::random(gp, input.len(), rng);
+            shadows.push(
+                (0..input.len())
+                    .map(|i| pk.rerandomize_with(gp, &input[sw.perm.0[i]], &sw.rerand[i]))
+                    .collect(),
+            );
             shadow_witnesses.push(sw);
         }
         Self::from_parts(gp, y, input, output, w, shadow_witnesses, shadows)
@@ -238,7 +255,7 @@ impl ShuffleProof {
         ShuffleProof { shadows, openings }
     }
 
-    /// Verifies the argument.
+    /// Verifies the argument (builds `y`'s table, one thread).
     pub fn verify(
         &self,
         gp: &GroupParams,
@@ -246,13 +263,27 @@ impl ShuffleProof {
         input: &[Ciphertext],
         output: &[Ciphertext],
     ) -> bool {
+        self.verify_with(gp, &PrecomputedKey::new(gp, y), input, output, 1)
+    }
+
+    /// Verifies the argument with the caller's tables for the key, the
+    /// `rounds × n` rerandomization checks spread over up to `threads`
+    /// threads. The verdict does not depend on `threads`.
+    pub fn verify_with(
+        &self,
+        gp: &GroupParams,
+        pk: &PrecomputedKey,
+        input: &[Ciphertext],
+        output: &[Ciphertext],
+        threads: usize,
+    ) -> bool {
         let n = input.len();
         if output.len() != n || self.shadows.len() != self.openings.len() {
             return false;
         }
         let rounds = self.shadows.len();
         let mut tr = Transcript::new(b"pm-crypto/shuffle-proof/v1");
-        tr.append_element(b"pk", &y.0);
+        tr.append_element(b"pk", &pk.key.0);
         absorb_vector(&mut tr, b"input", input);
         absorb_vector(&mut tr, b"output", output);
         for s in &self.shadows {
@@ -263,31 +294,36 @@ impl ShuffleProof {
         }
         let challenge = tr.challenge_bits(b"rounds", rounds);
 
+        // Structure first: each opening must answer its challenge bit
+        // with a valid permutation and `n` scalars. `sides[r]` is then
+        // the (source, target) pair round `r` claims to connect.
+        let mut sides = Vec::with_capacity(rounds);
         for ((shadow, opening), bit) in self.shadows.iter().zip(&self.openings).zip(challenge) {
-            match (bit, opening) {
+            let (perm, rerand, source, target) = match (bit, opening) {
                 (false, RoundOpening::InputToShadow { perm, rerand }) => {
-                    if perm.len() != n || rerand.len() != n || !perm.is_valid() {
-                        return false;
-                    }
-                    let expect = apply_shuffle(gp, y, input, perm, rerand);
-                    if &expect != shadow {
-                        return false;
-                    }
+                    (perm, rerand, input, shadow.as_slice())
                 }
                 (true, RoundOpening::ShadowToOutput { perm, rerand }) => {
-                    if perm.len() != n || rerand.len() != n || !perm.is_valid() {
-                        return false;
-                    }
-                    let expect = apply_shuffle(gp, y, shadow, perm, rerand);
-                    if expect != output {
-                        return false;
-                    }
+                    (perm, rerand, shadow.as_slice(), output)
                 }
                 // Opening type does not match the challenge bit.
                 _ => return false,
+            };
+            if perm.len() != n || rerand.len() != n || !perm.is_valid() {
+                return false;
             }
+            sides.push((perm, rerand, source, target));
         }
-        true
+        // Then every cell of every round, compared in place: slot `i`
+        // of the target must be the source's slot `perm[i]`
+        // rerandomized by `rerand[i]`.
+        par_map_indexed(rounds * n, threads, |k| {
+            let (perm, rerand, source, target) = sides[k / n];
+            let i = k % n;
+            pk.rerandomize_with(gp, &source[perm.0[i]], &rerand[i]) == target[i]
+        })
+        .into_iter()
+        .all(|ok| ok)
     }
 }
 
@@ -429,6 +465,203 @@ mod tests {
             })
             .collect();
         assert!(!proof.verify(&gp, &kp.public, &other, &out));
+    }
+
+    /// The verifier as written before PR 16: every opened side
+    /// recomputed by [`apply_shuffle`] (no key table) and compared whole.
+    fn verify_by_recomputation(
+        proof: &ShuffleProof,
+        gp: &GroupParams,
+        y: &PublicKey,
+        input: &[Ciphertext],
+        output: &[Ciphertext],
+    ) -> bool {
+        let n = input.len();
+        if output.len() != n || proof.shadows.len() != proof.openings.len() {
+            return false;
+        }
+        let mut tr = Transcript::new(b"pm-crypto/shuffle-proof/v1");
+        tr.append_element(b"pk", &y.0);
+        absorb_vector(&mut tr, b"input", input);
+        absorb_vector(&mut tr, b"output", output);
+        for s in &proof.shadows {
+            if s.len() != n {
+                return false;
+            }
+            absorb_vector(&mut tr, b"shadow", s);
+        }
+        let challenge = tr.challenge_bits(b"rounds", proof.shadows.len());
+        proof
+            .shadows
+            .iter()
+            .zip(&proof.openings)
+            .zip(challenge)
+            .all(|((shadow, opening), bit)| match (bit, opening) {
+                (false, RoundOpening::InputToShadow { perm, rerand }) => {
+                    perm.len() == n
+                        && rerand.len() == n
+                        && perm.is_valid()
+                        && &apply_shuffle(gp, y, input, perm, rerand) == shadow
+                }
+                (true, RoundOpening::ShadowToOutput { perm, rerand }) => {
+                    perm.len() == n
+                        && rerand.len() == n
+                        && perm.is_valid()
+                        && apply_shuffle(gp, y, shadow, perm, rerand) == output
+                }
+                _ => false,
+            })
+    }
+
+    fn proved_shuffle(seed: u64, n: usize, rounds: usize) -> Fixture {
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let kp = keygen(&gp, &mut rng);
+        let input: Vec<_> = (0..n)
+            .map(|_| {
+                let m = gp.random_element(&mut rng);
+                encrypt(&gp, &kp.public, &m, &mut rng)
+            })
+            .collect();
+        let (output, w) = shuffle(&gp, &kp.public, &input, &mut rng);
+        let proof = ShuffleProof::prove(&gp, &kp.public, &input, &output, &w, rounds, &mut rng);
+        Fixture {
+            gp,
+            key: kp.public,
+            input,
+            output,
+            proof,
+        }
+    }
+
+    struct Fixture {
+        gp: GroupParams,
+        key: PublicKey,
+        input: Vec<Ciphertext>,
+        output: Vec<Ciphertext>,
+        proof: ShuffleProof,
+    }
+
+    #[test]
+    fn table_prover_matches_the_table_less_one() {
+        // `prove` must consume the draws of `rounds` calls to `shuffle`
+        // and publish the shadows those calls would have.
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(8);
+        let kp = keygen(&gp, &mut rng);
+        let input: Vec<_> = (0..7)
+            .map(|_| {
+                let m = gp.random_element(&mut rng);
+                encrypt(&gp, &kp.public, &m, &mut rng)
+            })
+            .collect();
+        let (output, w) = shuffle(&gp, &kp.public, &input, &mut rng);
+        let mut reference_rng = rng.clone();
+        let proof = ShuffleProof::prove(&gp, &kp.public, &input, &output, &w, 9, &mut rng);
+        let (shadows, witnesses): (Vec<_>, Vec<_>) = (0..9)
+            .map(|_| shuffle(&gp, &kp.public, &input, &mut reference_rng))
+            .unzip();
+        let reference =
+            ShuffleProof::from_parts(&gp, &kp.public, &input, &output, &w, witnesses, shadows);
+        assert_eq!(proof.shadows, reference.shadows);
+        assert_eq!(
+            format!("{:?}", proof.openings),
+            format!("{:?}", reference.openings)
+        );
+        assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>());
+    }
+
+    #[test]
+    fn verifiers_agree_under_tampering_at_every_thread_count() {
+        let Fixture {
+            gp,
+            key,
+            input,
+            output,
+            proof,
+        } = proved_shuffle(9, 6, 12);
+        let pk = PrecomputedKey::new(&gp, &key);
+        let one = gp.scalar_from_u64(1);
+        let mut cases = vec![(proof.clone(), input.clone(), output.clone(), true)];
+        // One shadow cell.
+        let mut p = proof.clone();
+        p.shadows[5][3].b = gp.mul(&p.shadows[5][3].b, &gp.generator());
+        cases.push((p, input.clone(), output.clone(), false));
+        // One opening scalar, in the last round.
+        let mut p = proof.clone();
+        match p.openings.last_mut().unwrap() {
+            RoundOpening::InputToShadow { rerand, .. }
+            | RoundOpening::ShadowToOutput { rerand, .. } => {
+                rerand[5] = gp.scalar_add(&rerand[5], &one)
+            }
+        }
+        cases.push((p, input.clone(), output.clone(), false));
+        // An opening that is not a permutation.
+        let mut p = proof.clone();
+        match &mut p.openings[0] {
+            RoundOpening::InputToShadow { perm, .. }
+            | RoundOpening::ShadowToOutput { perm, .. } => perm.0[0] = perm.0[1],
+        }
+        cases.push((p, input.clone(), output.clone(), false));
+        // An opening answering the other challenge bit.
+        let mut p = proof.clone();
+        p.openings[2] = match p.openings[2].clone() {
+            RoundOpening::InputToShadow { perm, rerand } => {
+                RoundOpening::ShadowToOutput { perm, rerand }
+            }
+            RoundOpening::ShadowToOutput { perm, rerand } => {
+                RoundOpening::InputToShadow { perm, rerand }
+            }
+        };
+        cases.push((p, input.clone(), output.clone(), false));
+        // One output cell; one input cell; a short output.
+        let mut out = output.clone();
+        out[4].a = gp.mul(&out[4].a, &gp.generator());
+        cases.push((proof.clone(), input.clone(), out, false));
+        let mut inp = input.clone();
+        inp[0].b = gp.mul(&inp[0].b, &gp.generator());
+        cases.push((proof.clone(), inp, output.clone(), false));
+        cases.push((proof.clone(), input.clone(), output[..5].to_vec(), false));
+        for (i, (proof, input, output, expect)) in cases.iter().enumerate() {
+            let reference = verify_by_recomputation(proof, &gp, &key, input, output);
+            assert_eq!(reference, *expect, "case {i}: recomputation");
+            assert_eq!(
+                proof.verify(&gp, &key, input, output),
+                reference,
+                "case {i}"
+            );
+            for threads in [1, 2, 5] {
+                assert_eq!(
+                    proof.verify_with(&gp, &pk, input, output, threads),
+                    reference,
+                    "case {i}, threads {threads}"
+                );
+            }
+        }
+    }
+
+    /// Machine-independent cost of verification: one table
+    /// rerandomization (≤ 128 kernel calls) per cell per round, nothing
+    /// else. Before PR 16 a cell-round was two plain ladders and two
+    /// two-call products, ≈ 770.
+    #[test]
+    fn shuffle_verify_kernel_calls_are_pinned() {
+        use crate::modarith::ops;
+        let Fixture {
+            gp,
+            key,
+            input,
+            output,
+            proof,
+        } = proved_shuffle(10, 8, 16);
+        let pk = PrecomputedKey::new(&gp, &key);
+        let (ok, calls) = ops::count(|| proof.verify_with(&gp, &pk, &input, &output, 1));
+        assert!(ok);
+        assert!(
+            calls <= 128 * 8 * 16,
+            "{calls} calls for 8 cells × 16 rounds"
+        );
+        assert!(calls >= 100 * 8 * 16, "the counter saw the work: {calls}");
     }
 
     #[test]

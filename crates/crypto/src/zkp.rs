@@ -9,6 +9,7 @@
 //! All challenges are derived from a [`Transcript`], which binds the
 //! statement, the prover identity, and protocol context.
 
+use crate::batch::FixedBasePowers;
 use crate::group::{GroupElement, GroupParams, Scalar};
 use crate::sha256::{Sha256, DIGEST_LEN};
 use rand::Rng;
@@ -184,6 +185,11 @@ impl DleqProof {
     }
 
     /// Verifies against statement `(a, y, d)`.
+    ///
+    /// Five membership tests (Jacobi symbols, no exponentiation), then
+    /// `g^s == t1 · y^c` with `g^s` through the generator's table, and
+    /// the second equation as the single two-base exponentiation
+    /// `a^s · d^(-c) == t2` (`d` has order `q`, so `d^(q-c) = d^(-c)`).
     pub fn verify(
         &self,
         gp: &GroupParams,
@@ -191,6 +197,33 @@ impl DleqProof {
         y: &GroupElement,
         d: &GroupElement,
         transcript: &mut Transcript,
+    ) -> bool {
+        self.verify_inner(gp, a, y, d, transcript, |c, t1| gp.mul(t1, &gp.pow(y, c)))
+    }
+
+    /// [`DleqProof::verify`] for a verifier checking many proofs under
+    /// one `y` (a hop's `exp_key`, a CP's key share): `y^c` goes through
+    /// the caller's table. Same verdict for every input.
+    pub fn verify_with_table(
+        &self,
+        gp: &GroupParams,
+        a: &GroupElement,
+        y: &FixedBasePowers,
+        d: &GroupElement,
+        transcript: &mut Transcript,
+    ) -> bool {
+        self.verify_inner(gp, a, y.base(), d, transcript, |c, t1| y.pow_mul(gp, c, t1))
+    }
+
+    /// The one verification path; `t1_y_pow(c, t1)` computes `t1 · y^c`.
+    fn verify_inner(
+        &self,
+        gp: &GroupParams,
+        a: &GroupElement,
+        y: &GroupElement,
+        d: &GroupElement,
+        transcript: &mut Transcript,
+        t1_y_pow: impl FnOnce(&Scalar, &GroupElement) -> GroupElement,
     ) -> bool {
         for e in [a, y, d, &self.commit_g, &self.commit_a] {
             if !gp.is_element(e) {
@@ -203,8 +236,8 @@ impl DleqProof {
         transcript.append_element(b"dleq.t1", &self.commit_g);
         transcript.append_element(b"dleq.t2", &self.commit_a);
         let c = transcript.challenge_scalar(gp, b"dleq.c");
-        gp.g_pow(&self.response) == gp.mul(&self.commit_g, &gp.pow(y, &c))
-            && gp.pow(a, &self.response) == gp.mul(&self.commit_a, &gp.pow(d, &c))
+        gp.g_pow(&self.response) == t1_y_pow(&c, &self.commit_g)
+            && gp.pow2(a, &self.response, d, &gp.scalar_neg(&c)) == self.commit_a
     }
 }
 
@@ -316,6 +349,138 @@ mod tests {
             &bad,
             &mut Transcript::new(b"psc.decrypt")
         ));
+    }
+
+    /// The verifier as written before PR 16: membership by `x^q == 1`,
+    /// four separate exponentiations, no tables.
+    fn verify_plain_formula(
+        p: &DleqProof,
+        gp: &GroupParams,
+        a: &GroupElement,
+        y: &GroupElement,
+        d: &GroupElement,
+        transcript: &mut Transcript,
+    ) -> bool {
+        let order_q = Scalar(*gp.q());
+        let member = |e: &GroupElement| {
+            !e.0.is_zero() && e.0 < *gp.p() && gp.pow(e, &order_q) == gp.identity()
+        };
+        if ![a, y, d, &p.commit_g, &p.commit_a].into_iter().all(member) {
+            return false;
+        }
+        transcript.append_element(b"dleq.a", a);
+        transcript.append_element(b"dleq.y", y);
+        transcript.append_element(b"dleq.d", d);
+        transcript.append_element(b"dleq.t1", &p.commit_g);
+        transcript.append_element(b"dleq.t2", &p.commit_a);
+        let c = transcript.challenge_scalar(gp, b"dleq.c");
+        let g = gp.generator();
+        gp.pow(&g, &p.response) == gp.mul(&p.commit_g, &gp.pow(y, &c))
+            && gp.pow(a, &p.response) == gp.mul(&p.commit_a, &gp.pow(d, &c))
+    }
+
+    #[test]
+    fn dleq_verifiers_agree_with_the_plain_formula_under_tampering() {
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(8);
+        let x = gp.random_scalar(&mut rng);
+        let a = gp.random_element(&mut rng);
+        let y = gp.g_pow(&x);
+        let d = gp.pow(&a, &x);
+        let honest = DleqProof::prove(&gp, &x, &a, &y, &d, &mut Transcript::new(b"t"), &mut rng);
+        let other = gp.random_element(&mut rng);
+        // A non-residue: in range, outside the subgroup.
+        let outside = (2u64..)
+            .map(|h| GroupElement(crate::U256::from_u64(h)))
+            .find(|e| !gp.is_element(e))
+            .unwrap();
+        let one = gp.scalar_from_u64(1);
+        // (proof, a, y, d, expected verdict)
+        let mut cases = vec![(honest, a, y, d, true)];
+        for tampered in [
+            DleqProof {
+                commit_g: other,
+                ..honest
+            },
+            DleqProof {
+                commit_a: other,
+                ..honest
+            },
+            DleqProof {
+                commit_a: outside,
+                ..honest
+            },
+            DleqProof {
+                commit_g: outside,
+                ..honest
+            },
+            DleqProof {
+                response: gp.scalar_add(&honest.response, &one),
+                ..honest
+            },
+            // s + q: the same exponent mod q, as an unreduced scalar.
+            DleqProof {
+                response: Scalar(honest.response.0.wrapping_add(gp.q())),
+                ..honest
+            },
+        ] {
+            cases.push((tampered, a, y, d, false));
+        }
+        // s + q exponentiates identically, so that one still verifies.
+        cases.last_mut().unwrap().4 = true;
+        cases.push((honest, other, y, d, false));
+        cases.push((honest, a, other, d, false));
+        cases.push((honest, a, y, other, false));
+        cases.push((honest, a, y, outside, false));
+        cases.push((honest, a, y, gp.identity(), false));
+        cases.push((honest, a, y, GroupElement(*gp.p()), false));
+        for (i, (proof, a, y, d, expect)) in cases.iter().enumerate() {
+            let plain = verify_plain_formula(proof, &gp, a, y, d, &mut Transcript::new(b"t"));
+            assert_eq!(plain, *expect, "case {i}: plain formula");
+            assert_eq!(
+                proof.verify(&gp, a, y, d, &mut Transcript::new(b"t")),
+                plain,
+                "case {i}"
+            );
+            if gp.is_element(y) {
+                let table = FixedBasePowers::new(&gp, y);
+                let with_table =
+                    proof.verify_with_table(&gp, a, &table, d, &mut Transcript::new(b"t"));
+                assert_eq!(with_table, plain, "case {i}: table");
+            }
+        }
+    }
+
+    /// Machine-independent cost of one verification, in Montgomery
+    /// kernel calls. Before PR 16: five `x^q` membership ladders and
+    /// four exponentiations, ≈ 9 × 383 ≈ 3 450.
+    #[test]
+    fn dleq_kernel_calls_are_pinned() {
+        use crate::modarith::ops;
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(9);
+        let x = gp.random_scalar(&mut rng);
+        let a = gp.random_element(&mut rng);
+        let y = gp.g_pow(&x);
+        let d = gp.pow(&a, &x);
+        let table = FixedBasePowers::new(&gp, &y);
+        for _ in 0..20 {
+            let (proof, prove) = ops::count(|| {
+                DleqProof::prove(&gp, &x, &a, &y, &d, &mut Transcript::new(b"t"), &mut rng)
+            });
+            // g^w through the table, a^w by the window.
+            assert!(prove <= 64 + 331, "prove: {prove}");
+            let (ok, with_table) = ops::count(|| {
+                proof.verify_with_table(&gp, &a, &table, &d, &mut Transcript::new(b"t"))
+            });
+            // g^s (≤ 64) + t1·y^c (≤ 64) + two-base a^s·d^-c (≤ 410).
+            assert!(ok && with_table <= 538, "verify_with_table: {with_table}");
+            let (ok, plain) =
+                ops::count(|| proof.verify(&gp, &a, &y, &d, &mut Transcript::new(b"t")));
+            // Without a table for y: y^c by the window (≤ 331) and a
+            // plain product (2) instead of the ≤ 64.
+            assert!(ok && plain <= 64 + 331 + 2 + 410, "verify: {plain}");
+        }
     }
 
     #[test]

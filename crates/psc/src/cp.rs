@@ -28,12 +28,19 @@
 //!    the serialized [`messages::MixResult`] is bit-identical to the
 //!    sequential reference at every thread count — pinned by the
 //!    `mix_equivalence` proptests and the end-to-end transcript tests.
+//!
+//! The receiving side is parallel too: the tally server checks a hop's
+//! proofs on the same thread count ([`MixStrategy::threads`]), one
+//! verdict slot per cell, and reports the lowest failing cell — the
+//! cell a sequential scan would have stopped at — so accept/reject and
+//! the error text are as thread-count-independent as the transcript
+//! (see [`crate::ts`]).
 
 use crate::messages::{self, tag};
 use pm_crypto::batch::{par_map_indexed, PrecomputedKey};
 use pm_crypto::elgamal::{encrypt, exponentiate, Ciphertext, PublicKey};
 use pm_crypto::group::{GroupParams, Scalar};
-use pm_crypto::shuffle::{shuffle, Permutation, ShuffleProof, ShuffleWitness};
+use pm_crypto::shuffle::{shuffle, ShuffleProof, ShuffleWitness};
 use pm_crypto::zkp::{DleqProof, SchnorrProof, Transcript};
 use pm_net::party::{Node, NodeError, Step};
 use pm_net::transport::{Endpoint, Envelope, PartyId};
@@ -58,6 +65,17 @@ pub enum MixStrategy {
         /// Worker threads for the batch phase (1 = inline).
         threads: usize,
     },
+}
+
+impl MixStrategy {
+    /// Threads the strategy spreads per-cell work over (CP batch
+    /// phases, TS proof verification).
+    pub fn threads(&self) -> usize {
+        match *self {
+            MixStrategy::Sequential => 1,
+            MixStrategy::Batched { threads } => threads,
+        }
+    }
 }
 
 impl Default for MixStrategy {
@@ -233,10 +251,7 @@ impl CpNode {
             .clone();
         let mut dec_span = self.recorder.span("mix.decrypt", "psc");
         dec_span.note("cells", task.cells.len());
-        let threads = match self.strategy {
-            MixStrategy::Sequential => 1,
-            MixStrategy::Batched { threads } => threads,
-        };
+        let threads = self.strategy.threads();
         // Partial decryptions, like mixing, split into a sequential
         // nonce-derivation pass and a per-cell batch phase; the wire
         // message is independent of `threads`.
@@ -343,16 +358,10 @@ impl MixRandomness {
         } else {
             Vec::new()
         };
-        let witness = ShuffleWitness {
-            perm: Permutation::random(n_total, rng),
-            rerand: (0..n_total).map(|_| gp.random_scalar(rng)).collect(),
-        };
+        let witness = ShuffleWitness::random(gp, n_total, rng);
         let shadow_witnesses = if verify {
             (0..rounds)
-                .map(|_| ShuffleWitness {
-                    perm: Permutation::random(n_total, rng),
-                    rerand: (0..n_total).map(|_| gp.random_scalar(rng)).collect(),
-                })
+                .map(|_| ShuffleWitness::random(gp, n_total, rng))
                 .collect()
         } else {
             Vec::new()

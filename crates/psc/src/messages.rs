@@ -207,14 +207,22 @@ impl WireDecode for MixTask {
 ///
 /// The TS (which knows the input it sent) verifies, in order:
 /// the noise extension (first `input_len` cells of `with_noise` must
-/// equal the input), the exponentiation proofs (`post_exp[j] =
-/// with_noise[j]^k` where `exp_key = g^k`), and the shuffle argument
-/// (`output` is a rerandomizing shuffle of `post_exp`).
+/// equal the input), that `exp_key ≠ 1`, the exponentiation proofs
+/// (`post_exp[j] = with_noise[j]^k` where `exp_key = g^k`), and the
+/// shuffle argument (`output` is a rerandomizing shuffle of
+/// `post_exp`).
+///
+/// `exp_key ≠ 1` is part of the statement, not a formality: `k = 0`
+/// satisfies every Chaum–Pedersen equation (`y = d = 1`, `s = w`) while
+/// mapping every cell to an encryption of the identity, which would
+/// erase all marks and all noise. The TS rejects it whether or not
+/// proofs are on.
 #[derive(Clone, Debug)]
 pub struct MixResult {
     /// Input ∥ appended noise cells.
     pub with_noise: Vec<Ciphertext>,
-    /// `g^k` for this hop's zero-preserving exponent.
+    /// `g^k` for this hop's zero-preserving exponent `k ≠ 0`; never the
+    /// identity.
     pub exp_key: GroupElement,
     /// Cellwise `(a^k, b^k)`.
     pub post_exp: Vec<Ciphertext>,

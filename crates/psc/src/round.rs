@@ -31,8 +31,10 @@ pub struct PscConfig {
     pub threaded: bool,
     /// Optional fault injection.
     pub faults: FaultConfig,
-    /// How CPs execute their per-cell crypto. Every strategy yields the
-    /// same transcript; this only shapes wall-clock time.
+    /// How CPs execute their per-cell crypto, and on how many threads
+    /// the TS verifies their proofs. Every strategy yields the same
+    /// transcript and the same verdicts; this only shapes wall-clock
+    /// time.
     pub mix: MixStrategy,
     /// Which [`pm_net::Fabric`] backend carries the round: the
     /// in-process switchboard (default) or real loopback sockets. The wire
@@ -44,10 +46,10 @@ pub struct PscConfig {
     /// deterministic scheduler (the threaded runner has no deadlock
     /// detector to catch a dead keeper).
     pub adversary: Attack,
-    /// Observability handle threaded to the switchboard and every CP:
-    /// deterministic counters (`psc.rounds`, `psc.mix.cells`,
-    /// `net.link.*`) plus profiling spans when it was built with
-    /// profiling enabled. Defaults to a detached recorder.
+    /// Observability handle threaded to the switchboard, the TS and
+    /// every CP: deterministic counters (`psc.rounds`, `psc.mix.cells`,
+    /// `net.link.*`) plus profiling spans (`mix.*`, `ts.*`) when it was
+    /// built with profiling enabled. Defaults to a detached recorder.
     pub recorder: pm_obs::Recorder,
 }
 
@@ -201,15 +203,19 @@ pub fn run_psc_round_sources(
     let slot: PscResultSlot = Arc::new(Mutex::new(None));
     runner.add(
         ts_id.clone(),
-        Box::new(PscTsNode::new(
-            dc_names.clone(),
-            cp_names.clone(),
-            cfg.table_size,
-            cfg.noise_flips_per_cp,
-            salt,
-            cfg.verify,
-            slot.clone(),
-        )),
+        Box::new(
+            PscTsNode::new(
+                dc_names.clone(),
+                cp_names.clone(),
+                cfg.table_size,
+                cfg.noise_flips_per_cp,
+                salt,
+                cfg.verify,
+                slot.clone(),
+            )
+            .with_verify_threads(cfg.mix.threads())
+            .with_recorder(cfg.recorder.clone()),
+        ),
     );
     for (i, cp) in cp_names.iter().enumerate() {
         let mut node =

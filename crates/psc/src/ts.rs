@@ -5,15 +5,34 @@
 //! every zero-knowledge argument (all proofs are non-interactive and
 //! publicly verifiable, so any party could re-check them), and publishes
 //! the final noisy marked-cell count.
+//!
+//! # Verification threading
+//!
+//! A verified hop is 2n Chaum–Pedersen proofs and a 16-round shuffle
+//! argument over n cells; a verified decryption is n more proofs per
+//! CP. Every one of those checks is independent of the others, so the
+//! TS runs them through [`pm_crypto::batch::par_map_indexed`] on the
+//! thread count the round's [`crate::cp::MixStrategy`] already gives
+//! the CPs, against fixed-base tables built once per message: the
+//! hop's `exp_key`, then the joint key's for its shuffle argument; the
+//! decrypting CP's key share — 32 KiB each, at most two live beside the
+//! process-wide generator table, none when proofs are off.
+//!
+//! Verdicts are collected by cell index and the error names the
+//! *lowest* failing cell, side (a) before side (b) — exactly what a
+//! sequential scan reports — so an `Aborted{detected_by}` record reads
+//! the same at every thread count.
 
 use crate::cp::{dec_transcript, exp_transcript, CpNode};
 use crate::messages::{self, tag};
 use crate::table::combine_tables;
 use parking_lot::Mutex;
-use pm_crypto::elgamal::{combine_partial_decryptions, Ciphertext};
+use pm_crypto::batch::{par_map_indexed, FixedBasePowers, PrecomputedKey};
+use pm_crypto::elgamal::{Ciphertext, PublicKey};
 use pm_crypto::group::{GroupElement, GroupParams};
 use pm_net::party::{Node, NodeError, Step};
 use pm_net::transport::{Endpoint, Envelope, PartyId};
+use pm_obs::Recorder;
 use std::sync::Arc;
 
 /// The raw outcome the TS publishes.
@@ -55,6 +74,10 @@ pub struct PscTsNode {
     final_table: Vec<Ciphertext>,
     partials: Vec<Option<Vec<GroupElement>>>,
     result: PscResultSlot,
+    /// Threads for proof verification (1 = inline).
+    threads: usize,
+    /// Observability handle: `ts.*` phase spans (profiling plane only).
+    recorder: Recorder,
 }
 
 impl PscTsNode {
@@ -86,7 +109,23 @@ impl PscTsNode {
             final_table: Vec::new(),
             partials: vec![None; ncp],
             result,
+            threads: 1,
+            recorder: Recorder::new(),
         }
+    }
+
+    /// Verifies proofs on up to `threads` threads. Verdicts and error
+    /// strings do not depend on the count (see the module docs).
+    pub fn with_verify_threads(mut self, threads: usize) -> PscTsNode {
+        self.threads = threads;
+        self
+    }
+
+    /// Attaches an observability recorder for the `ts.*` spans,
+    /// recorded only when it was built with profiling enabled.
+    pub fn with_recorder(mut self, recorder: Recorder) -> PscTsNode {
+        self.recorder = recorder;
+        self
     }
 
     fn cp_index(&self, id: &PartyId) -> Result<usize, NodeError> {
@@ -97,9 +136,12 @@ impl PscTsNode {
     }
 
     fn verify_mix(&self, msg: &messages::MixResult) -> Result<(), NodeError> {
-        let joint = pm_crypto::elgamal::PublicKey(self.joint_key.ok_or_else(|| {
+        let joint = PublicKey(self.joint_key.ok_or_else(|| {
             NodeError::Protocol("mix result before the round was configured".into())
         })?);
+        let mut span = self.recorder.span("ts.verify_mix", "psc");
+        span.note("cells", msg.with_noise.len());
+        span.note("threads", self.threads);
         let n_in = self.mix_input.len();
         if msg.with_noise.len() != n_in + self.noise_flips as usize {
             return Err(NodeError::Protocol("noise extension length wrong".into()));
@@ -110,53 +152,109 @@ impl PscTsNode {
         if msg.post_exp.len() != msg.with_noise.len() || msg.output.len() != msg.with_noise.len() {
             return Err(NodeError::Protocol("mix stage length mismatch".into()));
         }
+        // `k = 0` would send every cell to an encryption of the
+        // identity — marks and noise erased — under proofs that verify
+        // (`y = d = 1`, `s = w`). Part of the statement, checked even
+        // when proofs are off.
+        if msg.exp_key == self.gp.identity() {
+            return Err(NodeError::Protocol(
+                "exponentiation key is the identity".into(),
+            ));
+        }
         if self.verify {
             if msg.exp_proofs.len() != msg.with_noise.len() {
                 return Err(NodeError::Protocol("missing exponentiation proofs".into()));
             }
-            for (j, ((pre, post), (pa, pb))) in msg
-                .with_noise
-                .iter()
-                .zip(&msg.post_exp)
-                .zip(&msg.exp_proofs)
-                .enumerate()
-            {
+            let gp = &self.gp;
+            let exp_key = FixedBasePowers::new(gp, &msg.exp_key);
+            // Per cell: which side failed first, if any.
+            let failed = par_map_indexed(msg.with_noise.len(), self.threads, |j| {
+                let (pre, post, (pa, pb)) =
+                    (&msg.with_noise[j], &msg.post_exp[j], &msg.exp_proofs[j]);
                 let mut ta = exp_transcript(j, false);
-                if !pa.verify(&self.gp, &pre.a, &msg.exp_key, &post.a, &mut ta) {
-                    return Err(NodeError::Protocol(format!(
-                        "exponentiation proof (a) failed at cell {j}"
-                    )));
+                if !pa.verify_with_table(gp, &pre.a, &exp_key, &post.a, &mut ta) {
+                    return Some('a');
                 }
                 let mut tb = exp_transcript(j, true);
-                if !pb.verify(&self.gp, &pre.b, &msg.exp_key, &post.b, &mut tb) {
-                    return Err(NodeError::Protocol(format!(
-                        "exponentiation proof (b) failed at cell {j}"
-                    )));
+                if !pb.verify_with_table(gp, &pre.b, &exp_key, &post.b, &mut tb) {
+                    return Some('b');
                 }
+                None
+            });
+            // The lowest failing cell: where a sequential scan stops.
+            if let Some((j, side)) = failed
+                .iter()
+                .enumerate()
+                .find_map(|(j, side)| side.map(|side| (j, side)))
+            {
+                return Err(NodeError::Protocol(format!(
+                    "exponentiation proof ({side}) failed at cell {j}"
+                )));
             }
             let proof = msg
                 .shuffle_proof
                 .as_ref()
                 .ok_or_else(|| NodeError::Protocol("missing shuffle proof".into()))?;
-            if !proof.verify(&self.gp, &joint, &msg.post_exp, &msg.output) {
+            let joint = PrecomputedKey::new(gp, &joint);
+            if !proof.verify_with(gp, &joint, &msg.post_exp, &msg.output, self.threads) {
                 return Err(NodeError::Protocol("shuffle proof failed".into()));
             }
         }
         Ok(())
     }
 
+    /// Checks CP `from`'s partial decryptions of the final table
+    /// against the key share it registered.
+    fn verify_partials(&self, from: &PartyId, msg: &messages::PartialDec) -> Result<(), NodeError> {
+        let mut span = self.recorder.span("ts.verify_dec", "psc");
+        span.note("cells", msg.partials.len());
+        span.note("threads", self.threads);
+        if msg.partials.len() != self.final_table.len() {
+            return Err(NodeError::Protocol("partials length mismatch".into()));
+        }
+        if self.verify {
+            if msg.proofs.len() != msg.partials.len() {
+                return Err(NodeError::Protocol("missing decryption proofs".into()));
+            }
+            let gp = &self.gp;
+            let share = FixedBasePowers::new(gp, &msg.share);
+            let verdicts = par_map_indexed(msg.partials.len(), self.threads, |j| {
+                let mut t = dec_transcript(j);
+                msg.proofs[j].verify_with_table(
+                    gp,
+                    &self.final_table[j].a,
+                    &share,
+                    &msg.partials[j],
+                    &mut t,
+                )
+            });
+            if let Some(j) = verdicts.iter().position(|ok| !ok) {
+                return Err(NodeError::Protocol(format!(
+                    "decryption proof from {from} failed at cell {j}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     fn finalize(&mut self) -> Result<(), NodeError> {
+        let mut span = self.recorder.span("ts.finalize", "psc");
+        span.note("cells", self.final_table.len());
         let mut partials: Vec<&Vec<GroupElement>> = Vec::with_capacity(self.partials.len());
         for (i, p) in self.partials.iter().enumerate() {
             partials.push(p.as_ref().ok_or_else(|| {
                 NodeError::Protocol(format!("finalize without a partial decryption from CP {i}"))
             })?);
         }
+        // A cell decrypts to the identity iff `b = Π dᵢ`: comparing the
+        // product needs no inverse.
         let mut marked = 0u64;
         for (j, cell) in self.final_table.iter().enumerate() {
-            let cell_partials: Vec<GroupElement> = partials.iter().map(|p| p[j]).collect();
-            let plain = combine_partial_decryptions(&self.gp, cell, &cell_partials);
-            if plain != self.gp.identity() {
+            let mut shared = self.gp.identity();
+            for p in &partials {
+                shared = self.gp.mul(&shared, &p[j]);
+            }
+            if cell.b != shared {
                 marked += 1;
             }
         }
@@ -220,7 +318,11 @@ impl Node for PscTsNode {
                 }
                 self.tables.push(msg.cells);
                 if self.tables.len() == self.dc_names.len() {
-                    let combined = combine_tables(&self.gp, &self.tables);
+                    let combined = {
+                        let mut span = self.recorder.span("ts.combine_tables", "psc");
+                        span.note("tables", self.tables.len());
+                        combine_tables(&self.gp, &self.tables)
+                    };
                     self.tables.clear();
                     self.mix_input = combined.clone();
                     let task = messages::MixTask { cells: combined };
@@ -274,28 +376,7 @@ impl Node for PscTsNode {
                         env.from
                     )));
                 }
-                if msg.partials.len() != self.final_table.len() {
-                    return Err(NodeError::Protocol("partials length mismatch".into()));
-                }
-                if self.verify {
-                    if msg.proofs.len() != msg.partials.len() {
-                        return Err(NodeError::Protocol("missing decryption proofs".into()));
-                    }
-                    for (j, (cell, (d, proof))) in self
-                        .final_table
-                        .iter()
-                        .zip(msg.partials.iter().zip(&msg.proofs))
-                        .enumerate()
-                    {
-                        let mut t = dec_transcript(j);
-                        if !proof.verify(&self.gp, &cell.a, &msg.share, d, &mut t) {
-                            return Err(NodeError::Protocol(format!(
-                                "decryption proof from {} failed at cell {j}",
-                                env.from
-                            )));
-                        }
-                    }
-                }
+                self.verify_partials(&env.from, &msg)?;
                 self.partials[idx] = Some(msg.partials);
                 if self.partials.iter().all(|p| p.is_some()) {
                     self.finalize()?;
@@ -311,5 +392,400 @@ impl Node for PscTsNode {
 
     fn role(&self) -> &'static str {
         "psc-ts"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cp::{mix_message_batched, SHUFFLE_ROUNDS};
+    use pm_crypto::elgamal::{encrypt, keygen, partial_decrypt, KeyPair};
+    use pm_crypto::group::Scalar;
+    use pm_crypto::shuffle::{apply_shuffle, shuffle, RoundOpening, ShuffleProof};
+    use pm_crypto::zkp::{DleqProof, Transcript};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const NOISE: u32 = 2;
+
+    /// A TS that has just handed `input` to its only CP.
+    fn ts_mixing(
+        joint: &PublicKey,
+        input: &[Ciphertext],
+        verify: bool,
+        threads: usize,
+    ) -> PscTsNode {
+        let mut ts = PscTsNode::new(
+            vec![PartyId::new("dc")],
+            vec![PartyId::new("cp")],
+            input.len() as u32,
+            NOISE,
+            [0u8; 32],
+            verify,
+            Arc::new(Mutex::new(None)),
+        )
+        .with_verify_threads(threads);
+        ts.joint_key = Some(joint.0);
+        ts.mix_input = input.to_vec();
+        ts.phase = Phase::Mixing { stage: 0 };
+        ts
+    }
+
+    fn table(gp: &GroupParams, kp: &KeyPair, n: usize, rng: &mut StdRng) -> Vec<Ciphertext> {
+        (0..n)
+            .map(|i| {
+                let m = if i % 2 == 0 {
+                    gp.identity()
+                } else {
+                    gp.random_non_identity(rng)
+                };
+                encrypt(gp, &kp.public, &m, rng)
+            })
+            .collect()
+    }
+
+    /// Membership as the parent tested it: `x^q == 1`.
+    fn member(gp: &GroupParams, e: &GroupElement) -> bool {
+        !e.0.is_zero() && e.0 < *gp.p() && gp.pow(e, &Scalar(*gp.q())) == gp.identity()
+    }
+
+    /// Chaum–Pedersen verification as the parent wrote it: four
+    /// exponentiations, no tables, no two-base trick.
+    fn dleq_plain(
+        gp: &GroupParams,
+        p: &DleqProof,
+        a: &GroupElement,
+        y: &GroupElement,
+        d: &GroupElement,
+        mut t: Transcript,
+    ) -> bool {
+        if ![a, y, d, &p.commit_g, &p.commit_a]
+            .into_iter()
+            .all(|e| member(gp, e))
+        {
+            return false;
+        }
+        t.append_element(b"dleq.a", a);
+        t.append_element(b"dleq.y", y);
+        t.append_element(b"dleq.d", d);
+        t.append_element(b"dleq.t1", &p.commit_g);
+        t.append_element(b"dleq.t2", &p.commit_a);
+        let c = t.challenge_scalar(gp, b"dleq.c");
+        gp.pow(&gp.generator(), &p.response) == gp.mul(&p.commit_g, &gp.pow(y, &c))
+            && gp.pow(a, &p.response) == gp.mul(&p.commit_a, &gp.pow(d, &c))
+    }
+
+    /// Shuffle verification as the parent wrote it: recompute each
+    /// opened side without tables and compare it whole.
+    fn shuffle_plain(
+        gp: &GroupParams,
+        y: &PublicKey,
+        proof: &ShuffleProof,
+        input: &[Ciphertext],
+        output: &[Ciphertext],
+    ) -> bool {
+        let mut tr = Transcript::new(b"pm-crypto/shuffle-proof/v1");
+        tr.append_element(b"pk", &y.0);
+        for (label, cells) in [(&b"input"[..], input), (b"output", output)]
+            .into_iter()
+            .chain(proof.shadows.iter().map(|s| (&b"shadow"[..], s.as_slice())))
+        {
+            tr.append(label, &(cells.len() as u64).to_be_bytes());
+            for ct in cells {
+                tr.append_element(b"ct.a", &ct.a);
+                tr.append_element(b"ct.b", &ct.b);
+            }
+        }
+        let bits = tr.challenge_bits(b"rounds", proof.shadows.len());
+        proof.shadows.len() == proof.openings.len()
+            && proof.shadows.iter().zip(&proof.openings).zip(bits).all(
+                |((shadow, opening), bit)| match (bit, opening) {
+                    (false, RoundOpening::InputToShadow { perm, rerand }) => {
+                        perm.is_valid() && &apply_shuffle(gp, y, input, perm, rerand) == shadow
+                    }
+                    (true, RoundOpening::ShadowToOutput { perm, rerand }) => {
+                        perm.is_valid() && apply_shuffle(gp, y, shadow, perm, rerand) == output
+                    }
+                    _ => false,
+                },
+            )
+    }
+
+    /// The parent's `verify_mix` proof checks: one sequential scan that
+    /// stops at the first failing cell.
+    fn verify_mix_plain(
+        gp: &GroupParams,
+        y: &PublicKey,
+        msg: &messages::MixResult,
+    ) -> Result<(), String> {
+        for (j, ((pre, post), (pa, pb))) in msg
+            .with_noise
+            .iter()
+            .zip(&msg.post_exp)
+            .zip(&msg.exp_proofs)
+            .enumerate()
+        {
+            if !dleq_plain(
+                gp,
+                pa,
+                &pre.a,
+                &msg.exp_key,
+                &post.a,
+                exp_transcript(j, false),
+            ) {
+                return Err(format!(
+                    "protocol error: exponentiation proof (a) failed at cell {j}"
+                ));
+            }
+            if !dleq_plain(
+                gp,
+                pb,
+                &pre.b,
+                &msg.exp_key,
+                &post.b,
+                exp_transcript(j, true),
+            ) {
+                return Err(format!(
+                    "protocol error: exponentiation proof (b) failed at cell {j}"
+                ));
+            }
+        }
+        let proof = msg.shuffle_proof.as_ref().expect("verified hop");
+        if !shuffle_plain(gp, y, proof, &msg.post_exp, &msg.output) {
+            return Err("protocol error: shuffle proof failed".into());
+        }
+        Ok(())
+    }
+
+    /// A non-residue: in range, outside the subgroup.
+    fn outside(gp: &GroupParams) -> GroupElement {
+        (2u64..)
+            .map(|h| GroupElement(pm_crypto::U256::from_u64(h)))
+            .find(|e| !gp.is_element(e))
+            .expect("half of Z_p^* is non-residues")
+    }
+
+    #[test]
+    fn tampered_hop_names_the_same_cell_as_the_plain_scan_at_every_thread_count() {
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(16);
+        let kp = keygen(&gp, &mut rng);
+        let input = table(&gp, &kp, 6, &mut rng);
+        let honest = mix_message_batched(&gp, &kp.public, NOISE, true, input.clone(), &mut rng, 2);
+        let other = gp.random_element(&mut rng);
+        let one = gp.scalar_from_u64(1);
+
+        type Tamper = Box<dyn Fn(&mut messages::MixResult)>;
+        let cases: Vec<(&str, Tamper, Option<&str>)> = vec![
+            ("honest", Box::new(|_| {}), None),
+            (
+                "commit_g",
+                Box::new(move |m| m.exp_proofs[3].0.commit_g = other),
+                Some("exponentiation proof (a) failed at cell 3"),
+            ),
+            (
+                "commit_a",
+                Box::new(move |m| m.exp_proofs[2].1.commit_a = other),
+                Some("exponentiation proof (b) failed at cell 2"),
+            ),
+            (
+                "non-member commit_a",
+                Box::new(move |m| m.exp_proofs[1].1.commit_a = outside(&gp)),
+                Some("exponentiation proof (b) failed at cell 1"),
+            ),
+            (
+                "response",
+                Box::new(move |m| {
+                    let r = &mut m.exp_proofs[5].0.response;
+                    *r = gp.scalar_add(r, &one);
+                }),
+                Some("exponentiation proof (a) failed at cell 5"),
+            ),
+            (
+                "post_exp[j]",
+                Box::new(move |m| m.post_exp[4].b = other),
+                Some("exponentiation proof (b) failed at cell 4"),
+            ),
+            (
+                "exp_key",
+                Box::new(move |m| m.exp_key = other),
+                Some("exponentiation proof (a) failed at cell 0"),
+            ),
+            (
+                "two cells: the lowest is named",
+                Box::new(move |m| {
+                    m.exp_proofs[7].1.commit_g = other;
+                    m.exp_proofs[2].0.commit_g = other;
+                }),
+                Some("exponentiation proof (a) failed at cell 2"),
+            ),
+            (
+                "both sides of a cell: (a) is named",
+                Box::new(move |m| {
+                    m.exp_proofs[6].1.commit_g = other;
+                    m.exp_proofs[6].0.commit_a = other;
+                }),
+                Some("exponentiation proof (a) failed at cell 6"),
+            ),
+            (
+                "shadow cell",
+                Box::new(move |m| {
+                    let shadow = &mut m.shuffle_proof.as_mut().unwrap().shadows[9];
+                    shadow[3].a = other;
+                }),
+                Some("shuffle proof failed"),
+            ),
+            (
+                "opening scalar",
+                Box::new(move |m| {
+                    match &mut m.shuffle_proof.as_mut().unwrap().openings[SHUFFLE_ROUNDS - 1] {
+                        RoundOpening::InputToShadow { rerand, .. }
+                        | RoundOpening::ShadowToOutput { rerand, .. } => {
+                            rerand[7] = gp.scalar_add(&rerand[7], &one)
+                        }
+                    }
+                }),
+                Some("shuffle proof failed"),
+            ),
+        ];
+        for (name, tamper, expect) in &cases {
+            let mut msg = honest.clone();
+            tamper(&mut msg);
+            let plain = verify_mix_plain(&gp, &kp.public, &msg);
+            assert_eq!(
+                plain.clone().err(),
+                expect.map(|e| format!("protocol error: {e}")),
+                "{name}: plain scan"
+            );
+            for threads in [1, 2, 5] {
+                let ts = ts_mixing(&kp.public, &input, true, threads);
+                let got = ts.verify_mix(&msg).map_err(|e| e.reason());
+                assert_eq!(got, plain, "{name}, threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn tampered_partial_decryption_names_the_same_cell_at_every_thread_count() {
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(17);
+        let kp = keygen(&gp, &mut rng);
+        let cells = table(&gp, &kp, 8, &mut rng);
+        let partials: Vec<GroupElement> = cells
+            .iter()
+            .map(|c| partial_decrypt(&gp, &kp.secret, c))
+            .collect();
+        let proofs: Vec<DleqProof> = (0..cells.len())
+            .map(|j| {
+                let (a, d, y) = (&cells[j].a, &partials[j], &kp.public.0);
+                DleqProof::prove(&gp, &kp.secret.0, a, y, d, &mut dec_transcript(j), &mut rng)
+            })
+            .collect();
+        let honest = messages::PartialDec {
+            share: kp.public.0,
+            partials,
+            proofs,
+        };
+        let other = gp.random_element(&mut rng);
+        let from = PartyId::new("cp");
+
+        let mut one_partial = honest.clone();
+        one_partial.partials[3] = other;
+        let mut two_proofs = honest.clone();
+        two_proofs.proofs[4].commit_a = other;
+        two_proofs.proofs[1].response = Scalar::ZERO;
+        let mut wrong_share = honest.clone();
+        wrong_share.share = other;
+        for (name, msg, expect) in [
+            ("honest", &honest, None),
+            ("one partial decryption", &one_partial, Some(3)),
+            ("two proofs: the lowest is named", &two_proofs, Some(1)),
+            ("every proof under another share", &wrong_share, Some(0)),
+        ] {
+            let plain = (0..cells.len()).find(|&j| {
+                let t = dec_transcript(j);
+                !dleq_plain(
+                    &gp,
+                    &msg.proofs[j],
+                    &cells[j].a,
+                    &msg.share,
+                    &msg.partials[j],
+                    t,
+                )
+            });
+            assert_eq!(plain, expect, "{name}: plain scan");
+            for threads in [1, 2, 5] {
+                let mut ts = ts_mixing(&kp.public, &[], true, threads);
+                ts.final_table = cells.clone();
+                let got = ts.verify_partials(&from, msg).map_err(|e| e.reason());
+                let want = plain.map(|j| {
+                    format!("protocol error: decryption proof from cp failed at cell {j}")
+                });
+                assert_eq!(got.err(), want, "{name}, threads {threads}");
+            }
+        }
+    }
+
+    /// The soundness hole closed in PR 16. With `k = 0` a CP publishes
+    /// `exp_key = g^0 = 1` and `post_exp = (1, 1)ⁿ`; every Chaum–Pedersen
+    /// proof then verifies (`y = 1`, `d = 1`, `s = w`) and the shuffle of
+    /// those cells is honest, yet every mark and every CP's noise is
+    /// erased. The parent accepted this message.
+    #[test]
+    fn identity_exponentiation_key_is_rejected() {
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(18);
+        let kp = keygen(&gp, &mut rng);
+        let input = table(&gp, &kp, 6, &mut rng);
+        let mut with_noise = input.clone();
+        with_noise.extend(table(&gp, &kp, NOISE as usize, &mut rng));
+        let one = gp.identity();
+        let k = Scalar::ZERO;
+        let post_exp = vec![Ciphertext { a: one, b: one }; with_noise.len()];
+        let exp_proofs = with_noise
+            .iter()
+            .enumerate()
+            .map(|(j, pre)| {
+                let mut side = |b_side: bool, base: &GroupElement| {
+                    let mut t = exp_transcript(j, b_side);
+                    DleqProof::prove(&gp, &k, base, &one, &one, &mut t, &mut rng)
+                };
+                (side(false, &pre.a), side(true, &pre.b))
+            })
+            .collect();
+        let (output, w) = shuffle(&gp, &kp.public, &post_exp, &mut rng);
+        let shuffle_proof = ShuffleProof::prove(
+            &gp,
+            &kp.public,
+            &post_exp,
+            &output,
+            &w,
+            SHUFFLE_ROUNDS,
+            &mut rng,
+        );
+        let msg = messages::MixResult {
+            with_noise,
+            exp_key: one,
+            post_exp,
+            exp_proofs,
+            output,
+            shuffle_proof: Some(shuffle_proof),
+        };
+        // Every proof in the message is valid — the parent's checks pass…
+        assert_eq!(verify_mix_plain(&gp, &kp.public, &msg), Ok(()));
+        // …and every output cell decrypts to the identity.
+        for cell in &msg.output {
+            assert_eq!(pm_crypto::elgamal::decrypt(&gp, &kp.secret, cell), one);
+        }
+        for verify in [true, false] {
+            let err = ts_mixing(&kp.public, &input, verify, 2)
+                .verify_mix(&msg)
+                .unwrap_err();
+            assert!(matches!(err, NodeError::Protocol(_)), "{err}");
+            assert!(
+                err.reason().contains("exponentiation key is the identity"),
+                "{err}"
+            );
+        }
     }
 }
