@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt fmt-check clippy lint build test test-crates test-transcript study-smoke scenario-smoke timeline-smoke obs-smoke wire-smoke perf-smoke perf-pairs doc golden
+.PHONY: verify fmt fmt-check clippy lint build test test-crates test-transcript study-smoke scenario-smoke timeline-smoke obs-smoke wire-smoke perf-smoke perf-pairs loc doc golden
 
 verify: fmt-check clippy lint doc build test test-crates test-transcript study-smoke scenario-smoke timeline-smoke obs-smoke wire-smoke perf-smoke
 
@@ -151,6 +151,14 @@ PAIRS ?= 4
 SECONDS ?= 6
 perf-pairs:
 	scripts/perf_pairs.sh "$(PARENT)" "$(WORKLOADS)" "$(PAIRS)" "$(SECONDS)"
+
+# The line counts a simplicity PR reports: per crate, non-test lines
+# (before a file's first `#[cfg(test)]`) and test lines; with
+# PARENT=<rev>, parent -> working tree and the difference. Not part of
+# `verify`: it measures, it does not gate.
+#   make loc PARENT=HEAD~1
+loc:
+	scripts/loc.sh $(PARENT)
 
 # Regenerate the committed golden report snapshots after an intentional
 # output change.

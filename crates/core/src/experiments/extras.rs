@@ -4,7 +4,7 @@
 use crate::deployment::Deployment;
 use crate::experiments::{client_traffic_streams, exit_streams, privcount_round};
 use crate::report::{fmt_pct, Report, ReportRow};
-use privcount::{queries, run_round_streams};
+use privcount::{queries, run_round};
 use std::sync::Arc;
 
 /// §4.3 "Alexa Categories": the category containing amazon.com accounted
@@ -14,7 +14,7 @@ pub fn run_categories(dep: &Deployment) -> Report {
     let schema = queries::category_histogram(Arc::clone(&dep.sites), dep.eps(), dep.delta());
     let cfg = privcount_round(dep, schema, "extra-categories");
     let gens = exit_streams(dep, fraction, true, 6, "extra-categories");
-    let result = run_round_streams(cfg, gens).expect("categories round");
+    let result = run_round(cfg, gens).expect("categories round");
     let total = result.estimate("category.total");
 
     let mut report = Report::new("X1", "Primary domains by Alexa category (§4.3 text)");
@@ -50,7 +50,7 @@ pub fn run_as_hotspots(dep: &Deployment) -> Report {
     let schema = queries::as_histogram(Arc::clone(&dep.asdb), dep.eps(), dep.delta());
     let cfg = privcount_round(dep, schema, "extra-as");
     let gens = client_traffic_streams(dep, fraction, 10, "extra-as");
-    let result = run_round_streams(cfg, gens).expect("as round");
+    let result = run_round(cfg, gens).expect("as round");
     let total = result.estimate("as.total");
     let outside = result.estimate("as.outside_top1000").ratio(&total);
 

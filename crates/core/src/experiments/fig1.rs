@@ -4,7 +4,7 @@
 use crate::deployment::Deployment;
 use crate::experiments::{exit_streams, privcount_round};
 use crate::report::{fmt_count, fmt_estimate, Report, ReportRow};
-use privcount::{queries, run_round_streams};
+use privcount::{queries, run_round};
 
 /// Runs the Figure 1 measurement.
 pub fn run(dep: &Deployment) -> Report {
@@ -12,7 +12,7 @@ pub fn run(dep: &Deployment) -> Report {
     let schema = queries::exit_streams(dep.eps(), dep.delta());
     let cfg = privcount_round(dep, schema, "fig1");
     let gens = exit_streams(dep, fraction, false, 6, "fig1");
-    let result = run_round_streams(cfg, gens).expect("fig1 round");
+    let result = run_round(cfg, gens).expect("fig1 round");
 
     let net = |name: &str| dep.to_network(result.estimate(name), fraction);
     let total = net("streams.total");

@@ -4,7 +4,7 @@
 use crate::deployment::Deployment;
 use crate::experiments::{exit_streams, privcount_round};
 use crate::report::{fmt_pct, Report, ReportRow};
-use privcount::{queries, run_round_streams};
+use privcount::{queries, run_round};
 use std::sync::Arc;
 use torsim::sites::Family;
 
@@ -28,7 +28,7 @@ pub fn run(dep: &Deployment) -> Report {
     let schema = queries::alexa_rank_histogram(Arc::clone(&dep.sites), dep.eps(), dep.delta());
     let cfg = privcount_round(dep, schema, "fig2-rank");
     let gens = exit_streams(dep, fraction, true, 6, "fig2-rank");
-    let result = run_round_streams(cfg, gens).expect("fig2 rank round");
+    let result = run_round(cfg, gens).expect("fig2 rank round");
     let total = result.estimate("rank.total");
     let labels = [
         "rank (0,10]",
@@ -65,7 +65,7 @@ pub fn run(dep: &Deployment) -> Report {
     let schema = queries::alexa_siblings_histogram(Arc::clone(&dep.sites), dep.eps(), dep.delta());
     let cfg = privcount_round(dep, schema, "fig2-siblings");
     let gens = exit_streams(dep, fraction, true, 6, "fig2-siblings");
-    let result = run_round_streams(cfg, gens).expect("fig2 siblings round");
+    let result = run_round(cfg, gens).expect("fig2 siblings round");
     let total = result.estimate("family.total");
     for (i, fam) in Family::ALL.iter().enumerate() {
         let pct = result

@@ -4,7 +4,7 @@
 use crate::deployment::Deployment;
 use crate::experiments::{exit_streams, privcount_round};
 use crate::report::{fmt_pct, Report, ReportRow};
-use privcount::{queries, run_round_streams};
+use privcount::{queries, run_round};
 use std::sync::Arc;
 use torsim::sites::MEASURED_TLDS;
 
@@ -33,7 +33,7 @@ pub fn run(dep: &Deployment) -> Report {
             queries::tld_histogram(Arc::clone(&dep.sites), alexa_only, dep.eps(), dep.delta());
         let cfg = privcount_round(dep, schema, &format!("fig3-{tag}"));
         let gens = exit_streams(dep, fraction, true, 6, &format!("fig3-{tag}"));
-        let result = run_round_streams(cfg, gens).expect("fig3 round");
+        let result = run_round(cfg, gens).expect("fig3 round");
         let total = result.estimate("tld.total");
         for (i, tld) in MEASURED_TLDS.iter().enumerate() {
             let pct = result.estimate(&format!("tld.{tld}")).ratio(&total);

@@ -5,7 +5,7 @@ use crate::deployment::Deployment;
 use crate::experiments::{client_traffic_streams, privcount_round};
 use crate::report::{fmt_count, Report, ReportRow};
 use privcount::queries::{self, CountryStat};
-use privcount::run_round_streams;
+use privcount::run_round;
 use std::sync::Arc;
 
 /// Countries the paper's three panels name, in panel order.
@@ -27,7 +27,7 @@ pub fn run(dep: &Deployment) -> Report {
         let schema = queries::country_histogram(Arc::clone(&dep.geo), stat, dep.eps(), dep.delta());
         let cfg = privcount_round(dep, schema, &format!("fig4-{label}"));
         let gens = client_traffic_streams(dep, fraction, 10, &format!("fig4-{label}"));
-        let result = run_round_streams(cfg, gens).expect("fig4 round");
+        let result = run_round(cfg, gens).expect("fig4 round");
 
         // Rank countries by estimate; report the top 10, marking
         // noise-dominated entries the way the paper drops them.

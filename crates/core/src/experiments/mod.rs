@@ -37,6 +37,24 @@ fn dc_stream_sim(dep: &Deployment, relay: u32, label: &str) -> StreamSim {
     )
 }
 
+/// One stream per DC: DC `i` is attributed to relay `first_relay + i`
+/// and seeded by `"{label}/dc{i}"`; `build` draws its stream from that
+/// DC's simulator under that label.
+fn per_dc(
+    dep: &Deployment,
+    first_relay: u32,
+    num_dcs: usize,
+    label: &str,
+    build: impl Fn(&StreamSim, &str) -> EventStream,
+) -> Vec<EventStream> {
+    (0..num_dcs)
+        .map(|i| {
+            let label = format!("{label}/dc{i}");
+            build(&dc_stream_sim(dep, first_relay + i as u32, &label), &label)
+        })
+        .collect()
+}
+
 /// Builds one exit-stream event stream per DC; each DC carries an equal
 /// slice of the measuring set's weight and ingests `dep.shards` shards
 /// in parallel.
@@ -47,20 +65,17 @@ pub(crate) fn exit_streams(
     num_dcs: usize,
     label: &str,
 ) -> Vec<EventStream> {
-    let per_dc = fraction / num_dcs as f64;
-    (0..num_dcs)
-        .map(|i| {
-            let label = format!("{label}/dc{i}");
-            dc_stream_sim(dep, i as u32, &label).exit_streams(
-                &dep.workload.exit,
-                per_dc,
-                dep.scale,
-                only_initial,
-                dep.shards,
-                &label,
-            )
-        })
-        .collect()
+    let share = fraction / num_dcs as f64;
+    per_dc(dep, 0, num_dcs, label, |sim, label| {
+        sim.exit_streams(
+            &dep.workload.exit,
+            share,
+            dep.scale,
+            only_initial,
+            dep.shards,
+            label,
+        )
+    })
 }
 
 /// Builds client-traffic streams (connections/circuits/bytes), one per
@@ -71,19 +86,10 @@ pub fn client_traffic_streams(
     num_dcs: usize,
     label: &str,
 ) -> Vec<EventStream> {
-    let per_dc = fraction / num_dcs as f64;
-    (0..num_dcs)
-        .map(|i| {
-            let label = format!("{label}/dc{i}");
-            dc_stream_sim(dep, 6 + i as u32, &label).client_traffic(
-                &dep.workload.clients,
-                per_dc,
-                dep.scale,
-                dep.shards,
-                &label,
-            )
-        })
-        .collect()
+    let share = fraction / num_dcs as f64;
+    per_dc(dep, 6, num_dcs, label, |sim, label| {
+        sim.client_traffic(&dep.workload.clients, share, dep.scale, dep.shards, label)
+    })
 }
 
 /// Builds the unique-client-IP pool stream for a day (PSC measurements
@@ -123,20 +129,17 @@ pub(crate) fn fetch_streams(
     // observation probability so the success stream is never starved
     // (address identity across DCs only matters for PSC uniqueness
     // rounds, which use num_dcs = 1).
-    let per_dc_events = event_fraction / num_dcs as f64;
-    (0..num_dcs)
-        .map(|i| {
-            let label = format!("{label}/dc{i}");
-            dc_stream_sim(dep, 6 + i as u32, &label).hsdir_fetches(
-                &dep.workload.onion,
-                per_dc_events,
-                addr_observe_prob,
-                dep.scale,
-                dep.shards,
-                &label,
-            )
-        })
-        .collect()
+    let share = event_fraction / num_dcs as f64;
+    per_dc(dep, 6, num_dcs, label, |sim, label| {
+        sim.hsdir_fetches(
+            &dep.workload.onion,
+            share,
+            addr_observe_prob,
+            dep.scale,
+            dep.shards,
+            label,
+        )
+    })
 }
 
 /// Builds rendezvous streams, one per DC.
@@ -146,19 +149,10 @@ pub(crate) fn rend_streams(
     num_dcs: usize,
     label: &str,
 ) -> Vec<EventStream> {
-    let per_dc = fraction / num_dcs as f64;
-    (0..num_dcs)
-        .map(|i| {
-            let label = format!("{label}/dc{i}");
-            dc_stream_sim(dep, 6 + i as u32, &label).rendezvous(
-                &dep.workload.onion,
-                per_dc,
-                dep.scale,
-                dep.shards,
-                &label,
-            )
-        })
-        .collect()
+    let share = fraction / num_dcs as f64;
+    per_dc(dep, 6, num_dcs, label, |sim, label| {
+        sim.rendezvous(&dep.workload.onion, share, dep.scale, dep.shards, label)
+    })
 }
 
 /// Default PrivCount round config for a deployment.
@@ -173,7 +167,6 @@ pub fn privcount_round(
         num_sks: dep.num_sks,
         noise: privcount::round::NoiseAllocation::Equal,
         seed: derive_seed(dep.seed, label),
-        threaded: false,
         faults: pm_net::transport::FaultConfig::none(),
         fabric: dep.fabric,
         adversary: privcount::adversary::Attack::None,
@@ -218,7 +211,6 @@ pub fn psc_round(
         num_cps: dep.num_cps,
         verify: false,
         seed: derive_seed(dep.seed, label),
-        threaded: false,
         faults: pm_net::transport::FaultConfig::none(),
         fabric: dep.fabric,
         mix: psc::cp::MixStrategy::Batched {

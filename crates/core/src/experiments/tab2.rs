@@ -5,7 +5,7 @@ use crate::deployment::Deployment;
 use crate::experiments::{exit_streams, psc_round};
 use crate::report::{fmt_count, fmt_estimate, Report, ReportRow};
 use pm_stats::powerlaw::{extrapolate_unique_count, PowerLawConfig};
-use psc::{items, run_psc_round_streams};
+use psc::{items, run_psc_round};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -38,7 +38,7 @@ pub fn run(dep: &Deployment) -> Report {
             &format!("tab2-{label}"),
         );
         let extractor = items::unique_slds(Arc::clone(&dep.sites), alexa_only);
-        let result = run_psc_round_streams(cfg, extractor, gens).expect("tab2 round");
+        let result = run_psc_round(cfg, extractor, gens).expect("tab2 round");
         let est = result.estimate(0.95);
         report.row(ReportRow::new(
             format!("unique {label} (at scale)"),

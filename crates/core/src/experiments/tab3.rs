@@ -6,7 +6,7 @@ use crate::deployment::Deployment;
 use crate::experiments::{client_ip_stream, psc_round};
 use crate::report::{fmt_count, Report, ReportRow};
 use pm_stats::guards::{fit_guard_model, single_g_consistency, GuardObservation};
-use psc::{items, run_psc_round_streams};
+use psc::{items, run_psc_round};
 use torsim::stream::EventStream;
 
 /// Runs the Table 3 analysis.
@@ -26,8 +26,7 @@ pub fn run(dep: &Deployment) -> Report {
         let cfg = psc_round(dep, expected, 4, &format!("tab3-{idx}"));
         let gens: Vec<EventStream> =
             vec![client_ip_stream(dep, observe, 0, &format!("tab3-{idx}"))];
-        let result =
-            run_psc_round_streams(cfg, items::unique_client_ips(), gens).expect("tab3 round");
+        let result = run_psc_round(cfg, items::unique_client_ips(), gens).expect("tab3 round");
         let est = result.estimate(0.95);
         report.row(ReportRow::new(
             format!("unique IPs at {:.2}% guard weight (at scale)", w * 100.0),

@@ -4,7 +4,7 @@
 use crate::deployment::Deployment;
 use crate::experiments::{client_traffic_streams, privcount_round};
 use crate::report::{fmt_count, fmt_estimate, fmt_tib, Report, ReportRow};
-use privcount::{queries, run_round_streams};
+use privcount::{queries, run_round};
 
 /// Runs the Table 4 measurement.
 pub fn run(dep: &Deployment) -> Report {
@@ -12,7 +12,7 @@ pub fn run(dep: &Deployment) -> Report {
     let schema = queries::client_traffic(dep.eps(), dep.delta());
     let cfg = privcount_round(dep, schema, "tab4");
     let gens = client_traffic_streams(dep, fraction, 10, "tab4");
-    let result = run_round_streams(cfg, gens).expect("tab4 round");
+    let result = run_round(cfg, gens).expect("tab4 round");
 
     let conns = dep.to_network(result.estimate("client.connections"), fraction);
     let circuits = dep.to_network(result.estimate("client.circuits"), fraction);

@@ -4,7 +4,7 @@
 use crate::deployment::Deployment;
 use crate::experiments::{client_ip_stream, psc_round};
 use crate::report::{fmt_count, fmt_estimate, Report, ReportRow};
-use psc::{items, run_psc_round_streams};
+use psc::{items, run_psc_round};
 use std::collections::HashSet;
 use std::sync::Arc;
 use torsim::events::TorEvent;
@@ -47,7 +47,7 @@ pub fn run(dep: &Deployment) -> Report {
     // --- one-day unique IPs ---
     let cfg = psc_round(dep, truth_1day as f64, 4, "tab5-ips");
     let gens: Vec<EventStream> = vec![client_ip_stream(dep, observe, 0, "tab5-ips")];
-    let result = run_psc_round_streams(cfg, items::unique_client_ips(), gens).expect("tab5 ips");
+    let result = run_psc_round(cfg, items::unique_client_ips(), gens).expect("tab5 ips");
     let est_1day = result.estimate(0.95);
     report.row(ReportRow::new(
         "IPs (1 day, at scale)",
@@ -66,9 +66,8 @@ pub fn run(dep: &Deployment) -> Report {
             run_idx,
             &format!("tab5-countries-{run_idx}"),
         )];
-        let result =
-            run_psc_round_streams(cfg, items::unique_countries(Arc::clone(&dep.geo)), gens)
-                .expect("tab5 countries");
+        let result = run_psc_round(cfg, items::unique_countries(Arc::clone(&dep.geo)), gens)
+            .expect("tab5 countries");
         country_estimates.push(result.estimate(0.95));
     }
     let avg = pm_stats::Estimate::with_ci(
@@ -85,8 +84,8 @@ pub fn run(dep: &Deployment) -> Report {
     // --- ASes ---
     let cfg = psc_round(dep, expected_ips / 2.0, 4, "tab5-ases");
     let gens: Vec<EventStream> = vec![client_ip_stream(dep, observe, 0, "tab5-ases")];
-    let result = run_psc_round_streams(cfg, items::unique_ases(Arc::clone(&dep.asdb)), gens)
-        .expect("tab5 ases");
+    let result =
+        run_psc_round(cfg, items::unique_ases(Arc::clone(&dep.asdb)), gens).expect("tab5 ases");
     let est_as = result.estimate(0.95);
     report.row(ReportRow::new(
         "ASes (at scale)",
@@ -104,7 +103,7 @@ pub fn run(dep: &Deployment) -> Report {
             .map(|day| client_ip_stream(dep, observe, day, "tab5-ips"))
             .collect(),
     )];
-    let result = run_psc_round_streams(cfg, items::unique_client_ips(), gens).expect("tab5 ips4");
+    let result = run_psc_round(cfg, items::unique_client_ips(), gens).expect("tab5 ips4");
     let est_4day = result.estimate(0.95);
     report.row(ReportRow::new(
         "IPs (4 days, at scale)",

@@ -4,7 +4,7 @@
 use crate::deployment::Deployment;
 use crate::experiments::{fetch_streams, privcount_round};
 use crate::report::{fmt_count, fmt_estimate, fmt_pct, Report, ReportRow};
-use privcount::{queries, run_round_streams};
+use privcount::{queries, run_round};
 use std::collections::HashSet;
 use std::sync::Arc;
 use torsim::ids::OnionAddr;
@@ -25,7 +25,7 @@ pub fn run(dep: &Deployment) -> Report {
     let cfg = privcount_round(dep, schema, "tab7");
     let addr_observe = 1.0 - (1.0 - fraction).powi(6);
     let gens = fetch_streams(dep, fraction, addr_observe, 10, "tab7");
-    let result = run_round_streams(cfg, gens).expect("tab7 round");
+    let result = run_round(cfg, gens).expect("tab7 round");
 
     let fetched = dep.to_network(result.estimate("desc.fetched"), fraction);
     let succeeded = dep.to_network(result.estimate("desc.succeeded"), fraction);

@@ -4,7 +4,7 @@
 use crate::deployment::Deployment;
 use crate::experiments::{privcount_round, rend_streams};
 use crate::report::{fmt_count, fmt_estimate, fmt_pct, fmt_tib, Report, ReportRow};
-use privcount::{queries, run_round_streams};
+use privcount::{queries, run_round};
 
 /// Runs the Table 8 measurement.
 pub fn run(dep: &Deployment) -> Report {
@@ -12,7 +12,7 @@ pub fn run(dep: &Deployment) -> Report {
     let schema = queries::rendezvous(dep.eps(), dep.delta());
     let cfg = privcount_round(dep, schema, "tab8");
     let gens = rend_streams(dep, fraction, 10, "tab8");
-    let result = run_round_streams(cfg, gens).expect("tab8 round");
+    let result = run_round(cfg, gens).expect("tab8 round");
 
     let circuits = dep.to_network(result.estimate("rend.circuits"), fraction);
     let local_total = result.estimate("rend.circuits");

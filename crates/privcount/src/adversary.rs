@@ -24,9 +24,11 @@
 //! | [`Attack::BadSharePayload`] | DC truncates an encrypted blinding-share payload | the receiving SK (`invalid length`) |
 //! | [`Attack::NoiseExhaustion`] | DC's noise budget covers fewer counters than configured | the exhausted DC itself, which refuses to run under-noised |
 //!
-//! Attacks force the deterministic scheduler: the threaded runner has
-//! no deadlock detector, so a dead keeper would hang it forever
-//! instead of failing loudly.
+//! Attacks need the deterministic scheduler, which every round over
+//! the in-process board runs on: the threaded runner has no deadlock
+//! detector, so a dead keeper would hang it forever instead of failing
+//! loudly. The wire fabric runs one thread per party and therefore
+//! refuses a round with an active attack.
 
 /// A Byzantine behaviour to inject into one PrivCount round.
 ///
@@ -129,7 +131,6 @@ mod tests {
             num_sks: 2,
             noise: NoiseAllocation::None,
             seed: 11,
-            threaded: false,
             faults: FaultConfig::none(),
             fabric: Default::default(),
             adversary,

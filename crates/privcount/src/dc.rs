@@ -10,30 +10,23 @@ use pm_net::party::{Node, NodeError, Step};
 use pm_net::transport::{Endpoint, Envelope, PartyId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use torsim::TorEvent;
+use torsim::stream::EventStream;
 
-/// The event generator a DC runs during its collection period: it calls
-/// the provided sink once per observed event.
-pub type EventGenerator = Box<dyn FnOnce(&mut dyn FnMut(TorEvent)) + Send>;
-
-/// What a DC ingests during its collection period.
-pub enum DcSource {
-    /// A sequential generator (the classic single-pass path).
-    Generator(EventGenerator),
-    /// A sharded stream, ingested shard-parallel with per-shard
-    /// accumulators and a single batched register update at merge (see
-    /// [`crate::shard`]).
-    Stream(torsim::stream::EventStream),
-}
+/// The boxed event generator a caller may hand a DC in place of a
+/// stream (a one-shard [`EventStream`]).
+pub use torsim::stream::ShardFn as EventGenerator;
 
 /// A Data Collector.
 pub struct DcNode {
     ts: PartyId,
     schema: Schema,
-    source: Option<DcSource>,
+    /// The collection period's events, folded shard-parallel with
+    /// per-shard accumulators and a single batched register update at
+    /// merge (see [`crate::shard`]).
+    stream: Option<EventStream>,
     gp: GroupParams,
     /// Noise σ multiplier for this DC (1/√num_dcs under equal
-    /// allocation; 1.0 or 0.0 under first-DC-only).
+    /// allocation; 0.0 when noise is off).
     noise_scale: f64,
     registers: Vec<BlindedCounter>,
     rng: StdRng,
@@ -52,46 +45,18 @@ pub struct DcNode {
 
 impl DcNode {
     /// Creates a DC bound to a tally server, with its local schema,
-    /// event generator, and noise share.
+    /// the event stream of its collection period, and its noise share.
     pub fn new(
         ts: PartyId,
         schema: Schema,
-        generator: EventGenerator,
-        noise_scale: f64,
-        seed: u64,
-    ) -> DcNode {
-        DcNode::with_source(
-            ts,
-            schema,
-            DcSource::Generator(generator),
-            noise_scale,
-            seed,
-        )
-    }
-
-    /// Creates a DC that ingests a sharded event stream.
-    pub fn streaming(
-        ts: PartyId,
-        schema: Schema,
-        stream: torsim::stream::EventStream,
-        noise_scale: f64,
-        seed: u64,
-    ) -> DcNode {
-        DcNode::with_source(ts, schema, DcSource::Stream(stream), noise_scale, seed)
-    }
-
-    /// Creates a DC over any [`DcSource`].
-    pub fn with_source(
-        ts: PartyId,
-        schema: Schema,
-        source: DcSource,
+        stream: EventStream,
         noise_scale: f64,
         seed: u64,
     ) -> DcNode {
         DcNode {
             ts,
             schema,
-            source: Some(source),
+            stream: Some(stream),
             gp: GroupParams::default_params(),
             noise_scale,
             registers: Vec::new(),
@@ -132,28 +97,6 @@ impl DcNode {
     pub fn with_noise_budget(mut self, budget: u32) -> DcNode {
         self.noise_budget = Some(budget);
         self
-    }
-
-    /// Convenience: a DC whose "collection period" replays a fixed
-    /// event list (used by tests).
-    pub fn with_events(
-        ts: PartyId,
-        schema: Schema,
-        events: Vec<TorEvent>,
-        noise_scale: f64,
-        seed: u64,
-    ) -> DcNode {
-        DcNode::new(
-            ts,
-            schema,
-            Box::new(move |sink| {
-                for ev in events {
-                    sink(ev);
-                }
-            }),
-            noise_scale,
-            seed,
-        )
     }
 
     fn on_configure(&mut self, ep: &Endpoint, cfg: messages::Configure) -> Result<(), NodeError> {
@@ -222,37 +165,21 @@ impl DcNode {
     }
 
     fn on_start(&mut self, ep: &Endpoint) -> Result<(), NodeError> {
-        let source = self
-            .source
+        let stream = self
+            .stream
             .take()
             .ok_or_else(|| NodeError::Protocol("collection started twice".into()))?;
-        // Run the collection period: every observed event maps to
-        // counter increments.
+        // Run the collection period: shard-parallel fold, then one
+        // batched update per counter. The registers already carry this
+        // DC's noise and blinding from Configure; the merge applies the
+        // observed totals exactly once.
         // An inflating DC scales every observed increment — blinding
         // makes the skew invisible at the protocol layer, so detection
         // is statistical, at the campaign layer.
         let factor = self.inflate_factor.unwrap_or(1);
-        match source {
-            DcSource::Generator(generator) => {
-                let mapper = self.schema.mapper.clone();
-                let registers = &mut self.registers;
-                let mut sink = |ev: TorEvent| {
-                    mapper(&ev, &mut |idx, delta| {
-                        registers[idx].increment(delta * factor);
-                    });
-                };
-                generator(&mut sink);
-            }
-            DcSource::Stream(stream) => {
-                // Shard-parallel fold, then one batched update per
-                // counter. The registers already carry this DC's noise
-                // and blinding from Configure; the merge applies the
-                // observed totals exactly once.
-                let totals = crate::shard::ingest_stream(stream, &self.schema);
-                for (reg, total) in self.registers.iter_mut().zip(totals) {
-                    reg.increment(total * factor);
-                }
-            }
+        let totals = crate::shard::ingest_stream(stream, &self.schema);
+        for (reg, total) in self.registers.iter_mut().zip(totals) {
+            reg.increment(total * factor);
         }
         // Publish the blinded registers (a malformed DC drops one —
         // the TS's structural check rejects the short vector).

@@ -14,8 +14,11 @@
 //!    (mod 2⁶⁴), hybrid-encrypts each SK's shares to that SK, and ships
 //!    them via the TS (DCs need no SK connectivity, as in the real
 //!    deployment);
-//! 4. during collection the DC increments counters from observed Tor
-//!    events (here: a generator supplied by the experiment);
+//! 4. during collection the DC counts observed Tor events (here: a
+//!    `torsim::stream::EventStream` supplied by the experiment, folded
+//!    one accumulator per shard and added into the blinded registers
+//!    once at merge — see [`shard`]; a bare generator is a one-shard
+//!    stream);
 //! 5. at round end DCs publish blinded registers, SKs publish share
 //!    sums, and the TS's addition telescopes the blinding away, leaving
 //!    `true count + noise`.
@@ -42,11 +45,15 @@ pub mod sk;
 pub mod ts;
 
 pub use counter::{CounterSpec, EventMapper, Schema};
-pub use round::{run_round, run_round_days, run_round_streams, RoundConfig, RoundResult};
+/// The pre-PR-17 name of [`run_round`], kept only because the frozen
+/// `perfbench/` calls it; the next `benchmark` PR deletes it.
+#[doc(hidden)]
+pub use round::run_round as run_round_streams;
+pub use round::{run_round, run_round_days, RoundConfig, RoundResult};
 
 /// Convenience prelude.
 pub mod prelude {
     pub use crate::counter::{CounterSpec, EventMapper, Schema};
     pub use crate::queries;
-    pub use crate::round::{run_round, run_round_streams, RoundConfig, RoundResult};
+    pub use crate::round::{run_round, RoundConfig, RoundResult};
 }

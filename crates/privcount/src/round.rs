@@ -4,7 +4,7 @@
 
 use crate::adversary::Attack;
 use crate::counter::{CounterSpec, EventMapper};
-use crate::dc::{DcNode, DcSource, EventGenerator};
+use crate::dc::DcNode;
 use crate::sk::SkNode;
 use crate::ts::{ResultSlot, TsNode};
 use parking_lot::Mutex;
@@ -12,6 +12,7 @@ use pm_net::party::{NodeError, Runner};
 use pm_net::transport::{FabricChoice, FaultConfig, PartyId};
 use pm_stats::ci::Estimate;
 use std::sync::Arc;
+use torsim::stream::EventStream;
 
 /// How DCs split the per-counter noise.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,6 +26,7 @@ pub enum NoiseAllocation {
 }
 
 /// A PrivCount round configuration.
+#[derive(Clone)]
 pub struct RoundConfig {
     /// The counters to collect.
     pub counters: Vec<CounterSpec>,
@@ -36,20 +38,18 @@ pub struct RoundConfig {
     pub noise: NoiseAllocation,
     /// Base RNG seed (per-party seeds derive from it).
     pub seed: u64,
-    /// Run each party on its own OS thread instead of the deterministic
-    /// single-threaded scheduler.
-    pub threaded: bool,
     /// Optional fault injection on the fabric.
     pub faults: FaultConfig,
     /// Which [`pm_net::Fabric`] backend carries the round: the
-    /// in-process switchboard (default) or real loopback sockets. The wire
-    /// backend forces threaded execution and rejects active
-    /// adversaries (they need the deterministic scheduler).
+    /// in-process switchboard (default) or real loopback sockets. It
+    /// also fixes the execution mode: the switchboard runs on the
+    /// deterministic scheduler, the wire backend on one OS thread per
+    /// party — which is why it rejects active adversaries.
     pub fabric: FabricChoice,
     /// Optional Byzantine behaviour injected into one party
-    /// ([`crate::adversary`]). Forces the deterministic scheduler when
-    /// active, so a dead keeper deadlocks loudly instead of hanging
-    /// the threaded runner.
+    /// ([`crate::adversary`]). Needs the deterministic scheduler's
+    /// deadlock detector — a dead keeper would hang a threaded round
+    /// forever — so an active attack is refused over the wire fabric.
     pub adversary: crate::adversary::Attack,
     /// Observability handle threaded to the switchboard: deterministic
     /// counters (`privcount.rounds`, `net.link.*`) plus profiling spans
@@ -100,27 +100,6 @@ impl RoundResult {
     }
 }
 
-/// Runs a full PrivCount round: one DC per entry of `dc_generators`.
-pub fn run_round(
-    cfg: RoundConfig,
-    dc_generators: Vec<EventGenerator>,
-) -> Result<RoundResult, NodeError> {
-    run_round_sources(
-        cfg,
-        dc_generators.into_iter().map(DcSource::Generator).collect(),
-    )
-}
-
-/// Runs a full PrivCount round with sharded streaming ingestion: one DC
-/// per stream, each folding its shards in parallel (see
-/// [`crate::shard`]).
-pub fn run_round_streams(
-    cfg: RoundConfig,
-    dc_streams: Vec<torsim::stream::EventStream>,
-) -> Result<RoundResult, NodeError> {
-    run_round_sources(cfg, dc_streams.into_iter().map(DcSource::Stream).collect())
-}
-
 /// Runs one PrivCount round per day of a campaign window (`pm-study`):
 /// `days[d]` holds day `d`'s per-DC streams, and day `d`'s round seeds
 /// derive from the base config as `derive_seed(seed, "privcount/day{d}")`
@@ -132,43 +111,44 @@ pub fn run_round_streams(
 /// Returns one result per day, in calendar order.
 pub fn run_round_days(
     cfg: RoundConfig,
-    days: Vec<Vec<torsim::stream::EventStream>>,
+    days: Vec<Vec<EventStream>>,
 ) -> Result<Vec<RoundResult>, NodeError> {
-    assert!(!days.is_empty(), "need at least one day");
+    if days.is_empty() {
+        return Err(NodeError::Protocol("need at least one day".into()));
+    }
     days.into_iter()
         .enumerate()
         .map(|(d, streams)| {
-            run_round_streams(
-                RoundConfig {
-                    counters: cfg.counters.clone(),
-                    mapper: cfg.mapper.clone(),
-                    num_sks: cfg.num_sks,
-                    noise: cfg.noise,
-                    seed: pm_stats::sampling::derive_seed(cfg.seed, &format!("privcount/day{d}")),
-                    threaded: cfg.threaded,
-                    faults: cfg.faults,
-                    fabric: cfg.fabric,
-                    adversary: cfg.adversary,
-                    recorder: cfg.recorder.clone(),
-                },
-                streams,
-            )
+            let seed = pm_stats::sampling::derive_seed(cfg.seed, &format!("privcount/day{d}"));
+            let day_cfg = RoundConfig {
+                seed,
+                ..cfg.clone()
+            };
+            run_round(day_cfg, streams)
         })
         .collect()
 }
 
-/// Runs a full PrivCount round over arbitrary DC sources.
-pub fn run_round_sources(
+/// Runs a full PrivCount round: one DC per entry of `dc_streams`, each
+/// folding its stream's shards in parallel (see [`crate::shard`]). An
+/// entry is an [`EventStream`] or anything that converts into one — a
+/// boxed generator ([`crate::dc::EventGenerator`]) is a one-shard
+/// stream. The execution mode follows [`RoundConfig::fabric`].
+pub fn run_round<S: Into<EventStream>>(
     cfg: RoundConfig,
-    dc_sources: Vec<DcSource>,
+    dc_streams: Vec<S>,
 ) -> Result<RoundResult, NodeError> {
-    assert!(!dc_sources.is_empty(), "need at least one DC");
-    assert!(cfg.num_sks >= 1, "need at least one SK");
+    if dc_streams.is_empty() {
+        return Err(NodeError::Protocol("need at least one DC".into()));
+    }
+    if cfg.num_sks == 0 {
+        return Err(NodeError::Protocol("need at least one SK".into()));
+    }
+    let num_dcs = dc_streams.len();
     cfg.recorder.incr("privcount.rounds");
     let mut round_span = cfg.recorder.span("round.privcount", "round");
-    round_span.note("dcs", dc_sources.len());
+    round_span.note("dcs", num_dcs);
     round_span.note("sks", cfg.num_sks);
-    let num_dcs = dc_sources.len();
     if cfg.fabric.is_wire() && cfg.adversary.is_active() {
         return Err(NodeError::Protocol(
             "adversarial scenarios need the deterministic scheduler, which the \
@@ -206,16 +186,16 @@ pub fn run_round_sources(
         }
         runner.add(sk.clone(), Box::new(node));
     }
-    for (i, (dc, source)) in dc_names.iter().zip(dc_sources).enumerate() {
+    for (i, (dc, stream)) in dc_names.iter().zip(dc_streams).enumerate() {
         let noise_scale = match cfg.noise {
             NoiseAllocation::Equal => 1.0 / (num_dcs as f64).sqrt(),
             NoiseAllocation::None => 0.0,
         };
         let schema = crate::counter::Schema::new(cfg.counters.clone(), cfg.mapper.clone());
-        let mut node = DcNode::with_source(
+        let mut node = DcNode::new(
             ts_id.clone(),
             schema,
-            source,
+            stream.into(),
             noise_scale,
             cfg.seed ^ (0xDC00 + i as u64),
         );
@@ -229,12 +209,9 @@ pub fn run_round_sources(
         runner.add(dc.clone(), Box::new(node));
     }
 
-    // Attacks require the deterministic scheduler's deadlock detector:
-    // a dead keeper hangs the threaded runner forever. The wire fabric
-    // conversely has no deterministic scheduler, so it always runs one
-    // thread per party.
-    let threaded = cfg.threaded || cfg.fabric.is_wire();
-    if threaded && !cfg.adversary.is_active() {
+    // The wire fabric has no deterministic scheduler, so it runs one
+    // thread per party; active attacks were refused above.
+    if cfg.fabric.is_wire() {
         runner.run_threaded()?;
     } else {
         runner.run_deterministic()?;
@@ -252,6 +229,7 @@ pub fn run_round_sources(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dc::EventGenerator;
     use std::sync::Arc as StdArc;
     use torsim::events::TorEvent;
     use torsim::ids::{IpAddr, RelayId};
@@ -263,7 +241,7 @@ mod tests {
         }
     }
 
-    fn counting_config(noise: NoiseAllocation, sigma: f64, threaded: bool) -> RoundConfig {
+    fn counting_config(noise: NoiseAllocation, sigma: f64) -> RoundConfig {
         RoundConfig {
             counters: vec![CounterSpec::with_sigma("connections", sigma)],
             mapper: StdArc::new(|ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| {
@@ -274,7 +252,6 @@ mod tests {
             num_sks: 3,
             noise,
             seed: 7,
-            threaded,
             faults: FaultConfig::none(),
             fabric: FabricChoice::default(),
             adversary: Attack::None,
@@ -299,7 +276,7 @@ mod tests {
     #[test]
     fn noiseless_round_is_exact() {
         let result = run_round(
-            counting_config(NoiseAllocation::None, 100.0, false),
+            counting_config(NoiseAllocation::None, 100.0),
             generators(&[100, 200, 300]),
         )
         .unwrap();
@@ -309,7 +286,7 @@ mod tests {
     #[test]
     fn noisy_round_is_close_and_noisy() {
         let result = run_round(
-            counting_config(NoiseAllocation::Equal, 50.0, false),
+            counting_config(NoiseAllocation::Equal, 50.0),
             generators(&[10_000, 20_000]),
         )
         .unwrap();
@@ -321,13 +298,18 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matches_protocol() {
-        let result = run_round(
-            counting_config(NoiseAllocation::None, 1.0, true),
-            generators(&[5, 7, 11, 13]),
-        )
-        .unwrap();
-        assert_eq!(result.total("connections"), 36);
+    fn empty_party_lists_are_typed_errors() {
+        let cfg = || counting_config(NoiseAllocation::None, 1.0);
+        let no_dcs = run_round(cfg(), Vec::<EventStream>::new()).unwrap_err();
+        assert_eq!(no_dcs.to_string(), "protocol error: need at least one DC");
+        let no_sks = RoundConfig {
+            num_sks: 0,
+            ..cfg()
+        };
+        let no_sks = run_round(no_sks, generators(&[1])).unwrap_err();
+        assert_eq!(no_sks.to_string(), "protocol error: need at least one SK");
+        let no_days = run_round_days(cfg(), Vec::new()).unwrap_err();
+        assert_eq!(no_days.to_string(), "protocol error: need at least one day");
     }
 
     #[test]
@@ -345,7 +327,6 @@ mod tests {
             num_sks: 2,
             noise: NoiseAllocation::None,
             seed: 9,
-            threaded: false,
             faults: FaultConfig::none(),
             fabric: FabricChoice::default(),
             adversary: Attack::None,
@@ -371,7 +352,7 @@ mod tests {
         // published totals matches the configured σ.
         let mut totals = Vec::new();
         for seed in 0..60u64 {
-            let mut cfg = counting_config(NoiseAllocation::Equal, 40.0, false);
+            let mut cfg = counting_config(NoiseAllocation::Equal, 40.0);
             cfg.seed = seed;
             let r = run_round(cfg, generators(&[500, 500, 500])).unwrap();
             totals.push(r.total("connections") as f64 - 1500.0);

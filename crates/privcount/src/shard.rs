@@ -1,9 +1,11 @@
 //! Per-shard counter accumulators with associative merge.
 //!
-//! The sharded pipeline folds each shard of a
-//! [`torsim::stream::EventStream`] into its own plain `Vec<i64>` of
-//! counter totals — no blinding, no noise — and merges shard
-//! accumulators by elementwise addition. Addition is commutative and
+//! This is the one ingestion path of a Data Collector
+//! ([`crate::dc::DcNode`]); a generator-fed DC is the one-shard case,
+//! folded inline. Each shard of a [`torsim::stream::EventStream`] is
+//! folded into its own plain `Vec<i64>` of counter totals — no
+//! blinding, no noise — and shard accumulators merge by elementwise
+//! addition. Addition is commutative and
 //! associative, so the merged totals are bit-identical for every shard
 //! count (the stream's shard-count invariance contract). Noise and
 //! blinding are applied exactly once, when the merged totals are folded

@@ -16,7 +16,6 @@ fn main() {
             num_cps: 3,
             verify: false,
             seed,
-            threaded: false,
             faults: Default::default(),
             ..Default::default()
         };

@@ -23,9 +23,11 @@
 //! | [`Attack::InvalidProof`] | CP swaps exponentiation proofs mid-mix | TS proof verification (requires `verify`) |
 //! | [`Attack::NoiseExhaustion`] | CP's noise budget is smaller than the required flips | the exhausted CP itself, which refuses to publish under-noised cells |
 //!
-//! Attacks force the deterministic scheduler: the threaded runner has
-//! no deadlock detector, so a dead keeper would hang it forever
-//! instead of failing loudly.
+//! Attacks need the deterministic scheduler, which every round over
+//! the in-process board runs on: the threaded runner has no deadlock
+//! detector, so a dead keeper would hang it forever instead of failing
+//! loudly. The wire fabric runs one thread per party and therefore
+//! refuses a round with an active attack.
 
 /// A Byzantine behaviour to inject into one PSC round.
 ///

@@ -13,25 +13,20 @@ use pm_net::party::{Node, NodeError, Step};
 use pm_net::transport::{Endpoint, Envelope, PartyId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use torsim::TorEvent;
+use torsim::stream::EventStream;
 
-/// The event generator a PSC DC runs during its collection period.
-pub type EventGenerator = Box<dyn FnOnce(&mut dyn FnMut(TorEvent)) + Send>;
-
-/// What a PSC DC ingests during its collection period.
-pub enum PscSource {
-    /// A sequential generator (the classic per-item marking path).
-    Generator(EventGenerator),
-    /// A sharded stream: crypto-free shard-parallel accumulation, then
-    /// one marking pass over the merged cells (see [`crate::shard`]).
-    Stream(torsim::stream::EventStream),
-}
+/// The boxed event generator a caller may hand a DC in place of a
+/// stream (a one-shard [`EventStream`]).
+pub use torsim::stream::ShardFn as EventGenerator;
 
 /// A PSC Data Collector.
 pub struct PscDcNode {
     ts: PartyId,
     extractor: ItemExtractor,
-    source: Option<PscSource>,
+    /// The collection period's events: crypto-free shard-parallel
+    /// accumulation, then one marking pass over the merged cells (see
+    /// [`crate::shard`]).
+    stream: Option<EventStream>,
     rng: StdRng,
     /// Byzantine knob: submit a wrong-size table.
     malformed: bool,
@@ -41,37 +36,13 @@ pub struct PscDcNode {
 }
 
 impl PscDcNode {
-    /// Creates a DC with its item extractor and event generator.
-    pub fn new(
-        ts: PartyId,
-        extractor: ItemExtractor,
-        generator: EventGenerator,
-        seed: u64,
-    ) -> PscDcNode {
-        PscDcNode::with_source(ts, extractor, PscSource::Generator(generator), seed)
-    }
-
-    /// Creates a DC that ingests a sharded event stream.
-    pub fn streaming(
-        ts: PartyId,
-        extractor: ItemExtractor,
-        stream: torsim::stream::EventStream,
-        seed: u64,
-    ) -> PscDcNode {
-        PscDcNode::with_source(ts, extractor, PscSource::Stream(stream), seed)
-    }
-
-    /// Creates a DC over any [`PscSource`].
-    pub fn with_source(
-        ts: PartyId,
-        extractor: ItemExtractor,
-        source: PscSource,
-        seed: u64,
-    ) -> PscDcNode {
+    /// Creates a DC with its item extractor and the event stream of
+    /// its collection period.
+    pub fn new(ts: PartyId, extractor: ItemExtractor, stream: EventStream, seed: u64) -> PscDcNode {
         PscDcNode {
             ts,
             extractor,
-            source: Some(source),
+            stream: Some(stream),
             rng: StdRng::seed_from_u64(seed),
             malformed: false,
             skew_marks: 0,
@@ -91,25 +62,6 @@ impl PscDcNode {
     pub fn skewed(mut self, extra: u32) -> PscDcNode {
         self.skew_marks = extra;
         self
-    }
-
-    /// Convenience: a DC that replays fixed events.
-    pub fn with_events(
-        ts: PartyId,
-        extractor: ItemExtractor,
-        events: Vec<TorEvent>,
-        seed: u64,
-    ) -> PscDcNode {
-        PscDcNode::new(
-            ts,
-            extractor,
-            Box::new(move |sink| {
-                for ev in events {
-                    sink(ev);
-                }
-            }),
-            seed,
-        )
     }
 }
 
@@ -138,36 +90,17 @@ impl Node for PscDcNode {
                 };
                 let mut table =
                     ObliviousTable::new(gp, PublicKey(cfg.joint_key), cfg.salt, table_size);
-                let source = self
-                    .source
+                let stream = self
+                    .stream
                     .take()
                     .ok_or_else(|| NodeError::Protocol("collection started twice".into()))?;
-                match source {
-                    PscSource::Generator(generator) => {
-                        let extractor = self.extractor.clone();
-                        let rng = &mut self.rng;
-                        let mut sink = |ev: TorEvent| {
-                            if let Some(item) = extractor(&ev) {
-                                table.observe(&item, rng);
-                            }
-                        };
-                        generator(&mut sink);
-                    }
-                    PscSource::Stream(stream) => {
-                        crate::shard::mark_stream(
-                            stream,
-                            &self.extractor,
-                            &mut table,
-                            &mut self.rng,
-                        );
-                    }
-                }
+                crate::shard::mark_stream(stream, &self.extractor, &mut table, &mut self.rng);
                 // A skewed DC stuffs bogus items after honest
                 // ingestion: indistinguishable from real marks at the
                 // protocol layer, detectable only statistically.
                 for i in 0..self.skew_marks {
                     let bogus = format!("byzantine-skew-{i}");
-                    table.observe(bogus.as_bytes(), &mut self.rng);
+                    table.mark_cell(table.cell_of(bogus.as_bytes()), &mut self.rng);
                 }
                 let msg = messages::DcTable {
                     cells: table.into_cells(),

@@ -11,10 +11,15 @@
 //!
 //! 1. the CPs jointly generate an ElGamal key (shares with Schnorr
 //!    proofs of knowledge); no strict subset can decrypt;
-//! 2. each DC keeps a table of `b` ElGamal cells; observing an item
-//!    multiplies cell `H(salt‖item) mod b` with a fresh encryption of a
-//!    random group element — an *oblivious counter*: marking cannot be
-//!    read back or undone by the DC;
+//! 2. each DC keeps a table of `b` ElGamal cells; an observed item
+//!    occupies cell `H(salt‖item) mod b`, and marking a cell multiplies
+//!    it with a fresh encryption of a random group element — an
+//!    *oblivious counter*: marking cannot be read back or undone by the
+//!    DC. A DC ingests its collection period as a
+//!    `torsim::stream::EventStream` (a bare generator is a one-shard
+//!    stream): items are bucketed into cell indices without any
+//!    crypto, and each occupied cell is marked once, in ascending
+//!    order, when the period ends ([`shard`]);
 //! 3. the TS combines DC tables cellwise (the union becomes "cell is
 //!    non-identity iff any DC marked it");
 //! 4. each CP in turn appends `n` noise cells (each marked with
@@ -35,8 +40,9 @@
 //! a pure function of the parties' seeds and inputs, whatever the
 //! execution shape. Three layers exploit that without perturbing it:
 //!
-//! * **DC ingestion** shards event streams and accumulates occupied
-//!   cells crypto-free in parallel, marking once at merge ([`shard`]);
+//! * **DC ingestion** accumulates each stream shard's occupied cells
+//!   crypto-free on its own thread and marks once at merge
+//!   ([`shard`]) — the only ingestion path, whatever fed the DC;
 //! * **CP mixing and decryption** split each hop into a sequential
 //!   randomness-derivation pass and a data-parallel per-cell batch
 //!   phase ([`cp::MixStrategy::Batched`]) — bit-identical to the
@@ -61,9 +67,10 @@
 //! undetectable *by design* (the oblivious counter hides what a DC
 //! marked); callers are expected to plausibility-check published
 //! counts against their provisioning, as the campaign layer in
-//! `pm-study` does. Rounds under an active adversary run on the
-//! deterministic scheduler, which is where the deadlock detector
-//! lives.
+//! `pm-study` does. The deadlock detector lives in the deterministic
+//! scheduler, which every round over the in-process board runs on;
+//! the wire fabric runs one thread per party and refuses a round with
+//! an active adversary.
 
 pub mod adversary;
 pub mod cp;
@@ -76,7 +83,7 @@ pub mod table;
 pub mod ts;
 
 pub use cp::MixStrategy;
-pub use round::{run_psc_round, run_psc_round_days, run_psc_round_streams, PscConfig, PscResult};
+pub use round::{run_psc_round, PscConfig, PscResult};
 pub use table::ObliviousTable;
 
 /// Convenience prelude.

@@ -2,7 +2,7 @@
 
 use crate::adversary::Attack;
 use crate::cp::{CpNode, MixStrategy};
-use crate::dc::{EventGenerator, PscDcNode, PscSource};
+use crate::dc::PscDcNode;
 use crate::items::ItemExtractor;
 use crate::ts::{PscResultSlot, PscTsNode, RawCount};
 use parking_lot::Mutex;
@@ -11,6 +11,7 @@ use pm_net::transport::{FabricChoice, FaultConfig, PartyId};
 use pm_stats::ci::Estimate;
 use pm_stats::psc_ci::psc_confidence_interval;
 use std::sync::Arc;
+use torsim::stream::EventStream;
 
 /// PSC round configuration.
 #[derive(Clone, Debug)]
@@ -27,8 +28,6 @@ pub struct PscConfig {
     pub verify: bool,
     /// Base RNG seed.
     pub seed: u64,
-    /// Threaded vs deterministic execution.
-    pub threaded: bool,
     /// Optional fault injection.
     pub faults: FaultConfig,
     /// How CPs execute their per-cell crypto, and on how many threads
@@ -37,14 +36,15 @@ pub struct PscConfig {
     /// time.
     pub mix: MixStrategy,
     /// Which [`pm_net::Fabric`] backend carries the round: the
-    /// in-process switchboard (default) or real loopback sockets. The wire
-    /// backend forces threaded execution and rejects active
-    /// adversaries (they need the deterministic scheduler).
+    /// in-process switchboard (default) or real loopback sockets. It
+    /// also fixes the execution mode: the switchboard runs on the
+    /// deterministic scheduler, the wire backend on one OS thread per
+    /// party — which is why it rejects active adversaries.
     pub fabric: FabricChoice,
     /// Byzantine behaviour to inject ([`crate::adversary`]); `None`
-    /// runs the round honestly. An active attack forces the
-    /// deterministic scheduler (the threaded runner has no deadlock
-    /// detector to catch a dead keeper).
+    /// runs the round honestly. An active attack needs the
+    /// deterministic scheduler's deadlock detector to catch a dead
+    /// keeper, so it is refused over the wire fabric.
     pub adversary: Attack,
     /// Observability handle threaded to the switchboard, the TS and
     /// every CP: deterministic counters (`psc.rounds`, `psc.mix.cells`,
@@ -61,7 +61,6 @@ impl Default for PscConfig {
             num_cps: 3,
             verify: false,
             seed: 1,
-            threaded: false,
             faults: FaultConfig::none(),
             mix: MixStrategy::default(),
             fabric: FabricChoice::default(),
@@ -96,87 +95,36 @@ impl PscResult {
     }
 }
 
-/// Runs a full PSC round: one DC per generator, counting distinct items
-/// under `extractor`.
-pub fn run_psc_round(
+/// Runs a full PSC round counting distinct items under `extractor`:
+/// one DC per entry of `dc_streams`, each accumulating its stream's
+/// shards in parallel and marking once at merge (see [`crate::shard`]).
+/// An entry is an [`EventStream`] or anything that converts into one —
+/// a boxed generator ([`crate::dc::EventGenerator`]) is a one-shard
+/// stream. A collection window of several days is one
+/// [`EventStream::chain`] per DC in calendar order: a stable item (the
+/// client core, a popular domain, a long-lived onion address) marks
+/// its cell once however many days re-observe it.
+///
+/// The execution mode follows [`PscConfig::fabric`].
+///
+/// Every DC marks its occupied cells in ascending cell order at merge.
+/// A generator-fed DC used to mark in observation order, so its DC→TS
+/// ciphertext bytes differ from those of releases before the single
+/// door; the cell set, and with it [`RawCount`], cannot.
+pub fn run_psc_round<S: Into<EventStream>>(
     cfg: PscConfig,
     extractor: ItemExtractor,
-    dc_generators: Vec<EventGenerator>,
+    dc_streams: Vec<S>,
 ) -> Result<PscResult, NodeError> {
-    run_psc_round_sources(
-        cfg,
-        extractor,
-        dc_generators
-            .into_iter()
-            .map(PscSource::Generator)
-            .collect(),
-    )
-}
-
-/// Runs a full PSC round with sharded streaming ingestion: one DC per
-/// stream, accumulating shard-parallel and marking once at merge (see
-/// [`crate::shard`]).
-pub fn run_psc_round_streams(
-    cfg: PscConfig,
-    extractor: ItemExtractor,
-    dc_streams: Vec<torsim::stream::EventStream>,
-) -> Result<PscResult, NodeError> {
-    run_psc_round_sources(
-        cfg,
-        extractor,
-        dc_streams.into_iter().map(PscSource::Stream).collect(),
-    )
-}
-
-/// Runs one PSC round over a multi-day collection window (the paper's
-/// 96-hour client-IP round; `pm-study`'s campaign rounds, including
-/// the exit-domain and onion-service windows whose day streams sample
-/// a different drifted mix and consensus fraction per day): `days[d]`
-/// holds day `d`'s per-DC streams, and each DC's streams are chained
-/// shard-wise in calendar order, so the round counts distinct items
-/// over the whole window — a stable item (the client core, a popular
-/// domain, a long-lived onion address) marks its cells once however
-/// many days re-observe it. Every day must supply the same number of
-/// DCs, and a DC's streams the same shard count.
-pub fn run_psc_round_days(
-    cfg: PscConfig,
-    extractor: ItemExtractor,
-    days: Vec<Vec<torsim::stream::EventStream>>,
-) -> Result<PscResult, NodeError> {
-    assert!(!days.is_empty(), "need at least one day");
-    let num_dcs = days[0].len();
-    assert!(
-        days.iter().all(|d| d.len() == num_dcs),
-        "every day must supply the same DCs"
-    );
-    let mut per_dc: Vec<Vec<torsim::stream::EventStream>> =
-        (0..num_dcs).map(|_| Vec::new()).collect();
-    for day in days {
-        for (i, stream) in day.into_iter().enumerate() {
-            per_dc[i].push(stream);
-        }
+    if dc_streams.is_empty() {
+        return Err(NodeError::Protocol("need at least one DC".into()));
     }
-    run_psc_round_streams(
-        cfg,
-        extractor,
-        per_dc
-            .into_iter()
-            .map(torsim::stream::EventStream::chain)
-            .collect(),
-    )
-}
-
-/// Runs a full PSC round over arbitrary DC sources.
-pub fn run_psc_round_sources(
-    cfg: PscConfig,
-    extractor: ItemExtractor,
-    dc_sources: Vec<PscSource>,
-) -> Result<PscResult, NodeError> {
-    assert!(!dc_sources.is_empty(), "need at least one DC");
-    assert!(cfg.num_cps >= 1, "need at least one CP");
+    if cfg.num_cps == 0 {
+        return Err(NodeError::Protocol("need at least one CP".into()));
+    }
     cfg.recorder.incr("psc.rounds");
     let mut round_span = cfg.recorder.span("round.psc", "round");
-    round_span.note("dcs", dc_sources.len());
+    round_span.note("dcs", dc_streams.len());
     round_span.note("cps", cfg.num_cps);
     if cfg.fabric.is_wire() && cfg.adversary.is_active() {
         return Err(NodeError::Protocol(
@@ -189,7 +137,7 @@ pub fn run_psc_round_sources(
     let mut runner = Runner::over(board);
 
     let ts_id = PartyId::new("psc-ts");
-    let dc_names: Vec<PartyId> = (0..dc_sources.len())
+    let dc_names: Vec<PartyId> = (0..dc_streams.len())
         .map(|i| PartyId::new(format!("psc-dc-{i}")))
         .collect();
     let cp_names: Vec<PartyId> = (0..cfg.num_cps)
@@ -235,11 +183,11 @@ pub fn run_psc_round_sources(
         }
         runner.add(cp.clone(), Box::new(node));
     }
-    for (i, (dc, source)) in dc_names.iter().zip(dc_sources).enumerate() {
-        let mut node = PscDcNode::with_source(
+    for (i, (dc, stream)) in dc_names.iter().zip(dc_streams).enumerate() {
+        let mut node = PscDcNode::new(
             ts_id.clone(),
             extractor.clone(),
-            source,
+            stream.into(),
             cfg.seed ^ (0xDC_0000 + i as u64),
         );
         match cfg.adversary {
@@ -252,9 +200,9 @@ pub fn run_psc_round_sources(
 
     // The wire fabric has no deterministic scheduler: frames in kernel
     // buffers are invisible to a try_recv round-robin, so socket-backed
-    // rounds always run one thread per party (as a deployment would).
-    let threaded = cfg.threaded || cfg.fabric.is_wire();
-    if threaded && !cfg.adversary.is_active() {
+    // rounds always run one thread per party (as a deployment would);
+    // active attacks were refused above.
+    if cfg.fabric.is_wire() {
         runner.run_threaded()?;
     } else {
         runner.run_deterministic()?;
@@ -269,6 +217,7 @@ pub fn run_psc_round_sources(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dc::EventGenerator;
     use crate::items;
     use torsim::events::TorEvent;
     use torsim::ids::{IpAddr, RelayId};
@@ -302,7 +251,6 @@ mod tests {
             num_cps: 3,
             verify: false,
             seed: 3,
-            threaded: false,
             faults: FaultConfig::none(),
             ..Default::default()
         };
@@ -327,7 +275,6 @@ mod tests {
             num_cps: 2,
             verify: false,
             seed: 4,
-            threaded: false,
             faults: FaultConfig::none(),
             ..Default::default()
         };
@@ -355,7 +302,6 @@ mod tests {
             num_cps: 2,
             verify,
             seed: 5,
-            threaded: false,
             faults: FaultConfig::none(),
             ..Default::default()
         };
@@ -376,24 +322,18 @@ mod tests {
     }
 
     #[test]
-    fn threaded_round_works() {
-        let cfg = PscConfig {
-            table_size: 256,
-            noise_flips_per_cp: 0,
-            num_cps: 3,
-            verify: false,
-            seed: 6,
-            threaded: true,
-            faults: FaultConfig::none(),
+    fn empty_party_lists_are_typed_errors() {
+        let run = |cfg, streams: Vec<EventGenerator>| {
+            run_psc_round(cfg, items::unique_client_ips(), streams).unwrap_err()
+        };
+        let no_dcs = run(PscConfig::default(), Vec::new());
+        assert_eq!(no_dcs.to_string(), "protocol error: need at least one DC");
+        let no_cps = PscConfig {
+            num_cps: 0,
             ..Default::default()
         };
-        let result = run_psc_round(
-            cfg,
-            items::unique_client_ips(),
-            generators(vec![vec![1, 2], vec![2, 3], vec![3, 4]]),
-        )
-        .unwrap();
-        assert_eq!(result.raw.marked, 4);
+        let no_cps = run(no_cps, generators(vec![vec![1]]));
+        assert_eq!(no_cps.to_string(), "protocol error: need at least one CP");
     }
 
     #[test]
@@ -405,7 +345,6 @@ mod tests {
             num_cps: 1,
             verify: false,
             seed: 7,
-            threaded: false,
             faults: FaultConfig::none(),
             ..Default::default()
         };
@@ -426,7 +365,6 @@ mod tests {
             num_cps: 2,
             verify: false,
             seed: 8,
-            threaded: false,
             faults: FaultConfig::none(),
             ..Default::default()
         };

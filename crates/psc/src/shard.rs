@@ -1,7 +1,8 @@
 //! Per-shard mark accumulators with associative merge.
 //!
-//! The sharded PSC pipeline splits a DC's collection period into two
-//! phases:
+//! This is the one ingestion path of a PSC Data Collector
+//! ([`crate::dc::PscDcNode`]); a generator-fed DC is the one-shard case
+//! and runs phase 1 inline. A collection period has two phases:
 //!
 //! 1. **Accumulate** (shard-parallel, crypto-free): each shard of a
 //!    [`torsim::stream::EventStream`] extracts items and pre-buckets
@@ -97,6 +98,10 @@ pub fn mark_stream<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::items;
+    use pm_crypto::elgamal::keygen;
+    use pm_crypto::group::GroupParams;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use torsim::events::TorEvent;
     use torsim::ids::{IpAddr, RelayId};
 
@@ -146,12 +151,18 @@ mod tests {
     }
 
     #[test]
-    fn accumulated_cells_match_observe_path() {
-        use pm_crypto::elgamal::keygen;
-        use pm_crypto::group::GroupParams;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
+    fn duplicate_observations_mark_once() {
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(1);
+        let kp = keygen(&gp, &mut rng);
+        let mut table = ObliviousTable::new(gp, kp.public, [2u8; 32], 64);
+        let stream = EventStream::from_events(conn_events(&[7; 10]), 4);
+        mark_stream(stream, &items::unique_client_ips(), &mut table, &mut rng);
+        assert_eq!(table.marks, 1);
+    }
 
+    #[test]
+    fn accumulated_cells_match_per_item_marking() {
         let salt = [9u8; 32];
         let gp = GroupParams::default_params();
         let mut rng = StdRng::seed_from_u64(1);
@@ -159,14 +170,14 @@ mod tests {
         let extractor = items::unique_client_ips();
         let events = conn_events(&[1, 2, 3, 2, 1, 9]);
 
-        // Classic per-item path.
+        // Item by item, straight into the table.
         let mut classic = ObliviousTable::new(gp, kp.public, salt, 256);
         for ev in &events {
             if let Some(item) = extractor(ev) {
-                classic.observe(&item, &mut rng);
+                classic.mark_cell(classic.cell_of(&item), &mut rng);
             }
         }
-        // Sharded path.
+        // Sharded accumulation.
         let cells = accumulate_stream(EventStream::from_events(events, 4), &extractor, &salt, 256);
         let classic_cells: BTreeSet<usize> = classic
             .cells()

@@ -6,10 +6,10 @@
 //! multiplies the cell by a fresh encryption of a random group element
 //! and rerandomizes, after which the DC itself can neither tell what the
 //! cell contains nor restore it: marking is one-way without the joint
-//! secret key. The DC additionally deduplicates items *within a
-//! collection period* by keyed hash, purely as a performance
-//! optimization — re-marking a marked cell does not change the
-//! protocol's output (the cell stays non-identity).
+//! secret key. Re-marking a marked cell does not change the protocol's
+//! output (the cell stays non-identity), so the DC buckets a
+//! collection period's items into cell indices first
+//! ([`crate::shard`]) and marks each occupied cell once.
 
 use pm_crypto::batch::PrecomputedKey;
 use pm_crypto::elgamal::{mul_ciphertexts, Ciphertext, PublicKey};
@@ -17,7 +17,6 @@ use pm_crypto::group::{GroupParams, Scalar};
 use pm_crypto::sha256::sha256_concat;
 use pm_crypto::u256::U256;
 use rand::Rng;
-use std::collections::HashSet;
 
 /// A DC's oblivious counter table.
 pub struct ObliviousTable {
@@ -29,9 +28,6 @@ pub struct ObliviousTable {
     pk: PrecomputedKey,
     salt: [u8; 32],
     cells: Vec<Ciphertext>,
-    /// Keyed hashes of items already marked this period (perf only).
-    // lint:allow(unordered-map) membership-only dedup: inserted and probed, never iterated
-    seen: HashSet<u64>,
     /// Count of marking operations performed (for diagnostics).
     pub marks: u64,
 }
@@ -56,7 +52,7 @@ pub fn cell_index(salt: &[u8; 32], table_size: usize, item: &[u8]) -> usize {
 }
 
 /// The keyed dedup hash of an item (performance-only within-period
-/// dedup, see [`ObliviousTable::observe`]).
+/// dedup, see [`crate::shard::ShardMarks::observe`]).
 pub fn dedup_key(salt: &[u8; 32], item: &[u8]) -> u64 {
     let digest = sha256_concat(&[b"psc-dedup", salt, item]);
     // lint:allow(panic) the slice is exactly eight bytes by construction
@@ -72,8 +68,6 @@ impl ObliviousTable {
             gp,
             salt,
             cells: vec![trivial_cell(&gp); size],
-            // lint:allow(unordered-map) membership-only dedup, see the field note
-            seen: HashSet::new(),
             marks: 0,
         }
     }
@@ -98,21 +92,10 @@ impl ObliviousTable {
         cell_index(&self.salt, self.cells.len(), item)
     }
 
-    /// Marks an item as observed.
-    pub fn observe<R: Rng + ?Sized>(&mut self, item: &[u8], rng: &mut R) {
-        let short = dedup_key(&self.salt, item);
-        if !self.seen.insert(short) {
-            return; // already marked this period
-        }
-        let idx = self.cell_of(item);
-        self.mark_cell(idx, rng);
-    }
-
-    /// Marks one cell directly: multiplies it by a fresh encryption of a
-    /// random group element and rerandomizes. Used by the sharded path,
-    /// where items are pre-bucketed into cell indices
-    /// ([`crate::shard`]) and the ciphertext work happens exactly once
-    /// per occupied cell at merge.
+    /// Marks one cell: multiplies it by a fresh encryption of a random
+    /// group element and rerandomizes. Items are pre-bucketed into cell
+    /// indices ([`crate::shard`]), so the ciphertext work happens
+    /// exactly once per occupied cell at merge.
     pub fn mark_cell<R: Rng + ?Sized>(&mut self, idx: usize, rng: &mut R) {
         // Draw-for-draw and value-for-value the classic
         // `random_non_identity` → `encrypt` → `rerandomize` sequence,
@@ -204,8 +187,8 @@ mod tests {
     fn marked_cells_decrypt_to_non_identity() {
         let (gp, kp, mut rng) = setup();
         let mut table = ObliviousTable::new(gp, kp.public, [1u8; 32], 64);
-        table.observe(b"198.51.100.7", &mut rng);
         let idx = table.cell_of(b"198.51.100.7");
+        table.mark_cell(idx, &mut rng);
         let cells = table.into_cells();
         assert_ne!(decrypt(&gp, &kp.secret, &cells[idx]), gp.identity());
         // All other cells still identity.
@@ -217,23 +200,13 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_observations_mark_once() {
-        let (gp, kp, mut rng) = setup();
-        let mut table = ObliviousTable::new(gp, kp.public, [2u8; 32], 64);
-        for _ in 0..10 {
-            table.observe(b"same-item", &mut rng);
-        }
-        assert_eq!(table.marks, 1);
-    }
-
-    #[test]
     fn remarking_same_cell_stays_non_identity() {
         let (gp, kp, mut rng) = setup();
         // Size-1 table: every item collides.
         let mut table = ObliviousTable::new(gp, kp.public, [3u8; 32], 1);
-        table.observe(b"a", &mut rng);
-        table.observe(b"b", &mut rng);
-        table.observe(b"c", &mut rng);
+        for item in [b"a", b"b", b"c"] {
+            table.mark_cell(table.cell_of(item), &mut rng);
+        }
         assert_eq!(table.marks, 3);
         let cells = table.into_cells();
         assert_ne!(decrypt(&gp, &kp.secret, &cells[0]), gp.identity());
@@ -257,11 +230,10 @@ mod tests {
         let (gp, kp, mut rng) = setup();
         let mut t1 = ObliviousTable::new(gp, kp.public, [6u8; 32], 32);
         let mut t2 = ObliviousTable::new(gp, kp.public, [6u8; 32], 32);
-        t1.observe(b"alpha", &mut rng);
-        t2.observe(b"beta", &mut rng);
-        t2.observe(b"alpha", &mut rng); // seen at both DCs
         let ia = t1.cell_of(b"alpha");
         let ib = t1.cell_of(b"beta");
+        t1.mark_cell(ia, &mut rng);
+        t2.mark_cells([ib, ia], &mut rng); // alpha seen at both DCs
         let combined = combine_tables(&gp, &[t1.into_cells(), t2.into_cells()]);
         let marked: Vec<usize> = combined
             .iter()

@@ -739,7 +739,7 @@ impl Campaign {
     fn run_unique_ips(&self, spec: &RoundSpec) -> Result<RoundOutcome, NodeError> {
         let dep = self.base.for_day(&self.timeline.snapshot(spec.start_day));
         let prom = self.timeline.promiscuous() as f64;
-        let mut day_streams: Vec<Vec<EventStream>> = Vec::new();
+        let mut day_streams: Vec<EventStream> = Vec::new();
         let mut day_truths: Vec<DayTruth> = Vec::new();
         let mut union = DayTruth::default();
         let mut shares: Vec<DayShare> = Vec::new();
@@ -754,7 +754,7 @@ impl Campaign {
             let (stream, truth) =
                 self.timeline
                     .client_ip_day(day, observe, dep.shards, dep.entry_relays());
-            day_streams.push(vec![stream]);
+            day_streams.push(stream);
             // Promiscuous clients are observed with probability 1, sit
             // in every day's pool (all "fresh" on the window's first
             // day), and must not be divided by the selective fraction:
@@ -783,7 +783,8 @@ impl Campaign {
         let expected = union.unique() as f64;
         let mut cfg = psc_round(&dep, expected, sensitivity, &spec.id);
         self.apply_psc_attack(&mut cfg);
-        let result = psc::run_psc_round_days(cfg, psc::items::unique_client_ips(), day_streams)?;
+        let window = vec![EventStream::chain(day_streams)];
+        let result = psc::run_psc_round(cfg, psc::items::unique_client_ips(), window)?;
         let mut anomalies = Vec::new();
         let est = result.estimate(0.95);
         // Split the measured union into the known promiscuous component
@@ -873,7 +874,7 @@ impl Campaign {
             truth.ips.iter().map(|ip| dep.geo.country_of(*ip)).collect();
         let mut cfg = psc_round(&dep, 260.0, 4, &spec.id);
         self.apply_psc_attack(&mut cfg);
-        let result = psc::run_psc_round_streams(
+        let result = psc::run_psc_round(
             cfg,
             psc::items::unique_countries(Arc::clone(&dep.geo)),
             vec![stream],
@@ -964,7 +965,7 @@ impl Campaign {
     /// fraction (`pm_stats::union::multi_day_network_estimate`).
     fn run_exit_domains(&self, spec: &RoundSpec) -> Result<RoundOutcome, NodeError> {
         let dep = self.base.for_day(&self.timeline.snapshot(spec.start_day));
-        let mut psc_days: Vec<Vec<EventStream>> = Vec::new();
+        let mut psc_days: Vec<EventStream> = Vec::new();
         let mut pc_days: Vec<Vec<EventStream>> = Vec::new();
         let mut day_truths: Vec<DomainDayTruth> = Vec::new();
         let mut shares: Vec<DayShare> = Vec::new();
@@ -975,21 +976,18 @@ impl Campaign {
             let snap = self.timeline.snapshot(day);
             let p = snap.fraction(Position::Exit);
             exit_fractions.push(p);
-            let (mut streams, truth) = self.timeline.exit_stream_day(
+            // Both systems observe the identical events of the shared
+            // window, so their truths cannot drift apart.
+            let ([psc_stream, pc_stream], truth) = self.timeline.exit_stream_day(
                 &snap,
                 &dep.sites,
                 &self.base.workload.exit,
                 dep.scale,
                 dep.shards,
                 dep.exit_relays(),
-                2,
             );
-            // Both systems observe the identical events of the shared
-            // window, so their truths cannot drift apart.
-            // lint:allow(panic) exit_stream_day was asked for exactly two stream copies
-            pc_days.push(vec![streams.pop().expect("two copies")]);
-            // lint:allow(panic) exit_stream_day was asked for exactly two stream copies
-            psc_days.push(vec![streams.pop().expect("two copies")]);
+            psc_days.push(psc_stream);
+            pc_days.push(vec![pc_stream]);
             shares.push(DayShare {
                 share: truth.new_vs(&union) as f64,
                 fraction: p,
@@ -1002,10 +1000,10 @@ impl Campaign {
         let expected = union.unique() as f64;
         let mut cfg = psc_round(&dep, expected, sensitivity, &spec.id);
         self.apply_psc_attack(&mut cfg);
-        let result = psc::run_psc_round_days(
+        let result = psc::run_psc_round(
             cfg,
             psc::items::unique_slds(Arc::clone(&dep.sites), false),
-            psc_days,
+            vec![EventStream::chain(psc_days)],
         )?;
         let mut anomalies = Vec::new();
         let est = result.estimate(0.95);
@@ -1086,7 +1084,7 @@ impl Campaign {
     /// the window's days.
     fn run_onion_services(&self, spec: &RoundSpec) -> Result<RoundOutcome, NodeError> {
         let dep = self.base.for_day(&self.timeline.snapshot(spec.start_day));
-        let mut psc_days: Vec<Vec<EventStream>> = Vec::new();
+        let mut psc_days: Vec<EventStream> = Vec::new();
         let mut pc_days: Vec<Vec<EventStream>> = Vec::new();
         let mut day_truths: Vec<OnionDayTruth> = Vec::new();
         let mut fresh_onions: Vec<u64> = Vec::new();
@@ -1108,7 +1106,7 @@ impl Campaign {
             // streams were thinned at — they travel with the streams.
             publish_observes.push(hs_day.publish_observe);
             rend_fractions.push(hs_day.rend_fraction);
-            psc_days.push(vec![hs_day.publish]);
+            psc_days.push(hs_day.publish);
             pc_days.push(vec![hs_day.rendezvous]);
             fresh_onions.push(hs_day.truth.new_vs(&union));
             union = union.merge(hs_day.truth.clone());
@@ -1120,7 +1118,8 @@ impl Campaign {
         let expected = (union.unique() as f64).max(64.0);
         let mut cfg = psc_round(&dep, expected, sensitivity, &spec.id);
         self.apply_psc_attack(&mut cfg);
-        let result = psc::run_psc_round_days(cfg, psc::items::unique_onions_published(), psc_days)?;
+        let window = vec![EventStream::chain(psc_days)];
+        let result = psc::run_psc_round(cfg, psc::items::unique_onions_published(), window)?;
         let mut anomalies = Vec::new();
         let est = result.estimate(0.95);
         let combined = 1.0 - publish_observes.iter().map(|q| 1.0 - q).product::<f64>();

@@ -54,9 +54,10 @@
 //!   streams from `torsim::timeline::NetworkTimeline::exit_stream_day`,
 //!   which samples the day's *drifted* `DomainMix` and the day's
 //!   consensus exit fraction. One PSC round counts distinct
-//!   second-level domains across the chained days (popular domains
-//!   mark their oblivious-table cells once however many days revisit
-//!   them), while day-indexed PrivCount sub-rounds count stream
+//!   second-level domains over the day streams chained into one
+//!   collection period (`torsim::stream::EventStream::chain`; popular
+//!   domains mark their oblivious-table cells once however many days
+//!   revisit them), while day-indexed PrivCount sub-rounds count stream
 //!   breakdowns over bit-identical copies of the same streams. The
 //!   cross-day unique-SLD total extrapolates network-wide via
 //!   `pm_stats::union::multi_day_network_estimate`: each day's fresh

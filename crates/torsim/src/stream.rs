@@ -79,6 +79,15 @@ pub struct EventStream {
     shards: Vec<ShardFn>,
 }
 
+/// A bare generator is a one-shard stream:
+/// [`EventStream::fold_parallel`] runs a single shard inline on the
+/// calling thread.
+impl From<ShardFn> for EventStream {
+    fn from(generator: ShardFn) -> EventStream {
+        EventStream::from_shards(vec![generator])
+    }
+}
+
 impl EventStream {
     /// Builds a stream from explicit shard generators.
     pub fn from_shards(shards: Vec<ShardFn>) -> EventStream {

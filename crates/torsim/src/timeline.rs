@@ -423,7 +423,7 @@ impl NetworkTimeline {
     /// One campaign day's exit-stream observation, sampling that day's
     /// drifted [`DomainMix`] and consensus exit fraction (both read
     /// from `snap`, so the caller's one-snapshot-per-day evolution is
-    /// reused rather than replayed). Returns `copies` bit-identical
+    /// reused rather than replayed). Returns `N` bit-identical
     /// deferred streams — a campaign round feeds one to each
     /// measurement system sharing the round's window — plus the day's
     /// exact ground truth (distinct SLDs and stream counts),
@@ -431,8 +431,7 @@ impl NetworkTimeline {
     /// shard-invariance contract as every other source. Events and
     /// truth derive from `derive_seed(seed, "exit/day{d}")`, pure in
     /// `(config, day)`.
-    #[allow(clippy::too_many_arguments)] // one knob per axis of the day's observation
-    pub fn exit_stream_day(
+    pub fn exit_stream_day<const N: usize>(
         &self,
         snap: &DaySnapshot,
         sites: &Arc<SiteList>,
@@ -440,9 +439,7 @@ impl NetworkTimeline {
         scale: f64,
         shards: usize,
         relays: Vec<RelayId>,
-        copies: usize,
-    ) -> (Vec<EventStream>, DomainDayTruth) {
-        assert!(copies >= 1);
+    ) -> ([EventStream; N], DomainDayTruth) {
         let mut span = self.recorder.span("day.exit_streams", "torsim");
         span.note("day", snap.day);
         let mut truth_cfg = base.clone();
@@ -454,9 +451,9 @@ impl NetworkTimeline {
             relays,
             derive_seed(self.cfg.seed, &format!("exit/day{}", snap.day)),
         );
-        let streams: Vec<EventStream> = (0..copies)
-            .map(|_| sim.exit_streams(&truth_cfg, fraction, scale, false, shards, "exit"))
-            .collect();
+        let streams = std::array::from_fn(|_| {
+            sim.exit_streams(&truth_cfg, fraction, scale, false, shards, "exit")
+        });
         // Exact ground truth from a replica of the same deferred
         // stream: folded per shard, merged associatively.
         let replica = sim.exit_streams(&truth_cfg, fraction, scale, false, shards, "exit");
@@ -912,15 +909,8 @@ mod tests {
         let sites = small_sites();
         let snap = t.snapshot(2);
         let exit = crate::workload::Workload::paper_default().exit;
-        let (streams, truth) = t.exit_stream_day(
-            &snap,
-            &sites,
-            &exit,
-            1e-4,
-            4,
-            vec![RelayId(0), RelayId(1)],
-            2,
-        );
+        let (streams, truth) =
+            t.exit_stream_day::<2>(&snap, &sites, &exit, 1e-4, 4, vec![RelayId(0), RelayId(1)]);
         assert_eq!(streams.len(), 2);
         assert_eq!(truth.days, BTreeSet::from([2]));
         // Both copies and the truth describe the identical event set.
@@ -957,15 +947,8 @@ mod tests {
         assert!(truth.streams > truth.initial_streams);
         // Shard-count invariance of both events and truth.
         for k in [1, 16] {
-            let (streams_k, truth_k) = t.exit_stream_day(
-                &snap,
-                &sites,
-                &exit,
-                1e-4,
-                k,
-                vec![RelayId(0), RelayId(1)],
-                1,
-            );
+            let (streams_k, truth_k) =
+                t.exit_stream_day::<1>(&snap, &sites, &exit, 1e-4, k, vec![RelayId(0), RelayId(1)]);
             assert_eq!(truth_k, truth, "shard count {k} changed the truth");
             let mut events = Vec::new();
             for s in streams_k {
@@ -976,7 +959,7 @@ mod tests {
         }
         // A different day samples a different drifted mix and fraction.
         let snap9 = t.snapshot(9);
-        let (_, truth9) = t.exit_stream_day(&snap9, &sites, &exit, 1e-4, 4, vec![RelayId(0)], 1);
+        let (_, truth9) = t.exit_stream_day::<1>(&snap9, &sites, &exit, 1e-4, 4, vec![RelayId(0)]);
         assert_ne!(truth9.slds, truth.slds);
     }
 
@@ -1026,16 +1009,8 @@ mod tests {
         let sites = small_sites();
         let exit = crate::workload::Workload::paper_default().exit;
         let truth = |day| {
-            t.exit_stream_day(
-                &t.snapshot(day),
-                &sites,
-                &exit,
-                2e-5,
-                1,
-                vec![RelayId(0)],
-                1,
-            )
-            .1
+            t.exit_stream_day::<1>(&t.snapshot(day), &sites, &exit, 2e-5, 1, vec![RelayId(0)])
+                .1
         };
         let (a, b, c) = (truth(0), truth(1), truth(2));
         let left = a.clone().merge(b.clone()).merge(c.clone());

@@ -31,7 +31,6 @@ fn run_with(faults: FaultConfig) -> Result<i64, String> {
         num_sks: 3,
         noise: NoiseAllocation::None,
         seed: 1,
-        threaded: false,
         faults,
         fabric: Default::default(),
         adversary: Default::default(),

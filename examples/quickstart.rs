@@ -21,6 +21,7 @@ use std::sync::Arc;
 use torsim::events::TorEvent;
 use torsim::geo::GeoDb;
 use torsim::ids::RelayId;
+use torsim::stream::EventStream;
 
 fn main() {
     // --- a synthetic day of entry traffic -----------------------------
@@ -65,25 +66,22 @@ fn main() {
         num_sks: 3,
         noise: NoiseAllocation::Equal,
         seed: 1,
-        threaded: true, // one OS thread per party, like a real deployment
         faults: Default::default(),
+        // The in-process board, on the deterministic scheduler. For one
+        // OS thread per party over loopback TCP, like a real deployment,
+        // use `FabricChoice::Wire` (`--fabric wire` on the binaries).
         fabric: Default::default(),
         adversary: Default::default(),
         recorder: Default::default(),
     };
-    let generators = relay_events
-        .clone()
-        .into_iter()
-        .map(|evs| {
-            let g: privcount::dc::EventGenerator = Box::new(move |sink| {
-                for ev in evs {
-                    sink(ev);
-                }
-            });
-            g
-        })
-        .collect();
-    let result = run_round(cfg, generators).expect("privcount round");
+    // One event stream per data collector.
+    let dc_streams = |events: &[Vec<TorEvent>]| -> Vec<EventStream> {
+        events
+            .iter()
+            .map(|evs| EventStream::from_events(evs.clone(), 1))
+            .collect()
+    };
+    let result = run_round(cfg, dc_streams(&relay_events)).expect("privcount round");
     let est = result.estimate("connections");
     println!("PrivCount: connections = {est}");
     println!("           ground truth = {truth_connections} (σ = {sigma:.1})");
@@ -96,22 +94,11 @@ fn main() {
         num_cps: 3,
         verify: true, // full zero-knowledge verification
         seed: 4,
-        threaded: true,
         faults: Default::default(),
         ..Default::default()
     };
-    let generators = relay_events
-        .into_iter()
-        .map(|evs| {
-            let g: psc::dc::EventGenerator = Box::new(move |sink| {
-                for ev in evs {
-                    sink(ev);
-                }
-            });
-            g
-        })
-        .collect();
-    let result = run_psc_round(cfg, items::unique_client_ips(), generators).expect("psc round");
+    let result = run_psc_round(cfg, items::unique_client_ips(), dc_streams(&relay_events))
+        .expect("psc round");
     let est = result.estimate(0.95);
     println!(
         "PSC:       unique IPs = {est} (raw marked cells: {}, noise flips: {})",

@@ -1,0 +1,61 @@
+#!/usr/bin/env bash
+# Non-test / test Rust line counts per crate — the figure every
+# simplicity PR reports in CHANGES.md ("PR 12's method").
+#
+#   scripts/loc.sh [<parent-rev>]
+#   make loc [PARENT=<rev>]
+#
+# A file under a `src/` directory contributes its lines before the first
+# `#[cfg(test)]` as non-test lines; the rest of that file, and every
+# .rs file outside `src/` (tests/, examples/, benches/), are test lines.
+# Units are the directories under crates/ plus "(root)" for the root
+# package's src/, tests/ and examples/; perfbench/ and scripts/ are not
+# counted. With a revision, that tree is exported (git archive: the
+# working tree may be dirty) and the table shows parent -> now and the
+# difference per column.
+set -euo pipefail
+
+cd "$(git rev-parse --show-toplevel)"
+
+# Prints "unit non-test test" for the tree rooted at $1, sorted by unit.
+# (The second awk sums the partial tables xargs produces when the file
+# list spans several invocations of the first.)
+count() {
+    (cd "$1" && find crates src tests examples -name '*.rs' -type f -print0 |
+        xargs -0 awk '
+            FNR == 1 {
+                in_test = 0
+                split(FILENAME, p, "/")
+                unit = p[1] == "crates" ? p[2] : "(root)"
+                in_src = p[1] == "crates" ? p[3] == "src" : p[1] == "src"
+            }
+            /#\[cfg\(test\)\]/ { in_test = 1 }
+            { if (in_src && !in_test) non[unit]++; else test[unit]++ }
+            END { for (u in test) print u, non[u] + 0, test[u] }
+        ' | awk '{ non[$1] += $2; test[$1] += $3 }
+                 END { for (u in non) print u, non[u], test[u] }' | sort)
+}
+
+if [ $# -eq 0 ] || [ -z "$1" ]; then
+    count . | awk '
+        BEGIN { printf "%-10s %9s %9s\n", "crate", "non-test", "test" }
+        { printf "%-10s %9d %9d\n", $1, $2, $3; non += $2; test += $3 }
+        END { printf "%-10s %9d %9d\n", "total", non, test }'
+    exit
+fi
+
+rev=$(git rev-parse --verify "$1^{commit}")
+parent_dir=target/loc/parent
+rm -rf "$parent_dir"
+mkdir -p "$parent_dir"
+git archive "$rev" | tar -x -C "$parent_dir"
+
+echo "# parent $(git rev-parse --short "$rev") -> working tree"
+join -a1 -a2 -e0 -o 0,1.2,2.2,1.3,2.3 <(count "$parent_dir") <(count .) | awk '
+    function row(name, n0, n1, t0, t1) {
+        printf "%-10s %7d -> %7d (%+5d) %7d -> %7d (%+5d)\n", name, n0, n1, n1 - n0, t0, t1, t1 - t0
+    }
+    BEGIN { printf "%-10s %28s %28s\n", "crate", "non-test", "test" }
+    { row($1, $2, $3, $4, $5); n0 += $2; n1 += $3; t0 += $4; t1 += $5 }
+    END { row("total", n0, n1, t0, t1) }'
+rm -rf "$parent_dir"

@@ -38,7 +38,6 @@ fn net_metrics(fabric: FabricChoice) -> Vec<(String, u64)> {
         num_cps: 2,
         verify: false,
         seed: 29,
-        threaded: true,
         mix: MixStrategy::Sequential,
         fabric,
         recorder: recorder.clone(),

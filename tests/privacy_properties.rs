@@ -54,8 +54,8 @@ fn psc_table_is_unreadable_without_joint_key() {
     let cp2 = keygen(&gp, &mut rng);
     let joint = pm_crypto::elgamal::combine_public_keys(&gp, &[cp1.public, cp2.public]);
     let mut table = psc::table::ObliviousTable::new(gp, joint, [1u8; 32], 32);
-    table.observe(b"203.0.113.99", &mut rng);
     let marked_idx = table.cell_of(b"203.0.113.99");
+    table.mark_cell(marked_idx, &mut rng);
     let cells = table.into_cells();
     // Single-share "decryption" of the marked cell yields garbage that
     // is NOT the identity and NOT distinguishable as a mark.

@@ -58,7 +58,6 @@ fn inference_recovers_ground_truth_from_full_simulation() {
         num_sks: 3,
         noise: NoiseAllocation::Equal,
         seed: 7,
-        threaded: false,
         faults: Default::default(),
         fabric: Default::default(),
         adversary: Default::default(),
@@ -119,7 +118,6 @@ fn noise_floor_hides_small_counts() {
         num_sks: 3,
         noise: NoiseAllocation::Equal,
         seed: 11,
-        threaded: false,
         faults: Default::default(),
         fabric: Default::default(),
         adversary: Default::default(),
@@ -149,7 +147,6 @@ fn dropped_party_aborts_cleanly() {
         num_sks: 2,
         noise: NoiseAllocation::None,
         seed: 13,
-        threaded: false,
         faults: pm_net::transport::FaultConfig {
             drop_chance: 1.0, // every frame lost
             ..Default::default()
@@ -168,4 +165,60 @@ fn dropped_party_aborts_cleanly() {
         msg.contains("deadlock") || msg.contains("no result"),
         "{msg}"
     );
+}
+
+/// A PrivCount round whose every protocol frame crosses a real
+/// loopback TCP socket — one OS thread per party, the mode the wire
+/// fabric implies — publishes the same noisy totals as the in-process
+/// board on the deterministic scheduler.
+#[test]
+fn wire_round_matches_in_process() {
+    use pm_net::transport::{FabricChoice, WireShape};
+    use torsim::ids::{IpAddr, RelayId};
+    use torsim::stream::EventStream;
+
+    let totals = |fabric| {
+        let round = RoundConfig {
+            counters: vec![
+                CounterSpec::with_sigma("connections", 25.0),
+                CounterSpec::with_sigma("bytes", 1e3),
+            ],
+            mapper: Arc::new(|ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| match ev {
+                TorEvent::EntryConnection { .. } => emit(0, 1),
+                TorEvent::EntryBytes { bytes, .. } => emit(1, *bytes as i64),
+                _ => {}
+            }),
+            num_sks: 3,
+            noise: NoiseAllocation::Equal,
+            seed: 17,
+            faults: Default::default(),
+            fabric,
+            adversary: Default::default(),
+            recorder: Default::default(),
+        };
+        let streams = (0..4u32)
+            .map(|dc| {
+                let events = (0..300 + 50 * dc)
+                    .flat_map(|i| {
+                        let (relay, client_ip) = (RelayId(dc), IpAddr(1000 * dc + i));
+                        [
+                            TorEvent::EntryConnection { relay, client_ip },
+                            TorEvent::EntryBytes {
+                                relay,
+                                client_ip,
+                                bytes: 512 + u64::from(i),
+                            },
+                        ]
+                    })
+                    .collect();
+                EventStream::from_events(events, 2)
+            })
+            .collect();
+        run_round(round, streams).expect("round").totals
+    };
+    let in_process = totals(FabricChoice::PerLink);
+    let wire = totals(FabricChoice::Wire(WireShape::default()));
+    assert_eq!(in_process, wire);
+    // Noise was drawn: the totals are not the exact counts.
+    assert_ne!(in_process[0], 4 * 300 + 50 * 6);
 }

@@ -74,7 +74,6 @@ fn psc_counts_unique_ips_from_full_simulation() {
         num_cps: 3,
         verify: false,
         seed: 3,
-        threaded: false,
         faults: Default::default(),
         ..Default::default()
     };
@@ -92,8 +91,9 @@ fn psc_counts_unique_ips_from_full_simulation() {
 
 #[test]
 fn verified_psc_round_over_threads() {
-    // Small verified run with one OS thread per party: all ZK proofs
-    // generated and checked.
+    // Small verified run: all ZK proofs generated and checked. (The
+    // same round with one OS thread per party is
+    // `wire_round_matches_in_process`.)
     let (events, truth_unique) = simulate(40, 19);
     let cfg = PscConfig {
         table_size: 512,
@@ -101,7 +101,6 @@ fn verified_psc_round_over_threads() {
         num_cps: 2,
         verify: true,
         seed: 5,
-        threaded: true,
         faults: Default::default(),
         ..Default::default()
     };
@@ -132,7 +131,6 @@ fn psc_and_privcount_agree_on_volume_vs_uniqueness() {
         num_cps: 2,
         verify: false,
         seed: 7,
-        threaded: false,
         faults: Default::default(),
         ..Default::default()
     };
@@ -164,14 +162,13 @@ fn ip_generators(sets: &[&[u32]]) -> Vec<psc::dc::EventGenerator> {
         .collect()
 }
 
-fn run_with(mix: MixStrategy, verify: bool, threaded: bool) -> psc::ts::RawCount {
+fn run_with(mix: MixStrategy, verify: bool) -> psc::ts::RawCount {
     let cfg = PscConfig {
         table_size: 128,
         noise_flips_per_cp: 12,
         num_cps: 3,
         verify,
         seed: 41,
-        threaded,
         mix,
         ..Default::default()
     };
@@ -191,15 +188,11 @@ fn run_with(mix: MixStrategy, verify: bool, threaded: bool) -> psc::ts::RawCount
 #[test]
 fn round_transcript_equal_across_mix_strategies() {
     for verify in [false, true] {
-        let reference = run_with(MixStrategy::Sequential, verify, false);
+        let reference = run_with(MixStrategy::Sequential, verify);
         for threads in [1usize, 2, 8] {
-            let batched = run_with(MixStrategy::Batched { threads }, verify, false);
+            let batched = run_with(MixStrategy::Batched { threads }, verify);
             assert_eq!(reference, batched, "verify={verify} threads={threads}");
         }
-        // One OS thread per party on top of batched mixing: delivery
-        // interleaving must not leak into the result either.
-        let threaded = run_with(MixStrategy::Batched { threads: 2 }, verify, true);
-        assert_eq!(reference, threaded, "verify={verify} threaded");
     }
 }
 
@@ -220,7 +213,6 @@ fn run_faulted(faults: FaultConfig) -> Outcome {
         num_cps: 2,
         verify: false,
         seed: 23,
-        threaded: false,
         faults,
         mix: MixStrategy::Batched { threads: 2 },
         fabric: FabricChoice::PerLink,
@@ -311,10 +303,6 @@ fn run_on_fabric(fabric: FabricChoice, recorder: pm_obs::Recorder) -> psc::ts::R
         num_cps: 3,
         verify: true,
         seed: 41,
-        // The wire fabric forces threaded execution internally; running
-        // the in-process reference threaded too keeps the comparison
-        // honest about delivery interleaving.
-        threaded: true,
         mix: MixStrategy::Batched { threads: 2 },
         fabric,
         recorder,

@@ -8,14 +8,19 @@
 //!   1. raw event streams (every `StreamSim` source),
 //!   2. PrivCount experiment reports (counters + noise at merge),
 //!   3. PSC experiment reports (oblivious-table marking at merge).
+//!
+//! Layers 2 and 3 also pin the degenerate case the round doors rely
+//! on: a bare generator per DC is a one-shard stream, and publishes
+//! what the same events publish as a K-shard stream.
 
 use std::sync::Arc;
+use torsim::events::TorEvent;
 use torsim::full::{FullSim, FullSimConfig};
 use torsim::geo::GeoDb;
-use torsim::ids::RelayId;
+use torsim::ids::{IpAddr, RelayId};
 use torsim::relay::Consensus;
 use torsim::sites::{SiteList, SiteListConfig};
-use torsim::stream::{EventStream, StreamSim};
+use torsim::stream::{EventStream, ShardFn, StreamSim};
 use torsim::workload::{DomainMix, Workload};
 use torstudy::deployment::Deployment;
 use torstudy::runner::run_some;
@@ -145,6 +150,35 @@ fn full_sim_run_day_matches_stream_day_k1() {
     assert_eq!(truth, stream_truth);
 }
 
+/// Three DCs' materialized event lists: repeat connections from
+/// overlapping IP ranges, so volume and uniqueness differ.
+fn dc_event_lists() -> Vec<Vec<TorEvent>> {
+    (0..3u32)
+        .map(|dc| {
+            (0..400u32)
+                .map(|i| TorEvent::EntryConnection {
+                    relay: RelayId(dc),
+                    client_ip: IpAddr(100 * dc + i % 150),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn generators() -> Vec<ShardFn> {
+    dc_event_lists()
+        .into_iter()
+        .map(|events| -> ShardFn { Box::new(move |sink| events.into_iter().for_each(sink)) })
+        .collect()
+}
+
+fn streams(k: usize) -> Vec<EventStream> {
+    dc_event_lists()
+        .into_iter()
+        .map(|events| EventStream::from_events(events, k))
+        .collect()
+}
+
 fn rendered(reports: &[torstudy::Report]) -> String {
     reports
         .iter()
@@ -170,6 +204,30 @@ fn privcount_reports_are_shard_count_invariant() {
         ));
         assert_eq!(base, got, "PrivCount reports changed at K={k}");
     }
+
+    // One generator per DC vs the same events as K-shard streams:
+    // identical noisy totals.
+    let cfg = || privcount::RoundConfig {
+        counters: vec![privcount::CounterSpec::with_sigma("connections", 25.0)],
+        mapper: Arc::new(|ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| {
+            if matches!(ev, TorEvent::EntryConnection { .. }) {
+                emit(0, 1);
+            }
+        }),
+        num_sks: 3,
+        noise: privcount::round::NoiseAllocation::Equal,
+        seed: 903,
+        faults: Default::default(),
+        fabric: Default::default(),
+        adversary: Default::default(),
+        recorder: Default::default(),
+    };
+    let by_generator = privcount::run_round(cfg(), generators()).expect("round");
+    assert_ne!(by_generator.totals, [1200], "noise must be drawn");
+    for k in [1, 4] {
+        let by_stream = privcount::run_round(cfg(), streams(k)).expect("round");
+        assert_eq!(by_generator.totals, by_stream.totals, "K={k}");
+    }
 }
 
 /// Layer 3: a PSC experiment report (unique-count statistics through
@@ -185,4 +243,21 @@ fn psc_report_is_shard_count_invariant() {
         ))
     };
     assert_eq!(run(1), run(16), "PSC report changed between K=1 and K=16");
+
+    // One generator per DC vs the same events as K-shard streams:
+    // identical RawCount under noise.
+    let cfg = || psc::PscConfig {
+        table_size: 512,
+        noise_flips_per_cp: 32,
+        num_cps: 2,
+        seed: 904,
+        ..Default::default()
+    };
+    let extractor = psc::items::unique_client_ips;
+    let by_generator = psc::run_psc_round(cfg(), extractor(), generators()).expect("round");
+    assert_eq!(by_generator.raw.noise_total, 64);
+    for k in [1, 4] {
+        let by_stream = psc::run_psc_round(cfg(), extractor(), streams(k)).expect("round");
+        assert_eq!(by_generator.raw, by_stream.raw, "K={k}");
+    }
 }
