@@ -194,12 +194,6 @@ impl Deployment {
         self
     }
 
-    /// Overrides the base seed.
-    pub fn with_seed(mut self, seed: u64) -> Deployment {
-        self.seed = seed;
-        self
-    }
-
     /// Derives the deployment as it stands on `day` of a longitudinal
     /// campaign (see `torsim::timeline`): the same site/geo/AS universe
     /// (shared `Arc`s — nothing is rebuilt), a day-derived seed, that

@@ -90,7 +90,7 @@ pub fn run(dep: &Deployment) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use torsim::sampled::SampledSim;
+    use torsim::sampled::is_public_address;
 
     #[test]
     fn tab7_failure_anomaly_reproduced() {
@@ -127,8 +127,8 @@ mod tests {
     fn public_marker_consistency() {
         // The generation-side parity marker and the experiment's index
         // agree on what "public" means.
-        assert!(SampledSim::is_public_address(0));
-        assert!(SampledSim::is_public_address(42));
-        assert!(!SampledSim::is_public_address(43));
+        assert!(is_public_address(0));
+        assert!(is_public_address(42));
+        assert!(!is_public_address(43));
     }
 }

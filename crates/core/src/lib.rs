@@ -51,6 +51,7 @@
 //! [`Accountant`]: pm_dp::accountant::Accountant
 //! [`Deployment::shards`]: deployment::Deployment::shards
 
+pub mod cli;
 pub mod deployment;
 pub mod experiments;
 pub mod report;

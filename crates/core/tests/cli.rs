@@ -1,0 +1,31 @@
+//! The `experiments` binary's usage errors: every malformed command
+//! line exits 2 with the problem and the usage line on stderr — never a
+//! panic (exit 101). The parser is `torstudy::cli`, shared with the
+//! `campaign` binary (`crates/study/tests/cli.rs`).
+
+use std::process::Command;
+
+#[test]
+fn usage_errors_exit_2_without_panicking() {
+    let cases: [&[&str]; 8] = [
+        &["--scale"],        // missing value
+        &["--json"],         // missing value, last argument
+        &["--only"],         // missing value, the binary's own flag
+        &["--seed", "x"],    // malformed integer
+        &["--scale", "abc"], // malformed float
+        &["--scale", "2"],   // out of (0, 1]
+        &["--scale", "0"],   // out of (0, 1]
+        &["--no-such-flag"], // unknown argument
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .output()
+            .expect("spawn experiments");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: experiments"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
+    }
+}

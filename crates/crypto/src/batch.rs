@@ -144,11 +144,6 @@ impl PrecomputedKey {
         self.g.pow(gp, e)
     }
 
-    /// `y^e` through the table.
-    pub fn y_pow(&self, gp: &GroupParams, e: &Scalar) -> GroupElement {
-        self.y.pow(gp, e)
-    }
-
     /// [`crate::elgamal::encrypt_with`] through the tables: encrypts `m`
     /// under the key with caller-chosen randomness `r` (≤ 128 products).
     pub fn encrypt_with(&self, gp: &GroupParams, m: &GroupElement, r: &Scalar) -> Ciphertext {

@@ -104,22 +104,6 @@ impl U256 {
         self.overflowing_sub(rhs).0
     }
 
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(&self, rhs: &U256) -> Option<U256> {
-        match self.overflowing_add(rhs) {
-            (v, false) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Checked subtraction; `None` on underflow.
-    pub fn checked_sub(&self, rhs: &U256) -> Option<U256> {
-        match self.overflowing_sub(rhs) {
-            (v, false) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Full 256x256 -> 512-bit product, returned as `(low, high)`.
     pub fn widening_mul(&self, rhs: &U256) -> (U256, U256) {
         let mut t = [0u64; 8];

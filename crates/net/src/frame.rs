@@ -255,11 +255,6 @@ pub fn get_lp_str(buf: &mut Bytes) -> Result<String, WireError> {
     String::from_utf8(raw.to_vec()).map_err(|_| WireError::Invalid("utf-8 string"))
 }
 
-/// Writes a fixed 32-byte array.
-pub fn put_array32(buf: &mut BytesMut, a: &[u8; 32]) {
-    buf.put_slice(a);
-}
-
 /// Reads a fixed 32-byte array.
 pub fn get_array32(buf: &mut Bytes) -> Result<[u8; 32], WireError> {
     let raw = get_bytes(buf, 32)?;

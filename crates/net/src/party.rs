@@ -22,7 +22,6 @@
 //! or TCP timing).
 
 use crate::transport::{Endpoint, Envelope, Fabric, PartyId, TransportError};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -295,12 +294,6 @@ impl RunOutcome {
     pub fn take(&mut self, id: &PartyId) -> Option<Box<dyn Node>> {
         let idx = self.nodes.iter().position(|(nid, _)| nid == id)?;
         Some(self.nodes.remove(idx).1)
-    }
-
-    /// Map of party id -> node, ordered by id so callers that iterate
-    /// it observe a deterministic sequence.
-    pub fn into_map(self) -> BTreeMap<PartyId, Box<dyn Node>> {
-        self.nodes.into_iter().collect()
     }
 }
 

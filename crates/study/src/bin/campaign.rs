@@ -34,123 +34,54 @@
 //! ui.perfetto.dev). Profiling never changes a report byte. `-q`
 //! silences progress events; `-v` prints them with structured fields.
 
-use pm_net::FabricChoice;
-use pm_obs::{Event, Recorder, Sink, Verbosity};
+use pm_obs::Event;
 use pm_study::{Campaign, CampaignAttack, CampaignConfig};
+use torstudy::cli::{flag_value, usage_exit, Cli};
+
+const USAGE: &str = "usage: campaign [--days N] [--scale S] [--seed N] [--shards K] \
+     [--workers W] [--fabric per-link|wire[:latency_ms[,bw_kbps]]] \
+     [--attack NAME] [--csv] [--json PATH] [--trace PATH] \
+     [-q | -v] [--list]";
 
 fn main() {
+    let cli = Cli::parse(
+        USAGE,
+        1e-3,
+        &["--days", "--shards", "--workers", "--attack"],
+    );
     let mut days = 7u64;
-    let mut scale = 1e-3f64;
-    let mut seed = 2018u64;
     let mut shards = 0usize;
     let mut workers = 0usize;
-    let mut fabric = FabricChoice::default();
     let mut attack = CampaignAttack::None;
-    let mut csv = false;
-    let mut json: Option<String> = None;
-    let mut trace: Option<String> = None;
-    let mut verbosity = Verbosity::Normal;
-    let mut list = false;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--days" => {
-                i += 1;
-                // lint:allow(panic) CLI usage error: an immediate loud exit is the interface
-                days = args[i].parse().expect("--days takes an integer ≥ 1");
-            }
-            "--scale" => {
-                i += 1;
-                // lint:allow(panic) CLI usage error: an immediate loud exit is the interface
-                scale = args[i].parse().expect("--scale takes a float in (0, 1]");
-            }
-            "--seed" => {
-                i += 1;
-                // lint:allow(panic) CLI usage error: an immediate loud exit is the interface
-                seed = args[i].parse().expect("--seed takes an integer");
-            }
-            "--shards" => {
-                i += 1;
-                // lint:allow(panic) CLI usage error: an immediate loud exit is the interface
-                shards = args[i].parse().expect("--shards takes an integer");
-            }
-            "--workers" => {
-                i += 1;
-                // lint:allow(panic) CLI usage error: an immediate loud exit is the interface
-                workers = args[i].parse().expect("--workers takes an integer");
-            }
-            "--fabric" => {
-                i += 1;
-                fabric = FabricChoice::parse(&args[i]).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown fabric '{}'; known: per-link, wire[:latency_ms[,bw_kbps]]",
-                        args[i]
-                    );
-                    std::process::exit(2);
-                });
-            }
-            "--attack" => {
-                i += 1;
-                attack = CampaignAttack::parse(&args[i]).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown attack '{}'; known: none, {}",
-                        args[i],
-                        CampaignAttack::ALL
-                            .iter()
-                            .map(|a| a.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
-                    std::process::exit(2);
-                });
-            }
-            "--csv" => csv = true,
-            "--json" => {
-                i += 1;
-                json = Some(args[i].clone());
-            }
-            "--trace" => {
-                i += 1;
-                trace = Some(args[i].clone());
-            }
-            "-q" | "--quiet" => verbosity = Verbosity::Quiet,
-            "-v" | "--verbose" => verbosity = Verbosity::Verbose,
-            "--list" => list = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: campaign [--days N] [--scale S] [--seed N] [--shards K] \
-                     [--workers W] [--fabric per-link|wire[:latency_ms[,bw_kbps]]] \
-                     [--attack NAME] [--csv] [--json PATH] [--trace PATH] \
-                     [-q | -v] [--list]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
+    for (flag, raw) in &cli.own {
+        match flag.as_str() {
+            "--days" => days = flag_value(USAGE, flag, raw, "an integer ≥ 1", |d| *d >= 1),
+            "--shards" => shards = flag_value(USAGE, flag, raw, "an integer", |_| true),
+            "--workers" => workers = flag_value(USAGE, flag, raw, "an integer", |_| true),
+            // `--attack`: the only other flag `Cli::parse` was told to pass.
+            _ => {
+                attack = CampaignAttack::parse(raw).unwrap_or_else(|| {
+                    let known: Vec<_> = CampaignAttack::ALL.iter().map(|a| a.name()).collect();
+                    usage_exit(
+                        USAGE,
+                        format_args!("unknown attack '{raw}'; known: none, {}", known.join(", ")),
+                    )
+                })
             }
         }
-        i += 1;
     }
 
-    let sink = Sink::new(verbosity);
-    let recorder = if trace.is_some() {
-        Recorder::with_profiling()
-    } else {
-        Recorder::new()
-    };
+    let (scale, seed) = (cli.scale, cli.seed);
     let mut cfg = CampaignConfig::new(days, scale, seed)
         .with_attack(attack)
-        .with_fabric(fabric)
-        .with_recorder(recorder.clone());
+        .with_fabric(cli.fabric)
+        .with_recorder(cli.recorder.clone());
     if shards > 0 {
         cfg = cfg.with_shards(shards);
     }
     let campaign = Campaign::new(cfg);
 
-    if list {
+    if cli.list {
         for r in campaign.rounds() {
             println!(
                 "{}\t{}\t{:?}\tdays {}..{}",
@@ -164,7 +95,7 @@ fn main() {
         return;
     }
 
-    sink.emit(
+    cli.sink.emit(
         &Event::new(
             "campaign.start",
             format!(
@@ -180,27 +111,14 @@ fn main() {
         .field("rounds", campaign.rounds().len()),
     );
     let report = campaign.run(workers);
-    if csv {
+    if cli.csv {
         print!("{}", report.render_csv());
     } else {
         print!("{}", report.render_text());
     }
-    if let Some(path) = json {
-        // lint:allow(panic) CLI export failure: an immediate loud exit is the interface
-        std::fs::write(&path, report.render_json()).expect("write --json output");
-        sink.emit(&Event::new("campaign.wrote", format!("wrote {path}")).field("path", &path));
-    }
-    if let Some(path) = trace {
-        recorder
-            .write_trace(std::path::Path::new(&path))
-            // lint:allow(panic) CLI export failure: an immediate loud exit is the interface
-            .expect("write --trace output");
-        sink.emit(
-            &Event::new("campaign.trace", format!("wrote trace {path}")).field("path", &path),
-        );
-    }
+    cli.export("campaign.wrote", "campaign.trace", || report.render_json());
     if !report.anomalies.is_empty() {
-        sink.emit(
+        cli.sink.emit(
             &Event::new(
                 "campaign.anomalies",
                 format!("{} anomaly record(s):", report.anomalies.len()),
@@ -208,8 +126,8 @@ fn main() {
             .field("count", report.anomalies.len()),
         );
         for a in &report.anomalies {
-            sink.say("campaign.anomaly", format!("  {a}"));
+            cli.sink.say("campaign.anomaly", format!("  {a}"));
         }
     }
-    sink.say("campaign.done", "campaign complete");
+    cli.sink.say("campaign.done", "campaign complete");
 }

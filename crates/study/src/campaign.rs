@@ -154,18 +154,6 @@ pub enum RoundStatus {
     },
 }
 
-impl RoundStatus {
-    /// True when the round produced no result.
-    pub fn is_aborted(&self) -> bool {
-        matches!(self, RoundStatus::Aborted { .. })
-    }
-
-    /// True when the round completed with a plausible output.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, RoundStatus::Completed)
-    }
-}
-
 /// One scheduled measurement round of the campaign calendar.
 #[derive(Clone, Debug)]
 pub struct RoundSpec {

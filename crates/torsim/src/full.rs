@@ -21,8 +21,9 @@
 //! bit-identical for every `K`. The day is divided into the fixed
 //! [`PARTITIONS`] logical partitions; partition `p` owns the clients,
 //! descriptor fetches, rendezvous circuits, and service publishes whose
-//! index is `≡ p (mod PARTITIONS)`, and shard `j` of `K` runs
-//! partitions `{p : p ≡ j (mod K)}` in ascending order.
+//! index is `≡ p (mod PARTITIONS)`, and the partitions are dealt to
+//! the `K` shards by the stream module's one partition driver, the
+//! same one every mean-split sampled source is built on.
 //!
 //! Each partition draws from two dedicated RNGs:
 //!
@@ -50,8 +51,8 @@ use crate::hashring::HsDirRing;
 use crate::ids::{IpAddr, OnionAddr, RelayId};
 use crate::relay::{Consensus, Position, PositionSampler, RelayFlags};
 use crate::sites::SiteList;
-use crate::stream::{shard_partitions, EventStream, ShardFn, PARTITIONS};
-use crate::workload::{DomainMix, DomainSampler, DomainSamplerTables};
+use crate::stream::{partitioned_stream, EventStream, PARTITIONS};
+use crate::workload::{DomainMix, DomainSampler};
 use pm_stats::sampling::derive_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -161,8 +162,8 @@ impl GroundTruth {
 }
 
 /// Per-day derived state shared by every partition: weighted samplers,
-/// the HSDir ring, and the domain-mix alias tables (built once, shared
-/// across shard threads like the sampled mode's table sharing).
+/// the HSDir ring, and the domain sampler (built once, shared across
+/// shard threads like the sampled mode's tables).
 struct DayTables {
     guard: PositionSampler,
     middle: PositionSampler,
@@ -172,7 +173,7 @@ struct DayTables {
     /// descriptor sources are then skipped (zero fetches/publishes in
     /// truth) instead of panicking on an empty ring.
     ring: Option<HsDirRing>,
-    domains: Arc<DomainSamplerTables>,
+    domains: DomainSampler,
 }
 
 /// The full simulator.
@@ -223,26 +224,12 @@ impl FullSim {
     /// downstream accumulators fold the shards in parallel via
     /// [`EventStream::fold_parallel`].
     pub fn stream_day(&self, mix: &DomainMix, shards: usize) -> (EventStream, GroundTruth) {
-        let shards = shards.clamp(1, PARTITIONS);
-        let tables = Arc::new(self.day_tables(mix));
-        let truth = self.truth_pass(&tables, shards);
-        let stream = EventStream::from_shards(
-            (0..shards)
-                .map(|j| {
-                    let sim = self.clone();
-                    let tables = Arc::clone(&tables);
-                    let f: ShardFn = Box::new(move |sink| {
-                        let sampler =
-                            DomainSampler::with_tables(&sim.sites, Arc::clone(&tables.domains));
-                        let mut scratch = GroundTruth::default();
-                        for p in shard_partitions(j, shards) {
-                            sim.run_partition(&tables, p, &mut scratch, Some((&sampler, sink)));
-                        }
-                    });
-                    f
-                })
-                .collect(),
-        );
+        let tables = self.day_tables(mix);
+        let truth = self.truth_pass(&tables, shards.clamp(1, PARTITIONS));
+        let sim = self.clone();
+        let stream = partitioned_stream(shards, move |p, sink| {
+            sim.run_partition(&tables, p, &mut GroundTruth::default(), Some(sink));
+        });
         (stream, truth)
     }
 
@@ -261,13 +248,14 @@ impl FullSim {
             exit: self.consensus.sampler(Position::Exit),
             rp: self.consensus.sampler(Position::Rendezvous),
             ring: (!hsdirs.is_empty()).then(|| HsDirRing::v2(&hsdirs)),
-            domains: Arc::new(DomainSamplerTables::new(&self.sites, mix)),
+            domains: DomainSampler::new(&self.sites, mix),
         }
     }
 
     /// Accumulates ground truth over all partitions — counts draws
     /// only, one thread per shard when sharded — merged in ascending
-    /// thread order (any grouping gives the same sums).
+    /// thread order. Truth is additive, so how the partitions are dealt
+    /// to the threads is free (any grouping gives the same sums).
     fn truth_pass(&self, tables: &DayTables, threads: usize) -> GroundTruth {
         let mut truth = GroundTruth::default();
         if threads <= 1 {
@@ -280,7 +268,7 @@ impl FullSim {
                     .map(|j| {
                         scope.spawn(move || {
                             let mut part = GroundTruth::default();
-                            for p in shard_partitions(j, threads) {
+                            for p in (j..PARTITIONS).step_by(threads) {
                                 self.run_partition(tables, p, &mut part, None);
                             }
                             part
@@ -334,7 +322,7 @@ impl FullSim {
         tables: &DayTables,
         p: usize,
         truth: &mut GroundTruth,
-        mut emit: Option<(&DomainSampler<'_>, &mut dyn FnMut(TorEvent))>,
+        mut emit: Option<&mut dyn FnMut(TorEvent)>,
     ) {
         let mut counts = self.partition_rng("counts", p);
         let mut paths = self.partition_rng("paths", p);
@@ -359,7 +347,7 @@ impl FullSim {
                 // bias volume inference. The guards-per-client structure
                 // matters only for unique-IP analyses, which the sampled
                 // mode models explicitly.)
-                let guard = emit.as_mut().map(|(_, sink)| {
+                let guard = emit.as_mut().map(|sink| {
                     let ip = ip.unwrap();
                     let guard = tables.guard.sample(&mut paths);
                     observe(
@@ -386,7 +374,7 @@ impl FullSim {
                     truth.initial_streams += 1;
                     let subs = sample_count(self.cfg.subsequent_streams_per_circuit, &mut counts);
                     truth.exit_streams += subs;
-                    if let Some((sampler, sink)) = emit.as_mut() {
+                    if let Some(sink) = emit.as_mut() {
                         observe(
                             TorEvent::EntryCircuit {
                                 relay: guard.unwrap(),
@@ -403,7 +391,7 @@ impl FullSim {
                                 initial: true,
                                 addr: AddrKind::Hostname,
                                 port: PortClass::Web,
-                                domain: Some(sampler.sample(&mut paths)),
+                                domain: Some(tables.domains.sample(&self.sites, &mut paths)),
                             },
                             sink,
                         );
@@ -430,7 +418,7 @@ impl FullSim {
         if let Some(ring) = &tables.ring {
             for s in (p as u64..self.cfg.onion_services).step_by(PARTITIONS) {
                 truth.published_addresses += 1;
-                if let Some((_, sink)) = emit.as_mut() {
+                if let Some(sink) = emit.as_mut() {
                     let addr = OnionAddr::from_index(s);
                     for dir in ring.responsible(&addr, 0) {
                         observe(TorEvent::HsDescPublish { relay: dir, addr }, sink);
@@ -446,7 +434,7 @@ impl FullSim {
                 if stale {
                     truth.desc_fetch_failures += 1;
                 }
-                if let Some((_, sink)) = emit.as_mut() {
+                if let Some(sink) = emit.as_mut() {
                     let (addr, outcome) = if stale {
                         // Target an address disjoint from the published
                         // universe (see [`STALE_ADDRESS_UNIVERSE`]).
@@ -475,7 +463,7 @@ impl FullSim {
         // ---- rendezvous ----
         for _ in (p as u64..self.cfg.rendezvous_circuits).step_by(PARTITIONS) {
             truth.rend_circuits += 1;
-            if let Some((_, sink)) = emit.as_mut() {
+            if let Some(sink) = emit.as_mut() {
                 let rp = tables.rp.sample(&mut paths);
                 let u: f64 = paths.gen();
                 let (outcome, payload) = if u < 0.08 {

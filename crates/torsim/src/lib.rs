@@ -6,19 +6,21 @@
 //! PrivCount Tor patch emits, so the measurement stack (`privcount`,
 //! `psc`) runs unchanged against either.
 //!
-//! Two generation modes share the event types:
+//! Two generation modes share the event types and one output shape, a
+//! sharded [`stream::EventStream`] whose event multiset is identical
+//! for every shard count:
 //!
 //! * [`full`] — a small-scale end-to-end simulation: clients select
 //!   weighted guards, build circuits through a consensus, open streams,
 //!   publish/fetch onion descriptors. Used by tests and examples where
-//!   every byte of the pipeline should flow through real path selection.
-//!   Generates natively sharded streams ([`full::FullSim::stream_day`])
-//!   under the same shard-count-invariance contract as [`stream`].
-//! * [`sampled`] — the paper-scale mode: given a configured ground truth
-//!   (e.g. 2×10⁹ daily exit streams) and the instrumented relays'
-//!   weight fractions, it generates exactly the event sample those
-//!   relays would observe, by Poisson/binomial thinning. This is what
-//!   lets experiments run at the paper's scale without simulating two
+//!   every byte of the pipeline should flow through real path selection
+//!   ([`full::FullSim::stream_day`]).
+//! * [`stream::StreamSim`] — the paper-scale mode: given a configured
+//!   ground truth (e.g. 2×10⁹ daily exit streams) and the instrumented
+//!   relays' weight fractions, its six builders generate exactly the
+//!   event sample those relays would observe, by Poisson/binomial
+//!   thinning (the kernels live in [`sampled`]). This is what lets
+//!   experiments run at the paper's scale without simulating two
 //!   billion events.
 //!
 //! Substrates: [`relay`] (consensus & weighted selection), [`hashring`]
@@ -61,7 +63,6 @@ pub mod prelude {
     pub use crate::hashring::HsDirRing;
     pub use crate::ids::{AsNumber, ClientId, CountryCode, DomainId, IpAddr, OnionAddr, RelayId};
     pub use crate::relay::{Consensus, Relay, RelayFlags};
-    pub use crate::sampled::SampledSim;
     pub use crate::sites::{SiteList, SiteListConfig};
     pub use crate::stream::{EventStream, StreamSim};
     pub use crate::timeline::{DaySnapshot, DayTruth, NetworkTimeline, TimelineConfig};

@@ -1,12 +1,18 @@
-//! Sampled-observation generation: the paper-scale mode.
+//! Sampled-observation generation: the paper-scale mode's kernels.
 //!
 //! Given a ground-truth [`Workload`](crate::workload::Workload) and the
 //! instrumented relays' observation fractions, these generators emit
-//! exactly the event stream the instrumented relays would see — a
-//! Poisson/binomial thinning of the network-wide truth. DESIGN.md §4
-//! documents why this preserves the measured semantics: every estimator
-//! consumes only observed events plus the observation fraction, both of
-//! which are reproduced faithfully here.
+//! exactly the events the instrumented relays would see — a
+//! Poisson/binomial thinning of the network-wide truth. That preserves
+//! the measured semantics because every estimator consumes only
+//! observed events plus the observation fraction, and both are
+//! reproduced faithfully here.
+//!
+//! The kernels are crate-private methods on [`StreamSim`]: each draws
+//! one partition's slice of a mean-split source, or a replayed source's
+//! whole base sequence, from the RNG it is handed. [`crate::stream`]
+//! owns seeding and sharding and is the only caller; its six
+//! `StreamSim` builders are the public surface.
 //!
 //! All generators take a `scale` in (0, 1]: totals are multiplied by it
 //! so tests can run the identical pipeline at 1/1000 scale. Experiments
@@ -16,18 +22,16 @@
 use crate::events::{AddrKind, DescFetchOutcome, PortClass, RendOutcome, TorEvent};
 use crate::geo::GeoDb;
 use crate::ids::{CountryCode, IpAddr, OnionAddr, RelayId};
-use crate::sites::SiteList;
+use crate::stream::StreamSim;
 use crate::workload::{ClientTruth, DomainSampler, ExitTruth, OnionTruth};
 use pm_dp::mechanism::sample_gaussian;
 use pm_stats::sampling::{AliasTable, ZipfSampler};
 use rand::Rng;
 
-/// The sampled-observation generator.
-/// Pre-built per-country sampling tables for
-/// [`SampledSim::client_traffic_with`]: the expensive, site-independent
-/// setup (three alias tables over ~250 countries), built once and
-/// shared across shards/partitions.
-pub struct ClientTrafficTables {
+/// Pre-built per-country sampling tables for the client-traffic
+/// kernel: the expensive setup (three alias tables over ~250
+/// countries), built once per stream and shared across partitions.
+pub(crate) struct ClientTrafficTables {
     countries: Vec<CountryCode>,
     conn_alias: AliasTable,
     circ_alias: AliasTable,
@@ -36,7 +40,7 @@ pub struct ClientTrafficTables {
 
 impl ClientTrafficTables {
     /// Builds the samplers for the three statistics.
-    pub fn new(geo: &GeoDb, truth: &ClientTruth) -> ClientTrafficTables {
+    pub(crate) fn new(geo: &GeoDb, truth: &ClientTruth) -> ClientTrafficTables {
         let countries: Vec<CountryCode> = geo.countries().collect();
         let conn_w: Vec<f64> = countries.iter().map(|c| geo.share(*c)).collect();
         let boost = |boosts: &[(CountryCode, f64)], c: CountryCode| -> f64 {
@@ -63,15 +67,6 @@ impl ClientTrafficTables {
             countries,
         }
     }
-}
-
-pub struct SampledSim<'a> {
-    /// Site universe for domain events.
-    pub sites: &'a SiteList,
-    /// Geo database for client IPs.
-    pub geo: &'a GeoDb,
-    /// Instrumented relays to attribute events to (round-robin).
-    pub relays: Vec<RelayId>,
 }
 
 /// Draws a Poisson(mean) count. Means ≥ 50 use the normal
@@ -127,13 +122,35 @@ pub fn binomial_approx<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     draw.clamp(0.0, n as f64).round() as u64
 }
 
-impl<'a> SampledSim<'a> {
-    /// Creates a generator attributing events to `relays`.
-    pub fn new(sites: &'a SiteList, geo: &'a GeoDb, relays: Vec<RelayId>) -> SampledSim<'a> {
-        assert!(!relays.is_empty());
-        SampledSim { sites, geo, relays }
-    }
+/// Whether a synthetic onion address is in the public (ahmia-like)
+/// index, matching the parity scheme of the HSDir fetch generator.
+pub fn is_public_address(addr_index: u64) -> bool {
+    addr_index.is_multiple_of(2) && addr_index < 1_000_000_000
+}
 
+/// Draws the observed-address support for fetch generation: which of
+/// the network's fetched addresses have one of our relays in their
+/// responsible HSDir set (`addr_observe_prob` is `1 − (1−w)^6` for v2).
+/// A stream draws it once, from its dedicated support RNG, and shares
+/// it across partitions.
+pub(crate) fn fetch_support<R: Rng + ?Sized>(
+    truth: &OnionTruth,
+    addr_observe_prob: f64,
+    scale: f64,
+    rng: &mut R,
+) -> Vec<u64> {
+    let universe = (truth.fetched_addresses as f64 * scale) as u64;
+    let mut observed: Vec<u64> = Vec::new();
+    for idx in 0..universe {
+        if rng.gen::<f64>() < addr_observe_prob {
+            observed.push(idx);
+        }
+    }
+    observed
+}
+
+impl StreamSim {
+    /// Events are attributed to the instrumented relays round-robin.
     fn relay_for(&self, i: u64) -> RelayId {
         self.relays[(i % self.relays.len() as u64) as usize]
     }
@@ -141,27 +158,12 @@ impl<'a> SampledSim<'a> {
     /// Generates exit-stream events observed at `fraction` of exit
     /// weight. When `only_initial` is set, subsequent (non-initial)
     /// streams are skipped — used by domain experiments that never read
-    /// them (the full Figure 1 run keeps them).
-    pub fn exit_streams<R: Rng + ?Sized>(
+    /// them (the full Figure 1 run keeps them). `sampler` must have been
+    /// built over `self.sites`.
+    #[allow(clippy::too_many_arguments)] // one partition's parameters plus the shared sampler
+    pub(crate) fn exit_streams_part<R: Rng + ?Sized>(
         &self,
-        truth: &ExitTruth,
-        fraction: f64,
-        scale: f64,
-        only_initial: bool,
-        rng: &mut R,
-        f: impl FnMut(TorEvent),
-    ) {
-        let sampler = DomainSampler::new(self.sites, &truth.mix);
-        self.exit_streams_with(&sampler, truth, fraction, scale, only_initial, rng, f);
-    }
-
-    /// [`Self::exit_streams`] with a caller-built [`DomainSampler`], so
-    /// sharded generation can amortize the alias-table construction
-    /// across many partitions (see [`crate::stream`]).
-    #[allow(clippy::too_many_arguments)] // mirrors exit_streams plus the shared sampler
-    pub fn exit_streams_with<R: Rng + ?Sized>(
-        &self,
-        sampler: &DomainSampler<'_>,
+        sampler: &DomainSampler,
         truth: &ExitTruth,
         fraction: f64,
         scale: f64,
@@ -201,7 +203,7 @@ impl<'a> SampledSim<'a> {
                 PortClass::Web
             };
             let domain = if addr == AddrKind::Hostname && port == PortClass::Web {
-                Some(sampler.sample(rng))
+                Some(sampler.sample(&self.sites, rng))
             } else {
                 None
             };
@@ -218,22 +220,7 @@ impl<'a> SampledSim<'a> {
     /// Generates entry-side traffic events (connections, circuits,
     /// bytes) for Table 4 and Figure 4. `fraction` is the guard
     /// selection probability of the instrumented relays.
-    pub fn client_traffic<R: Rng + ?Sized>(
-        &self,
-        truth: &ClientTruth,
-        fraction: f64,
-        scale: f64,
-        rng: &mut R,
-        f: impl FnMut(TorEvent),
-    ) {
-        let tables = ClientTrafficTables::new(self.geo, truth);
-        self.client_traffic_with(&tables, truth, fraction, scale, rng, f);
-    }
-
-    /// [`Self::client_traffic`] with pre-built sampling tables, so
-    /// sharded generation amortizes the per-country alias construction
-    /// across partitions (see [`crate::stream`]).
-    pub fn client_traffic_with<R: Rng + ?Sized>(
+    pub(crate) fn client_traffic_part<R: Rng + ?Sized>(
         &self,
         tables: &ClientTrafficTables,
         truth: &ClientTruth,
@@ -297,15 +284,15 @@ impl<'a> SampledSim<'a> {
     /// `observe_prob` is `1 − (1−w)^g` for selective clients (computed
     /// by the caller from the relay subset's weight); promiscuous
     /// clients are always observed.
-    pub fn client_ips<R: Rng + ?Sized>(
+    pub(crate) fn client_ips_base<R: Rng + ?Sized>(
         &self,
         truth: &ClientTruth,
         observe_prob: f64,
         scale: f64,
         day: u64,
         rng: &mut R,
-        mut f: impl FnMut(TorEvent),
-    ) {
+    ) -> Vec<TorEvent> {
+        let mut events = Vec::new();
         let selective = (truth.selective_ips as f64 * scale) as u64;
         let promiscuous = (truth.promiscuous_ips as f64 * scale).ceil() as u64;
         let n_selective_observed = binomial_approx(selective, observe_prob, rng);
@@ -315,8 +302,8 @@ impl<'a> SampledSim<'a> {
             0xC1A0 ^ (scale.to_bits()),
         );
         let mut i = 0u64;
-        for ip in churn.ips_for_day(day, self.geo) {
-            f(TorEvent::EntryConnection {
+        for ip in churn.ips_for_day(day, &self.geo) {
+            events.push(TorEvent::EntryConnection {
                 relay: self.relay_for(i),
                 client_ip: ip,
             });
@@ -327,24 +314,25 @@ impl<'a> SampledSim<'a> {
         for p in 0..promiscuous {
             let mut prng = rand::rngs::StdRng::seed_from_u64(0xBEEF ^ p);
             let ip = self.geo.sample_ip(&mut prng);
-            f(TorEvent::EntryConnection {
+            events.push(TorEvent::EntryConnection {
                 relay: self.relay_for(i + p),
                 client_ip: ip,
             });
         }
+        events
     }
 
     /// Generates HSDir descriptor-publish events (Table 6). The caller
     /// supplies the address-level observation probability (for v2
     /// publishes: `1 − (1−w)^2`, the replica-level extrapolation §6.1).
-    pub fn hsdir_publishes<R: Rng + ?Sized>(
+    pub(crate) fn hsdir_publishes_base<R: Rng + ?Sized>(
         &self,
         truth: &OnionTruth,
         observe_prob: f64,
         scale: f64,
         rng: &mut R,
-        mut f: impl FnMut(TorEvent),
-    ) {
+    ) -> Vec<TorEvent> {
+        let mut events = Vec::new();
         let universe = (truth.published_addresses as f64 * scale) as u64;
         let mut i = 0u64;
         for idx in 0..universe {
@@ -355,58 +343,21 @@ impl<'a> SampledSim<'a> {
             // Publishes land on the holder relay(s); at least one event.
             let n = poisson_approx(truth.publishes_per_address / 6.0, rng).max(1);
             for _ in 0..n {
-                f(TorEvent::HsDescPublish {
+                events.push(TorEvent::HsDescPublish {
                     relay: self.relay_for(i),
                     addr,
                 });
                 i += 1;
             }
         }
+        events
     }
 
-    /// Generates HSDir descriptor-fetch events (Tables 6 and 7).
-    ///
-    /// * `event_fraction` — fraction of network fetch *events* seen
-    ///   (the HSDir fetch weight);
-    /// * `addr_observe_prob` — probability an address's responsible set
-    ///   includes one of our relays (`1 − (1−w)^6` for v2).
-    pub fn hsdir_fetches<R: Rng + ?Sized>(
-        &self,
-        truth: &OnionTruth,
-        event_fraction: f64,
-        addr_observe_prob: f64,
-        scale: f64,
-        rng: &mut R,
-        f: impl FnMut(TorEvent),
-    ) {
-        let observed = Self::fetch_support(truth, addr_observe_prob, scale, rng);
-        self.hsdir_fetch_events(truth, &observed, event_fraction, scale, rng, f);
-    }
-
-    /// Draws the observed-address support for fetch generation: which of
-    /// the network's fetched addresses have one of our relays in their
-    /// responsible HSDir set. Split out so sharded generation
-    /// ([`crate::stream`]) can derive the support once from a dedicated
-    /// RNG and share it across shards.
-    pub fn fetch_support<R: Rng + ?Sized>(
-        truth: &OnionTruth,
-        addr_observe_prob: f64,
-        scale: f64,
-        rng: &mut R,
-    ) -> Vec<u64> {
-        let universe = (truth.fetched_addresses as f64 * scale) as u64;
-        let mut observed: Vec<u64> = Vec::new();
-        for idx in 0..universe {
-            if rng.gen::<f64>() < addr_observe_prob {
-                observed.push(idx);
-            }
-        }
-        observed
-    }
-
-    /// Generates fetch events over a precomputed observed-address
-    /// support (see [`Self::fetch_support`]).
-    pub fn hsdir_fetch_events<R: Rng + ?Sized>(
+    /// Generates HSDir descriptor-fetch events (Tables 6 and 7) over
+    /// the observed-address support [`fetch_support`] drew.
+    /// `event_fraction` is the fraction of network fetch *events* seen
+    /// (the HSDir fetch weight).
+    pub(crate) fn hsdir_fetches_part<R: Rng + ?Sized>(
         &self,
         truth: &OnionTruth,
         observed: &[u64],
@@ -465,15 +416,9 @@ impl<'a> SampledSim<'a> {
         }
     }
 
-    /// Whether a synthetic onion address is in the public (ahmia-like)
-    /// index, matching the generation scheme in [`Self::hsdir_fetches`].
-    pub fn is_public_address(addr_index: u64) -> bool {
-        addr_index.is_multiple_of(2) && addr_index < 1_000_000_000
-    }
-
     /// Generates rendezvous-circuit events (Table 8). `fraction` is the
     /// rendezvous selection weight of the instrumented relays.
-    pub fn rendezvous<R: Rng + ?Sized>(
+    pub(crate) fn rendezvous_part<R: Rng + ?Sized>(
         &self,
         truth: &OnionTruth,
         fraction: f64,
@@ -511,19 +456,21 @@ impl<'a> SampledSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sites::SiteListConfig;
+    use crate::sites::{SiteList, SiteListConfig};
     use crate::workload::Workload;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
-    fn setup() -> (SiteList, GeoDb) {
+    /// The kernels draw only from the RNG a test hands them; the
+    /// builder's own seed is never read here.
+    fn setup(relays: Vec<RelayId>) -> StreamSim {
         let sites = SiteList::new(SiteListConfig {
             alexa_size: 20_000,
             long_tail_size: 100_000,
             seed: 5,
         });
-        let geo = GeoDb::paper_default();
-        (sites, geo)
+        StreamSim::new(Arc::new(sites), Arc::new(GeoDb::paper_default()), relays, 0)
     }
 
     #[test]
@@ -583,14 +530,14 @@ mod tests {
 
     #[test]
     fn exit_stream_totals_scale() {
-        let (sites, geo) = setup();
-        let sim = SampledSim::new(&sites, &geo, vec![RelayId(0), RelayId(1)]);
+        let sim = setup(vec![RelayId(0), RelayId(1)]);
         let truth = Workload::paper_default().exit;
+        let sampler = DomainSampler::new(&sim.sites, &truth.mix);
         let mut rng = StdRng::seed_from_u64(2);
         let mut total = 0u64;
         let mut initial = 0u64;
         // 1.5% weight at 1e-4 scale → expect ~3000 streams.
-        sim.exit_streams(&truth, 0.015, 1e-4, false, &mut rng, |ev| {
+        sim.exit_streams_part(&sampler, &truth, 0.015, 1e-4, false, &mut rng, |ev| {
             if let TorEvent::ExitStream { initial: init, .. } = ev {
                 total += 1;
                 if init {
@@ -606,15 +553,16 @@ mod tests {
 
     #[test]
     fn client_traffic_countries_weighted() {
-        let (sites, geo) = setup();
-        let sim = SampledSim::new(&sites, &geo, vec![RelayId(0)]);
+        let sim = setup(vec![RelayId(0)]);
         let truth = Workload::paper_default().clients;
+        let tables = ClientTrafficTables::new(&sim.geo, &truth);
+        let geo = &sim.geo;
         let mut rng = StdRng::seed_from_u64(3);
         let mut conn_us = 0u64;
         let mut conn = 0u64;
         let mut circ_ae = 0u64;
         let mut circ = 0u64;
-        sim.client_traffic(&truth, 0.0144, 8e-4, &mut rng, |ev| match ev {
+        sim.client_traffic_part(&tables, &truth, 0.0144, 8e-4, &mut rng, |ev| match ev {
             TorEvent::EntryConnection { client_ip, .. } => {
                 conn += 1;
                 if geo.country_of(client_ip) == CountryCode::new("US") {
@@ -639,17 +587,16 @@ mod tests {
 
     #[test]
     fn client_ips_unique_pool_size() {
-        let (sites, geo) = setup();
-        let sim = SampledSim::new(&sites, &geo, vec![RelayId(0)]);
+        let sim = setup(vec![RelayId(0)]);
         let truth = Workload::paper_default().clients;
         let mut rng = StdRng::seed_from_u64(4);
         let observe = 1.0 - (1.0f64 - 0.0119).powi(3);
         let mut ips = std::collections::HashSet::new();
-        sim.client_ips(&truth, observe, 1e-2, 0, &mut rng, |ev| {
+        for ev in sim.client_ips_base(&truth, observe, 1e-2, 0, &mut rng) {
             if let TorEvent::EntryConnection { client_ip, .. } = ev {
                 ips.insert(client_ip);
             }
-        });
+        }
         // Expected: 11e6×0.01×0.0354 + 185 ≈ 3.9k + 185.
         let expect = 11.0e6 * 1e-2 * observe + 185.0;
         let got = ips.len() as f64;
@@ -661,8 +608,7 @@ mod tests {
 
     #[test]
     fn hsdir_fetch_failure_rate() {
-        let (sites, geo) = setup();
-        let sim = SampledSim::new(&sites, &geo, vec![RelayId(0)]);
+        let sim = setup(vec![RelayId(0)]);
         let truth = Workload::paper_default().onion;
         let mut rng = StdRng::seed_from_u64(5);
         let mut success = 0u64;
@@ -670,9 +616,9 @@ mod tests {
         // 1e-2 scale keeps the observed-address support comfortably
         // non-empty (at 1e-3 the Binomial(60, 0.0276) support is empty
         // ~19% of the time) and the fail-rate sd inside the tolerance.
-        sim.hsdir_fetches(&truth, 0.00465, 0.0276, 1e-2, &mut rng, |ev| {
-            if let TorEvent::HsDescFetch { outcome, addr, .. } = ev {
-                let _ = addr;
+        let observed = fetch_support(&truth, 0.0276, 1e-2, &mut rng);
+        sim.hsdir_fetches_part(&truth, &observed, 0.00465, 1e-2, &mut rng, |ev| {
+            if let TorEvent::HsDescFetch { outcome, .. } = ev {
                 match outcome {
                     DescFetchOutcome::Success => success += 1,
                     _ => fail += 1,
@@ -685,14 +631,13 @@ mod tests {
 
     #[test]
     fn rendezvous_outcomes_and_payload() {
-        let (sites, geo) = setup();
-        let sim = SampledSim::new(&sites, &geo, vec![RelayId(0)]);
+        let sim = setup(vec![RelayId(0)]);
         let truth = Workload::paper_default().onion;
         let mut rng = StdRng::seed_from_u64(6);
         let mut n = 0u64;
         let mut active = 0u64;
         let mut payload = 0u64;
-        sim.rendezvous(&truth, 0.0088, 1e-3, &mut rng, |ev| {
+        sim.rendezvous_part(&truth, 0.0088, 1e-3, &mut rng, |ev| {
             if let TorEvent::RendCircuit {
                 outcome,
                 payload_bytes,
@@ -718,17 +663,16 @@ mod tests {
 
     #[test]
     fn publish_unique_addresses() {
-        let (sites, geo) = setup();
-        let sim = SampledSim::new(&sites, &geo, vec![RelayId(0)]);
+        let sim = setup(vec![RelayId(0)]);
         let truth = Workload::paper_default().onion;
         let mut rng = StdRng::seed_from_u64(7);
         let observe = 1.0 - (1.0f64 - 0.0275).powi(2);
         let mut addrs = std::collections::HashSet::new();
-        sim.hsdir_publishes(&truth, observe, 0.1, &mut rng, |ev| {
+        for ev in sim.hsdir_publishes_base(&truth, observe, 0.1, &mut rng) {
             if let TorEvent::HsDescPublish { addr, .. } = ev {
                 addrs.insert(addr);
             }
-        });
+        }
         let expect = 70_826.0 * 0.1 * observe;
         let got = addrs.len() as f64;
         assert!(

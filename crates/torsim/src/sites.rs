@@ -8,7 +8,7 @@
 //! families (e.g. the 212-site google family), and a long tail of
 //! non-Alexa domains. All measurement code consumes domains only through
 //! set membership, so structure — not real names — is what matters
-//! (DESIGN.md §4).
+//! (the same argument [`crate::sampled`] makes for event volumes).
 //!
 //! Names are derived on demand from the domain id, so a 1M-site universe
 //! costs only the family map.
@@ -214,11 +214,6 @@ impl SiteList {
             family_by_rank,
             tld_cdf,
         }
-    }
-
-    /// Builds with the paper-scale default configuration.
-    pub fn paper_scale() -> SiteList {
-        SiteList::new(SiteListConfig::default())
     }
 
     /// Universe configuration.

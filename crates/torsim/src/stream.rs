@@ -14,23 +14,29 @@
 //!
 //! # How invariance is achieved
 //!
-//! Two construction schemes, chosen per source:
+//! Two construction schemes, chosen per source, each defined once:
 //!
-//! * **Partitioned generation** — the stream is divided into a *fixed*
-//!   number of logical partitions ([`PARTITIONS`]), independent of `K`.
-//!   Partition `p` draws from its own RNG seeded by
-//!   `derive_seed(seed, "<label>/part<p>")` and generates `1/PARTITIONS`
-//!   of the configured mean volume (Poisson thinning: a
-//!   `Poisson(λ)` total is distributed identically to the sum of
-//!   `PARTITIONS` independent `Poisson(λ/PARTITIONS)` draws). Shard `j`
-//!   of `K` runs partitions `{p : p ≡ j (mod K)}` in ascending order,
-//!   so the union over shards is the same set of partitions — hence the
-//!   same events — for every `K`. Used for the high-volume streams
-//!   (exit streams, client traffic, rendezvous, HSDir fetches), where
-//!   generation itself is the hot path.
-//! * **Replayed generation** — sources whose output is a single
-//!   deterministic sequence with *union semantics over a shared
-//!   universe* (the unique-client-IP pool, the published-address
+//! * **Partitioned generation** (`partitioned_stream`) — the stream is
+//!   divided into a *fixed* number of logical partitions
+//!   ([`PARTITIONS`]), independent of `K`, and shard `j` of `K` runs
+//!   partitions `{p : p ≡ j (mod K)}` in ascending order, so the union
+//!   over shards is the same set of partitions — hence the same events
+//!   — for every `K`. In a [`StreamSim`] source, partition `p` draws
+//!   from its own RNG seeded by `derive_seed(seed, "<label>/part<p>")`
+//!   and generates `1/PARTITIONS` of the configured mean volume
+//!   (Poisson thinning: a `Poisson(λ)` total is distributed identically
+//!   to the sum of `PARTITIONS` independent `Poisson(λ/PARTITIONS)`
+//!   draws). Used for the high-volume streams (exit streams, client
+//!   traffic, rendezvous, HSDir fetches), where generation itself is
+//!   the hot path, and by the `full` simulation mode:
+//!   [`crate::full::FullSim::stream_day`] partitions clients,
+//!   descriptor fetches, rendezvous circuits and service publishes the
+//!   same way, with per-partition counts/paths RNGs and ground truth
+//!   accumulated per partition under an associative merge (see
+//!   `torsim::full` module docs).
+//! * **Replayed generation** (`replayed_stream`) — sources whose output
+//!   is a single deterministic sequence with *union semantics over a
+//!   shared universe* (the unique-client-IP pool, the published-address
 //!   universe) cannot be mean-split without changing what "unique"
 //!   means. The base sequence is generated **once per stream** (the
 //!   first shard to run materializes it into a shared memo; the
@@ -42,33 +48,27 @@
 //!   smaller than the stream sources, so holding one materialized copy
 //!   is cheap.
 //!
-//! Sources that need shared randomness across shards (the fetch
-//! support, the client-IP pool size) draw it from a *dedicated* RNG
-//! seeded by `derive_seed(seed, "<label>/support")`, recomputed
-//! identically inside every shard so no shard ordering can perturb it.
+//! Randomness a source shares across its shards (the fetch support, the
+//! client-IP pool) comes from a *dedicated* RNG seeded by
+//! `derive_seed(seed, "<label>/support")` and is memoized once per
+//! stream, so no shard ordering can perturb it.
 //!
-//! The `full` simulation mode generates natively sharded streams with
-//! the same contract: [`crate::full::FullSim::stream_day`] partitions
-//! clients, descriptor fetches, rendezvous circuits, and service
-//! publishes across the fixed [`PARTITIONS`] with per-partition
-//! counts/paths RNGs, and accumulates ground truth per partition with
-//! an associative merge (see `torsim::full` module docs).
 //! [`EventStream::from_events`] remains as a generic adapter for
 //! already-materialized event lists (fixtures, replayed captures).
 
 use crate::events::TorEvent;
 use crate::geo::GeoDb;
 use crate::ids::RelayId;
-use crate::sampled::{ClientTrafficTables, SampledSim};
+use crate::sampled::{fetch_support, ClientTrafficTables};
 use crate::sites::SiteList;
-use crate::workload::{ClientTruth, DomainSampler, DomainSamplerTables, ExitTruth, OnionTruth};
+use crate::workload::{ClientTruth, DomainSampler, ExitTruth, OnionTruth};
 use pm_stats::sampling::derive_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, OnceLock};
 
-/// Fixed partition count for mean-split sources. Constant across shard
-/// counts by design: shard `j` of `K` owns partitions `p ≡ j (mod K)`.
+/// Fixed partition count for mean-split sources, constant across shard
+/// counts by design (see module docs).
 pub const PARTITIONS: usize = 64;
 
 /// One shard's deferred generator.
@@ -218,8 +218,9 @@ impl EventStream {
     }
 }
 
-/// Builds sharded [`EventStream`]s over the sampled-observation model —
-/// the streaming counterpart of [`SampledSim`].
+/// Builds sharded [`EventStream`]s over the sampled-observation model
+/// (the paper-scale mode): each builder seeds and shards one of the
+/// generation kernels in [`crate::sampled`].
 #[derive(Clone)]
 pub struct StreamSim {
     /// Site universe for domain events.
@@ -232,12 +233,32 @@ pub struct StreamSim {
     pub seed: u64,
 }
 
-/// The partition indices a shard owns, in ascending order — the single
-/// definition of the ownership rule `p ≡ shard (mod num_shards)`, used
-/// by every sharded source (the `StreamSim` sources and the full mode)
-/// so the modes cannot diverge on it.
-pub(crate) fn shard_partitions(shard: usize, num_shards: usize) -> impl Iterator<Item = usize> {
-    (0..PARTITIONS).filter(move |p| p % num_shards == shard)
+/// Builds a partitioned-generation stream (mean-split sources — see
+/// module docs): `run(p, sink)` emits logical partition `p`'s events,
+/// and shard `j` of `K` runs the partitions `p ≡ j (mod K)` in
+/// ascending order. This is the single definition of that ownership
+/// rule: every mean-split `StreamSim` source and the full mode's
+/// [`crate::full::FullSim::stream_day`] are built here, so the modes
+/// cannot diverge on it.
+pub(crate) fn partitioned_stream(
+    shards: usize,
+    run: impl Fn(usize, &mut dyn FnMut(TorEvent)) + Send + Sync + 'static,
+) -> EventStream {
+    let shards = shards.clamp(1, PARTITIONS);
+    let run = Arc::new(run);
+    EventStream::from_shards(
+        (0..shards)
+            .map(|j| {
+                let run = Arc::clone(&run);
+                let f: ShardFn = Box::new(move |sink| {
+                    for p in (j..PARTITIONS).step_by(shards) {
+                        run(p, sink);
+                    }
+                });
+                f
+            })
+            .collect(),
+    )
 }
 
 /// Builds a replayed-generation stream (union-semantics sources — see
@@ -293,9 +314,11 @@ impl StreamSim {
         StdRng::seed_from_u64(derive_seed(self.seed, &format!("{label}/support")))
     }
 
-    /// Sharded [`SampledSim::exit_streams`]: each shard builds the
-    /// domain sampler once and generates its partitions' share of the
-    /// Poisson volume.
+    /// Exit streams observed at `fraction` of exit weight, partitioned.
+    /// With `only_initial`, subsequent (non-initial) streams are skipped
+    /// — for domain experiments that never read them. The domain
+    /// sampler's alias tables are its only expensive part: one build
+    /// serves every shard and partition.
     pub fn exit_streams(
         &self,
         truth: &ExitTruth,
@@ -305,43 +328,26 @@ impl StreamSim {
         shards: usize,
         label: &str,
     ) -> EventStream {
-        let shards = shards.clamp(1, PARTITIONS);
+        let (this, truth, label) = (self.clone(), truth.clone(), label.to_string());
+        let sampler = DomainSampler::new(&self.sites, &truth.mix);
         let per_part = scale / PARTITIONS as f64;
-        // One alias-table build shared by every shard: the tables are the
-        // sampler's only expensive part, and rebuilding them per shard
-        // would put a K-proportional serial cost in front of the
-        // parallel section.
-        let tables = Arc::new(DomainSamplerTables::new(&self.sites, &truth.mix));
-        EventStream::from_shards(
-            (0..shards)
-                .map(|j| {
-                    let this = self.clone();
-                    let truth = truth.clone();
-                    let label = label.to_string();
-                    let tables = Arc::clone(&tables);
-                    let f: ShardFn = Box::new(move |sink| {
-                        let sim = SampledSim::new(&this.sites, &this.geo, this.relays.clone());
-                        let sampler = DomainSampler::with_tables(&this.sites, tables);
-                        for p in shard_partitions(j, shards) {
-                            let mut rng = this.partition_rng(&label, p);
-                            sim.exit_streams_with(
-                                &sampler,
-                                &truth,
-                                fraction,
-                                per_part,
-                                only_initial,
-                                &mut rng,
-                                &mut *sink,
-                            );
-                        }
-                    });
-                    f
-                })
-                .collect(),
-        )
+        partitioned_stream(shards, move |p, sink| {
+            let mut rng = this.partition_rng(&label, p);
+            this.exit_streams_part(
+                &sampler,
+                &truth,
+                fraction,
+                per_part,
+                only_initial,
+                &mut rng,
+                sink,
+            );
+        })
     }
 
-    /// Sharded [`SampledSim::client_traffic`].
+    /// Entry-side traffic (connections, circuits, bytes) at guard
+    /// selection probability `fraction`, partitioned; like the exit
+    /// sampler, the per-country alias tables are built once.
     pub fn client_traffic(
         &self,
         truth: &ClientTruth,
@@ -350,34 +356,17 @@ impl StreamSim {
         shards: usize,
         label: &str,
     ) -> EventStream {
-        let shards = shards.clamp(1, PARTITIONS);
+        let (this, truth, label) = (self.clone(), truth.clone(), label.to_string());
+        let tables = ClientTrafficTables::new(&self.geo, &truth);
         let per_part = scale / PARTITIONS as f64;
-        // Like exit_streams' sampler tables: one per-country alias build
-        // shared by every shard and partition.
-        let tables = Arc::new(ClientTrafficTables::new(&self.geo, truth));
-        EventStream::from_shards(
-            (0..shards)
-                .map(|j| {
-                    let this = self.clone();
-                    let truth = truth.clone();
-                    let label = label.to_string();
-                    let tables = Arc::clone(&tables);
-                    let f: ShardFn = Box::new(move |sink| {
-                        let sim = SampledSim::new(&this.sites, &this.geo, this.relays.clone());
-                        for p in shard_partitions(j, shards) {
-                            let mut rng = this.partition_rng(&label, p);
-                            sim.client_traffic_with(
-                                &tables, &truth, fraction, per_part, &mut rng, &mut *sink,
-                            );
-                        }
-                    });
-                    f
-                })
-                .collect(),
-        )
+        partitioned_stream(shards, move |p, sink| {
+            let mut rng = this.partition_rng(&label, p);
+            this.client_traffic_part(&tables, &truth, fraction, per_part, &mut rng, sink);
+        })
     }
 
-    /// Sharded [`SampledSim::rendezvous`].
+    /// Rendezvous circuits at rendezvous selection weight `fraction`,
+    /// partitioned.
     pub fn rendezvous(
         &self,
         truth: &OnionTruth,
@@ -386,32 +375,21 @@ impl StreamSim {
         shards: usize,
         label: &str,
     ) -> EventStream {
-        let shards = shards.clamp(1, PARTITIONS);
+        let (this, truth, label) = (self.clone(), truth.clone(), label.to_string());
         let per_part = scale / PARTITIONS as f64;
-        EventStream::from_shards(
-            (0..shards)
-                .map(|j| {
-                    let this = self.clone();
-                    let truth = truth.clone();
-                    let label = label.to_string();
-                    let f: ShardFn = Box::new(move |sink| {
-                        let sim = SampledSim::new(&this.sites, &this.geo, this.relays.clone());
-                        for p in shard_partitions(j, shards) {
-                            let mut rng = this.partition_rng(&label, p);
-                            sim.rendezvous(&truth, fraction, per_part, &mut rng, &mut *sink);
-                        }
-                    });
-                    f
-                })
-                .collect(),
-        )
+        partitioned_stream(shards, move |p, sink| {
+            let mut rng = this.partition_rng(&label, p);
+            this.rendezvous_part(&truth, fraction, per_part, &mut rng, sink);
+        })
     }
 
-    /// Sharded [`SampledSim::hsdir_fetches`]. The observed-address
-    /// support is drawn from a dedicated support RNG and recomputed
-    /// identically inside every shard, so the success stream covers the
-    /// same support regardless of `K`; event volumes mean-split across
-    /// partitions.
+    /// HSDir descriptor fetches, partitioned: `event_fraction` of the
+    /// network's fetch events, mean-split across partitions, over the
+    /// addresses whose responsible set includes one of our relays
+    /// (`addr_observe_prob`, `1 − (1−w)^6` for v2). That support is
+    /// shared randomness: the first partition to run draws it from the
+    /// dedicated support RNG and every other one reads the memo, so the
+    /// success stream covers the same support regardless of `K`.
     pub fn hsdir_fetches(
         &self,
         truth: &OnionTruth,
@@ -421,41 +399,27 @@ impl StreamSim {
         shards: usize,
         label: &str,
     ) -> EventStream {
-        let shards = shards.clamp(1, PARTITIONS);
-        let per_part_events = 1.0 / PARTITIONS as f64;
-        EventStream::from_shards(
-            (0..shards)
-                .map(|j| {
-                    let this = self.clone();
-                    let truth = truth.clone();
-                    let label = label.to_string();
-                    let f: ShardFn = Box::new(move |sink| {
-                        let sim = SampledSim::new(&this.sites, &this.geo, this.relays.clone());
-                        let mut srng = this.support_rng(&label);
-                        let observed =
-                            SampledSim::fetch_support(&truth, addr_observe_prob, scale, &mut srng);
-                        for p in shard_partitions(j, shards) {
-                            let mut rng = this.partition_rng(&label, p);
-                            sim.hsdir_fetch_events(
-                                &truth,
-                                &observed,
-                                event_fraction * per_part_events,
-                                scale,
-                                &mut rng,
-                                &mut *sink,
-                            );
-                        }
-                    });
-                    f
-                })
-                .collect(),
-        )
+        let (this, truth, label) = (self.clone(), truth.clone(), label.to_string());
+        let per_part = event_fraction / PARTITIONS as f64;
+        let support = OnceLock::new();
+        partitioned_stream(shards, move |p, sink| {
+            let observed = support.get_or_init(|| {
+                fetch_support(
+                    &truth,
+                    addr_observe_prob,
+                    scale,
+                    &mut this.support_rng(&label),
+                )
+            });
+            let mut rng = this.partition_rng(&label, p);
+            this.hsdir_fetches_part(&truth, observed, per_part, scale, &mut rng, sink);
+        })
     }
 
-    /// Sharded [`SampledSim::client_ips`]: replayed generation (the
-    /// unique-IP pool has union semantics over a shared universe — see
-    /// module docs). The pool is generated once from its dedicated RNG
-    /// and memoized; shard `j` keeps events with index `≡ j (mod K)`.
+    /// The unique-client-IP pool seen with probability `observe_prob`
+    /// per selective client on `day`: replayed generation (union
+    /// semantics over a shared universe — see module docs), drawn from
+    /// the dedicated support RNG.
     pub fn client_ips(
         &self,
         truth: &ClientTruth,
@@ -465,22 +429,15 @@ impl StreamSim {
         shards: usize,
         label: &str,
     ) -> EventStream {
-        let this = self.clone();
-        let truth = truth.clone();
-        let label = label.to_string();
+        let (this, truth, label) = (self.clone(), truth.clone(), label.to_string());
         replayed_stream(shards, move || {
-            let sim = SampledSim::new(&this.sites, &this.geo, this.relays.clone());
             let mut rng = this.support_rng(&label);
-            let mut events = Vec::new();
-            sim.client_ips(&truth, observe_prob, scale, day, &mut rng, |ev| {
-                events.push(ev)
-            });
-            events
+            this.client_ips_base(&truth, observe_prob, scale, day, &mut rng)
         })
     }
 
-    /// Sharded [`SampledSim::hsdir_publishes`]: replayed generation
-    /// (per-address observation over a shared universe), memoized like
+    /// HSDir descriptor publishes with per-address observation
+    /// probability `observe_prob`: replayed generation like
     /// [`Self::client_ips`].
     pub fn hsdir_publishes(
         &self,
@@ -490,15 +447,10 @@ impl StreamSim {
         shards: usize,
         label: &str,
     ) -> EventStream {
-        let this = self.clone();
-        let truth = truth.clone();
-        let label = label.to_string();
+        let (this, truth, label) = (self.clone(), truth.clone(), label.to_string());
         replayed_stream(shards, move || {
-            let sim = SampledSim::new(&this.sites, &this.geo, this.relays.clone());
             let mut rng = this.support_rng(&label);
-            let mut events = Vec::new();
-            sim.hsdir_publishes(&truth, observe_prob, scale, &mut rng, |ev| events.push(ev));
-            events
+            this.hsdir_publishes_base(&truth, observe_prob, scale, &mut rng)
         })
     }
 }
@@ -594,6 +546,31 @@ mod tests {
             1,
             "replayed base must be generated exactly once per stream"
         );
+    }
+
+    #[test]
+    fn partitioned_stream_runs_each_partition_once_ascending() {
+        for k in [1, 3, 64, 100] {
+            let stream = partitioned_stream(k, |p, sink| {
+                sink(TorEvent::EntryConnection {
+                    relay: RelayId(0),
+                    client_ip: crate::ids::IpAddr(p as u32),
+                })
+            });
+            let shards = k.min(PARTITIONS);
+            assert_eq!(stream.num_shards(), shards, "K={k}");
+            // Shard j runs exactly the partitions p ≡ j (mod K), in
+            // ascending order; over all j that is each of the 64 once.
+            for (j, shard) in stream.into_shards().into_iter().enumerate() {
+                let mut ran = Vec::new();
+                shard(&mut |ev| match ev {
+                    TorEvent::EntryConnection { client_ip, .. } => ran.push(client_ip.0 as usize),
+                    other => panic!("unexpected {other:?}"),
+                });
+                let owned: Vec<usize> = (0..PARTITIONS).filter(|p| p % shards == j).collect();
+                assert_eq!(ran, owned, "K={k} shard {j}");
+            }
+        }
     }
 
     #[test]

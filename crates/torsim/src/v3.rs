@@ -45,13 +45,6 @@ pub fn blind(identity: &V3Identity, period: u64) -> BlindedId {
     ]))
 }
 
-/// What an HSDir observes for a v3 publish: only the blinded id.
-/// There is no inverse — this function exists to make the information
-/// flow explicit in simulation code.
-pub fn hsdir_observation(identity: &V3Identity, period: u64) -> BlindedId {
-    blind(identity, period)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,6 @@ use crate::ids::{CountryCode, DomainId};
 use crate::sites::{Family, SiteList};
 use pm_stats::sampling::AliasTable;
 use rand::Rng;
-use std::sync::Arc;
 
 /// Exit-traffic ground truth (§4, Figures 1–3, Table 2).
 #[derive(Clone, Debug)]
@@ -152,18 +151,13 @@ impl DomainMix {
     }
 }
 
-/// A prepared sampler over the domain mix (alias tables are built once;
-/// draws are O(1)).
-pub struct DomainSampler<'a> {
-    sites: &'a SiteList,
-    tables: Arc<DomainSamplerTables>,
-}
-
-/// The expensive, site-*independent* part of a [`DomainSampler`]: alias
-/// tables and category layout. Owned and `Send + Sync`, so one build
-/// can be shared across shard threads (`torsim::stream` builds these
-/// once per stream instead of once per shard).
-pub struct DomainSamplerTables {
+/// A prepared sampler over the domain mix: alias tables and category
+/// layout, built once (draws are O(1)). The tables depend only on the
+/// site universe's *shape* (sizes, families), so the sampler owns no
+/// borrow of the list — it is `Send + Sync`, one build serves every
+/// shard thread of a stream, and [`Self::sample`] takes the site list
+/// per draw.
+pub struct DomainSampler {
     /// Category alias: indexes into `categories`.
     category_alias: AliasTable,
     categories: Vec<Category>,
@@ -183,11 +177,9 @@ enum Category {
     LongTail,
 }
 
-impl DomainSamplerTables {
-    /// Builds the sampling tables for a site universe. The tables
-    /// depend only on the universe's *shape* (sizes, families), not on
-    /// the site list's storage, so they own no borrow of it.
-    pub fn new(sites: &SiteList, mix: &DomainMix) -> DomainSamplerTables {
+impl DomainSampler {
+    /// Builds the sampler for a site universe.
+    pub fn new(sites: &SiteList, mix: &DomainMix) -> DomainSampler {
         let mut categories = Vec::new();
         let mut weights = Vec::new();
 
@@ -250,7 +242,7 @@ impl DomainSamplerTables {
             .collect();
         let long_tail_table = AliasTable::new(&tail_w);
 
-        DomainSamplerTables {
+        DomainSampler {
             category_alias: AliasTable::new(&weights),
             categories,
             set_tables,
@@ -258,52 +250,28 @@ impl DomainSamplerTables {
             long_tail_table,
         }
     }
-}
 
-impl<'a> DomainSampler<'a> {
-    /// Builds the sampler for a site universe.
-    pub fn new(sites: &'a SiteList, mix: &DomainMix) -> DomainSampler<'a> {
-        DomainSampler {
-            sites,
-            tables: Arc::new(DomainSamplerTables::new(sites, mix)),
-        }
-    }
-
-    /// Wraps pre-built tables (they must come from the same site
-    /// universe) — the cheap path shard threads use.
-    pub fn with_tables(sites: &'a SiteList, tables: Arc<DomainSamplerTables>) -> DomainSampler<'a> {
-        DomainSampler { sites, tables }
-    }
-
-    /// Shares this sampler's tables (for reuse via [`Self::with_tables`]).
-    pub fn tables(&self) -> Arc<DomainSamplerTables> {
-        Arc::clone(&self.tables)
-    }
-
-    /// Draws a destination domain.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> DomainId {
-        let t = &*self.tables;
-        match t.categories[t.category_alias.sample(rng)] {
-            Category::Torproject => self.sites.domain_of_rank(Family::Torproject.head_rank()),
-            Category::Head(rank) => self.sites.domain_of_rank(rank),
+    /// Draws a destination domain from `sites`, which must be the
+    /// universe the sampler was built for.
+    pub fn sample<R: Rng + ?Sized>(&self, sites: &SiteList, rng: &mut R) -> DomainId {
+        match self.categories[self.category_alias.sample(rng)] {
+            Category::Torproject => sites.domain_of_rank(Family::Torproject.head_rank()),
+            Category::Head(rank) => sites.domain_of_rank(rank),
             Category::FamilySibling(i) => {
-                let members = &t.family_members[i].1;
-                self.sites
-                    .domain_of_rank(members[rng.gen_range(0..members.len())])
+                let members = &self.family_members[i].1;
+                sites.domain_of_rank(members[rng.gen_range(0..members.len())])
             }
             Category::RankSet(i) => {
                 // set_tables parallel the *retained* rank sets; find it.
-                let pos = t
+                let pos = self
                     .categories
                     .iter()
                     .filter(|c| matches!(c, Category::RankSet(j) if *j < i))
                     .count();
-                let (lo, table) = &t.set_tables[pos];
-                self.sites.domain_of_rank(lo + table.sample(rng) as u64)
+                let (lo, table) = &self.set_tables[pos];
+                sites.domain_of_rank(lo + table.sample(rng) as u64)
             }
-            Category::LongTail => self
-                .sites
-                .long_tail_domain(t.long_tail_table.sample(rng) as u64),
+            Category::LongTail => sites.long_tail_domain(self.long_tail_table.sample(rng) as u64),
         }
     }
 }
@@ -486,7 +454,7 @@ mod tests {
         let mut amazon_fam = 0u64;
         let mut long_tail = 0u64;
         for _ in 0..n {
-            let d = sampler.sample(&mut rng);
+            let d = sampler.sample(&sites, &mut rng);
             if sites.family(d) == Some(Family::Torproject) {
                 torproject += 1;
             }
@@ -517,7 +485,7 @@ mod tests {
         let mut other = 0u64;
         let n = 50_000;
         for _ in 0..n {
-            let d = sampler.sample(&mut rng);
+            let d = sampler.sample(&sites, &mut rng);
             match sites.rank(d) {
                 Some(r) => sets[SiteList::rank_set_index(r)] += 1,
                 None => other += 1,

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Non-test / test Rust line counts per crate — the figure every
-# simplicity PR reports in CHANGES.md ("PR 12's method").
+# Non-test / test Rust line counts and the public API surface per crate
+# — the figures every simplicity PR reports in CHANGES.md ("PR 12's
+# method").
 #
 #   scripts/loc.sh [<parent-rev>]
 #   make loc [PARENT=<rev>]
@@ -8,6 +9,9 @@
 # A file under a `src/` directory contributes its lines before the first
 # `#[cfg(test)]` as non-test lines; the rest of that file, and every
 # .rs file outside `src/` (tests/, examples/, benches/), are test lines.
+# The third column counts fully-`pub` items: non-test lines that open
+# with `pub fn|struct|enum|trait|type|const` (`pub(crate)` and narrower
+# do not count).
 # Units are the directories under crates/ plus "(root)" for the root
 # package's src/, tests/ and examples/; perfbench/ and scripts/ are not
 # counted. With a revision, that tree is exported (git archive: the
@@ -17,7 +21,7 @@ set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
 
-# Prints "unit non-test test" for the tree rooted at $1, sorted by unit.
+# Prints "unit non-test test pub" for the tree rooted at $1, sorted by unit.
 # (The second awk sums the partial tables xargs produces when the file
 # list spans several invocations of the first.)
 count() {
@@ -31,16 +35,17 @@ count() {
             }
             /#\[cfg\(test\)\]/ { in_test = 1 }
             { if (in_src && !in_test) non[unit]++; else test[unit]++ }
-            END { for (u in test) print u, non[u] + 0, test[u] }
-        ' | awk '{ non[$1] += $2; test[$1] += $3 }
-                 END { for (u in non) print u, non[u], test[u] }' | sort)
+            in_src && !in_test && /^[ \t]*pub (fn|struct|enum|trait|type|const) / { api[unit]++ }
+            END { for (u in test) print u, non[u] + 0, test[u], api[u] + 0 }
+        ' | awk '{ non[$1] += $2; test[$1] += $3; api[$1] += $4 }
+                 END { for (u in non) print u, non[u], test[u], api[u] }' | sort)
 }
 
 if [ $# -eq 0 ] || [ -z "$1" ]; then
     count . | awk '
-        BEGIN { printf "%-10s %9s %9s\n", "crate", "non-test", "test" }
-        { printf "%-10s %9d %9d\n", $1, $2, $3; non += $2; test += $3 }
-        END { printf "%-10s %9d %9d\n", "total", non, test }'
+        BEGIN { printf "%-10s %9s %9s %9s\n", "crate", "non-test", "test", "pub items" }
+        { printf "%-10s %9d %9d %9d\n", $1, $2, $3, $4; non += $2; test += $3; api += $4 }
+        END { printf "%-10s %9d %9d %9d\n", "total", non, test, api }'
     exit
 fi
 
@@ -51,11 +56,12 @@ mkdir -p "$parent_dir"
 git archive "$rev" | tar -x -C "$parent_dir"
 
 echo "# parent $(git rev-parse --short "$rev") -> working tree"
-join -a1 -a2 -e0 -o 0,1.2,2.2,1.3,2.3 <(count "$parent_dir") <(count .) | awk '
-    function row(name, n0, n1, t0, t1) {
-        printf "%-10s %7d -> %7d (%+5d) %7d -> %7d (%+5d)\n", name, n0, n1, n1 - n0, t0, t1, t1 - t0
+join -a1 -a2 -e0 -o 0,1.2,2.2,1.3,2.3,1.4,2.4 <(count "$parent_dir") <(count .) | awk '
+    function row(name, n0, n1, t0, t1, a0, a1) {
+        printf "%-10s %7d -> %7d (%+5d) %7d -> %7d (%+5d) %5d -> %5d (%+4d)\n",
+            name, n0, n1, n1 - n0, t0, t1, t1 - t0, a0, a1, a1 - a0
     }
-    BEGIN { printf "%-10s %28s %28s\n", "crate", "non-test", "test" }
-    { row($1, $2, $3, $4, $5); n0 += $2; n1 += $3; t0 += $4; t1 += $5 }
-    END { row("total", n0, n1, t0, t1) }'
+    BEGIN { printf "%-10s %28s %28s %22s\n", "crate", "non-test", "test", "pub items" }
+    { row($1, $2, $3, $4, $5, $6, $7); n0 += $2; n1 += $3; t0 += $4; t1 += $5; a0 += $6; a1 += $7 }
+    END { row("total", n0, n1, t0, t1, a0, a1) }'
 rm -rf "$parent_dir"

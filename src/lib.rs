@@ -3,8 +3,8 @@
 //!
 //! This root crate re-exports the workspace members and hosts the
 //! runnable examples (`examples/`) and cross-crate integration tests
-//! (`tests/`). See `README.md` for a tour and `DESIGN.md` for the system
-//! inventory.
+//! (`tests/`). The design lives in the member crates' docs: start at
+//! `torstudy` (the study) and `torsim` (the simulated network).
 //!
 //! ## Determinism contract
 //!

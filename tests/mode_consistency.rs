@@ -11,8 +11,8 @@ use torsim::full::{FullSim, FullSimConfig};
 use torsim::geo::GeoDb;
 use torsim::ids::RelayId;
 use torsim::relay::{Consensus, Position};
-use torsim::sampled::SampledSim;
 use torsim::sites::{SiteList, SiteListConfig};
+use torsim::stream::StreamSim;
 use torsim::workload::{DomainMix, ExitTruth};
 
 #[test]
@@ -63,12 +63,11 @@ fn sampled_mode_matches_full_mode_inference() {
         other_port_fraction: 0.0,
         mix: DomainMix::paper_default(),
     };
-    let sampled = SampledSim::new(&sites, &geo, vec![RelayId(0)]);
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(78);
+    let sampled = StreamSim::new(sites, geo, vec![RelayId(0)], 78);
     let mut sampled_observed = 0f64;
-    sampled.exit_streams(&exit_truth, exit_frac, 1.0, false, &mut rng, |_| {
-        sampled_observed += 1.0;
-    });
+    sampled
+        .exit_streams(&exit_truth, exit_frac, 1.0, false, 1, "mode")
+        .for_each(|_| sampled_observed += 1.0);
     let sampled_inferred = sampled_observed / exit_frac;
 
     // Both infer the same network-wide total (which is the truth).
@@ -115,17 +114,18 @@ fn sampled_initial_fraction_matches_full_mode() {
         other_port_fraction: 0.0,
         mix: DomainMix::paper_default(),
     };
-    let sampled = SampledSim::new(&sites, &geo, vec![RelayId(0)]);
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(80);
+    let sampled = StreamSim::new(sites, geo, vec![RelayId(0)], 80);
     let (mut total, mut initial) = (0u64, 0u64);
-    sampled.exit_streams(&exit_truth, 0.05, 1.0, false, &mut rng, |ev| {
-        if let TorEvent::ExitStream { initial: i, .. } = ev {
-            total += 1;
-            if i {
-                initial += 1;
+    sampled
+        .exit_streams(&exit_truth, 0.05, 1.0, false, 1, "mode")
+        .for_each(|ev| {
+            if let TorEvent::ExitStream { initial: i, .. } = ev {
+                total += 1;
+                if i {
+                    initial += 1;
+                }
             }
-        }
-    });
+        });
     let sampled_fraction = initial as f64 / total as f64;
     assert!(
         (sampled_fraction - full_fraction).abs() < 0.01,

@@ -34,6 +34,22 @@ fn stream_fingerprint(stream: EventStream) -> Vec<String> {
     out
 }
 
+/// FNV-1a over the sorted event multiset, one line per event. The
+/// pinned constants hold every source — not only the ones a golden
+/// report reaches — to the same draws in the same order, so a refactor
+/// of the generators must stay draw-for-draw identical; regenerate them
+/// only with an intentional output change.
+fn multiset_digest(fingerprint: &[String]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in fingerprint
+        .iter()
+        .flat_map(|line| line.bytes().chain([b'\n']))
+    {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Layer 1: every event source the experiments draw from emits the same
 /// multiset of events for K = 1, 4, 16.
 #[test]
@@ -48,39 +64,52 @@ fn every_stream_source_is_shard_count_invariant() {
     let w = Workload::paper_default();
 
     type SourceFn<'a> = Box<dyn Fn(usize) -> EventStream + 'a>;
-    let sources: Vec<(&str, SourceFn)> = vec![
+    let sources: Vec<(&str, u64, SourceFn)> = vec![
         (
             "exit_streams",
+            0x9bd4_b581_efb1_e971,
             Box::new(|k| sim.exit_streams(&w.exit, 0.015, 1e-4, false, k, "ex")),
         ),
         (
             "exit_streams_initial",
+            0x4d68_833a_2480_e1b5,
             Box::new(|k| sim.exit_streams(&w.exit, 0.015, 1e-4, true, k, "exi")),
         ),
         (
             "client_traffic",
+            0x5ea6_9d69_8058_07bf,
             Box::new(|k| sim.client_traffic(&w.clients, 0.01, 1e-4, k, "ct")),
         ),
         (
             "rendezvous",
+            0xdd2d_941c_4907_ccd0,
             Box::new(|k| sim.rendezvous(&w.onion, 0.01, 1e-3, k, "rv")),
         ),
         (
             "hsdir_fetches",
+            0x0bef_1343_3fa5_3c5e,
             Box::new(|k| sim.hsdir_fetches(&w.onion, 0.005, 0.03, 1e-2, k, "hf")),
         ),
         (
             "client_ips",
+            0xb473_7439_2022_f739,
             Box::new(|k| sim.client_ips(&w.clients, 0.03, 1e-2, 0, k, "ip")),
         ),
         (
             "hsdir_publishes",
+            0x0524_0d0b_fc9b_970a,
             Box::new(|k| sim.hsdir_publishes(&w.onion, 0.05, 0.1, k, "hp")),
         ),
     ];
-    for (name, build) in sources {
+    for (name, pinned, build) in sources {
         let base = stream_fingerprint(build(1));
         assert!(!base.is_empty(), "{name}: empty baseline stream");
+        assert_eq!(
+            multiset_digest(&base),
+            pinned,
+            "{name}: draws changed ({:#018x})",
+            multiset_digest(&base)
+        );
         for k in SHARD_COUNTS {
             assert_eq!(
                 base,
@@ -122,6 +151,12 @@ fn full_sim_is_shard_count_invariant() {
     let (stream, base_truth) = sim.stream_day(&mix, 1);
     let base = stream_fingerprint(stream);
     assert!(!base.is_empty(), "empty full-mode baseline stream");
+    assert_eq!(
+        multiset_digest(&base),
+        0x9f83_5969_ceec_0692,
+        "full mode: draws changed ({:#018x})",
+        multiset_digest(&base)
+    );
     for k in SHARD_COUNTS {
         let (stream, truth) = sim.stream_day(&mix, k);
         assert_eq!(
