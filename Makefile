@@ -124,10 +124,12 @@ wire-smoke:
 		--json target/wire_smoke_ref.json > /dev/null
 	cmp target/wire_smoke.json target/wire_smoke_ref.json
 
-# Year-scale consensus-diff smoke: sweep 365 days through the diff
-# cursor, then pin 3 sampled days bit-for-bit against the from-scratch
-# replay oracle. Guards the snapshot fast path the way the proptests
-# guard it per-config, but at the paper-shaped network size.
+# Year-scale timeline smoke: sweep 365 days through the snapshot
+# cursor, hold 3 sampled days bit-for-bit against the memo-less replay
+# of the same day step, and pin the step's output itself (three configs
+# x 378 snapshots) to digests generated before the cursor and the replay
+# shared one step. Guards the snapshot memo the way the proptests guard
+# it per-config, but at the paper-shaped network size.
 timeline-smoke:
 	$(CARGO) test -q --release -p torsim --test timeline_smoke
 

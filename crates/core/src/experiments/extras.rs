@@ -3,7 +3,8 @@
 
 use crate::deployment::Deployment;
 use crate::experiments::{client_traffic_streams, exit_streams, privcount_round};
-use crate::report::{fmt_pct, Report, ReportRow};
+use crate::report::{fmt_pct, fmt_ratio, Report, ReportRow};
+use pm_stats::Estimate;
 use privcount::{queries, run_round};
 use std::sync::Arc;
 
@@ -19,17 +20,15 @@ pub fn run_categories(dep: &Deployment) -> Report {
 
     let mut report = Report::new("X1", "Primary domains by Alexa category (§4.3 text)");
     // amazon.com is rank 10 → category 0 (ranks 1..=50).
-    let amazon_cat = result.estimate("category.0").ratio(&total);
     report.row(ReportRow::new(
         "category containing amazon.com",
-        fmt_pct(&amazon_cat),
+        fmt_pct(&result.estimate("category.0"), &total),
         "(mix-configured)",
         "7.6% [7.4; 7.8]",
     ));
-    let none = result.estimate("category.none").ratio(&total);
     report.row(ReportRow::new(
         "no category",
-        fmt_pct(&none),
+        fmt_pct(&result.estimate("category.none"), &total),
         "(mix-configured)",
         "90.6% [90.3; 90.9] (torproject.org uncategorized)",
     ));
@@ -52,27 +51,31 @@ pub fn run_as_hotspots(dep: &Deployment) -> Report {
     let gens = client_traffic_streams(dep, fraction, 10, "extra-as");
     let result = run_round(cfg, gens).expect("as round");
     let total = result.estimate("as.total");
-    let outside = result.estimate("as.outside_top1000").ratio(&total);
 
     let mut report = Report::new("X2", "AS hotspot check (§5.2 text)");
     report.row(ReportRow::new(
         "connections outside CAIDA top-1000 ASes",
-        fmt_pct(&outside),
+        fmt_pct(&result.estimate("as.outside_top1000"), &total),
         "(AS-model-configured)",
         "~53% (52% of data, 62% of circuits)",
     ));
-    // Largest single bucket share — the "no hotspot" claim.
-    let mut max_bucket = 0.0f64;
-    for b in 0..20 {
-        let share = result
-            .estimate(&format!("as.rank{}-{}", b * 50 + 1, (b + 1) * 50))
-            .ratio(&total)
-            .value;
-        max_bucket = max_bucket.max(share);
-    }
+    // Largest single bucket share — the "no hotspot" claim. Every
+    // bucket is divided by the same total, so the largest share is the
+    // largest bucket's (or 0 when noise drove every bucket negative).
+    let largest = (0..20)
+        .map(|b| result.estimate(&format!("as.rank{}-{}", b * 50 + 1, (b + 1) * 50)))
+        .fold(Estimate::exact(0.0), |max, bucket| {
+            if bucket.value > max.value {
+                bucket
+            } else {
+                max
+            }
+        });
     report.row(ReportRow::new(
         "largest 50-rank bucket share",
-        format!("{:.1}%", max_bucket * 100.0),
+        fmt_ratio(&largest, &total, |share| {
+            format!("{:.1}%", share.value * 100.0)
+        }),
         "(heavy tail, no hotspot)",
         "no single AS statistically significant",
     ));

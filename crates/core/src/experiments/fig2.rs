@@ -51,10 +51,9 @@ pub fn run(dep: &Deployment) -> Report {
         "rank.torproject",
     ];
     for ((label, name), paper) in labels.iter().zip(names).zip(PAPER_RANK_PCT) {
-        let pct = result.estimate(name).ratio(&total);
         report.row(ReportRow::new(
             *label,
-            fmt_pct(&pct),
+            fmt_pct(&result.estimate(name), &total),
             "(mix-configured)",
             format!("{paper:.1}%"),
         ));
@@ -68,20 +67,17 @@ pub fn run(dep: &Deployment) -> Report {
     let result = run_round(cfg, gens).expect("fig2 siblings round");
     let total = result.estimate("family.total");
     for (i, fam) in Family::ALL.iter().enumerate() {
-        let pct = result
-            .estimate(&format!("family.{}", fam.basename()))
-            .ratio(&total);
+        let family = result.estimate(&format!("family.{}", fam.basename()));
         report.row(ReportRow::new(
             format!("family {}", fam.basename()),
-            fmt_pct(&pct),
+            fmt_pct(&family, &total),
             "(mix-configured)",
             format!("{:.1}%", PAPER_FAMILY_PCT[i]),
         ));
     }
-    let pct = result.estimate("family.other").ratio(&total);
     report.row(ReportRow::new(
         "family other",
-        fmt_pct(&pct),
+        fmt_pct(&result.estimate("family.other"), &total),
         "(mix-configured)",
         format!("{:.1}%", PAPER_FAMILY_PCT[11]),
     ));

@@ -36,26 +36,23 @@ pub fn run(dep: &Deployment) -> Report {
         let result = run_round(cfg, gens).expect("fig3 round");
         let total = result.estimate("tld.total");
         for (i, tld) in MEASURED_TLDS.iter().enumerate() {
-            let pct = result.estimate(&format!("tld.{tld}")).ratio(&total);
             report.row(ReportRow::new(
                 format!("[{tag}] .{tld}"),
-                fmt_pct(&pct),
+                fmt_pct(&result.estimate(&format!("tld.{tld}")), &total),
                 "(mix-configured)",
                 format!("{:.1}%", paper[i]),
             ));
         }
-        let pct = result.estimate("tld.other").ratio(&total);
         report.row(ReportRow::new(
             format!("[{tag}] other TLDs"),
-            fmt_pct(&pct),
+            fmt_pct(&result.estimate("tld.other"), &total),
             "(mix-configured)",
             format!("{:.1}%", paper[14]),
         ));
         if alexa_only {
-            let pct = result.estimate("tld.torproject").ratio(&total);
             report.row(ReportRow::new(
                 "[alexa] torproject.org (separate)",
-                fmt_pct(&pct),
+                fmt_pct(&result.estimate("tld.torproject"), &total),
                 "(mix-configured)",
                 "41.5%",
             ));

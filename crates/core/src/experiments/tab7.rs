@@ -63,19 +63,19 @@ pub fn run(dep: &Deployment) -> Report {
     ));
     report.row(ReportRow::new(
         "Fail fraction",
-        fmt_pct(&failed.ratio(&fetched)),
+        fmt_pct(&failed, &fetched),
         format!("{:.1}%", t.fetch_fail_fraction * 100.0),
         "90.9% [87.8; 93.2]",
     ));
     report.row(ReportRow::new(
         "Public (of successes)",
-        fmt_pct(&public.ratio(&succeeded_local)),
+        fmt_pct(&public, &succeeded_local),
         format!("{:.1}%", t.public_fetch_fraction * 100.0),
         "56.8% [36.9; 83.6]",
     ));
     report.row(ReportRow::new(
         "Unknown (of successes)",
-        fmt_pct(&unknown.ratio(&succeeded_local)),
+        fmt_pct(&unknown, &succeeded_local),
         format!("{:.1}%", (1.0 - t.public_fetch_fraction) * 100.0),
         "47.6% [28.8; 72.7]",
     ));
@@ -121,6 +121,20 @@ mod tests {
             .unwrap();
         // The paper's own CI is [36.9; 83.6]%; success counts are small.
         assert!((public_pct - 56.8).abs() < 12.0, "public {public_pct}%");
+    }
+
+    #[test]
+    fn tab7_reports_at_a_scale_too_small_for_its_ratios() {
+        // At 2e-5 the success count's CI straddles 0, so "of successes"
+        // has no bounded ratio; that is a row saying so, not a panic.
+        let report = run(&Deployment::at_scale(2e-5, 2018));
+        assert_eq!(report.rows.len(), 7);
+        let public = report
+            .rows
+            .iter()
+            .find(|r| r.label == "Public (of successes)")
+            .unwrap();
+        assert_eq!(public.measured, "n/a (denominator CI reaches 0)");
     }
 
     #[test]

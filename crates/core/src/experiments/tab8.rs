@@ -3,7 +3,7 @@
 
 use crate::deployment::Deployment;
 use crate::experiments::{privcount_round, rend_streams};
-use crate::report::{fmt_count, fmt_estimate, fmt_pct, fmt_tib, Report, ReportRow};
+use crate::report::{fmt_count, fmt_estimate, fmt_pct, fmt_ratio, fmt_tib, Report, ReportRow};
 use privcount::{queries, run_round};
 
 /// Runs the Table 8 measurement.
@@ -21,8 +21,6 @@ pub fn run(dep: &Deployment) -> Report {
     let expired = result.estimate("rend.failed.expired");
     let payload = dep.to_network(result.estimate("rend.payload_bytes"), fraction);
     let gbit_s = payload.value * 8.0 / 86_400.0 / 1e9;
-    let per_circuit_kib =
-        payload.value / (circuits.value * succeeded.ratio(&local_total).value) / 1024.0;
 
     let t = &dep.workload.onion;
     let mut report = Report::new("T8", "Network-wide rendezvous statistics");
@@ -34,19 +32,19 @@ pub fn run(dep: &Deployment) -> Report {
     ));
     report.row(ReportRow::new(
         "Succeeded",
-        fmt_pct(&succeeded.ratio(&local_total)),
+        fmt_pct(&succeeded, &local_total),
         format!("{:.2}%", t.rend_success * 100.0),
         "8.08% [3.47; 13.1]",
     ));
     report.row(ReportRow::new(
         "Failed: conn. closed",
-        fmt_pct(&connclosed.ratio(&local_total)),
+        fmt_pct(&connclosed, &local_total),
         format!("{:.2}%", t.rend_connclosed * 100.0),
         "4.37% [0.0; 9.23]",
     ));
     report.row(ReportRow::new(
         "Failed: circuit expired",
-        fmt_pct(&expired.ratio(&local_total)),
+        fmt_pct(&expired, &local_total),
         format!("{:.1}%", t.rend_expired * 100.0),
         "84.9% [77.0; 93.5]",
     ));
@@ -72,7 +70,10 @@ pub fn run(dep: &Deployment) -> Report {
     ));
     report.row(ReportRow::new(
         "Cell payload / circuit",
-        format!("{per_circuit_kib:.0} KiB/circ."),
+        fmt_ratio(&succeeded, &local_total, |success| {
+            let per_circuit_kib = payload.value / (circuits.value * success.value) / 1024.0;
+            format!("{per_circuit_kib:.0} KiB/circ.")
+        }),
         format!(
             "{:.0} KiB/circ.",
             t.mean_payload_per_active_circuit() / 1024.0

@@ -237,14 +237,30 @@ pub fn fmt_estimate(e: &Estimate) -> String {
     )
 }
 
-/// Formats a ratio as a percentage with CI.
-pub fn fmt_pct(e: &Estimate) -> String {
-    format!(
-        "{:.1}% [{:.1}; {:.1}]%",
-        e.value * 100.0,
-        e.ci.lo * 100.0,
-        e.ci.hi * 100.0
-    )
+/// Formats `num / denom` with `show`, or says that there is no ratio
+/// to show ([`Estimate::ratio`]: the denominator's CI reaches 0, as it
+/// does once the scale is small enough for noise to swamp it).
+pub(crate) fn fmt_ratio(
+    num: &Estimate,
+    denom: &Estimate,
+    show: impl FnOnce(&Estimate) -> String,
+) -> String {
+    match num.ratio(denom) {
+        Some(ratio) => show(&ratio),
+        None => "n/a (denominator CI reaches 0)".to_string(),
+    }
+}
+
+/// Formats the ratio `num / denom` as a percentage with CI.
+pub fn fmt_pct(num: &Estimate, denom: &Estimate) -> String {
+    fmt_ratio(num, denom, |e| {
+        format!(
+            "{:.1}% [{:.1}; {:.1}]%",
+            e.value * 100.0,
+            e.ci.lo * 100.0,
+            e.ci.hi * 100.0
+        )
+    })
 }
 
 /// Formats bytes as TiB.
@@ -337,7 +353,11 @@ mod tests {
         assert_eq!(fmt_count(1234.0), "1234");
         assert_eq!(fmt_count(2.03e9), "2.030e9");
         assert_eq!(fmt_tib(517.0 * (1u64 << 40) as f64), "517.0 TiB");
-        let e = Estimate::gaussian95(0.401, 0.001);
-        assert!(fmt_pct(&e).starts_with("40.1%"));
+        let num = Estimate::gaussian95(40.1, 0.1);
+        assert!(fmt_pct(&num, &Estimate::exact(100.0)).starts_with("40.1%"));
+        assert_eq!(
+            fmt_pct(&num, &Estimate::gaussian95(100.0, 60.0)),
+            "n/a (denominator CI reaches 0)"
+        );
     }
 }

@@ -1,7 +1,8 @@
-//! The `experiments` binary's usage errors: every malformed command
-//! line exits 2 with the problem and the usage line on stderr — never a
-//! panic (exit 101). The parser is `torstudy::cli`, shared with the
-//! `campaign` binary (`crates/study/tests/cli.rs`).
+//! The `experiments` binary's exit codes. Every malformed command line
+//! exits 2 with the problem and the usage line on stderr — never a
+//! panic (exit 101); the parser is `torstudy::cli`, shared with the
+//! `campaign` binary (`crates/study/tests/cli.rs`). A well-formed one
+//! exits 0 with a report however little volume its scale leaves.
 
 use std::process::Command;
 
@@ -28,4 +29,19 @@ fn usage_errors_exit_2_without_panicking() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
     }
+}
+
+#[test]
+fn tiny_scale_is_a_report_not_a_panic() {
+    // At 2e-5 noise swamps T7's success count; its two "of successes"
+    // ratios used to panic in `Estimate::ratio` (exit 101).
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["--scale", "2e-5", "--seed", "2018", "--only", "T7", "-q"])
+        .output()
+        .expect("spawn experiments");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stdout.contains("== T7"), "{stdout}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

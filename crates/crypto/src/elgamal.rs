@@ -77,15 +77,6 @@ pub fn encrypt_with(gp: &GroupParams, y: &PublicKey, m: &GroupElement, r: &Scala
     }
 }
 
-/// Encryption of the group identity (PSC's "unmarked" cell value).
-pub fn encrypt_identity<R: Rng + ?Sized>(
-    gp: &GroupParams,
-    y: &PublicKey,
-    rng: &mut R,
-) -> Ciphertext {
-    encrypt(gp, y, &gp.identity(), rng)
-}
-
 /// Decrypts with a single full secret key.
 pub fn decrypt(gp: &GroupParams, sk: &SecretKey, ct: &Ciphertext) -> GroupElement {
     let shared = gp.pow(&ct.a, &sk.0);
@@ -230,7 +221,7 @@ mod tests {
     fn exponentiation_fixes_identity_randomizes_rest() {
         let (gp, kp, mut rng) = setup();
         let k = gp.random_nonzero_scalar(&mut rng);
-        let id_ct = encrypt_identity(&gp, &kp.public, &mut rng);
+        let id_ct = encrypt(&gp, &kp.public, &gp.identity(), &mut rng);
         let id_exp = exponentiate(&gp, &id_ct, &k);
         assert_eq!(decrypt(&gp, &kp.secret, &id_exp), gp.identity());
 

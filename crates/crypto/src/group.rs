@@ -272,12 +272,6 @@ impl GroupParams {
         Scalar(self.q.neg(&a.0))
     }
 
-    /// `a^-1 mod q` (q prime; panics on zero).
-    pub fn scalar_inv(&self, a: &Scalar) -> Scalar {
-        assert!(!a.0.is_zero(), "inverse of zero scalar");
-        Scalar(self.q.inv_prime(&a.0))
-    }
-
     /// Hashes labeled byte strings to a scalar (Fiat–Shamir and
     /// item-to-exponent mapping). Domain-separated by `label`.
     pub fn hash_to_scalar(&self, label: &[u8], parts: &[&[u8]]) -> Scalar {
@@ -287,12 +281,6 @@ impl GroupParams {
         all.extend_from_slice(parts);
         let digest = sha256_concat(&all);
         Scalar(self.q.reduce(&U256::from_bytes_be(&digest)))
-    }
-
-    /// Hashes labeled byte strings to a group element: `g^H(...)`.
-    pub fn hash_to_element(&self, label: &[u8], parts: &[&[u8]]) -> GroupElement {
-        let s = self.hash_to_scalar(label, parts);
-        self.g_pow(&s)
     }
 }
 
@@ -387,7 +375,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let a = gp.random_nonzero_scalar(&mut rng);
         let b = gp.random_scalar(&mut rng);
-        assert_eq!(gp.scalar_mul(&a, &gp.scalar_inv(&a)), gp.scalar_from_u64(1));
         assert_eq!(gp.scalar_add(&b, &gp.scalar_neg(&b)), Scalar::ZERO);
         assert_eq!(gp.scalar_sub(&gp.scalar_add(&a, &b), &b), a);
     }

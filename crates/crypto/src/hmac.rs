@@ -1,4 +1,4 @@
-//! HMAC-SHA256, HKDF-style key derivation, and a counter-mode keystream.
+//! HMAC-SHA256, HKDF key extraction, and a counter-mode keystream.
 //!
 //! These primitives back the hybrid encryption PrivCount uses to deliver
 //! blinding shares to Share Keepers, and deterministic per-party
@@ -40,27 +40,6 @@ pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
 /// HKDF-Extract (RFC 5869): `PRK = HMAC(salt, ikm)`.
 pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
     hmac_sha256(salt, ikm)
-}
-
-/// HKDF-Expand (RFC 5869): derives `len` bytes from `prk` and `info`.
-pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], len: usize) -> Vec<u8> {
-    assert!(len <= 255 * DIGEST_LEN, "HKDF output too long");
-    let mut out = Vec::with_capacity(len);
-    let mut t: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    while out.len() < len {
-        let block = hmac_sha256_parts(prk, &[&t, info, &[counter]]);
-        t = block.to_vec();
-        let take = (len - out.len()).min(DIGEST_LEN);
-        out.extend_from_slice(&block[..take]);
-        counter += 1;
-    }
-    out
-}
-
-/// One-call HKDF: extract then expand.
-pub fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<u8> {
-    hkdf_expand(&hkdf_extract(salt, ikm), info, len)
 }
 
 /// Counter-mode keystream built on HMAC-SHA256, used as a stream cipher
@@ -166,19 +145,6 @@ mod tests {
         let a = hmac_sha256(b"key", b"hello world");
         let b = hmac_sha256_parts(b"key", &[b"hello", b" ", b"world"]);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn hkdf_lengths_and_determinism() {
-        let out1 = hkdf(b"salt", b"ikm", b"info", 100);
-        let out2 = hkdf(b"salt", b"ikm", b"info", 100);
-        assert_eq!(out1, out2);
-        assert_eq!(out1.len(), 100);
-        let out3 = hkdf(b"salt", b"ikm", b"other", 100);
-        assert_ne!(out1, out3);
-        // Prefix property: shorter output is a prefix of longer output.
-        let short = hkdf(b"salt", b"ikm", b"info", 10);
-        assert_eq!(&out1[..10], &short[..]);
     }
 
     #[test]

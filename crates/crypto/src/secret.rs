@@ -25,7 +25,7 @@ pub struct BlindedCounter(pub u64);
 
 impl BlindedCounter {
     /// Initializes a counter register holding `initial` (typically the
-    /// DC's noise contribution, fixed-point encoded) plus blinding:
+    /// DC's noise contribution, rounded to an integer) plus blinding:
     /// generates one random share per Share Keeper, adds each share into
     /// the register, and returns the *negated* shares to be delivered to
     /// the SKs.
@@ -83,23 +83,6 @@ pub fn unblind_total(dc_values: &[u64], sk_values: &[u64]) -> i64 {
         acc = acc.wrapping_add(*v);
     }
     acc as i64
-}
-
-/// Fixed-point encoding used for noisy (fractional) counter values:
-/// `FIXED_ONE` units per 1.0. PrivCount publishes counts large enough
-/// that 2^-20 granularity is far below the noise floor.
-pub const FIXED_POINT_BITS: u32 = 20;
-/// The fixed-point scale factor.
-pub const FIXED_ONE: i64 = 1 << FIXED_POINT_BITS;
-
-/// Encodes a float (e.g. a Gaussian noise draw) as fixed point.
-pub fn to_fixed(x: f64) -> i64 {
-    (x * FIXED_ONE as f64).round() as i64
-}
-
-/// Decodes a fixed-point value to a float.
-pub fn from_fixed(x: i64) -> f64 {
-    x as f64 / FIXED_ONE as f64
 }
 
 #[cfg(test)]
@@ -160,14 +143,6 @@ mod tests {
         let (reg, shares) = BlindedCounter::blind(7, 0, &mut rng);
         assert!(shares.is_empty());
         assert_eq!(unblind_total(&[reg.publish()], &[]), 7);
-    }
-
-    #[test]
-    fn fixed_point_roundtrip() {
-        for x in [0.0, 1.0, -1.0, 3.125, -1234.5, 0.000001] {
-            let enc = to_fixed(x);
-            assert!((from_fixed(enc) - x).abs() < 1e-5, "{x}");
-        }
     }
 
     #[test]

@@ -63,13 +63,6 @@ impl Permutation {
         Permutation(inv)
     }
 
-    /// Composition `self ∘ other`: applying the result equals applying
-    /// `other` first, then `self`.
-    pub fn compose(&self, other: &Permutation) -> Permutation {
-        assert_eq!(self.len(), other.len());
-        Permutation(self.0.iter().map(|&j| other.0[j]).collect())
-    }
-
     /// Validates that this is a permutation of `0..n`.
     pub fn is_valid(&self) -> bool {
         let n = self.0.len();
@@ -340,8 +333,6 @@ mod tests {
         let p = Permutation::random(20, &mut rng);
         assert!(p.is_valid());
         let inv = p.inverse();
-        assert_eq!(p.compose(&inv), Permutation::identity(20));
-        assert_eq!(inv.compose(&p), Permutation::identity(20));
         let items: Vec<u32> = (0..20).collect();
         assert_eq!(inv.apply(&p.apply(&items)), items);
     }
@@ -351,11 +342,6 @@ mod tests {
         // out[i] = items[perm[i]]
         let p = Permutation(vec![2, 0, 1]);
         assert_eq!(p.apply(&['a', 'b', 'c']), vec!['c', 'a', 'b']);
-        // compose: apply other first, then self.
-        let q = Permutation(vec![1, 2, 0]);
-        let pq = p.compose(&q);
-        let direct = p.apply(&q.apply(&['a', 'b', 'c']));
-        assert_eq!(pq.apply(&['a', 'b', 'c']), direct);
     }
 
     #[test]

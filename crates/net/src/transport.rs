@@ -300,14 +300,6 @@ impl Endpoint {
         self.send.deliver(&self.id, to, &frame)
     }
 
-    /// Sends a frame to every party in `to`.
-    pub fn broadcast(&self, to: &[PartyId], frame: Frame) -> Result<(), TransportError> {
-        for t in to {
-            self.send(t, frame.clone())?;
-        }
-        Ok(())
-    }
-
     /// Blocking receive. Frames that fail to parse are surfaced as
     /// [`TransportError::Wire`] so callers can count/ignore them.
     pub fn recv(&self) -> Result<Envelope, TransportError> {
@@ -368,18 +360,6 @@ mod tests {
         let a = board.register("a");
         let err = a.send(&PartyId::new("ghost"), frame(1, b"x")).unwrap_err();
         assert_eq!(err, TransportError::UnknownParty("ghost".into()));
-    }
-
-    #[test]
-    fn broadcast_reaches_all() {
-        let board = Switchboard::new();
-        let a = board.register("a");
-        let b = board.register("b");
-        let c = board.register("c");
-        a.broadcast(&[b.id().clone(), c.id().clone()], frame(9, b"all"))
-            .unwrap();
-        assert_eq!(b.recv().unwrap().frame.msg_type, 9);
-        assert_eq!(c.recv().unwrap().frame.msg_type, 9);
     }
 
     #[test]

@@ -31,6 +31,25 @@ fn specs_equal_budget(names_and_sens: &[(&str, f64)], eps: f64, delta: f64) -> V
         .collect()
 }
 
+/// The specs of a histogram with a running total, laid out `bins` in
+/// order, then `total`. The bins partition the events (parallel
+/// composition: every bin is calibrated at the bins' whole budget); the
+/// total is one additional sequential query, so bins and total each
+/// get (ε/2, δ/2).
+fn bins_and_total<N: Into<String>>(
+    bins: impl IntoIterator<Item = N>,
+    total: &str,
+    sensitivity: f64,
+    eps: f64,
+    delta: f64,
+) -> Vec<CounterSpec> {
+    bins.into_iter()
+        .map(Into::into)
+        .chain([total.to_string()])
+        .map(|name| CounterSpec::calibrated(name, sensitivity, eps / 2.0, delta / 2.0))
+        .collect()
+}
+
 /// Figure 1: stream-type breakdown at exits.
 pub fn exit_streams(eps: f64, delta: f64) -> Schema {
     let d = bound_for(Action::ConnectToDomain) as f64;
@@ -80,25 +99,24 @@ pub fn exit_streams(eps: f64, delta: f64) -> Schema {
 /// torproject.org separated.
 pub fn alexa_rank_histogram(sites: Arc<SiteList>, eps: f64, delta: f64) -> Schema {
     let d = bound_for(Action::ConnectToDomain) as f64;
-    // The rank-set bins partition primary-domain connections (parallel
-    // composition: full budget per bin); the running total is one
-    // additional sequential query, so bins and total each get ε/2.
-    let (eps_bin, eps_total) = (eps / 2.0, eps / 2.0);
-    let (delta_bin, delta_total) = (delta / 2.0, delta / 2.0);
-    let bin = |name: &str| CounterSpec::calibrated(name, d, eps_bin, delta_bin);
-    let specs = vec![
-        bin("rank.(0,10]"),
-        bin("rank.(10,100]"),
-        bin("rank.(100,1k]"),
-        bin("rank.(1k,10k]"),
-        bin("rank.(10k,100k]"),
-        bin("rank.(100k,1m]"),
-        bin("rank.other"),
-        bin("rank.torproject"),
-        CounterSpec::calibrated("rank.total", d, eps_total, delta_total),
-    ];
+    let specs = bins_and_total(
+        [
+            "rank.(0,10]",
+            "rank.(10,100]",
+            "rank.(100,1k]",
+            "rank.(1k,10k]",
+            "rank.(10k,100k]",
+            "rank.(100k,1m]",
+            "rank.other",
+            "rank.torproject",
+        ],
+        "rank.total",
+        d,
+        eps,
+        delta,
+    );
     let mapper: EventMapper = Arc::new(move |ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| {
-        let Some(domain) = primary_domain(ev) else {
+        let Some(domain) = ev.primary_domain() else {
             return;
         };
         emit(8, 1);
@@ -117,28 +135,18 @@ pub fn alexa_rank_histogram(sites: Arc<SiteList>, eps: f64, delta: f64) -> Schem
 /// Figure 2 (bottom): primary domains by top-10 sibling family.
 pub fn alexa_siblings_histogram(sites: Arc<SiteList>, eps: f64, delta: f64) -> Schema {
     let d = bound_for(Action::ConnectToDomain) as f64;
-    // Family bins partition the events (parallel composition); the
-    // total is one extra sequential query.
-    let (eps_bin, eps_total) = (eps / 2.0, eps / 2.0);
-    let (delta_bin, delta_total) = (delta / 2.0, delta / 2.0);
-    let mut specs: Vec<CounterSpec> = Family::ALL
+    let families = Family::ALL
         .iter()
-        .map(|f| CounterSpec::calibrated(format!("family.{}", f.basename()), d, eps_bin, delta_bin))
-        .collect();
-    specs.push(CounterSpec::calibrated(
-        "family.other",
-        d,
-        eps_bin,
-        delta_bin,
-    ));
-    specs.push(CounterSpec::calibrated(
+        .map(|f| format!("family.{}", f.basename()));
+    let specs = bins_and_total(
+        families.chain(["family.other".to_string()]),
         "family.total",
         d,
-        eps_total,
-        delta_total,
-    ));
+        eps,
+        delta,
+    );
     let mapper: EventMapper = Arc::new(move |ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| {
-        let Some(domain) = primary_domain(ev) else {
+        let Some(domain) = ev.primary_domain() else {
             return;
         };
         emit(Family::ALL.len() + 1, 1); // total
@@ -159,32 +167,19 @@ pub fn alexa_siblings_histogram(sites: Arc<SiteList>, eps: f64, delta: f64) -> S
 /// in the paper's second TLD measurement).
 pub fn tld_histogram(sites: Arc<SiteList>, alexa_only: bool, eps: f64, delta: f64) -> Schema {
     let d = bound_for(Action::ConnectToDomain) as f64;
-    // TLD bins partition the events (parallel composition); the total
-    // is one extra sequential query.
-    let (eps_bin, eps_total) = (eps / 2.0, eps / 2.0);
-    let (delta_bin, delta_total) = (delta / 2.0, delta / 2.0);
-    let mut specs: Vec<CounterSpec> = MEASURED_TLDS
-        .iter()
-        .map(|t| CounterSpec::calibrated(format!("tld.{t}"), d, eps_bin, delta_bin))
-        .collect();
-    specs.push(CounterSpec::calibrated("tld.other", d, eps_bin, delta_bin));
-    specs.push(CounterSpec::calibrated(
-        "tld.torproject",
-        d,
-        eps_bin,
-        delta_bin,
-    ));
-    specs.push(CounterSpec::calibrated(
+    let tlds = MEASURED_TLDS.iter().map(|t| format!("tld.{t}"));
+    let specs = bins_and_total(
+        tlds.chain(["tld.other".to_string(), "tld.torproject".to_string()]),
         "tld.total",
         d,
-        eps_total,
-        delta_total,
-    ));
+        eps,
+        delta,
+    );
     let other_idx = MEASURED_TLDS.len();
     let torproject_idx = other_idx + 1;
     let total_idx = other_idx + 2;
     let mapper: EventMapper = Arc::new(move |ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| {
-        let Some(domain) = primary_domain(ev) else {
+        let Some(domain) = ev.primary_domain() else {
             return;
         };
         emit(total_idx, 1);
@@ -379,27 +374,18 @@ pub fn rendezvous(eps: f64, delta: f64) -> Schema {
 pub fn category_histogram(sites: Arc<SiteList>, eps: f64, delta: f64) -> Schema {
     let d = bound_for(Action::ConnectToDomain) as f64;
     let num_categories = 17usize;
-    let (eps_bin, eps_total) = (eps / 2.0, eps / 2.0);
-    let (delta_bin, delta_total) = (delta / 2.0, delta / 2.0);
-    let mut specs: Vec<CounterSpec> = (0..num_categories)
-        .map(|c| CounterSpec::calibrated(format!("category.{c}"), d, eps_bin, delta_bin))
-        .collect();
-    specs.push(CounterSpec::calibrated(
-        "category.none",
-        d,
-        eps_bin,
-        delta_bin,
-    ));
-    specs.push(CounterSpec::calibrated(
+    let categories = (0..num_categories).map(|c| format!("category.{c}"));
+    let specs = bins_and_total(
+        categories.chain(["category.none".to_string()]),
         "category.total",
         d,
-        eps_total,
-        delta_total,
-    ));
+        eps,
+        delta,
+    );
     let none_idx = num_categories;
     let total_idx = num_categories + 1;
     let mapper: EventMapper = Arc::new(move |ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| {
-        let Some(domain) = primary_domain(ev) else {
+        let Some(domain) = ev.primary_domain() else {
             return;
         };
         emit(total_idx, 1);
@@ -418,30 +404,14 @@ pub fn category_histogram(sites: Arc<SiteList>, eps: f64, delta: f64) -> Schema 
 pub fn as_histogram(asdb: Arc<torsim::asn::AsDb>, eps: f64, delta: f64) -> Schema {
     let sens = bound_for(Action::TcpConnectionToGuard) as f64;
     let buckets = 20usize; // ranks 1..=1000 in buckets of 50
-    let (eps_bin, eps_total) = (eps / 2.0, eps / 2.0);
-    let (delta_bin, delta_total) = (delta / 2.0, delta / 2.0);
-    let mut specs: Vec<CounterSpec> = (0..buckets)
-        .map(|b| {
-            CounterSpec::calibrated(
-                format!("as.rank{}-{}", b * 50 + 1, (b + 1) * 50),
-                sens,
-                eps_bin,
-                delta_bin,
-            )
-        })
-        .collect();
-    specs.push(CounterSpec::calibrated(
-        "as.outside_top1000",
-        sens,
-        eps_bin,
-        delta_bin,
-    ));
-    specs.push(CounterSpec::calibrated(
+    let ranks = (0..buckets).map(|b| format!("as.rank{}-{}", b * 50 + 1, (b + 1) * 50));
+    let specs = bins_and_total(
+        ranks.chain(["as.outside_top1000".to_string()]),
         "as.total",
         sens,
-        eps_total,
-        delta_total,
-    ));
+        eps,
+        delta,
+    );
     let outside_idx = buckets;
     let total_idx = buckets + 1;
     let mapper: EventMapper = Arc::new(move |ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| {
@@ -456,21 +426,6 @@ pub fn as_histogram(asdb: Arc<torsim::asn::AsDb>, eps: f64, delta: f64) -> Schem
         }
     });
     Schema::new(specs, mapper)
-}
-
-/// The primary domain of an event: the destination of an initial,
-/// hostname, web-port exit stream (§4.1).
-pub fn primary_domain(ev: &TorEvent) -> Option<torsim::ids::DomainId> {
-    match ev {
-        TorEvent::ExitStream {
-            initial: true,
-            addr: AddrKind::Hostname,
-            port: PortClass::Web,
-            domain,
-            ..
-        } => *domain,
-        _ => None,
-    }
 }
 
 #[cfg(test)]

@@ -184,7 +184,7 @@ impl CpNode {
         t
     }
 
-    fn mix(&mut self, ep: &Endpoint, task: messages::MixTask) -> Result<(), NodeError> {
+    fn mix(&mut self, ep: &Endpoint, task: messages::Cells) -> Result<(), NodeError> {
         let cfg = self
             .cfg
             .as_ref()
@@ -243,7 +243,7 @@ impl CpNode {
         Ok(())
     }
 
-    fn decrypt(&mut self, ep: &Endpoint, task: messages::DecryptTask) -> Result<(), NodeError> {
+    fn decrypt(&mut self, ep: &Endpoint, task: messages::Cells) -> Result<(), NodeError> {
         let cfg = self
             .cfg
             .as_ref()
@@ -628,7 +628,7 @@ impl Node for CpNode {
                 Ok(Step::Continue)
             }
             tag::MIX_TASK => {
-                let task: messages::MixTask = env
+                let task: messages::Cells = env
                     .frame
                     .decode_msg()
                     .map_err(|e| NodeError::Protocol(format!("bad mix task: {e}")))?;
@@ -636,7 +636,7 @@ impl Node for CpNode {
                 Ok(Step::Continue)
             }
             tag::DECRYPT_TASK => {
-                let task: messages::DecryptTask = env
+                let task: messages::Cells = env
                     .frame
                     .decode_msg()
                     .map_err(|e| NodeError::Protocol(format!("bad decrypt task: {e}")))?;

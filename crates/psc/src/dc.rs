@@ -102,7 +102,7 @@ impl Node for PscDcNode {
                     let bogus = format!("byzantine-skew-{i}");
                     table.mark_cell(table.cell_of(bogus.as_bytes()), &mut self.rng);
                 }
-                let msg = messages::DcTable {
+                let msg = messages::Cells {
                     cells: table.into_cells(),
                 };
                 ep.send(&self.ts, messages::frame_of(tag::DC_TABLE, &msg))?;

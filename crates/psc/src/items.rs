@@ -41,7 +41,7 @@ pub fn unique_ases(asdb: Arc<AsDb>) -> ItemExtractor {
 /// `alexa_only`, restricted to domains in the Alexa list.
 pub fn unique_slds(sites: Arc<SiteList>, alexa_only: bool) -> ItemExtractor {
     Arc::new(move |ev| {
-        let domain = privcount_primary_domain(ev)?;
+        let domain = ev.primary_domain()?;
         if alexa_only && !sites.in_alexa(domain) {
             return None;
         }
@@ -68,21 +68,6 @@ pub fn unique_onions_fetched() -> ItemExtractor {
         } => Some(addr.to_bytes().to_vec()),
         _ => None,
     })
-}
-
-/// Mirrors `privcount::queries::primary_domain` without a crate
-/// dependency cycle.
-fn privcount_primary_domain(ev: &TorEvent) -> Option<torsim::ids::DomainId> {
-    match ev {
-        TorEvent::ExitStream {
-            initial: true,
-            addr: torsim::events::AddrKind::Hostname,
-            port: torsim::events::PortClass::Web,
-            domain,
-            ..
-        } => *domain,
-        _ => None,
-    }
 }
 
 #[cfg(test)]

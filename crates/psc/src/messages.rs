@@ -5,9 +5,7 @@ use pm_crypto::elgamal::Ciphertext;
 use pm_crypto::group::{GroupElement, Scalar};
 use pm_crypto::shuffle::{Permutation, RoundOpening, ShuffleProof};
 use pm_crypto::zkp::{DleqProof, SchnorrProof};
-use pm_net::frame::{
-    get_array32, get_lp_str, get_u32, get_u8, put_lp_str, Frame, WireDecode, WireEncode, WireError,
-};
+use pm_net::frame::{get_array32, get_u32, get_u8, Frame, WireDecode, WireEncode, WireError};
 
 /// Message type tags.
 pub mod tag {
@@ -161,43 +159,25 @@ impl WireDecode for PscConfigure {
     }
 }
 
-/// DC → TS: the collected table.
+/// A table of cells and nothing else: the payload of [`tag::DC_TABLE`]
+/// (DC → TS, the collected table), [`tag::MIX_TASK`] (TS → CP, the
+/// input to the CP's hop) and [`tag::DECRYPT_TASK`] (TS → CP, the mixed
+/// table to partially decrypt). The tag says which.
 #[derive(Clone, Debug, PartialEq)]
-pub struct DcTable {
+pub struct Cells {
     /// The cells.
     pub cells: Vec<Ciphertext>,
 }
 
-impl WireEncode for DcTable {
+impl WireEncode for Cells {
     fn encode(&self, buf: &mut BytesMut) {
         put_cells(buf, &self.cells);
     }
 }
 
-impl WireDecode for DcTable {
+impl WireDecode for Cells {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(DcTable {
-            cells: get_cells(buf)?,
-        })
-    }
-}
-
-/// TS → CP: mix this table (input to the CP's hop).
-#[derive(Clone, Debug, PartialEq)]
-pub struct MixTask {
-    /// The table to mix.
-    pub cells: Vec<Ciphertext>,
-}
-
-impl WireEncode for MixTask {
-    fn encode(&self, buf: &mut BytesMut) {
-        put_cells(buf, &self.cells);
-    }
-}
-
-impl WireDecode for MixTask {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(MixTask {
+        Ok(Cells {
             cells: get_cells(buf)?,
         })
     }
@@ -335,27 +315,6 @@ impl WireDecode for MixResult {
     }
 }
 
-/// TS → CP: request partial decryptions of the final table.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DecryptTask {
-    /// The mixed table.
-    pub cells: Vec<Ciphertext>,
-}
-
-impl WireEncode for DecryptTask {
-    fn encode(&self, buf: &mut BytesMut) {
-        put_cells(buf, &self.cells);
-    }
-}
-
-impl WireDecode for DecryptTask {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(DecryptTask {
-            cells: get_cells(buf)?,
-        })
-    }
-}
-
 /// CP → TS: partial decryptions with correctness proofs.
 #[derive(Clone, Debug)]
 pub struct PartialDec {
@@ -411,27 +370,6 @@ impl WireDecode for PartialDec {
 /// Helper: wraps a message in its tagged frame.
 pub fn frame_of<M: WireEncode>(tag: u16, msg: &M) -> Frame {
     Frame::encode_msg(tag, msg)
-}
-
-/// Writes a party-name list (used in tests and diagnostics).
-pub fn put_names(buf: &mut BytesMut, names: &[String]) {
-    buf.put_u32(names.len() as u32);
-    for n in names {
-        put_lp_str(buf, n);
-    }
-}
-
-/// Reads a party-name list.
-pub fn get_names(buf: &mut Bytes) -> Result<Vec<String>, WireError> {
-    let n = get_u32(buf)? as usize;
-    if n > 10_000 {
-        return Err(WireError::Invalid("too many names"));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_lp_str(buf)?);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -492,9 +430,9 @@ mod tests {
     #[test]
     fn table_roundtrip() {
         let (_, cells) = cts(16, 3);
-        let msg = DcTable { cells };
+        let msg = Cells { cells };
         let frame = frame_of(tag::DC_TABLE, &msg);
-        assert_eq!(frame.decode_msg::<DcTable>().unwrap(), msg);
+        assert_eq!(frame.decode_msg::<Cells>().unwrap(), msg);
     }
 
     #[test]
@@ -564,14 +502,5 @@ mod tests {
         let back: PartialDec = frame.decode_msg().unwrap();
         assert_eq!(back.share, msg.share);
         assert_eq!(back.partials, msg.partials);
-    }
-
-    #[test]
-    fn names_roundtrip() {
-        let names = vec!["cp-0".to_string(), "cp-1".to_string()];
-        let mut buf = BytesMut::new();
-        put_names(&mut buf, &names);
-        let mut rd = buf.freeze();
-        assert_eq!(get_names(&mut rd).unwrap(), names);
     }
 }

@@ -309,7 +309,7 @@ impl Node for PscTsNode {
                 Ok(Step::Continue)
             }
             (Phase::AwaitTables, tag::DC_TABLE) => {
-                let msg: messages::DcTable = env
+                let msg: messages::Cells = env
                     .frame
                     .decode_msg()
                     .map_err(|e| NodeError::Protocol(format!("bad DC table: {e}")))?;
@@ -325,7 +325,7 @@ impl Node for PscTsNode {
                     };
                     self.tables.clear();
                     self.mix_input = combined.clone();
-                    let task = messages::MixTask { cells: combined };
+                    let task = messages::Cells { cells: combined };
                     ep.send(&self.cp_names[0], messages::frame_of(tag::MIX_TASK, &task))?;
                     self.phase = Phase::Mixing { stage: 0 };
                 }
@@ -346,7 +346,7 @@ impl Node for PscTsNode {
                 self.verify_mix(&msg)?;
                 if stage + 1 < self.cp_names.len() {
                     self.mix_input = msg.output.clone();
-                    let task = messages::MixTask { cells: msg.output };
+                    let task = messages::Cells { cells: msg.output };
                     ep.send(
                         &self.cp_names[stage + 1],
                         messages::frame_of(tag::MIX_TASK, &task),
@@ -354,7 +354,7 @@ impl Node for PscTsNode {
                     self.phase = Phase::Mixing { stage: stage + 1 };
                 } else {
                     self.final_table = msg.output.clone();
-                    let task = messages::DecryptTask { cells: msg.output };
+                    let task = messages::Cells { cells: msg.output };
                     for cp in &self.cp_names {
                         ep.send(cp, messages::frame_of(tag::DECRYPT_TASK, &task))?;
                     }

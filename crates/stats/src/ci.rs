@@ -73,16 +73,6 @@ impl Interval {
             hi: self.hi * k,
         }
     }
-
-    /// Clamps the lower endpoint to at least `min` (counts can't be
-    /// negative; the paper reports most-likely-zero for negative
-    /// counters, §4.2).
-    pub fn clamp_min(&self, min: f64) -> Interval {
-        Interval {
-            lo: self.lo.max(min),
-            hi: self.hi.max(min),
-        }
-    }
 }
 
 impl fmt::Display for Interval {
@@ -161,12 +151,14 @@ impl Estimate {
     /// The ratio of this estimate to another, with a conservative CI
     /// (interval arithmetic; fine for the paper's percentage
     /// breakdowns where denominators are huge relative to their noise).
-    pub fn ratio(&self, denom: &Estimate) -> Estimate {
-        assert!(denom.ci.lo > 0.0, "denominator CI must be positive");
-        Estimate {
+    /// `None` when the denominator's CI reaches 0: dividing by it would
+    /// put no bound on the ratio, which happens once a run is small
+    /// enough for the noise to swamp the denominator.
+    pub fn ratio(&self, denom: &Estimate) -> Option<Estimate> {
+        (denom.ci.lo > 0.0).then(|| Estimate {
             value: self.value / denom.value,
             ci: Interval::new(self.ci.lo / denom.ci.hi, self.ci.hi / denom.ci.lo),
-        }
+        })
     }
 
     /// Sum of independent estimates (CIs add in quadrature under
@@ -217,14 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn interval_clamp() {
-        let neg = Interval::new(-3.0, 2.0);
-        assert_eq!(neg.clamp_min(0.0), Interval::new(0.0, 2.0));
-        let allneg = Interval::new(-3.0, -1.0);
-        assert_eq!(allneg.clamp_min(0.0), Interval::new(0.0, 0.0));
-    }
-
-    #[test]
     fn shift_moves_value_and_interval() {
         let e = Estimate::gaussian95(100.0, 10.0);
         let s = e.shift(-40.0);
@@ -256,10 +240,13 @@ mod tests {
         // 40.1% of primary domains: numerator noise small vs denominator.
         let num = Estimate::gaussian95(40.1e6, 0.1e6);
         let den = Estimate::gaussian95(100e6, 0.1e6);
-        let pct = num.ratio(&den);
+        let pct = num.ratio(&den).expect("denominator CI is far from 0");
         assert!((pct.value - 0.401).abs() < 1e-6);
         assert!(pct.ci.lo < 0.401 && 0.401 < pct.ci.hi);
         assert!(pct.ci.width() < 0.01);
+        // A denominator whose CI reaches 0 bounds nothing: no ratio.
+        assert_eq!(num.ratio(&Estimate::gaussian95(10.0, 20.0)), None);
+        assert_eq!(num.ratio(&Estimate::exact(0.0)), None);
     }
 
     #[test]

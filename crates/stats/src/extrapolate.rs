@@ -34,13 +34,6 @@ pub fn range_rule(observed: f64, fraction: f64) -> Interval {
     Interval::new(observed, observed / fraction)
 }
 
-/// Caps a range-rule interval at a known universe bound (e.g. 250
-/// countries, total allocated ASes).
-pub fn range_rule_capped(observed: f64, fraction: f64, universe: f64) -> Interval {
-    let raw = range_rule(observed, fraction);
-    Interval::new(raw.lo.min(universe), raw.hi.min(universe))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,13 +76,5 @@ mod tests {
         // Full observation: degenerate range.
         let full = range_rule(1000.0, 1.0);
         assert_eq!(full.lo, full.hi);
-    }
-
-    #[test]
-    fn range_rule_cap() {
-        // Countries: cap at 250 (§5.2).
-        let r = range_rule_capped(203.0, 0.0119, 250.0);
-        assert_eq!(r.lo, 203.0);
-        assert_eq!(r.hi, 250.0);
     }
 }

@@ -135,6 +135,21 @@ impl TorEvent {
             | TorEvent::RendCircuit { relay, .. } => *relay,
         }
     }
+
+    /// The primary domain of the event: the destination of an initial,
+    /// hostname, web-port exit stream (§4.1).
+    pub fn primary_domain(&self) -> Option<DomainId> {
+        match self {
+            TorEvent::ExitStream {
+                initial: true,
+                addr: AddrKind::Hostname,
+                port: PortClass::Web,
+                domain,
+                ..
+            } => *domain,
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -51,23 +51,24 @@
 //! additive counts), so cross-day unique-SLD and unique-onion totals
 //! are grouping-independent too.
 //!
-//! ## Incremental consensus diffs
+//! ## One step, one memo
 //!
-//! `snapshot(d)` is served by the [`diff`] module: each day is a
-//! [`diff::DayDelta`] (leaves, joins, weight steps, mix steps —
-//! recorded from the same `"net/day{d}"` / `"mix/day{d}"` RNG streams)
-//! and an internal, lock-guarded [`diff::TimelineCursor`] applies
-//! deltas forward from checkpoints every
-//! [`diff::CHECKPOINT_INTERVAL`] days. A campaign sweeping its
-//! calendar therefore evolves the network **once** — `O(churn + n)`
-//! amortized per day — instead of replaying day 0..d on every call
-//! (`O(d · n)`, quadratic over a calendar). The memoization is
+//! A day of evolution has one definition, `step_day`: consensus churn
+//! and weight drift from the `"net/day{d}"` stream, then mix drift from
+//! `"mix/day{d}"`. `snapshot(d)` is served by the [`diff`] module's
+//! lock-guarded [`diff::TimelineCursor`], which takes that step forward
+//! from checkpoints kept every [`diff::CHECKPOINT_INTERVAL`] days, so a
+//! campaign sweeping its calendar evolves the network **once** —
+//! `O(churn + n)` amortized per day — instead of re-stepping day 0..d
+//! on every call (`O(d · n)`, quadratic over a calendar). The memo is
 //! invisible to the purity contract: any access order lands on
-//! bit-identical snapshots. The from-scratch path survives as
-//! [`NetworkTimeline::snapshot_replay`], the regression oracle the
-//! proptests and `make timeline-smoke` pin the diff path against.
+//! bit-identical snapshots. [`NetworkTimeline::snapshot_replay`] is the
+//! same step without the memo — the oracle the proptests and
+//! `make timeline-smoke` hold the cursor's bookkeeping against.
 
 pub mod diff;
+
+pub use diff::replay_snapshot;
 
 use crate::churn::ChurnModel;
 use crate::geo::GeoDb;
@@ -267,7 +268,7 @@ pub struct NetworkTimeline {
     /// Promiscuous clients (bridges, busy NATs): stable, always seen.
     promiscuous: u64,
     geo: Arc<GeoDb>,
-    /// Snapshot memo: the delta cursor every caller of
+    /// Snapshot memo: the cursor every caller of
     /// [`Self::snapshot`] shares, so a campaign's round runners evolve
     /// the network once however many times (and in whatever order) they
     /// ask for a day. Behind a lock; the purity contract is unchanged.
@@ -324,10 +325,10 @@ impl NetworkTimeline {
 
     /// The network on `day`: the day-0 consensus evolved through `day`
     /// deterministic daily steps. Pure in `(config, day)`; served by
-    /// the memoized delta cursor (see [`diff`]), so a calendar sweep
-    /// evolves the network once — `O(churn + n)` amortized per day —
-    /// and any out-of-order access replays at most
-    /// [`diff::CHECKPOINT_INTERVAL`] deltas from a checkpoint.
+    /// the memoized cursor (see [`diff`]), so a calendar sweep evolves
+    /// the network once — `O(churn + n)` amortized per day — and any
+    /// out-of-order access takes at most [`diff::CHECKPOINT_INTERVAL`]
+    /// steps from a checkpoint.
     pub fn snapshot(&self, day: u64) -> DaySnapshot {
         self.cursor
             .lock()
@@ -336,8 +337,8 @@ impl NetworkTimeline {
             .snapshot(day)
     }
 
-    /// The from-scratch replay of `day` — the legacy `O(d · n)` path,
-    /// kept as the regression oracle the diff path is pinned against
+    /// The from-scratch replay of `day` — day 0 stepped `day` times,
+    /// `O(d · n)`, no memo: the oracle the cursor is held against
     /// (proptests + `make timeline-smoke`). Bit-identical to
     /// [`Self::snapshot`] by contract.
     pub fn snapshot_replay(&self, day: u64) -> DaySnapshot {
@@ -566,41 +567,22 @@ pub struct HsDay {
     pub rend_fraction: f64,
 }
 
-/// The from-scratch replay of `day` from a bare config — the legacy
-/// path behind [`NetworkTimeline::snapshot_replay`], exposed so the
-/// diff-equivalence tests can build the oracle without a full timeline
-/// (the replay touches neither the churn model nor the geo database).
-pub fn replay_snapshot(cfg: &TimelineConfig, day: u64) -> DaySnapshot {
-    let base = Consensus::paper_deployment(
-        cfg.n_background,
-        cfg.exit_fraction,
-        cfg.guard_fraction,
-        cfg.hsdir_fraction,
-    );
-    let mut relays: Vec<Relay> = base.relays().to_vec();
-    // Normalized from day 0 so `total_share() == 1` holds for every
-    // snapshot (the paper mix sums to ~1.05; only relative shares
-    // reach the samplers, so this changes no generated event).
-    let mut mix = DomainMix::paper_default();
-    mix.normalize();
-    let mut joined = 0;
-    let mut left = 0;
-    for d in 1..=day {
-        let mut rng = diff::net_day_rng(cfg.seed, d);
-        (joined, left) = evolve_consensus(&mut relays, cfg, &mut rng);
-        let mut mix_rng = diff::mix_day_rng(cfg.seed, d);
-        drift_mix(&mut mix, cfg.mix_drift_sigma, &mut mix_rng);
-    }
-    for (i, r) in relays.iter_mut().enumerate() {
-        r.id = RelayId(i as u32);
-    }
-    DaySnapshot {
-        day,
-        consensus: Arc::new(Consensus::new(relays)),
-        mix,
-        joined,
-        left,
-    }
+/// Evolves `relays` and `mix` from day `day − 1` into `day` in place
+/// and returns `(joined, left)` — the one definition of a day, taken by
+/// the cursor and the replay oracle alike, and the single call site of
+/// the `"net/day{d}"` and `"mix/day{d}"` labels. It reads nothing but
+/// its arguments, so a day is pure in `(previous day, config, day)`.
+fn step_day(
+    relays: &mut Vec<Relay>,
+    mix: &mut DomainMix,
+    cfg: &TimelineConfig,
+    day: u64,
+) -> (u64, u64) {
+    let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, &format!("net/day{day}")));
+    let counts = evolve_consensus(relays, cfg, &mut rng);
+    let mut mix_rng = StdRng::seed_from_u64(derive_seed(cfg.seed, &format!("mix/day{day}")));
+    drift_mix(mix, cfg.mix_drift_sigma, &mut mix_rng);
+    counts
 }
 
 /// One daily consensus step: leaves, joins, weight drift. Returns
@@ -614,11 +596,13 @@ pub fn replay_snapshot(cfg: &TimelineConfig, day: u64) -> DaySnapshot {
 /// When every background holder of a flag is marked to leave, the
 /// first holder stays instead.
 ///
-/// Joining relays draw their flag flavor from the day RNG
-/// ([`diff::join_flag_flavor`], 1/3 each) — the fix for the `j % 3`
-/// cycling bias that made every 1-join day a Guard+HSDir join and
-/// never an Exit. [`diff::DayDelta::compute`] mirrors this function's
-/// draws record-for-record; any change here must change there too.
+/// Joining relays draw their flag flavor from the day RNG, 1/3 each:
+/// guard+hsdir, exit, or middle-only (all fast). Flags used to be
+/// assigned by `j % 3` restarting at 0 every day, so a long low-join
+/// campaign — where most join days add exactly one relay — grew
+/// Guard+HSDir relays almost exclusively and never an Exit; a weighted
+/// draw keeps the background composition at the intended thirds
+/// whatever the per-day join counts.
 fn evolve_consensus(relays: &mut Vec<Relay>, cfg: &TimelineConfig, rng: &mut StdRng) -> (u64, u64) {
     let before = relays.len();
     // Instrumented relays are ours: they never leave mid-campaign (and
@@ -651,9 +635,15 @@ fn evolve_consensus(relays: &mut Vec<Relay>, cfg: &TimelineConfig, rng: &mut Std
     let left = (before - relays.len()) as u64;
     let joined = poisson_approx(cfg.relay_joins_per_day, rng);
     for j in 0..joined {
-        let flags = diff::join_flag_flavor(rng);
+        let flags = match rng.gen_range(0..3u32) {
+            0 => RelayFlags::FAST
+                .union(RelayFlags::GUARD)
+                .union(RelayFlags::HSDIR),
+            1 => RelayFlags::FAST.union(RelayFlags::EXIT),
+            _ => RelayFlags::FAST,
+        };
         relays.push(Relay {
-            id: RelayId(0), // re-indexed by the caller
+            id: RelayId(0), // re-indexed at snapshot time
             nickname: format!("join{j}"),
             weight: 0.5 + rng.gen::<f64>(), // fresh relays ramp up around bg weight
             flags,

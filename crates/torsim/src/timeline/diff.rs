@@ -1,243 +1,56 @@
-//! Incremental per-day consensus diffs — `snapshot(d)` in `O(churn)`
-//! amortized instead of `O(d · network)`.
+//! The snapshot memo — `snapshot(d)` without replaying days `1..=d`
+//! on every call.
 //!
-//! The legacy [`NetworkTimeline::snapshot_replay`] re-derives every
-//! [`DaySnapshot`] from day 0, replaying `d` full daily evolution steps
-//! per call. A longitudinal campaign asks for one snapshot per day per
-//! round, so its total evolution cost grew quadratically with the
-//! calendar. This module restructures the timeline around the same idea
-//! as Tor's deployed consensus-diff scheme: instead of shipping (here:
-//! recomputing) the full document every day, each day is a small
-//! [`DayDelta`] — who left, who joined, how every weight and mix share
-//! stepped — and a [`TimelineCursor`] applies deltas forward from
-//! periodic checkpoints.
-//!
-//! ## The delta
-//!
-//! [`DayDelta::compute`] draws from the exact RNG streams the replay
-//! path uses — `derive_seed(seed, "net/day{d}")` for consensus churn
-//! and `derive_seed(seed, "mix/day{d}")` for mix drift (the
-//! [`net_day_rng`] / [`mix_day_rng`] helpers are the single call sites
-//! for those labels) — and records, rather than applies, every draw:
-//!
-//! * `leaves` — indices (into the previous day's relay list) of
-//!   background relays leaving, after the position-survival fix-up
-//!   (every flag keeps at least one background holder).
-//! * `joins` — the fresh relays, with their flag flavor drawn from the
-//!   day RNG (weighted 1/3 guard+hsdir / exit / middle-only) and their
-//!   ramp-up weights pre-drawn.
-//! * `weight_steps` — one log-normal multiplier per post-join relay, in
-//!   final order (survivors in previous order, then joins).
-//! * `mix_step` — one log-normal multiplier per mix share, in
-//!   [`DomainMix::for_each_share_mut`] order.
-//!
-//! [`DayDelta::apply`] is then pure arithmetic — no RNG — and
-//! reproduces the replay path's state bit for bit: the recorded
-//! multipliers are the very `f64`s the replay path multiplies by, so
-//! `w * m` lands on the identical bits. The equivalence is pinned by
-//! proptests over random configs and days up to 365
-//! (`crates/torsim/tests/proptests.rs`) and by the 365-day smoke
-//! (`make timeline-smoke`).
+//! A day of network evolution has one definition, `timeline::step_day`
+//! (consensus churn and weight drift from the `"net/day{d}"` stream,
+//! then mix drift from `"mix/day{d}"`), and one state it advances, the
+//! private `CursorState`. [`replay_snapshot`] is the memo-less reading
+//! of that definition: start at day 0, step `d` times — `O(d · n)` per
+//! call, quadratic over a calendar, which is why campaigns do not use
+//! it. [`TimelineCursor`] steps the very same state and adds only what
+//! a memo adds: it remembers where it is, keeps checkpoints, and caches
+//! the last snapshot built. The two can disagree only in that
+//! bookkeeping, which is what the oracle is kept to check.
 //!
 //! ## The cursor and its compaction contract
 //!
 //! A [`TimelineCursor`] owns the current evolved state and a checkpoint
 //! (a full state clone) every [`CHECKPOINT_INTERVAL`] days, taken as
-//! the cursor first crosses each multiple. Seeking forward applies one
-//! delta per day; seeking backward restores the nearest checkpoint at
-//! or before the target and replays at most `CHECKPOINT_INTERVAL − 1`
-//! deltas. A sequential sweep therefore costs one delta per day
-//! (`O(churn + n)` work, dominated by the per-relay weight steps), and
-//! random access costs a bounded number of deltas — never a replay
+//! the cursor first crosses each multiple. Seeking forward takes one
+//! step per day; seeking backward restores the nearest checkpoint at
+//! or before the target and takes at most `CHECKPOINT_INTERVAL − 1`
+//! steps. A sequential sweep therefore costs one step per day
+//! (`O(churn + n)` work, dominated by the per-relay weight draws), and
+//! random access costs a bounded number of steps — never a replay
 //! from day 0. Memory is the compaction contract: one retained state
 //! per `CHECKPOINT_INTERVAL` days, i.e. ~12 consensus clones for a
 //! year-long campaign, plus the last built snapshot as a cache.
 //!
-//! The cursor is not shared state in the purity sense: `snapshot(d)`
-//! remains a pure function of `(config, d)` — the cursor is memoization
-//! behind [`NetworkTimeline`]'s internal lock, and out-of-order access
-//! lands on bit-identical results (pinned by tests here and by the
-//! campaign bit-identity suites, which run rounds in every order).
+//! The cursor is not shared state in the purity sense: a step reads
+//! only `(previous state, config, day)` and every day's RNG streams are
+//! derived from `(seed, day)` alone, so `snapshot(d)` remains a pure
+//! function of `(config, d)` — the cursor is memoization behind
+//! [`NetworkTimeline`]'s internal lock, and out-of-order access lands
+//! on bit-identical results (pinned by tests here, by the proptests in
+//! `crates/torsim/tests/proptests.rs`, and by the campaign bit-identity
+//! suites, which run rounds in every order). The step's actual output
+//! is pinned by digests in `make timeline-smoke`.
 //!
 //! [`NetworkTimeline`]: crate::timeline::NetworkTimeline
-//! [`NetworkTimeline::snapshot_replay`]: crate::timeline::NetworkTimeline::snapshot_replay
-//! [`DaySnapshot`]: crate::timeline::DaySnapshot
-//! [`DomainMix::for_each_share_mut`]: crate::workload::DomainMix::for_each_share_mut
 
 use crate::ids::RelayId;
-use crate::relay::{Consensus, Relay, RelayFlags};
-use crate::sampled::poisson_approx;
-use crate::timeline::{DaySnapshot, TimelineConfig};
+use crate::relay::{Consensus, Relay};
+use crate::timeline::{step_day, DaySnapshot, TimelineConfig};
 use crate::workload::DomainMix;
-use pm_dp::mechanism::sample_gaussian;
 use pm_obs::Recorder;
-use pm_stats::sampling::derive_seed;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Days between full-state checkpoints retained by the cursor.
 pub const CHECKPOINT_INTERVAL: u64 = 32;
 
-/// The RNG stream day `day`'s consensus evolution draws from. The one
-/// call site for the `"net/day{d}"` label: the diff and replay paths
-/// must interpret the identical stream.
-pub fn net_day_rng(seed: u64, day: u64) -> StdRng {
-    StdRng::seed_from_u64(derive_seed(seed, &format!("net/day{day}")))
-}
-
-/// The RNG stream day `day`'s mix drift draws from (the one call site
-/// for the `"mix/day{d}"` label).
-pub fn mix_day_rng(seed: u64, day: u64) -> StdRng {
-    StdRng::seed_from_u64(derive_seed(seed, &format!("mix/day{day}")))
-}
-
-/// Draws a joining relay's flag flavor from the day RNG, weighted 1/3
-/// each: guard+hsdir, exit, or middle-only (all fast).
-///
-/// This is the join-flag cycling bugfix: flags used to be assigned by
-/// `j % 3` restarting at 0 every day, so a long low-join campaign —
-/// where most join days add exactly one relay — grew Guard+HSDir
-/// relays almost exclusively and *never* an Exit, deterministically
-/// drifting the background flag composition. A weighted draw keeps the
-/// long-run composition at the intended thirds whatever the per-day
-/// join counts.
-pub fn join_flag_flavor(rng: &mut StdRng) -> RelayFlags {
-    match rng.gen_range(0..3u32) {
-        0 => RelayFlags::FAST
-            .union(RelayFlags::GUARD)
-            .union(RelayFlags::HSDIR),
-        1 => RelayFlags::FAST.union(RelayFlags::EXIT),
-        _ => RelayFlags::FAST,
-    }
-}
-
-/// One day's consensus-and-mix step, recorded instead of applied. See
-/// the module docs for field semantics and ordering contracts.
-#[derive(Clone, Debug)]
-pub struct DayDelta {
-    /// The day this delta evolves the network *into* (`d ≥ 1`; day 0 is
-    /// the base state and has no delta).
-    pub day: u64,
-    /// Indices into the *previous* day's relay list that leave.
-    pub leaves: Vec<u32>,
-    /// Fresh relays joining (ids are re-assigned at snapshot time).
-    pub joins: Vec<Relay>,
-    /// Per-relay weight multipliers in post-join order: survivors in
-    /// their previous relative order, then the joins.
-    pub weight_steps: Vec<f64>,
-    /// Per-share mix multipliers in `for_each_share_mut` order.
-    pub mix_step: Vec<f64>,
-}
-
-impl DayDelta {
-    /// Computes day `day`'s delta from the previous day's state. Draws
-    /// from [`net_day_rng`] / [`mix_day_rng`] in the exact order the
-    /// replay path (`evolve_consensus` + `drift_mix`) draws, so the
-    /// recorded multipliers are bit-identical to the ones the replay
-    /// path applies. Pure in `(prev state, config, day)`.
-    pub fn compute(
-        prev_relays: &[Relay],
-        prev_mix: &DomainMix,
-        cfg: &TimelineConfig,
-        day: u64,
-    ) -> DayDelta {
-        assert!(day >= 1, "day 0 is the base state; deltas start at day 1");
-        let mut rng = net_day_rng(cfg.seed, day);
-        // Leave decisions, instrumented relays drawing nothing — the
-        // same stream positions as the replay path.
-        let mut leave_flags: Vec<bool> = prev_relays
-            .iter()
-            .map(|r| !r.instrumented && rng.gen::<f64>() < cfg.relay_leave_prob)
-            .collect();
-        // Position-survival fix-up (no RNG): every flag keeps at least
-        // one background holder.
-        for flag in [
-            RelayFlags::GUARD,
-            RelayFlags::EXIT,
-            RelayFlags::HSDIR,
-            RelayFlags::FAST,
-        ] {
-            let survives = prev_relays
-                .iter()
-                .zip(&leave_flags)
-                .any(|(r, &leave)| !leave && !r.instrumented && r.flags.contains(flag));
-            if !survives {
-                if let Some(i) = prev_relays
-                    .iter()
-                    .position(|r| !r.instrumented && r.flags.contains(flag))
-                {
-                    leave_flags[i] = false;
-                }
-            }
-        }
-        let leaves: Vec<u32> = leave_flags
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &leave)| leave.then_some(i as u32))
-            .collect();
-        let joined = poisson_approx(cfg.relay_joins_per_day, &mut rng);
-        let mut joins = Vec::with_capacity(joined as usize);
-        for j in 0..joined {
-            let flags = join_flag_flavor(&mut rng);
-            joins.push(Relay {
-                id: RelayId(0), // re-indexed at snapshot time
-                nickname: format!("join{j}"),
-                weight: 0.5 + rng.gen::<f64>(), // fresh relays ramp up around bg weight
-                flags,
-                instrumented: false,
-            });
-        }
-        let survivors = prev_relays.len() - leaves.len();
-        let weight_steps: Vec<f64> = (0..survivors + joins.len())
-            .map(|_| (cfg.weight_drift_sigma * sample_gaussian(1.0, &mut rng)).exp())
-            .collect();
-        let mut mix_rng = mix_day_rng(cfg.seed, day);
-        let mut mix_step = Vec::new();
-        prev_mix.clone().for_each_share_mut(&mut |_| {
-            mix_step.push((cfg.mix_drift_sigma * sample_gaussian(1.0, &mut mix_rng)).exp())
-        });
-        DayDelta {
-            day,
-            leaves,
-            joins,
-            weight_steps,
-            mix_step,
-        }
-    }
-
-    /// Applies the delta to the previous day's state in place — pure
-    /// arithmetic, no RNG. Returns `(joined, left)` for the day.
-    pub fn apply(&self, relays: &mut Vec<Relay>, mix: &mut DomainMix) -> (u64, u64) {
-        let mut keep = vec![true; relays.len()];
-        for &i in &self.leaves {
-            keep[i as usize] = false;
-        }
-        let mut keep_iter = keep.iter();
-        relays.retain(|_| *keep_iter.next().expect("one decision per relay"));
-        relays.extend(self.joins.iter().cloned());
-        assert_eq!(
-            relays.len(),
-            self.weight_steps.len(),
-            "delta computed against a different previous state"
-        );
-        for (r, step) in relays.iter_mut().zip(&self.weight_steps) {
-            r.weight *= step;
-        }
-        let mut steps = self.mix_step.iter();
-        mix.for_each_share_mut(&mut |s| *s *= steps.next().expect("one step per share"));
-        assert!(
-            steps.next().is_none(),
-            "mix share count changed mid-campaign"
-        );
-        mix.normalize();
-        (self.joins.len() as u64, self.leaves.len() as u64)
-    }
-}
-
-/// One fully evolved day of the network, as the cursor holds it
-/// (relays un-reindexed, exactly like the replay loop's working state).
+/// One fully evolved day of the network (relays un-reindexed until a
+/// snapshot is built).
 #[derive(Clone)]
 struct CursorState {
     day: u64,
@@ -248,6 +61,34 @@ struct CursorState {
 }
 
 impl CursorState {
+    /// Day 0 of `cfg`'s network.
+    fn base(cfg: &TimelineConfig) -> CursorState {
+        let consensus = Consensus::paper_deployment(
+            cfg.n_background,
+            cfg.exit_fraction,
+            cfg.guard_fraction,
+            cfg.hsdir_fraction,
+        );
+        // Normalized from day 0 so `total_share() == 1` holds for every
+        // snapshot (the paper mix sums to ~1.05; only relative shares
+        // reach the samplers, so this changes no generated event).
+        let mut mix = DomainMix::paper_default();
+        mix.normalize();
+        CursorState {
+            day: 0,
+            relays: consensus.relays().to_vec(),
+            mix,
+            joined: 0,
+            left: 0,
+        }
+    }
+
+    /// Evolves the state into its next day.
+    fn step(&mut self, cfg: &TimelineConfig) {
+        self.day += 1;
+        (self.joined, self.left) = step_day(&mut self.relays, &mut self.mix, cfg, self.day);
+    }
+
     fn to_snapshot(&self) -> DaySnapshot {
         let mut relays = self.relays.clone();
         for (i, r) in relays.iter_mut().enumerate() {
@@ -263,9 +104,23 @@ impl CursorState {
     }
 }
 
-/// Applies [`DayDelta`]s forward from periodic checkpoints (see the
-/// module docs). [`NetworkTimeline`] holds one behind a lock as its
-/// snapshot memo; it can also be driven directly.
+/// The from-scratch replay of `day` from a bare config: day 0 stepped
+/// `day` times, no memo. The oracle behind
+/// [`NetworkTimeline::snapshot_replay`], callable without a full
+/// timeline (it touches neither the churn model nor the geo database).
+///
+/// [`NetworkTimeline::snapshot_replay`]: crate::timeline::NetworkTimeline::snapshot_replay
+pub fn replay_snapshot(cfg: &TimelineConfig, day: u64) -> DaySnapshot {
+    let mut state = CursorState::base(cfg);
+    while state.day < day {
+        state.step(cfg);
+    }
+    state.to_snapshot()
+}
+
+/// Steps the network forward from periodic checkpoints (see the module
+/// docs). [`NetworkTimeline`] holds one behind a lock as its snapshot
+/// memo; it can also be driven directly.
 ///
 /// [`NetworkTimeline`]: crate::timeline::NetworkTimeline
 pub struct TimelineCursor {
@@ -284,7 +139,7 @@ pub struct TimelineCursor {
     /// Observability handle. The deterministic plane gets only
     /// schedule-invariant projections of the cursor's work: *distinct
     /// days materialized* and *checkpoints taken* are properties of the
-    /// calendar, while raw restore/apply operation counts depend on the
+    /// calendar, while raw restore/step operation counts depend on the
     /// order rounds happened to ask for days and are therefore
     /// profiling spans only.
     recorder: Recorder,
@@ -296,24 +151,7 @@ pub struct TimelineCursor {
 impl TimelineCursor {
     /// A cursor positioned at day 0 of `cfg`'s network.
     pub fn new(cfg: TimelineConfig) -> TimelineCursor {
-        let consensus = Consensus::paper_deployment(
-            cfg.n_background,
-            cfg.exit_fraction,
-            cfg.guard_fraction,
-            cfg.hsdir_fraction,
-        );
-        // Normalized from day 0 so `total_share() == 1` holds for every
-        // snapshot (the paper mix sums to ~1.05; only relative shares
-        // reach the samplers, so this changes no generated event).
-        let mut mix = DomainMix::paper_default();
-        mix.normalize();
-        let base = CursorState {
-            day: 0,
-            relays: consensus.relays().to_vec(),
-            mix,
-            joined: 0,
-            left: 0,
-        };
+        let base = CursorState::base(&cfg);
         TimelineCursor {
             cfg,
             state: base.clone(),
@@ -333,8 +171,8 @@ impl TimelineCursor {
 
     /// The network on `day` — bit-identical to the from-scratch replay
     /// for every access order. Amortized `O(churn + n)` per day on a
-    /// sequential sweep; at most `CHECKPOINT_INTERVAL` delta
-    /// applications from the nearest checkpoint on random access.
+    /// sequential sweep; at most `CHECKPOINT_INTERVAL` steps from the
+    /// nearest checkpoint on random access.
     pub fn snapshot(&mut self, day: u64) -> DaySnapshot {
         if self.materialized.insert(day) {
             self.recorder.incr("timeline.days.materialized");
@@ -371,14 +209,10 @@ impl TimelineCursor {
                 .unwrap_or_else(|| self.base.clone());
         }
         while self.state.day < day {
-            let d = self.state.day + 1;
             let mut span = self.recorder.span("timeline.delta_apply", "timeline");
-            span.note("day", d);
-            let delta = DayDelta::compute(&self.state.relays, &self.state.mix, &self.cfg, d);
-            let (joined, left) = delta.apply(&mut self.state.relays, &mut self.state.mix);
-            self.state.day = d;
-            self.state.joined = joined;
-            self.state.left = left;
+            span.note("day", self.state.day + 1);
+            self.state.step(&self.cfg);
+            let d = self.state.day;
             if d.is_multiple_of(CHECKPOINT_INTERVAL) && !self.checkpoints.contains_key(&d) {
                 self.checkpoints.insert(d, self.state.clone());
                 // First crossing of this multiple: schedule-invariant —
@@ -393,6 +227,7 @@ impl TimelineCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relay::RelayFlags;
 
     fn cfg(seed: u64) -> TimelineConfig {
         TimelineConfig {
@@ -442,7 +277,7 @@ mod tests {
         ] {
             assert_eq!(
                 fingerprint(&cursor.snapshot(day)),
-                fingerprint(&crate::timeline::replay_snapshot(&c, day)),
+                fingerprint(&replay_snapshot(&c, day)),
                 "day {day} diverged from the replay oracle"
             );
         }
@@ -481,13 +316,14 @@ mod tests {
             relay_joins_per_day: 1.0,
             ..cfg(47)
         };
-        let mut cursor = TimelineCursor::new(low_join.clone());
+        let mut cursor = TimelineCursor::new(low_join);
         let mut counts = [0u64; 3]; // guard+hsdir, exit, middle-only
         let mut single_join_exits = 0u64;
-        let mut prev = cursor.snapshot(0);
         for day in 1..=365 {
-            let delta = DayDelta::compute(prev.consensus.relays(), &prev.mix, &low_join, day);
-            for join in &delta.joins {
+            // A day's joins are the last `joined` relays of its consensus.
+            let snap = cursor.snapshot(day);
+            let relays = snap.consensus.relays();
+            for join in &relays[relays.len() - snap.joined as usize..] {
                 let flavor = if join.flags.contains(RelayFlags::GUARD) {
                     0
                 } else if join.flags.contains(RelayFlags::EXIT) {
@@ -496,11 +332,10 @@ mod tests {
                     2
                 };
                 counts[flavor] += 1;
-                if delta.joins.len() == 1 && flavor == 1 {
+                if snap.joined == 1 && flavor == 1 {
                     single_join_exits += 1;
                 }
             }
-            prev = cursor.snapshot(day);
         }
         let total: u64 = counts.iter().sum();
         assert!(total > 250, "poisson(1) over 365 days: {total}");
@@ -514,20 +349,6 @@ mod tests {
         assert!(
             single_join_exits > 20,
             "1-join days must be able to add an Exit (got {single_join_exits})"
-        );
-    }
-
-    #[test]
-    fn delta_is_deterministic_and_day_pure() {
-        let c = cfg(53);
-        let mut cursor = TimelineCursor::new(c.clone());
-        let day4 = cursor.snapshot(4);
-        let a = DayDelta::compute(day4.consensus.relays(), &day4.mix, &c, 5);
-        let b = DayDelta::compute(day4.consensus.relays(), &day4.mix, &c, 5);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert_eq!(
-            a.weight_steps.len(),
-            day4.consensus.relays().len() - a.leaves.len() + a.joins.len()
         );
     }
 }

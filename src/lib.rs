@@ -44,15 +44,15 @@
 //! themselves findings. Run the pass locally with `make lint` or
 //! `cargo run -p pm-lint`.
 //!
-//! The network timeline's day `d` is derived from the
-//! `derive_seed(seed, "net/day{d}")` / `"mix/day{d}"` streams exactly
-//! once per day as an incremental `DayDelta` (joins, leaves, recorded
-//! weight/mix multipliers — see `torsim::timeline::diff`), and
-//! `snapshot(d)` is served by a lock-guarded memoized cursor applying
-//! those deltas from checkpoints. The memoization is invisible to this
-//! contract: snapshots stay pure in `(config, day)` under any access
-//! order, pinned bit-for-bit against the from-scratch
-//! `snapshot_replay` oracle by proptest and `make timeline-smoke`.
+//! The network timeline's day `d` has one definition —
+//! `torsim::timeline`'s `step_day`, the single call site of the
+//! `derive_seed(seed, "net/day{d}")` / `"mix/day{d}"` streams — and
+//! `snapshot(d)` is served by a lock-guarded memoized cursor taking
+//! that step forward from checkpoints (`torsim::timeline::diff`). The
+//! memoization is invisible to this contract: snapshots stay pure in
+//! `(config, day)` under any access order, held bit-for-bit against the
+//! memo-less `snapshot_replay` of the same step by proptest, and the
+//! step's output itself is pinned by digests in `make timeline-smoke`.
 //!
 //! ## Observability
 //!
