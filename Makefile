@@ -94,8 +94,9 @@ scenario-smoke:
 # profiling plane live, exporting a chrome://tracing trace. trace-check
 # re-parses the file with the workspace's own validator and fails
 # unless it is well-formed, spans >= 5 distinct categories, and covers
-# the mixnet hot loop, the worker pool, the timeline cursor and the
-# PSC noise calibration by name. Guards the --trace wiring end to end;
+# the mixnet hot loop, the worker pool, the timeline cursor, the PSC
+# noise calibration and per-DC stream construction (the traffic round's
+# `gen.streams`) by name. Guards the --trace wiring end to end;
 # the planes-separation contract itself (profiling never changes a
 # report byte) lives in tests/obs_planes.rs under `test`.
 obs-smoke:
@@ -104,7 +105,7 @@ obs-smoke:
 		--trace target/obs_trace.json > /dev/null
 	$(CARGO) run --release -p pm-obs --bin trace-check -- \
 		target/obs_trace.json --min-cats 5 \
-		mix.batch job.run timeline.checkpoint_restore dp.calibrate
+		mix.batch job.run timeline.checkpoint_restore dp.calibrate gen.streams
 
 # Wire-fabric smoke: one PSC round whose every protocol frame crosses
 # a real loopback TCP socket, pinned byte-for-byte (RawCount and
@@ -142,8 +143,10 @@ perf-smoke:
 	$(CARGO) test --release --manifest-path perfbench/Cargo.toml
 
 # The measurement behind a perf claim: alternating parent/change pairs
-# of the benchmark, every run printed, then per workload the medians,
-# the ratio, the pairs won and the report digests; exits nonzero when a
+# of the benchmark, every run printed, then per workload and metric each
+# side's median and quartiles, the ratio, a verdict by the claim rule
+# (pairs won, medians vs the parent's inter-quartile distance, spread vs
+# BENCHMARK.json's bound) and the report digests; exits nonzero when a
 # digest differs between the sides. PARENT is required; the parent tree
 # is exported and built under target/perf-pairs/. Not part of `verify`:
 # minutes of wall-clock, and its numbers are for a human to read.
@@ -162,7 +165,7 @@ perf-pairs:
 loc:
 	scripts/loc.sh $(PARENT)
 
-# Regenerate the committed golden report snapshots after an intentional
-# output change.
+# Regenerate the committed golden report snapshot and the report digest
+# ledger after an intentional output change.
 golden:
-	UPDATE_GOLDEN=1 $(CARGO) test --release --test golden_reports
+	UPDATE_GOLDEN=1 $(CARGO) test --release --test golden_reports --test report_digests

@@ -339,6 +339,21 @@ mod tests {
         assert_eq!(d0.weights.tab5_guard, d0.weights.tab4_entry);
         assert_eq!(d0.scale, dep.scale);
         assert_eq!(d0.relays.len(), 16);
+        // The shared universe memoizes the domain sampler by mix value:
+        // a day's derivations share one, a drifted day gets its own and
+        // is never served another day's tables.
+        let mix0 = &d0.workload.exit.mix;
+        let mix3 = &d3.workload.exit.mix;
+        assert_ne!(mix0, mix3, "three days of drift must move the mix");
+        let s0 = d0.sites.domain_sampler(mix0);
+        let again = dep.for_day(&t.snapshot(0));
+        assert!(Arc::ptr_eq(
+            &s0,
+            &again.sites.domain_sampler(&again.workload.exit.mix)
+        ));
+        let s3 = d3.sites.domain_sampler(mix3);
+        assert!(!Arc::ptr_eq(&s0, &s3));
+        assert!(Arc::ptr_eq(&s3, &dep.sites.domain_sampler(mix3)));
     }
 
     #[test]

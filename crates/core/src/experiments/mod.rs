@@ -39,7 +39,9 @@ fn dc_stream_sim(dep: &Deployment, relay: u32, label: &str) -> StreamSim {
 
 /// One stream per DC: DC `i` is attributed to relay `first_relay + i`
 /// and seeded by `"{label}/dc{i}"`; `build` draws its stream from that
-/// DC's simulator under that label.
+/// DC's simulator under that label. Streams are deferred, so the
+/// `gen.streams` span covers only what construction does eagerly —
+/// sampling tables — and a table rebuilt per stream shows up there.
 fn per_dc(
     dep: &Deployment,
     first_relay: u32,
@@ -47,6 +49,9 @@ fn per_dc(
     label: &str,
     build: impl Fn(&StreamSim, &str) -> EventStream,
 ) -> Vec<EventStream> {
+    let mut span = dep.recorder.span("gen.streams", "torsim");
+    span.note("dcs", num_dcs);
+    span.note("label", label);
     (0..num_dcs)
         .map(|i| {
             let label = format!("{label}/dc{i}");

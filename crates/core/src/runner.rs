@@ -484,6 +484,26 @@ mod tests {
     }
 
     #[test]
+    fn a_tor_day_builds_one_domain_sampler() {
+        use std::sync::Arc;
+        // The nine PrivCount entries of a Tor day: six exit-side rounds
+        // of six DC streams each, all over one universe and one mix.
+        let dep = crate::deployment::Deployment::at_scale(1e-3, 3).with_shards(2);
+        let mix = &dep.workload.exit.mix;
+        let sampler = dep.sites.domain_sampler(mix);
+        let reports = run_some(
+            &dep,
+            &["T1", "F1", "F2", "F3", "T4", "F4", "T8", "X1", "X2"],
+        );
+        assert_eq!(reports.len(), 9);
+        // A build replaces the memo's slot, so the slot still holding
+        // the sampler requested before the run means the run's 36
+        // requests all hit it; and no finished round kept a copy.
+        assert!(Arc::ptr_eq(&sampler, &dep.sites.domain_sampler(mix)));
+        assert_eq!(Arc::strong_count(&sampler), 2);
+    }
+
+    #[test]
     #[should_panic(expected = "round exploded")]
     fn panicking_round_propagates_instead_of_hanging() {
         let planned: Vec<PlannedRound> = (0..3)

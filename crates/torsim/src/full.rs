@@ -162,8 +162,8 @@ impl GroundTruth {
 }
 
 /// Per-day derived state shared by every partition: weighted samplers,
-/// the HSDir ring, and the domain sampler (built once, shared across
-/// shard threads like the sampled mode's tables).
+/// the HSDir ring, and the domain sampler (the universe's shared one —
+/// see [`SiteList::domain_sampler`]).
 struct DayTables {
     guard: PositionSampler,
     middle: PositionSampler,
@@ -173,7 +173,7 @@ struct DayTables {
     /// descriptor sources are then skipped (zero fetches/publishes in
     /// truth) instead of panicking on an empty ring.
     ring: Option<HsDirRing>,
-    domains: DomainSampler,
+    domains: Arc<DomainSampler>,
 }
 
 /// The full simulator.
@@ -248,7 +248,7 @@ impl FullSim {
             exit: self.consensus.sampler(Position::Exit),
             rp: self.consensus.sampler(Position::Rendezvous),
             ring: (!hsdirs.is_empty()).then(|| HsDirRing::v2(&hsdirs)),
-            domains: DomainSampler::new(&self.sites, mix),
+            domains: self.sites.domain_sampler(mix),
         }
     }
 

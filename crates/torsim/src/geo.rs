@@ -176,13 +176,20 @@ impl GeoDb {
                 break;
             }
         }
-        self.sample_ip_in(self.blocks[idx].code, rng)
-            .expect("block exists")
+        self.sample_ip_in_block(idx, rng)
     }
 
     /// Samples an IP within a specific country's block.
     pub fn sample_ip_in<R: Rng + ?Sized>(&self, code: CountryCode, rng: &mut R) -> Option<IpAddr> {
         let i = self.blocks.iter().position(|b| b.code == code)?;
+        Some(self.sample_ip_in_block(i, rng))
+    }
+
+    /// Samples an IP within the `i`-th country's block, in
+    /// [`Self::countries`] order — [`Self::sample_ip_in`] for a caller
+    /// that already holds the index (a per-event generator drawing it
+    /// from an alias table) and should not search for it again.
+    pub(crate) fn sample_ip_in_block<R: Rng + ?Sized>(&self, i: usize, rng: &mut R) -> IpAddr {
         let start = self.blocks[i].start;
         let end = if i + 1 < self.blocks.len() {
             self.blocks[i + 1].start
@@ -191,9 +198,9 @@ impl GeoDb {
         };
         if end <= start {
             // Degenerately small share: return the block start.
-            return Some(IpAddr(start));
+            return IpAddr(start);
         }
-        Some(IpAddr(rng.gen_range(start..end)))
+        IpAddr(rng.gen_range(start..end))
     }
 }
 

@@ -31,8 +31,8 @@ use rand::Rng;
 /// Pre-built per-country sampling tables for the client-traffic
 /// kernel: the expensive setup (three alias tables over ~250
 /// countries), built once per stream and shared across partitions.
+/// Table index `i` is [`GeoDb`] block `i`.
 pub(crate) struct ClientTrafficTables {
-    countries: Vec<CountryCode>,
     conn_alias: AliasTable,
     circ_alias: AliasTable,
     byte_alias: AliasTable,
@@ -64,7 +64,6 @@ impl ClientTrafficTables {
             conn_alias: AliasTable::new(&conn_w),
             circ_alias: AliasTable::new(&circ_w),
             byte_alias: AliasTable::new(&byte_w),
-            countries,
         }
     }
 }
@@ -128,17 +127,29 @@ pub fn is_public_address(addr_index: u64) -> bool {
     addr_index.is_multiple_of(2) && addr_index < 1_000_000_000
 }
 
-/// Draws the observed-address support for fetch generation: which of
-/// the network's fetched addresses have one of our relays in their
-/// responsible HSDir set (`addr_observe_prob` is `1 − (1−w)^6` for v2).
-/// A stream draws it once, from its dedicated support RNG, and shares
-/// it across partitions.
+/// One fetch stream's shared state: the observed-address support and
+/// the popularity tables the kernel draws from. A stream builds it
+/// once — the support from its dedicated support RNG, the tables from
+/// the truth alone — and shares it across partitions.
+pub(crate) struct FetchSupport {
+    /// Which of the network's fetched addresses have one of our relays
+    /// in their responsible HSDir set.
+    observed: Vec<u64>,
+    /// Fetch popularity over `observed`; `None` when it is empty.
+    popularity: Option<ZipfSampler>,
+    /// Popularity over the outdated bot list driving NotFound failures.
+    stale: ZipfSampler,
+}
+
+/// Draws the observed-address support for fetch generation
+/// (`addr_observe_prob` is `1 − (1−w)^6` for v2) and builds the Zipf
+/// tables over it and over the stale list.
 pub(crate) fn fetch_support<R: Rng + ?Sized>(
     truth: &OnionTruth,
     addr_observe_prob: f64,
     scale: f64,
     rng: &mut R,
-) -> Vec<u64> {
+) -> FetchSupport {
     let universe = (truth.fetched_addresses as f64 * scale) as u64;
     let mut observed: Vec<u64> = Vec::new();
     for idx in 0..universe {
@@ -146,7 +157,13 @@ pub(crate) fn fetch_support<R: Rng + ?Sized>(
             observed.push(idx);
         }
     }
-    observed
+    let stale = (truth.stale_list_size as f64 * scale).max(16.0) as usize;
+    FetchSupport {
+        popularity: (!observed.is_empty())
+            .then(|| ZipfSampler::new(observed.len(), truth.fetch_popularity_zipf)),
+        stale: ZipfSampler::new(stale, 0.8),
+        observed,
+    }
 }
 
 impl StreamSim {
@@ -230,7 +247,6 @@ impl StreamSim {
         mut f: impl FnMut(TorEvent),
     ) {
         let ClientTrafficTables {
-            countries,
             conn_alias,
             circ_alias,
             byte_alias,
@@ -245,8 +261,7 @@ impl StreamSim {
         let mean_bytes = total_bytes / bytes_events as f64;
 
         let sample_ip = |alias: &AliasTable, rng: &mut R| -> IpAddr {
-            let c = countries[alias.sample(rng)];
-            self.geo.sample_ip_in(c, rng).expect("country exists")
+            self.geo.sample_ip_in_block(alias.sample(rng), rng)
         };
 
         for i in 0..n_conn {
@@ -360,7 +375,7 @@ impl StreamSim {
     pub(crate) fn hsdir_fetches_part<R: Rng + ?Sized>(
         &self,
         truth: &OnionTruth,
-        observed: &[u64],
+        support: &FetchSupport,
         event_fraction: f64,
         scale: f64,
         rng: &mut R,
@@ -381,10 +396,9 @@ impl StreamSim {
         // indices, matching `public_address_fraction` = 0.5) receive
         // `public_fetch_fraction` of successful fetches.
         let mut i = 0u64;
-        if !observed.is_empty() {
-            let zipf = ZipfSampler::new(observed.len(), truth.fetch_popularity_zipf);
+        if let Some(popularity) = &support.popularity {
             for _ in 0..success_events {
-                let idx = observed[zipf.sample_index(rng)];
+                let idx = support.observed[popularity.sample_index(rng)];
                 // Map to a public or private address index by parity,
                 // biased to the configured public fetch share.
                 let make_public = rng.gen::<f64>() < truth.public_fetch_fraction;
@@ -397,14 +411,12 @@ impl StreamSim {
                 i += 1;
             }
         }
-        let stale = (truth.stale_list_size as f64 * scale).max(16.0) as u64;
-        let stale_zipf = ZipfSampler::new(stale as usize, 0.8);
         for _ in 0..fail_events {
             let (addr, outcome) = if rng.gen::<f64>() < truth.malformed_fraction {
                 (None, DescFetchOutcome::Malformed)
             } else {
                 // Outdated bot lists: addresses that are never published.
-                let idx = 1_000_000_000 + stale_zipf.sample_index(rng) as u64;
+                let idx = 1_000_000_000 + support.stale.sample_index(rng) as u64;
                 (Some(OnionAddr::from_index(idx)), DescFetchOutcome::NotFound)
             };
             f(TorEvent::HsDescFetch {
@@ -616,8 +628,8 @@ mod tests {
         // 1e-2 scale keeps the observed-address support comfortably
         // non-empty (at 1e-3 the Binomial(60, 0.0276) support is empty
         // ~19% of the time) and the fail-rate sd inside the tolerance.
-        let observed = fetch_support(&truth, 0.0276, 1e-2, &mut rng);
-        sim.hsdir_fetches_part(&truth, &observed, 0.00465, 1e-2, &mut rng, |ev| {
+        let support = fetch_support(&truth, 0.0276, 1e-2, &mut rng);
+        sim.hsdir_fetches_part(&truth, &support, 0.00465, 1e-2, &mut rng, |ev| {
             if let TorEvent::HsDescFetch { outcome, .. } = ev {
                 match outcome {
                     DescFetchOutcome::Success => success += 1,

@@ -14,7 +14,9 @@
 //! costs only the family map.
 
 use crate::ids::DomainId;
+use crate::workload::{DomainMix, DomainSampler};
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 /// Sibling families measured in Figure 2 (top-10 sites plus duckduckgo
 /// and torproject).
@@ -141,7 +143,6 @@ impl Default for SiteListConfig {
 }
 
 /// The synthetic site universe.
-#[derive(Clone, Debug)]
 pub struct SiteList {
     cfg: SiteListConfig,
     /// rank -> family, for all family member ranks.
@@ -150,6 +151,9 @@ pub struct SiteList {
     /// (cumulative probability, tld index into MEASURED_TLDS, or usize::MAX
     /// for "other").
     tld_cdf: Vec<(f64, usize)>,
+    /// One-slot memo behind [`Self::domain_sampler`]: the mix the slot
+    /// was built for, and its sampler.
+    sampler: Mutex<Option<(DomainMix, Arc<DomainSampler>)>>,
 }
 
 /// Visit-weighted TLD target shares for non-special sites, shaped to
@@ -213,6 +217,36 @@ impl SiteList {
             cfg,
             family_by_rank,
             tld_cdf,
+            sampler: Mutex::new(None),
+        }
+    }
+
+    /// The domain sampler of this universe under `mix` — the one door
+    /// every generator draws its sampler through. The universe is the
+    /// value a run's deployments, day derivations and stream builders
+    /// already share (one `Arc<SiteList>`), so the memo lives here: the
+    /// alias tables are built on the first request and every later
+    /// request for the same mix gets the same `Arc`, however many DC
+    /// streams, rounds and truth replicas ask.
+    ///
+    /// The memo is *keyed* by the mix's exact value, so a campaign day
+    /// with a drifted mix is never served another day's tables: a miss
+    /// builds and replaces the slot (streams already built keep their
+    /// own `Arc`). It is *lazy* because a run that never draws a domain
+    /// should not pay the build at setup. The lock is held across the
+    /// build, so workers that start exit rounds together build once.
+    pub fn domain_sampler(&self, mix: &DomainMix) -> Arc<DomainSampler> {
+        let mut slot = self
+            .sampler
+            .lock()
+            .expect("a domain sampler build panicked");
+        match &*slot {
+            Some((key, sampler)) if key == mix => Arc::clone(sampler),
+            _ => {
+                let sampler = Arc::new(DomainSampler::new(self, mix));
+                *slot = Some((mix.clone(), Arc::clone(&sampler)));
+                sampler
+            }
         }
     }
 

@@ -53,6 +53,14 @@
 //! `derive_seed(seed, "<label>/support")` and is memoized once per
 //! stream, so no shard ordering can perturb it.
 //!
+//! Sampling *tables* consume no randomness — they are pure functions
+//! of the truth they are built from — so sharing them is invisible to
+//! the contract and is done at the widest scope that has one value of
+//! them: the per-country and Zipf tables once per stream, and the
+//! domain sampler (one entry per site, the only table that is large)
+//! once per site universe and mix, behind
+//! [`SiteList::domain_sampler`], for every stream of every round.
+//!
 //! [`EventStream::from_events`] remains as a generic adapter for
 //! already-materialized event lists (fixtures, replayed captures).
 
@@ -61,7 +69,7 @@ use crate::geo::GeoDb;
 use crate::ids::RelayId;
 use crate::sampled::{fetch_support, ClientTrafficTables};
 use crate::sites::SiteList;
-use crate::workload::{ClientTruth, DomainSampler, ExitTruth, OnionTruth};
+use crate::workload::{ClientTruth, ExitTruth, OnionTruth};
 use pm_stats::sampling::derive_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -317,8 +325,11 @@ impl StreamSim {
     /// Exit streams observed at `fraction` of exit weight, partitioned.
     /// With `only_initial`, subsequent (non-initial) streams are skipped
     /// — for domain experiments that never read them. The domain
-    /// sampler's alias tables are its only expensive part: one build
-    /// serves every shard and partition.
+    /// sampler's alias tables are the only expensive part, and they
+    /// come from [`SiteList::domain_sampler`]: one build serves every
+    /// stream over this universe and mix — all of a round's DCs, every
+    /// round of a run, and the truth replicas — not just this stream's
+    /// shards and partitions.
     pub fn exit_streams(
         &self,
         truth: &ExitTruth,
@@ -329,7 +340,7 @@ impl StreamSim {
         label: &str,
     ) -> EventStream {
         let (this, truth, label) = (self.clone(), truth.clone(), label.to_string());
-        let sampler = DomainSampler::new(&self.sites, &truth.mix);
+        let sampler = self.sites.domain_sampler(&truth.mix);
         let per_part = scale / PARTITIONS as f64;
         partitioned_stream(shards, move |p, sink| {
             let mut rng = this.partition_rng(&label, p);
@@ -388,8 +399,10 @@ impl StreamSim {
     /// addresses whose responsible set includes one of our relays
     /// (`addr_observe_prob`, `1 − (1−w)^6` for v2). That support is
     /// shared randomness: the first partition to run draws it from the
-    /// dedicated support RNG and every other one reads the memo, so the
-    /// success stream covers the same support regardless of `K`.
+    /// dedicated support RNG — and builds the Zipf tables over it and
+    /// over the stale list beside it — and every other one reads the
+    /// memo, so the success stream covers the same support regardless
+    /// of `K` and no partition rebuilds a table.
     pub fn hsdir_fetches(
         &self,
         truth: &OnionTruth,
@@ -403,7 +416,7 @@ impl StreamSim {
         let per_part = event_fraction / PARTITIONS as f64;
         let support = OnceLock::new();
         partitioned_stream(shards, move |p, sink| {
-            let observed = support.get_or_init(|| {
+            let support = support.get_or_init(|| {
                 fetch_support(
                     &truth,
                     addr_observe_prob,
@@ -412,7 +425,7 @@ impl StreamSim {
                 )
             });
             let mut rng = this.partition_rng(&label, p);
-            this.hsdir_fetches_part(&truth, observed, per_part, scale, &mut rng, sink);
+            this.hsdir_fetches_part(&truth, support, per_part, scale, &mut rng, sink);
         })
     }
 
@@ -459,7 +472,7 @@ impl StreamSim {
 mod tests {
     use super::*;
     use crate::sites::SiteListConfig;
-    use crate::workload::Workload;
+    use crate::workload::{DomainSampler, Workload};
 
     fn setup() -> StreamSim {
         let sites = Arc::new(SiteList::new(SiteListConfig {
@@ -489,6 +502,87 @@ mod tests {
             let k_events = collect_sorted(sim.exit_streams(&truth, 0.015, 1e-4, false, k, "x"));
             assert_eq!(base, k_events, "shard count {k} changed the stream");
         }
+    }
+
+    #[test]
+    fn exit_streams_over_one_universe_and_mix_share_one_sampler() {
+        let sim = setup();
+        let truth = Workload::paper_default().exit;
+        let sampler = sim.sites.domain_sampler(&truth.mix);
+        // Six DC simulators over the one `Arc<SiteList>`, as
+        // `core::experiments::per_dc` builds them.
+        let streams: Vec<EventStream> = (0..6)
+            .map(|i| {
+                let dc = StreamSim::new(
+                    Arc::clone(&sim.sites),
+                    Arc::clone(&sim.geo),
+                    vec![RelayId(i)],
+                    i as u64,
+                );
+                dc.exit_streams(&truth, 0.015, 1e-4, true, 4, "x")
+            })
+            .collect();
+        // Holders: the memo, `sampler`, and one per stream (its shards
+        // share one closure) — no stream built tables of its own.
+        assert_eq!(Arc::strong_count(&sampler), 2 + streams.len());
+        assert!(Arc::ptr_eq(&sampler, &sim.sites.domain_sampler(&truth.mix)));
+        drop(streams);
+        assert_eq!(Arc::strong_count(&sampler), 2);
+    }
+
+    #[test]
+    fn concurrent_first_requests_build_one_sampler() {
+        let sim = setup();
+        let mix = Workload::paper_default().exit.mix;
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|scope| {
+            let request = || {
+                barrier.wait();
+                sim.sites.domain_sampler(&mix)
+            };
+            let a = scope.spawn(request);
+            let b = scope.spawn(request);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        // Had each thread built, the second build would have replaced
+        // the first in the slot and the two handles would differ.
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(Arc::strong_count(&a), 3);
+    }
+
+    #[test]
+    fn interleaved_mixes_each_match_their_directly_built_sampler() {
+        let sim = setup();
+        let a = Workload::paper_default().exit;
+        let mut b = a.clone();
+        b.mix.torproject = 0.1;
+        b.mix.long_tail = 0.5;
+        b.mix.normalize();
+        // The oracle: the kernel over a sampler built directly, never
+        // through the memo.
+        let oracle = |truth: &ExitTruth| {
+            let sampler = DomainSampler::new(&sim.sites, &truth.mix);
+            let mut out = Vec::new();
+            for p in 0..PARTITIONS {
+                let mut rng = sim.partition_rng("x", p);
+                let per_part = 1e-4 / PARTITIONS as f64;
+                sim.exit_streams_part(&sampler, truth, 0.015, per_part, true, &mut rng, |ev| {
+                    out.push(format!("{ev:?}"))
+                });
+            }
+            out.sort();
+            out
+        };
+        let (want_a, want_b) = (oracle(&a), oracle(&b));
+        assert_ne!(want_a, want_b, "the two mixes must be distinguishable");
+        // A, B, A: every request after the first is a key miss that
+        // replaces the slot; a memo that ignored the key would serve
+        // B's stream A's tables, and the second A stream B's.
+        let streams = [&a, &b, &a].map(|t| sim.exit_streams(t, 0.015, 1e-4, true, 4, "x"));
+        let got = streams.map(collect_sorted);
+        assert_eq!(got[0], want_a);
+        assert_eq!(got[1], want_b);
+        assert_eq!(got[2], want_a);
     }
 
     #[test]

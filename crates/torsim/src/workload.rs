@@ -37,8 +37,11 @@ pub struct ExitTruth {
     pub mix: DomainMix,
 }
 
-/// Visit-share mix over the domain universe.
-#[derive(Clone, Debug)]
+/// Visit-share mix over the domain universe. Compared by exact value:
+/// equality is the key of [`SiteList::domain_sampler`]'s memo, so two
+/// mixes share alias tables only when every share and exponent is
+/// bit-for-bit the same.
+#[derive(Clone, Debug, PartialEq)]
 pub struct DomainMix {
     /// torproject.org share (Fig. 2: 40.1% / 39.0%).
     pub torproject: f64,
@@ -152,16 +155,20 @@ impl DomainMix {
 }
 
 /// A prepared sampler over the domain mix: alias tables and category
-/// layout, built once (draws are O(1)). The tables depend only on the
-/// site universe's *shape* (sizes, families), so the sampler owns no
-/// borrow of the list — it is `Send + Sync`, one build serves every
-/// shard thread of a stream, and [`Self::sample`] takes the site list
-/// per draw.
+/// layout (draws are O(1)). The tables are a pure function of the site
+/// universe's *shape* (sizes, families) and the mix — no RNG is
+/// consumed building them — and they are the expensive part: one entry
+/// per site, ≈ 8 MB and tens of milliseconds at a 500 k-site universe.
+/// So the sampler owns no borrow of the list, is `Send + Sync`, and is
+/// obtained through [`SiteList::domain_sampler`], which builds it once
+/// per (universe, mix) and shares it across every stream, round and
+/// truth replica drawing from that pair; [`Self::sample`] takes the
+/// site list per draw.
 pub struct DomainSampler {
     /// Category alias: indexes into `categories`.
     category_alias: AliasTable,
     categories: Vec<Category>,
-    /// Per-rank-set alias tables (built lazily-eagerly here).
+    /// Alias tables of the rank sets the universe retains.
     set_tables: Vec<(u64, AliasTable)>, // (first rank of set, table)
     /// Family member ranks, excluding heads.
     family_members: Vec<(Family, Vec<u64>)>,
@@ -173,12 +180,14 @@ enum Category {
     Torproject,
     Head(u64),
     FamilySibling(usize), // index into family_members
-    RankSet(usize),       // 0..5 => sets (10,100] .. (100k,1m]
+    RankSet(usize),       // index into set_tables
     LongTail,
 }
 
 impl DomainSampler {
-    /// Builds the sampler for a site universe.
+    /// Builds the sampler for a site universe. Generation code calls
+    /// [`SiteList::domain_sampler`] instead, which memoizes this build;
+    /// tests call it directly as the oracle the memo is held against.
     pub fn new(sites: &SiteList, mix: &DomainMix) -> DomainSampler {
         let mut categories = Vec::new();
         let mut weights = Vec::new();
@@ -228,7 +237,7 @@ impl DomainSampler {
             let w: Vec<f64> = (*lo..=hi)
                 .map(|r| (r as f64).powf(-mix.rank_set_zipf))
                 .collect();
-            categories.push(Category::RankSet(i));
+            categories.push(Category::RankSet(set_tables.len()));
             weights.push(mix.rank_set_shares[i]);
             set_tables.push((*lo, AliasTable::new(&w)));
         }
@@ -262,13 +271,7 @@ impl DomainSampler {
                 sites.domain_of_rank(members[rng.gen_range(0..members.len())])
             }
             Category::RankSet(i) => {
-                // set_tables parallel the *retained* rank sets; find it.
-                let pos = self
-                    .categories
-                    .iter()
-                    .filter(|c| matches!(c, Category::RankSet(j) if *j < i))
-                    .count();
-                let (lo, table) = &self.set_tables[pos];
+                let (lo, table) = &self.set_tables[i];
                 sites.domain_of_rank(lo + table.sample(rng) as u64)
             }
             Category::LongTail => sites.long_tail_domain(self.long_tail_table.sample(rng) as u64),

@@ -10,9 +10,11 @@
 # worktree state to prune, and the working tree may be dirty), builds
 # that tree's `perf` and the working tree's, then runs <pairs> pairs per
 # workload, alternating which side goes first. Prints every run, then
-# per workload the medians, the change/parent ratio, how many pairs the
-# change won, and the report digests. Exits 1 if any digest differs
-# between the sides or any run fails its own correctness gate.
+# per workload and end-to-end metric each side's median and quartiles,
+# the change/parent ratio of medians and a verdict by the claim rule
+# (see `verdicts` below), and the report digests. Exits 1 if any digest
+# differs between the sides or any run fails its own correctness gate;
+# the verdicts are for a human to read and do not set the status.
 set -euo pipefail
 
 parent_rev=${1:?usage: perf_pairs.sh <parent-rev> [workloads] [pairs] [seconds]}
@@ -48,7 +50,67 @@ run() { # <binary> <cwd> <workload>
     sed -n 's/.*"correct": \(true\|false\).*/\1/p' <<<"$out" | tail -1
 }
 
-median() { sort -g | awk '{v[NR]=$1} END {printf "%.6g\n", (NR%2) ? v[(NR+1)/2] : (v[NR/2]+v[NR/2+1])/2}'; }
+# "<better> <bound>" of an end-to-end metric, as BENCHMARK.json fixes it.
+bound_of() { # <metric>
+    sed -n 's/.*{"name": "'"$1"'",.*"better": "\([a-z]*\)", "bound": \([0-9.]*\)}.*/\1 \2/p' BENCHMARK.json
+}
+
+# Two lines for one metric of one workload's runs log: each side's
+# median [Q1, Q3] and the ratio of medians, then the verdict —
+#   gain        the change is better in >= 9/10 of the pairs (ties count
+#               for neither side) and the medians differ by more than
+#               the parent's inter-quartile distance: the claim rule;
+#   unresolved  a side's IQR/median exceeds the metric's bound, so the
+#               runs cannot show "no worse than the bound" — unless
+#               every change run beats every parent run;
+#   within      the change's median is no worse than the parent's by
+#               more than the bound;
+#   WORSE       it is worse by more than the bound.
+verdicts() { # <log> <workload> <column> <metric> <better> <bound>
+    awk -v w="$2" -v col="$3" -v metric="$4" -v better="$5" -v bound="$6" '
+        function sorted(v, n,    i, j, t) {
+            for (i = 2; i <= n; i++) {
+                t = v[i]
+                for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]
+                v[j + 1] = t
+            }
+        }
+        function quantile(v, n, q,    pos, lo) {
+            pos = (n - 1) * q + 1
+            lo = int(pos)
+            return (lo >= n) ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+        }
+        function abs(x) { return x < 0 ? -x : x }
+        $2 == "parent" { p[++np] = $col + 0; pp[$1] = $col + 0 }
+        $2 == "change" { c[++nc] = $col + 0; cp[$1] = $col + 0 }
+        END {
+            sign = (better == "lower") ? 1 : -1
+            for (i in pp) {
+                if (!(i in cp)) continue
+                pairs++
+                if (sign * cp[i] < sign * pp[i]) won++
+                else if (sign * cp[i] > sign * pp[i]) lost++
+            }
+            sorted(p, np); sorted(c, nc)
+            pm = quantile(p, np, 0.5); p1 = quantile(p, np, 0.25); p3 = quantile(p, np, 0.75)
+            cm = quantile(c, nc, 0.5); c1 = quantile(c, nc, 0.25); c3 = quantile(c, nc, 0.75)
+            printf "= %-13s %-12s median parent %.6g [%.6g, %.6g] change %.6g [%.6g, %.6g] ratio %s\n", \
+                w, metric, pm, p1, p3, cm, c1, c3, (pm != 0) ? sprintf("%.3f", cm / pm) : "n/a"
+            iqr = p3 - p1
+            spread = (pm != 0) ? iqr / abs(pm) : 0
+            if (cm != 0 && (c3 - c1) / abs(cm) > spread) spread = (c3 - c1) / abs(cm)
+            beyond = abs(cm - pm) > iqr
+            # Does every change run read better than every parent run?
+            clean = (sign > 0) ? (c[nc] < p[1]) : (c[1] > p[np])
+            if (sign * cm < sign * pm && won * 10 >= pairs * 9 && beyond) v = "gain"
+            else if (spread > bound && !clean) v = "unresolved"
+            else if (sign * (cm - pm) <= bound * abs(pm)) v = "within"
+            else v = "WORSE"
+            printf "= %-13s %-12s verdict %s: better in %d/%d pairs, worse in %d; |median diff| %.4g %s parent IQR %.4g; spread %.1f%% %s bound %.1f%%\n", \
+                w, metric, v, won, pairs, lost, abs(cm - pm), beyond ? ">" : "<=", iqr, \
+                100 * spread, (spread > bound) ? ">" : "<=", 100 * bound
+        }' "$1"
+}
 
 status=0
 printf '%-13s %4s %-6s %9s %12s %11s %8s  %s\n' \
@@ -75,17 +137,12 @@ for w in $workloads; do
         done
     done
     for col in 3:wall_s 4:throughput 5:peak_rss_mb 6:setup_s; do
-        p=$(awk -v c="${col%%:*}" '$2=="parent" {print $c}' "$log" | median)
-        c=$(awk -v c="${col%%:*}" '$2=="change" {print $c}' "$log" | median)
-        printf '= %-13s %-12s median parent %-10s change %-10s ratio %s\n' \
-            "$w" "${col##*:}" "$p" "$c" "$(awk -v p="$p" -v c="$c" 'BEGIN {printf "%.3f", c/p}')"
+        # shellcheck disable=SC2046
+        verdicts "$log" "$w" "${col%%:*}" "${col##*:}" $(bound_of "${col##*:}")
     done
-    wins=$(awk '$2=="parent" {p[$1]=$3} $2=="change" {c[$1]=$3}
-                END {for (i in p) if (c[i] < p[i]) n++; print n+0}' "$log")
     pd=$(awk '$2=="parent" {print $7}' "$log" | sort -u | tr '\n' ' ')
     cd_=$(awk '$2=="change" {print $7}' "$log" | sort -u | tr '\n' ' ')
-    printf '= %-13s wall_s lower in %s/%s pairs; digest parent %schange %s\n' \
-        "$w" "$wins" "$pairs" "$pd" "$cd_"
+    printf '= %-13s digest parent %schange %s\n' "$w" "$pd" "$cd_"
     if [ "$pd" != "$cd_" ] || [ "$(wc -w <<<"$pd")" -ne 1 ]; then
         echo "!! $w: report digests differ (parent: $pd change: $cd_)" >&2
         status=1

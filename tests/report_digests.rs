@@ -1,0 +1,72 @@
+//! Report digest ledger: one committed line `id scale seed digest` per
+//! report, so a refactor's "reports are byte-identical" is a test and
+//! not a hand-run `cmp` against a parent-built binary. The digest is
+//! FNV-1a-64 of `render_text() + "\n" + render_csv() + "\n"`; a
+//! mismatch names the report that moved, and `tests/golden_reports.rs`
+//! keeps the human-readable snapshot that shows *what* moved.
+//!
+//! To regenerate after an *intentional* output change:
+//!
+//! ```sh
+//! UPDATE_GOLDEN=1 cargo test --release --test report_digests
+//! ```
+
+use torstudy::deployment::Deployment;
+use torstudy::runner::run_some;
+
+const GOLDEN_PATH: &str = "tests/golden/report_digests.txt";
+/// The PrivCount entries of a Tor day plus the two PSC-free extras; the
+/// PSC-heavy ids (T2, T3, T5, T6) stay with `golden_reports.rs` and the
+/// campaign suites, which keeps this ledger at seconds.
+const IDS: [&str; 10] = ["T1", "F1", "F2", "F3", "T4", "F4", "T7", "T8", "X1", "X2"];
+const POINTS: [(f64, u64); 3] = [(2e-3, 2018), (2e-3, 7), (2e-2, 2018)];
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x100000001b3)
+    })
+}
+
+fn ledger() -> String {
+    let mut out = String::new();
+    for (scale, seed) in POINTS {
+        // Shard count pinned for provenance, as in golden_reports.rs.
+        let dep = Deployment::at_scale(scale, seed).with_shards(4);
+        let reports = run_some(&dep, &IDS);
+        assert_eq!(reports.len(), IDS.len());
+        for r in &reports {
+            let rendered = format!("{}\n{}\n", r.render_text(), r.render_csv());
+            let digest = fnv1a64(rendered.as_bytes());
+            out.push_str(&format!("{} {scale:e} {seed} {digest:016x}\n", r.id));
+        }
+    }
+    out
+}
+
+#[test]
+fn report_digests_match_committed_ledger() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
+    let got = ledger();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &got).expect("write digest ledger");
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .expect("missing digest ledger; run with UPDATE_GOLDEN=1 to create it");
+    if want != got {
+        let moved: Vec<String> = want
+            .lines()
+            .zip(got.lines())
+            .filter(|(w, g)| w != g)
+            .map(|(w, g)| format!("  want: {w}\n  got:  {g}"))
+            .collect();
+        panic!(
+            "{GOLDEN_PATH}: {} of {} committed lines moved ({} generated):\n{}\n\
+             (if the change is intentional, regenerate with UPDATE_GOLDEN=1)",
+            moved.len(),
+            want.lines().count(),
+            got.lines().count(),
+            moved.join("\n")
+        );
+    }
+}
