@@ -148,14 +148,18 @@ perf-smoke:
 # (pairs won, medians vs the parent's inter-quartile distance, spread vs
 # BENCHMARK.json's bound) and the report digests; exits nonzero when a
 # digest differs between the sides. PARENT is required; the parent tree
-# is exported and built under target/perf-pairs/. Not part of `verify`:
-# minutes of wall-clock, and its numbers are for a human to read.
+# is exported and built under target/perf-pairs/. SEED is the workload
+# seed both sides run with (a claim is rerun on a second one). Not part
+# of `verify`: minutes of wall-clock, and its numbers are for a human to
+# read.
 #   make perf-pairs PARENT=HEAD~1 WORKLOADS="psc_verified ips7d_mix" PAIRS=10
+#   make perf-pairs PARENT=HEAD~1 WORKLOADS=tor_day PAIRS=10 SEED=7
 WORKLOADS ?= campaign17d ips7d_mix psc_verified tor_day
 PAIRS ?= 4
 SECONDS ?= 6
+SEED ?= 2018
 perf-pairs:
-	scripts/perf_pairs.sh "$(PARENT)" "$(WORKLOADS)" "$(PAIRS)" "$(SECONDS)"
+	scripts/perf_pairs.sh "$(PARENT)" "$(WORKLOADS)" "$(PAIRS)" "$(SECONDS)" "$(SEED)"
 
 # The counts a simplicity PR reports: per crate, non-test lines (before
 # a file's first `#[cfg(test)]`), test lines, and fully-`pub` items

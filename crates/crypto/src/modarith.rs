@@ -11,7 +11,10 @@
 //! Montgomery product `montmul`: a fully unrolled four-limb
 //! operand-scanning routine in plain `u128` arithmetic, which also
 //! serves as the squaring (a dedicated squaring kernel measured no
-//! faster — the chain is latency-bound, not multiplier-bound). It is
+//! faster). The kernel is throughput-bound, not latency-bound: two
+//! independent same-exponent chains interleaved link by link run no
+//! faster than one after the other (ROADMAP item 4's closed list), so
+//! a lone chain already keeps the multiplier busy. It is
 //! `#[inline(always)]` on purpose. An exponentiation is one long
 //! dependent chain of kernel calls, and behind a call boundary each
 //! link round-trips its four limbs through memory — measured, the same

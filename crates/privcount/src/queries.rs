@@ -244,6 +244,26 @@ pub enum CountryStat {
     Circuits,
 }
 
+impl CountryStat {
+    /// The client IP and increment `ev` contributes to this statistic,
+    /// if it is one of the events the statistic counts.
+    fn observe(self, ev: &TorEvent) -> Option<(torsim::ids::IpAddr, i64)> {
+        match (self, ev) {
+            (CountryStat::Connections, TorEvent::EntryConnection { client_ip, .. })
+            | (CountryStat::Circuits, TorEvent::EntryCircuit { client_ip, .. }) => {
+                Some((*client_ip, 1))
+            }
+            (
+                CountryStat::Bytes,
+                TorEvent::EntryBytes {
+                    client_ip, bytes, ..
+                },
+            ) => Some((*client_ip, *bytes as i64)),
+            _ => None,
+        }
+    }
+}
+
 /// Figure 4: one counter per country for the chosen statistic.
 pub fn country_histogram(geo: Arc<GeoDb>, stat: CountryStat, eps: f64, delta: f64) -> Schema {
     let sens = match stat {
@@ -259,27 +279,16 @@ pub fn country_histogram(geo: Arc<GeoDb>, stat: CountryStat, eps: f64, delta: f6
         .iter()
         .map(|c| CounterSpec::calibrated(format!("country.{c}"), sens, eps, delta))
         .collect();
-    // Ordered: the counter layout above iterates `countries` in GeoDb
-    // order, and a BTreeMap keeps the lookup side free of hash-order
-    // hazards should anyone ever iterate it.
+    // A country's events land in the last counter carrying its code
+    // (counters and `GeoDb` blocks share one order, so the two indices
+    // differ only for a database that repeats a code). Resolved here,
+    // once per block, so the mapper below is two array reads per event.
     let index: std::collections::BTreeMap<CountryCode, usize> =
         countries.iter().enumerate().map(|(i, c)| (*c, i)).collect();
+    let counter_of_block: Vec<usize> = countries.iter().map(|c| index[c]).collect();
     let mapper: EventMapper = Arc::new(move |ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| {
-        let (ip, delta_v) = match (stat, ev) {
-            (CountryStat::Connections, TorEvent::EntryConnection { client_ip, .. }) => {
-                (*client_ip, 1)
-            }
-            (
-                CountryStat::Bytes,
-                TorEvent::EntryBytes {
-                    client_ip, bytes, ..
-                },
-            ) => (*client_ip, *bytes as i64),
-            (CountryStat::Circuits, TorEvent::EntryCircuit { client_ip, .. }) => (*client_ip, 1),
-            _ => return,
-        };
-        if let Some(idx) = index.get(&geo.country_of(ip)) {
-            emit(*idx, delta_v);
+        if let Some((ip, delta_v)) = stat.observe(ev) {
+            emit(counter_of_block[geo.block_of(ip)], delta_v);
         }
     });
     Schema::new(specs, mapper)
@@ -595,6 +604,49 @@ mod tests {
         let us_idx = schema.index_of("country.US").unwrap();
         assert_eq!(c[us_idx], 1);
         assert_eq!(c.iter().sum::<i64>(), 1);
+    }
+
+    #[test]
+    fn country_histogram_matches_search_then_map_classification() {
+        use torsim::stream::StreamSim;
+        use torsim::workload::ClientTruth;
+        // A repeated code is where a block's index and its counter's
+        // differ: both "AA" blocks count into the later "AA" counter.
+        let repeated: Vec<(CountryCode, f64)> = ["AA", "BB", "AA", "CC", "BB", "DD"]
+            .map(CountryCode::new)
+            .into_iter()
+            .zip([3.0, 1.0, 2.0, 0.5, 1.5, 1.0])
+            .collect();
+        for geo in [GeoDb::paper_default(), GeoDb::from_shares(&repeated)] {
+            let geo = Arc::new(geo);
+            let sim = StreamSim::new(sites(), geo.clone(), vec![RelayId(0), RelayId(1)], 11);
+            let mut events = Vec::new();
+            sim.client_traffic(&ClientTruth::paper_default(), 0.01, 1e-3, 1, "ct")
+                .for_each(|ev| events.push(ev));
+            let index: std::collections::BTreeMap<CountryCode, usize> =
+                geo.countries().enumerate().map(|(i, c)| (c, i)).collect();
+            for stat in [
+                CountryStat::Connections,
+                CountryStat::Bytes,
+                CountryStat::Circuits,
+            ] {
+                let schema = country_histogram(geo.clone(), stat, 0.3, 1e-11);
+                // The mapper this schema had before counters were
+                // indexed by block: search for the country, then look
+                // its counter up.
+                let mut want = vec![0i64; schema.len()];
+                for (ip, v) in events.iter().filter_map(|ev| stat.observe(ev)) {
+                    if let Some(idx) = index.get(&geo.country_of(ip)) {
+                        want[*idx] += v;
+                    }
+                }
+                assert_eq!(run_schema(&schema, &events), want, "{stat:?}");
+                assert!(want.iter().sum::<i64>() > 1_000, "{stat:?} saw no traffic");
+                if geo.len() == repeated.len() {
+                    assert!(want[0] == 0 && want[2] > 0, "{stat:?}: {want:?}");
+                }
+            }
+        }
     }
 
     #[test]

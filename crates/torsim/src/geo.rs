@@ -3,8 +3,14 @@
 //! The paper resolves client IPs with GeoLite2 (§5.2). We substitute a
 //! deterministic allocation of the IPv4 space: each of 250 countries
 //! owns a contiguous block sized by its share of the simulated Tor
-//! client population, and lookup is a binary search over block starts —
-//! the same longest-range-match semantics as a real geo database.
+//! client population, and lookup is the last block starting at or below
+//! the address — the same longest-range-match semantics as a real geo
+//! database. The lookup is an index, not a search: a 4 096-entry page
+//! table (one entry per 2^20 addresses, 8 KB) names the block covering
+//! each page's first address, and [`GeoDb::block_of`] steps forward from
+//! there past the blocks that start inside the page — at most 4 steps on
+//! the default database (none for 97 % of sampled client IPs); in
+//! general, at most the number of blocks that start within one page.
 //!
 //! The default population shares are calibrated to Figure 4: US, RU and
 //! DE lead; the UAE (AE) has a *small* connection share (its anomaly is
@@ -27,10 +33,32 @@ struct CountryBlock {
 #[derive(Clone, Debug)]
 pub struct GeoDb {
     blocks: Vec<CountryBlock>,
-    /// Last sampleable IP (inclusive). `u32::MAX` for real-sized
-    /// databases; [`GeoDb::confined`] shrinks it so tests can force a
-    /// tiny IP universe (and thus certain sampling collisions).
+    /// `page[ip >> PAGE_SHIFT]`: the last block whose start is at or
+    /// below the page's first address — where [`Self::block_of`] begins.
+    page: Vec<u16>,
+    /// Running sums of the block shares, added in block order (the
+    /// sums [`Self::sample_ip`] compares its draw against).
+    cum_share: Vec<f64>,
+    /// End of the sampleable space: the last block draws from
+    /// `start..space_end`, so this address itself is never sampled
+    /// (lookups still resolve it, to the last block). `u32::MAX` for
+    /// real-sized databases; [`GeoDb::confined`] shrinks it so tests can
+    /// force a tiny IP universe (and thus certain sampling collisions).
     space_end: u32,
+}
+
+/// Addresses per page of the lookup index: 2^20, so 4 096 pages tile
+/// the IPv4 space.
+const PAGE_SHIFT: u32 = 20;
+
+/// Steps forward from block `i` (which must start at or below `ip`) to
+/// the last block that does.
+#[inline]
+fn step_to(blocks: &[CountryBlock], mut i: usize, ip: u32) -> usize {
+    while blocks.get(i + 1).is_some_and(|b| b.start <= ip) {
+        i += 1;
+    }
+    i
 }
 
 /// Population shares for the countries Figure 4 names, roughly matching
@@ -113,19 +141,39 @@ impl GeoDb {
         assert!(!shares.is_empty());
         let total: f64 = shares.iter().map(|(_, s)| s).sum();
         assert!(total > 0.0);
+        assert!(
+            shares.len() <= u16::MAX as usize + 1,
+            "GeoDb indexes blocks with u16 page entries: {} blocks do not fit",
+            shares.len()
+        );
         let mut blocks = Vec::with_capacity(shares.len());
+        let mut cum_share = Vec::with_capacity(shares.len());
         let mut cursor: u64 = 0;
+        let mut acc = 0.0;
         for (code, share) in shares {
             blocks.push(CountryBlock {
                 code: *code,
                 start: cursor as u32,
                 share: share / total,
             });
+            acc += share / total;
+            cum_share.push(acc);
             cursor += ((share / total) * space as f64) as u64;
             cursor = cursor.min(space - 1);
         }
+        // Block starts never decrease, so one forward sweep finds every
+        // page's block.
+        let mut covering = 0;
+        let page = (0..1u32 << (32 - PAGE_SHIFT))
+            .map(|p| {
+                covering = step_to(&blocks, covering, p << PAGE_SHIFT);
+                covering as u16
+            })
+            .collect();
         GeoDb {
             blocks,
+            page,
+            cum_share,
             space_end: (space - 1) as u32,
         }
     }
@@ -154,28 +202,30 @@ impl GeoDb {
             .unwrap_or(0.0)
     }
 
-    /// Country of an IP (binary search over block starts).
+    /// Index, in [`Self::countries`] order, of the block an IP belongs
+    /// to: the last block whose start is at or below it. One page-table
+    /// read, then a forward step per block that starts inside the IP's
+    /// page at or below it (see the module docs for the counts).
+    pub fn block_of(&self, ip: IpAddr) -> usize {
+        let from = self.page[(ip.0 >> PAGE_SHIFT) as usize] as usize;
+        step_to(&self.blocks, from, ip.0)
+    }
+
+    /// Country of an IP: the code of [`Self::block_of`]'s block.
     pub fn country_of(&self, ip: IpAddr) -> CountryCode {
-        let idx = self
-            .blocks
-            .partition_point(|b| b.start <= ip.0)
-            .saturating_sub(1);
-        self.blocks[idx].code
+        self.blocks[self.block_of(ip)].code
     }
 
     /// Samples a client IP: first a country by population share, then a
     /// uniform IP within its block.
     pub fn sample_ip<R: Rng + ?Sized>(&self, rng: &mut R) -> IpAddr {
         let u: f64 = rng.gen();
-        let mut acc = 0.0;
-        let mut idx = self.blocks.len() - 1;
-        for (i, b) in self.blocks.iter().enumerate() {
-            acc += b.share;
-            if u <= acc {
-                idx = i;
-                break;
-            }
-        }
+        // The first block whose running share reaches `u`; rounding can
+        // leave the final sum a hair under 1, hence the last block.
+        let idx = self
+            .cum_share
+            .partition_point(|c| *c < u)
+            .min(self.blocks.len() - 1);
         self.sample_ip_in_block(idx, rng)
     }
 
@@ -264,12 +314,120 @@ mod tests {
         assert!(ae < de / 5.0, "AE connection share is small");
     }
 
+    /// The binary search over block starts that [`GeoDb::block_of`]
+    /// replaced: the definition its answers are held to.
+    fn block_by_search(db: &GeoDb, ip: IpAddr) -> usize {
+        db.blocks
+            .partition_point(|b| b.start <= ip.0)
+            .saturating_sub(1)
+    }
+
+    /// Forward steps `block_of` takes past its page entry for `ip`.
+    fn lookup_steps(db: &GeoDb, ip: IpAddr) -> usize {
+        db.block_of(ip) - db.page[(ip.0 >> PAGE_SHIFT) as usize] as usize
+    }
+
+    fn codes(n: usize) -> impl Iterator<Item = CountryCode> {
+        (0..n).map(|i| CountryCode([b'A' + (i / 26) as u8, b'A' + (i % 26) as u8]))
+    }
+
+    /// Databases covering every shape of block layout: the default, a
+    /// single block, zero-width blocks sharing a start mid-space, and
+    /// confined spaces where every block lives in page 0 (with more
+    /// blocks than addresses, so most share a start).
+    fn layouts() -> Vec<(&'static str, GeoDb)> {
+        let uneven: Vec<(CountryCode, f64)> = codes(40)
+            .enumerate()
+            .map(|(i, c)| (c, 1.0 + (i % 7) as f64))
+            .collect();
+        let shared: Vec<(CountryCode, f64)> =
+            codes(6).zip([1.0, 1e-12, 1e-12, 1.0, 1e-12, 0.5]).collect();
+        vec![
+            ("paper_default", GeoDb::paper_default()),
+            ("one country", GeoDb::from_shares(&uneven[..1])),
+            ("uneven", GeoDb::from_shares(&uneven)),
+            ("shared starts", GeoDb::from_shares(&shared)),
+            ("confined 8", GeoDb::confined(&uneven, 8)),
+            ("confined 1", GeoDb::confined(&uneven, 1)),
+        ]
+    }
+
     #[test]
-    fn boundary_ips() {
+    fn block_of_matches_binary_search() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for (name, db) in layouts() {
+            let shares_a_start = db.blocks.windows(2).any(|w| w[0].start == w[1].start);
+            assert_eq!(
+                shares_a_start,
+                ["shared starts", "confined 8", "confined 1"].contains(&name),
+                "{name}"
+            );
+            let mut ips = vec![0, u32::MAX];
+            for b in &db.blocks {
+                ips.extend([
+                    b.start.saturating_sub(1),
+                    b.start,
+                    b.start.saturating_add(1),
+                ]);
+            }
+            ips.extend((0..100_000).map(|_| rng.gen::<u32>()));
+            // Confined spaces: random u32s all land past the space.
+            ips.extend((0..64).map(|_| rng.gen_range(0..=db.space_end)));
+            for ip in ips.into_iter().map(IpAddr) {
+                let want = block_by_search(&db, ip);
+                assert_eq!(db.block_of(ip), want, "{name}: ip {ip}");
+                assert_eq!(db.country_of(ip), db.blocks[want].code, "{name}: ip {ip}");
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_cost_is_bounded_on_the_default_database() {
         let db = GeoDb::paper_default();
-        // First and last IPs resolve without panicking.
-        let _ = db.country_of(IpAddr(0));
-        let _ = db.country_of(IpAddr(u32::MAX));
+        // A page's last address pays for every block starting inside it.
+        let worst = (0..db.page.len() as u32)
+            .map(|p| lookup_steps(&db, IpAddr((p << PAGE_SHIFT) | ((1 << PAGE_SHIFT) - 1))))
+            .max();
+        assert!(worst <= Some(4), "worst page takes {worst:?} steps");
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = 100_000;
+        let direct = (0..n)
+            .filter(|_| lookup_steps(&db, db.sample_ip(&mut rng)) == 0)
+            .count();
+        assert!(
+            direct * 100 >= n * 95,
+            "{direct} of {n} lookups took 0 steps"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "u16 page entries")]
+    fn more_blocks_than_the_page_index_holds_are_refused() {
+        let shares = vec![(CountryCode::new("AA"), 1.0); u16::MAX as usize + 2];
+        GeoDb::from_shares(&shares);
+    }
+
+    #[test]
+    fn sample_ip_matches_linear_scan() {
+        for (name, db) in layouts() {
+            let mut rng = StdRng::seed_from_u64(6);
+            let mut oracle = rng.clone();
+            for _ in 0..100_000 {
+                // The share walk `sample_ip` replaced.
+                let u: f64 = oracle.gen();
+                let mut acc = 0.0;
+                let mut idx = db.blocks.len() - 1;
+                for (i, b) in db.blocks.iter().enumerate() {
+                    acc += b.share;
+                    if u <= acc {
+                        idx = i;
+                        break;
+                    }
+                }
+                let want = db.sample_ip_in_block(idx, &mut oracle);
+                assert_eq!(db.sample_ip(&mut rng), want, "{name}");
+            }
+        }
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //! (the same argument [`crate::sampled`] makes for event volumes).
 //!
 //! Names are derived on demand from the domain id, so a 1M-site universe
-//! costs only the family map.
+//! costs only the family index (one byte per Alexa rank).
 
 use crate::ids::DomainId;
 use crate::workload::{DomainMix, DomainSampler};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Sibling families measured in Figure 2 (top-10 sites plus duckduckgo
@@ -145,8 +144,13 @@ impl Default for SiteListConfig {
 /// The synthetic site universe.
 pub struct SiteList {
     cfg: SiteListConfig,
-    /// rank -> family, for all family member ranks.
-    family_by_rank: HashMap<u64, Family>,
+    /// The family of each Alexa domain, indexed by [`DomainId`]
+    /// (rank − 1): classification is per exit event, so it is one
+    /// array read rather than a hash of the rank.
+    family_of: Vec<Option<Family>>,
+    /// Each family's non-head member ranks, ascending, indexed by
+    /// `Family as usize`.
+    siblings: Vec<Vec<u64>>,
     /// Cumulative TLD distribution for hash-based assignment:
     /// (cumulative probability, tld index into MEASURED_TLDS, or usize::MAX
     /// for "other").
@@ -177,6 +181,17 @@ const TLD_WEIGHTS: [(usize, f64); 15] = [
     (usize::MAX, 0.214), // other TLDs
 ];
 
+/// The rank a family's `probe`-th placement attempt lands on:
+/// pseudo-random in `11..alexa_size`, past the top-10 heads.
+fn probe_rank(fam: Family, probe: u64, alexa_size: u64) -> u64 {
+    let h = pm_crypto::sha256::sha256_concat(&[
+        b"family-rank",
+        fam.basename().as_bytes(),
+        &probe.to_be_bytes(),
+    ]);
+    11 + u64::from_be_bytes(h[..8].try_into().unwrap()) % (alexa_size - 11)
+}
+
 impl SiteList {
     /// Builds the universe.
     pub fn new(cfg: SiteListConfig) -> SiteList {
@@ -184,27 +199,35 @@ impl SiteList {
             cfg.alexa_size >= 11_000,
             "universe must include all family head ranks"
         );
-        let mut family_by_rank = HashMap::new();
+        let mut family_of = vec![None; cfg.alexa_size as usize];
+        let mut siblings_placed = Vec::new();
         for fam in Family::ALL {
-            family_by_rank.insert(fam.head_rank(), fam);
+            // A head takes its canonical rank even from an earlier
+            // family's sibling that landed there.
+            family_of[(fam.head_rank() - 1) as usize] = Some(fam);
             // Scatter the remaining members deterministically across the
             // list (pseudo-random but collision-free ranks).
             let mut placed = 1;
             let mut probe = 0u64;
             while placed < fam.size() {
-                let h = pm_crypto::sha256::sha256_concat(&[
-                    b"family-rank",
-                    fam.basename().as_bytes(),
-                    &probe.to_be_bytes(),
-                ]);
-                let rank =
-                    11 + u64::from_be_bytes(h[..8].try_into().unwrap()) % (cfg.alexa_size - 11);
+                let rank = probe_rank(fam, probe, cfg.alexa_size);
                 probe += 1;
-                if let std::collections::hash_map::Entry::Vacant(e) = family_by_rank.entry(rank) {
-                    e.insert(fam);
+                let slot = &mut family_of[(rank - 1) as usize];
+                if slot.is_none() {
+                    *slot = Some(fam);
+                    siblings_placed.push((rank, fam));
                     placed += 1;
                 }
             }
+        }
+        let mut siblings = vec![Vec::new(); Family::ALL.len()];
+        for (rank, fam) in siblings_placed {
+            if family_of[(rank - 1) as usize] == Some(fam) {
+                siblings[fam as usize].push(rank);
+            }
+        }
+        for ranks in &mut siblings {
+            ranks.sort_unstable();
         }
         let mut tld_cdf = Vec::with_capacity(TLD_WEIGHTS.len());
         let total: f64 = TLD_WEIGHTS.iter().map(|(_, w)| w).sum();
@@ -215,7 +238,8 @@ impl SiteList {
         }
         SiteList {
             cfg,
-            family_by_rank,
+            family_of,
+            siblings,
             tld_cdf,
             sampler: Mutex::new(None),
         }
@@ -283,8 +307,14 @@ impl SiteList {
 
     /// The sibling family of a domain, if any.
     pub fn family(&self, d: DomainId) -> Option<Family> {
-        self.rank(d)
-            .and_then(|r| self.family_by_rank.get(&r).copied())
+        // Long-tail ids lie past the index's end.
+        self.family_of.get(d.0 as usize).copied().flatten()
+    }
+
+    /// The Alexa ranks of a family's members other than its head, in
+    /// ascending order.
+    pub fn sibling_ranks(&self, fam: Family) -> &[u64] {
+        &self.siblings[fam as usize]
     }
 
     /// The Figure 2 rank-set index of an Alexa rank:
@@ -374,6 +404,7 @@ impl SiteList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn small() -> SiteList {
         SiteList::new(SiteListConfig {
@@ -402,6 +433,64 @@ mod tests {
         assert_eq!(s.family(s.domain_of_rank(342)), Some(Family::Duckduckgo));
         assert_eq!(s.family(s.domain_of_rank(10_244)), Some(Family::Torproject));
         assert_eq!(s.family(s.domain_of_rank(11)), None);
+    }
+
+    /// The rank → family hash map the dense index replaced, built the
+    /// way it was: heads inserted unconditionally, siblings probed
+    /// into vacant ranks.
+    fn families_by_map(alexa_size: u64) -> HashMap<u64, Family> {
+        let mut by_rank = HashMap::new();
+        for fam in Family::ALL {
+            by_rank.insert(fam.head_rank(), fam);
+            let mut placed = 1;
+            let mut probe = 0u64;
+            while placed < fam.size() {
+                let rank = probe_rank(fam, probe, alexa_size);
+                probe += 1;
+                if let std::collections::hash_map::Entry::Vacant(e) = by_rank.entry(rank) {
+                    e.insert(fam);
+                    placed += 1;
+                }
+            }
+        }
+        by_rank
+    }
+
+    #[test]
+    fn dense_family_index_matches_the_rank_map() {
+        // At 11 756 two google siblings land on ranks 342 and 10 244
+        // before duckduckgo's and torproject's heads claim them: the
+        // index and google's sibling list must both lose them.
+        for alexa_size in [11_756, 20_000, 100_000] {
+            let s = SiteList::new(SiteListConfig {
+                alexa_size,
+                long_tail_size: 1_000,
+                seed: 1,
+            });
+            let want = families_by_map(alexa_size);
+            for r in 1..=alexa_size {
+                let d = s.domain_of_rank(r);
+                assert_eq!(
+                    s.family(d),
+                    want.get(&r).copied(),
+                    "rank {r} of {alexa_size}"
+                );
+            }
+            if alexa_size == 11_756 {
+                assert_eq!(s.sibling_ranks(Family::Google).len(), 209);
+            }
+            for i in [0, 999] {
+                assert_eq!(s.family(s.long_tail_domain(i)), None);
+            }
+            assert_eq!(s.family(DomainId(u64::MAX)), None);
+            // The scan the domain sampler used to run per family.
+            for fam in Family::ALL {
+                let scanned: Vec<u64> = (1..=alexa_size)
+                    .filter(|r| want.get(r) == Some(&fam) && *r != fam.head_rank())
+                    .collect();
+                assert_eq!(s.sibling_ranks(fam), scanned, "{fam:?} of {alexa_size}");
+            }
+        }
     }
 
     #[test]

@@ -170,8 +170,6 @@ pub struct DomainSampler {
     categories: Vec<Category>,
     /// Alias tables of the rank sets the universe retains.
     set_tables: Vec<(u64, AliasTable)>, // (first rank of set, table)
-    /// Family member ranks, excluding heads.
-    family_members: Vec<(Family, Vec<u64>)>,
     long_tail_table: AliasTable,
 }
 
@@ -179,8 +177,9 @@ pub struct DomainSampler {
 enum Category {
     Torproject,
     Head(u64),
-    FamilySibling(usize), // index into family_members
-    RankSet(usize),       // index into set_tables
+    /// A uniform draw over [`SiteList::sibling_ranks`].
+    FamilySibling(Family),
+    RankSet(usize), // index into set_tables
     LongTail,
 }
 
@@ -205,19 +204,12 @@ impl DomainSampler {
         categories.push(Category::Head(342));
         weights.push(mix.duckduckgo);
 
-        let mut family_members = Vec::new();
         for (fam, share) in &mix.family_siblings {
-            let members: Vec<u64> = (1..=sites.config().alexa_size)
-                .filter(|r| {
-                    sites.family(sites.domain_of_rank(*r)) == Some(*fam) && *r != fam.head_rank()
-                })
-                .collect();
-            if members.is_empty() {
+            if sites.sibling_ranks(*fam).is_empty() {
                 continue;
             }
-            categories.push(Category::FamilySibling(family_members.len()));
+            categories.push(Category::FamilySibling(*fam));
             weights.push(*share);
-            family_members.push((*fam, members));
         }
 
         let alexa = sites.config().alexa_size;
@@ -255,7 +247,6 @@ impl DomainSampler {
             category_alias: AliasTable::new(&weights),
             categories,
             set_tables,
-            family_members,
             long_tail_table,
         }
     }
@@ -266,8 +257,8 @@ impl DomainSampler {
         match self.categories[self.category_alias.sample(rng)] {
             Category::Torproject => sites.domain_of_rank(Family::Torproject.head_rank()),
             Category::Head(rank) => sites.domain_of_rank(rank),
-            Category::FamilySibling(i) => {
-                let members = &self.family_members[i].1;
+            Category::FamilySibling(fam) => {
+                let members = sites.sibling_ranks(fam);
                 sites.domain_of_rank(members[rng.gen_range(0..members.len())])
             }
             Category::RankSet(i) => {

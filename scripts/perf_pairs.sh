@@ -3,8 +3,8 @@
 # perf claim in CHANGES.md (ROADMAP standing rule: "every perf claim is
 # alternating parent/change pairs on perfbench/ with digests equal").
 #
-#   scripts/perf_pairs.sh <parent-rev> "<workloads>" <pairs> <seconds>
-#   make perf-pairs PARENT=<rev> [WORKLOADS="…"] [PAIRS=4] [SECONDS=6]
+#   scripts/perf_pairs.sh <parent-rev> "<workloads>" <pairs> <seconds> <seed>
+#   make perf-pairs PARENT=<rev> [WORKLOADS="…"] [PAIRS=4] [SECONDS=6] [SEED=2018]
 #
 # Exports <parent-rev> into target/perf-pairs/parent (git archive: no
 # worktree state to prune, and the working tree may be dirty), builds
@@ -17,10 +17,13 @@
 # the verdicts are for a human to read and do not set the status.
 set -euo pipefail
 
-parent_rev=${1:?usage: perf_pairs.sh <parent-rev> [workloads] [pairs] [seconds]}
+parent_rev=${1:?usage: perf_pairs.sh <parent-rev> [workloads] [pairs] [seconds] [seed]}
 workloads=${2:-"campaign17d ips7d_mix psc_verified tor_day"}
 pairs=${3:-4}
 seconds=${4:-6}
+# The workload seed both binaries run with (`perf`'s own default): a
+# claim must also hold on a seed not used while the change was written.
+seed=${5:-2018}
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
@@ -42,7 +45,7 @@ change_bin=$root/perfbench/target/release/perf
 # One run: prints "wall_s throughput peak_rss_mb setup_s digest correct".
 run() { # <binary> <cwd> <workload>
     local out f
-    out=$(cd "$2" && "$1" --workload "$3" --seconds "$seconds" --trace 0)
+    out=$(cd "$2" && "$1" --workload "$3" --seed "$seed" --seconds "$seconds" --trace 0)
     for f in wall_s throughput peak_rss_mb setup_s; do
         printf '%s ' "$(sed -n 's/.*"'"$f"'": {"value": \([^,}]*\).*/\1/p' <<<"$out" | tail -1)"
     done
@@ -113,6 +116,7 @@ verdicts() { # <log> <workload> <column> <metric> <better> <bound>
 }
 
 status=0
+echo "# parent $(git rev-parse --short "$rev"), seed $seed, $pairs pairs, $seconds s per run"
 printf '%-13s %4s %-6s %9s %12s %11s %8s  %s\n' \
     workload pair side wall_s throughput peak_rss_mb setup_s digest
 for w in $workloads; do
