@@ -141,7 +141,8 @@ const _: fn() = || {
 
 impl Deployment {
     /// Builds a deployment at the given scale. Scale 1.0 is paper scale
-    /// (2×10⁹ daily streams); tests typically use 1e-3.
+    /// (2×10⁹ daily streams); tests typically use 1e-3. Setup builds the
+    /// [`AsDb`] eagerly, on all cores.
     pub fn at_scale(scale: f64, seed: u64) -> Deployment {
         assert!(scale > 0.0 && scale <= 1.0);
         // The site universe shrinks with scale but keeps all family head

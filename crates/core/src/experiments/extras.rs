@@ -2,7 +2,7 @@
 //! figure: the Alexa-categories measurement and the AS-hotspot check.
 
 use crate::deployment::Deployment;
-use crate::experiments::{client_traffic_streams, exit_streams, privcount_round};
+use crate::experiments::{client_traffic, exit_streams, privcount_round};
 use crate::report::{fmt_pct, fmt_ratio, Report, ReportRow};
 use pm_stats::Estimate;
 use privcount::{queries, run_round};
@@ -48,7 +48,7 @@ pub fn run_as_hotspots(dep: &Deployment) -> Report {
     let fraction = dep.weights.tab4_entry; // 2018-05-01 guard measurement
     let schema = queries::as_histogram(Arc::clone(&dep.asdb), dep.eps(), dep.delta());
     let cfg = privcount_round(dep, schema, "extra-as");
-    let gens = client_traffic_streams(dep, fraction, 10, "extra-as");
+    let gens = client_traffic(dep, fraction, false, 10, "extra-as");
     let result = run_round(cfg, gens).expect("as round");
     let total = result.estimate("as.total");
 

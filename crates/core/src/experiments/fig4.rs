@@ -2,7 +2,7 @@
 //! including the UAE circuit anomaly.
 
 use crate::deployment::Deployment;
-use crate::experiments::{client_traffic_streams, privcount_round};
+use crate::experiments::{client_traffic, privcount_round};
 use crate::report::{fmt_count, Report, ReportRow};
 use privcount::queries::{self, CountryStat};
 use privcount::run_round;
@@ -26,7 +26,8 @@ pub fn run(dep: &Deployment) -> Report {
     ] {
         let schema = queries::country_histogram(Arc::clone(&dep.geo), stat, dep.eps(), dep.delta());
         let cfg = privcount_round(dep, schema, &format!("fig4-{label}"));
-        let gens = client_traffic_streams(dep, fraction, 10, &format!("fig4-{label}"));
+        let circuits = stat == CountryStat::Circuits;
+        let gens = client_traffic(dep, fraction, circuits, 10, &format!("fig4-{label}"));
         let result = run_round(cfg, gens).expect("fig4 round");
 
         // Rank countries by estimate; report the top 10, marking

@@ -91,9 +91,28 @@ pub fn client_traffic_streams(
     num_dcs: usize,
     label: &str,
 ) -> Vec<EventStream> {
+    client_traffic(dep, fraction, true, num_dcs, label)
+}
+
+/// [`client_traffic_streams`], skipping circuits unless `circuits` is
+/// set — for rounds that never read them.
+pub(crate) fn client_traffic(
+    dep: &Deployment,
+    fraction: f64,
+    circuits: bool,
+    num_dcs: usize,
+    label: &str,
+) -> Vec<EventStream> {
     let share = fraction / num_dcs as f64;
     per_dc(dep, 6, num_dcs, label, |sim, label| {
-        sim.client_traffic(&dep.workload.clients, share, dep.scale, dep.shards, label)
+        sim.client_traffic(
+            &dep.workload.clients,
+            share,
+            dep.scale,
+            circuits,
+            dep.shards,
+            label,
+        )
     })
 }
 

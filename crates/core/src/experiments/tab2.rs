@@ -56,7 +56,12 @@ pub fn run(dep: &Deployment) -> Report {
                 match_tolerance: 0.02,
             };
             let mut rng = StdRng::seed_from_u64(dep.seed ^ 0x71ab2);
-            if let Some(net) = extrapolate_unique_count(est.value.round() as u64, &cfg, &mut rng) {
+            let mut span = dep.recorder.span("stats.powerlaw", "stats");
+            span.note("universe", cfg.universe);
+            span.note("simulations", cfg.simulations);
+            let net = extrapolate_unique_count(est.value.round() as u64, &cfg, &mut rng);
+            drop(span);
+            if let Some(net) = net {
                 let net_truth = network_truth_alexa_uniques(dep);
                 report.row(ReportRow::new(
                     "network-wide Alexa SLDs (MC extrapolation)",

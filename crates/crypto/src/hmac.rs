@@ -13,6 +13,16 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
 
 /// HMAC over multiple message segments.
 pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+    let (mut inner, outer) = keyed_pads(key);
+    for p in parts {
+        inner.update(p);
+    }
+    finish(inner, outer)
+}
+
+/// The inner and outer SHA-256 states after absorbing the keyed ipad and
+/// opad blocks: every HMAC under `key` starts from these two midstates.
+fn keyed_pads(key: &[u8]) -> (Sha256, Sha256) {
     let mut k = [0u8; BLOCK_LEN];
     if key.len() > BLOCK_LEN {
         k[..DIGEST_LEN].copy_from_slice(&sha256(key));
@@ -27,13 +37,14 @@ pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
     }
     let mut inner = Sha256::new();
     inner.update(&ipad);
-    for p in parts {
-        inner.update(p);
-    }
-    let inner_digest = inner.finalize();
     let mut outer = Sha256::new();
     outer.update(&opad);
-    outer.update(&inner_digest);
+    (inner, outer)
+}
+
+/// Completes an HMAC whose message is already absorbed into `inner`.
+fn finish(inner: Sha256, mut outer: Sha256) -> [u8; DIGEST_LEN] {
+    outer.update(&inner.finalize());
     outer.finalize()
 }
 
@@ -46,7 +57,10 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 /// for hybrid encryption (key must be unique per message: derive it from
 /// a fresh DH share).
 pub struct KeyStream {
-    key: [u8; DIGEST_LEN],
+    /// HMAC midstates keyed once with the extracted key; each block
+    /// clones them instead of re-absorbing the pads.
+    inner: Sha256,
+    outer: Sha256,
     block: [u8; DIGEST_LEN],
     counter: u64,
     offset: usize,
@@ -55,9 +69,10 @@ pub struct KeyStream {
 impl KeyStream {
     /// Creates a keystream bound to `key` and a domain-separating `label`.
     pub fn new(key: &[u8], label: &[u8]) -> KeyStream {
-        let prk = hkdf_extract(label, key);
+        let (inner, outer) = keyed_pads(&hkdf_extract(label, key));
         let mut ks = KeyStream {
-            key: prk,
+            inner,
+            outer,
             block: [0u8; DIGEST_LEN],
             counter: 0,
             offset: DIGEST_LEN, // force refill on first byte
@@ -67,7 +82,11 @@ impl KeyStream {
     }
 
     fn refill(&mut self) {
-        self.block = hmac_sha256_parts(&self.key, &[b"keystream", &self.counter.to_be_bytes()]);
+        let mut inner = self.inner.clone();
+        inner
+            .update(b"keystream")
+            .update(&self.counter.to_be_bytes());
+        self.block = finish(inner, self.outer.clone());
         self.counter += 1;
         self.offset = 0;
     }
@@ -162,6 +181,18 @@ mod tests {
         let a = stream_encrypt(b"k", b"label-a", &msg);
         let b = stream_encrypt(b"k", b"label-b", &msg);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn keystream_matches_per_counter_hmac() {
+        // Oracle: block i is HMAC(prk, "keystream" || i) for 0..300 blocks.
+        let prk = hkdf_extract(b"label", b"key");
+        let mut stream = vec![0u8; 300 * DIGEST_LEN];
+        KeyStream::new(b"key", b"label").apply(&mut stream);
+        for (i, block) in stream.chunks(DIGEST_LEN).enumerate() {
+            let want = hmac_sha256_parts(&prk, &[b"keystream", &(i as u64).to_be_bytes()]);
+            assert_eq!(block, want, "block {i}");
+        }
     }
 
     #[test]

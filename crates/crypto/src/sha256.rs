@@ -68,21 +68,22 @@ impl Sha256 {
     }
 
     /// Finishes and returns the digest. The context is consumed.
+    ///
+    /// Allocation-free: the padding is built in a stack block, so hashing
+    /// on helper threads never touches the heap.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        let mut pad = [0u8; BLOCK_LEN * 2];
-        pad[0] = 0x80;
-        let pad_len = if self.buf_len < 56 {
-            56 - self.buf_len
-        } else {
-            120 - self.buf_len
-        };
-        let mut tail = Vec::with_capacity(pad_len + 8);
-        tail.extend_from_slice(&pad[..pad_len]);
-        tail.extend_from_slice(&bit_len.to_be_bytes());
-        self.update(&tail);
-        debug_assert_eq!(self.buf_len, 0);
+        // Padding: 0x80, zeros, 64-bit big-endian length; a second block
+        // when the length no longer fits after the 0x80.
+        let mut block = [0u8; BLOCK_LEN];
+        block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        block[self.buf_len] = 0x80;
+        if self.buf_len >= BLOCK_LEN - 8 {
+            compress(&mut self.state, &block);
+            block = [0u8; BLOCK_LEN];
+        }
+        block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &block);
         let mut out = [0u8; DIGEST_LEN];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 4..(i + 1) * 4].copy_from_slice(&w.to_be_bytes());
@@ -295,6 +296,72 @@ mod tests {
     fn concat_equals_oneshot() {
         assert_eq!(sha256_concat(&[b"ab", b"c"]), sha256(b"abc"));
         assert_eq!(sha256_concat(&[]), sha256(b""));
+    }
+
+    #[test]
+    fn padding_boundaries_pinned() {
+        // Message i-th byte = 7i + 3 (mod 256); one digest per length on
+        // either side of the one- and two-block padding boundaries.
+        let pinned = [
+            (
+                0,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                1,
+                "084fed08b978af4d7d196a7446a86b58009e636b611db16211b65a9aadff29c5",
+            ),
+            (
+                55,
+                "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b",
+            ),
+            (
+                56,
+                "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27",
+            ),
+            (
+                57,
+                "35df609437dcfea3279283ab79fd554e2bf78f8f7ae2de532d8ee300b09e8f73",
+            ),
+            (
+                63,
+                "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055",
+            ),
+            (
+                64,
+                "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241",
+            ),
+            (
+                65,
+                "aacca6ff74fdbb296d165a45cecfa04e5127bc008770fbbdd48006f2d2fae95e",
+            ),
+            (
+                119,
+                "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e",
+            ),
+            (
+                120,
+                "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5",
+            ),
+            (
+                128,
+                "d2742f1f4ac6bb7ca2b239ee18402ba8b3f9f8e652d2a72973c2b9ba11c08cf6",
+            ),
+        ];
+        for (n, want) in pinned {
+            let msg: Vec<u8> = (0..n).map(|i| (i * 7 + 3) as u8).collect();
+            assert_eq!(hex(&sha256(&msg)), want, "length {n}");
+        }
+    }
+
+    #[test]
+    fn concat_split_anywhere_equals_oneshot() {
+        let msg: Vec<u8> = (0..130u32).map(|i| (i * 13 + 5) as u8).collect();
+        let oneshot = sha256(&msg);
+        for at in 0..=msg.len() {
+            let (a, b) = msg.split_at(at);
+            assert_eq!(sha256_concat(&[a, b]), oneshot, "split at {at}");
+        }
     }
 
     #[test]

@@ -607,6 +607,30 @@ mod tests {
     }
 
     #[test]
+    fn connection_byte_and_as_histograms_ignore_circuits() {
+        // Rounds over these schemas generate their traffic without
+        // circuits; that is only sound if a circuit never moves a counter.
+        let geo = Arc::new(GeoDb::paper_default());
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        let circuits: Vec<TorEvent> = (0..200)
+            .map(|_| TorEvent::EntryCircuit {
+                relay: RelayId(0),
+                client_ip: IpAddr(rand::Rng::gen(&mut rng)),
+            })
+            .collect();
+        let asdb = Arc::new(torsim::asn::AsDb::paper_default());
+        for schema in [
+            country_histogram(geo.clone(), CountryStat::Connections, 0.3, 1e-11),
+            country_histogram(geo.clone(), CountryStat::Bytes, 0.3, 1e-11),
+            as_histogram(asdb, 0.3, 1e-11),
+        ] {
+            for ev in &circuits {
+                (schema.mapper)(ev, &mut |i, v| panic!("circuit emitted ({i}, {v})"));
+            }
+        }
+    }
+
+    #[test]
     fn country_histogram_matches_search_then_map_classification() {
         use torsim::stream::StreamSim;
         use torsim::workload::ClientTruth;
@@ -621,7 +645,7 @@ mod tests {
             let geo = Arc::new(geo);
             let sim = StreamSim::new(sites(), geo.clone(), vec![RelayId(0), RelayId(1)], 11);
             let mut events = Vec::new();
-            sim.client_traffic(&ClientTruth::paper_default(), 0.01, 1e-3, 1, "ct")
+            sim.client_traffic(&ClientTruth::paper_default(), 0.01, 1e-3, true, 1, "ct")
                 .for_each(|ev| events.push(ev));
             let index: std::collections::BTreeMap<CountryCode, usize> =
                 geo.countries().enumerate().map(|(i, c)| (c, i)).collect();

@@ -47,13 +47,7 @@ impl Default for PowerLawConfig {
 /// Expected number of unique domains seen when observing a fraction
 /// `frac` of `visits` total visits over a Zipf(`s`) universe of size `n`.
 pub fn expected_unique(n: usize, s: f64, visits: f64, frac: f64) -> f64 {
-    let h: f64 = zipf_norm(n, s);
-    let mut total = 0.0;
-    for r in 1..=n {
-        let q = (r as f64).powf(-s) / h;
-        total += 1.0 - (-frac * q * visits).exp();
-    }
-    total
+    unique_over(&zipf_weights(n, s), visits, frac)
 }
 
 /// Zipf normalization constant Σ r^-s.
@@ -61,11 +55,28 @@ fn zipf_norm(n: usize, s: f64) -> f64 {
     (1..=n).map(|r| (r as f64).powf(-s)).sum()
 }
 
+/// Visit probabilities `q_r = r^-s / Σ r^-s` for ranks `1..=n`.
+fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
+    let h = zipf_norm(n, s);
+    (1..=n).map(|r| (r as f64).powf(-s) / h).collect()
+}
+
+/// Expected unique count over a universe with visit probabilities `q`:
+/// Σ 1 − exp(−frac·q·visits), summed in rank order.
+fn unique_over(q: &[f64], visits: f64, frac: f64) -> f64 {
+    let mut total = 0.0;
+    for &q in q {
+        total += 1.0 - (-frac * q * visits).exp();
+    }
+    total
+}
+
 /// Finds the network visit volume `V` such that the expected *locally
-/// observed* unique count equals `target`, by bisection.
-fn solve_visits(n: usize, s: f64, frac: f64, target: f64) -> Option<f64> {
+/// observed* unique count over visit probabilities `q` equals `target`,
+/// by bisection.
+fn solve_visits(q: &[f64], frac: f64, target: f64) -> Option<f64> {
     assert!(target >= 0.0);
-    if target >= n as f64 {
+    if target >= q.len() as f64 {
         return None; // cannot see more uniques than the universe holds
     }
     let mut lo = 1.0f64;
@@ -74,7 +85,7 @@ fn solve_visits(n: usize, s: f64, frac: f64, target: f64) -> Option<f64> {
     // even enormous volumes can't reach targets ≈ universe size when
     // frac is tiny — those parameters are simply inconsistent).
     let mut guard = 0;
-    while expected_unique(n, s, hi, frac) < target {
+    while unique_over(q, hi, frac) < target {
         hi *= 4.0;
         guard += 1;
         if guard > 60 {
@@ -83,7 +94,7 @@ fn solve_visits(n: usize, s: f64, frac: f64, target: f64) -> Option<f64> {
     }
     for _ in 0..80 {
         let mid = 0.5 * (lo + hi);
-        if expected_unique(n, s, mid, frac) < target {
+        if unique_over(q, mid, frac) < target {
             lo = mid;
         } else {
             hi = mid;
@@ -101,6 +112,8 @@ fn solve_visits(n: usize, s: f64, frac: f64, target: f64) -> Option<f64> {
 /// returned estimate is the median with a percentile interval across
 /// simulations; simulations whose best fit misses the observation by
 /// more than `match_tolerance` are discarded (inconsistent exponents).
+/// Each simulation builds its exponent's visit probabilities once; every
+/// evaluation after that is one `exp` per rank.
 pub fn extrapolate_unique_count<R: Rng + ?Sized>(
     observed_unique: u64,
     cfg: &PowerLawConfig,
@@ -109,22 +122,18 @@ pub fn extrapolate_unique_count<R: Rng + ?Sized>(
     let mut implied: Vec<f64> = Vec::with_capacity(cfg.simulations);
     for _ in 0..cfg.simulations {
         let s = rng.gen_range(cfg.exponent_range.0..=cfg.exponent_range.1);
-        let Some(visits) = solve_visits(
-            cfg.universe,
-            s,
-            cfg.observe_fraction,
-            observed_unique as f64,
-        ) else {
+        let q = zipf_weights(cfg.universe, s);
+        let Some(visits) = solve_visits(&q, cfg.observe_fraction, observed_unique as f64) else {
             continue;
         };
         // Self-check: the solved volume must reproduce the observation.
-        let check = expected_unique(cfg.universe, s, visits, cfg.observe_fraction);
+        let check = unique_over(&q, visits, cfg.observe_fraction);
         if (check - observed_unique as f64).abs() > cfg.match_tolerance * observed_unique as f64 {
             continue;
         }
         // Network-wide: what ALL relays would have seen (fraction 1.0),
         // with binomial sampling noise applied to mimic one simulated run.
-        let network = expected_unique(cfg.universe, s, visits, 1.0);
+        let network = unique_over(&q, visits, 1.0);
         let noise_sd = (network * (1.0 - network / cfg.universe as f64)).sqrt();
         let draw = network + noise_sd * crate::powerlaw::std_normal(rng);
         implied.push(draw.clamp(observed_unique as f64, cfg.universe as f64));
@@ -178,7 +187,7 @@ mod tests {
         let frac = 0.0124;
         let true_v = 3.0e6;
         let target = expected_unique(n, s, true_v, frac);
-        let solved = solve_visits(n, s, frac, target).unwrap();
+        let solved = solve_visits(&zipf_weights(n, s), frac, target).unwrap();
         assert!(
             (solved - true_v).abs() / true_v < 1e-3,
             "solved {solved:e} vs {true_v:e}"
@@ -187,7 +196,7 @@ mod tests {
 
     #[test]
     fn solve_visits_rejects_impossible() {
-        assert!(solve_visits(100, 1.0, 0.01, 150.0).is_none());
+        assert!(solve_visits(&zipf_weights(100, 1.0), 0.01, 150.0).is_none());
     }
 
     #[test]

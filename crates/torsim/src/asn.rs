@@ -33,31 +33,41 @@ impl AsDb {
     /// Builds with explicit parameters. `zipf_s` shapes block
     /// concentration; higher values concentrate more blocks on top ASes.
     pub fn with_params(total_ases: u32, zipf_s: f64, seed: u64) -> AsDb {
+        let threads = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .clamp(1, 16);
+        AsDb::build(total_ases, zipf_s, seed, threads)
+    }
+
+    /// Deterministic inverse-CDF sampling of a Zipf over AS ranks by hash
+    /// of the block index. The CDF is built in one buffer: the rank
+    /// weights first, then the running normalised sum in place. The 65,536
+    /// block lookups (SHA-256 → `u` → binary search of the CDF) are
+    /// independent and run on `threads` threads without allocating; each
+    /// block owns its output slot, so the table does not depend on
+    /// `threads`.
+    fn build(total_ases: u32, zipf_s: f64, seed: u64, threads: usize) -> AsDb {
         assert!(total_ases >= 1);
-        // Deterministic inverse-CDF sampling of a Zipf by hash of the
-        // block index. Precompute the CDF over ranks coarsely: for speed
-        // with ~60k ranks we bucket the CDF at 4096 points and refine by
-        // local scan.
         let n = total_ases as usize;
-        let weights: Vec<f64> = (1..=n).map(|r| (r as f64).powf(-zipf_s)).collect();
-        let total: f64 = weights.iter().sum();
-        let mut cdf = Vec::with_capacity(n);
+        let mut cdf: Vec<f64> = (1..=n).map(|r| (r as f64).powf(-zipf_s)).collect();
+        let total: f64 = cdf.iter().sum();
         let mut acc = 0.0;
-        for w in &weights {
-            acc += w / total;
-            cdf.push(acc);
+        for c in &mut cdf {
+            acc += *c / total;
+            *c = acc;
         }
-        let mut block_as = Vec::with_capacity(1 << 16);
-        for block in 0u32..(1 << 16) {
+        let block_as = pm_crypto::batch::par_map_indexed(1 << 16, threads, |block| {
             let h = pm_crypto::sha256::sha256_concat(&[
                 b"as-block",
                 &seed.to_be_bytes(),
-                &block.to_be_bytes(),
+                &(block as u32).to_be_bytes(),
             ]);
-            let u = u64::from_be_bytes(h[..8].try_into().unwrap()) as f64 / u64::MAX as f64;
+            let head = h[..8].try_into().expect("a SHA-256 digest is 32 bytes");
+            let u = u64::from_be_bytes(head) as f64 / u64::MAX as f64;
             let idx = cdf.partition_point(|c| *c < u).min(n - 1);
-            block_as.push(AsNumber(idx as u32 + 1));
-        }
+            AsNumber(idx as u32 + 1)
+        });
         AsDb {
             block_as,
             total_defined: total_ases,
@@ -124,6 +134,25 @@ mod tests {
         }
         let count = seen.len();
         assert!(count > 4_000 && count < 45_000, "observed {count} ASes");
+    }
+
+    /// FNV-1a over the AS of every /16 block.
+    fn digest(db: &AsDb) -> u64 {
+        (0u32..1 << 16).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ db.as_of(IpAddr(b << 16)).0 as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The paper-default table, pinned before the build was threaded.
+    const PAPER_DEFAULT_DIGEST: u64 = 0xf031_d7f7_f214_325b;
+
+    #[test]
+    fn table_is_pinned_for_every_thread_count() {
+        assert_eq!(digest(&AsDb::paper_default()), PAPER_DEFAULT_DIGEST);
+        for threads in [1, 2, 3, 7, 64] {
+            let db = AsDb::build(TOTAL_DEFINED_ASES, 0.65, 2018, threads);
+            assert_eq!(digest(&db), PAPER_DEFAULT_DIGEST, "{threads} threads");
+        }
     }
 
     #[test]

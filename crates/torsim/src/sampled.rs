@@ -236,13 +236,17 @@ impl StreamSim {
 
     /// Generates entry-side traffic events (connections, circuits,
     /// bytes) for Table 4 and Figure 4. `fraction` is the guard
-    /// selection probability of the instrumented relays.
+    /// selection probability of the instrumented relays. When `circuits`
+    /// is unset, circuits are skipped — for rounds that never read them.
+    /// They are drawn last, so every other event is unchanged.
+    #[allow(clippy::too_many_arguments)] // one partition's parameters plus the shared tables
     pub(crate) fn client_traffic_part<R: Rng + ?Sized>(
         &self,
         tables: &ClientTrafficTables,
         truth: &ClientTruth,
         fraction: f64,
         scale: f64,
+        circuits: bool,
         rng: &mut R,
         mut f: impl FnMut(TorEvent),
     ) {
@@ -282,6 +286,9 @@ impl StreamSim {
                 client_ip: bip,
                 bytes,
             });
+        }
+        if !circuits {
+            return;
         }
         for i in 0..n_circ {
             let ip = sample_ip(circ_alias, rng);
@@ -574,21 +581,29 @@ mod tests {
         let mut conn = 0u64;
         let mut circ_ae = 0u64;
         let mut circ = 0u64;
-        sim.client_traffic_part(&tables, &truth, 0.0144, 8e-4, &mut rng, |ev| match ev {
-            TorEvent::EntryConnection { client_ip, .. } => {
-                conn += 1;
-                if geo.country_of(client_ip) == CountryCode::new("US") {
-                    conn_us += 1;
+        sim.client_traffic_part(
+            &tables,
+            &truth,
+            0.0144,
+            8e-4,
+            true,
+            &mut rng,
+            |ev| match ev {
+                TorEvent::EntryConnection { client_ip, .. } => {
+                    conn += 1;
+                    if geo.country_of(client_ip) == CountryCode::new("US") {
+                        conn_us += 1;
+                    }
                 }
-            }
-            TorEvent::EntryCircuit { client_ip, .. } => {
-                circ += 1;
-                if geo.country_of(client_ip) == CountryCode::new("AE") {
-                    circ_ae += 1;
+                TorEvent::EntryCircuit { client_ip, .. } => {
+                    circ += 1;
+                    if geo.country_of(client_ip) == CountryCode::new("AE") {
+                        circ_ae += 1;
+                    }
                 }
-            }
-            _ => {}
-        });
+                _ => {}
+            },
+        );
         assert!(conn > 100 && circ > 1000);
         let us_frac = conn_us as f64 / conn as f64;
         assert!((us_frac - 0.21).abs() < 0.05, "US conn {us_frac}");

@@ -358,12 +358,15 @@ impl StreamSim {
 
     /// Entry-side traffic (connections, circuits, bytes) at guard
     /// selection probability `fraction`, partitioned; like the exit
-    /// sampler, the per-country alias tables are built once.
+    /// sampler, the per-country alias tables are built once. Without
+    /// `circuits`, circuits are skipped — for rounds that never read
+    /// them; every other event is unchanged.
     pub fn client_traffic(
         &self,
         truth: &ClientTruth,
         fraction: f64,
         scale: f64,
+        circuits: bool,
         shards: usize,
         label: &str,
     ) -> EventStream {
@@ -372,7 +375,9 @@ impl StreamSim {
         let per_part = scale / PARTITIONS as f64;
         partitioned_stream(shards, move |p, sink| {
             let mut rng = this.partition_rng(&label, p);
-            this.client_traffic_part(&tables, &truth, fraction, per_part, &mut rng, sink);
+            this.client_traffic_part(
+                &tables, &truth, fraction, per_part, circuits, &mut rng, sink,
+            );
         })
     }
 
@@ -501,6 +506,28 @@ mod tests {
         for k in [2, 4, 16] {
             let k_events = collect_sorted(sim.exit_streams(&truth, 0.015, 1e-4, false, k, "x"));
             assert_eq!(base, k_events, "shard count {k} changed the stream");
+        }
+    }
+
+    #[test]
+    fn client_traffic_without_circuits_drops_only_circuits() {
+        let sim = setup();
+        let truth = Workload::paper_default().clients;
+        for k in [1, 2, 5] {
+            let (mut want, mut circuits) = (Vec::new(), 0);
+            sim.client_traffic(&truth, 0.01, 1e-4, true, k, "ct")
+                .for_each(|ev| match ev {
+                    TorEvent::EntryCircuit { .. } => circuits += 1,
+                    _ => want.push(format!("{ev:?}")),
+                });
+            want.sort();
+            assert!(
+                want.len() > 100 && circuits > 100,
+                "{} / {circuits}",
+                want.len()
+            );
+            let got = collect_sorted(sim.client_traffic(&truth, 0.01, 1e-4, false, k, "ct"));
+            assert_eq!(got, want, "shard count {k}");
         }
     }
 

@@ -78,7 +78,7 @@ fn every_stream_source_is_shard_count_invariant() {
         (
             "client_traffic",
             0x5ea6_9d69_8058_07bf,
-            Box::new(|k| sim.client_traffic(&w.clients, 0.01, 1e-4, k, "ct")),
+            Box::new(|k| sim.client_traffic(&w.clients, 0.01, 1e-4, true, k, "ct")),
         ),
         (
             "rendezvous",
