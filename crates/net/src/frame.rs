@@ -2,7 +2,10 @@
 //!
 //! A [`Frame`] is the unit of delivery between parties. The payload is an
 //! opaque byte string produced by the protocol crates' own codecs
-//! (implementations of [`WireEncode`]/[`WireDecode`]). The checksum is a
+//! (implementations of [`WireEncode`]/[`WireDecode`]), built from this
+//! module's helpers: every sequence field is a [`put_vec`]/[`get_vec`]
+//! pair given the item's codec ([`get_items`] when another field carries
+//! the count). The checksum is a
 //! Fletcher-style 32-bit sum that lets the transport detect (injected or
 //! accidental) corruption, mirroring what TLS record MACs give the real
 //! deployments.
@@ -16,7 +19,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// Frame magic: "PMN1".
-pub const MAGIC: u32 = 0x504d_4e31;
+const MAGIC: u32 = 0x504d_4e31;
 
 /// Errors arising from the wire codecs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,7 +148,7 @@ impl Frame {
 /// image must surface as a [`WireError`] from [`Frame::from_wire`]
 /// (bad magic, truncation, or checksum mismatch), never as a silently
 /// altered message.
-pub fn flip_wire_bit(wire: &mut [u8], idx: usize, bit: u32) {
+pub(crate) fn flip_wire_bit(wire: &mut [u8], idx: usize, bit: u32) {
     wire[idx] ^= 1u8 << (bit % 8);
 }
 
@@ -153,35 +156,18 @@ pub fn flip_wire_bit(wire: &mut [u8], idx: usize, bit: u32) {
 pub trait WireEncode {
     /// Appends the canonical encoding of `self` to `buf`.
     fn encode(&self, buf: &mut BytesMut);
-
-    /// Encodes to a standalone byte string.
-    fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        self.encode(&mut buf);
-        buf.freeze()
-    }
 }
 
 /// Types that can parse themselves from a byte buffer.
 pub trait WireDecode: Sized {
     /// Consumes the canonical encoding of `Self` from `buf`.
     fn decode(buf: &mut Bytes) -> Result<Self, WireError>;
-
-    /// Decodes from a standalone byte string, requiring full consumption.
-    fn from_bytes(data: &[u8]) -> Result<Self, WireError> {
-        let mut buf = Bytes::copy_from_slice(data);
-        let v = Self::decode(&mut buf)?;
-        if buf.has_remaining() {
-            return Err(WireError::Invalid("trailing bytes"));
-        }
-        Ok(v)
-    }
 }
 
 // ----- codec helpers used by protocol crates -----
 
 /// Reads `n` bytes or errors with `Truncated`.
-pub fn get_bytes(buf: &mut Bytes, n: usize) -> Result<Bytes, WireError> {
+fn get_bytes(buf: &mut Bytes, n: usize) -> Result<Bytes, WireError> {
     if buf.remaining() < n {
         return Err(WireError::Truncated);
     }
@@ -198,14 +184,6 @@ pub fn get_u8(buf: &mut Bytes) -> Result<u8, WireError> {
     Ok(buf.get_u8())
 }
 
-/// Reads a big-endian `u16`.
-pub fn get_u16(buf: &mut Bytes) -> Result<u16, WireError> {
-    if buf.remaining() < 2 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u16())
-}
-
 /// Reads a big-endian `u32`.
 pub fn get_u32(buf: &mut Bytes) -> Result<u32, WireError> {
     if buf.remaining() < 4 {
@@ -220,16 +198,6 @@ pub fn get_u64(buf: &mut Bytes) -> Result<u64, WireError> {
         return Err(WireError::Truncated);
     }
     Ok(buf.get_u64())
-}
-
-/// Reads a big-endian `i64`.
-pub fn get_i64(buf: &mut Bytes) -> Result<i64, WireError> {
-    Ok(get_u64(buf)? as i64)
-}
-
-/// Reads an `f64` (IEEE-754 bits, big-endian).
-pub fn get_f64(buf: &mut Bytes) -> Result<f64, WireError> {
-    Ok(f64::from_bits(get_u64(buf)?))
 }
 
 /// Writes a length-prefixed byte string (u32 length).
@@ -263,79 +231,60 @@ pub fn get_array32(buf: &mut Bytes) -> Result<[u8; 32], WireError> {
     Ok(out)
 }
 
-/// Writes a `Vec<T: WireEncode>` with a u32 count prefix.
-pub fn put_vec<T: WireEncode>(buf: &mut BytesMut, items: &[T]) {
+/// Writes a sequence: a u32 count, then each item by `put`. Every
+/// counted sequence in every protocol message goes through this pair;
+/// the item codec is the caller's.
+pub fn put_vec<T>(buf: &mut BytesMut, items: &[T], mut put: impl FnMut(&mut BytesMut, &T)) {
     buf.put_u32(items.len() as u32);
     for item in items {
-        item.encode(buf);
+        put(buf, item);
     }
 }
 
-/// Reads a `Vec<T: WireDecode>` with a u32 count prefix, bounding the
-/// count to `max` to avoid attacker-controlled allocations.
-pub fn get_vec<T: WireDecode>(buf: &mut Bytes, max: usize) -> Result<Vec<T>, WireError> {
+/// Reads a sequence written by [`put_vec`], each item by `get`. A count
+/// above `max` is rejected before anything is read.
+pub fn get_vec<T>(
+    buf: &mut Bytes,
+    max: usize,
+    get: impl FnMut(&mut Bytes) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
     let n = get_u32(buf)? as usize;
     if n > max {
         return Err(WireError::Invalid("vector length exceeds bound"));
     }
-    let mut out = Vec::with_capacity(n);
+    get_items(buf, n, get)
+}
+
+/// Reads exactly `n` items by `get` — a sequence whose count the
+/// message carries elsewhere (another field's length), written without
+/// a count of its own. The reservation is capped at one item per byte
+/// left in `buf`, so a forged count reserves no more items than the
+/// frame that carried it has bytes.
+pub fn get_items<T>(
+    buf: &mut Bytes,
+    n: usize,
+    mut get: impl FnMut(&mut Bytes) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let mut out = Vec::with_capacity(n.min(buf.remaining()));
     for _ in 0..n {
-        out.push(T::decode(buf)?);
+        out.push(get(buf)?);
     }
     Ok(out)
-}
-
-impl WireEncode for u64 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64(*self);
-    }
-}
-
-impl WireDecode for u64 {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        get_u64(buf)
-    }
-}
-
-impl WireEncode for i64 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_i64(*self);
-    }
-}
-
-impl WireDecode for i64 {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        get_i64(buf)
-    }
-}
-
-impl WireEncode for f64 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64(self.to_bits());
-    }
-}
-
-impl WireDecode for f64 {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        get_f64(buf)
-    }
-}
-
-impl WireEncode for String {
-    fn encode(&self, buf: &mut BytesMut) {
-        put_lp_str(buf, self);
-    }
-}
-
-impl WireDecode for String {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        get_lp_str(buf)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A one-word message, for exercising [`Frame::decode_msg`].
+    #[derive(Debug)]
+    struct Word(u64);
+
+    impl WireDecode for Word {
+        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+            get_u64(buf).map(Word)
+        }
+    }
 
     #[test]
     fn frame_roundtrip() {
@@ -407,13 +356,22 @@ mod tests {
     fn vec_codec_bounds() {
         let items: Vec<u64> = (0..10).collect();
         let mut buf = BytesMut::new();
-        put_vec(&mut buf, &items);
-        let mut rd = buf.clone().freeze();
-        assert_eq!(get_vec::<u64>(&mut rd, 10).unwrap(), items);
-        let mut rd2 = buf.freeze();
+        put_vec(&mut buf, &items, |b, v| b.put_u64(*v));
+        let wire = buf.freeze();
+        assert_eq!(get_vec(&mut wire.clone(), 10, get_u64).unwrap(), items);
+        assert_eq!(get_items(&mut wire.slice(4..), 10, get_u64).unwrap(), items);
         assert_eq!(
-            get_vec::<u64>(&mut rd2, 9),
+            get_vec(&mut wire.clone(), 9, get_u64),
             Err(WireError::Invalid("vector length exceeds bound"))
+        );
+        // A count within bound that the bytes cannot back is truncation,
+        // found without reserving room for the count.
+        let mut forged = BytesMut::new();
+        forged.put_u32(u32::MAX);
+        forged.put_u64(7);
+        assert_eq!(
+            get_vec(&mut forged.freeze(), usize::MAX, get_u64),
+            Err(WireError::Truncated)
         );
     }
 
@@ -431,7 +389,12 @@ mod tests {
         buf.put_u64(42);
         buf.put_u8(0);
         let f = Frame::new(1, buf.freeze());
-        assert!(f.decode_msg::<u64>().is_err());
+        assert_eq!(
+            f.decode_msg::<Word>().unwrap_err(),
+            WireError::Invalid("trailing bytes after message")
+        );
+        let whole = Frame::new(1, f.payload.slice(..8));
+        assert_eq!(whole.decode_msg::<Word>().unwrap().0, 42);
     }
 
     #[test]

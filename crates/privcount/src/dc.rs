@@ -8,6 +8,7 @@ use pm_crypto::secret::BlindedCounter;
 use pm_dp::mechanism::sample_gaussian;
 use pm_net::party::{Node, NodeError, Step};
 use pm_net::transport::{Endpoint, Envelope, PartyId};
+use pm_net::Frame;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use torsim::stream::EventStream;
@@ -159,7 +160,7 @@ impl DcNode {
                 kem: ct.kem,
                 payload,
             };
-            ep.send(&self.ts, messages::frame_of(tag::SHARES, &msg))?;
+            ep.send(&self.ts, Frame::encode_msg(tag::SHARES, &msg))?;
         }
         Ok(())
     }
@@ -188,7 +189,7 @@ impl DcNode {
             values.pop();
         }
         let msg = messages::Registers { values };
-        ep.send(&self.ts, messages::frame_of(tag::DC_RESULT, &msg))?;
+        ep.send(&self.ts, Frame::encode_msg(tag::DC_RESULT, &msg))?;
         Ok(())
     }
 }

@@ -4,7 +4,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use pm_crypto::elgamal::HybridCiphertext;
 use pm_crypto::group::GroupElement;
 use pm_net::frame::{
-    get_array32, get_lp_bytes, get_lp_str, get_u32, get_u64, put_lp_bytes, put_lp_str, Frame,
+    get_array32, get_lp_bytes, get_lp_str, get_u64, get_vec, put_lp_bytes, put_lp_str, put_vec,
     WireDecode, WireEncode, WireError,
 };
 
@@ -63,41 +63,21 @@ pub struct Configure {
 
 impl WireEncode for Configure {
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32(self.counter_names.len() as u32);
-        for n in &self.counter_names {
-            put_lp_str(buf, n);
-        }
-        buf.put_u32(self.sk_keys.len() as u32);
-        for (name, key) in &self.sk_keys {
-            put_lp_str(buf, name);
-            buf.put_slice(&key.to_bytes());
-        }
+        put_vec(buf, &self.counter_names, |b, name| put_lp_str(b, name));
+        put_vec(buf, &self.sk_keys, |b, (name, key)| {
+            put_lp_str(b, name);
+            b.put_slice(&key.to_bytes());
+        });
     }
 }
 
 impl WireDecode for Configure {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let n = get_u32(buf)? as usize;
-        if n > 1_000_000 {
-            return Err(WireError::Invalid("too many counters"));
-        }
-        let mut counter_names = Vec::with_capacity(n);
-        for _ in 0..n {
-            counter_names.push(get_lp_str(buf)?);
-        }
-        let k = get_u32(buf)? as usize;
-        if k > 1_000 {
-            return Err(WireError::Invalid("too many share keepers"));
-        }
-        let mut sk_keys = Vec::with_capacity(k);
-        for _ in 0..k {
-            let name = get_lp_str(buf)?;
-            let key = GroupElement::from_bytes(&get_array32(buf)?);
-            sk_keys.push((name, key));
-        }
         Ok(Configure {
-            counter_names,
-            sk_keys,
+            counter_names: get_vec(buf, 1_000_000, get_lp_str)?,
+            sk_keys: get_vec(buf, 1_000, |b| {
+                Ok((get_lp_str(b)?, GroupElement::from_bytes(&get_array32(b)?)))
+            })?,
         })
     }
 }
@@ -154,36 +134,23 @@ pub struct Registers {
 
 impl WireEncode for Registers {
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32(self.values.len() as u32);
-        for v in &self.values {
-            buf.put_u64(*v);
-        }
+        put_vec(buf, &self.values, |b, v| b.put_u64(*v));
     }
 }
 
 impl WireDecode for Registers {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let n = get_u32(buf)? as usize;
-        if n > 10_000_000 {
-            return Err(WireError::Invalid("too many registers"));
-        }
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(get_u64(buf)?);
-        }
-        Ok(Registers { values })
+        Ok(Registers {
+            values: get_vec(buf, 10_000_000, get_u64)?,
+        })
     }
-}
-
-/// Helper: wraps a message in its tagged frame.
-pub fn frame_of<M: WireEncode>(tag: u16, msg: &M) -> Frame {
-    Frame::encode_msg(tag, msg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pm_crypto::group::GroupParams;
+    use pm_net::Frame;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -194,7 +161,7 @@ mod tests {
         let msg = SkKey {
             key: gp.random_element(&mut rng),
         };
-        let frame = frame_of(tag::SK_KEY, &msg);
+        let frame = Frame::encode_msg(tag::SK_KEY, &msg);
         assert_eq!(frame.decode_msg::<SkKey>().unwrap(), msg);
     }
 
@@ -209,7 +176,7 @@ mod tests {
                 ("sk-2".into(), gp.random_element(&mut rng)),
             ],
         };
-        let frame = frame_of(tag::CONFIGURE, &msg);
+        let frame = Frame::encode_msg(tag::CONFIGURE, &msg);
         assert_eq!(frame.decode_msg::<Configure>().unwrap(), msg);
     }
 
@@ -223,7 +190,7 @@ mod tests {
             kem: gp.random_element(&mut rng),
             payload: vec![1, 2, 3, 4, 5],
         };
-        let frame = frame_of(tag::SHARES, &msg);
+        let frame = Frame::encode_msg(tag::SHARES, &msg);
         assert_eq!(frame.decode_msg::<EncryptedShares>().unwrap(), msg);
     }
 
@@ -232,19 +199,95 @@ mod tests {
         let msg = Registers {
             values: vec![0, u64::MAX, 42],
         };
-        let frame = frame_of(tag::DC_RESULT, &msg);
+        let frame = Frame::encode_msg(tag::DC_RESULT, &msg);
         assert_eq!(frame.decode_msg::<Registers>().unwrap(), msg);
     }
 
-    #[test]
-    fn truncated_rejected() {
+    /// One message of every PrivCount type from a fixed seed, every
+    /// sequence field non-empty (and the empty register vector that
+    /// START and STOP carry).
+    fn samples() -> Vec<Frame> {
         let gp = GroupParams::default_params();
         let mut rng = StdRng::seed_from_u64(4);
-        let msg = SkKey {
+        let configure = Configure {
+            counter_names: vec!["exit.streams".into(), "".into(), "entry.circuits".into()],
+            sk_keys: vec![
+                ("sk-1".into(), gp.random_element(&mut rng)),
+                ("sk-2".into(), gp.random_element(&mut rng)),
+            ],
+        };
+        let shares = EncryptedShares {
+            sk_name: "sk-2".into(),
+            dc_name: "dc-7".into(),
+            kem: gp.random_element(&mut rng),
+            payload: (0..40).collect(),
+        };
+        let key = SkKey {
             key: gp.random_element(&mut rng),
         };
-        let bytes = msg.to_bytes();
-        let mut cut = Bytes::copy_from_slice(&bytes[..16]);
-        assert!(SkKey::decode(&mut cut).is_err());
+        let registers = Registers {
+            values: vec![0, 1, u64::MAX, 1 << 40],
+        };
+        vec![
+            Frame::encode_msg(tag::SK_KEY, &key),
+            Frame::encode_msg(tag::CONFIGURE, &configure),
+            Frame::encode_msg(tag::SHARES, &shares),
+            Frame::encode_msg(tag::DC_RESULT, &registers),
+            Frame::encode_msg(tag::START, &Registers { values: vec![] }),
+        ]
+    }
+
+    /// Decodes a payload as the message its tag names and encodes it
+    /// again.
+    fn reencode(f: &Frame) -> Result<Frame, WireError> {
+        Ok(match f.msg_type {
+            tag::SK_KEY => Frame::encode_msg(f.msg_type, &f.decode_msg::<SkKey>()?),
+            tag::CONFIGURE => Frame::encode_msg(f.msg_type, &f.decode_msg::<Configure>()?),
+            tag::SHARES => Frame::encode_msg(f.msg_type, &f.decode_msg::<EncryptedShares>()?),
+            tag::DC_RESULT | tag::START => {
+                Frame::encode_msg(f.msg_type, &f.decode_msg::<Registers>()?)
+            }
+            other => panic!("no sample carries tag {other}"),
+        })
+    }
+
+    /// The wire bytes of every message type, pinned as (tag, payload
+    /// length, first 8 bytes of the payload's SHA-256) so that a codec
+    /// change that moves a byte fails here; and every payload decodes
+    /// and re-encodes to itself.
+    #[test]
+    fn encodings_are_pinned() {
+        let frames = samples();
+        let got: Vec<String> = frames
+            .iter()
+            .map(|f| {
+                let digest = pm_crypto::sha256::sha256(&f.payload);
+                let hex: String = digest[..8].iter().map(|b| format!("{b:02x}")).collect();
+                format!("{} {} {hex}", f.msg_type, f.payload.len())
+            })
+            .collect();
+        let want = [
+            "1 32 a2bdb8a40866413a",
+            "2 126 11b7a05dc87959a3",
+            "3 92 a4c88dd40caf916c",
+            "7 36 bf9ec2667591e38b",
+            "6 4 df3f619804a92fdb",
+        ];
+        assert_eq!(got, want);
+        for f in &frames {
+            assert_eq!(&reencode(f).unwrap(), f, "tag {}", f.msg_type);
+        }
+    }
+
+    /// Cutting any message's payload anywhere short of its end is an
+    /// error, never a panic and never a shorter message.
+    #[test]
+    fn truncated_rejected() {
+        for f in samples() {
+            for cut in 0..f.payload.len() {
+                let short = Frame::new(f.msg_type, f.payload.slice(..cut));
+                assert!(reencode(&short).is_err(), "tag {} cut {cut}", f.msg_type);
+            }
+        }
     }
 }

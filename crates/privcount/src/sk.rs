@@ -10,6 +10,7 @@ use pm_crypto::group::GroupParams;
 use pm_crypto::secret::{BlindingShare, ShareAccumulator};
 use pm_net::party::{Node, NodeError, Step};
 use pm_net::transport::{Endpoint, Envelope, PartyId};
+use pm_net::Frame;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -90,7 +91,7 @@ impl Node for SkNode {
         let msg = messages::SkKey {
             key: self.keypair.public.0,
         };
-        ep.send(&self.ts, messages::frame_of(tag::SK_KEY, &msg))?;
+        ep.send(&self.ts, Frame::encode_msg(tag::SK_KEY, &msg))?;
         Ok(Step::Continue)
     }
 
@@ -118,7 +119,7 @@ impl Node for SkNode {
                     kem: self.keypair.public.0,
                     payload: Vec::new(),
                 };
-                ep.send(&self.ts, messages::frame_of(tag::SHARES_ACK, &ack))?;
+                ep.send(&self.ts, Frame::encode_msg(tag::SHARES_ACK, &ack))?;
                 Ok(Step::Continue)
             }
             tag::STOP => {
@@ -131,7 +132,7 @@ impl Node for SkNode {
                 let msg = messages::Registers {
                     values: self.accumulators.iter().map(|a| a.publish()).collect(),
                 };
-                ep.send(&self.ts, messages::frame_of(tag::SK_RESULT, &msg))?;
+                ep.send(&self.ts, Frame::encode_msg(tag::SK_RESULT, &msg))?;
                 Ok(Step::Done)
             }
             other => Err(NodeError::Protocol(format!(

@@ -11,6 +11,7 @@ use pm_crypto::group::GroupElement;
 use pm_crypto::secret::unblind_total;
 use pm_net::party::{Node, NodeError, Step};
 use pm_net::transport::{Endpoint, Envelope, PartyId};
+use pm_net::Frame;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -82,7 +83,7 @@ impl TsNode {
             sk_keys,
         };
         for dc in &self.dc_names {
-            ep.send(dc, messages::frame_of(tag::CONFIGURE, &cfg))?;
+            ep.send(dc, Frame::encode_msg(tag::CONFIGURE, &cfg))?;
         }
         Ok(())
     }
@@ -131,7 +132,7 @@ impl Node for TsNode {
                     .map_err(|e| NodeError::Protocol(format!("bad shares: {e}")))?;
                 // Forward to the destination SK (DCs have no SK links).
                 let sk = PartyId::new(msg.sk_name.clone());
-                ep.send(&sk, messages::frame_of(tag::SHARES_FWD, &msg))?;
+                ep.send(&sk, Frame::encode_msg(tag::SHARES_FWD, &msg))?;
                 self.shares_seen += 1;
                 Ok(Step::Continue)
             }
@@ -141,7 +142,7 @@ impl Node for TsNode {
                     for dc in &self.dc_names {
                         ep.send(
                             dc,
-                            messages::frame_of(tag::START, &messages::Registers { values: vec![] }),
+                            Frame::encode_msg(tag::START, &messages::Registers { values: vec![] }),
                         )?;
                     }
                     self.phase = Phase::AwaitDcResults;
@@ -161,7 +162,7 @@ impl Node for TsNode {
                     for sk in &self.sk_names {
                         ep.send(
                             sk,
-                            messages::frame_of(tag::STOP, &messages::Registers { values: vec![] }),
+                            Frame::encode_msg(tag::STOP, &messages::Registers { values: vec![] }),
                         )?;
                     }
                     self.phase = Phase::AwaitSkResults;

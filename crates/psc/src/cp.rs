@@ -44,6 +44,7 @@ use pm_crypto::shuffle::{shuffle, ShuffleProof, ShuffleWitness};
 use pm_crypto::zkp::{DleqProof, SchnorrProof, Transcript};
 use pm_net::party::{Node, NodeError, Step};
 use pm_net::transport::{Endpoint, Envelope, PartyId};
+use pm_net::Frame;
 use pm_obs::Recorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -239,7 +240,7 @@ impl CpNode {
                 std::mem::swap(&mut p.0, &mut p.1);
             }
         }
-        ep.send(&self.ts, messages::frame_of(tag::MIX_RESULT, &msg))?;
+        ep.send(&self.ts, Frame::encode_msg(tag::MIX_RESULT, &msg))?;
         Ok(())
     }
 
@@ -290,7 +291,7 @@ impl CpNode {
             partials,
             proofs,
         };
-        ep.send(&self.ts, messages::frame_of(tag::PARTIAL_DEC, &msg))?;
+        ep.send(&self.ts, Frame::encode_msg(tag::PARTIAL_DEC, &msg))?;
         Ok(())
     }
 }
@@ -604,7 +605,7 @@ impl Node for CpNode {
             share: self.share,
             proof,
         };
-        ep.send(&self.ts, messages::frame_of(tag::CP_KEY, &msg))?;
+        ep.send(&self.ts, Frame::encode_msg(tag::CP_KEY, &msg))?;
         Ok(Step::Continue)
     }
 

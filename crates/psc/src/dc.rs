@@ -11,6 +11,7 @@ use pm_crypto::elgamal::PublicKey;
 use pm_crypto::group::GroupParams;
 use pm_net::party::{Node, NodeError, Step};
 use pm_net::transport::{Endpoint, Envelope, PartyId};
+use pm_net::Frame;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use torsim::stream::EventStream;
@@ -105,7 +106,7 @@ impl Node for PscDcNode {
                 let msg = messages::Cells {
                     cells: table.into_cells(),
                 };
-                ep.send(&self.ts, messages::frame_of(tag::DC_TABLE, &msg))?;
+                ep.send(&self.ts, Frame::encode_msg(tag::DC_TABLE, &msg))?;
                 Ok(Step::Done)
             }
             other => Err(NodeError::Protocol(format!(

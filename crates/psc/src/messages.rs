@@ -5,7 +5,9 @@ use pm_crypto::elgamal::Ciphertext;
 use pm_crypto::group::{GroupElement, Scalar};
 use pm_crypto::shuffle::{Permutation, RoundOpening, ShuffleProof};
 use pm_crypto::zkp::{DleqProof, SchnorrProof};
-use pm_net::frame::{get_array32, get_u32, get_u8, Frame, WireDecode, WireEncode, WireError};
+use pm_net::frame::{
+    get_array32, get_items, get_u32, get_u8, get_vec, put_vec, WireDecode, WireEncode, WireError,
+};
 
 /// Message type tags.
 pub mod tag {
@@ -55,26 +57,19 @@ fn get_ciphertext(buf: &mut Bytes) -> Result<Ciphertext, WireError> {
     })
 }
 
-/// Upper bound on ciphertext-vector length accepted from the wire.
+/// Upper bound on any sequence a PSC message carries (cells, proofs,
+/// partial decryptions, permutation entries) accepted from the wire.
 const MAX_CELLS: usize = 1 << 24;
 
-pub(crate) fn put_cells(buf: &mut BytesMut, cells: &[Ciphertext]) {
-    buf.put_u32(cells.len() as u32);
-    for c in cells {
-        put_ciphertext(buf, c);
-    }
+/// Upper bound on the cut-and-choose rounds of a shuffle argument.
+const MAX_SHUFFLE_ROUNDS: usize = 256;
+
+fn put_cells(buf: &mut BytesMut, cells: &[Ciphertext]) {
+    put_vec(buf, cells, put_ciphertext);
 }
 
-pub(crate) fn get_cells(buf: &mut Bytes) -> Result<Vec<Ciphertext>, WireError> {
-    let n = get_u32(buf)? as usize;
-    if n > MAX_CELLS {
-        return Err(WireError::Invalid("cell vector too long"));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_ciphertext(buf)?);
-    }
-    Ok(out)
+fn get_cells(buf: &mut Bytes) -> Result<Vec<Ciphertext>, WireError> {
+    get_vec(buf, MAX_CELLS, get_ciphertext)
 }
 
 fn put_dleq(buf: &mut BytesMut, p: &DleqProof) {
@@ -89,6 +84,57 @@ fn get_dleq(buf: &mut Bytes) -> Result<DleqProof, WireError> {
         commit_a: get_element(buf)?,
         response: get_scalar(buf)?,
     })
+}
+
+/// One round of a shuffle argument: which side it opens, the
+/// permutation as a sequence, then one rerandomizer per permuted cell
+/// (counted by the permutation, so not again).
+fn put_opening(buf: &mut BytesMut, opening: &RoundOpening) {
+    let (side, perm, rerand) = match opening {
+        RoundOpening::InputToShadow { perm, rerand } => (0u8, perm, rerand),
+        RoundOpening::ShadowToOutput { perm, rerand } => (1u8, perm, rerand),
+    };
+    buf.put_u8(side);
+    put_vec(buf, &perm.0, |b, p| b.put_u32(*p as u32));
+    for r in rerand {
+        put_scalar(buf, r);
+    }
+}
+
+fn get_opening(buf: &mut Bytes) -> Result<RoundOpening, WireError> {
+    let side = get_u8(buf)?;
+    let perm = Permutation(get_vec(buf, MAX_CELLS, |b| Ok(get_u32(b)? as usize))?);
+    let rerand = get_items(buf, perm.0.len(), get_scalar)?;
+    match side {
+        0 => Ok(RoundOpening::InputToShadow { perm, rerand }),
+        1 => Ok(RoundOpening::ShadowToOutput { perm, rerand }),
+        _ => Err(WireError::Invalid("bad opening tag")),
+    }
+}
+
+/// An optional shuffle argument: a presence byte, then the shadows as a
+/// sequence and one opening per shadow (counted by the shadows).
+fn put_shuffle_proof(buf: &mut BytesMut, proof: Option<&ShuffleProof>) {
+    let Some(proof) = proof else {
+        return buf.put_u8(0);
+    };
+    buf.put_u8(1);
+    put_vec(buf, &proof.shadows, |b, shadow| put_cells(b, shadow));
+    for opening in &proof.openings {
+        put_opening(buf, opening);
+    }
+}
+
+fn get_shuffle_proof(buf: &mut Bytes) -> Result<Option<ShuffleProof>, WireError> {
+    match get_u8(buf)? {
+        0 => Ok(None),
+        1 => {
+            let shadows = get_vec(buf, MAX_SHUFFLE_ROUNDS, get_cells)?;
+            let openings = get_items(buf, shadows.len(), get_opening)?;
+            Ok(Some(ShuffleProof { shadows, openings }))
+        }
+        _ => Err(WireError::Invalid("bad proof flag")),
+    }
 }
 
 // ----- messages -----
@@ -220,97 +266,24 @@ impl WireEncode for MixResult {
         put_cells(buf, &self.with_noise);
         put_element(buf, &self.exp_key);
         put_cells(buf, &self.post_exp);
-        buf.put_u32(self.exp_proofs.len() as u32);
-        for (pa, pb) in &self.exp_proofs {
-            put_dleq(buf, pa);
-            put_dleq(buf, pb);
-        }
+        put_vec(buf, &self.exp_proofs, |b, (pa, pb)| {
+            put_dleq(b, pa);
+            put_dleq(b, pb);
+        });
         put_cells(buf, &self.output);
-        match &self.shuffle_proof {
-            None => buf.put_u8(0),
-            Some(proof) => {
-                buf.put_u8(1);
-                buf.put_u32(proof.shadows.len() as u32);
-                for shadow in &proof.shadows {
-                    put_cells(buf, shadow);
-                }
-                for opening in &proof.openings {
-                    let (tag_byte, perm, rerand) = match opening {
-                        RoundOpening::InputToShadow { perm, rerand } => (0u8, perm, rerand),
-                        RoundOpening::ShadowToOutput { perm, rerand } => (1u8, perm, rerand),
-                    };
-                    buf.put_u8(tag_byte);
-                    buf.put_u32(perm.0.len() as u32);
-                    for p in &perm.0 {
-                        buf.put_u32(*p as u32);
-                    }
-                    for r in rerand {
-                        put_scalar(buf, r);
-                    }
-                }
-            }
-        }
+        put_shuffle_proof(buf, self.shuffle_proof.as_ref());
     }
 }
 
 impl WireDecode for MixResult {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let with_noise = get_cells(buf)?;
-        let exp_key = get_element(buf)?;
-        let post_exp = get_cells(buf)?;
-        let np = get_u32(buf)? as usize;
-        if np > MAX_CELLS {
-            return Err(WireError::Invalid("too many exp proofs"));
-        }
-        let mut exp_proofs = Vec::with_capacity(np);
-        for _ in 0..np {
-            exp_proofs.push((get_dleq(buf)?, get_dleq(buf)?));
-        }
-        let output = get_cells(buf)?;
-        let shuffle_proof = match get_u8(buf)? {
-            0 => None,
-            1 => {
-                let rounds = get_u32(buf)? as usize;
-                if rounds > 256 {
-                    return Err(WireError::Invalid("too many shuffle rounds"));
-                }
-                let mut shadows = Vec::with_capacity(rounds);
-                for _ in 0..rounds {
-                    shadows.push(get_cells(buf)?);
-                }
-                let mut openings = Vec::with_capacity(rounds);
-                for _ in 0..rounds {
-                    let tag_byte = get_u8(buf)?;
-                    let n = get_u32(buf)? as usize;
-                    if n > MAX_CELLS {
-                        return Err(WireError::Invalid("opening too long"));
-                    }
-                    let mut perm = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        perm.push(get_u32(buf)? as usize);
-                    }
-                    let mut rerand = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        rerand.push(get_scalar(buf)?);
-                    }
-                    let perm = Permutation(perm);
-                    openings.push(match tag_byte {
-                        0 => RoundOpening::InputToShadow { perm, rerand },
-                        1 => RoundOpening::ShadowToOutput { perm, rerand },
-                        _ => return Err(WireError::Invalid("bad opening tag")),
-                    });
-                }
-                Some(ShuffleProof { shadows, openings })
-            }
-            _ => return Err(WireError::Invalid("bad proof flag")),
-        };
         Ok(MixResult {
-            with_noise,
-            exp_key,
-            post_exp,
-            exp_proofs,
-            output,
-            shuffle_proof,
+            with_noise: get_cells(buf)?,
+            exp_key: get_element(buf)?,
+            post_exp: get_cells(buf)?,
+            exp_proofs: get_vec(buf, MAX_CELLS, |b| Ok((get_dleq(b)?, get_dleq(b)?)))?,
+            output: get_cells(buf)?,
+            shuffle_proof: get_shuffle_proof(buf)?,
         })
     }
 }
@@ -329,55 +302,29 @@ pub struct PartialDec {
 impl WireEncode for PartialDec {
     fn encode(&self, buf: &mut BytesMut) {
         put_element(buf, &self.share);
-        buf.put_u32(self.partials.len() as u32);
-        for p in &self.partials {
-            put_element(buf, p);
-        }
-        buf.put_u32(self.proofs.len() as u32);
-        for p in &self.proofs {
-            put_dleq(buf, p);
-        }
+        put_vec(buf, &self.partials, put_element);
+        put_vec(buf, &self.proofs, put_dleq);
     }
 }
 
 impl WireDecode for PartialDec {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let share = get_element(buf)?;
-        let n = get_u32(buf)? as usize;
-        if n > MAX_CELLS {
-            return Err(WireError::Invalid("too many partials"));
-        }
-        let mut partials = Vec::with_capacity(n);
-        for _ in 0..n {
-            partials.push(get_element(buf)?);
-        }
-        let np = get_u32(buf)? as usize;
-        if np > MAX_CELLS {
-            return Err(WireError::Invalid("too many proofs"));
-        }
-        let mut proofs = Vec::with_capacity(np);
-        for _ in 0..np {
-            proofs.push(get_dleq(buf)?);
-        }
         Ok(PartialDec {
-            share,
-            partials,
-            proofs,
+            share: get_element(buf)?,
+            partials: get_vec(buf, MAX_CELLS, get_element)?,
+            proofs: get_vec(buf, MAX_CELLS, get_dleq)?,
         })
     }
-}
-
-/// Helper: wraps a message in its tagged frame.
-pub fn frame_of<M: WireEncode>(tag: u16, msg: &M) -> Frame {
-    Frame::encode_msg(tag, msg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_crypto::elgamal::PublicKey;
     use pm_crypto::elgamal::{encrypt, keygen};
     use pm_crypto::group::GroupParams;
-    use pm_crypto::shuffle::{shuffle, ShuffleProof};
+    use pm_crypto::shuffle::shuffle;
+    use pm_net::Frame;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -408,7 +355,7 @@ mod tests {
             &mut rng,
         );
         let msg = CpKey { share: y, proof };
-        let frame = frame_of(tag::CP_KEY, &msg);
+        let frame = Frame::encode_msg(tag::CP_KEY, &msg);
         assert_eq!(frame.decode_msg::<CpKey>().unwrap(), msg);
     }
 
@@ -423,7 +370,7 @@ mod tests {
             salt: [9u8; 32],
             verify: true,
         };
-        let frame = frame_of(tag::CONFIGURE, &msg);
+        let frame = Frame::encode_msg(tag::CONFIGURE, &msg);
         assert_eq!(frame.decode_msg::<PscConfigure>().unwrap(), msg);
     }
 
@@ -431,7 +378,7 @@ mod tests {
     fn table_roundtrip() {
         let (_, cells) = cts(16, 3);
         let msg = Cells { cells };
-        let frame = frame_of(tag::DC_TABLE, &msg);
+        let frame = Frame::encode_msg(tag::DC_TABLE, &msg);
         assert_eq!(frame.decode_msg::<Cells>().unwrap(), msg);
     }
 
@@ -460,7 +407,7 @@ mod tests {
             output: out,
             shuffle_proof: Some(proof),
         };
-        let frame = frame_of(tag::MIX_RESULT, &msg);
+        let frame = Frame::encode_msg(tag::MIX_RESULT, &msg);
         let back: MixResult = frame.decode_msg().unwrap();
         assert_eq!(back.with_noise, msg.with_noise);
         assert_eq!(back.exp_key, msg.exp_key);
@@ -483,7 +430,7 @@ mod tests {
             output: cells,
             shuffle_proof: None,
         };
-        let frame = frame_of(tag::MIX_RESULT, &msg);
+        let frame = Frame::encode_msg(tag::MIX_RESULT, &msg);
         let back: MixResult = frame.decode_msg().unwrap();
         assert!(back.shuffle_proof.is_none());
         assert!(back.exp_proofs.is_empty());
@@ -498,9 +445,126 @@ mod tests {
             partials: (0..5).map(|_| gp.random_element(&mut rng)).collect(),
             proofs: vec![],
         };
-        let frame = frame_of(tag::PARTIAL_DEC, &msg);
+        let frame = Frame::encode_msg(tag::PARTIAL_DEC, &msg);
         let back: PartialDec = frame.decode_msg().unwrap();
         assert_eq!(back.share, msg.share);
         assert_eq!(back.partials, msg.partials);
+    }
+
+    /// One message of every PSC type from a fixed seed, every sequence
+    /// field non-empty, the shuffle argument opening both sides (and the
+    /// mix result once without proofs).
+    fn samples() -> Vec<Frame> {
+        use pm_crypto::zkp::Transcript;
+        let (gp, cells) = cts(5, 11);
+        let mut rng = StdRng::seed_from_u64(12);
+        let x = gp.random_scalar(&mut rng);
+        let y = gp.g_pow(&x);
+        let schnorr = SchnorrProof::prove(&gp, &x, &y, &mut Transcript::new(b"t"), &mut rng);
+        let mut dleq = |base: &GroupElement| {
+            let d = gp.pow(base, &x);
+            DleqProof::prove(&gp, &x, base, &y, &d, &mut Transcript::new(b"t"), &mut rng)
+        };
+        let exp_proofs: Vec<_> = cells.iter().map(|c| (dleq(&c.a), dleq(&c.b))).collect();
+        let proofs = cells.iter().map(|c| dleq(&c.a)).collect();
+        let (out, w) = shuffle(&gp, &PublicKey(y), &cells, &mut rng);
+        let proof = ShuffleProof::prove(&gp, &PublicKey(y), &cells, &out, &w, 8, &mut rng);
+        let to_shadow = |o: &RoundOpening| matches!(o, RoundOpening::InputToShadow { .. });
+        assert!(proof.openings.iter().any(to_shadow) && !proof.openings.iter().all(to_shadow));
+        let mix = |exp_proofs: Vec<(DleqProof, DleqProof)>, shuffle_proof: Option<ShuffleProof>| {
+            MixResult {
+                with_noise: cells.clone(),
+                exp_key: y,
+                post_exp: cells.clone(),
+                exp_proofs,
+                output: out.clone(),
+                shuffle_proof,
+            }
+        };
+        let configure = PscConfigure {
+            joint_key: y,
+            table_size: 4096,
+            noise_flips: 512,
+            salt: [9u8; 32],
+            verify: true,
+        };
+        let partial = PartialDec {
+            share: y,
+            partials: cells.iter().map(|c| gp.pow(&c.a, &x)).collect(),
+            proofs,
+        };
+        vec![
+            Frame::encode_msg(
+                tag::CP_KEY,
+                &CpKey {
+                    share: y,
+                    proof: schnorr,
+                },
+            ),
+            Frame::encode_msg(tag::CONFIGURE, &configure),
+            Frame::encode_msg(
+                tag::DC_TABLE,
+                &Cells {
+                    cells: cells.clone(),
+                },
+            ),
+            Frame::encode_msg(tag::MIX_RESULT, &mix(exp_proofs, Some(proof))),
+            Frame::encode_msg(tag::MIX_RESULT, &mix(vec![], None)),
+            Frame::encode_msg(tag::PARTIAL_DEC, &partial),
+        ]
+    }
+
+    /// Decodes a payload as the message its tag names and encodes it
+    /// again.
+    fn reencode(f: &Frame) -> Result<Frame, WireError> {
+        Ok(match f.msg_type {
+            tag::CP_KEY => Frame::encode_msg(f.msg_type, &f.decode_msg::<CpKey>()?),
+            tag::CONFIGURE => Frame::encode_msg(f.msg_type, &f.decode_msg::<PscConfigure>()?),
+            tag::DC_TABLE => Frame::encode_msg(f.msg_type, &f.decode_msg::<Cells>()?),
+            tag::MIX_RESULT => Frame::encode_msg(f.msg_type, &f.decode_msg::<MixResult>()?),
+            tag::PARTIAL_DEC => Frame::encode_msg(f.msg_type, &f.decode_msg::<PartialDec>()?),
+            other => panic!("no sample carries tag {other}"),
+        })
+    }
+
+    /// The wire bytes of every message type, pinned as (tag, payload
+    /// length, first 8 bytes of the payload's SHA-256) so that a codec
+    /// change that moves a byte fails here; and every payload decodes
+    /// and re-encodes to itself.
+    #[test]
+    fn encodings_are_pinned() {
+        let frames = samples();
+        let got: Vec<String> = frames
+            .iter()
+            .map(|f| {
+                let digest = pm_crypto::sha256::sha256(&f.payload);
+                let hex: String = digest[..8].iter().map(|b| format!("{b:02x}")).collect();
+                format!("{} {} {hex}", f.msg_type, f.payload.len())
+            })
+            .collect();
+        let want = [
+            "20 96 7b1b7e143624c7c6",
+            "21 73 f10093395772ccbf",
+            "22 324 19f6cba9c82ba19e",
+            "24 6045 67564552aa2f2142",
+            "24 1009 0116a790d57f4dff",
+            "26 680 a283b328e344099f",
+        ];
+        assert_eq!(got, want);
+        for f in &frames {
+            assert_eq!(&reencode(f).unwrap(), f, "tag {}", f.msg_type);
+        }
+    }
+
+    /// Cutting a payload anywhere short of its end is an error, never a
+    /// panic and never a shorter message.
+    #[test]
+    fn every_truncation_is_an_error() {
+        for f in samples() {
+            for cut in 0..f.payload.len() {
+                let short = Frame::new(f.msg_type, f.payload.slice(..cut));
+                assert!(reencode(&short).is_err(), "tag {} cut {cut}", f.msg_type);
+            }
+        }
     }
 }

@@ -32,6 +32,7 @@ use pm_crypto::elgamal::{Ciphertext, PublicKey};
 use pm_crypto::group::{GroupElement, GroupParams};
 use pm_net::party::{Node, NodeError, Step};
 use pm_net::transport::{Endpoint, Envelope, PartyId};
+use pm_net::Frame;
 use pm_obs::Recorder;
 use std::sync::Arc;
 
@@ -302,7 +303,7 @@ impl Node for PscTsNode {
                         verify: self.verify,
                     };
                     for p in self.dc_names.iter().chain(self.cp_names.iter()) {
-                        ep.send(p, messages::frame_of(tag::CONFIGURE, &cfg))?;
+                        ep.send(p, Frame::encode_msg(tag::CONFIGURE, &cfg))?;
                     }
                     self.phase = Phase::AwaitTables;
                 }
@@ -326,7 +327,7 @@ impl Node for PscTsNode {
                     self.tables.clear();
                     self.mix_input = combined.clone();
                     let task = messages::Cells { cells: combined };
-                    ep.send(&self.cp_names[0], messages::frame_of(tag::MIX_TASK, &task))?;
+                    ep.send(&self.cp_names[0], Frame::encode_msg(tag::MIX_TASK, &task))?;
                     self.phase = Phase::Mixing { stage: 0 };
                 }
                 Ok(Step::Continue)
@@ -349,14 +350,14 @@ impl Node for PscTsNode {
                     let task = messages::Cells { cells: msg.output };
                     ep.send(
                         &self.cp_names[stage + 1],
-                        messages::frame_of(tag::MIX_TASK, &task),
+                        Frame::encode_msg(tag::MIX_TASK, &task),
                     )?;
                     self.phase = Phase::Mixing { stage: stage + 1 };
                 } else {
                     self.final_table = msg.output.clone();
                     let task = messages::Cells { cells: msg.output };
                     for cp in &self.cp_names {
-                        ep.send(cp, messages::frame_of(tag::DECRYPT_TASK, &task))?;
+                        ep.send(cp, Frame::encode_msg(tag::DECRYPT_TASK, &task))?;
                     }
                     self.phase = Phase::AwaitPartials;
                 }

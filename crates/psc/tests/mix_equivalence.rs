@@ -7,9 +7,10 @@
 use bytes::Bytes;
 use pm_crypto::elgamal::{encrypt, keygen, Ciphertext, KeyPair, PublicKey};
 use pm_crypto::group::GroupParams;
+use pm_net::Frame;
 use proptest::prelude::*;
 use psc::cp::{mix_message_batched, mix_message_sequential};
-use psc::messages::{frame_of, tag};
+use psc::messages::tag;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -47,7 +48,7 @@ fn wire_of(
         None => mix_message_sequential(gp, key, noise_flips, verify, cells.to_vec(), &mut rng),
         Some(t) => mix_message_batched(gp, key, noise_flips, verify, cells.to_vec(), &mut rng, t),
     };
-    frame_of(tag::MIX_RESULT, &msg).to_wire()
+    Frame::encode_msg(tag::MIX_RESULT, &msg).to_wire()
 }
 
 proptest! {
