@@ -112,7 +112,9 @@ obs-smoke:
 # per-link transcript digests) against the in-process board by the
 # wire_round_matches_in_process test; then the experiments binary
 # end-to-end over the wire backend with latency/bandwidth shaping, as
-# a deployment would run it. Guards the --fabric wiring and the
+# a deployment would run it; last, a 17-day campaign over the wire whose
+# report, minus the wire-only net.wire.* lines, must equal the
+# in-process one byte for byte. Guards the --fabric wiring and the
 # socket path the way study-smoke guards the campaign engine.
 wire-smoke:
 	$(CARGO) test -q --release --test psc_end_to_end wire_round
@@ -124,6 +126,12 @@ wire-smoke:
 		--scale 2e-4 --seed 2018 --only F4 -q \
 		--json target/wire_smoke_ref.json > /dev/null
 	cmp target/wire_smoke.json target/wire_smoke_ref.json
+	$(CARGO) run --release -p pm-study --bin campaign -- \
+		--days 17 --scale 2e-4 --seed 2018 --fabric wire \
+		| grep -v '^net\.wire\.' > target/wire_campaign.txt
+	$(CARGO) run --release -p pm-study --bin campaign -- \
+		--days 17 --scale 2e-4 --seed 2018 > target/wire_campaign_ref.txt
+	cmp target/wire_campaign.txt target/wire_campaign_ref.txt
 
 # Year-scale timeline smoke: sweep 365 days through the snapshot
 # cursor, hold 3 sampled days bit-for-bit against the memo-less replay

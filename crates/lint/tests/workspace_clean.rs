@@ -27,7 +27,7 @@ fn the_workspace_is_lint_clean() {
 /// same review as the marker it admits.
 #[test]
 fn allow_markers_only_ratchet_down() {
-    const CEILINGS: [(&str, usize); 2] = [("panic", 12), ("unordered-map", 6)];
+    const CEILINGS: [(&str, usize); 2] = [("panic", 10), ("unordered-map", 6)];
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let counts = pm_lint::allow_marker_counts(&root).expect("workspace readable");
     let over: Vec<String> = counts

@@ -71,13 +71,3 @@ pub use transport::{
     Endpoint, Fabric, FabricChoice, FaultConfig, PartyId, Switchboard, TransportError, WireShape,
 };
 pub use wire::WireFabric;
-
-/// Convenience prelude.
-pub mod prelude {
-    pub use crate::frame::{Frame, WireDecode, WireEncode, WireError};
-    pub use crate::party::{Node, Runner, Step};
-    pub use crate::transport::{
-        Endpoint, Fabric, FabricChoice, FaultConfig, PartyId, Switchboard, WireShape,
-    };
-    pub use crate::wire::WireFabric;
-}

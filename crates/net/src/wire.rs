@@ -4,13 +4,16 @@
 //!
 //! # Architecture
 //!
-//! Registration binds one `TcpListener` per party on `127.0.0.1:0` and
-//! spawns an acceptor thread for it. Sending dials **one TCP
-//! connection per ordered `(from, to)` link** on first use and
-//! announces the dialing party's id as the connection's first blob.
-//! Each accepted connection gets its own reader thread that
-//! reassembles the byte stream and forwards `(sender, frame-bytes)`
-//! into the recipient's inbox channel — the same one-inbox-per-party
+//! Registration binds one blocking `TcpListener` per party on
+//! `127.0.0.1:0`; nothing listens on it in the background. Sending
+//! dials **one TCP connection per ordered `(from, to)` link** on first
+//! use, and the dialing sender accepts that connection itself from the
+//! recipient's listener — the pending connection whose peer address is
+//! the dialed socket's local address, so a stray connection to the
+//! port can never stand in for the link. The accepted end gets its own
+//! reader thread, told the sender's id at spawn, that reassembles the
+//! byte stream and forwards `(sender, frame-bytes)` into the
+//! recipient's inbox channel — the same one-inbox-per-party
 //! [`Endpoint`] the in-process fabric feeds directly. Re-registering or
 //! deregistering a party evicts the connections dialed into its old
 //! listener, so the next send on each of those links redials. One
@@ -27,10 +30,10 @@
 //! # Stream framing
 //!
 //! Every message on a connection is a length-prefixed blob: a `u32`
-//! big-endian byte length followed by that many bytes. The first blob
-//! is the dialing party's UTF-8 id (the handshake); every later blob is
-//! one frame's wire image, checksummed by the inner frame codec
-//! itself. [`StreamDecoder`] reassembles blobs from arbitrary read
+//! big-endian byte length followed by that many bytes, and every blob
+//! is one frame's wire image, checksummed by the inner frame codec
+//! itself. There is no handshake: the reader learns the sender when it
+//! is spawned. [`StreamDecoder`] reassembles blobs from arbitrary read
 //! chunkings; a stream that ends mid-blob is a truncation
 //! ([`TransportError::Wire`] with [`WireError::Truncated`]), never a
 //! panic.
@@ -71,10 +74,10 @@ use crate::transport::{
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use pm_obs::Recorder;
-use std::collections::BTreeMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -147,14 +150,14 @@ impl StreamDecoder {
     }
 }
 
-/// One registered party's socket-side state. The inbox sender is held
-/// only to keep the endpoint's channel open while the party is
-/// registered — even if its acceptor thread exits early, a registered
-/// party's receiver must block rather than report Disconnected.
+/// One registered party's socket-side state: the listener its senders
+/// dial and accept from, and the inbox its reader threads feed. The
+/// held sender also keeps the endpoint's channel open while the party
+/// is registered, so its receiver blocks rather than reports
+/// Disconnected before any link is dialed.
 struct PartyRecord {
-    addr: SocketAddr,
-    _inbox_keepalive: Sender<WireMessage>,
-    stop: Arc<AtomicBool>,
+    listener: TcpListener,
+    inbox: Sender<WireMessage>,
 }
 
 /// One dialed `(from, to)` link: its connection.
@@ -166,25 +169,19 @@ struct WireInner {
     registry: Mutex<BTreeMap<PartyId, PartyRecord>>,
     /// Locked after `registry`, never before it.
     conns: Mutex<BTreeMap<(PartyId, PartyId), LinkConn>>,
-    dialed: AtomicU64,
-    accepted: Arc<AtomicU64>,
+    /// Links dialed, each of which accepted its own connection.
+    links: AtomicU64,
 }
 
 impl Drop for WireInner {
     /// Mirrors the in-process fabric's publish-on-last-drop contract,
-    /// adding the wire-only `net.wire.*` family. Acceptor threads are
-    /// told to stop; reader threads exit when the dialed connections
-    /// drop with this struct.
+    /// adding the wire-only `net.wire.*` family. Reader threads exit
+    /// when the dialed connections drop with this struct.
     fn drop(&mut self) {
-        for record in self.registry.lock().values() {
-            record.stop.store(true, Ordering::Relaxed);
-        }
+        let links = self.links.load(Ordering::Relaxed);
         self.ledger.publish_metrics(&[
-            ("net.wire.conns.dialed", self.dialed.load(Ordering::Relaxed)),
-            (
-                "net.wire.conns.accepted",
-                self.accepted.load(Ordering::Relaxed),
-            ),
+            ("net.wire.conns.dialed", links),
+            ("net.wire.conns.accepted", links),
         ]);
     }
 }
@@ -220,117 +217,75 @@ impl WireFabric {
                 ledger: LinkLedger::new(faults, recorder),
                 registry: Mutex::new(BTreeMap::new()),
                 conns: Mutex::new(BTreeMap::new()),
-                dialed: AtomicU64::new(0),
-                accepted: Arc::new(AtomicU64::new(0)),
+                links: AtomicU64::new(0),
             }),
         }
     }
 
     fn register_endpoint(&self, id: PartyId) -> Endpoint {
-        // Loopback bind/configure failure is environment-fatal (out of
-        // ports or no loopback interface), not a protocol condition any
-        // caller can handle — hence the panic allowances below.
+        // Loopback bind failure is environment-fatal (out of ports or
+        // no loopback interface), not a protocol condition any caller
+        // can handle.
         let listener = TcpListener::bind(("127.0.0.1", 0))
             // lint:allow(panic) environment-fatal, see above
             .expect("bind wire fabric listener on loopback");
-        let addr = listener
-            .local_addr()
-            // lint:allow(panic) see the bind note above
-            .expect("read wire fabric listener address");
-        listener
-            .set_nonblocking(true)
-            // lint:allow(panic) see the bind note above
-            .expect("configure wire fabric listener");
-        let (inbox_tx, inbox_rx) = unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-        {
-            let mut registry = self.inner.registry.lock();
-            if let Some(old) = registry.insert(
-                id.clone(),
-                PartyRecord {
-                    addr,
-                    _inbox_keepalive: inbox_tx.clone(),
-                    stop: Arc::clone(&stop),
-                },
-            ) {
-                // Re-registration replaces the previous endpoint: its
-                // acceptor stops and its inbox sender drops here.
-                old.stop.store(true, Ordering::Relaxed);
-                self.evict_conns_into(&id);
-            }
+        let (inbox, inbox_rx) = unbounded();
+        let record = PartyRecord { listener, inbox };
+        let mut registry = self.inner.registry.lock();
+        // Re-registration replaces the previous endpoint: its listener
+        // closes and its inbox sender drops here.
+        if registry.insert(id.clone(), record).is_some() {
+            self.evict_conns_into(&id);
         }
-        let accepted = Arc::clone(&self.inner.accepted);
-        std::thread::spawn(move || accept_loop(listener, inbox_tx, stop, accepted));
         Endpoint::from_parts(id, Arc::new(self.clone()), inbox_rx)
     }
 
     /// Forgets every connection dialed into `to`'s previous listener so
     /// the next send on each of those links redials the current one.
     /// Called with the registry lock held, so a sender that looks the
-    /// party up afterwards never pairs the new address (or its
+    /// party up afterwards never pairs the new listener (or its
     /// absence) with a stale connection.
     fn evict_conns_into(&self, to: &PartyId) {
         self.inner.conns.lock().retain(|(_, t), _| t != to);
     }
 }
 
-/// Accepts connections for one party until told to stop, spawning a
-/// reader thread per connection. The listener is polled non-blocking so
-/// the stop flag is honored promptly even with no inbound traffic.
-fn accept_loop(
-    listener: TcpListener,
-    inbox_tx: Sender<WireMessage>,
-    stop: Arc<AtomicBool>,
-    accepted: Arc<AtomicU64>,
-) {
+/// Dials `to`'s listener and accepts the far end of that very
+/// connection — the pending one whose peer address is the dialed
+/// socket's local address; any other pending connection is a stray and
+/// is closed — then spawns the reader that feeds `to`'s inbox as
+/// `from`.
+fn dial(from: &PartyId, to: &PartyRecord) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(to.listener.local_addr()?)?;
+    let _ = stream.set_nodelay(true);
+    let near = stream.local_addr()?;
     loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                accepted.fetch_add(1, Ordering::Relaxed);
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                let tx = inbox_tx.clone();
-                std::thread::spawn(move || read_loop(stream, tx));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => return,
+        let (far, peer) = to.listener.accept()?;
+        if peer == near {
+            let (from, inbox) = (from.clone(), to.inbox.clone());
+            std::thread::spawn(move || read_loop(far, from, inbox));
+            return Ok(stream);
         }
     }
 }
 
-/// Drains one connection: handshake blob names the sender, every later
-/// blob is one frame's wire image forwarded to the recipient's inbox.
+/// Drains one link's accepted connection: every blob is one frame's
+/// wire image, forwarded to the recipient's inbox as sent by `from`.
 /// Exits on stream close, decode error, or a gone receiver.
-fn read_loop(mut stream: TcpStream, tx: Sender<WireMessage>) {
+fn read_loop(mut stream: TcpStream, from: PartyId, inbox: Sender<WireMessage>) {
     let mut decoder = StreamDecoder::new();
-    let mut from: Option<PartyId> = None;
     let mut buf = [0u8; 4096];
     loop {
         let n = match stream.read(&mut buf) {
             Ok(0) | Err(_) => return,
             Ok(n) => n,
         };
-        let blobs = match decoder.push(&buf[..n]) {
-            Ok(blobs) => blobs,
-            Err(_) => return, // desynced stream: drop the connection
+        let Ok(blobs) = decoder.push(&buf[..n]) else {
+            return; // desynced stream: drop the connection
         };
         for blob in blobs {
-            match &from {
-                None => match String::from_utf8(blob) {
-                    Ok(name) => from = Some(PartyId(name)),
-                    Err(_) => return, // malformed handshake
-                },
-                Some(sender) => {
-                    if tx.send((sender.clone(), blob)).is_err() {
-                        return; // receiver endpoint is gone
-                    }
-                }
+            if inbox.send((from.clone(), blob)).is_err() {
+                return; // receiver endpoint is gone
             }
         }
     }
@@ -344,30 +299,19 @@ impl SendPort for WireFabric {
         // fail — the same order as the in-process fabric, which is
         // what keeps the shared counters backend-invariant.
         let record = inner.ledger.tally_send(from, to, &wire);
-        let addr = inner
-            .registry
-            .lock()
-            .get(to)
-            .map(|r| r.addr)
-            .ok_or_else(|| TransportError::UnknownParty(to.0.clone()))?;
         let conn = {
-            let mut conns = inner.conns.lock();
-            match conns.get(&(from.clone(), to.clone())) {
-                Some(conn) => Arc::clone(conn),
-                None => {
-                    // First frame on this ordered link (or the first
-                    // since its recipient re-registered): dial and
-                    // announce the sender.
-                    let mut stream =
-                        TcpStream::connect(addr).map_err(|_| TransportError::Disconnected)?;
-                    let _ = stream.set_nodelay(true);
-                    inner.dialed.fetch_add(1, Ordering::Relaxed);
-                    stream
-                        .write_all(&encode_blob(from.0.as_bytes()))
-                        .map_err(|_| TransportError::Disconnected)?;
-                    let conn: LinkConn = Arc::new(Mutex::new(stream));
-                    conns.insert((from.clone(), to.clone()), Arc::clone(&conn));
-                    conn
+            let registry = inner.registry.lock();
+            let party = registry
+                .get(to)
+                .ok_or_else(|| TransportError::UnknownParty(to.0.clone()))?;
+            match inner.conns.lock().entry((from.clone(), to.clone())) {
+                Entry::Occupied(link) => Arc::clone(link.get()),
+                // First frame on this ordered link (or the first since
+                // its recipient re-registered).
+                Entry::Vacant(link) => {
+                    let stream = dial(from, party).map_err(|_| TransportError::Disconnected)?;
+                    inner.links.fetch_add(1, Ordering::Relaxed);
+                    Arc::clone(link.insert(Arc::new(Mutex::new(stream))))
                 }
             }
         };
@@ -401,8 +345,7 @@ impl Fabric for WireFabric {
 
     fn deregister(&self, id: &PartyId) {
         let mut registry = self.inner.registry.lock();
-        if let Some(record) = registry.remove(id) {
-            record.stop.store(true, Ordering::Relaxed);
+        if registry.remove(id).is_some() {
             self.evict_conns_into(id);
         }
     }
@@ -779,6 +722,67 @@ mod tests {
         assert_eq!(rec.read_counter("net.link.a->b.sent"), 1);
         assert_eq!(rec.read_counter("net.wire.conns.dialed"), 1);
         assert_eq!(rec.read_counter("net.wire.conns.accepted"), 1);
+    }
+
+    #[test]
+    fn stray_connection_cannot_capture_a_link() {
+        // A connection that reaches b's listener before a's first send
+        // — here one that even speaks a valid frame — is not mistaken
+        // for the a->b link: a's dial accepts its own connection, the
+        // stray is closed, and only a's frame arrives, from a.
+        let fabric = WireFabric::new();
+        let a = fabric.register(PartyId::new("a"));
+        let b = fabric.register(PartyId::new("b"));
+        let addr = fabric.inner.registry.lock()[b.id()]
+            .listener
+            .local_addr()
+            .unwrap();
+        let mut stray = TcpStream::connect(addr).unwrap();
+        stray
+            .write_all(&encode_blob(&frame(66, b"impostor").to_wire()))
+            .unwrap();
+        a.send(b.id(), frame(7, b"genuine")).unwrap();
+        let env = b.recv().unwrap();
+        assert_eq!(env.from.as_str(), "a");
+        assert_eq!(env.frame.payload.as_ref(), b"genuine");
+        // Closed with its frame unread, the stray sees a reset or EOF;
+        // left open, its read would time out.
+        stray
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        match stray.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+            Ok(_) => panic!("stray received bytes"),
+        }
+        a.send(b.id(), frame(8, b"again")).unwrap();
+        assert_eq!(b.recv().unwrap().frame.msg_type, 8);
+        assert!(b.try_recv().is_err(), "the stray's frame was delivered");
+    }
+
+    #[test]
+    fn full_mesh_accepts_exactly_the_links_it_dials() {
+        let rec = Recorder::new();
+        {
+            let fabric =
+                WireFabric::with_shape(WireShape::default(), FaultConfig::none(), rec.clone());
+            let eps: Vec<_> = (0..14)
+                .map(|i| fabric.register(PartyId::new(format!("p{i}"))))
+                .collect();
+            for from in &eps {
+                for to in eps.iter().filter(|to| to.id() != from.id()) {
+                    from.send(to.id(), frame(3, b"hi")).unwrap();
+                }
+            }
+            for ep in &eps {
+                let mut senders: Vec<_> = (0..13).map(|_| ep.recv().unwrap().from).collect();
+                senders.sort();
+                senders.dedup();
+                assert_eq!(senders.len(), 13, "{} heard a sender twice", ep.id());
+            }
+        }
+        assert_eq!(rec.read_counter("net.wire.conns.dialed"), 182);
+        assert_eq!(rec.read_counter("net.wire.conns.accepted"), 182);
     }
 
     #[test]

@@ -21,9 +21,9 @@ pub type ResultSlot = Arc<Mutex<Option<Vec<i64>>>>;
 #[allow(clippy::enum_variant_names)] // every phase awaits a protocol message
 enum Phase {
     AwaitSkKeys,
-    // Shares and acks interleave: an SK acks as soon as its forward
-    // arrives, possibly before other DCs have sent their shares.
-    AwaitSharesAndAcks,
+    AwaitShares,
+    // SKs ack forwards, which leave only once every share is in.
+    AwaitAcks,
     AwaitDcResults,
     AwaitSkResults,
 }
@@ -38,7 +38,11 @@ pub struct TsNode {
     // configure message sorts keys by party name, and a BTreeMap makes
     // that invariant structural rather than a downstream `sort`.
     sk_keys: BTreeMap<PartyId, GroupElement>,
-    shares_seen: usize,
+    // Held until every DC has sent one per SK, then forwarded keyed by
+    // (sender's index in `dc_names`, SK): each SK sees its shares in
+    // DC order whatever order they arrived in, so a round's per-link
+    // transcripts are the same on every fabric.
+    shares: BTreeMap<(usize, String), messages::EncryptedShares>,
     acks_seen: usize,
     dc_results: Vec<Vec<u64>>,
     sk_results: Vec<Vec<u64>>,
@@ -61,7 +65,7 @@ impl TsNode {
             sk_names,
             phase: Phase::AwaitSkKeys,
             sk_keys: BTreeMap::new(),
-            shares_seen: 0,
+            shares: BTreeMap::new(),
             acks_seen: 0,
             dc_results: Vec::new(),
             sk_results: Vec::new(),
@@ -121,22 +125,34 @@ impl Node for TsNode {
                 self.sk_keys.insert(env.from.clone(), msg.key);
                 if self.sk_keys.len() == self.sk_names.len() {
                     self.configure_dcs(ep)?;
-                    self.phase = Phase::AwaitSharesAndAcks;
+                    self.phase = Phase::AwaitShares;
                 }
                 Ok(Step::Continue)
             }
-            (Phase::AwaitSharesAndAcks, tag::SHARES) => {
+            (Phase::AwaitShares, tag::SHARES) => {
                 let msg: messages::EncryptedShares = env
                     .frame
                     .decode_msg()
                     .map_err(|e| NodeError::Protocol(format!("bad shares: {e}")))?;
-                // Forward to the destination SK (DCs have no SK links).
-                let sk = PartyId::new(msg.sk_name.clone());
-                ep.send(&sk, Frame::encode_msg(tag::SHARES_FWD, &msg))?;
-                self.shares_seen += 1;
+                let dc = self
+                    .dc_names
+                    .iter()
+                    .position(|dc| *dc == env.from)
+                    .ok_or_else(|| {
+                        NodeError::Protocol(format!("shares from unknown party {}", env.from))
+                    })?;
+                self.shares.insert((dc, msg.sk_name.clone()), msg);
+                if self.shares.len() == self.dc_names.len() * self.sk_names.len() {
+                    // Forward to the destination SKs (DCs have no SK links).
+                    for msg in std::mem::take(&mut self.shares).into_values() {
+                        let sk = PartyId::new(msg.sk_name.clone());
+                        ep.send(&sk, Frame::encode_msg(tag::SHARES_FWD, &msg))?;
+                    }
+                    self.phase = Phase::AwaitAcks;
+                }
                 Ok(Step::Continue)
             }
-            (Phase::AwaitSharesAndAcks, tag::SHARES_ACK) => {
+            (Phase::AwaitAcks, tag::SHARES_ACK) => {
                 self.acks_seen += 1;
                 if self.acks_seen == self.dc_names.len() * self.sk_names.len() {
                     for dc in &self.dc_names {
