@@ -23,10 +23,10 @@
 //! The study parallelizes on two independent axes, both contracted to
 //! be **invisible in the results**:
 //!
-//! * **Across experiments** — [`runner::run_all`] first schedules the
-//!   whole registry through the §3.1 [`Accountant`]
-//!   ([`runner::plan_schedule`]), which validates the *logical*
-//!   schedule (simulated measurement time). It then executes the
+//! * **Across experiments** — [`runner::run_all`] first places the
+//!   whole registry on the §3.1 [`Accountant`]'s calendar
+//!   ([`runner::plan_schedule`]), a *logical* schedule (simulated
+//!   measurement time) legal by construction. It then executes the
 //!   planned rounds on a bounded thread pool: rounds that repeat a
 //!   statistic are dependency-ordered; all other accepted rounds have
 //!   pairwise-disjoint logical intervals, share no data, and run

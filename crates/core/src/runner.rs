@@ -4,11 +4,10 @@
 //! simulated measurement time — not wall-clock execution. [`run_all`]
 //! therefore separates the two:
 //!
-//! 1. **Plan** ([`plan_schedule`]): every registry entry is scheduled
-//!    through the [`Accountant`], which rejects logically-overlapping
-//!    rounds and enforces the 24-hour gap between distinct statistics.
-//!    Planning is sequential and happens before any experiment runs; an
-//!    invalid registry panics here, never mid-execution.
+//! 1. **Plan** ([`plan_schedule`]): every registry entry is placed on
+//!    the [`Accountant`]'s calendar at its earliest start that keeps
+//!    rounds from overlapping and distinct statistics 24 hours apart.
+//!    Planning is sequential and happens before any experiment runs.
 //! 2. **Execute**: a dependency graph over the planned rounds is run on
 //!    a bounded thread pool. Edges order rounds that measure the same
 //!    statistic (repeat measurements must retain their scheduled
@@ -36,7 +35,7 @@ use crate::deployment::Deployment;
 use crate::experiments;
 use crate::report::Report;
 use parking_lot::Mutex;
-use pm_dp::accountant::{Accountant, MeasurementRound, System};
+use pm_dp::accountant::{Accountant, System};
 use pm_obs::Recorder;
 use std::sync::Condvar;
 
@@ -157,43 +156,36 @@ pub struct PlannedRound {
     pub deps: Vec<usize>,
 }
 
-/// Schedules the whole registry through the [`Accountant`], returning
+/// Places the whole registry on the [`Accountant`]'s calendar, returning
 /// the planned rounds (registry order) alongside the filled ledger.
+/// Each entry takes the earliest §3.1-legal start, so the plan is legal
+/// by construction; repeats of a statistic become dependencies.
 ///
-/// Panics if the registry violates §3.1 — the registry is static, so a
-/// violation is a programming error, caught by `schedule_is_valid`.
+/// Panics if a registry entry has zero duration — the registry is
+/// static, so that is a programming error, caught by `schedule_is_valid`.
 pub fn plan_schedule() -> (Vec<PlannedRound>, Accountant) {
     let mut accountant = Accountant::new();
-    let mut planned: Vec<PlannedRound> = Vec::new();
-    for entry in registry() {
-        let stats = vec![entry.id.to_string()];
-        let start = accountant.earliest_start(&stats);
-        accountant
-            .schedule(MeasurementRound {
-                name: entry.id.to_string(),
-                system: entry.system,
-                start_hour: start,
-                duration_hours: entry.duration_hours,
-                statistics: stats,
-            })
-            .expect("registry schedule is valid");
-        // Repeat measurements of a statistic must keep schedule order;
-        // everything else is logically disjoint (the accountant accepted
-        // it) and free to execute concurrently.
-        let deps = planned
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.entry.id == entry.id)
-            .map(|(i, _)| i)
-            .collect();
-        let end = start + entry.duration_hours;
-        planned.push(PlannedRound {
-            entry,
-            start_hour: start,
-            end_hour: end,
-            deps,
-        });
-    }
+    let planned = registry()
+        .into_iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            let start_hour = accountant
+                .place(
+                    entry.id,
+                    entry.system,
+                    entry.id,
+                    entry.duration_hours,
+                    u64::MAX,
+                )
+                .expect("registry rounds have a duration and no horizon");
+            PlannedRound {
+                start_hour,
+                end_hour: start_hour + entry.duration_hours,
+                deps: accountant.repeats_before(i),
+                entry,
+            }
+        })
+        .collect();
     (planned, accountant)
 }
 
@@ -461,7 +453,31 @@ mod tests {
         // The scheduling logic alone (no experiment execution).
         let (planned, accountant) = plan_schedule();
         assert_eq!(accountant.rounds().len(), 14);
-        assert_eq!(planned.len(), 14);
+        // Every statistic is distinct, so each round starts 24h after
+        // the previous one ends.
+        let intervals: Vec<(&str, u64, u64)> = planned
+            .iter()
+            .map(|p| (p.entry.id, p.start_hour, p.end_hour))
+            .collect();
+        assert_eq!(
+            intervals,
+            [
+                ("T1", 0, 24),
+                ("F1", 48, 72),
+                ("F2", 96, 120),
+                ("F3", 144, 168),
+                ("T2", 192, 216),
+                ("T4", 240, 264),
+                ("T5", 288, 384),
+                ("T3", 408, 456),
+                ("F4", 480, 504),
+                ("T6", 528, 576),
+                ("T7", 600, 624),
+                ("T8", 648, 672),
+                ("X1", 696, 720),
+                ("X2", 744, 768),
+            ]
+        );
         // §3.1: planned logical intervals are pairwise disjoint.
         for (i, a) in planned.iter().enumerate() {
             for b in planned.iter().skip(i + 1) {

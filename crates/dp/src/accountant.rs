@@ -7,8 +7,11 @@
 //!   (the paper repeats measurements to confirm anomalies).
 //!
 //! The [`Accountant`] validates a proposed schedule and keeps the ledger
-//! of what was measured when, which the study harness consults before
-//! launching each experiment.
+//! of what was measured when. [`Accountant::place`] puts a round at the
+//! earliest start the rules allow after every recorded round, so a
+//! greedy planner needs no re-validation; [`Accountant::repeats_before`]
+//! names the earlier rounds of the same statistic, which an executor
+//! must finish first.
 //!
 //! Beyond scheduling, the ledger also records how each round *ended*
 //! ([`RoundDisposition`]): a round that aborts mid-collection has
@@ -138,7 +141,7 @@ pub struct BudgetSummary {
 }
 
 /// The measurement ledger.
-#[derive(Default, Debug)]
+#[derive(Clone, Default, Debug)]
 pub struct Accountant {
     rounds: Vec<MeasurementRound>,
     dispositions: HashMap<String, RoundDisposition>,
@@ -166,10 +169,7 @@ impl Accountant {
                 });
             }
             // 24h gap between rounds measuring distinct statistics.
-            let a: BTreeSet<&String> = prior.statistics.iter().collect();
-            let b: BTreeSet<&String> = round.statistics.iter().collect();
-            let same_stats = a == b;
-            if !same_stats {
+            if !same_statistics(&prior.statistics, &round.statistics) {
                 let gap = if round.start_hour >= prior.end_hour() {
                     round.start_hour - prior.end_hour()
                 } else {
@@ -225,23 +225,67 @@ impl Accountant {
         s
     }
 
+    /// Records a round of one statistic at its earliest legal start and
+    /// returns that start, or records nothing and returns `None` if the
+    /// round is empty or would end after `horizon_hours`. The placement
+    /// is legal by construction: it starts after every recorded round,
+    /// 24 hours after unless it repeats that round's statistic.
+    pub fn place(
+        &mut self,
+        name: &str,
+        system: System,
+        statistic: &str,
+        duration_hours: u64,
+        horizon_hours: u64,
+    ) -> Option<u64> {
+        let statistics = vec![statistic.to_string()];
+        let start_hour = self.earliest_start(&statistics);
+        if duration_hours == 0 || start_hour + duration_hours > horizon_hours {
+            return None;
+        }
+        self.rounds.push(MeasurementRound {
+            name: name.to_string(),
+            system,
+            start_hour,
+            duration_hours,
+            statistics,
+        });
+        Some(start_hour)
+    }
+
+    /// Indices of the recorded rounds before round `i` that measure the
+    /// same statistics — the repeats an executor must finish first.
+    pub fn repeats_before(&self, i: usize) -> Vec<usize> {
+        let Some(round) = self.rounds.get(i) else {
+            return Vec::new();
+        };
+        (0..i)
+            .filter(|&j| same_statistics(&self.rounds[j].statistics, &round.statistics))
+            .collect()
+    }
+
     /// First hour at which a new round with the given statistics could
     /// legally start (conservative: 24h after the last round ends, or
     /// immediately after it if the statistics are identical).
-    pub fn earliest_start(&self, statistics: &[String]) -> u64 {
-        let mut earliest = 0;
-        for prior in &self.rounds {
-            let a: BTreeSet<&String> = prior.statistics.iter().collect();
-            let b: BTreeSet<&String> = statistics.iter().collect();
-            let needed = if a == b {
-                prior.end_hour()
-            } else {
-                prior.end_hour() + 24
-            };
-            earliest = earliest.max(needed);
-        }
-        earliest
+    fn earliest_start(&self, statistics: &[String]) -> u64 {
+        self.rounds
+            .iter()
+            .map(|prior| {
+                let gap = if same_statistics(&prior.statistics, statistics) {
+                    0
+                } else {
+                    24
+                };
+                prior.end_hour() + gap
+            })
+            .max()
+            .unwrap_or(0)
     }
+}
+
+/// Whether two rounds measure the same set of statistics (a repeat).
+fn same_statistics(a: &[String], b: &[String]) -> bool {
+    a.iter().collect::<BTreeSet<_>>() == b.iter().collect::<BTreeSet<_>>()
 }
 
 #[cfg(test)]
@@ -370,6 +414,68 @@ mod tests {
             acc.disposition("churn").map(RoundDisposition::tag),
             Some("aborted")
         );
+    }
+
+    /// Every template list of up to three rounds — durations of 1–4
+    /// days, three statistic names, both systems — placed under several
+    /// horizons: each placement re-schedules cleanly on a fresh ledger,
+    /// `None` means exactly "would end past the horizon" against an
+    /// independent model of the earliest start, and `repeats_before` is
+    /// the same-statistic scan.
+    #[test]
+    fn greedy_placement_is_legal_and_exact() {
+        let mut templates = Vec::new();
+        for days in 1..=4u64 {
+            for stat in ["s0", "s1", "s2"] {
+                for system in [System::PrivCount, System::Psc] {
+                    templates.push((days * 24, stat, system));
+                }
+            }
+        }
+        let n = templates.len();
+        // Every list of up to three templates, as base-`n` digits.
+        let lists: Vec<Vec<usize>> = (0..=3u32)
+            .flat_map(|len| (0..n.pow(len)).map(move |code| (len, code)))
+            .map(|(len, code)| (0..len).map(|k| code / n.pow(k) % n).collect())
+            .collect();
+        assert_eq!(lists.len(), 1 + n + n * n + n * n * n);
+        for horizon in [0, 24, 72, 120, 200, 400] {
+            for list in &lists {
+                let mut acc = Accountant::new();
+                // (statistic, end hour) of every round placed so far.
+                let mut placed: Vec<(&str, u64)> = Vec::new();
+                for (k, &t) in list.iter().enumerate() {
+                    let (duration, stat, system) = templates[t];
+                    let want = placed
+                        .iter()
+                        .map(|&(s, end)| if s == stat { end } else { end + 24 })
+                        .max()
+                        .unwrap_or(0);
+                    let got = acc.place(&format!("r{k}"), system, stat, duration, horizon);
+                    if want + duration > horizon {
+                        assert_eq!(got, None, "{list:?} at horizon {horizon}");
+                    } else {
+                        assert_eq!(got, Some(want), "{list:?} at horizon {horizon}");
+                        placed.push((stat, want + duration));
+                    }
+                    assert_eq!(acc.rounds().len(), placed.len());
+                }
+                let mut fresh = Accountant::new();
+                for (i, r) in acc.rounds().iter().enumerate() {
+                    fresh.schedule(r.clone()).unwrap();
+                    let scan: Vec<usize> = (0..i).filter(|&j| placed[j].0 == placed[i].0).collect();
+                    assert_eq!(acc.repeats_before(i), scan);
+                }
+                assert!(acc.repeats_before(placed.len()).is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn empty_rounds_are_not_placed() {
+        let mut acc = Accountant::new();
+        assert_eq!(acc.place("z", System::Psc, "x", 0, 100), None);
+        assert!(acc.rounds().is_empty());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! 4. **panic** — `.unwrap()`, `.expect(…)`, and `panic!`-family
 //!    macros in protocol round paths (`psc`, `privcount`, `net`,
 //!    `study`) must carry a justification marker or be converted to
-//!    the threaded `Result`/`RoundStatus` flow.
+//!    the threaded `Result`/`RoundDisposition` flow.
 //! 5. **obs-readback** — the protocol crates (`psc`, `privcount`,
 //!    `net`) must never call `read_snapshot` or `read_counter`:
 //!    protocol code writes metrics, it does not branch on them — a

@@ -522,7 +522,7 @@ pub fn analyze_file(rel: &str, scrubbed: &Scrubbed) -> FileReport {
                     rule: RULE_PANIC,
                     message: format!(
                         "`.{}()` on a protocol path: thread the error through the \
-                         Result/RoundStatus flow, or justify with \
+                         Result/RoundDisposition flow, or justify with \
                          `lint:allow(panic) <reason>`",
                         tok.text
                     ),

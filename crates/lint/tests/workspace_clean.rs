@@ -3,6 +3,7 @@
 //! suite means `cargo test --workspace` already enforces the
 //! determinism & robustness contracts.
 
+use std::fs;
 use std::path::Path;
 
 #[test]
@@ -27,7 +28,7 @@ fn the_workspace_is_lint_clean() {
 /// same review as the marker it admits.
 #[test]
 fn allow_markers_only_ratchet_down() {
-    const CEILINGS: [(&str, usize); 2] = [("panic", 10), ("unordered-map", 6)];
+    const CEILINGS: [(&str, usize); 2] = [("panic", 8), ("unordered-map", 6)];
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let counts = pm_lint::allow_marker_counts(&root).expect("workspace readable");
     let over: Vec<String> = counts
@@ -43,4 +44,50 @@ fn allow_markers_only_ratchet_down() {
         "lint:allow markers above their ceilings: {}",
         over.join(", ")
     );
+}
+
+/// The fully-`pub` API surface may only shrink. Counted by
+/// `scripts/loc.sh`'s rule: a line of a `src/` file before its first
+/// `#[cfg(test)]` that opens with `pub fn|struct|enum|trait|type|const`,
+/// across `crates/*/src` and the root package's `src/`. Lower the
+/// ceiling when a PR shrinks the surface; raising it needs the same
+/// review as the items it admits.
+#[test]
+fn public_items_only_ratchet_down() {
+    const CEILING: usize = 779;
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut dirs = vec![root.join("src")];
+    for krate in fs::read_dir(root.join("crates")).expect("crates/ readable") {
+        dirs.push(krate.expect("crates/ entry").path().join("src"));
+    }
+    let mut count = 0;
+    while let Some(dir) = dirs.pop() {
+        // `crates/vendor` holds packages, not a `src/` of its own.
+        let Ok(entries) = fs::read_dir(&dir) else {
+            continue;
+        };
+        for path in entries.map(|e| e.expect("dir entry").path()) {
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let src = fs::read_to_string(&path).expect("source readable");
+                count += src
+                    .lines()
+                    .take_while(|l| !l.contains("#[cfg(test)]"))
+                    .filter(|l| opens_pub_item(l))
+                    .count();
+            }
+        }
+    }
+    assert!(
+        count <= CEILING,
+        "{count} fully-pub items, above the ceiling of {CEILING}"
+    );
+}
+
+fn opens_pub_item(line: &str) -> bool {
+    let rest = line.trim_start_matches([' ', '\t']);
+    ["fn", "struct", "enum", "trait", "type", "const"]
+        .iter()
+        .any(|kw| rest.starts_with(&format!("pub {kw} ")))
 }

@@ -3,7 +3,7 @@
 
 use crate::anomaly::{Anomaly, AnomalyKind};
 use crate::report::CampaignReport;
-use pm_dp::accountant::{Accountant, MeasurementRound, System};
+use pm_dp::accountant::{Accountant, RoundDisposition, System};
 use pm_net::party::NodeError;
 use pm_stats::guards::observe_probability;
 use pm_stats::sampling::derive_seed;
@@ -73,9 +73,9 @@ impl RoundKind {
 /// adversarial scenario suite. Each round kind lowers the scenario to
 /// the matching protocol-level attack ([`psc::adversary::Attack`] /
 /// [`privcount::adversary::Attack`]); the campaign then asserts the
-/// attack is *detected* — the round ends [`RoundStatus::Aborted`] with
-/// the detecting party named, or [`RoundStatus::Recovered`] with the
-/// degradation flagged — instead of panicking the study.
+/// attack is *detected* — the round ends [`RoundDisposition::Aborted`]
+/// with the detecting party named, or [`RoundDisposition::Recovered`]
+/// with the degradation flagged — instead of panicking the study.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CampaignAttack {
     /// Honest campaign (the default).
@@ -128,30 +128,6 @@ impl CampaignAttack {
             .chain(Self::ALL)
             .find(|a| a.name() == name)
     }
-}
-
-/// How one executed round ended.
-#[derive(Clone, Debug, PartialEq)]
-pub enum RoundStatus {
-    /// The round ran to completion and its output is plausible.
-    Completed,
-    /// The round completed but its output is degraded (e.g. an
-    /// implausible count from a statistically-skewed share); it is
-    /// reported but flagged, and excluded from headline claims.
-    Recovered {
-        /// What is wrong with the output.
-        degraded: String,
-    },
-    /// The round failed before producing a result. Its privacy budget
-    /// stays spent and its ledger slot occupied (§3.1 accounts hours,
-    /// not success).
-    Aborted {
-        /// The failure, as reported by the detecting party.
-        reason: String,
-        /// Who detected it: a party id, or `"runner"` for
-        /// runner-level detection (deadlock).
-        detected_by: String,
-    },
 }
 
 /// One scheduled measurement round of the campaign calendar.
@@ -289,7 +265,7 @@ pub struct RoundOutcome {
     pub reconcile_estimate: Option<Estimate>,
     /// How the round ended. Aborted rounds carry empty truths and no
     /// estimates; their budget stays spent (§3.1 accounts hours).
-    pub status: RoundStatus,
+    pub status: RoundDisposition,
     /// Structured irregularities detected during the round (see
     /// [`crate::anomaly`]); the campaign report folds every round's
     /// records into one channel.
@@ -309,7 +285,7 @@ impl RoundOutcome {
             estimate: None,
             network_estimate: None,
             reconcile_estimate: None,
-            status: RoundStatus::Completed,
+            status: RoundDisposition::Completed,
             anomalies: Vec::new(),
         }
     }
@@ -320,12 +296,13 @@ fn fmt_fractions(fractions: &[f64]) -> Vec<String> {
     fractions.iter().map(|p| format!("{p:.4}")).collect()
 }
 
-/// A planned, validated, runnable campaign.
+/// A planned, runnable campaign.
 pub struct Campaign {
     cfg: CampaignConfig,
     base: Deployment,
     timeline: NetworkTimeline,
     rounds: Vec<RoundSpec>,
+    ledger: Accountant,
 }
 
 /// The calendar templates, in scheduling priority order: the §5.1
@@ -350,11 +327,33 @@ fn round_templates() -> Vec<(&'static str, &'static str, RoundKind, u64)> {
     ]
 }
 
+/// Places the round templates on a `days`-day calendar greedily: each
+/// takes its earliest §3.1-legal start and is dropped if it would end
+/// after the campaign. Returns the calendar and the ledger it filled.
+fn default_calendar(days: u64) -> (Vec<RoundSpec>, Accountant) {
+    let mut ledger = Accountant::new();
+    let rounds = round_templates()
+        .into_iter()
+        .filter_map(|(id, statistic, kind, duration_days)| {
+            let start =
+                ledger.place(id, kind.system(), statistic, duration_days * 24, days * 24)?;
+            Some(RoundSpec {
+                id: id.to_string(),
+                statistic: statistic.to_string(),
+                kind,
+                start_day: start / 24,
+                duration_days,
+            })
+        })
+        .collect();
+    (rounds, ledger)
+}
+
 impl Campaign {
     /// Builds the campaign: the evolving network, the churned client
-    /// pool at the configured scale, and the default calendar —
-    /// validated through the §3.1 [`Accountant`] (an invalid calendar
-    /// is a programming error and panics here, never mid-execution).
+    /// pool at the configured scale, and the default calendar, placed
+    /// round by round on a §3.1 [`Accountant`] (so it is legal by
+    /// construction) that the campaign keeps as its ledger.
     pub fn new(cfg: CampaignConfig) -> Campaign {
         let mut base = Deployment::at_scale(cfg.scale, cfg.seed)
             .with_recorder(cfg.recorder.clone())
@@ -377,69 +376,20 @@ impl Campaign {
             Arc::clone(&base.geo),
         )
         .with_recorder(cfg.recorder.clone());
-        let mut campaign = Campaign {
+        let (rounds, ledger) = default_calendar(cfg.days);
+        Campaign {
             cfg,
             base,
             timeline,
-            rounds: Vec::new(),
-        };
-        campaign.rounds = campaign.default_calendar();
-        campaign.validate();
-        campaign
+            rounds,
+            ledger,
+        }
     }
 
-    /// Lays the round templates onto the calendar greedily: each takes
-    /// the earliest §3.1-legal start and is dropped if it would end
-    /// after the campaign.
-    fn default_calendar(&self) -> Vec<RoundSpec> {
-        let mut accountant = Accountant::new();
-        let horizon = self.cfg.days * 24;
-        let mut rounds = Vec::new();
-        for (id, statistic, kind, duration_days) in round_templates() {
-            let stats = vec![statistic.to_string()];
-            let start = accountant.earliest_start(&stats);
-            let duration_hours = duration_days * 24;
-            if start + duration_hours > horizon {
-                continue;
-            }
-            accountant
-                .schedule(MeasurementRound {
-                    name: id.to_string(),
-                    system: kind.system(),
-                    start_hour: start,
-                    duration_hours,
-                    statistics: stats,
-                })
-                // lint:allow(panic) earliest_start vetted this placement; a refusal is a planner bug
-                .expect("greedy placement is legal by construction");
-            rounds.push(RoundSpec {
-                id: id.to_string(),
-                statistic: statistic.to_string(),
-                kind,
-                start_day: start / 24,
-                duration_days,
-            });
-        }
-        rounds
-    }
-
-    /// Re-validates the calendar through a fresh [`Accountant`] and
-    /// returns the filled ledger. Panics on a §3.1 violation.
-    pub fn validate(&self) -> Accountant {
-        let mut accountant = Accountant::new();
-        for spec in &self.rounds {
-            accountant
-                .schedule(MeasurementRound {
-                    name: spec.id.clone(),
-                    system: spec.kind.system(),
-                    start_hour: spec.start_day * 24,
-                    duration_hours: spec.duration_days * 24,
-                    statistics: vec![spec.statistic.clone()],
-                })
-                // lint:allow(panic) validate() re-checks a calendar plan() already proved legal
-                .unwrap_or_else(|e| panic!("campaign calendar violates §3.1: {e}"));
-        }
-        accountant
+    /// The §3.1 ledger the calendar was placed on: one round per
+    /// [`Self::rounds`] entry, same order.
+    pub fn ledger(&self) -> &Accountant {
+        &self.ledger
     }
 
     /// The scheduled rounds, in calendar order.
@@ -468,7 +418,7 @@ impl Campaign {
         let mut span = self.cfg.recorder.span("campaign.run", "study");
         span.note("days", self.cfg.days);
         span.note("rounds", self.rounds.len());
-        CampaignReport::assemble(&self.cfg, self.run_rounds(workers))
+        CampaignReport::assemble(&self.cfg, &self.ledger, self.run_rounds(workers))
     }
 
     /// Like [`Self::run`] but returns the raw per-round outcomes
@@ -489,12 +439,7 @@ impl Campaign {
             .map(|(i, spec)| Job {
                 id: spec.id.clone(),
                 is_psc: spec.kind.system() == System::Psc,
-                deps: self.rounds[..i]
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.statistic == spec.statistic)
-                    .map(|(j, _)| j)
-                    .collect(),
+                deps: self.ledger.repeats_before(i),
                 run: Box::new(move || self.run_round(spec)),
             })
             .collect();
@@ -507,19 +452,14 @@ impl Campaign {
         // Outcome tallies are pure functions of (config, calendar) —
         // every schedule produces the same statuses and anomalies — so
         // they live in the deterministic plane. Ledger hours come from
-        // the validated calendar, not from execution.
+        // the planned calendar, not from execution.
         let rec = &self.cfg.recorder;
         rec.add(
             "study.ledger.hours",
-            self.rounds.iter().map(|s| s.duration_days * 24).sum(),
+            self.ledger.budget_summary().scheduled_hours,
         );
         for outcome in &outcomes {
-            let status = match outcome.status {
-                RoundStatus::Completed => "study.rounds.completed",
-                RoundStatus::Recovered { .. } => "study.rounds.recovered",
-                RoundStatus::Aborted { .. } => "study.rounds.aborted",
-            };
-            rec.incr(status);
+            rec.incr(&format!("study.rounds.{}", outcome.status.tag()));
             rec.add("study.anomalies", outcome.anomalies.len() as u64);
         }
         // Random-access back to the epoch so every run exercises the
@@ -622,7 +562,7 @@ impl Campaign {
                 Some(spec.start_day),
                 format!("{reason} (detected by {detected_by})"),
             )],
-            status: RoundStatus::Aborted {
+            status: RoundDisposition::Aborted {
                 reason,
                 detected_by,
             },
@@ -644,10 +584,10 @@ impl Campaign {
         cap_multiple: f64,
         report: &mut Report,
         anomalies: &mut Vec<Anomaly>,
-    ) -> RoundStatus {
+    ) -> RoundDisposition {
         let cap = cap_multiple * expected.max(1.0);
         if est.value <= cap {
-            return RoundStatus::Completed;
+            return RoundDisposition::Completed;
         }
         let degraded = format!(
             "count {:.0} exceeds the plausibility cap {cap:.0} ({cap_multiple}x the \
@@ -662,7 +602,7 @@ impl Campaign {
             Some(spec.start_day),
             degraded.clone(),
         ));
-        RoundStatus::Recovered { degraded }
+        RoundDisposition::Recovered { degraded }
     }
 
     /// Flags a ground-truth record that carries no day attribution —
@@ -1180,8 +1120,8 @@ mod tests {
         assert_eq!(c.rounds()[0].start_day, 0);
         assert_eq!(c.rounds()[1].start_day, 1);
         assert_eq!(churn.start_day, 3);
-        // The ledger accepts the calendar.
-        assert_eq!(c.validate().rounds().len(), 3);
+        // The ledger holds every placed round.
+        assert_eq!(c.ledger().rounds().len(), 3);
     }
 
     #[test]
@@ -1199,7 +1139,7 @@ mod tests {
                 "domains"
             ]
         );
-        assert_eq!(c.validate().rounds().len(), 6);
+        assert_eq!(c.ledger().rounds().len(), 6);
     }
 
     #[test]
@@ -1226,8 +1166,8 @@ mod tests {
         assert_eq!(onions.kind, RoundKind::OnionServices);
         assert_eq!(onions.duration_days, 2);
         assert_eq!(onions.kind.system(), System::Psc);
-        // The ledger accepts the full calendar.
-        assert_eq!(c.validate().rounds().len(), 7);
+        // The ledger holds the full calendar.
+        assert_eq!(c.ledger().rounds().len(), 7);
     }
 
     #[test]

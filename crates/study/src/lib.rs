@@ -27,10 +27,10 @@
 //!    churn round, PrivCount traffic rounds) are laid out with the
 //!    scheduling rules the paper operated under — no overlapping
 //!    rounds, 24 hours between distinct statistics, repeats of the
-//!    same statistic may be adjacent — and the whole calendar is
-//!    validated through the `pm_dp::accountant::Accountant` ledger
-//!    before anything executes. The §3.1 `Accountant` thereby guards a
-//!    calendar something actually *runs*.
+//!    same statistic may be adjacent — each round placed on a
+//!    `pm_dp::accountant::Accountant` ledger at its earliest legal start
+//!    before anything executes. The campaign keeps that ledger for its
+//!    repeat dependencies and settles every round's outcome on it.
 //! 3. **Day-indexed execution** — each round derives a `Deployment`
 //!    for its calendar day (`Deployment::for_day`: that day's
 //!    consensus fractions, drifted site mix, day-derived seed) and the
@@ -110,18 +110,18 @@
 //! distrusting parties; a single misbehaving party must not take the
 //! campaign down, and must not silently corrupt it either. The
 //! campaign therefore treats every round as fallible
-//! ([`campaign::RoundStatus`]) and runs an **adversarial scenario
+//! ([`pm_dp::accountant::RoundDisposition`]) and runs an **adversarial scenario
 //! suite** ([`campaign::CampaignAttack`]) against itself:
 //!
 //! * **Byzantine shares** — a DC submits structurally malformed shares
 //!   (wrong-size PSC table, short PrivCount register vector). The TS's
 //!   structural checks reject them; the round ends
-//!   [`campaign::RoundStatus::Aborted`] naming the TS.
+//!   [`pm_dp::accountant::RoundDisposition::Aborted`] naming the TS.
 //! * **Skewed shares** — a DC submits well-formed but statistically
 //!   bogus shares. Blinding and oblivious counters make this
 //!   *protocol-invisible by design*, so detection is the campaign's
 //!   plausibility cap against the round's sizing expectation; the
-//!   round ends [`campaign::RoundStatus::Recovered`] — reported,
+//!   round ends [`pm_dp::accountant::RoundDisposition::Recovered`] — reported,
 //!   flagged, excluded from headline claims.
 //! * **Keeper death** — a CP/SK dies mid-round; the deterministic
 //!   runner's deadlock detector attributes the stall.
@@ -148,5 +148,5 @@ pub mod campaign;
 pub mod report;
 
 pub use anomaly::{Anomaly, AnomalyKind};
-pub use campaign::{Campaign, CampaignAttack, CampaignConfig, RoundKind, RoundSpec, RoundStatus};
+pub use campaign::{Campaign, CampaignAttack, CampaignConfig, RoundKind, RoundSpec};
 pub use report::CampaignReport;

@@ -9,8 +9,8 @@
 //! JSON document shares its schema with the `experiments` binary's).
 
 use crate::anomaly::{Anomaly, AnomalyKind};
-use crate::campaign::{CampaignConfig, RoundOutcome, RoundStatus};
-use pm_dp::accountant::{Accountant, MeasurementRound, RoundDisposition};
+use crate::campaign::{CampaignConfig, RoundOutcome};
+use pm_dp::accountant::Accountant;
 use pm_obs::MetricsSnapshot;
 use pm_stats::union::reconcile;
 use torsim::timeline::{DayTruth, DomainDayTruth, OnionDayTruth};
@@ -66,8 +66,15 @@ fn day_label(
 }
 
 impl CampaignReport {
-    /// Folds executed rounds into the campaign report.
-    pub fn assemble(cfg: &CampaignConfig, outcomes: Vec<RoundOutcome>) -> CampaignReport {
+    /// Folds executed rounds into the campaign report. `ledger` is the
+    /// §3.1 ledger the rounds were planned on ([`crate::Campaign::ledger`]);
+    /// each outcome's status is recorded on a copy of it, and the
+    /// budget line reads that copy.
+    pub fn assemble(
+        cfg: &CampaignConfig,
+        ledger: &Accountant,
+        outcomes: Vec<RoundOutcome>,
+    ) -> CampaignReport {
         // Per-round records first, calendar order; cross-round
         // reconciliation records are appended below.
         let mut anomalies: Vec<Anomaly> = outcomes
@@ -229,36 +236,11 @@ impl CampaignReport {
             }
         }
 
-        // Settle the §3.1 ledger: re-schedule the executed calendar
-        // (synthetic outcome lists in tests need not be §3.1-legal, so
-        // schedule errors are ignored — an unscheduled round simply
-        // stays out of the budget) and record how each round ended.
-        // Aborted hours are spent, not refunded.
-        let mut ledger = Accountant::new();
+        // Settle the §3.1 ledger: record how each round ended. Aborted
+        // hours are spent, not refunded.
+        let mut ledger = ledger.clone();
         for o in &outcomes {
-            let _ = ledger.schedule(MeasurementRound {
-                name: o.spec.id.clone(),
-                system: o.spec.kind.system(),
-                start_hour: o.spec.start_day * 24,
-                duration_hours: o.spec.duration_days * 24,
-                statistics: vec![o.spec.statistic.clone()],
-            });
-        }
-        for o in &outcomes {
-            let disposition = match &o.status {
-                RoundStatus::Completed => RoundDisposition::Completed,
-                RoundStatus::Recovered { degraded } => RoundDisposition::Recovered {
-                    degraded: degraded.clone(),
-                },
-                RoundStatus::Aborted {
-                    reason,
-                    detected_by,
-                } => RoundDisposition::Aborted {
-                    reason: reason.clone(),
-                    detected_by: detected_by.clone(),
-                },
-            };
-            ledger.record_outcome(&o.spec.id, disposition);
+            ledger.record_outcome(&o.spec.id, o.status.clone());
         }
         let budget = ledger.budget_summary();
         cumulative.note(format!(
@@ -375,6 +357,7 @@ impl CampaignReport {
 mod tests {
     use super::*;
     use crate::campaign::{RoundKind, RoundSpec};
+    use pm_dp::accountant::{MeasurementRound, RoundDisposition};
     use pm_stats::{Estimate, Interval};
     use torsim::ids::IpAddr;
 
@@ -404,9 +387,26 @@ mod tests {
             estimate: Some(est),
             network_estimate: None,
             reconcile_estimate: None,
-            status: RoundStatus::Completed,
+            status: RoundDisposition::Completed,
             anomalies: Vec::new(),
         }
+    }
+
+    /// Assembles synthetic outcomes on a ledger built from their own
+    /// specs. The specs need not be §3.1-legal, so schedule errors are
+    /// ignored: a refused round simply stays out of the budget.
+    fn assemble(cfg: &CampaignConfig, outcomes: Vec<RoundOutcome>) -> CampaignReport {
+        let mut ledger = Accountant::new();
+        for o in &outcomes {
+            let _ = ledger.schedule(MeasurementRound {
+                name: o.spec.id.clone(),
+                system: o.spec.kind.system(),
+                start_hour: o.spec.start_day * 24,
+                duration_hours: o.spec.duration_days * 24,
+                statistics: vec![o.spec.statistic.clone()],
+            });
+        }
+        CampaignReport::assemble(cfg, &ledger, outcomes)
     }
 
     fn domain_truth(day: u64, slds: &[&str]) -> DomainDayTruth {
@@ -432,7 +432,7 @@ mod tests {
             domain_truth(5, &["a.com", "b.com"]),
             domain_truth(6, &["b.com", "c.com"]),
         ];
-        let report = CampaignReport::assemble(&cfg, vec![o]);
+        let report = assemble(&cfg, vec![o]);
         let sld_rows: Vec<_> = report
             .cumulative
             .rows
@@ -449,7 +449,7 @@ mod tests {
     #[test]
     fn cumulative_union_counts_stable_core_once() {
         let cfg = CampaignConfig::new(7, 1e-3, 1);
-        let report = CampaignReport::assemble(
+        let report = assemble(
             &cfg,
             vec![
                 outcome(
@@ -480,7 +480,7 @@ mod tests {
     #[test]
     fn disjoint_repeats_are_flagged() {
         let cfg = CampaignConfig::new(7, 1e-3, 1);
-        let report = CampaignReport::assemble(
+        let report = assemble(
             &cfg,
             vec![
                 outcome(
@@ -519,7 +519,7 @@ mod tests {
             Estimate::with_ci(1.0, Interval::new(0.0, 2.0)),
         );
         bad.estimate = None;
-        bad.status = RoundStatus::Aborted {
+        bad.status = RoundDisposition::Aborted {
             reason: "CP died mid-mix".into(),
             detected_by: "runner".into(),
         };
@@ -529,7 +529,7 @@ mod tests {
             Some(1),
             "CP died mid-mix (detected by runner)",
         )];
-        let report = CampaignReport::assemble(
+        let report = assemble(
             &cfg,
             vec![
                 outcome(
@@ -581,7 +581,7 @@ mod tests {
             Some(0),
             "tricky, \"quoted\"\nmultiline detail",
         )];
-        let report = CampaignReport::assemble(&cfg, vec![o]);
+        let report = assemble(&cfg, vec![o]);
         let csv = report.render_csv();
         // One logical CSV record: the detail quoted, inner quotes
         // doubled, the newline inside the quotes — not shearing the row.
@@ -606,7 +606,7 @@ mod tests {
         let cfg = CampaignConfig::new(7, 1e-3, 1);
         let mut t = DayTruth::default();
         t.ips.insert(IpAddr(9)); // no day attribution at all
-        let report = CampaignReport::assemble(
+        let report = assemble(
             &cfg,
             vec![outcome(
                 "a",
@@ -624,7 +624,7 @@ mod tests {
     #[test]
     fn csv_has_single_header_json_balanced() {
         let cfg = CampaignConfig::new(7, 1e-3, 1);
-        let report = CampaignReport::assemble(
+        let report = assemble(
             &cfg,
             vec![outcome(
                 "a",

@@ -11,6 +11,7 @@
 //!   vs parallel execution and for every ingestion shard count,
 //!   including the exit/onion rounds.
 
+use pm_dp::accountant::Accountant;
 use pm_stats::union::{multi_day_network_estimate, DayShare};
 use pm_study::{Campaign, CampaignConfig, RoundKind};
 use torsim::relay::Position;
@@ -224,8 +225,13 @@ fn report_is_schedule_and_shard_independent() {
 #[test]
 fn calendar_is_accountant_validated_and_day_indexed() {
     let campaign = Campaign::new(CampaignConfig::new(14, 2e-4, 3));
-    let ledger = campaign.validate();
+    let ledger = campaign.ledger();
     assert_eq!(ledger.rounds().len(), campaign.rounds().len());
+    // A fresh ledger accepts every placed round, in order.
+    let mut fresh = Accountant::new();
+    for round in ledger.rounds() {
+        fresh.schedule(round.clone()).unwrap();
+    }
     // Logical intervals are pairwise disjoint (§3.1).
     for (i, a) in ledger.rounds().iter().enumerate() {
         for b in ledger.rounds().iter().skip(i + 1) {

@@ -43,7 +43,7 @@ proptest! {
         let campaign = Campaign::new(cfg);
         // The full calendar fits a 30-day horizon.
         prop_assert_eq!(campaign.rounds().len(), 7);
-        prop_assert_eq!(campaign.validate().rounds().len(), 7);
+        prop_assert_eq!(campaign.ledger().rounds().len(), 7);
 
         // Every measured day's snapshot holds the drift invariants.
         for day in [0u64, 7, 15, 30] {

@@ -12,8 +12,8 @@ fn seven_day_campaign_end_to_end() {
     let cfg = CampaignConfig::new(7, 2e-4, 11);
     let campaign = Campaign::new(cfg.clone());
 
-    // The calendar is §3.1-validated and holds the churn round.
-    let ledger = campaign.validate();
+    // The calendar is placed on the §3.1 ledger and holds the churn round.
+    let ledger = campaign.ledger();
     assert_eq!(ledger.rounds().len(), 3);
     assert!(campaign.rounds().iter().any(|r| r.duration_days == 4));
 
@@ -51,7 +51,7 @@ fn seven_day_campaign_end_to_end() {
 
     // Aggregation: one cumulative row per measured day (2 dailies + 4
     // churn days), rendered in all three formats.
-    let report = CampaignReport::assemble(&cfg, outcomes);
+    let report = CampaignReport::assemble(&cfg, campaign.ledger(), outcomes);
     assert_eq!(report.cumulative.rows.len(), 6);
     let text = report.render_text();
     assert!(text.contains("ips-4day"));
@@ -104,7 +104,7 @@ fn full_calendar_runs_exit_domain_and_onion_rounds() {
     assert!(onions.onion_truths.iter().all(|t| t.rend_circuits > 0));
 
     // Aggregation renders the domain/onion cumulative rows and notes.
-    let report = CampaignReport::assemble(&cfg, outcomes);
+    let report = CampaignReport::assemble(&cfg, campaign.ledger(), outcomes);
     let text = report.render_text();
     assert!(text.contains("unique SLDs"));
     assert!(text.contains("unique onions published"));

@@ -1,9 +1,12 @@
-//! Report digest ledger: one committed line `id scale seed digest` per
+//! Report digest ledgers: one committed line `id scale seed digest` per
 //! report, so a refactor's "reports are byte-identical" is a test and
-//! not a hand-run `cmp` against a parent-built binary. The digest is
-//! FNV-1a-64 of `render_text() + "\n" + render_csv() + "\n"`; a
-//! mismatch names the report that moved, and `tests/golden_reports.rs`
-//! keeps the human-readable snapshot that shows *what* moved.
+//! not a hand-run `cmp` against a parent-built binary. A registry
+//! report's digest is FNV-1a-64 of `render_text() + "\n" +
+//! render_csv() + "\n"`; a campaign's covers its text, CSV and JSON
+//! renderings (the §3.1 budget line, the anomaly channel and the
+//! metrics block included). A mismatch names the report that moved,
+//! and `tests/golden_reports.rs` keeps the human-readable snapshot that
+//! shows *what* moved.
 //!
 //! To regenerate after an *intentional* output change:
 //!
@@ -11,10 +14,12 @@
 //! UPDATE_GOLDEN=1 cargo test --release --test report_digests
 //! ```
 
+use pm_study::{Campaign, CampaignAttack, CampaignConfig};
 use torstudy::deployment::Deployment;
 use torstudy::runner::run_some;
 
 const GOLDEN_PATH: &str = "tests/golden/report_digests.txt";
+const CAMPAIGN_GOLDEN_PATH: &str = "tests/golden/campaign_digests.txt";
 /// The PrivCount entries of a Tor day plus the two PSC-free extras; the
 /// PSC-heavy ids (T2, T3, T5, T6) stay with `golden_reports.rs` and the
 /// campaign suites, which keeps this ledger at seconds.
@@ -43,10 +48,48 @@ fn ledger() -> String {
     out
 }
 
+/// The full 17-day calendar honest on two seeds, and the 7-day one
+/// honest and under every attack of the scenario suite.
+fn campaign_ledger() -> String {
+    let scale = 2e-4;
+    let mut runs: Vec<(u64, u64, CampaignAttack)> = vec![
+        (17, 2018, CampaignAttack::None),
+        (17, 7, CampaignAttack::None),
+        (7, 2018, CampaignAttack::None),
+    ];
+    runs.extend(CampaignAttack::ALL.map(|a| (7, 2018, a)));
+    let mut out = String::new();
+    for (days, seed, attack) in runs {
+        let cfg = CampaignConfig::new(days, scale, seed).with_attack(attack);
+        let report = Campaign::new(cfg).run(2);
+        let rendered = format!(
+            "{}\n{}\n{}",
+            report.render_text(),
+            report.render_csv(),
+            report.render_json()
+        );
+        let digest = fnv1a64(rendered.as_bytes());
+        let id = format!("campaign-{days}d-{}", attack.name());
+        out.push_str(&format!("{id} {scale:e} {seed} {digest:016x}\n"));
+    }
+    out
+}
+
 #[test]
 fn report_digests_match_committed_ledger() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
-    let got = ledger();
+    check(GOLDEN_PATH, ledger());
+}
+
+#[test]
+fn campaign_digests_match_committed_ledger() {
+    check(CAMPAIGN_GOLDEN_PATH, campaign_ledger());
+}
+
+/// Compares a generated ledger with the committed one at `golden`
+/// (relative to the package root), or rewrites it under
+/// `UPDATE_GOLDEN`.
+fn check(golden: &str, got: String) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(golden);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(&path, &got).expect("write digest ledger");
         return;
@@ -61,7 +104,7 @@ fn report_digests_match_committed_ledger() {
             .map(|(w, g)| format!("  want: {w}\n  got:  {g}"))
             .collect();
         panic!(
-            "{GOLDEN_PATH}: {} of {} committed lines moved ({} generated):\n{}\n\
+            "{golden}: {} of {} committed lines moved ({} generated):\n{}\n\
              (if the change is intentional, regenerate with UPDATE_GOLDEN=1)",
             moved.len(),
             want.lines().count(),

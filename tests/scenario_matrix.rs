@@ -1,15 +1,16 @@
 //! The adversarial scenario matrix: every campaign attack crossed with
 //! every round kind of the full 17-day calendar. Each attacked round
-//! must end detected — [`RoundStatus::Aborted`] with the detecting
-//! party named, or [`RoundStatus::Recovered`] with the degradation
+//! must end detected — [`RoundDisposition::Aborted`] with the detecting
+//! party named, or [`RoundDisposition::Recovered`] with the degradation
 //! flagged — with a matching record in the anomaly channel, and no
 //! panic may reach the executor. Attacked campaigns stay under the
 //! determinism contract: bit-identical reports across schedules and
 //! shard counts.
 
 use std::collections::BTreeSet;
+use tor_measure::dp::accountant::RoundDisposition;
 use tor_measure::study::{
-    Anomaly, AnomalyKind, Campaign, CampaignAttack, CampaignConfig, CampaignReport, RoundStatus,
+    Anomaly, AnomalyKind, Campaign, CampaignAttack, CampaignConfig, CampaignReport,
 };
 
 /// The channel record an outcome's status promises.
@@ -29,11 +30,11 @@ fn every_attack_is_detected_on_every_round_kind() {
         for o in &outcomes {
             kinds.insert(format!("{:?}", o.spec.kind));
             match &o.status {
-                RoundStatus::Completed => panic!(
+                RoundDisposition::Completed => panic!(
                     "{attack:?} went undetected on round {} ({:?})",
                     o.spec.id, o.spec.kind
                 ),
-                RoundStatus::Aborted {
+                RoundDisposition::Aborted {
                     reason,
                     detected_by,
                 } => {
@@ -54,7 +55,7 @@ fn every_attack_is_detected_on_every_round_kind() {
                         o.anomalies
                     );
                 }
-                RoundStatus::Recovered { degraded } => {
+                RoundDisposition::Recovered { degraded } => {
                     assert!(
                         degraded.contains("plausibility cap"),
                         "{attack:?}/{}: degradation must say what tripped: {degraded}",
@@ -78,7 +79,7 @@ fn every_attack_is_detected_on_every_round_kind() {
 
         // Assembly folds every round's records into the one channel and
         // the ledger keeps the aborted hours spent.
-        let report = CampaignReport::assemble(&cfg, outcomes);
+        let report = CampaignReport::assemble(&cfg, campaign.ledger(), outcomes);
         assert!(
             report.anomalies.len() >= 7,
             "{attack:?}: one record per attacked round at least, got {:?}",
@@ -107,7 +108,7 @@ fn structural_attacks_name_the_detecting_party() {
     let outcomes = Campaign::new(cfg).run_rounds(2);
     for o in &outcomes {
         match &o.status {
-            RoundStatus::Aborted { detected_by, .. } => {
+            RoundDisposition::Aborted { detected_by, .. } => {
                 assert!(
                     detected_by.contains("ts"),
                     "round {}: malformed shares are a TS catch, got {detected_by}",
