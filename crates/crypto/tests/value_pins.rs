@@ -1,0 +1,72 @@
+//! Value pins for the fixed-base exponentiation paths: digests of
+//! `g^e` through the generator's process-wide table, of
+//! `FixedBasePowers::pow` for another base, and of table encryptions
+//! and rerandomizations, over a grid of exponents. The digests were
+//! computed with the 4-bit tables these paths replaced; the sequential
+//! and batched PSC provers share the generator's table, so their
+//! equality tests could not notice a wrong one.
+
+use pm_crypto::batch::{FixedBasePowers, PrecomputedKey};
+use pm_crypto::elgamal::keygen;
+use pm_crypto::group::{GroupParams, Scalar};
+use pm_crypto::U256;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Edge exponents, every power of two and every all-ones prefix, and
+/// random words (reduced and not).
+fn exponent_grid(gp: &GroupParams, rng: &mut StdRng) -> Vec<Scalar> {
+    let mut e = vec![
+        Scalar::ZERO,
+        gp.scalar_from_u64(1),
+        Scalar(gp.q().wrapping_sub(&U256::ONE)),
+        Scalar(*gp.q()),
+        Scalar(U256::MAX),
+    ];
+    for k in 0..256 {
+        e.push(Scalar(U256::ONE.shl(k)));
+        e.push(Scalar(U256::MAX.shr(k)));
+    }
+    e.extend((0..64).map(|_| gp.random_scalar(rng)));
+    e.extend((0..16).map(|_| Scalar(U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()]))));
+    e
+}
+
+#[test]
+fn fixed_base_powers_match_the_parent_digests() {
+    let gp = GroupParams::default_params();
+    let mut rng = StdRng::seed_from_u64(2018);
+    let exps = exponent_grid(&gp, &mut rng);
+    let base = gp.random_element(&mut rng);
+    let table = FixedBasePowers::new(&gp, &base);
+    let kp = keygen(&gp, &mut rng);
+    let pk = PrecomputedKey::new(&gp, &kp.public);
+    let m = gp.random_element(&mut rng);
+    let (mut g, mut other, mut key) = (Vec::new(), Vec::new(), Vec::new());
+    for e in &exps {
+        g.extend(gp.g_pow(e).to_bytes());
+        g.extend(pk.g_pow(&gp, e).to_bytes());
+        other.extend(table.pow(&gp, e).to_bytes());
+        let ct = pk.encrypt_with(&gp, &m, e);
+        let re = pk.rerandomize_with(&gp, &ct, &gp.random_scalar(&mut rng));
+        for x in [ct.a, ct.b, re.a, re.b] {
+            key.extend(x.to_bytes());
+        }
+    }
+    let got = [fnv1a64(&g), fnv1a64(&other), fnv1a64(&key)];
+    assert_eq!(
+        got,
+        [
+            0x2317_e63b_84a6_6b95,
+            0x5dff_5841_fd13_acb2,
+            0xe815_fee0_cc1e_4d16
+        ],
+        "{got:x?}"
+    );
+}

@@ -252,47 +252,59 @@ impl CpNode {
             .clone();
         let mut dec_span = self.recorder.span("mix.decrypt", "psc");
         dec_span.note("cells", task.cells.len());
-        let threads = self.strategy.threads();
-        // Partial decryptions, like mixing, split into a sequential
-        // nonce-derivation pass and a per-cell batch phase; the wire
-        // message is independent of `threads`.
-        let nonces: Vec<Scalar> = if cfg.verify {
-            task.cells
-                .iter()
-                .map(|_| self.gp.random_scalar(&mut self.rng))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let gp = &self.gp;
-        let secret = &self.secret;
-        let share = &self.share;
-        let partials = par_map_indexed(task.cells.len(), threads, |j| {
-            gp.pow(&task.cells[j].a, secret)
-        });
-        let proofs = if cfg.verify {
-            par_map_indexed(task.cells.len(), threads, |j| {
-                let mut t = dec_transcript(j);
-                DleqProof::prove_with_nonce(
-                    gp,
-                    secret,
-                    &task.cells[j].a,
-                    share,
-                    &partials[j],
-                    &mut t,
-                    &nonces[j],
-                )
-            })
-        } else {
-            Vec::new()
-        };
-        let msg = messages::PartialDec {
-            share: self.share,
-            partials,
-            proofs,
-        };
+        let msg = decrypt_message(
+            &self.gp,
+            &self.secret,
+            &task.cells,
+            cfg.verify,
+            &mut self.rng,
+            self.strategy.threads(),
+        );
         ep.send(&self.ts, Frame::encode_msg(tag::PARTIAL_DEC, &msg))?;
         Ok(())
+    }
+}
+
+/// One CP's decryption hop: its partial decryption `a^x` of every
+/// cell under its secret share `x`, with a Chaum–Pedersen proof per
+/// cell when `verify` is set. Like mixing, it splits into a sequential
+/// nonce-derivation pass and a per-cell batch phase on `threads`
+/// threads; the message is independent of `threads`.
+pub fn decrypt_message<R: Rng + ?Sized>(
+    gp: &GroupParams,
+    secret: &Scalar,
+    cells: &[Ciphertext],
+    verify: bool,
+    rng: &mut R,
+    threads: usize,
+) -> messages::PartialDec {
+    let share = gp.g_pow(secret);
+    let nonces: Vec<Scalar> = if verify {
+        cells.iter().map(|_| gp.random_scalar(rng)).collect()
+    } else {
+        Vec::new()
+    };
+    let partials = par_map_indexed(cells.len(), threads, |j| gp.pow(&cells[j].a, secret));
+    let proofs = if verify {
+        par_map_indexed(cells.len(), threads, |j| {
+            let mut t = dec_transcript(j);
+            DleqProof::prove_with_nonce(
+                gp,
+                secret,
+                &cells[j].a,
+                &share,
+                &partials[j],
+                &mut t,
+                &nonces[j],
+            )
+        })
+    } else {
+        Vec::new()
+    };
+    messages::PartialDec {
+        share,
+        partials,
+        proofs,
     }
 }
 
