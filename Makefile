@@ -43,7 +43,9 @@ test-crates:
 # Transcript-equality suites rerun under varied harness --test-threads
 # counts: the batched-mix and per-link-delivery contracts are about
 # scheduling, so one lucky interleaving in the default run must not be
-# the only evidence. (The suites also run once each in the targets
+# the only evidence. The TS tamper matrices join them: a batched proof
+# check must name the same cell as the per-proof scan at every
+# verification thread count. (The suites also run once each in the targets
 # above; these reruns pin them under serial and oversubscribed
 # schedules.) The name filter is checked first: a rename that leaves
 # it matching nothing would otherwise pass by running zero tests.
@@ -53,6 +55,9 @@ test-transcript:
 	$(CARGO) test -q --test psc_end_to_end -- --list round_transcript per_link | grep -c ': test$$' > /dev/null
 	$(CARGO) test -q --test psc_end_to_end -- round_transcript per_link --test-threads=1
 	$(CARGO) test -q --test psc_end_to_end -- round_transcript per_link --test-threads=4
+	$(CARGO) test -q -p psc --lib -- --list tampered_ | grep -c ': test$$' > /dev/null
+	$(CARGO) test -q -p psc --lib tampered_ -- --test-threads=1
+	$(CARGO) test -q -p psc --lib tampered_ -- --test-threads=8
 
 # End-to-end smoke of the longitudinal campaign engine: the full
 # 17-day calendar (daily IP rounds, the confirmation repeat, the 96h

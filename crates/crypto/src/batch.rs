@@ -1,27 +1,32 @@
-//! Batched group operations: fixed-base precomputation and chunked
-//! data-parallel maps.
+//! Batched group operations: fixed-base precomputation, multi-base
+//! products and chunked data-parallel maps.
 //!
 //! A PSC mixing hop performs thousands of exponentiations, and most of
 //! them share one of two bases — the group generator `g` (every
 //! encryption and rerandomization computes `g^r`) and the joint public
-//! key `y` (the matching `y^r`); a verifying tally server adds a third
-//! kind, the per-message `exp_key` or key share every Chaum–Pedersen
-//! proof of that message is stated under. [`FixedBasePowers`] trades a
-//! one-time table build for a ~5× cheaper exponentiation: with a 4-bit
-//! window over a 256-bit exponent, `pow` is one product per nonzero
-//! window and nothing else.
+//! key `y` (the matching `y^r`). [`FixedBasePowers`] trades a one-time
+//! table build for a ~10× cheaper exponentiation: with 8-bit windows
+//! over a 256-bit exponent, `pow` is one product per nonzero window and
+//! nothing else.
 //!
 //! The table is *Montgomery-resident*: entries are stored in Montgomery
 //! form, the accumulator stays there, and the value is converted once —
 //! by the last product, which in a rerandomization or encryption is
 //! the multiplication by the caller's plain operand anyway. That makes an
-//! exponentiation at most 64 kernel calls (the windowed
+//! exponentiation at most 32 kernel calls (the windowed
 //! [`GroupParams::pow`] takes ≤ 331) and a table rerandomization or
-//! encryption at most 128, pinned by this module's op-count tests. The
+//! encryption at most 64, pinned by this module's op-count tests. The
 //! result is the *same group element* as [`GroupParams::pow`] —
 //! callers relying on bit-identical transcripts can adopt the tables
 //! freely. Like the rest of the crate the lookups are not
 //! constant-time.
+//!
+//! A verifying tally server meets a third kind of base: the many
+//! distinct elements of a batch of Chaum–Pedersen proofs, which
+//! [`crate::zkp::DleqProof::verify_batch`] folds into two products of
+//! weighted powers. `multi_exp` computes such a product by Pippenger's
+//! bucket method, about one product per base per window, where a table
+//! per base would cost a table build each.
 //!
 //! [`par_map_indexed`] is the execution half: it evaluates a pure
 //! per-index function over `0..n` on a bounded number of scoped
@@ -31,71 +36,92 @@
 use crate::elgamal::{Ciphertext, PublicKey};
 use crate::group::{GroupElement, GroupParams, Scalar};
 use crate::modarith::Mont;
+use crate::u256::U256;
 use std::borrow::Cow;
 
-/// 4-bit fixed-window exponentiation table for one base, held in
-/// Montgomery form.
+/// Fixed-window exponentiation table for one base, held in Montgomery
+/// form.
 ///
-/// `table[w][j] = base^(j · 2^(4w))` for `j in 0..16`, covering 256-bit
-/// exponents with 64 windows (64 × 16 × 32 B = 32 KiB). The width is a
-/// measured constant: 5- and 6-bit windows (53 and 88 KiB a table)
-/// were swept in PR 16 and moved `ips7d_mix` by less than its run-to-run
-/// spread (numbers in CHANGES.md).
+/// `table[w][j] = base^(j · 2^(8w))` for `j in 0..256`, covering
+/// 256-bit exponents with 32 windows (32 × 256 × 32 B = 256 KiB), so a
+/// power is at most 32 products where 4-bit windows (32 KiB) paid 64.
+/// The width is a measured constant: 6, 7 and 8 bits, swept on
+/// `psc_verified` and `ips7d_mix`, timed within run-to-run spread of
+/// each other (numbers in CHANGES.md), and 8 needs the fewest products.
+/// Its build, 8 160 kernel calls, is repaid after about 270 powers.
 #[derive(Clone, Debug)]
 pub struct FixedBasePowers {
     base: GroupElement,
-    table: Vec<[Mont; 16]>,
+    table: Vec<[Mont; ENTRIES]>,
 }
 
-/// Number of 4-bit windows in a 256-bit exponent.
-const WINDOWS: usize = 64;
+/// Window width of [`FixedBasePowers`], in bits.
+const WIDTH: u32 = 8;
+/// Entries per window row.
+const ENTRIES: usize = 1 << WIDTH;
+/// Windows in a 256-bit exponent.
+const WINDOWS: usize = 256_usize.div_ceil(WIDTH as usize);
+
+/// The `width`-bit digit of `e` starting at bit `pos` (bits past 255
+/// read as zero).
+#[inline(always)]
+fn digit(e: &U256, pos: u32, width: u32) -> usize {
+    let (limb, off) = ((pos / 64) as usize, pos % 64);
+    let mut v = e.0[limb] >> off;
+    if off + width > 64 && limb < 3 {
+        v |= e.0[limb + 1] << (64 - off);
+    }
+    (v & ((1u64 << width) - 1)) as usize
+}
 
 impl FixedBasePowers {
-    /// Builds the window table for `base` (≈ 960 Montgomery products;
-    /// amortized over every subsequent [`Self::pow`]).
+    /// Builds the window table for `base`, amortized over every
+    /// subsequent [`Self::pow`].
     pub fn new(gp: &GroupParams, base: &GroupElement) -> FixedBasePowers {
         let p = gp.p_modulus();
         let mut table = Vec::with_capacity(WINDOWS);
-        // `step` is base^(2^(4w)) entering window w.
+        // `step` is base^(2^(WIDTH·w)) entering window w.
         let mut step = p.mont_in(&base.0);
-        for _ in 0..WINDOWS {
-            let mut row = [p.mont_one(); 16];
-            for j in 1..16 {
+        for w in 0..WINDOWS {
+            let mut row = [p.mont_one(); ENTRIES];
+            row[1] = step;
+            for j in 2..ENTRIES {
                 row[j] = p.mont_mul(&row[j - 1], &step);
             }
-            // base^(2^(4(w+1))) = (base^(2^(4w)))^16 = row[15] · step.
-            step = p.mont_mul(&row[15], &step);
+            if w + 1 < WINDOWS {
+                // base^(2^(WIDTH(w+1))) = row[ENTRIES - 1] · step.
+                step = p.mont_mul(&row[ENTRIES - 1], &step);
+            }
             table.push(row);
         }
         FixedBasePowers { base: *base, table }
     }
 
     /// The base this table was built for.
-    pub fn base(&self) -> &GroupElement {
+    pub(crate) fn base(&self) -> &GroupElement {
         &self.base
     }
 
     /// `base^e` in Montgomery form; `None` for `e = 0`. One product per
-    /// nonzero window after the first: ≤ 63.
+    /// nonzero window after the first.
     #[inline(always)]
     fn pow_mont(&self, gp: &GroupParams, e: &Scalar) -> Option<Mont> {
         let p = gp.p_modulus();
-        let limbs = &e.0 .0;
         let mut acc: Option<Mont> = None;
         for (w, row) in self.table.iter().enumerate() {
-            let nibble = ((limbs[w / 16] >> (4 * (w % 16))) & 0xF) as usize;
-            if nibble != 0 {
+            let j = digit(&e.0, w as u32 * WIDTH, WIDTH);
+            if j != 0 {
                 acc = Some(match acc {
-                    None => row[nibble],
-                    Some(a) => p.mont_mul(&a, &row[nibble]),
+                    None => row[j],
+                    Some(a) => p.mont_mul(&a, &row[j]),
                 });
             }
         }
         acc
     }
 
-    /// `base^e`, identical in value to `gp.pow(base, e)` (≤ 64
-    /// Montgomery products, the last one leaving Montgomery form).
+    /// `base^e`, identical in value to `gp.pow(base, e)` (one product
+    /// per window, the last one leaving Montgomery form).
     pub fn pow(&self, gp: &GroupParams, e: &Scalar) -> GroupElement {
         match self.pow_mont(gp, e) {
             None => gp.identity(),
@@ -104,7 +130,7 @@ impl FixedBasePowers {
     }
 
     /// `m · base^e`, identical in value to `gp.mul(m, &gp.pow(base, e))`
-    /// and still ≤ 64 products: multiplying the Montgomery-form power by
+    /// at [`Self::pow`]'s cost: multiplying the Montgomery-form power by
     /// the plain `m` is also what leaves Montgomery form.
     pub(crate) fn pow_mul(&self, gp: &GroupParams, e: &Scalar, m: &GroupElement) -> GroupElement {
         match self.pow_mont(gp, e) {
@@ -117,7 +143,7 @@ impl FixedBasePowers {
 /// Fixed-base tables for one ElGamal public key: the generator `g` and
 /// the key element `y`, the two bases every encryption and
 /// rerandomization exponentiates. For the shipped parameters `g`'s
-/// table is the process-wide one, so a key costs one 32 KiB table.
+/// table is the process-wide one, so a key costs one 256 KiB table.
 #[derive(Clone, Debug)]
 pub struct PrecomputedKey {
     /// The public key the tables serve.
@@ -145,7 +171,7 @@ impl PrecomputedKey {
     }
 
     /// [`crate::elgamal::encrypt_with`] through the tables: encrypts `m`
-    /// under the key with caller-chosen randomness `r` (≤ 128 products).
+    /// under the key with caller-chosen randomness `r` (≤ 64 products).
     pub fn encrypt_with(&self, gp: &GroupParams, m: &GroupElement, r: &Scalar) -> Ciphertext {
         Ciphertext {
             a: self.g.pow(gp, r),
@@ -153,7 +179,7 @@ impl PrecomputedKey {
         }
     }
 
-    /// [`crate::elgamal::rerandomize_with`] through the tables (≤ 128
+    /// [`crate::elgamal::rerandomize_with`] through the tables (≤ 64
     /// products).
     pub fn rerandomize_with(&self, gp: &GroupParams, ct: &Ciphertext, s: &Scalar) -> Ciphertext {
         Ciphertext {
@@ -161,6 +187,62 @@ impl PrecomputedKey {
             b: self.y.pow_mul(gp, s, &ct.b),
         }
     }
+}
+
+/// `Π bases[i]^exps[i]` in Montgomery form, by Pippenger's bucket
+/// method: the exponents are cut into `c`-bit windows; per window,
+/// every base is multiplied into the bucket its digit names (one
+/// product, none for a zero digit) and the buckets are folded as
+/// `Π_d B_d^d` by two running products (≤ 2 · 2^c); the windows are
+/// then joined top first by `c` squarings each. Per base that is about
+/// one product per window, against ≈ one squaring per exponent bit for
+/// a separate exponentiation. `c` minimizes
+/// `windows · (bases + 2^(c+1))`, so it grows with the batch. The
+/// windows are independent and run on up to `threads` threads; the
+/// result is the same at every thread count.
+pub(crate) fn multi_exp(gp: &GroupParams, bases: &[Mont], exps: &[U256], threads: usize) -> Mont {
+    let p = gp.p_modulus();
+    let bits = exps.iter().map(U256::bits).max().unwrap_or(0);
+    let c = (1..=16)
+        .min_by_key(|&c: &u32| bits.div_ceil(c) as usize * (bases.len() + (2 << c)))
+        .unwrap_or(1);
+    let mul = |acc: Option<Mont>, x: &Mont| match acc {
+        None => *x,
+        Some(a) => p.mont_mul(&a, x),
+    };
+    let windows = par_map_indexed(bits.div_ceil(c) as usize, threads, |w| {
+        let mut buckets: Vec<Option<Mont>> = vec![None; (1 << c) - 1];
+        for (base, e) in bases.iter().zip(exps) {
+            let d = digit(e, w as u32 * c, c);
+            if d != 0 {
+                buckets[d - 1] = Some(mul(buckets[d - 1], base));
+            }
+        }
+        // running = Π_{d' ≥ d} B_d', and the product of the runnings
+        // over d is Π_d B_d^d.
+        let (mut running, mut total) = (None, None);
+        for bucket in buckets.iter().rev() {
+            if let Some(b) = bucket {
+                running = Some(mul(running, b));
+            }
+            if let Some(r) = &running {
+                total = Some(mul(total, r));
+            }
+        }
+        total
+    });
+    let mut acc: Option<Mont> = None;
+    for window in windows.iter().rev() {
+        if let Some(a) = acc.as_mut() {
+            for _ in 0..c {
+                *a = p.mont_mul(a, a);
+            }
+        }
+        if let Some(x) = window {
+            acc = Some(mul(acc, x));
+        }
+    }
+    acc.unwrap_or_else(|| p.mont_one())
 }
 
 /// Evaluates `f(i)` for `i in 0..n` on up to `threads` scoped OS
@@ -214,7 +296,6 @@ mod tests {
     use super::*;
     use crate::elgamal::{encrypt_with, keygen, rerandomize_with};
     use crate::modarith::ops;
-    use crate::u256::U256;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -248,31 +329,64 @@ mod tests {
 
     /// Machine-independent cost, in Montgomery kernel calls: one per
     /// nonzero window (the last doubling as the conversion out), so
-    /// ≤ 64 per table exponentiation where the pre-PR table paid two
-    /// per window (≤ 126) and the plain ladder ≈ 383.
+    /// ≤ 32 per table exponentiation where the 4-bit table paid ≤ 64
+    /// and the plain window ≤ 331.
     #[test]
     fn table_kernel_calls_are_pinned() {
         let gp = GroupParams::default_params();
         let mut rng = StdRng::seed_from_u64(3);
         let kp = keygen(&gp, &mut rng);
-        let pk = PrecomputedKey::new(&gp, &kp.public);
+        let (pk, build) = ops::count(|| PrecomputedKey::new(&gp, &kp.public));
+        // The y table (g's is process-wide): 1 in, 254 products per
+        // row, 31 steps to the next row.
+        assert_eq!(build, 1 + 32 * 254 + 31);
         let m = gp.random_element(&mut rng);
         let ones = Scalar(U256::MAX);
-        assert_eq!(ops::count(|| pk.y.pow(&gp, &ones)).1, 64);
-        assert_eq!(ops::count(|| pk.y.pow_mul(&gp, &ones, &m)).1, 64);
+        assert_eq!(ops::count(|| pk.y.pow(&gp, &ones)).1, 32);
+        assert_eq!(ops::count(|| pk.y.pow_mul(&gp, &ones, &m)).1, 32);
         assert_eq!(ops::count(|| pk.y.pow(&gp, &Scalar::ZERO)).1, 0);
-        assert_eq!(ops::count(|| gp.g_pow(&ones)).1, 64);
+        assert_eq!(ops::count(|| gp.g_pow(&ones)).1, 32);
         let ct = pk.encrypt_with(&gp, &m, &ones);
-        assert_eq!(ops::count(|| pk.encrypt_with(&gp, &m, &ones)).1, 128);
-        assert_eq!(ops::count(|| pk.rerandomize_with(&gp, &ct, &ones)).1, 128);
+        assert_eq!(ops::count(|| pk.encrypt_with(&gp, &m, &ones)).1, 64);
+        assert_eq!(ops::count(|| pk.rerandomize_with(&gp, &ct, &ones)).1, 64);
         for _ in 0..50 {
             let s = gp.random_scalar(&mut rng);
-            assert!(ops::count(|| pk.rerandomize_with(&gp, &ct, &s)).1 <= 128);
+            assert!(ops::count(|| pk.y.pow(&gp, &s)).1 <= 32);
+            assert!(ops::count(|| pk.rerandomize_with(&gp, &ct, &s)).1 <= 64);
         }
         // The table-less reference: g through the shared table, y by
         // the windowed ladder, two plain products.
         let (_, plain) = ops::count(|| rerandomize_with(&gp, &kp.public, &ct, &ones));
-        assert_eq!(plain, 64 + 331 + 2 + 2);
+        assert_eq!(plain, 32 + 331 + 2 + 2);
+    }
+
+    #[test]
+    fn multi_exp_matches_separate_powers() {
+        let gp = GroupParams::default_params();
+        let p = gp.p_modulus();
+        let mut rng = StdRng::seed_from_u64(4);
+        for (n, short) in [(0, false), (1, false), (3, true), (40, false), (300, true)] {
+            let bases: Vec<GroupElement> = (0..n).map(|_| gp.random_element(&mut rng)).collect();
+            let mut exps: Vec<U256> = (0..n)
+                .map(|i| match i % 5 {
+                    0 => U256::ZERO,
+                    1 => U256::MAX,
+                    _ if short => U256::from_u64(rand::Rng::gen(&mut rng)),
+                    _ => gp.random_scalar(&mut rng).0,
+                })
+                .collect();
+            if n == 3 {
+                exps = vec![U256::ZERO; 3];
+            }
+            let expect = bases.iter().zip(&exps).fold(gp.identity(), |acc, (b, e)| {
+                gp.mul(&acc, &gp.pow(b, &Scalar(*e)))
+            });
+            let mont: Vec<Mont> = bases.iter().map(|b| p.mont_in(&b.0)).collect();
+            for threads in [1, 2, 5] {
+                let got = p.mont_out(&multi_exp(&gp, &mont, &exps, threads));
+                assert_eq!(got, expect.0, "n = {n}, threads = {threads}");
+            }
+        }
     }
 
     #[test]

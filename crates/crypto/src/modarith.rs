@@ -27,15 +27,22 @@
 //! | [`Modulus::mul`] | 2 (into Montgomery form, multiply back out) |
 //! | [`Modulus::pow`] | ≤ 331: 15 table + 63·4 squarings + ≤ 63 products + 1 out |
 //! | [`Modulus::pow2`] | ≤ 410: 30 table + 252 squarings + ≤ 127 products + 1 out |
-//! | [`crate::batch::FixedBasePowers::pow`] | ≤ 64: ≤ 63 products + 1 out |
+//! | [`Modulus::pow_pair`] | ≤ 458 for both powers: 1 in + 192 squarings + 11 table, then per exponent 63 squarings + ≤ 63 products + 1 out |
+//! | [`crate::batch::FixedBasePowers::pow`] | ≤ 32: ≤ 31 products + 1 out |
+//! | [`crate::batch::FixedBasePowers::new`] | 8 160: 1 in + 32 rows × 254 products + 31 row steps |
+//! | [`crate::zkp::DleqProof::verify_batch`] | ≤ 116 per proof at 512 proofs (≤ 538 per proof checked alone with a table for `y`) |
 //!
 //! [`Modulus::pow`] is a left-to-right 4-bit fixed window: the table
 //! holds `base^0 … base^15`, the top window seeds the accumulator, and
 //! each further window costs four squarings and at most one product.
 //! (The binary ladder it replaced paid 255 squarings + ~128 products;
-//! it survives as the test oracle.) Fixed-base tables
-//! ([`crate::batch`]) stay in Montgomery form end to end and
-//! convert once per exponentiation.
+//! it survives as the test oracle.) [`Modulus::pow_pair`] raises one
+//! base to two exponents with a Lim–Lee comb, paying the squarings once
+//! for both. Fixed-base tables ([`crate::batch`]) use 8-bit windows,
+//! stay in Montgomery form end to end and convert once per
+//! exponentiation; a batch of exponentiations multiplied together
+//! ([`crate::batch`]'s `multi_exp`, under batched proof verification)
+//! costs about one product per base per window.
 //!
 //! None of this is constant-time: window lookups index by secret
 //! nibbles, zero windows skip their product, and the final subtraction
@@ -306,6 +313,58 @@ impl Modulus {
             }
             if j != 0 {
                 acc = self.montmul(&acc, &tb[j]);
+            }
+        }
+        self.montmul(&acc, &U256::ONE)
+    }
+
+    /// `(base^x mod m, base^y mod m)` by a 4-row Lim–Lee comb shared
+    /// between both exponents: row `i` of an exponent is its limb `i`,
+    /// the 16-entry table holds every product of
+    /// `base, base^(2^64), base^(2^128), base^(2^192)`, and each exponent
+    /// then costs one squaring and at most one product per 64-bit
+    /// column. The 192 squarings and 11 products of the table are paid
+    /// once for both (≤ 458 kernel calls against ≤ 662 for two
+    /// [`Modulus::pow`]s).
+    pub fn pow_pair(&self, base: &U256, x: &U256, y: &U256) -> (U256, U256) {
+        debug_assert!(base < &self.m);
+        let mut t = [self.r1; 16];
+        t[1] = self.montmul(base, &self.r2);
+        for row in 1..4 {
+            let mut s = t[1 << (row - 1)];
+            for _ in 0..64 {
+                s = self.montmul(&s, &s);
+            }
+            t[1 << row] = s;
+        }
+        for j in 3..16usize {
+            if !j.is_power_of_two() {
+                let low = j & j.wrapping_neg();
+                t[j] = self.montmul(&t[j - low], &t[low]);
+            }
+        }
+        (self.comb(&t, x), self.comb(&t, y))
+    }
+
+    /// `base^e` from [`Modulus::pow_pair`]'s comb table `t`: column `c`
+    /// gathers bit `c` of each limb of `e`.
+    #[inline(always)]
+    fn comb(&self, t: &[U256; 16], e: &U256) -> U256 {
+        let column = |c: u32| -> usize {
+            (0..4).fold(0, |acc, row| acc | (((e.0[row] >> c) & 1) as usize) << row)
+        };
+        let all = e.0[0] | e.0[1] | e.0[2] | e.0[3];
+        if all == 0 {
+            return one_mod(&self.m);
+        }
+        let top = 63 - all.leading_zeros();
+        // The top column is nonzero by construction: start from its entry.
+        let mut acc = t[column(top)];
+        for c in (0..top).rev() {
+            acc = self.montmul(&acc, &acc);
+            let j = column(c);
+            if j != 0 {
+                acc = self.montmul(&acc, &t[j]);
             }
         }
         self.montmul(&acc, &U256::ONE)
@@ -721,6 +780,22 @@ mod tests {
     }
 
     #[test]
+    fn comb_pair_matches_two_ladders() {
+        let mut rng = StdRng::seed_from_u64(25);
+        for m in [shipped_p(), shipped_q(), m_small()] {
+            let mut exps = edge_exponents(&m);
+            exps.extend((0..40).map(|_| U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()])));
+            let top = m.modulus().wrapping_sub(&U256::ONE);
+            for base in [U256::ZERO, U256::ONE, top, m.sample(&mut rng)] {
+                for (x, y) in exps.iter().zip(exps.iter().rev()) {
+                    let expect = (pow_ladder(&m, &base, x), pow_ladder(&m, &base, y));
+                    assert_eq!(m.pow_pair(&base, x, y), expect, "{base} ^ ({x}, {y})");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn two_base_pow_matches_two_ladders() {
         let mut rng = StdRng::seed_from_u64(22);
         for m in [shipped_p(), shipped_q(), m_small()] {
@@ -762,12 +837,19 @@ mod tests {
             ops::count(|| p.pow2(&a, &U256::MAX, &b, &U256::MAX)).1,
             30 + 252 + 127 + 1
         );
+        // The comb: 1 in + 192 squarings + 11 table products, then per
+        // exponent 63 squarings, ≤ 63 products and 1 out.
+        assert_eq!(
+            ops::count(|| p.pow_pair(&a, &U256::MAX, &U256::MAX)).1,
+            1 + 192 + 11 + 2 * (63 + 63 + 1)
+        );
         assert_eq!(ops::count(|| p.pow(&a, &U256::ONE)).1, 15 + 1);
         assert_eq!(ops::count(|| p.pow(&a, &U256::ZERO)).1, 0);
         for _ in 0..50 {
             let (x, y) = (shipped_q().sample(&mut rng), shipped_q().sample(&mut rng));
             assert!(ops::count(|| p.pow(&a, &x)).1 <= 331);
             assert!(ops::count(|| p.pow2(&a, &x, &b, &y)).1 <= 410);
+            assert!(ops::count(|| p.pow_pair(&a, &x, &y)).1 <= 458);
         }
     }
 

@@ -9,9 +9,11 @@
 //! All challenges are derived from a [`Transcript`], which binds the
 //! statement, the prover identity, and protocol context.
 
-use crate::batch::FixedBasePowers;
+use crate::batch::{multi_exp, par_map_indexed};
 use crate::group::{GroupElement, GroupParams, Scalar};
+use crate::modarith::Mont;
 use crate::sha256::{Sha256, DIGEST_LEN};
+use crate::u256::U256;
 use rand::Rng;
 
 /// A Fiat–Shamir transcript: an append-only hash of labeled messages.
@@ -136,6 +138,20 @@ pub struct DleqProof {
     pub response: Scalar,
 }
 
+/// One statement of a [`DleqProof::verify_batch`]: the pair `(a, d)`
+/// claimed to share `y`'s discrete log, its proof, and the transcript
+/// the proof was made under.
+pub struct DleqClaim<'a> {
+    /// The second base.
+    pub a: &'a GroupElement,
+    /// `a` raised to the secret.
+    pub d: &'a GroupElement,
+    /// The proof of `log_g(y) == log_a(d)`.
+    pub proof: &'a DleqProof,
+    /// The proof's transcript, before any `dleq.*` label.
+    pub transcript: Transcript,
+}
+
 impl DleqProof {
     /// Proves `y = g^x ∧ d = a^x` for secret `x`.
     pub fn prove<R: Rng + ?Sized>(
@@ -148,17 +164,34 @@ impl DleqProof {
         rng: &mut R,
     ) -> DleqProof {
         let w = gp.random_scalar(rng);
-        Self::prove_with_nonce(gp, x, a, y, d, transcript, &w)
+        Self::respond(gp, x, a, y, d, transcript, &w, &gp.pow(a, &w))
     }
 
-    /// Proves with a caller-supplied commitment nonce `w`.
+    /// Raises `a` to the secret `x` and proves it: returns `d = a^x`
+    /// with the proof [`DleqProof::prove`] would give for that `d` had
+    /// it drawn the nonce `w`.
     ///
-    /// Callers that batch proof generation (PSC's parallel mixing) draw
-    /// every nonce from a single RNG in a canonical sequential order,
-    /// then prove cells concurrently; the proof is identical to
-    /// [`DleqProof::prove`] fed the same nonce. `w` must be fresh and
-    /// uniform per proof — reuse leaks `x`.
-    pub fn prove_with_nonce(
+    /// One comb ([`crate::modarith::Modulus::pow_pair`]) serves both
+    /// `a^x` and the commitment `a^w`. Callers that batch proof
+    /// generation (PSC's parallel mixing and decryption) draw every
+    /// nonce from a single RNG in a canonical sequential order, then
+    /// prove cells concurrently. `w` must be fresh and uniform per
+    /// proof — reuse leaks `x`.
+    pub fn raise_and_prove(
+        gp: &GroupParams,
+        x: &Scalar,
+        a: &GroupElement,
+        y: &GroupElement,
+        transcript: &mut Transcript,
+        w: &Scalar,
+    ) -> (GroupElement, DleqProof) {
+        let (d, t2) = gp.pow_pair(a, x, w);
+        (d, Self::respond(gp, x, a, y, &d, transcript, w, &t2))
+    }
+
+    /// The proof for nonce `w` whose commitment `a^w` is already known.
+    #[allow(clippy::too_many_arguments)]
+    fn respond(
         gp: &GroupParams,
         x: &Scalar,
         a: &GroupElement,
@@ -166,22 +199,34 @@ impl DleqProof {
         d: &GroupElement,
         transcript: &mut Transcript,
         w: &Scalar,
+        commit_a: &GroupElement,
     ) -> DleqProof {
-        let w = *w;
-        let t1 = gp.g_pow(&w);
-        let t2 = gp.pow(a, &w);
+        let mut proof = DleqProof {
+            commit_g: gp.g_pow(w),
+            commit_a: *commit_a,
+            response: Scalar::ZERO,
+        };
+        let c = proof.challenge(gp, a, y, d, transcript);
+        proof.response = gp.scalar_add(w, &gp.scalar_mul(&c, x));
+        proof
+    }
+
+    /// The Fiat–Shamir challenge: the statement and both commitments
+    /// appended to `transcript`.
+    fn challenge(
+        &self,
+        gp: &GroupParams,
+        a: &GroupElement,
+        y: &GroupElement,
+        d: &GroupElement,
+        transcript: &mut Transcript,
+    ) -> Scalar {
         transcript.append_element(b"dleq.a", a);
         transcript.append_element(b"dleq.y", y);
         transcript.append_element(b"dleq.d", d);
-        transcript.append_element(b"dleq.t1", &t1);
-        transcript.append_element(b"dleq.t2", &t2);
-        let c = transcript.challenge_scalar(gp, b"dleq.c");
-        let s = gp.scalar_add(&w, &gp.scalar_mul(&c, x));
-        DleqProof {
-            commit_g: t1,
-            commit_a: t2,
-            response: s,
-        }
+        transcript.append_element(b"dleq.t1", &self.commit_g);
+        transcript.append_element(b"dleq.t2", &self.commit_a);
+        transcript.challenge_scalar(gp, b"dleq.c")
     }
 
     /// Verifies against statement `(a, y, d)`.
@@ -198,47 +243,153 @@ impl DleqProof {
         d: &GroupElement,
         transcript: &mut Transcript,
     ) -> bool {
-        self.verify_inner(gp, a, y, d, transcript, |c, t1| gp.mul(t1, &gp.pow(y, c)))
-    }
-
-    /// [`DleqProof::verify`] for a verifier checking many proofs under
-    /// one `y` (a hop's `exp_key`, a CP's key share): `y^c` goes through
-    /// the caller's table. Same verdict for every input.
-    pub fn verify_with_table(
-        &self,
-        gp: &GroupParams,
-        a: &GroupElement,
-        y: &FixedBasePowers,
-        d: &GroupElement,
-        transcript: &mut Transcript,
-    ) -> bool {
-        self.verify_inner(gp, a, y.base(), d, transcript, |c, t1| y.pow_mul(gp, c, t1))
-    }
-
-    /// The one verification path; `t1_y_pow(c, t1)` computes `t1 · y^c`.
-    fn verify_inner(
-        &self,
-        gp: &GroupParams,
-        a: &GroupElement,
-        y: &GroupElement,
-        d: &GroupElement,
-        transcript: &mut Transcript,
-        t1_y_pow: impl FnOnce(&Scalar, &GroupElement) -> GroupElement,
-    ) -> bool {
         for e in [a, y, d, &self.commit_g, &self.commit_a] {
             if !gp.is_element(e) {
                 return false;
             }
         }
-        transcript.append_element(b"dleq.a", a);
-        transcript.append_element(b"dleq.y", y);
-        transcript.append_element(b"dleq.d", d);
-        transcript.append_element(b"dleq.t1", &self.commit_g);
-        transcript.append_element(b"dleq.t2", &self.commit_a);
-        let c = transcript.challenge_scalar(gp, b"dleq.c");
-        gp.g_pow(&self.response) == t1_y_pow(&c, &self.commit_g)
+        let c = self.challenge(gp, a, y, d, transcript);
+        gp.g_pow(&self.response) == gp.mul(&self.commit_g, &gp.pow(y, &c))
             && gp.pow2(a, &self.response, d, &gp.scalar_neg(&c)) == self.commit_a
     }
+
+    /// Verifies `m` proofs that share `y`, `claim(j)` giving the j-th
+    /// statement; `Err(j)` names the lowest `j` whose proof
+    /// [`DleqProof::verify`] rejects. Work runs on up to `threads`
+    /// threads; the verdict does not depend on the count.
+    ///
+    /// Each proof is checked for membership and its challenge `c_j`
+    /// derived exactly as [`DleqProof::verify`] does; then, with weights
+    /// `ρ_j`, the two equations are checked once for the whole batch:
+    ///
+    /// `g^(Σ ρ_j s_j) · y^(-Σ ρ_j c_j) == Π t1_j^ρ_j` and
+    /// `Π a_j^(ρ_j s_j) · d_j^(-ρ_j c_j) == Π t2_j^ρ_j`,
+    ///
+    /// each side one bucket-method product (`multi_exp` in
+    /// [`crate::batch`]). If anything fails, the per-proof scan runs and
+    /// names the cell.
+    ///
+    /// # Soundness
+    ///
+    /// The weights are 64 bits each, expanded from one SHA-256 over `y`,
+    /// `m` and every `(c_j, s_j)`. Each `c_j` hashes its statement and
+    /// commitments, so the weights are fixed only once every value the
+    /// prover controls is: a hash over the challenges alone would leave
+    /// the responses free after the weights are known, and two free
+    /// responses solve the two batch equations for any one bad
+    /// statement. Every element passes its membership test (`y` once),
+    /// so each equation's error lives in the prime-order group, and a
+    /// batch containing a false proof passes for at most one value of
+    /// the uniform 64-bit weight of that proof: probability ≤ 2^-64 per
+    /// batch the prover can construct. Any failure falls back to the
+    /// scan, so a rejected batch reports exactly what the per-proof
+    /// check reports, and an honest one is never rejected.
+    pub fn verify_batch<'a>(
+        gp: &GroupParams,
+        y: &GroupElement,
+        m: usize,
+        threads: usize,
+        claim: impl Fn(usize) -> DleqClaim<'a> + Sync,
+    ) -> Result<(), usize> {
+        if gp.is_element(y) && Self::batch_holds(gp, y, m, threads, &claim) {
+            return Ok(());
+        }
+        let verdicts = par_map_indexed(m, threads, |j| {
+            let DleqClaim {
+                a,
+                d,
+                proof,
+                mut transcript,
+            } = claim(j);
+            proof.verify(gp, a, y, d, &mut transcript)
+        });
+        match verdicts.iter().position(|ok| !ok) {
+            Some(j) => Err(j),
+            None => Ok(()),
+        }
+    }
+
+    /// [`DleqProof::verify_batch`]'s batched check for a member `y`.
+    fn batch_holds<'a>(
+        gp: &GroupParams,
+        y: &GroupElement,
+        m: usize,
+        threads: usize,
+        claim: &(impl Fn(usize) -> DleqClaim<'a> + Sync),
+    ) -> bool {
+        let p = gp.p_modulus();
+        let q = gp.q_modulus();
+        // Per proof: membership, then (c, s mod q) and the four
+        // elements in Montgomery form, [a, d, t1, t2].
+        let rows = par_map_indexed(m, threads, |j| {
+            let DleqClaim {
+                a,
+                d,
+                proof,
+                mut transcript,
+            } = claim(j);
+            let elements = [a, d, &proof.commit_g, &proof.commit_a];
+            if !elements.iter().all(|e| gp.is_element(e)) {
+                return None;
+            }
+            let c = proof.challenge(gp, a, y, d, &mut transcript);
+            let s = q.reduce(&proof.response.0);
+            Some((c.0, s, elements.map(|e| p.mont_in(&e.0))))
+        });
+        let Some(rows) = rows.into_iter().collect::<Option<Vec<_>>>() else {
+            return false;
+        };
+        let rho = batch_weights(y, &rows);
+        // ρ_j s_j and -ρ_j c_j, mod q.
+        let exps = par_map_indexed(m, threads, |j| {
+            let (c, s, _) = &rows[j];
+            (q.mul(&rho[j], s), q.neg(&q.mul(&rho[j], c)))
+        });
+        let (mut sum_s, mut sum_c) = (U256::ZERO, U256::ZERO);
+        for (u, v) in &exps {
+            sum_s = q.add(&sum_s, u);
+            sum_c = q.add(&sum_c, v);
+        }
+        let column = |k: usize| rows.iter().map(|(_, _, e)| e[k]).collect::<Vec<_>>();
+        let t1 = multi_exp(gp, &column(2), &rho, threads);
+        let lhs1 = gp.mul(&gp.g_pow(&Scalar(sum_s)), &gp.pow(y, &Scalar(sum_c)));
+        if p.mont_out(&t1) != lhs1.0 {
+            return false;
+        }
+        let mut bases = column(0);
+        bases.extend(column(1));
+        let mut ad_exps: Vec<U256> = exps.iter().map(|(u, _)| *u).collect();
+        ad_exps.extend(exps.iter().map(|(_, v)| *v));
+        multi_exp(gp, &bases, &ad_exps, threads) == multi_exp(gp, &column(3), &rho, threads)
+    }
+}
+
+/// The 64-bit weights of a batch: SHA-256 over `y`, the batch size and
+/// every `(c_j, s_j)` gives a seed, and block `k` of the seed's
+/// expansion, `SHA-256(seed ‖ k)`, gives the weights `4k … 4k + 3`.
+fn batch_weights(y: &GroupElement, rows: &[(U256, U256, [Mont; 4])]) -> Vec<U256> {
+    let mut h = Sha256::new();
+    h.update(b"pm-crypto/dleq-batch/v1");
+    h.update(&y.to_bytes());
+    h.update(&(rows.len() as u64).to_be_bytes());
+    for (c, s, _) in rows {
+        h.update(&c.to_bytes_be());
+        h.update(&s.to_bytes_be());
+    }
+    let seed = h.finalize();
+    let mut weights = Vec::with_capacity(rows.len());
+    for k in 0..rows.len().div_ceil(4) as u64 {
+        let mut block = Sha256::new();
+        block.update(&seed);
+        block.update(&k.to_be_bytes());
+        for word in block.finalize().chunks_exact(8) {
+            let mut bytes = [0u8; 8];
+            bytes.copy_from_slice(word);
+            weights.push(U256::from_u64(u64::from_be_bytes(bytes)));
+        }
+    }
+    weights.truncate(rows.len());
+    weights
 }
 
 #[cfg(test)]
@@ -442,12 +593,247 @@ mod tests {
                 plain,
                 "case {i}"
             );
-            if gp.is_element(y) {
-                let table = FixedBasePowers::new(&gp, y);
-                let with_table =
-                    proof.verify_with_table(&gp, a, &table, d, &mut Transcript::new(b"t"));
-                assert_eq!(with_table, plain, "case {i}: table");
+            let batch = DleqProof::verify_batch(&gp, y, 1, 1, |_| DleqClaim {
+                a,
+                d,
+                proof,
+                transcript: Transcript::new(b"t"),
+            });
+            assert_eq!(batch.is_ok(), plain, "case {i}: batch of one");
+        }
+    }
+
+    /// `m` honest proofs under one key, each under its own transcript.
+    fn honest_batch(
+        gp: &GroupParams,
+        m: usize,
+        rng: &mut StdRng,
+    ) -> (GroupElement, Vec<(GroupElement, GroupElement, DleqProof)>) {
+        let x = gp.random_scalar(rng);
+        let y = gp.g_pow(&x);
+        let claims = (0..m)
+            .map(|j| {
+                let a = gp.random_element(rng);
+                let w = gp.random_scalar(rng);
+                let mut t = batch_transcript(j);
+                let (d, proof) = DleqProof::raise_and_prove(gp, &x, &a, &y, &mut t, &w);
+                (a, d, proof)
+            })
+            .collect();
+        (y, claims)
+    }
+
+    fn batch_transcript(j: usize) -> Transcript {
+        let mut t = Transcript::new(b"batch");
+        t.append(b"j", &(j as u64).to_be_bytes());
+        t
+    }
+
+    fn verify_all(
+        gp: &GroupParams,
+        y: &GroupElement,
+        claims: &[(GroupElement, GroupElement, DleqProof)],
+        threads: usize,
+    ) -> Result<(), usize> {
+        DleqProof::verify_batch(gp, y, claims.len(), threads, |j| {
+            let (a, d, proof) = &claims[j];
+            DleqClaim {
+                a,
+                d,
+                proof,
+                transcript: batch_transcript(j),
             }
+        })
+    }
+
+    /// The per-proof scan `verify_batch` must agree with.
+    fn scan(
+        gp: &GroupParams,
+        y: &GroupElement,
+        claims: &[(GroupElement, GroupElement, DleqProof)],
+    ) -> Result<(), usize> {
+        match claims
+            .iter()
+            .enumerate()
+            .position(|(j, (a, d, proof))| !proof.verify(gp, a, y, d, &mut batch_transcript(j)))
+        {
+            Some(j) => Err(j),
+            None => Ok(()),
+        }
+    }
+
+    #[test]
+    fn raise_and_prove_matches_prove() {
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(10);
+        let x = gp.random_scalar(&mut rng);
+        let (a, y) = (gp.random_element(&mut rng), gp.g_pow(&x));
+        for seed in 0..8 {
+            let w = gp.random_scalar(&mut StdRng::seed_from_u64(seed));
+            let (d, proof) =
+                DleqProof::raise_and_prove(&gp, &x, &a, &y, &mut Transcript::new(b"t"), &w);
+            assert_eq!(d, gp.pow(&a, &x));
+            let expect = DleqProof::prove(
+                &gp,
+                &x,
+                &a,
+                &y,
+                &d,
+                &mut Transcript::new(b"t"),
+                &mut StdRng::seed_from_u64(seed),
+            );
+            assert_eq!(proof, expect);
+        }
+    }
+
+    /// Tampering that a batch check must catch, including a pair of
+    /// edits that cancel in the unweighted product of the batch: the
+    /// lowest tampered proof is named, as the scan names it.
+    #[test]
+    fn batch_names_the_same_proof_as_the_scan() {
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(11);
+        let (y, honest) = honest_batch(&gp, 9, &mut rng);
+        let h = gp.random_non_identity(&mut rng);
+        let h_inv = gp.inv(&h);
+        let one = gp.scalar_from_u64(1);
+        let outside = (2u64..)
+            .map(|v| GroupElement(U256::from_u64(v)))
+            .find(|e| !gp.is_element(e))
+            .unwrap();
+        type Tamper = Box<dyn Fn(&mut Vec<(GroupElement, GroupElement, DleqProof)>)>;
+        let cases: Vec<(&str, Tamper, Result<(), usize>)> = vec![
+            ("honest", Box::new(|_| {}), Ok(())),
+            (
+                "cancelling commit_a pair",
+                Box::new(move |c| {
+                    c[2].2.commit_a = gp.mul(&c[2].2.commit_a, &h);
+                    c[6].2.commit_a = gp.mul(&c[6].2.commit_a, &h_inv);
+                }),
+                Err(2),
+            ),
+            (
+                "cancelling commit_g pair",
+                Box::new(move |c| {
+                    c[5].2.commit_g = gp.mul(&c[5].2.commit_g, &h_inv);
+                    c[1].2.commit_g = gp.mul(&c[1].2.commit_g, &h);
+                }),
+                Err(1),
+            ),
+            (
+                "cancelling d pair",
+                Box::new(move |c| {
+                    c[3].1 = gp.mul(&c[3].1, &h);
+                    c[4].1 = gp.mul(&c[4].1, &h_inv);
+                }),
+                Err(3),
+            ),
+            (
+                "response",
+                Box::new(move |c| c[8].2.response = gp.scalar_add(&c[8].2.response, &one)),
+                Err(8),
+            ),
+            (
+                "unreduced response",
+                Box::new(move |c| c[0].2.response = Scalar(c[0].2.response.0.wrapping_add(gp.q()))),
+                Ok(()),
+            ),
+            ("non-member d", Box::new(move |c| c[7].1 = outside), Err(7)),
+            ("non-member a", Box::new(move |c| c[0].0 = outside), Err(0)),
+        ];
+        for (name, tamper, expect) in &cases {
+            let mut claims = honest.clone();
+            tamper(&mut claims);
+            assert_eq!(scan(&gp, &y, &claims), *expect, "{name}: scan");
+            for threads in [1, 2, 5] {
+                assert_eq!(
+                    verify_all(&gp, &y, &claims, threads),
+                    *expect,
+                    "{name}, {threads}"
+                );
+            }
+        }
+        // A non-member y: every proof fails, the first is named.
+        assert_eq!(verify_all(&gp, &outside, &honest, 2), Err(0));
+        assert_eq!(verify_all(&gp, &y, &[], 2), Ok(()));
+    }
+
+    /// A pair of false proofs forged to satisfy both batch equations
+    /// with every weight 1: a prover who knows the discrete logs of the
+    /// bases picks a wrong `d_1`, recomputes its challenge, and solves
+    /// the two unweighted equations for the responses `s_1, s_4`. The
+    /// weighted batch must reject it and name proof 1.
+    #[test]
+    fn batch_rejects_a_pair_forged_against_unit_weights() {
+        let gp = GroupParams::default_params();
+        let q = gp.q_modulus();
+        let mut rng = StdRng::seed_from_u64(13);
+        let x = gp.random_scalar(&mut rng);
+        let y = gp.g_pow(&x);
+        let (r, w): (Vec<Scalar>, Vec<Scalar>) = (0..6)
+            .map(|_| (gp.random_scalar(&mut rng), gp.random_scalar(&mut rng)))
+            .unzip();
+        let mut claims: Vec<(GroupElement, GroupElement, DleqProof)> = (0..6)
+            .map(|j| {
+                let a = gp.g_pow(&r[j]);
+                let mut t = batch_transcript(j);
+                let (d, proof) = DleqProof::raise_and_prove(&gp, &x, &a, &y, &mut t, &w[j]);
+                (a, d, proof)
+            })
+            .collect();
+        assert_eq!(verify_all(&gp, &y, &claims, 2), Ok(()));
+        // d_1 = a_1^x · g: log_g d_1 = x·r_1 + 1.
+        claims[1].1 = gp.mul(&claims[1].1, &gp.generator());
+        let c = |j: usize, claims: &[(GroupElement, GroupElement, DleqProof)]| {
+            let (a, d, proof) = &claims[j];
+            proof.challenge(&gp, a, &y, d, &mut batch_transcript(j))
+        };
+        let (c1, c4) = (c(1, &claims), c(4, &claims));
+        let (add, mul) = (
+            |a: &Scalar, b: &Scalar| gp.scalar_add(a, b),
+            |a: &Scalar, b: &Scalar| gp.scalar_mul(a, b),
+        );
+        // s_1 + s_4 = A makes g^(s_1 + s_4) = t1_1 · t1_4 · y^(c_1 + c_4);
+        // r_1 s_1 + r_4 s_4 = B makes a_1^s_1 · a_4^s_4 = t2_1 · t2_4 · d_1^c_1 · d_4^c_4.
+        let sum_a = add(&add(&w[1], &w[4]), &mul(&x, &add(&c1, &c4)));
+        let log_d1 = add(&mul(&x, &r[1]), &gp.scalar_from_u64(1));
+        let sum_b = add(
+            &add(&mul(&r[1], &w[1]), &mul(&r[4], &w[4])),
+            &add(&mul(&c1, &log_d1), &mul(&c4, &mul(&x, &r[4]))),
+        );
+        let denominator = Scalar(q.inv_prime(&gp.scalar_sub(&r[4], &r[1]).0));
+        let s4 = mul(&gp.scalar_sub(&sum_b, &mul(&r[1], &sum_a)), &denominator);
+        claims[4].2.response = s4;
+        claims[1].2.response = gp.scalar_sub(&sum_a, &s4);
+        // Both unweighted equations hold…
+        let (mut lhs1, mut rhs1) = (gp.identity(), gp.identity());
+        let (mut lhs2, mut rhs2) = (gp.identity(), gp.identity());
+        for (j, (a, d, proof)) in claims.iter().enumerate() {
+            let c = c(j, &claims);
+            lhs1 = gp.mul(
+                &lhs1,
+                &gp.mul(&gp.g_pow(&proof.response), &gp.pow(&y, &gp.scalar_neg(&c))),
+            );
+            rhs1 = gp.mul(&rhs1, &proof.commit_g);
+            lhs2 = gp.mul(&lhs2, &gp.pow2(a, &proof.response, d, &gp.scalar_neg(&c)));
+            rhs2 = gp.mul(&rhs2, &proof.commit_a);
+        }
+        assert_eq!(
+            (lhs1, lhs2),
+            (rhs1, rhs2),
+            "the forgery passes unit weights"
+        );
+        // …while both forged proofs fail alone, and the batch names 1.
+        assert_eq!(scan(&gp, &y, &claims), Err(1));
+        assert!(!claims[4].2.verify(
+            &gp,
+            &claims[4].0,
+            &y,
+            &claims[4].1,
+            &mut batch_transcript(4)
+        ));
+        for threads in [1, 2, 5] {
+            assert_eq!(verify_all(&gp, &y, &claims, threads), Err(1));
         }
     }
 
@@ -463,26 +849,46 @@ mod tests {
         let a = gp.random_element(&mut rng);
         let y = gp.g_pow(&x);
         let d = gp.pow(&a, &x);
-        let table = FixedBasePowers::new(&gp, &y);
         for _ in 0..20 {
             let (proof, prove) = ops::count(|| {
                 DleqProof::prove(&gp, &x, &a, &y, &d, &mut Transcript::new(b"t"), &mut rng)
             });
             // g^w through the table, a^w by the window.
-            assert!(prove <= 64 + 331, "prove: {prove}");
-            let (ok, with_table) = ops::count(|| {
-                proof.verify_with_table(&gp, &a, &table, &d, &mut Transcript::new(b"t"))
+            assert!(prove <= 32 + 331, "prove: {prove}");
+            let w = gp.random_scalar(&mut rng);
+            let (_, raised) = ops::count(|| {
+                DleqProof::raise_and_prove(&gp, &x, &a, &y, &mut Transcript::new(b"t"), &w)
             });
-            // g^s (≤ 64) + t1·y^c (≤ 64) + two-base a^s·d^-c (≤ 410).
-            assert!(ok && with_table <= 538, "verify_with_table: {with_table}");
+            // a^x and a^w in one comb, g^w through the table: where
+            // `exponentiate`'s pow and `prove` paid 331 + 363.
+            assert!(raised <= 458 + 32, "raise_and_prove: {raised}");
             let (ok, plain) =
                 ops::count(|| proof.verify(&gp, &a, &y, &d, &mut Transcript::new(b"t")));
-            // Without a table for y: y^c by the window (≤ 331) and a
-            // plain product (2) instead of the ≤ 64.
-            assert!(ok && plain <= 64 + 331 + 2 + 410, "verify: {plain}");
+            // g^s (≤ 32), y^c by the window (≤ 331) and a plain product,
+            // two-base a^s·d^-c (≤ 410).
+            assert!(ok && plain <= 32 + 331 + 2 + 410, "verify: {plain}");
         }
     }
 
+    /// The batch's cost per proof at m = 512, in kernel calls: where a
+    /// verifier with a table for `y` paid ≤ 538 per proof (a 4-bit
+    /// table's 64 for g^s, 64 for y^c, 410 for a^s·d^-c).
+    #[test]
+    fn batch_kernel_calls_are_pinned() {
+        use crate::modarith::ops;
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(12);
+        let (y, claims) = honest_batch(&gp, 512, &mut rng);
+        let (ok, calls) = ops::count(|| verify_all(&gp, &y, &claims, 1));
+        assert_eq!(ok, Ok(()));
+        // 4 conversions into Montgomery form and 4 for the weighted
+        // exponents; ≈ 93 for the a/d buckets, ≈ 14 each for t1 and t2.
+        assert!(
+            calls <= 116 * 512,
+            "verify_batch: {} per proof",
+            calls / 512
+        );
+    }
     #[test]
     fn challenge_bits_deterministic_and_unbiased_ish() {
         let mut t = Transcript::new(b"bits");

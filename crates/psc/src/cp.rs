@@ -13,7 +13,7 @@
 //! ([`MixStrategy::Batched`]) splits the hop into two phases so the
 //! cell work parallelizes without the transcript noticing:
 //!
-//! 1. **Derive** ([`MixRandomness::derive`]): every scalar, nonce, and
+//! 1. **Derive** (`MixRandomness::derive`): every scalar, nonce, and
 //!    permutation the hop will consume is drawn from the CP's RNG in
 //!    the exact order the sequential reference implementation draws
 //!    them. This phase is cheap (no group exponentiations) and strictly
@@ -24,7 +24,9 @@
 //!    runs chunked across threads
 //!    ([`pm_crypto::batch::par_map_indexed`]), with fixed-base power
 //!    tables ([`pm_crypto::batch::PrecomputedKey`]) shared for the
-//!    `g^r`/`y^r` exponentiations. Each cell owns its output slot, so
+//!    `g^r`/`y^r` exponentiations; when verifying, each side's `pre^k`
+//!    and its proof's commitment `pre^w` come from one comb
+//!    ([`pm_crypto::zkp::DleqProof::raise_and_prove`]). Each cell owns its output slot, so
 //!    the serialized [`messages::MixResult`] is bit-identical to the
 //!    sequential reference at every thread count — pinned by the
 //!    `mix_equivalence` proptests and the end-to-end transcript tests.
@@ -284,22 +286,16 @@ pub fn decrypt_message<R: Rng + ?Sized>(
     } else {
         Vec::new()
     };
-    let partials = par_map_indexed(cells.len(), threads, |j| gp.pow(&cells[j].a, secret));
-    let proofs = if verify {
+    let (partials, proofs) = if verify {
         par_map_indexed(cells.len(), threads, |j| {
             let mut t = dec_transcript(j);
-            DleqProof::prove_with_nonce(
-                gp,
-                secret,
-                &cells[j].a,
-                &share,
-                &partials[j],
-                &mut t,
-                &nonces[j],
-            )
+            DleqProof::raise_and_prove(gp, secret, &cells[j].a, &share, &mut t, &nonces[j])
         })
+        .into_iter()
+        .unzip()
     } else {
-        Vec::new()
+        let partials = par_map_indexed(cells.len(), threads, |j| gp.pow(&cells[j].a, secret));
+        (partials, Vec::new())
     };
     messages::PartialDec {
         share,
@@ -320,7 +316,7 @@ struct NoisePlan {
 /// Every random draw one mixing hop consumes, in the canonical
 /// sequential order. Deriving this up front is what lets the batch
 /// phase run on any thread count without perturbing the transcript.
-pub struct MixRandomness {
+struct MixRandomness {
     noise: Vec<NoisePlan>,
     k: Scalar,
     /// Per-cell (a-side, b-side) Chaum–Pedersen nonces; empty unless
@@ -334,7 +330,7 @@ pub struct MixRandomness {
 impl MixRandomness {
     /// Draws all randomness for a hop over `n_in` input cells, in
     /// exactly the order [`mix_message_sequential`] draws it.
-    pub fn derive<R: Rng + ?Sized>(
+    fn derive<R: Rng + ?Sized>(
         gp: &GroupParams,
         noise_flips: u32,
         verify: bool,
@@ -457,7 +453,7 @@ pub fn mix_message_sequential<R: Rng + ?Sized>(
 }
 
 /// One mixing hop, batched: randomness derived sequentially
-/// ([`MixRandomness::derive`]), then the per-cell work chunked across
+/// (`MixRandomness::derive`), then the per-cell work chunked across
 /// `threads` with shared fixed-base power tables. Bit-identical to
 /// [`mix_message_sequential`] from the same RNG state, for every
 /// `threads`.
@@ -519,36 +515,24 @@ pub fn mix_message_batched_obs<R: Rng + ?Sized>(
     with_noise.extend(noise_cells);
 
     let exp_key = pk.g_pow(gp, &rand.k);
-    let post_exp = par_map_indexed(with_noise.len(), threads, |j| {
-        exponentiate(gp, &with_noise[j], &rand.k)
-    });
-    let exp_proofs = if verify {
+    // Verified, each side's `pre^k` and its commitment `pre^w` share
+    // one comb.
+    let (post_exp, exp_proofs): (Vec<Ciphertext>, Vec<(DleqProof, DleqProof)>) = if verify {
         par_map_indexed(with_noise.len(), threads, |j| {
-            let (wa, wb) = &rand.exp_nonces[j];
+            let (pre, (wa, wb)) = (&with_noise[j], &rand.exp_nonces[j]);
             let mut ta = exp_transcript(j, false);
-            let pa = DleqProof::prove_with_nonce(
-                gp,
-                &rand.k,
-                &with_noise[j].a,
-                &exp_key,
-                &post_exp[j].a,
-                &mut ta,
-                wa,
-            );
+            let (a, pa) = DleqProof::raise_and_prove(gp, &rand.k, &pre.a, &exp_key, &mut ta, wa);
             let mut tb = exp_transcript(j, true);
-            let pb = DleqProof::prove_with_nonce(
-                gp,
-                &rand.k,
-                &with_noise[j].b,
-                &exp_key,
-                &post_exp[j].b,
-                &mut tb,
-                wb,
-            );
-            (pa, pb)
+            let (b, pb) = DleqProof::raise_and_prove(gp, &rand.k, &pre.b, &exp_key, &mut tb, wb);
+            (Ciphertext { a, b }, (pa, pb))
         })
+        .into_iter()
+        .unzip()
     } else {
-        Vec::new()
+        let post_exp = par_map_indexed(with_noise.len(), threads, |j| {
+            exponentiate(gp, &with_noise[j], &rand.k)
+        });
+        (post_exp, Vec::new())
     };
 
     let witness = &rand.witness;

@@ -10,26 +10,29 @@
 //!
 //! A verified hop is 2n Chaum–Pedersen proofs and a 16-round shuffle
 //! argument over n cells; a verified decryption is n more proofs per
-//! CP. Every one of those checks is independent of the others, so the
-//! TS runs them through [`pm_crypto::batch::par_map_indexed`] on the
-//! thread count the round's [`crate::cp::MixStrategy`] already gives
-//! the CPs, against fixed-base tables built once per message: the
-//! hop's `exp_key`, then the joint key's for its shuffle argument; the
-//! decrypting CP's key share — 32 KiB each, at most two live beside the
-//! process-wide generator table, none when proofs are off.
+//! CP. The proofs of one message share their `y` — the hop's `exp_key`,
+//! the decrypting CP's key share — so the TS checks them as one batch
+//! ([`pm_crypto::zkp::DleqProof::verify_batch`]: membership and the
+//! challenge per proof, then two weighted products for the whole
+//! message), and checks the shuffle argument's openings against the
+//! joint key's fixed-base tables (256 KiB, beside the process-wide
+//! generator table; none when proofs are off). Both run through
+//! [`pm_crypto::batch::par_map_indexed`] on the thread count the
+//! round's [`crate::cp::MixStrategy`] already gives the CPs.
 //!
-//! Verdicts are collected by cell index and the error names the
-//! *lowest* failing cell, side (a) before side (b) — exactly what a
-//! sequential scan reports — so an `Aborted{detected_by}` record reads
-//! the same at every thread count.
+//! A failing batch falls back to the per-proof scan, and the error
+//! names the *lowest* failing cell, side (a) before side (b) — exactly
+//! what a sequential scan reports — so an `Aborted{detected_by}` record
+//! reads the same at every thread count.
 
 use crate::cp::{dec_transcript, exp_transcript, CpNode};
 use crate::messages::{self, tag};
 use crate::table::combine_tables;
 use parking_lot::Mutex;
-use pm_crypto::batch::{par_map_indexed, FixedBasePowers, PrecomputedKey};
+use pm_crypto::batch::PrecomputedKey;
 use pm_crypto::elgamal::{Ciphertext, PublicKey};
 use pm_crypto::group::{GroupElement, GroupParams};
+use pm_crypto::zkp::{DleqClaim, DleqProof};
 use pm_net::party::{Node, NodeError, Step};
 use pm_net::transport::{Endpoint, Envelope, PartyId};
 use pm_net::Frame;
@@ -167,29 +170,30 @@ impl PscTsNode {
                 return Err(NodeError::Protocol("missing exponentiation proofs".into()));
             }
             let gp = &self.gp;
-            let exp_key = FixedBasePowers::new(gp, &msg.exp_key);
-            // Per cell: which side failed first, if any.
-            let failed = par_map_indexed(msg.with_noise.len(), self.threads, |j| {
+            // Proof 2j is cell j's side (a), 2j + 1 its side (b): the
+            // lowest failing proof is where a sequential scan stops.
+            let claim = |i: usize| {
+                let (j, b_side) = (i / 2, i % 2 == 1);
                 let (pre, post, (pa, pb)) =
                     (&msg.with_noise[j], &msg.post_exp[j], &msg.exp_proofs[j]);
-                let mut ta = exp_transcript(j, false);
-                if !pa.verify_with_table(gp, &pre.a, &exp_key, &post.a, &mut ta) {
-                    return Some('a');
+                let (a, d, proof) = if b_side {
+                    (&pre.b, &post.b, pb)
+                } else {
+                    (&pre.a, &post.a, pa)
+                };
+                DleqClaim {
+                    a,
+                    d,
+                    proof,
+                    transcript: exp_transcript(j, b_side),
                 }
-                let mut tb = exp_transcript(j, true);
-                if !pb.verify_with_table(gp, &pre.b, &exp_key, &post.b, &mut tb) {
-                    return Some('b');
-                }
-                None
-            });
-            // The lowest failing cell: where a sequential scan stops.
-            if let Some((j, side)) = failed
-                .iter()
-                .enumerate()
-                .find_map(|(j, side)| side.map(|side| (j, side)))
-            {
+            };
+            let proofs = 2 * msg.with_noise.len();
+            if let Err(i) = DleqProof::verify_batch(gp, &msg.exp_key, proofs, self.threads, claim) {
+                let side = if i % 2 == 0 { 'a' } else { 'b' };
                 return Err(NodeError::Protocol(format!(
-                    "exponentiation proof ({side}) failed at cell {j}"
+                    "exponentiation proof ({side}) failed at cell {}",
+                    i / 2
                 )));
             }
             let proof = msg
@@ -217,19 +221,14 @@ impl PscTsNode {
             if msg.proofs.len() != msg.partials.len() {
                 return Err(NodeError::Protocol("missing decryption proofs".into()));
             }
-            let gp = &self.gp;
-            let share = FixedBasePowers::new(gp, &msg.share);
-            let verdicts = par_map_indexed(msg.partials.len(), self.threads, |j| {
-                let mut t = dec_transcript(j);
-                msg.proofs[j].verify_with_table(
-                    gp,
-                    &self.final_table[j].a,
-                    &share,
-                    &msg.partials[j],
-                    &mut t,
-                )
-            });
-            if let Some(j) = verdicts.iter().position(|ok| !ok) {
+            let claim = |j: usize| DleqClaim {
+                a: &self.final_table[j].a,
+                d: &msg.partials[j],
+                proof: &msg.proofs[j],
+                transcript: dec_transcript(j),
+            };
+            let n = msg.partials.len();
+            if let Err(j) = DleqProof::verify_batch(&self.gp, &msg.share, n, self.threads, claim) {
                 return Err(NodeError::Protocol(format!(
                     "decryption proof from {from} failed at cell {j}"
                 )));
@@ -403,7 +402,7 @@ mod tests {
     use pm_crypto::elgamal::{encrypt, keygen, partial_decrypt, KeyPair};
     use pm_crypto::group::Scalar;
     use pm_crypto::shuffle::{apply_shuffle, shuffle, RoundOpening, ShuffleProof};
-    use pm_crypto::zkp::{DleqProof, Transcript};
+    use pm_crypto::zkp::Transcript;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -575,6 +574,12 @@ mod tests {
         let honest = mix_message_batched(&gp, &kp.public, NOISE, true, input.clone(), &mut rng, 2);
         let other = gp.random_element(&mut rng);
         let one = gp.scalar_from_u64(1);
+        // Paired edits that cancel in an unweighted product of a batch
+        // (scaled by h and by h⁻¹, or responses moved by +1 and −1):
+        // only the weights tell them apart.
+        let h = gp.random_non_identity(&mut rng);
+        let h_inv = gp.inv(&h);
+        let scale = move |e: &mut GroupElement, by: &GroupElement| *e = gp.mul(e, by);
 
         type Tamper = Box<dyn Fn(&mut messages::MixResult)>;
         let cases: Vec<(&str, Tamper, Option<&str>)> = vec![
@@ -627,6 +632,48 @@ mod tests {
                     m.exp_proofs[6].0.commit_a = other;
                 }),
                 Some("exponentiation proof (a) failed at cell 6"),
+            ),
+            (
+                "cancelling commit_a pair",
+                Box::new(move |m| {
+                    scale(&mut m.exp_proofs[4].1.commit_a, &h_inv);
+                    scale(&mut m.exp_proofs[1].1.commit_a, &h);
+                }),
+                Some("exponentiation proof (b) failed at cell 1"),
+            ),
+            (
+                "cancelling commit_a pair within a cell",
+                Box::new(move |m| {
+                    scale(&mut m.exp_proofs[3].0.commit_a, &h);
+                    scale(&mut m.exp_proofs[3].1.commit_a, &h_inv);
+                }),
+                Some("exponentiation proof (a) failed at cell 3"),
+            ),
+            (
+                "cancelling commit_g pair",
+                Box::new(move |m| {
+                    scale(&mut m.exp_proofs[2].0.commit_g, &h);
+                    scale(&mut m.exp_proofs[7].1.commit_g, &h_inv);
+                }),
+                Some("exponentiation proof (a) failed at cell 2"),
+            ),
+            (
+                "cancelling post_exp pair",
+                Box::new(move |m| {
+                    scale(&mut m.post_exp[5].b, &h);
+                    scale(&mut m.post_exp[2].a, &h_inv);
+                }),
+                Some("exponentiation proof (a) failed at cell 2"),
+            ),
+            (
+                "cancelling response pair",
+                Box::new(move |m| {
+                    let r = &mut m.exp_proofs[6].1.response;
+                    *r = gp.scalar_sub(r, &one);
+                    let r = &mut m.exp_proofs[0].1.response;
+                    *r = gp.scalar_add(r, &one);
+                }),
+                Some("exponentiation proof (b) failed at cell 0"),
             ),
             (
                 "shadow cell",
@@ -697,11 +744,22 @@ mod tests {
         two_proofs.proofs[1].response = Scalar::ZERO;
         let mut wrong_share = honest.clone();
         wrong_share.share = other;
+        // Scaled by h and by h⁻¹: they cancel in an unweighted product.
+        let h = gp.random_non_identity(&mut rng);
+        let h_inv = gp.inv(&h);
+        let mut partial_pair = honest.clone();
+        partial_pair.partials[6] = gp.mul(&partial_pair.partials[6], &h);
+        partial_pair.partials[2] = gp.mul(&partial_pair.partials[2], &h_inv);
+        let mut commit_pair = honest.clone();
+        commit_pair.proofs[5].commit_a = gp.mul(&commit_pair.proofs[5].commit_a, &h);
+        commit_pair.proofs[7].commit_a = gp.mul(&commit_pair.proofs[7].commit_a, &h_inv);
         for (name, msg, expect) in [
             ("honest", &honest, None),
             ("one partial decryption", &one_partial, Some(3)),
             ("two proofs: the lowest is named", &two_proofs, Some(1)),
             ("every proof under another share", &wrong_share, Some(0)),
+            ("cancelling partial pair", &partial_pair, Some(2)),
+            ("cancelling commit_a pair", &commit_pair, Some(5)),
         ] {
             let plain = (0..cells.len()).find(|&j| {
                 let t = dec_transcript(j);
