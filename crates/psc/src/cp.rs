@@ -26,10 +26,11 @@
 //!    tables ([`pm_crypto::batch::PrecomputedKey`]) shared for the
 //!    `g^r`/`y^r` exponentiations; when verifying, each side's `pre^k`
 //!    and its proof's commitment `pre^w` come from one comb
-//!    ([`pm_crypto::zkp::DleqProof::raise_and_prove`]). Each cell owns its output slot, so
-//!    the serialized [`messages::MixResult`] is bit-identical to the
-//!    sequential reference at every thread count — pinned by the
-//!    `mix_equivalence` proptests and the end-to-end transcript tests.
+//!    ([`pm_crypto::zkp::DleqProof::raise_and_prove`]). Each cell owns
+//!    its output slot, so the serialized [`messages::MixResult`] is
+//!    bit-identical to the sequential reference at every thread count —
+//!    pinned by the `mix_equivalence` proptests and the end-to-end
+//!    transcript tests.
 //!
 //! The receiving side is parallel too: the tally server checks a hop's
 //! proofs on the same thread count ([`MixStrategy::threads`]), one
@@ -281,12 +282,8 @@ pub fn decrypt_message<R: Rng + ?Sized>(
     threads: usize,
 ) -> messages::PartialDec {
     let share = gp.g_pow(secret);
-    let nonces: Vec<Scalar> = if verify {
-        cells.iter().map(|_| gp.random_scalar(rng)).collect()
-    } else {
-        Vec::new()
-    };
     let (partials, proofs) = if verify {
+        let nonces: Vec<Scalar> = cells.iter().map(|_| gp.random_scalar(rng)).collect();
         par_map_indexed(cells.len(), threads, |j| {
             let mut t = dec_transcript(j);
             DleqProof::raise_and_prove(gp, secret, &cells[j].a, &share, &mut t, &nonces[j])
