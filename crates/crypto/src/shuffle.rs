@@ -628,7 +628,7 @@ mod tests {
 
     /// Machine-independent cost of verification: one table
     /// rerandomization (≤ 64 kernel calls; ≤ 128 with 4-bit tables) per
-    /// cell per round, nothing else. Before PR 16 a cell-round was two
+    /// cell per round, nothing else. Without tables a cell-round was two
     /// plain ladders and two two-call products, ≈ 770.
     #[test]
     fn shuffle_verify_kernel_calls_are_pinned() {
