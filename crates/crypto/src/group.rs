@@ -30,7 +30,8 @@
 //! ([`GroupParams::generate`]) fall back to [`GroupParams::pow`]. As
 //! everywhere in this crate, none of it is constant-time.
 
-use crate::batch::FixedBasePowers;
+use crate::batch::{par_map_indexed, FixedBasePowers};
+use crate::lanes::{self, BATCH};
 use crate::modarith::{is_probable_prime, jacobi, Modulus};
 use crate::sha256::Sha256;
 use crate::u256::U256;
@@ -166,6 +167,31 @@ impl GroupParams {
     /// Exponentiation `base^e mod p`.
     pub fn pow(&self, base: &GroupElement, e: &Scalar) -> GroupElement {
         GroupElement(self.p.pow(&base.0, &e.0))
+    }
+
+    /// `base^e` for every base, in order: the same elements as mapping
+    /// [`Self::pow`]. On a CPU with AVX-512F and AVX-512 IFMA the bases
+    /// go sixteen at a time through the lane kernel (two eight-lane
+    /// chains; a short last batch is padded to eight or sixteen), at
+    /// about a tenth of the scalar cost; elsewhere each batch runs
+    /// [`Self::pow`]. Batches are spread over `threads` threads
+    /// ([`par_map_indexed`]).
+    pub fn pow_all(&self, bases: &[GroupElement], e: &Scalar, threads: usize) -> Vec<GroupElement> {
+        let n = bases.len();
+        let batches = par_map_indexed(n.div_ceil(BATCH), threads, |c| {
+            let batch = &bases[c * BATCH..n.min((c + 1) * BATCH)];
+            let values: [U256; BATCH] =
+                std::array::from_fn(|i| batch.get(i).map_or(U256::ZERO, |b| b.0));
+            lanes::pow_batch(&self.p, &values[..batch.len()], &e.0).unwrap_or_else(|| {
+                std::array::from_fn(|i| batch.get(i).map_or(U256::ZERO, |b| self.p.pow(&b.0, &e.0)))
+            })
+        });
+        batches
+            .into_iter()
+            .flatten()
+            .take(n)
+            .map(GroupElement)
+            .collect()
     }
 
     /// `a^x · b^y mod p` in one simultaneous exponentiation

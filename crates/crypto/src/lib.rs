@@ -14,7 +14,11 @@
 //! * a rerandomizing verifiable shuffle ([`shuffle`]);
 //! * additive secret sharing over `Z_{2^64}` ([`secret`]);
 //! * batched operation support: fixed-base exponentiation tables and
-//!   chunked parallel maps ([`batch`]), used by PSC's batched mixing.
+//!   chunked parallel maps ([`batch`]), used by PSC's batched mixing;
+//! * same-exponent batches ([`GroupParams::pow_all`]) on an eight-lane
+//!   AVX-512 IFMA Montgomery kernel, two chains interleaved (the private `lanes` module, the
+//!   workspace's only `unsafe` block, taken after runtime feature
+//!   detection), with [`modarith::Modulus::pow`] as the fallback.
 //!
 //! ## Security disclaimer
 //!
@@ -25,10 +29,13 @@
 //! deployments would swap in ≥2048-bit parameters generated with
 //! [`group::GroupParams::generate`].
 
+#![deny(unsafe_code)]
+
 pub mod batch;
 pub mod elgamal;
 pub mod group;
 pub mod hmac;
+mod lanes;
 pub mod modarith;
 pub mod secret;
 pub mod sha256;

@@ -31,6 +31,7 @@
 //! | [`crate::batch::FixedBasePowers::pow`] | ≤ 32: ≤ 31 products + 1 out |
 //! | [`crate::batch::FixedBasePowers::new`] | 8 160: 1 in + 32 rows × 254 products + 31 row steps |
 //! | [`crate::zkp::DleqProof::verify_batch`] | ≤ 116 per proof at 512 proofs (≤ 538 per proof checked alone with a table for `y`) |
+//! | [`crate::group::GroupParams::pow_all`] | ≤ 331 per base, as [`Modulus::pow`]: on AVX-512 IFMA, 8 or 16 lanes per lane-kernel product, counted once per lane (a short batch pays for its padding) |
 //!
 //! [`Modulus::pow`] is a left-to-right 4-bit fixed window: the table
 //! holds `base^0 … base^15`, the top window seeds the accumulator, and
@@ -46,7 +47,9 @@
 //!
 //! None of this is constant-time: window lookups index by secret
 //! nibbles, zero windows skip their product, and the final subtraction
-//! branches. The crate-level security disclaimer stands.
+//! branches. The lane kernel behind `pow_all` follows the same
+//! window schedule, so it branches on the shared exponent in the same
+//! way. The crate-level security disclaimer stands.
 
 use crate::u256::U256;
 use rand::Rng;
@@ -54,11 +57,12 @@ use rand::Rng;
 /// Window width of [`Modulus::pow`] and [`Modulus::pow2`], in bits
 /// ([`window`] and the 16-entry tables are written for exactly this
 /// width; a 5-bit sliding window was swept in PR 16 and did not win).
-const WINDOW_BITS: u32 = 4;
+/// The lane kernel follows the same schedule.
+pub(crate) const WINDOW_BITS: u32 = 4;
 
 /// Window `w` (bits `4w .. 4w+3`) of `e`.
 #[inline(always)]
-fn window(e: &U256, w: u32) -> usize {
+pub(crate) fn window(e: &U256, w: u32) -> usize {
     ((e.0[(w / 16) as usize] >> (WINDOW_BITS * (w % 16))) & 0xF) as usize
 }
 
@@ -79,13 +83,16 @@ pub(crate) mod ops {
         static CALLS: Cell<u64> = const { Cell::new(0) };
     }
 
+    /// Counts `n` products: 1 per `montmul`, one per lane per call of
+    /// the lane kernel.
     #[inline(always)]
-    pub(super) fn tick() {
-        CALLS.with(|c| c.set(c.get() + 1));
+    pub(crate) fn tick(n: u64) {
+        CALLS.with(|c| c.set(c.get() + n));
     }
 
     /// Runs `f` and returns its result with the number of
-    /// `montmul` calls it made on this thread.
+    /// `montmul` calls (lane products counted per lane) it made on this
+    /// thread.
     pub(crate) fn count<T>(f: impl FnOnce() -> T) -> (T, u64) {
         let before = CALLS.with(Cell::get);
         let out = f();
@@ -134,6 +141,12 @@ impl Modulus {
         &self.m
     }
 
+    /// `(m, -m^{-1} mod 2^64, 2^512 mod m)`, from which the lane kernel
+    /// derives the constants of its own radix.
+    pub(crate) fn montgomery_constants(&self) -> (&U256, u64, &U256) {
+        (&self.m, self.n0inv, &self.r2)
+    }
+
     /// `(a + b) mod m` for reduced inputs.
     pub fn add(&self, a: &U256, b: &U256) -> U256 {
         debug_assert!(a < &self.m && b < &self.m);
@@ -171,7 +184,7 @@ impl Modulus {
     #[inline(always)]
     fn montmul(&self, a: &U256, b: &U256) -> U256 {
         #[cfg(test)]
-        ops::tick();
+        ops::tick(1);
         let (b, m, n0inv) = (&b.0, &self.m.0, self.n0inv);
         let (mut t0, mut t1, mut t2, mut t3, mut t4) = (0u64, 0u64, 0u64, 0u64, 0u64);
         for &ai in &a.0 {

@@ -4,11 +4,13 @@
 //! and rerandomizations, over a grid of exponents. The digests were
 //! computed with the 4-bit tables these paths replaced; the sequential
 //! and batched PSC provers share the generator's table, so their
-//! equality tests could not notice a wrong one.
+//! equality tests could not notice a wrong one. The same-exponent batch
+//! `GroupParams::pow_all` is pinned the same way, by a digest computed
+//! with scalar `GroupParams::pow` before the lane kernel existed.
 
 use pm_crypto::batch::{FixedBasePowers, PrecomputedKey};
 use pm_crypto::elgamal::keygen;
-use pm_crypto::group::{GroupParams, Scalar};
+use pm_crypto::group::{GroupElement, GroupParams, Scalar};
 use pm_crypto::U256;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,4 +71,31 @@ fn fixed_base_powers_match_the_parent_digests() {
         ],
         "{got:x?}"
     );
+}
+
+#[test]
+fn pow_all_matches_the_scalar_digest() {
+    let gp = GroupParams::default_params();
+    let mut rng = StdRng::seed_from_u64(2018);
+    let exps = exponent_grid(&gp, &mut rng);
+    let mut bases = vec![
+        GroupElement(U256::ZERO),
+        gp.identity(),
+        gp.generator(),
+        GroupElement(gp.p().wrapping_sub(&U256::ONE)),
+    ];
+    bases.extend((0..22).map(|_| gp.random_element(&mut rng)));
+    let mut out = Vec::new();
+    // Batch lengths around the lane width, at shifting offsets, on one
+    // to three threads.
+    for (i, e) in exps.iter().enumerate() {
+        let n = [0, 1, 7, 8, 9, 17, 26][i % 7];
+        let batch = &bases[(i % 5).min(26 - n)..][..n];
+        for x in gp.pow_all(batch, e, 1 + i % 3) {
+            out.extend(x.to_bytes());
+        }
+    }
+    assert_eq!(out.len(), 5_781 * 32);
+    let got = fnv1a64(&out);
+    assert_eq!(got, 0x416b_a17f_f42c_4836, "{got:x}");
 }

@@ -8,7 +8,7 @@
 //! contracts into a machine-checked gate that runs on every source
 //! file of the workspace, with no dependencies (not even `syn`): a
 //! hand-rolled lexer ([`lexer`]) blanks comments and literals, and a
-//! token scan ([`rules`]) drives six cross-file rules:
+//! token scan ([`rules`]) drives seven cross-file rules:
 //!
 //! 1. **entropy** — `thread_rng`, `from_entropy`, `SystemTime::now`,
 //!    and `Instant::now` are forbidden everywhere the analyzer scans
@@ -41,12 +41,18 @@
 //!    sanction, mirroring the clock: `crates/net/src/wire.rs` — the
 //!    socket-backed wire fabric — is the single file allowed to open
 //!    sockets.
+//! 7. **unsafe-code** — the `unsafe` keyword and `std::arch` /
+//!    `core::arch` paths are forbidden everywhere the analyzer scans,
+//!    test regions included. One structural sanction:
+//!    `crates/crypto/src/lanes.rs` — the AVX-512 IFMA lane kernel —
+//!    holds the workspace's one `unsafe` block, the kernel call after
+//!    runtime CPU feature detection.
 //!
 //! Suppression is explicit and audited: `// lint:allow(<rule>)
 //! <reason>` on the offending line or the line above, with the reason
 //! mandatory (see [`rules`] for the grammar). Test code
 //! (`#[cfg(test)]` regions, `tests/`, `benches/`) is exempt from rules
-//! 2–5 but not from rules 1 and 6.
+//! 2–5 but not from rules 1, 6 and 7.
 //!
 //! The `pm-lint` binary prints findings as `file:line rule message`,
 //! exports machine-readable JSON via `--json PATH`, and exits nonzero

@@ -1,4 +1,4 @@
-//! The six contract rules, the allow-marker grammar, and the
+//! The seven contract rules, the allow-marker grammar, and the
 //! `#[cfg(test)]` region detector.
 //!
 //! Rules operate on a [`Scrubbed`] file (comments and literals already
@@ -13,17 +13,22 @@
 //! | `panic`         | `src/` of `psc`, `privcount`, `net`, `study`               |
 //! | `obs-readback`  | `src/` of `psc`, `privcount`, `net`                        |
 //! | `raw-socket`    | everywhere scanned                                         |
+//! | `unsafe-code`   | everywhere scanned                                         |
 //!
-//! Two rules carry structural sanctions. The `entropy` rule permits
+//! Three rules carry structural sanctions. The `entropy` rule permits
 //! `Instant::now` and `SystemTime::now` in `crates/obs/src/clock.rs` —
 //! the *only* wall-clock read site in the workspace, feeding the
 //! profiling plane that is excluded from every transcript. The
 //! `raw-socket` rule permits `std::net` / `TcpListener` / `TcpStream` /
 //! `UdpSocket` in `crates/net/src/wire.rs` — the *only* socket site in
 //! the workspace, so every byte that leaves a process is carried by the
-//! one audited wire backend behind the `Fabric` trait. No `lint:allow`
-//! marker is involved in either sanction; any other file reading the
-//! clock or opening a socket still fails the gate.
+//! one audited wire backend behind the `Fabric` trait. The
+//! `unsafe-code` rule permits the `unsafe` keyword and `std::arch` /
+//! `core::arch` paths in `crates/crypto/src/lanes.rs` — the *only*
+//! SIMD kernel in the workspace, whose one `unsafe` block calls the
+//! kernel after runtime CPU feature detection. No `lint:allow` marker
+//! is involved in any sanction; any other file reading the clock,
+//! opening a socket or writing `unsafe` still fails the gate.
 //!
 //! `obs-readback` forbids the protocol crates from *reading* the
 //! metrics registry (`read_snapshot` / `read_counter`): protocol code
@@ -57,7 +62,8 @@ pub struct Finding {
     /// 1-based line.
     pub line: u32,
     /// Rule identifier (`entropy`, `unordered-map`, `seed-label`,
-    /// `panic`, `obs-readback`, `raw-socket`, or `allow-marker`).
+    /// `panic`, `obs-readback`, `raw-socket`, `unsafe-code`, or
+    /// `allow-marker`).
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -70,15 +76,17 @@ pub const RULE_SEED: &str = "seed-label";
 pub const RULE_PANIC: &str = "panic";
 pub const RULE_OBS: &str = "obs-readback";
 pub const RULE_SOCKET: &str = "raw-socket";
+pub const RULE_UNSAFE: &str = "unsafe-code";
 pub const RULE_MARKER: &str = "allow-marker";
 
-const KNOWN_RULES: [&str; 6] = [
+const KNOWN_RULES: [&str; 7] = [
     RULE_ENTROPY,
     RULE_UNORDERED,
     RULE_SEED,
     RULE_PANIC,
     RULE_OBS,
     RULE_SOCKET,
+    RULE_UNSAFE,
 ];
 
 /// A `derive_seed` label collected for the cross-file registry.
@@ -151,6 +159,13 @@ fn is_sanctioned_clock(rel: &str) -> bool {
 /// workspace behind the `Fabric` trait.
 fn is_sanctioned_socket(rel: &str) -> bool {
     rel == "crates/net/src/wire.rs"
+}
+
+/// The one file structurally sanctioned to write `unsafe` and reach
+/// into `std::arch`: the crypto crate's lane kernel, whose single
+/// `unsafe` block runs after runtime CPU feature detection.
+fn is_sanctioned_unsafe(rel: &str) -> bool {
+    rel == "crates/crypto/src/lanes.rs"
 }
 
 fn in_tests_dir(rel: &str) -> bool {
@@ -377,9 +392,10 @@ fn followed_by_colons_now(chars: &[char], end: usize) -> bool {
     chars[j..k].iter().collect::<String>() == "now"
 }
 
-/// True when the tokens before `start` spell `std ::` — i.e. the ident
-/// at `start` is the `net` of a `std::net` path.
-fn preceded_by_std_colons(chars: &[char], start: usize) -> bool {
+/// True when the tokens before `start` spell `<root> ::` for one of
+/// `roots` — e.g. the ident at `start` is the `net` of a `std::net`
+/// path.
+fn preceded_by_path(chars: &[char], start: usize, roots: &[&str]) -> bool {
     let mut j = start;
     // Expect `::` immediately before (whitespace-tolerant).
     while j > 0 && chars[j - 1].is_whitespace() {
@@ -396,7 +412,7 @@ fn preceded_by_std_colons(chars: &[char], start: usize) -> bool {
     while j > 0 && (chars[j - 1].is_alphanumeric() || chars[j - 1] == '_') {
         j -= 1;
     }
-    chars[j..end].iter().collect::<String>() == "std"
+    roots.contains(&chars[j..end].iter().collect::<String>().as_str())
 }
 
 /// Runs every rule against one scrubbed file.
@@ -583,7 +599,7 @@ pub fn analyze_file(rel: &str, scrubbed: &Scrubbed) -> FileReport {
                 });
             }
             "net"
-                if preceded_by_std_colons(chars, tok.start)
+                if preceded_by_path(chars, tok.start, &["std"])
                     && !is_sanctioned_socket(rel)
                     && !allowed(RULE_SOCKET, tok.line) =>
             {
@@ -594,6 +610,33 @@ pub fn analyze_file(rel: &str, scrubbed: &Scrubbed) -> FileReport {
                     message: "`std::net` outside crates/net/src/wire.rs: every byte \
                               that leaves a process must go through the audited wire \
                               backend behind the Fabric trait"
+                        .to_string(),
+                });
+            }
+            // Rule 7: `unsafe` and raw SIMD confined to the lane kernel.
+            "unsafe" if !is_sanctioned_unsafe(rel) && !allowed(RULE_UNSAFE, tok.line) => {
+                findings.push(Finding {
+                    file: rel.to_string(),
+                    line: tok.line,
+                    rule: RULE_UNSAFE,
+                    message: "`unsafe` outside crates/crypto/src/lanes.rs: the \
+                              workspace's one unsafe block is the lane kernel's call \
+                              after runtime feature detection"
+                        .to_string(),
+                });
+            }
+            "arch"
+                if preceded_by_path(chars, tok.start, &["std", "core"])
+                    && !is_sanctioned_unsafe(rel)
+                    && !allowed(RULE_UNSAFE, tok.line) =>
+            {
+                findings.push(Finding {
+                    file: rel.to_string(),
+                    line: tok.line,
+                    rule: RULE_UNSAFE,
+                    message: "`std::arch`/`core::arch` outside crates/crypto/src/lanes.rs: \
+                              target-specific intrinsics live in the one audited lane \
+                              kernel"
                         .to_string(),
                 });
             }
@@ -770,6 +813,35 @@ mod tests {
         let src = "use pm_net::transport::Switchboard;\nfn f(net: u8) -> u8 { net }\n";
         let s = scrub(src);
         let rep = analyze_file("crates/psc/src/x.rs", &s);
+        assert!(rep.findings.is_empty(), "{:?}", rep.findings);
+    }
+
+    #[test]
+    fn unsafe_and_arch_flag_everywhere_but_the_lane_kernel() {
+        let src = "use std::arch::x86_64::__m512i;\n\
+                   fn f() -> u8 { unsafe { g() } }\n\
+                   fn h() { let _ = core::arch::x86_64::_rdtsc; }\n";
+        let s = scrub(src);
+        let rep = analyze_file("crates/psc/src/x.rs", &s);
+        let lines: Vec<u32> = rep.findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [1, 2, 3], "{:?}", rep.findings);
+        assert!(rep.findings.iter().all(|f| f.rule == RULE_UNSAFE));
+        // The sanctioned lane kernel is exempt, structurally.
+        let rep = analyze_file("crates/crypto/src/lanes.rs", &s);
+        assert!(rep.findings.is_empty(), "{:?}", rep.findings);
+    }
+
+    #[test]
+    fn unsafe_applies_in_test_regions_and_spares_lookalikes() {
+        let src = "#[cfg(test)]\nmod tests {\n    unsafe fn t() {}\n}\n";
+        let rep = analyze_file("crates/crypto/src/x.rs", &scrub(src));
+        assert_eq!(rep.findings.len(), 1, "{:?}", rep.findings);
+        assert_eq!(rep.findings[0].rule, RULE_UNSAFE);
+        // The lint name, an `arch` of another path, and the word in a
+        // comment or string are not uses.
+        let src = "#![deny(unsafe_code)]\n// unsafe\nfn f(arch: u8) -> u8 { my::arch::x(arch) }\n\
+                   const S: &str = \"unsafe std::arch\";\n";
+        let rep = analyze_file("crates/crypto/src/x.rs", &scrub(src));
         assert!(rep.findings.is_empty(), "{:?}", rep.findings);
     }
 

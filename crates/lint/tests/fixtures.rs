@@ -33,6 +33,10 @@ fn every_seeded_violation_is_reported_exactly_once() {
         ("crates/psc/src/bad_sockets.rs", 4, "raw-socket"),
         ("crates/psc/src/bad_sockets.rs", 4, "raw-socket"),
         ("crates/psc/src/bad_sockets.rs", 7, "raw-socket"),
+        ("crates/psc/src/bad_unsafe.rs", 4, "unsafe-code"),
+        ("crates/psc/src/bad_unsafe.rs", 7, "unsafe-code"),
+        ("crates/psc/src/bad_unsafe.rs", 24, "unsafe-code"),
+        ("crates/psc/src/bad_unsafe.rs", 24, "unsafe-code"),
         ("crates/torsim/src/bad_entropy.rs", 4, "entropy"),
         ("crates/torsim/src/bad_entropy.rs", 9, "entropy"),
         ("crates/torsim/src/bad_entropy.rs", 10, "entropy"),
@@ -69,6 +73,17 @@ fn sanctioned_wire_backend_produces_no_findings() {
 }
 
 #[test]
+fn sanctioned_lane_kernel_produces_no_findings() {
+    // `crates/crypto/src/lanes.rs` is the one file allowed `unsafe` and
+    // `std::arch`; the same uses in `bad_unsafe.rs` fire.
+    let noise: Vec<_> = fixture_findings()
+        .into_iter()
+        .filter(|f| f.file.ends_with("crypto/src/lanes.rs"))
+        .collect();
+    assert!(noise.is_empty(), "{noise:#?}");
+}
+
+#[test]
 fn lexer_edge_cases_produce_no_findings() {
     let noise: Vec<_> = fixture_findings()
         .into_iter()
@@ -99,4 +114,5 @@ fn json_export_round_trips_the_count() {
     assert!(json.contains("\"rule\": \"panic\""));
     assert!(json.contains("\"rule\": \"obs-readback\""));
     assert!(json.contains("\"rule\": \"raw-socket\""));
+    assert!(json.contains("\"rule\": \"unsafe-code\""));
 }

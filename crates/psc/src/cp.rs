@@ -26,11 +26,18 @@
 //!    tables ([`pm_crypto::batch::PrecomputedKey`]) shared for the
 //!    `g^r`/`y^r` exponentiations; when verifying, each side's `pre^k`
 //!    and its proof's commitment `pre^w` come from one comb
-//!    ([`pm_crypto::zkp::DleqProof::raise_and_prove`]). Each cell owns
-//!    its output slot, so the serialized [`messages::MixResult`] is
-//!    bit-identical to the sequential reference at every thread count —
-//!    pinned by the `mix_equivalence` proptests and the end-to-end
-//!    transcript tests.
+//!    ([`pm_crypto::zkp::DleqProof::raise_and_prove`]). Unverified, the
+//!    hop's one exponent `k` meets all `2n` ciphertext components, and
+//!    the decryption hop's key share meets every `a`: each is one
+//!    same-exponent batch ([`GroupParams::pow_all`]), sixteen bases
+//!    (two eight-lane chains) per call of the AVX-512 IFMA lane kernel
+//!    where the CPU has it, the batches chunked across the same
+//!    threads. Each cell owns its output slot, so the serialized
+//!    [`messages::MixResult`] is bit-identical to the sequential
+//!    reference at every thread count — pinned by the
+//!    `mix_equivalence` proptests and the end-to-end transcript tests.
+//!    The sequential reference and the verified branches keep scalar
+//!    [`GroupParams::pow`].
 //!
 //! The receiving side is parallel too: the tally server checks a hop's
 //! proofs on the same thread count ([`MixStrategy::threads`]), one
@@ -42,7 +49,7 @@
 use crate::messages::{self, tag};
 use pm_crypto::batch::{par_map_indexed, PrecomputedKey};
 use pm_crypto::elgamal::{encrypt, exponentiate, Ciphertext, PublicKey};
-use pm_crypto::group::{GroupParams, Scalar};
+use pm_crypto::group::{GroupElement, GroupParams, Scalar};
 use pm_crypto::shuffle::{shuffle, ShuffleProof, ShuffleWitness};
 use pm_crypto::zkp::{DleqProof, SchnorrProof, Transcript};
 use pm_net::party::{Node, NodeError, Step};
@@ -92,7 +99,7 @@ impl Default for MixStrategy {
 
 /// Default batch-phase thread count: the machine's parallelism, capped
 /// in line with the ingestion-shard default.
-pub fn default_mix_threads() -> usize {
+fn default_mix_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -272,7 +279,8 @@ impl CpNode {
 /// cell under its secret share `x`, with a Chaum–Pedersen proof per
 /// cell when `verify` is set. Like mixing, it splits into a sequential
 /// nonce-derivation pass and a per-cell batch phase on `threads`
-/// threads; the message is independent of `threads`.
+/// threads (unverified, one [`GroupParams::pow_all`] batch); the
+/// message is independent of `threads`.
 pub fn decrypt_message<R: Rng + ?Sized>(
     gp: &GroupParams,
     secret: &Scalar,
@@ -291,8 +299,8 @@ pub fn decrypt_message<R: Rng + ?Sized>(
         .into_iter()
         .unzip()
     } else {
-        let partials = par_map_indexed(cells.len(), threads, |j| gp.pow(&cells[j].a, secret));
-        (partials, Vec::new())
+        let bases: Vec<GroupElement> = cells.iter().map(|c| c.a).collect();
+        (gp.pow_all(&bases, secret, threads), Vec::new())
     };
     messages::PartialDec {
         share,
@@ -526,9 +534,14 @@ pub fn mix_message_batched_obs<R: Rng + ?Sized>(
         .into_iter()
         .unzip()
     } else {
-        let post_exp = par_map_indexed(with_noise.len(), threads, |j| {
-            exponentiate(gp, &with_noise[j], &rand.k)
-        });
+        // Unverified, every component of every cell goes to the one
+        // `k`: a single same-exponent batch.
+        let parts: Vec<GroupElement> = with_noise.iter().flat_map(|c| [c.a, c.b]).collect();
+        let raised = gp.pow_all(&parts, &rand.k, threads);
+        let post_exp = raised
+            .chunks_exact(2)
+            .map(|ab| Ciphertext { a: ab[0], b: ab[1] })
+            .collect();
         (post_exp, Vec::new())
     };
 
