@@ -4,12 +4,19 @@
 //! prover's exponentiations moved to combs and 8-bit tables; the
 //! sequential reference and the batched path share the generator's
 //! table, so `mix_equivalence` alone could not see a change to it.
+//!
+//! A DC's marked table and a standalone shuffle argument (with its
+//! verdicts) are pinned the same way, by digests computed while every
+//! table power was still a scalar `FixedBasePowers::pow_mul`.
 
+use pm_crypto::batch::PrecomputedKey;
 use pm_crypto::elgamal::{encrypt, keygen, Ciphertext};
 use pm_crypto::group::GroupParams;
+use pm_crypto::shuffle::{shuffle, RoundOpening, ShuffleProof};
 use pm_net::Frame;
 use psc::cp::{decrypt_message, mix_message_batched, mix_message_sequential};
-use psc::messages::tag;
+use psc::messages::{tag, Cells, MixResult};
+use psc::ObliviousTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -86,4 +93,74 @@ fn decryption_hop_matches_the_parent_digest() {
     // Unverified, verified; at 1 and at 3 threads.
     let (plain, proved) = (0x4959_c76a_f5ff_4141, 0x1a39_2556_5448_024c);
     assert_eq!(digests, [plain, proved, plain, proved], "{digests:x?}");
+}
+
+/// One DC's table over 40 cells from DC seed 5: a seeded cell set
+/// marked in ascending order (the merge step), a second pass that
+/// visits one cell twice, then the skew path's single marks, one of
+/// them on a cell already marked. The `DC_TABLE` frame as the TS
+/// receives it.
+#[test]
+fn dc_table_matches_the_parent_digest() {
+    let gp = GroupParams::default_params();
+    let mut rng = StdRng::seed_from_u64(2018);
+    let kp = keygen(&gp, &mut rng);
+    let mut table = ObliviousTable::new(gp, kp.public, [9u8; 32], 40);
+    let mut cells: Vec<usize> = (0..23).map(|_| rng.gen_range(0..40)).collect();
+    cells.sort_unstable();
+    cells.dedup();
+    let mut dc = StdRng::seed_from_u64(5);
+    table.mark_cells(cells.iter().copied(), &mut dc);
+    table.mark_cells([cells[3], 39, cells[3]], &mut dc);
+    for idx in [cells[0], 0, table.cell_of(b"byzantine-skew-0")] {
+        table.mark_cell(idx, &mut dc);
+    }
+    let msg = Cells {
+        cells: table.into_cells(),
+    };
+    let got = fnv1a64(&Frame::encode_msg(tag::DC_TABLE, &msg).to_wire());
+    assert_eq!(got, 0x8686_2b21_16a3_f7ea, "{got:x}");
+}
+
+/// A 37-cell shuffle argument (two full batches of sixteen and a
+/// trailing five) from prover seed 3, as a `MIX_RESULT` frame carrying
+/// it, and the verdicts on it and on two tampered copies at 1 and 3
+/// verification threads.
+#[test]
+fn shuffle_proof_matches_the_parent_digest() {
+    let gp = GroupParams::default_params();
+    let mut rng = StdRng::seed_from_u64(2018);
+    let kp = keygen(&gp, &mut rng);
+    let input: Vec<Ciphertext> = (0..37)
+        .map(|_| encrypt(&gp, &kp.public, &gp.random_element(&mut rng), &mut rng))
+        .collect();
+    let mut prover = StdRng::seed_from_u64(3);
+    let (output, witness) = shuffle(&gp, &kp.public, &input, &mut prover);
+    let proof = ShuffleProof::prove(&gp, &kp.public, &input, &output, &witness, 16, &mut prover);
+    let msg = MixResult {
+        with_noise: input.clone(),
+        exp_key: kp.public.0,
+        post_exp: input.clone(),
+        exp_proofs: Vec::new(),
+        output: output.clone(),
+        shuffle_proof: Some(proof.clone()),
+    };
+    let got = fnv1a64(&Frame::encode_msg(tag::MIX_RESULT, &msg).to_wire());
+    let mut shadow = proof.clone();
+    shadow.shadows[15][36].b = gp.random_element(&mut rng);
+    let mut opening = proof.clone();
+    match &mut opening.openings[15] {
+        RoundOpening::InputToShadow { rerand, .. } | RoundOpening::ShadowToOutput { rerand, .. } => {
+            rerand[36] = gp.scalar_add(&rerand[36], &gp.scalar_from_u64(1))
+        }
+    }
+    let pk = PrecomputedKey::new(&gp, &kp.public);
+    let verdicts: Vec<bool> = [1, 3]
+        .into_iter()
+        .flat_map(|threads| {
+            [&proof, &shadow, &opening].map(|p| p.verify_with(&gp, &pk, &input, &output, threads))
+        })
+        .collect();
+    assert_eq!(verdicts, [true, false, false, true, false, false]);
+    assert_eq!(got, 0x2c62_6361_c6c3_cdaa, "{got:x}");
 }
