@@ -21,6 +21,18 @@
 //! freely. Like the rest of the crate the lookups are not
 //! constant-time.
 //!
+//! A hop's table powers come in thousands, each with its own scalar,
+//! and [`PrecomputedKey`]'s batch entry points take them that way:
+//! [`PrecomputedKey::rerandomize_all`] (`(a · g^s, b · y^s)`; an
+//! encryption is the rerandomization of `(1, m)`) and
+//! [`PrecomputedKey::g_pow_mul_all`] (`g^e · x`), over `f(i)` for
+//! `i in 0..n`. They cut the indices into batches of sixteen, spread
+//! over threads by [`par_map_indexed`], and run each batch as one call
+//! of the AVX-512 IFMA lane kernel per table where the CPU has it
+//! (`crate::lanes`, reading these same rows, 33 lane products per
+//! power, at about a quarter of the scalar time) and as scalar powers
+//! elsewhere. Both paths give the same elements.
+//!
 //! A verifying tally server meets a third kind of base: the many
 //! distinct elements of a batch of Chaum–Pedersen proofs, which
 //! [`crate::zkp::DleqProof::verify_batch`] folds into two products of
@@ -35,9 +47,11 @@
 
 use crate::elgamal::{Ciphertext, PublicKey};
 use crate::group::{GroupElement, GroupParams, Scalar};
+use crate::lanes::{self, Radix, BATCH};
 use crate::modarith::Mont;
 use crate::u256::U256;
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// Fixed-window exponentiation table for one base, held in Montgomery
 /// form.
@@ -53,19 +67,21 @@ use std::borrow::Cow;
 pub struct FixedBasePowers {
     base: GroupElement,
     table: Vec<[Mont; ENTRIES]>,
+    /// The lane kernel's constants for the modulus.
+    radix: Radix,
 }
 
 /// Window width of [`FixedBasePowers`], in bits.
-const WIDTH: u32 = 8;
+pub(crate) const WIDTH: u32 = 8;
 /// Entries per window row.
-const ENTRIES: usize = 1 << WIDTH;
+pub(crate) const ENTRIES: usize = 1 << WIDTH;
 /// Windows in a 256-bit exponent.
-const WINDOWS: usize = 256_usize.div_ceil(WIDTH as usize);
+pub(crate) const WINDOWS: usize = 256_usize.div_ceil(WIDTH as usize);
 
 /// The `width`-bit digit of `e` starting at bit `pos` (bits past 255
 /// read as zero).
 #[inline(always)]
-fn digit(e: &U256, pos: u32, width: u32) -> usize {
+pub(crate) fn digit(e: &U256, pos: u32, width: u32) -> usize {
     let (limb, off) = ((pos / 64) as usize, pos % 64);
     let mut v = e.0[limb] >> off;
     if off + width > 64 && limb < 3 {
@@ -94,12 +110,22 @@ impl FixedBasePowers {
             }
             table.push(row);
         }
-        FixedBasePowers { base: *base, table }
+        FixedBasePowers {
+            base: *base,
+            table,
+            radix: Radix::new(p),
+        }
     }
 
     /// The base this table was built for.
     pub(crate) fn base(&self) -> &GroupElement {
         &self.base
+    }
+
+    /// The lane kernel's view of the table: its constants and the rows
+    /// as they are.
+    pub(crate) fn lane_rows(&self) -> (&Radix, &[[Mont; ENTRIES]]) {
+        (&self.radix, &self.table)
     }
 
     /// `base^e` in Montgomery form; `None` for `e = 0`. One product per
@@ -138,6 +164,36 @@ impl FixedBasePowers {
             Some(acc) => GroupElement(gp.p_modulus().mont_mul_plain(&acc, &m.0)),
         }
     }
+
+    /// [`Self::pow_mul`] of each of the first `n` pairs `(exps[i],
+    /// ops[i])`, the rest of the batch padding: one call of the lane
+    /// kernel ([`lanes::fixed_pow_mul_batch`], 33 lane products per
+    /// lane) where the CPU has AVX-512 IFMA, `pow_mul` per pair
+    /// elsewhere.
+    fn pow_mul_batch(
+        &self,
+        gp: &GroupParams,
+        n: usize,
+        exps: &[U256; BATCH],
+        ops: &[U256; BATCH],
+    ) -> [GroupElement; BATCH] {
+        let (radix, rows) = self.lane_rows();
+        match lanes::fixed_pow_mul_batch(radix, rows, &exps[..n], &ops[..n]) {
+            // A zero exponent hands the operand back as it came, as
+            // `pow_mul` does; the lanes reduced it.
+            Some(out) => std::array::from_fn(|i| {
+                GroupElement(if exps[i].is_zero() { ops[i] } else { out[i] })
+            }),
+            None => std::array::from_fn(|i| {
+                let (e, x) = (Scalar(exps[i]), GroupElement(ops[i]));
+                if i < n {
+                    self.pow_mul(gp, &e, &x)
+                } else {
+                    x
+                }
+            }),
+        }
+    }
 }
 
 /// Fixed-base tables for one ElGamal public key: the generator `g` and
@@ -165,9 +221,30 @@ impl PrecomputedKey {
         }
     }
 
-    /// `g^e` through the table.
-    pub fn g_pow(&self, gp: &GroupParams, e: &Scalar) -> GroupElement {
-        self.g.pow(gp, e)
+    /// `g^{e_i} · x_i` for every `(e_i, x_i) = f(i)`, `i in 0..n`, in
+    /// order: the same elements as `gp.mul(x_i, &gp.g_pow(e_i))`, sixteen
+    /// pairs per batch through the lane kernel where the CPU has AVX-512
+    /// IFMA (33 lane products each) and one table power each elsewhere
+    /// (≤ 32 products), the batches spread over `threads` threads.
+    /// `x_i = 1` gives the plain power `g^{e_i}`.
+    pub fn g_pow_mul_all<F>(
+        &self,
+        gp: &GroupParams,
+        n: usize,
+        threads: usize,
+        f: F,
+    ) -> Vec<GroupElement>
+    where
+        F: Fn(usize) -> (Scalar, GroupElement) + Sync,
+    {
+        par_batches(n, threads, |range| {
+            let (mut e, mut x) = ([U256::ZERO; BATCH], [U256::ZERO; BATCH]);
+            for (k, i) in range.clone().enumerate() {
+                let (s, m) = f(i);
+                (e[k], x[k]) = (s.0, m.0);
+            }
+            self.g.pow_mul_batch(gp, range.len(), &e, &x)
+        })
     }
 
     /// [`crate::elgamal::encrypt_with`] through the tables: encrypts `m`
@@ -179,13 +256,49 @@ impl PrecomputedKey {
         }
     }
 
-    /// [`crate::elgamal::rerandomize_with`] through the tables (≤ 64
-    /// products).
-    pub fn rerandomize_with(&self, gp: &GroupParams, ct: &Ciphertext, s: &Scalar) -> Ciphertext {
-        Ciphertext {
-            a: self.g.pow_mul(gp, s, &ct.a),
-            b: self.y.pow_mul(gp, s, &ct.b),
+    /// The rerandomization `(a · g^s, b · y^s)` of every `(ct, s) =
+    /// f(i)`, `i in 0..n`, in order: the same ciphertexts as
+    /// [`crate::elgamal::rerandomize_with`], sixteen per batch, each
+    /// batch one lane-kernel call per table where the CPU has AVX-512
+    /// IFMA (2 × 33 lane products per ciphertext) and two table powers
+    /// each elsewhere (≤ 64 products), the batches spread over `threads`
+    /// threads. The encryption of `m` with randomness `r` is the
+    /// rerandomization of `(1, m)` by `r`.
+    pub fn rerandomize_all<F>(
+        &self,
+        gp: &GroupParams,
+        n: usize,
+        threads: usize,
+        f: F,
+    ) -> Vec<Ciphertext>
+    where
+        F: Fn(usize) -> (Ciphertext, Scalar) + Sync,
+    {
+        par_batches(n, threads, |range| self.rerandomize_batch(gp, range, &f))
+    }
+
+    /// One batch of [`Self::rerandomize_all`]: the rerandomizations of
+    /// `f(i)` for the (at most [`BATCH`]) indices of `range`, in its
+    /// leading slots.
+    pub(crate) fn rerandomize_batch(
+        &self,
+        gp: &GroupParams,
+        range: Range<usize>,
+        f: impl Fn(usize) -> (Ciphertext, Scalar),
+    ) -> [Ciphertext; BATCH] {
+        let (mut s, mut a, mut b) = (
+            [U256::ZERO; BATCH],
+            [U256::ZERO; BATCH],
+            [U256::ZERO; BATCH],
+        );
+        let n = range.len();
+        for (k, i) in range.enumerate() {
+            let (ct, e) = f(i);
+            (s[k], a[k], b[k]) = (e.0, ct.a.0, ct.b.0);
         }
+        let a = self.g.pow_mul_batch(gp, n, &s, &a);
+        let b = self.y.pow_mul_batch(gp, n, &s, &b);
+        std::array::from_fn(|i| Ciphertext { a: a[i], b: b[i] })
     }
 }
 
@@ -243,6 +356,24 @@ pub(crate) fn multi_exp(gp: &GroupParams, bases: &[Mont], exps: &[U256], threads
         }
     }
     acc.unwrap_or_else(|| p.mont_one())
+}
+
+/// `batch(range)` for the consecutive ranges of at most [`BATCH`]
+/// indices that cover `0..n`, on up to `threads` threads
+/// ([`par_map_indexed`]), flattened in index order: each batch fills
+/// its leading `range.len()` slots and the rest is padding.
+pub(crate) fn par_batches<T, F>(n: usize, threads: usize, batch: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(Range<usize>) -> [T; BATCH] + Sync,
+{
+    par_map_indexed(n.div_ceil(BATCH), threads, |c| {
+        batch(c * BATCH..n.min((c + 1) * BATCH))
+    })
+    .into_iter()
+    .flatten()
+    .take(n)
+    .collect()
 }
 
 /// Evaluates `f(i)` for `i in 0..n` on up to `threads` scoped OS
@@ -348,11 +479,10 @@ mod tests {
         assert_eq!(ops::count(|| gp.g_pow(&ones)).1, 32);
         let ct = pk.encrypt_with(&gp, &m, &ones);
         assert_eq!(ops::count(|| pk.encrypt_with(&gp, &m, &ones)).1, 64);
-        assert_eq!(ops::count(|| pk.rerandomize_with(&gp, &ct, &ones)).1, 64);
         for _ in 0..50 {
             let s = gp.random_scalar(&mut rng);
             assert!(ops::count(|| pk.y.pow(&gp, &s)).1 <= 32);
-            assert!(ops::count(|| pk.rerandomize_with(&gp, &ct, &s)).1 <= 64);
+            assert!(ops::count(|| pk.y.pow_mul(&gp, &s, &m)).1 <= 32);
         }
         // The table-less reference: g through the shared table, y by
         // the windowed ladder, two plain products.
@@ -391,20 +521,37 @@ mod tests {
 
     #[test]
     fn precomputed_key_matches_reference_ops() {
-        let gp = GroupParams::default_params();
         let mut rng = StdRng::seed_from_u64(2);
-        let kp = keygen(&gp, &mut rng);
-        let pk = PrecomputedKey::new(&gp, &kp.public);
-        for _ in 0..10 {
-            let m = gp.random_element(&mut rng);
-            let r = gp.random_scalar(&mut rng);
-            let ct = pk.encrypt_with(&gp, &m, &r);
-            assert_eq!(ct, encrypt_with(&gp, &kp.public, &m, &r));
-            let s = gp.random_scalar(&mut rng);
-            assert_eq!(
-                pk.rerandomize_with(&gp, &ct, &s),
-                rerandomize_with(&gp, &kp.public, &ct, &s)
-            );
+        for gp in [
+            GroupParams::default_params(),
+            GroupParams::generate(64, &mut rng),
+        ] {
+            let kp = keygen(&gp, &mut rng);
+            let pk = PrecomputedKey::new(&gp, &kp.public);
+            let items: Vec<(Ciphertext, Scalar, GroupElement)> = (0..40)
+                .map(|i| {
+                    let m = gp.random_element(&mut rng);
+                    let r = gp.random_scalar(&mut rng);
+                    let ct = pk.encrypt_with(&gp, &m, &r);
+                    assert_eq!(ct, encrypt_with(&gp, &kp.public, &m, &r));
+                    let s = if i % 7 == 0 {
+                        Scalar::ZERO
+                    } else {
+                        gp.random_scalar(&mut rng)
+                    };
+                    (ct, s, m)
+                })
+                .collect();
+            // Batch lengths around the lane width, on 1 to 5 threads.
+            for (n, threads) in [(0, 1), (1, 1), (7, 2), (16, 1), (17, 5), (40, 3)] {
+                let re = pk.rerandomize_all(&gp, n, threads, |i| (items[i].0, items[i].1));
+                let g = pk.g_pow_mul_all(&gp, n, threads, |i| (items[i].1, items[i].2));
+                for (i, (ct, s, m)) in items[..n].iter().enumerate() {
+                    assert_eq!(re[i], rerandomize_with(&gp, &kp.public, ct, s), "n = {n}");
+                    assert_eq!(g[i], gp.mul(m, &gp.pow(&gp.generator(), s)), "n = {n}");
+                }
+                assert_eq!((re.len(), g.len()), (n, n));
+            }
         }
     }
 

@@ -30,8 +30,8 @@
 //! ([`GroupParams::generate`]) fall back to [`GroupParams::pow`]. As
 //! everywhere in this crate, none of it is constant-time.
 
-use crate::batch::{par_map_indexed, FixedBasePowers};
-use crate::lanes::{self, BATCH};
+use crate::batch::{par_batches, FixedBasePowers};
+use crate::lanes::{self, Radix, BATCH};
 use crate::modarith::{is_probable_prime, jacobi, Modulus};
 use crate::sha256::Sha256;
 use crate::u256::U256;
@@ -175,23 +175,21 @@ impl GroupParams {
     /// chains; a short last batch is padded to eight or sixteen), at
     /// about a tenth of the scalar cost; elsewhere each batch runs
     /// [`Self::pow`]. Batches are spread over `threads` threads
-    /// ([`par_map_indexed`]).
+    /// ([`crate::batch::par_map_indexed`]).
     pub fn pow_all(&self, bases: &[GroupElement], e: &Scalar, threads: usize) -> Vec<GroupElement> {
-        let n = bases.len();
-        let batches = par_map_indexed(n.div_ceil(BATCH), threads, |c| {
-            let batch = &bases[c * BATCH..n.min((c + 1) * BATCH)];
+        let k = Radix::new(&self.p);
+        par_batches(bases.len(), threads, |range| {
+            let batch = &bases[range];
             let values: [U256; BATCH] =
                 std::array::from_fn(|i| batch.get(i).map_or(U256::ZERO, |b| b.0));
-            lanes::pow_batch(&self.p, &values[..batch.len()], &e.0).unwrap_or_else(|| {
-                std::array::from_fn(|i| batch.get(i).map_or(U256::ZERO, |b| self.p.pow(&b.0, &e.0)))
-            })
-        });
-        batches
-            .into_iter()
-            .flatten()
-            .take(n)
-            .map(GroupElement)
-            .collect()
+            lanes::pow_batch(&k, &values[..batch.len()], &e.0)
+                .unwrap_or_else(|| {
+                    std::array::from_fn(|i| {
+                        batch.get(i).map_or(U256::ZERO, |b| self.p.pow(&b.0, &e.0))
+                    })
+                })
+                .map(GroupElement)
+        })
     }
 
     /// `a^x · b^y mod p` in one simultaneous exponentiation

@@ -1,13 +1,39 @@
-//! Same-exponent exponentiations in lock step, on AVX-512 IFMA.
+//! Exponentiations in lock step, on AVX-512 IFMA.
 //!
-//! A PSC hop raises many bases to one exponent: the mixing hop raises
-//! both components of every ciphertext to its `k`, the decryption hop
-//! every `a` to the CP's key share. [`pow_batch`] runs up to sixteen
-//! such exponentiations at once, one per 64-bit lane of a 512-bit
-//! register, in two independent chains of eight lanes. The exponent is
-//! shared, so every lane follows the same control flow: the 4-bit fixed
-//! window of [`Modulus::pow`], same table, same squarings, same skipped
-//! zero windows.
+//! A PSC hop makes thousands of exponentiations of two kinds, and both
+//! suit lock-step SIMD: every lane can follow the same control flow.
+//! [`pow_batch`] and [`fixed_pow_mul_batch`] each run up to sixteen of
+//! them at once, one per 64-bit lane of a 512-bit register, in two
+//! independent chains of eight lanes.
+//!
+//! # Same-exponent batches
+//!
+//! The mixing hop raises both components of every ciphertext to its
+//! `k`, the decryption hop every `a` to the CP's key share.
+//! [`pow_batch`] raises up to sixteen bases to one exponent by the 4-bit
+//! fixed window of [`Modulus::pow`]: same table, same squarings, same
+//! skipped zero windows, since the exponent is shared.
+//!
+//! # Fixed-base batches
+//!
+//! Every rerandomization, encryption and DC mark is a power of `g` or
+//! of the joint key `y` times a plain operand, through the base's 8-bit
+//! window rows ([`crate::batch::FixedBasePowers`], 32 rows of 256
+//! Montgomery-form entries). [`fixed_pow_mul_batch`] computes
+//! `base^e_i · x_i` with a scalar of its own per lane, from those same
+//! rows: there is no second table. Per window, each lane loads the row
+//! entry its digit names (a zero digit reads entry 0, the Montgomery
+//! one), four limbs at a time with `_mm512_set_epi64`, and splits it
+//! into 52-bit digits in-register; so every lane makes the same 31
+//! products whatever its scalar. The rows are in the scalar radix
+//! `2^256` and the lanes multiply in `2^260`: after the 31 products the
+//! accumulator is `base^e · 2^132`, the product with the plain operand
+//! takes it to `base^e · x · 2^-128`, and one product with the constant
+//! `2^388 mod m` undoes that. That is 33 lane products per lane, against
+//! at most 32 scalar ones, and the result is the same integer as
+//! [`crate::batch::FixedBasePowers::pow_mul`] — except that a zero
+//! exponent, which the scalar path answers with the operand untouched,
+//! comes out reduced (the caller hands such lanes their operand back).
 //!
 //! # The lane product
 //!
@@ -27,39 +53,45 @@
 //! below `2m` give a product below `2m`, so no lane ever subtracts, and
 //! values are reduced once, when they leave the kernel. Bases enter the
 //! Montgomery domain by one product with `2^520 mod m`, so they need
-//! only be below `2^256`.
+//! only be below `2^256`; so do fixed-base operands.
 //!
 //! # Cost
 //!
 //! Per lane, exactly [`Modulus::pow`]'s kernel calls (≤ 331 for a
-//! 256-bit exponent). The op counter of the unit tests ticks once per
+//! 256-bit exponent) for a same-exponent batch, and exactly 33 for a
+//! fixed-base batch. The op counter of the unit tests ticks once per
 //! lane per product, a short batch's padding included (up to eight
-//! bases take one chain, more take two), so counts stay comparable with
+//! lanes take one chain, more take two), so counts stay comparable with
 //! the scalar kernel. A sixteen-lane product costs about one and a half
-//! scalar ones: a full batch runs at about a tenth of the scalar cost per base
-//! (≈ 1.2 µs against ≈ 12 µs on a 2.1 GHz Xeon with AVX-512 IFMA).
+//! scalar ones: a full same-exponent batch runs at about a tenth of the
+//! scalar cost per base (≈ 1.2 µs against ≈ 12 µs on a 2.1 GHz Xeon
+//! with AVX-512 IFMA), a full fixed-base batch at about a quarter
+//! (≈ 0.25 µs against 1.05–1.6 µs per power).
 //!
 //! Like the rest of the crate this is not constant-time: the window
-//! schedule branches on the (shared) exponent.
+//! schedule branches on the (shared) exponent, and the fixed-base loads
+//! index by each lane's digits.
 //!
 //! # `unsafe`
 //!
-//! This file is the workspace's only user of `std::arch` and its only
-//! `unsafe` block (`pm-lint`'s `unsafe-code` rule holds every other
-//! file to that, and the crate root denies `unsafe_code`). The kernel
-//! is safe Rust: functions under `#[target_feature]` may call the
-//! intrinsics their features enable, lanes go in with
+//! This file is the workspace's only user of `std::arch` and holds its
+//! only `unsafe` block (`pm-lint`'s `unsafe-code` rule holds every other
+//! file to that, the crate root denies `unsafe_code`, and
+//! `pm-lint`'s workspace test holds the count of `unsafe` at one). The
+//! kernels are safe Rust: functions under `#[target_feature]` may call
+//! the intrinsics their features enable, lanes go in with
 //! `_mm512_set_epi64` and come out with extracts, and no pointer is
 //! involved. Calling such a function on a CPU without the features is
-//! the one unsafe act, and [`pow_batch`] does it only right after
-//! `is_x86_feature_detected!` confirmed both.
+//! the one unsafe act, and [`run`] does it, for both kernels, only right
+//! after `is_x86_feature_detected!` confirmed both.
 
-use crate::modarith::Modulus;
+use crate::batch::{digit, ENTRIES, WIDTH, WINDOWS};
+use crate::modarith::{Modulus, Mont};
 use crate::u256::U256;
 
 /// Lanes per register: eight 64-bit lanes of 512 bits.
 pub(crate) const LANES: usize = 8;
-/// Bases per kernel call: two independent eight-lane chains.
+/// Lanes per kernel call: two independent eight-lane chains.
 pub(crate) const BATCH: usize = 2 * LANES;
 
 /// Bits per digit.
@@ -79,7 +111,7 @@ fn to_digits(x: &U256) -> [u64; 5] {
     ]
 }
 
-/// The inverse of [`to_digits`] for a value below `2^256`.
+/// The low 256 bits of a five-digit value.
 fn from_digits(d: &[u64; 5]) -> U256 {
     U256([
         d[0] | d[1] << 52,
@@ -89,8 +121,10 @@ fn from_digits(d: &[u64; 5]) -> U256 {
     ])
 }
 
-/// A modulus in the lane kernel's radix.
-struct Constants {
+/// A modulus in the lane kernels' radix. Derived from [`Modulus`]'s
+/// constants by doublings alone, so building one makes no kernel call.
+#[derive(Clone, Debug)]
+pub(crate) struct Radix {
     m: U256,
     /// `m` as digits.
     digits: [u64; 5],
@@ -98,25 +132,31 @@ struct Constants {
     k0: u64,
     /// `R² mod m = 2^520 mod m`, as digits.
     rr: [u64; 5],
+    /// `2^388 mod m`, as digits: the fixed-base correction (module
+    /// docs), `2^(260 + 4 · WINDOWS)` for [`WINDOWS`] rows.
+    fix: [u64; 5],
 }
 
-impl Constants {
-    fn new(p: &Modulus) -> Constants {
+impl Radix {
+    pub(crate) fn new(p: &Modulus) -> Radix {
         let (m, n0inv, r2) = p.montgomery_constants();
-        // 2^520 = 2^512 · 2^8: eight doublings, no kernel call.
-        let rr = (0..8).fold(*r2, |x, _| p.add(&x, &x));
-        Constants {
+        let double = |x: U256, times: usize| (0..times).fold(x, |x, _| p.add(&x, &x));
+        Radix {
             m: *m,
             digits: to_digits(m),
             k0: n0inv & MASK,
-            rr: to_digits(&rr),
+            // 2^520 = 2^512 · 2^8.
+            rr: to_digits(&double(*r2, 8)),
+            // 2^(260 + 4W) = 2^256 · 2^(4W + 4), from the Montgomery one.
+            fix: to_digits(&double(*p.mont_one().raw(), 4 * WINDOWS + 4)),
         }
     }
 
-    /// A lane value below `m + 1` as a reduced residue.
+    /// A lane value below `2m` as a reduced residue. For `m > 2^255` it
+    /// may reach bit 256, which the top digit's bit 48 holds.
     fn reduce(&self, d: &[u64; 5]) -> U256 {
         let x = from_digits(d);
-        if x >= self.m {
+        if d[4] >> 48 != 0 || x >= self.m {
             x.wrapping_sub(&self.m)
         } else {
             x
@@ -124,53 +164,115 @@ impl Constants {
     }
 }
 
+/// One kernel call's work, sixteen lanes of it (past the caller's
+/// count, padding).
+enum Job<'a> {
+    /// `bases[i]^e`.
+    Pow {
+        bases: &'a [U256; BATCH],
+        e: &'a U256,
+    },
+    /// `rows^exps[i] · ops[i]`.
+    FixedPowMul {
+        rows: &'a [[Mont; ENTRIES]],
+        exps: &'a [U256; BATCH],
+        ops: &'a [U256; BATCH],
+    },
+}
+
+/// Runs `job` on the lane kernel, over one chain for up to eight
+/// `lanes` and two for more, or returns `None` when this CPU lacks
+/// AVX-512F or AVX-512 IFMA. The workspace's one `unsafe` block.
+#[allow(unsafe_code)]
+fn run(k: &Radix, job: Job<'_>, lanes: usize) -> Option<[U256; BATCH]> {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma") {
+        let mut out = [[0u64; 5]; BATCH];
+        // SAFETY: `ifma::run` is safe code compiled for avx512f and
+        // avx512ifma; running it is sound exactly when this CPU has both
+        // features, which the detection just above established.
+        unsafe { ifma::run(k, &job, lanes > LANES, &mut out) };
+        return Some(out.map(|d| k.reduce(&d)));
+    }
+    let _ = (k, job, lanes); // read only by the x86-64 kernels
+    None
+}
+
 /// `bases[i]^e mod m` for up to [`BATCH`] bases, equal to
 /// [`Modulus::pow`] of each base reduced mod `m` (`e = 0` gives 1;
 /// entries past `bases.len()` are padding), or `None` when this CPU
-/// lacks AVX-512F or AVX-512 IFMA. Up to eight bases take one chain,
-/// more take two.
-#[allow(unsafe_code)]
-pub(crate) fn pow_batch(m: &Modulus, bases: &[U256], e: &U256) -> Option<[U256; BATCH]> {
+/// lacks AVX-512F or AVX-512 IFMA.
+pub(crate) fn pow_batch(k: &Radix, bases: &[U256], e: &U256) -> Option<[U256; BATCH]> {
     assert!(
         bases.len() <= BATCH,
         "at most {BATCH} bases per kernel call"
     );
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma") {
-        let k = Constants::new(m);
-        let mut padded = [U256::ZERO; BATCH];
-        padded[..bases.len()].copy_from_slice(bases);
-        let mut out = [[0u64; 5]; BATCH];
-        // SAFETY: `ifma::pow` is safe code compiled for avx512f and
-        // avx512ifma; running it is sound exactly when this CPU has both
-        // features, which the detection just above established.
-        unsafe {
-            if bases.len() <= LANES {
-                ifma::pow::<1>(&k, &padded[..LANES], e, &mut out[..LANES]);
-            } else {
-                ifma::pow::<2>(&k, &padded, e, &mut out);
-            }
-        }
-        return Some(out.map(|d| k.reduce(&d)));
-    }
-    let _ = (m, e); // read only by the x86-64 kernel
-    None
+    let mut padded = [U256::ZERO; BATCH];
+    padded[..bases.len()].copy_from_slice(bases);
+    run(k, Job::Pow { bases: &padded, e }, bases.len())
+}
+
+/// `rows^exps[i] · ops[i] mod m` for up to [`BATCH`] pairs, where
+/// `rows` are a [`crate::batch::FixedBasePowers`] table's Montgomery
+/// rows: the value of `FixedBasePowers::pow_mul` for every nonzero
+/// exponent, and `ops[i] mod m` for a zero one (entries past
+/// `exps.len()` are padding). `None` when this CPU lacks AVX-512F or
+/// AVX-512 IFMA.
+pub(crate) fn fixed_pow_mul_batch(
+    k: &Radix,
+    rows: &[[Mont; ENTRIES]],
+    exps: &[U256],
+    ops: &[U256],
+) -> Option<[U256; BATCH]> {
+    assert!(
+        exps.len() == ops.len() && exps.len() <= BATCH,
+        "at most {BATCH} exponent-operand pairs per kernel call"
+    );
+    assert_eq!(rows.len(), WINDOWS, "one row per {WIDTH}-bit window");
+    let (mut e, mut x) = ([U256::ZERO; BATCH], [U256::ZERO; BATCH]);
+    e[..exps.len()].copy_from_slice(exps);
+    x[..ops.len()].copy_from_slice(ops);
+    run(
+        k,
+        Job::FixedPowMul {
+            rows,
+            exps: &e,
+            ops: &x,
+        },
+        exps.len(),
+    )
 }
 
 #[cfg(target_arch = "x86_64")]
 mod ifma {
-    use super::{to_digits, Constants, LANES, MASK};
-    use crate::modarith::{window, WINDOW_BITS};
+    use super::{digit, to_digits, Job, Radix, BATCH, ENTRIES, LANES, MASK, WIDTH};
+    use crate::modarith::{window, Mont, WINDOW_BITS};
     use crate::u256::U256;
     use std::arch::x86_64::{
         __m512i, _mm256_extract_epi64, _mm512_add_epi64, _mm512_and_si512,
-        _mm512_extracti64x4_epi64, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64, _mm512_set1_epi64,
-        _mm512_set_epi64, _mm512_setzero_si512, _mm512_srli_epi64,
+        _mm512_extracti64x4_epi64, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64, _mm512_or_si512,
+        _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512, _mm512_slli_epi64,
+        _mm512_srli_epi64,
     };
 
     /// Eight residues, digit-sliced: register `j` holds digit `j` of
     /// every lane.
     type Lanes = [__m512i; 5];
+
+    /// `job` over one chain (`two` false: the first eight lanes) or two.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn run(k: &Radix, job: &Job<'_>, two: bool, out: &mut [[u64; 5]; BATCH]) {
+        match (job, two) {
+            (Job::Pow { bases, e }, false) => pow::<1>(k, &bases[..], e, out),
+            (Job::Pow { bases, e }, true) => pow::<2>(k, &bases[..], e, out),
+            (Job::FixedPowMul { rows, exps, ops }, false) => {
+                fixed_pow_mul::<1>(k, rows, &exps[..], &ops[..], out)
+            }
+            (Job::FixedPowMul { rows, exps, ops }, true) => {
+                fixed_pow_mul::<2>(k, rows, &exps[..], &ops[..], out)
+            }
+        }
+    }
 
     /// The same digits in every lane.
     #[target_feature(enable = "avx512f")]
@@ -201,6 +303,39 @@ mod ifma {
             );
         }
         out
+    }
+
+    /// Window `w`'s row entries for eight lanes, lane `i` the entry its
+    /// exponent's digit names: loaded a limb at a time and cut into
+    /// 52-bit digits in-register, as [`to_digits`] does per value.
+    #[target_feature(enable = "avx512f")]
+    fn load_entries(rows: &[[Mont; ENTRIES]], w: usize, exps: &[U256]) -> Lanes {
+        let row = &rows[w];
+        let x: [&[u64; 4]; LANES] =
+            std::array::from_fn(|i| &row[digit(&exps[i], w as u32 * WIDTH, WIDTH)].raw().0);
+        let limb = |l: usize| {
+            let lane = |i: usize| x[i][l] as i64;
+            _mm512_set_epi64(
+                lane(7),
+                lane(6),
+                lane(5),
+                lane(4),
+                lane(3),
+                lane(2),
+                lane(1),
+                lane(0),
+            )
+        };
+        let (l0, l1, l2, l3) = (limb(0), limb(1), limb(2), limb(3));
+        let mask = _mm512_set1_epi64(MASK as i64);
+        let join = |lo: __m512i, hi: __m512i| _mm512_and_si512(_mm512_or_si512(lo, hi), mask);
+        [
+            _mm512_and_si512(l0, mask),
+            join(_mm512_srli_epi64::<52>(l0), _mm512_slli_epi64::<12>(l1)),
+            join(_mm512_srli_epi64::<40>(l1), _mm512_slli_epi64::<24>(l2)),
+            join(_mm512_srli_epi64::<28>(l2), _mm512_slli_epi64::<36>(l3)),
+            _mm512_srli_epi64::<16>(l3),
+        ]
     }
 
     /// Each lane's digits into `out[i]`, for eight lanes.
@@ -277,12 +412,7 @@ mod ifma {
     /// [`crate::modarith::Modulus::pow`]'s window schedule, into `out`
     /// as digits of a value at most `m`.
     #[target_feature(enable = "avx512f,avx512ifma")]
-    pub(super) fn pow<const C: usize>(
-        k: &Constants,
-        bases: &[U256],
-        e: &U256,
-        out: &mut [[u64; 5]],
-    ) {
+    fn pow<const C: usize>(k: &Radix, bases: &[U256], e: &U256, out: &mut [[u64; 5]]) {
         if e.is_zero() {
             out.fill([1, 0, 0, 0, 0]);
             return;
@@ -312,11 +442,40 @@ mod ifma {
             store(x, &mut out[c * LANES..]);
         }
     }
+
+    /// `rows^exps[i] · ops[i]` per lane for `C · 8` lanes: every row's
+    /// entry (31 products), the plain operand, then the radix correction
+    /// `2^388` (module docs), into `out` as digits of a value below `2m`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn fixed_pow_mul<const C: usize>(
+        k: &Radix,
+        rows: &[[Mont; ENTRIES]],
+        exps: &[U256],
+        ops: &[U256],
+        out: &mut [[u64; 5]],
+    ) {
+        let (m, k0) = (splat(&k.digits), _mm512_set1_epi64(k.k0 as i64));
+        let entries = |w: usize| -> [Lanes; C] {
+            std::array::from_fn(|c| load_entries(rows, w, &exps[c * LANES..]))
+        };
+        let mut acc = entries(0);
+        for w in 1..rows.len() {
+            acc = montmul(&acc, &entries(w), &m, k0);
+        }
+        let ops: [Lanes; C] = std::array::from_fn(|c| load(&ops[c * LANES..]));
+        let acc = montmul(&acc, &ops, &m, k0);
+        let acc = montmul(&acc, &[splat(&k.fix); C], &m, k0);
+        for (c, x) in acc.iter().enumerate() {
+            store(x, &mut out[c * LANES..]);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{FixedBasePowers, PrecomputedKey};
+    use crate::elgamal::{keygen, Ciphertext};
     use crate::group::{GroupElement, GroupParams, Scalar};
     use crate::modarith::ops;
     use proptest::prelude::*;
@@ -338,7 +497,7 @@ mod tests {
     /// run where the CPU has the features, and say when they cannot.
     fn lanes_here() -> bool {
         let m = Modulus::new(U256::from_u64(7));
-        let here = pow_batch(&m, &[U256::ONE], &U256::ONE).is_some();
+        let here = pow_batch(&Radix::new(&m), &[U256::ONE], &U256::ONE).is_some();
         #[cfg(target_os = "linux")]
         if let Ok(info) = std::fs::read_to_string("/proc/cpuinfo") {
             let flags = info.lines().find(|l| l.starts_with("flags")).unwrap_or("");
@@ -350,9 +509,12 @@ mod tests {
             );
         }
         if here {
-            println!("avx512f + avx512ifma detected: comparing the lane kernel itself");
+            println!("avx512f + avx512ifma detected: comparing the lane kernels themselves");
         } else {
-            println!("no avx512ifma on this CPU: the lane kernel is unavailable, pow_all runs Modulus::pow");
+            println!(
+                "no avx512ifma on this CPU: the lane kernels are unavailable, pow_all runs \
+                 Modulus::pow and the fixed-base batches FixedBasePowers::pow_mul"
+            );
         }
         here
     }
@@ -413,7 +575,7 @@ mod tests {
             bases.extend((0..LANES).map(|_| U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()])));
             for e in &exps {
                 for n in [LANES, BATCH] {
-                    let got = pow_batch(&m, &bases[..n], e).unwrap();
+                    let got = pow_batch(&Radix::new(&m), &bases[..n], e).unwrap();
                     let expect = scalar(&m, &bases[..n], e);
                     assert_eq!(got[..n], expect, "^ {e} mod {}", m.modulus());
                     cases += n;
@@ -438,7 +600,7 @@ mod tests {
             U256([rng.gen(), rng.gen(), rng.gen(), 0]),
         ] {
             for n in 0..=BATCH {
-                let got = pow_batch(p, &bases[..n], &e).unwrap();
+                let got = pow_batch(&Radix::new(p), &bases[..n], &e).unwrap();
                 assert_eq!(got[..n], scalar(p, &bases[..n], &e), "n = {n}");
             }
         }
@@ -486,6 +648,205 @@ mod tests {
         assert_eq!(calls(9, &max), if lanes { 16 } else { 9 } * POW);
     }
 
+    /// The shipped group and a generated 64-bit one (short modulus,
+    /// upper limbs zero), each with a table for a random base.
+    fn tables() -> Vec<(GroupParams, FixedBasePowers)> {
+        let mut rng = StdRng::seed_from_u64(39);
+        [
+            GroupParams::default_params(),
+            GroupParams::generate(64, &mut rng),
+        ]
+        .into_iter()
+        .map(|gp| {
+            let base = gp.random_element(&mut rng);
+            let table = FixedBasePowers::new(&gp, &base);
+            (gp, table)
+        })
+        .collect()
+    }
+
+    /// The fixed-base kernel over `table`'s rows.
+    fn fixed_kernel(table: &FixedBasePowers, exps: &[U256], ops: &[U256]) -> Option<[U256; BATCH]> {
+        let (k, rows) = table.lane_rows();
+        fixed_pow_mul_batch(k, rows, exps, ops)
+    }
+
+    /// The fixed-base kernel's contract: `pow_mul` of the operand
+    /// reduced (which a zero exponent returns as it is).
+    fn scalar_pow_mul(
+        gp: &GroupParams,
+        t: &FixedBasePowers,
+        exps: &[U256],
+        ops: &[U256],
+    ) -> Vec<U256> {
+        exps.iter()
+            .zip(ops)
+            .map(|(e, x)| {
+                let x = GroupElement(gp.p_modulus().reduce(x));
+                t.pow_mul(gp, &Scalar(*e), &x).0
+            })
+            .collect()
+    }
+
+    /// Zero, one, `q − 1`, every single-window `255 · 2^(8w)`, all ones
+    /// and random words, against operands 1, `p − 1` and random ones,
+    /// in batches of sixteen and of eight.
+    #[test]
+    fn fixed_lanes_match_scalar_pow_mul_on_edges() {
+        if !lanes_here() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(40);
+        let mut cases = 0;
+        for (gp, table) in tables() {
+            let mut exps = vec![
+                U256::ZERO,
+                U256::ONE,
+                gp.q().wrapping_sub(&U256::ONE),
+                U256::MAX,
+            ];
+            exps.extend((0..32).map(|w| U256::from_u64(255).shl(8 * w)));
+            exps.extend((0..20).map(|_| U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()])));
+            let ops = [
+                U256::ONE,
+                gp.p().wrapping_sub(&U256::ONE),
+                gp.random_element(&mut rng).0,
+                gp.random_element(&mut rng).0,
+            ];
+            let pairs: Vec<(U256, U256)> = exps
+                .iter()
+                .flat_map(|e| ops.iter().map(move |x| (*e, *x)))
+                .collect();
+            for n in [BATCH, LANES] {
+                for chunk in pairs.chunks(n) {
+                    let (e, x): (Vec<U256>, Vec<U256>) = chunk.iter().copied().unzip();
+                    let got = fixed_kernel(&table, &e, &x).unwrap();
+                    assert_eq!(
+                        got[..chunk.len()],
+                        scalar_pow_mul(&gp, &table, &e, &x),
+                        "{chunk:?}"
+                    );
+                    cases += chunk.len();
+                }
+            }
+        }
+        println!("{cases} fixed-base lane results equal to FixedBasePowers::pow_mul");
+    }
+
+    /// Every batch length the kernel takes, one chain or two.
+    #[test]
+    fn every_fixed_batch_length_matches_scalar_pow_mul() {
+        if !lanes_here() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(41);
+        for (gp, table) in tables() {
+            let exps: Vec<U256> = (0..BATCH).map(|_| gp.random_scalar(&mut rng).0).collect();
+            let ops: Vec<U256> = (0..BATCH).map(|_| gp.random_element(&mut rng).0).collect();
+            for n in 0..=BATCH {
+                let got = fixed_kernel(&table, &exps[..n], &ops[..n]);
+                let expect = scalar_pow_mul(&gp, &table, &exps[..n], &ops[..n]);
+                assert_eq!(got.unwrap()[..n], expect, "n = {n}");
+            }
+        }
+    }
+
+    /// The key's batch entry points against scalar `pow_mul` on either
+    /// path: lengths 0 to 17 and 33, on 1, 2 and 5 threads, zero
+    /// exponents (whose operand comes back as it went in) among them.
+    #[test]
+    fn key_batches_match_scalar_pow_mul_at_every_length() {
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(42);
+        let kp = keygen(&gp, &mut rng);
+        let pk = PrecomputedKey::new(&gp, &kp.public);
+        let g = FixedBasePowers::new(&gp, &gp.generator());
+        let y = FixedBasePowers::new(&gp, &kp.public.0);
+        let items: Vec<(Scalar, GroupElement, GroupElement)> = (0..33)
+            .map(|i| {
+                let s = match i % 5 {
+                    0 => Scalar::ZERO,
+                    1 => Scalar(U256::MAX),
+                    _ => gp.random_scalar(&mut rng),
+                };
+                (s, gp.random_element(&mut rng), gp.random_element(&mut rng))
+            })
+            .collect();
+        for n in (0..=17).chain([33]) {
+            for threads in [1, 2, 5] {
+                let gs = pk.g_pow_mul_all(&gp, n, threads, |i| (items[i].0, items[i].1));
+                let cts = pk.rerandomize_all(&gp, n, threads, |i| {
+                    let (s, a, b) = items[i];
+                    (Ciphertext { a, b }, s)
+                });
+                let expect: Vec<GroupElement> = items[..n]
+                    .iter()
+                    .map(|(s, a, _)| g.pow_mul(&gp, s, a))
+                    .collect();
+                assert_eq!(gs, expect, "n = {n}, threads = {threads}");
+                let expect: Vec<Ciphertext> = items[..n]
+                    .iter()
+                    .map(|(s, a, b)| Ciphertext {
+                        a: g.pow_mul(&gp, s, a),
+                        b: y.pow_mul(&gp, s, b),
+                    })
+                    .collect();
+                assert_eq!(cts, expect, "n = {n}, threads = {threads}");
+            }
+        }
+    }
+
+    /// 33 lane products per lane on the lane path, a short batch's
+    /// padding included; `pow_mul`'s ≤ 32 per power elsewhere.
+    #[test]
+    fn fixed_batch_kernel_calls_are_pinned() {
+        const FIXED: u64 = 31 + 1 + 1; // rows, operand, correction
+        const SCALAR: u64 = 32; // FixedBasePowers::pow_mul, all-ones exponent
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(43);
+        let kp = keygen(&gp, &mut rng);
+        let pk = PrecomputedKey::new(&gp, &kp.public);
+        let x = gp.random_element(&mut rng);
+        let ct = Ciphertext { a: x, b: x };
+        let lanes = lanes_here();
+        let g_calls =
+            |n: usize, e: Scalar| ops::count(|| pk.g_pow_mul_all(&gp, n, 1, |_| (e, x))).1;
+        let max = Scalar(U256::MAX);
+        for (n, padded) in [
+            (0, 0),
+            (1, 8),
+            (8, 8),
+            (9, 16),
+            (16, 16),
+            (17, 24),
+            (33, 40),
+        ] {
+            let expect = if lanes {
+                padded * FIXED
+            } else {
+                n as u64 * SCALAR
+            };
+            assert_eq!(g_calls(n, max), expect, "n = {n}");
+            let re = ops::count(|| pk.rerandomize_all(&gp, n, 1, |_| (ct, max))).1;
+            assert_eq!(re, 2 * expect, "n = {n}");
+        }
+        // The lanes make every product whatever the scalar; the scalar
+        // path skips zero windows.
+        for _ in 0..20 {
+            let e = gp.random_scalar(&mut rng);
+            let calls = g_calls(BATCH, e);
+            if lanes {
+                assert_eq!(calls, BATCH as u64 * FIXED);
+            } else {
+                assert!(calls <= BATCH as u64 * SCALAR);
+            }
+        }
+        assert_eq!(
+            g_calls(BATCH, Scalar::ZERO),
+            if lanes { BATCH as u64 * FIXED } else { 0 }
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -503,8 +864,22 @@ mod tests {
                 })
                 .collect();
             let e = U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()]);
-            if let Some(got) = pow_batch(p, &bases, &e) {
+            if let Some(got) = pow_batch(&Radix::new(p), &bases, &e) {
                 prop_assert_eq!(&got[..n], &scalar(p, &bases, &e)[..]);
+            }
+        }
+
+        #[test]
+        fn fixed_lanes_match_scalar_pow_mul(seed in any::<u64>(), n in 0..BATCH + 1, wide in any::<bool>()) {
+            let (gp, table) = &tables()[0];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let word = |rng: &mut StdRng| U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()]);
+            let exps: Vec<U256> = (0..n).map(|_| word(&mut rng)).collect();
+            let ops: Vec<U256> = (0..n)
+                .map(|_| if wide { word(&mut rng) } else { gp.random_element(&mut rng).0 })
+                .collect();
+            if let Some(got) = fixed_kernel(table, &exps, &ops) {
+                prop_assert_eq!(&got[..n], &scalar_pow_mul(gp, table, &exps, &ops)[..]);
             }
         }
     }

@@ -15,10 +15,13 @@
 //! * additive secret sharing over `Z_{2^64}` ([`secret`]);
 //! * batched operation support: fixed-base exponentiation tables and
 //!   chunked parallel maps ([`batch`]), used by PSC's batched mixing;
-//! * same-exponent batches ([`GroupParams::pow_all`]) on an eight-lane
-//!   AVX-512 IFMA Montgomery kernel, two chains interleaved (the private `lanes` module, the
-//!   workspace's only `unsafe` block, taken after runtime feature
-//!   detection), with [`modarith::Modulus::pow`] as the fallback.
+//! * same-exponent batches ([`GroupParams::pow_all`]) and fixed-base
+//!   table batches ([`batch::PrecomputedKey::rerandomize_all`],
+//!   [`batch::PrecomputedKey::g_pow_mul_all`]) on an eight-lane AVX-512
+//!   IFMA Montgomery kernel, two chains interleaved (the private
+//!   `lanes` module, the workspace's only `unsafe` block, taken after
+//!   runtime feature detection), with [`modarith::Modulus::pow`] and the
+//!   scalar table powers as the fallback.
 //!
 //! ## Security disclaimer
 //!

@@ -32,6 +32,7 @@
 //! | [`crate::batch::FixedBasePowers::new`] | 8 160: 1 in + 32 rows × 254 products + 31 row steps |
 //! | [`crate::zkp::DleqProof::verify_batch`] | ≤ 116 per proof at 512 proofs (≤ 538 per proof checked alone with a table for `y`) |
 //! | [`crate::group::GroupParams::pow_all`] | ≤ 331 per base, as [`Modulus::pow`]: on AVX-512 IFMA, 8 or 16 lanes per lane-kernel product, counted once per lane (a short batch pays for its padding) |
+//! | [`crate::batch::PrecomputedKey::g_pow_mul_all`] | per table power, exactly 33 on AVX-512 IFMA: 31 row products + 1 operand + 1 radix correction, counted per lane, padding included; ≤ 32 elsewhere, as [`crate::batch::FixedBasePowers::pow`] ([`crate::batch::PrecomputedKey::rerandomize_all`]: two per ciphertext) |
 //!
 //! [`Modulus::pow`] is a left-to-right 4-bit fixed window: the table
 //! holds `base^0 … base^15`, the top window seeds the accumulator, and
@@ -49,7 +50,8 @@
 //! nibbles, zero windows skip their product, and the final subtraction
 //! branches. The lane kernel behind `pow_all` follows the same
 //! window schedule, so it branches on the shared exponent in the same
-//! way. The crate-level security disclaimer stands.
+//! way, and its fixed-base batches index the table rows by each lane's
+//! digits. The crate-level security disclaimer stands.
 
 use crate::u256::U256;
 use rand::Rng;
@@ -71,6 +73,14 @@ pub(crate) fn window(e: &U256, w: u32) -> usize {
 /// mistaken for one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Mont(U256);
+
+impl Mont {
+    /// The stored value `x · 2^256 mod m`, read by the lane kernel's
+    /// fixed-base loads.
+    pub(crate) fn raw(&self) -> &U256 {
+        &self.0
+    }
+}
 
 /// Kernel-call counter for the op-count unit tests: thread-local, so
 /// concurrently running tests do not see each other's calls, and

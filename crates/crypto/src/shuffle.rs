@@ -14,6 +14,7 @@
 use crate::batch::{par_map_indexed, PrecomputedKey};
 use crate::elgamal::{rerandomize_with, Ciphertext, PublicKey};
 use crate::group::{GroupParams, Scalar};
+use crate::lanes::BATCH;
 use crate::zkp::Transcript;
 use rand::Rng;
 
@@ -177,19 +178,18 @@ impl ShuffleProof {
         rng: &mut R,
     ) -> ShuffleProof {
         // Generate shadows: the draws of `rounds` calls to [`shuffle`],
-        // the rerandomizations through fixed-base tables for `g` and `y`.
+        // then the rerandomizations in batches through fixed-base tables
+        // for `g` and `y`.
         let pk = PrecomputedKey::new(gp, y);
-        let mut shadow_witnesses = Vec::with_capacity(rounds);
-        let mut shadows = Vec::with_capacity(rounds);
-        for _ in 0..rounds {
-            let sw = ShuffleWitness::random(gp, input.len(), rng);
-            shadows.push(
-                (0..input.len())
-                    .map(|i| pk.rerandomize_with(gp, &input[sw.perm.0[i]], &sw.rerand[i]))
-                    .collect(),
-            );
-            shadow_witnesses.push(sw);
-        }
+        let shadow_witnesses: Vec<ShuffleWitness> = (0..rounds)
+            .map(|_| ShuffleWitness::random(gp, input.len(), rng))
+            .collect();
+        let shadows = shadow_witnesses
+            .iter()
+            .map(|sw| {
+                pk.rerandomize_all(gp, input.len(), 1, |i| (input[sw.perm.0[i]], sw.rerand[i]))
+            })
+            .collect();
         Self::from_parts(gp, y, input, output, w, shadow_witnesses, shadows)
     }
 
@@ -259,9 +259,11 @@ impl ShuffleProof {
         self.verify_with(gp, &PrecomputedKey::new(gp, y), input, output, 1)
     }
 
-    /// Verifies the argument with the caller's tables for the key, the
-    /// `rounds × n` rerandomization checks spread over up to `threads`
-    /// threads. The verdict does not depend on `threads`.
+    /// Verifies the argument with the caller's tables for the key: the
+    /// `rounds × n` rerandomizations the openings claim, sixteen cells
+    /// of one round per batch ([`PrecomputedKey::rerandomize_all`]'s
+    /// batches), spread over up to `threads` threads and each compared
+    /// with its target cell. The verdict does not depend on `threads`.
     pub fn verify_with(
         &self,
         gp: &GroupParams,
@@ -307,13 +309,15 @@ impl ShuffleProof {
             }
             sides.push((perm, rerand, source, target));
         }
-        // Then every cell of every round, compared in place: slot `i`
-        // of the target must be the source's slot `perm[i]`
-        // rerandomized by `rerand[i]`.
-        par_map_indexed(rounds * n, threads, |k| {
-            let (perm, rerand, source, target) = sides[k / n];
-            let i = k % n;
-            pk.rerandomize_with(gp, &source[perm.0[i]], &rerand[i]) == target[i]
+        // Then every cell of every round, a batch at a time: slot `i` of
+        // the target must be the source's slot `perm[i]` rerandomized
+        // by `rerand[i]`.
+        let batches = n.div_ceil(BATCH);
+        par_map_indexed(rounds * batches, threads, |t| {
+            let (perm, rerand, source, target) = sides[t / batches];
+            let cells = (t % batches) * BATCH..n.min((t % batches + 1) * BATCH);
+            let got = pk.rerandomize_batch(gp, cells.clone(), |i| (source[perm.0[i]], rerand[i]));
+            cells.zip(got).all(|(i, ct)| ct == target[i])
         })
         .into_iter()
         .all(|ok| ok)
@@ -627,9 +631,11 @@ mod tests {
     }
 
     /// Machine-independent cost of verification: one table
-    /// rerandomization (≤ 64 kernel calls; ≤ 128 with 4-bit tables) per
-    /// cell per round, nothing else. Without tables a cell-round was two
-    /// plain ladders and two two-call products, ≈ 770.
+    /// rerandomization per cell per round, nothing else — 2 × 33 lane
+    /// products on the lane path (8 cells fill one eight-lane chain, so
+    /// no padding), ≤ 64 scalar kernel calls elsewhere (≤ 128 with 4-bit
+    /// tables). Without tables a cell-round was two plain ladders and
+    /// two two-call products, ≈ 770.
     #[test]
     fn shuffle_verify_kernel_calls_are_pinned() {
         use crate::modarith::ops;
@@ -641,13 +647,21 @@ mod tests {
             proof,
         } = proved_shuffle(10, 8, 16);
         let pk = PrecomputedKey::new(&gp, &key);
+        // A zero exponent costs the scalar path nothing and the lanes
+        // their full schedule: which path runs here.
+        let lanes =
+            ops::count(|| pk.g_pow_mul_all(&gp, 1, 1, |_| (Scalar::ZERO, gp.identity()))).1 > 0;
         let (ok, calls) = ops::count(|| proof.verify_with(&gp, &pk, &input, &output, 1));
         assert!(ok);
-        assert!(
-            calls <= 64 * 8 * 16,
-            "{calls} calls for 8 cells × 16 rounds"
-        );
-        assert!(calls >= 50 * 8 * 16, "the counter saw the work: {calls}");
+        if lanes {
+            assert_eq!(calls, 2 * 33 * 8 * 16);
+        } else {
+            assert!(
+                calls <= 64 * 8 * 16,
+                "{calls} calls for 8 cells × 16 rounds"
+            );
+            assert!(calls >= 50 * 8 * 16, "the counter saw the work: {calls}");
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! `g^e` through the generator's process-wide table, of
 //! `FixedBasePowers::pow` for another base, and of table encryptions
 //! and rerandomizations, over a grid of exponents. The digests were
-//! computed with the 4-bit tables these paths replaced; the sequential
+//! computed with the 4-bit tables these paths replaced, one scalar
+//! table power at a time (the key's powers and rerandomizations now run
+//! through its sixteen-lane batches, on the same inputs); the sequential
 //! and batched PSC provers share the generator's table, so their
 //! equality tests could not notice a wrong one. The same-exponent batch
 //! `GroupParams::pow_all` is pinned the same way, by a digest computed
@@ -50,13 +52,20 @@ fn fixed_base_powers_match_the_parent_digests() {
     let kp = keygen(&gp, &mut rng);
     let pk = PrecomputedKey::new(&gp, &kp.public);
     let m = gp.random_element(&mut rng);
+    // The key's batches, on the inputs the scalar loop drew: `g^e` as
+    // `g^e · 1`, and each encryption rerandomized by a fresh scalar.
+    let g_batch = pk.g_pow_mul_all(&gp, exps.len(), 2, |i| (exps[i], gp.identity()));
+    let cts: Vec<_> = exps
+        .iter()
+        .map(|e| (pk.encrypt_with(&gp, &m, e), gp.random_scalar(&mut rng)))
+        .collect();
+    let re = pk.rerandomize_all(&gp, cts.len(), 3, |i| cts[i]);
     let (mut g, mut other, mut key) = (Vec::new(), Vec::new(), Vec::new());
-    for e in &exps {
+    for (i, e) in exps.iter().enumerate() {
         g.extend(gp.g_pow(e).to_bytes());
-        g.extend(pk.g_pow(&gp, e).to_bytes());
+        g.extend(g_batch[i].to_bytes());
         other.extend(table.pow(&gp, e).to_bytes());
-        let ct = pk.encrypt_with(&gp, &m, e);
-        let re = pk.rerandomize_with(&gp, &ct, &gp.random_scalar(&mut rng));
+        let (ct, re) = (cts[i].0, re[i]);
         for x in [ct.a, ct.b, re.a, re.b] {
             key.extend(x.to_bytes());
         }

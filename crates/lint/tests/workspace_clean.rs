@@ -85,6 +85,57 @@ fn public_items_only_ratchet_down() {
     );
 }
 
+/// The `unsafe` keyword may only shrink too: the lane kernels in
+/// `crates/crypto/src/lanes.rs` share one `unsafe` block, entered after
+/// one runtime feature check, and no other code has any. Counted on
+/// the lexer's scrubbed text (comments and literals blanked, so
+/// `unsafe_code` lint names and prose do not count) over every scanned
+/// file outside `target/`, the vendored crates and the lint fixtures.
+#[test]
+fn unsafe_blocks_only_ratchet_down() {
+    const CEILING: usize = 1;
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let skip = ["target", "crates/vendor", "crates/lint/fixtures"].map(|d| root.join(d));
+    let (mut dirs, mut found, mut total) = (vec![root.clone()], Vec::new(), 0);
+    while let Some(dir) = dirs.pop() {
+        for path in fs::read_dir(&dir)
+            .expect("dir readable")
+            .map(|e| e.expect("dir entry").path())
+        {
+            let hidden = path
+                .file_name()
+                .is_some_and(|n| n.to_string_lossy().starts_with('.'));
+            if hidden || skip.contains(&path) || path.ends_with("target") {
+                continue;
+            }
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let src = fs::read_to_string(&path).expect("source readable");
+                let code: String = pm_lint::lexer::scrub(&src).chars.into_iter().collect();
+                let words = code.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+                let n = words.filter(|w| *w == "unsafe").count();
+                if n > 0 {
+                    found.push(format!(
+                        "{}: {n}",
+                        path.strip_prefix(&root).unwrap_or(&path).display()
+                    ));
+                }
+                total += n;
+            }
+        }
+    }
+    assert!(
+        total <= CEILING,
+        "{total} `unsafe` keywords, above the ceiling of {CEILING}: {}",
+        found.join(", ")
+    );
+    assert!(
+        total > 0,
+        "the lane kernels' block was not found: is the scan looking?"
+    );
+}
+
 fn opens_pub_item(line: &str) -> bool {
     let rest = line.trim_start_matches([' ', '\t']);
     ["fn", "struct", "enum", "trait", "type", "const"]

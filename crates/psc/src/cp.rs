@@ -22,22 +22,25 @@
 //!    zero-preserving exponentiation, Chaum–Pedersen proofs, the
 //!    shuffle, and the shadow shuffles of the cut-and-choose argument —
 //!    runs chunked across threads
-//!    ([`pm_crypto::batch::par_map_indexed`]), with fixed-base power
-//!    tables ([`pm_crypto::batch::PrecomputedKey`]) shared for the
-//!    `g^r`/`y^r` exponentiations; when verifying, each side's `pre^k`
-//!    and its proof's commitment `pre^w` come from one comb
-//!    ([`pm_crypto::zkp::DleqProof::raise_and_prove`]). Unverified, the
-//!    hop's one exponent `k` meets all `2n` ciphertext components, and
-//!    the decryption hop's key share meets every `a`: each is one
-//!    same-exponent batch ([`GroupParams::pow_all`]), sixteen bases
-//!    (two eight-lane chains) per call of the AVX-512 IFMA lane kernel
-//!    where the CPU has it, the batches chunked across the same
-//!    threads. Each cell owns its output slot, so the serialized
-//!    [`messages::MixResult`] is bit-identical to the sequential
-//!    reference at every thread count — pinned by the
-//!    `mix_equivalence` proptests and the end-to-end transcript tests.
-//!    The sequential reference and the verified branches keep scalar
-//!    [`GroupParams::pow`].
+//!    ([`pm_crypto::batch::par_map_indexed`]). Every `g^r`/`y^r` is a
+//!    fixed-base table power ([`pm_crypto::batch::PrecomputedKey`]):
+//!    the noise plaintexts are one generator batch
+//!    ([`PrecomputedKey::g_pow_mul_all`]), and their encryptions, the
+//!    output shuffle and each of the 16 shadow shuffles are
+//!    rerandomization batches ([`PrecomputedKey::rerandomize_all`]),
+//!    sixteen ciphertexts per call of the AVX-512 IFMA lane kernel
+//!    where the CPU has it, each lane with its own scalar. Unverified,
+//!    the hop's one exponent `k` meets all `2n` ciphertext components,
+//!    and the decryption hop's key share meets every `a`: each is one
+//!    same-exponent batch ([`GroupParams::pow_all`]) on the same
+//!    kernel. Verified, each side's `pre^k` and its proof's commitment
+//!    `pre^w` come from one scalar comb
+//!    ([`pm_crypto::zkp::DleqProof::raise_and_prove`]). The batches are
+//!    chunked across the same threads, and each cell owns its output
+//!    slot, so the serialized [`messages::MixResult`] is bit-identical
+//!    to the sequential reference (scalar throughout) at every thread
+//!    count — pinned by the `mix_equivalence` proptests and the
+//!    end-to-end transcript tests.
 //!
 //! The receiving side is parallel too: the tally server checks a hop's
 //! proofs on the same thread count ([`MixStrategy::threads`]), one
@@ -508,18 +511,23 @@ pub fn mix_message_batched_obs<R: Rng + ?Sized>(
     batch_span.note("threads", threads);
     let pk = PrecomputedKey::new(gp, key);
 
+    // Noise: each plaintext `g^r · 1` (an unmarked cell's exponent 0
+    // gives the identity), then its encryption as the rerandomization
+    // of `(1, plaintext)` by the encryption randomness.
     let mut with_noise = cells;
-    let noise_cells = par_map_indexed(rand.noise.len(), threads, |i| {
-        let plan = &rand.noise[i];
-        let plain = match &plan.mark_exp {
-            Some(r) => pk.g_pow(gp, r),
-            None => gp.identity(),
-        };
-        pk.encrypt_with(gp, &plain, &plan.enc_r)
+    let noise = &rand.noise;
+    let plain = pk.g_pow_mul_all(gp, noise.len(), threads, |i| {
+        (noise[i].mark_exp.unwrap_or(Scalar::ZERO), gp.identity())
     });
-    with_noise.extend(noise_cells);
+    with_noise.extend(pk.rerandomize_all(gp, noise.len(), threads, |i| {
+        let cell = Ciphertext {
+            a: gp.identity(),
+            b: plain[i],
+        };
+        (cell, noise[i].enc_r)
+    }));
 
-    let exp_key = pk.g_pow(gp, &rand.k);
+    let exp_key = gp.g_pow(&rand.k);
     // Verified, each side's `pre^k` and its commitment `pre^w` share
     // one comb.
     let (post_exp, exp_proofs): (Vec<Ciphertext>, Vec<(DleqProof, DleqProof)>) = if verify {
@@ -545,18 +553,17 @@ pub fn mix_message_batched_obs<R: Rng + ?Sized>(
         (post_exp, Vec::new())
     };
 
+    let n = post_exp.len();
     let witness = &rand.witness;
-    let output = par_map_indexed(post_exp.len(), threads, |i| {
-        pk.rerandomize_with(gp, &post_exp[witness.perm.0[i]], &witness.rerand[i])
+    let output = pk.rerandomize_all(gp, n, threads, |i| {
+        (post_exp[witness.perm.0[i]], witness.rerand[i])
     });
     let shuffle_proof = if verify {
         // One task per cut-and-choose round: each shadow is a full
         // shuffle of `post_exp` under its pre-drawn witness.
         let shadows = par_map_indexed(rand.shadow_witnesses.len(), threads, |r| {
             let sw = &rand.shadow_witnesses[r];
-            (0..post_exp.len())
-                .map(|i| pk.rerandomize_with(gp, &post_exp[sw.perm.0[i]], &sw.rerand[i]))
-                .collect::<Vec<Ciphertext>>()
+            pk.rerandomize_all(gp, n, 1, |i| (post_exp[sw.perm.0[i]], sw.rerand[i]))
         });
         Some(ShuffleProof::from_parts(
             gp,

@@ -10,6 +10,18 @@
 //! output (the cell stays non-identity), so the DC buckets a
 //! collection period's items into cell indices first
 //! ([`crate::shard`]) and marks each occupied cell once.
+//!
+//! A mark is three fixed-base table powers. The classic sequence —
+//! draw a nonzero `m`, encrypt `g^m` with randomness `r`, multiply it
+//! into the cell `(a, b)`, rerandomize by `s` — ends at
+//! `(a · g^(r+s), b · g^m · y^(r+s))`, and that is computed directly
+//! from the same draws: `b · g^m` through the generator's table, then
+//! the rerandomization of `(a, b · g^m)` by `r + s mod q`, the same
+//! group elements for two table powers fewer than five.
+//! [`ObliviousTable::mark_cells`] draws every scalar first, in the
+//! classic order, and runs the powers in batches of sixteen through the
+//! key's lane-kernel entry points
+//! ([`pm_crypto::batch::PrecomputedKey::rerandomize_all`]).
 
 use pm_crypto::batch::PrecomputedKey;
 use pm_crypto::elgamal::{mul_ciphertexts, Ciphertext, PublicKey};
@@ -18,11 +30,15 @@ use pm_crypto::sha256::sha256_concat;
 use pm_crypto::u256::U256;
 use rand::Rng;
 
+/// Cells whose draws [`ObliviousTable::mark_cells`] makes before it
+/// runs their powers: sixteen lane batches.
+const MARK_CHUNK: usize = 256;
+
 /// A DC's oblivious counter table.
 pub struct ObliviousTable {
     gp: GroupParams,
-    /// Fixed-base power tables for the joint key: every mark costs four
-    /// fixed-base exponentiations (`g^r`, `y^r`, `g^s`, `y^s`), so the
+    /// Fixed-base power tables for the joint key: every mark costs three
+    /// fixed-base exponentiations (`g^m`, `g^(r+s)`, `y^(r+s)`), so the
     /// one-time table build amortizes over the collection period. The
     /// produced ciphertexts are identical to the plain-`pow` path.
     pk: PrecomputedKey,
@@ -95,39 +111,68 @@ impl ObliviousTable {
     /// Marks one cell: multiplies it by a fresh encryption of a random
     /// group element and rerandomizes. Items are pre-bucketed into cell
     /// indices ([`crate::shard`]), so the ciphertext work happens
-    /// exactly once per occupied cell at merge.
+    /// exactly once per occupied cell at merge. A one-cell
+    /// [`Self::mark_cells`].
     pub fn mark_cell<R: Rng + ?Sized>(&mut self, idx: usize, rng: &mut R) {
-        // Draw-for-draw and value-for-value the classic
-        // `random_non_identity` → `encrypt` → `rerandomize` sequence,
-        // routed through the fixed-base tables: `g^m` is the identity
-        // iff `m = 0`, so the rejection test needs no exponentiation.
-        let mark_exp = loop {
-            let m = self.gp.random_scalar(rng);
-            if m != Scalar::ZERO {
-                break m;
-            }
-        };
-        let random_mark = self.pk.g_pow(&self.gp, &mark_exp);
-        let r = self.gp.random_scalar(rng);
-        let enc = self.pk.encrypt_with(&self.gp, &random_mark, &r);
-        let combined = mul_ciphertexts(&self.gp, &self.cells[idx], &enc);
-        let s = self.gp.random_scalar(rng);
-        self.cells[idx] = self.pk.rerandomize_with(&self.gp, &combined, &s);
-        self.marks += 1;
+        self.mark_cells([idx], rng);
     }
 
-    /// Marks a set of cells in ascending index order with a single RNG —
-    /// the deterministic merge step of the sharded path. Ciphertext
-    /// randomness is consumed in cell order, so the resulting table is
-    /// bit-identical however the cells were accumulated.
+    /// Marks a set of cells in the given order with a single RNG — the
+    /// deterministic merge step of the sharded path. Ciphertext
+    /// randomness is consumed in cell order, draw-for-draw the classic
+    /// `random_non_identity` → `encrypt` → `rerandomize` sequence per
+    /// cell (`g^m` is the identity iff `m = 0`, so the rejection test
+    /// needs no exponentiation), so the resulting table is bit-identical
+    /// however the cells were accumulated. The draws of up to 256 cells
+    /// are made first and their powers then run in batches; a cell met
+    /// again within a chunk starts the next one, so a re-marked cell
+    /// still sees its earlier mark.
     pub fn mark_cells<R: Rng + ?Sized>(
         &mut self,
         cells: impl IntoIterator<Item = usize>,
         rng: &mut R,
     ) {
+        let mut marks: Vec<(usize, Scalar, Scalar)> = Vec::with_capacity(MARK_CHUNK);
         for idx in cells {
-            self.mark_cell(idx, rng);
+            let mark_exp = loop {
+                let m = self.gp.random_scalar(rng);
+                if m != Scalar::ZERO {
+                    break m;
+                }
+            };
+            let r = self.gp.random_scalar(rng);
+            let s = self.gp.random_scalar(rng);
+            let repeat = marks.last().is_some_and(|&(last, ..)| idx <= last)
+                && marks.iter().any(|&(j, ..)| j == idx);
+            if repeat || marks.len() == MARK_CHUNK {
+                self.apply_marks(&marks);
+                marks.clear();
+            }
+            marks.push((idx, mark_exp, self.gp.scalar_add(&r, &s)));
         }
+        self.apply_marks(&marks);
+    }
+
+    /// Applies marks `(cell, m, t)` to distinct cells: `(a · g^t, b ·
+    /// g^m · y^t)`.
+    fn apply_marks(&mut self, marks: &[(usize, Scalar, Scalar)]) {
+        let (gp, cells) = (&self.gp, &self.cells);
+        let n = marks.len();
+        let bm = self
+            .pk
+            .g_pow_mul_all(gp, n, 1, |k| (marks[k].1, cells[marks[k].0].b));
+        let marked = self.pk.rerandomize_all(gp, n, 1, |k| {
+            let (idx, _, t) = marks[k];
+            let cell = Ciphertext {
+                a: cells[idx].a,
+                b: bm[k],
+            };
+            (cell, t)
+        });
+        for (&(idx, ..), cell) in marks.iter().zip(marked) {
+            self.cells[idx] = cell;
+        }
+        self.marks += n as u64;
     }
 
     /// Consumes the table, returning the cells for transmission.

@@ -16,9 +16,10 @@
 //! challenge per proof, then two weighted products for the whole
 //! message), and checks the shuffle argument's openings against the
 //! joint key's fixed-base tables (256 KiB, beside the process-wide
-//! generator table; none when proofs are off). Both run through
-//! [`pm_crypto::batch::par_map_indexed`] on the thread count the
-//! round's [`crate::cp::MixStrategy`] already gives the CPs.
+//! generator table; none when proofs are off), sixteen cells of a
+//! round per lane-kernel batch, each compared with its target cell.
+//! Both run through [`pm_crypto::batch::par_map_indexed`] on the thread
+//! count the round's [`crate::cp::MixStrategy`] already gives the CPs.
 //!
 //! A failing batch falls back to the per-proof scan, and the error
 //! names the *lowest* failing cell, side (a) before side (b) — exactly
@@ -693,6 +694,70 @@ mod tests {
                         }
                     }
                 }),
+                Some("shuffle proof failed"),
+            ),
+        ];
+        for (name, tamper, expect) in &cases {
+            let mut msg = honest.clone();
+            tamper(&mut msg);
+            let plain = verify_mix_plain(&gp, &kp.public, &msg);
+            assert_eq!(
+                plain.clone().err(),
+                expect.map(|e| format!("protocol error: {e}")),
+                "{name}: plain scan"
+            );
+            for threads in [1, 2, 5] {
+                let ts = ts_mixing(&kp.public, &input, true, threads);
+                let got = ts.verify_mix(&msg).map_err(|e| e.reason());
+                assert_eq!(got, plain, "{name}, threads {threads}");
+            }
+        }
+    }
+
+    /// A hop of 17 cells plus noise: every round's 19 openings are a
+    /// full batch of sixteen and a trailing three. Tampering with the
+    /// trailing batch's last cell — a shadow element, an opening
+    /// scalar — must fail the hop at every thread count, as the plain
+    /// scan does.
+    #[test]
+    fn tampered_hop_in_a_trailing_partial_batch_fails_at_every_thread_count() {
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(19);
+        let kp = keygen(&gp, &mut rng);
+        let input = table(&gp, &kp, 17, &mut rng);
+        let honest = mix_message_batched(&gp, &kp.public, NOISE, true, input.clone(), &mut rng, 2);
+        let last = input.len() + NOISE as usize - 1;
+        assert_eq!(last % 16, 2, "cell {last} is the third of a trailing batch");
+        // A round that opens input → shadow checks its shadow's cells
+        // in place: cell `last` in the trailing batch.
+        let round = honest
+            .shuffle_proof
+            .as_ref()
+            .unwrap()
+            .openings
+            .iter()
+            .position(|o| matches!(o, RoundOpening::InputToShadow { .. }));
+        let round = round.expect("some round opens input → shadow");
+        let other = gp.random_element(&mut rng);
+        let one = gp.scalar_from_u64(1);
+        type Tamper = Box<dyn Fn(&mut messages::MixResult)>;
+        let cases: Vec<(&str, Tamper, Option<&str>)> = vec![
+            ("honest", Box::new(|_| {}), None),
+            (
+                "last shadow element of a trailing batch",
+                Box::new(move |m| m.shuffle_proof.as_mut().unwrap().shadows[round][last].b = other),
+                Some("shuffle proof failed"),
+            ),
+            (
+                "last opening scalar of a trailing batch",
+                Box::new(
+                    move |m| match &mut m.shuffle_proof.as_mut().unwrap().openings[11] {
+                        RoundOpening::InputToShadow { rerand, .. }
+                        | RoundOpening::ShadowToOutput { rerand, .. } => {
+                            rerand[last] = gp.scalar_add(&rerand[last], &one)
+                        }
+                    },
+                ),
                 Some("shuffle proof failed"),
             ),
         ];

@@ -150,7 +150,8 @@ fn shuffle_proof_matches_the_parent_digest() {
     shadow.shadows[15][36].b = gp.random_element(&mut rng);
     let mut opening = proof.clone();
     match &mut opening.openings[15] {
-        RoundOpening::InputToShadow { rerand, .. } | RoundOpening::ShadowToOutput { rerand, .. } => {
+        RoundOpening::InputToShadow { rerand, .. }
+        | RoundOpening::ShadowToOutput { rerand, .. } => {
             rerand[36] = gp.scalar_add(&rerand[36], &gp.scalar_from_u64(1))
         }
     }
