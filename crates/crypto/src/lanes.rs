@@ -74,10 +74,11 @@
 //!
 //! # `unsafe`
 //!
-//! This file is the workspace's only user of `std::arch` and holds its
-//! only `unsafe` block (`pm-lint`'s `unsafe-code` rule holds every other
-//! file to that, the crate root denies `unsafe_code`, and
-//! `pm-lint`'s workspace test holds the count of `unsafe` at one). The
+//! This file is one of the workspace's two users of `std::arch` and
+//! holds one of its two `unsafe` blocks; the SHA-256 kernel
+//! (`sha_ni.rs`) holds the other (`pm-lint`'s `unsafe-code` rule holds
+//! every other file to none, the crate root denies `unsafe_code`, and
+//! `pm-lint`'s workspace test holds the count of `unsafe` at two). The
 //! kernels are safe Rust: functions under `#[target_feature]` may call
 //! the intrinsics their features enable, lanes go in with
 //! `_mm512_set_epi64` and come out with extracts, and no pointer is
@@ -182,7 +183,8 @@ enum Job<'a> {
 
 /// Runs `job` on the lane kernel, over one chain for up to eight
 /// `lanes` and two for more, or returns `None` when this CPU lacks
-/// AVX-512F or AVX-512 IFMA. The workspace's one `unsafe` block.
+/// AVX-512F or AVX-512 IFMA. One of the workspace's two `unsafe`
+/// blocks.
 #[allow(unsafe_code)]
 fn run(k: &Radix, job: Job<'_>, lanes: usize) -> Option<[U256; BATCH]> {
     #[cfg(target_arch = "x86_64")]

@@ -6,7 +6,10 @@
 //! * fixed-width big integers ([`u256::U256`]) and Montgomery modular
 //!   arithmetic ([`modarith::Modulus`]);
 //! * a Schnorr group over a safe prime ([`group`]);
-//! * FIPS 180-4 SHA-256 ([`sha256`]), HMAC and key derivation ([`hmac`]);
+//! * FIPS 180-4 SHA-256 ([`sha256`]) on the x86 SHA extensions (the
+//!   private `sha_ni` module, one of the workspace's two `unsafe`
+//!   blocks, taken after runtime feature detection), with scalar code as
+//!   the fallback; HMAC and key derivation ([`hmac`]);
 //! * ElGamal encryption with rerandomization and distributed decryption
 //!   ([`elgamal`]);
 //! * zero-knowledge proofs: Schnorr proofs of knowledge and
@@ -19,8 +22,8 @@
 //!   table batches ([`batch::PrecomputedKey::rerandomize_all`],
 //!   [`batch::PrecomputedKey::g_pow_mul_all`]) on an eight-lane AVX-512
 //!   IFMA Montgomery kernel, two chains interleaved (the private
-//!   `lanes` module, the workspace's only `unsafe` block, taken after
-//!   runtime feature detection), with [`modarith::Modulus::pow`] and the
+//!   `lanes` module, the other `unsafe` block, taken after runtime
+//!   feature detection), with [`modarith::Modulus::pow`] and the
 //!   scalar table powers as the fallback.
 //!
 //! ## Security disclaimer
@@ -42,6 +45,7 @@ mod lanes;
 pub mod modarith;
 pub mod secret;
 pub mod sha256;
+mod sha_ni;
 pub mod shuffle;
 pub mod u256;
 pub mod zkp;

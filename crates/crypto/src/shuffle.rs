@@ -664,6 +664,38 @@ mod tests {
         }
     }
 
+    /// SHA-256 compressions of a 16-round proof over `n` cells, exactly,
+    /// on the kernel path and the scalar one alike: prover and verifier
+    /// each hash one transcript of `L = 668 + 1872n` bytes, so
+    /// ⌈(L + 9) / 64⌉ blocks. The domain and `pk` make 107 bytes; each
+    /// of the 18 vectors (input, output, 16 shadows) its length under a
+    /// 5- or 6-byte label (29 or 30 bytes) and 104 bytes a cell (`ct.a`
+    /// and `ct.b`, 52 each); the 16 challenge bits one 22-byte suffix.
+    #[test]
+    fn shuffle_compressions_are_pinned() {
+        use crate::sha256::compressions;
+        for n in [0u64, 1, 2, 3, 8] {
+            let want = (668 + 1872 * n + 9).div_ceil(64);
+            let gp = GroupParams::default_params();
+            let mut rng = StdRng::seed_from_u64(20 + n);
+            let kp = keygen(&gp, &mut rng);
+            let input: Vec<_> = (0..n)
+                .map(|_| encrypt(&gp, &kp.public, &gp.random_element(&mut rng), &mut rng))
+                .collect();
+            let (output, w) = shuffle(&gp, &kp.public, &input, &mut rng);
+            for scalar in [false, true] {
+                let (proof, proved) = compressions::count(scalar, || {
+                    ShuffleProof::prove(&gp, &kp.public, &input, &output, &w, 16, &mut rng)
+                });
+                assert_eq!(proved, want, "prove over {n} cells, scalar {scalar}");
+                let (ok, verified) =
+                    compressions::count(scalar, || proof.verify(&gp, &kp.public, &input, &output));
+                assert!(ok);
+                assert_eq!(verified, want, "verify over {n} cells, scalar {scalar}");
+            }
+        }
+    }
+
     #[test]
     fn empty_vector_shuffle() {
         let gp = GroupParams::default_params();

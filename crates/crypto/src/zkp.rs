@@ -889,6 +889,57 @@ mod tests {
             calls / 512
         );
     }
+
+    /// SHA-256 compressions, exactly, on the kernel path and the scalar
+    /// one alike. A hash of `L` bytes costs ⌈(L + 9) / 64⌉ blocks. A DLEQ
+    /// challenge appends 272 bytes to the transcript (five elements of
+    /// 32 bytes under 6- and 7-byte labels, each with two 8-byte
+    /// lengths) and its 14-byte label, then hashes the digest to a
+    /// scalar: 27 + 20 + 32 = 79 bytes, 2 blocks. The weights of `m`
+    /// proofs hash 63 + 64m bytes to a seed (m + 2 blocks) and expand
+    /// it one 40-byte block per four weights.
+    #[test]
+    fn dleq_compressions_are_pinned() {
+        use crate::sha256::compressions;
+        let blocks = |len: u64| (len + 9).div_ceil(64);
+        // `Transcript::new(b"t")` holds 32 bytes, `batch_transcript(j)` 61.
+        assert_eq!(blocks(32 + 272 + 14) + 2, 8);
+        assert_eq!(blocks(61 + 272 + 14) + 2, 8);
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(13);
+        let x = gp.random_scalar(&mut rng);
+        let a = gp.random_element(&mut rng);
+        let y = gp.g_pow(&x);
+        let w = gp.random_scalar(&mut rng);
+        let p = gp.p_modulus();
+        for scalar in [false, true] {
+            let ((d, proof), raised) = compressions::count(scalar, || {
+                DleqProof::raise_and_prove(&gp, &x, &a, &y, &mut Transcript::new(b"t"), &w)
+            });
+            assert_eq!(raised, 8, "raise_and_prove, scalar {scalar}");
+            let (ok, verified) = compressions::count(scalar, || {
+                proof.verify(&gp, &a, &y, &d, &mut Transcript::new(b"t"))
+            });
+            assert!(ok);
+            assert_eq!(verified, 8, "verify, scalar {scalar}");
+            for m in [1u64, 4, 5, 16, 33] {
+                let rows = vec![(U256::ONE, U256::ONE, [p.mont_in(&U256::ONE); 4]); m as usize];
+                let (rho, weights) = compressions::count(scalar, || batch_weights(&y, &rows));
+                assert_eq!(rho.len() as u64, m);
+                assert_eq!(
+                    weights,
+                    m + 2 + m.div_ceil(4),
+                    "weights of {m}, scalar {scalar}"
+                );
+                let (y, claims) = honest_batch(&gp, m as usize, &mut rng);
+                let (ok, batch) = compressions::count(scalar, || verify_all(&gp, &y, &claims, 1));
+                assert_eq!(ok, Ok(()));
+                // Every challenge, then the weights.
+                assert_eq!(batch, 8 * m + m + 2 + m.div_ceil(4), "batch of {m}");
+            }
+        }
+    }
+
     #[test]
     fn challenge_bits_deterministic_and_unbiased_ish() {
         let mut t = Transcript::new(b"bits");

@@ -43,10 +43,11 @@
 //!    sockets.
 //! 7. **unsafe-code** — the `unsafe` keyword and `std::arch` /
 //!    `core::arch` paths are forbidden everywhere the analyzer scans,
-//!    test regions included. One structural sanction:
-//!    `crates/crypto/src/lanes.rs` — the AVX-512 IFMA lane kernel —
-//!    holds the workspace's one `unsafe` block, the kernel call after
-//!    runtime CPU feature detection.
+//!    test regions included. Two structural sanctions:
+//!    `crates/crypto/src/lanes.rs` — the AVX-512 IFMA lane kernel — and
+//!    `crates/crypto/src/sha_ni.rs` — the SHA-256 kernel on the x86 SHA
+//!    extensions — hold the workspace's two `unsafe` blocks, one each,
+//!    the kernel call after runtime CPU feature detection.
 //!
 //! Suppression is explicit and audited: `// lint:allow(<rule>)
 //! <reason>` on the offending line or the line above, with the reason

@@ -13,7 +13,7 @@
 //! | `panic`         | `src/` of `psc`, `privcount`, `net`, `study`               |
 //! | `obs-readback`  | `src/` of `psc`, `privcount`, `net`                        |
 //! | `raw-socket`    | everywhere scanned                                         |
-//! | `unsafe-code`   | everywhere scanned                                         |
+//! | `unsafe-code`   | everywhere scanned, minus `lanes.rs` and `sha_ni.rs`       |
 //!
 //! Three rules carry structural sanctions. The `entropy` rule permits
 //! `Instant::now` and `SystemTime::now` in `crates/obs/src/clock.rs` —
@@ -24,9 +24,11 @@
 //! the workspace, so every byte that leaves a process is carried by the
 //! one audited wire backend behind the `Fabric` trait. The
 //! `unsafe-code` rule permits the `unsafe` keyword and `std::arch` /
-//! `core::arch` paths in `crates/crypto/src/lanes.rs` — the *only*
-//! SIMD kernel in the workspace, whose one `unsafe` block calls the
-//! kernel after runtime CPU feature detection. No `lint:allow` marker
+//! `core::arch` paths in two files: `crates/crypto/src/lanes.rs`, the
+//! AVX-512 IFMA lane kernel, and `crates/crypto/src/sha_ni.rs`, the
+//! SHA-extensions compression kernel — the *only* SIMD kernels in the
+//! workspace, each of whose one `unsafe` block calls its kernel after
+//! runtime CPU feature detection. No `lint:allow` marker
 //! is involved in any sanction; any other file reading the clock,
 //! opening a socket or writing `unsafe` still fails the gate.
 //!
@@ -161,11 +163,12 @@ fn is_sanctioned_socket(rel: &str) -> bool {
     rel == "crates/net/src/wire.rs"
 }
 
-/// The one file structurally sanctioned to write `unsafe` and reach
-/// into `std::arch`: the crypto crate's lane kernel, whose single
-/// `unsafe` block runs after runtime CPU feature detection.
+/// The two files structurally sanctioned to write `unsafe` and reach
+/// into `std::arch`: the crypto crate's lane kernel and its SHA-256
+/// kernel, each of whose single `unsafe` block runs after runtime CPU
+/// feature detection.
 fn is_sanctioned_unsafe(rel: &str) -> bool {
-    rel == "crates/crypto/src/lanes.rs"
+    rel == "crates/crypto/src/lanes.rs" || rel == "crates/crypto/src/sha_ni.rs"
 }
 
 fn in_tests_dir(rel: &str) -> bool {
@@ -613,15 +616,16 @@ pub fn analyze_file(rel: &str, scrubbed: &Scrubbed) -> FileReport {
                         .to_string(),
                 });
             }
-            // Rule 7: `unsafe` and raw SIMD confined to the lane kernel.
+            // Rule 7: `unsafe` and raw SIMD confined to the two kernels.
             "unsafe" if !is_sanctioned_unsafe(rel) && !allowed(RULE_UNSAFE, tok.line) => {
                 findings.push(Finding {
                     file: rel.to_string(),
                     line: tok.line,
                     rule: RULE_UNSAFE,
-                    message: "`unsafe` outside crates/crypto/src/lanes.rs: the \
-                              workspace's one unsafe block is the lane kernel's call \
-                              after runtime feature detection"
+                    message: "`unsafe` outside crates/crypto/src/lanes.rs and \
+                              crates/crypto/src/sha_ni.rs: the workspace's two unsafe \
+                              blocks are those kernels' calls after runtime feature \
+                              detection"
                         .to_string(),
                 });
             }
@@ -634,9 +638,9 @@ pub fn analyze_file(rel: &str, scrubbed: &Scrubbed) -> FileReport {
                     file: rel.to_string(),
                     line: tok.line,
                     rule: RULE_UNSAFE,
-                    message: "`std::arch`/`core::arch` outside crates/crypto/src/lanes.rs: \
-                              target-specific intrinsics live in the one audited lane \
-                              kernel"
+                    message: "`std::arch`/`core::arch` outside crates/crypto/src/lanes.rs \
+                              and crates/crypto/src/sha_ni.rs: target-specific \
+                              intrinsics live in the two audited kernels"
                         .to_string(),
                 });
             }
@@ -826,9 +830,14 @@ mod tests {
         let lines: Vec<u32> = rep.findings.iter().map(|f| f.line).collect();
         assert_eq!(lines, [1, 2, 3], "{:?}", rep.findings);
         assert!(rep.findings.iter().all(|f| f.rule == RULE_UNSAFE));
-        // The sanctioned lane kernel is exempt, structurally.
-        let rep = analyze_file("crates/crypto/src/lanes.rs", &s);
-        assert!(rep.findings.is_empty(), "{:?}", rep.findings);
+        // The two sanctioned kernels are exempt, structurally; the
+        // SHA-256 module beside them, which calls one, is not.
+        for kernel in ["crates/crypto/src/lanes.rs", "crates/crypto/src/sha_ni.rs"] {
+            let rep = analyze_file(kernel, &s);
+            assert!(rep.findings.is_empty(), "{kernel}: {:?}", rep.findings);
+        }
+        let rep = analyze_file("crates/crypto/src/sha256.rs", &s);
+        assert_eq!(rep.findings.len(), 3, "{:?}", rep.findings);
     }
 
     #[test]

@@ -87,13 +87,18 @@ fn public_items_only_ratchet_down() {
 
 /// The `unsafe` keyword may only shrink too: the lane kernels in
 /// `crates/crypto/src/lanes.rs` share one `unsafe` block, entered after
-/// one runtime feature check, and no other code has any. Counted on
+/// one runtime feature check, the SHA-256 compression kernel in
+/// `crates/crypto/src/sha_ni.rs` has the other, and no other code has
+/// any. The ceiling rose from one to two with that second sanctioned
+/// kernel: every Fiat–Shamir transcript, proof-batch weight and table
+/// hash runs through it, and hashing was a quarter to a third of a
+/// verified PSC round on the scalar code. Counted on
 /// the lexer's scrubbed text (comments and literals blanked, so
 /// `unsafe_code` lint names and prose do not count) over every scanned
 /// file outside `target/`, the vendored crates and the lint fixtures.
 #[test]
 fn unsafe_blocks_only_ratchet_down() {
-    const CEILING: usize = 1;
+    const CEILING: usize = 2;
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let skip = ["target", "crates/vendor", "crates/lint/fixtures"].map(|d| root.join(d));
     let (mut dirs, mut found, mut total) = (vec![root.clone()], Vec::new(), 0);
@@ -132,7 +137,7 @@ fn unsafe_blocks_only_ratchet_down() {
     );
     assert!(
         total > 0,
-        "the lane kernels' block was not found: is the scan looking?"
+        "the kernels' blocks were not found: is the scan looking?"
     );
 }
 

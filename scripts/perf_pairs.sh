@@ -117,6 +117,11 @@ verdicts() { # <log> <workload> <column> <metric> <better> <bound>
 
 status=0
 echo "# parent $(git rev-parse --short "$rev"), seed $seed, $pairs pairs, $seconds s per run"
+# Which kernel paths both sides ran: the lane kernel needs avx512ifma,
+# the SHA-256 kernel sha_ni; each falls back to scalar code without.
+ifma=$(grep -c avx512ifma /proc/cpuinfo || true)
+sha_ni=$(grep -c sha_ni /proc/cpuinfo || true)
+echo "# host: nproc $(nproc), cpus with avx512ifma ${ifma:-0}, with sha_ni ${sha_ni:-0}"
 printf '%-13s %4s %-6s %9s %12s %11s %8s  %s\n' \
     workload pair side wall_s throughput peak_rss_mb setup_s digest
 for w in $workloads; do
