@@ -346,6 +346,19 @@ mod tests {
                 "unbalanced {open}{close}"
             );
         }
+        let mut c = Report::new("X1", "t");
+        c.row(ReportRow::new(
+            "tab\there",
+            "back\\slash",
+            "cr\r",
+            "bell\u{7}é",
+        ));
+        assert_eq!(
+            c.render_json(),
+            "{\"id\": \"X1\", \"title\": \"t\", \"rows\": [{\"label\": \"tab\\there\", \
+             \"measured\": \"back\\\\slash\", \"truth\": \"cr\\r\", \"paper\": \"bell\\u0007é\"}], \
+             \"notes\": []}"
+        );
     }
 
     #[test]

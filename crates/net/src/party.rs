@@ -449,6 +449,88 @@ mod tests {
     }
 
     #[test]
+    fn panicking_node_thread_is_attributed_to_its_party() {
+        struct Quick;
+        impl Node for Quick {
+            fn on_start(&mut self, _ep: &Endpoint) -> Result<Step, NodeError> {
+                Ok(Step::Done)
+            }
+            fn on_message(&mut self, _ep: &Endpoint, _env: Envelope) -> Result<Step, NodeError> {
+                Ok(Step::Done)
+            }
+        }
+        struct Crasher;
+        impl Node for Crasher {
+            fn on_start(&mut self, _ep: &Endpoint) -> Result<Step, NodeError> {
+                panic!("share keeper crashed")
+            }
+            fn on_message(&mut self, _ep: &Endpoint, _env: Envelope) -> Result<Step, NodeError> {
+                Ok(Step::Done)
+            }
+        }
+        let mut runner = Runner::over(Arc::new(Switchboard::new()));
+        runner.add("ts", Box::new(Quick));
+        runner.add("sk-1", Box::new(Crasher));
+        let err = match runner.run_threaded() {
+            Err(e) => e,
+            Ok(_) => panic!("a panicking node must fail the run"),
+        };
+        assert_eq!(err.detected_by().map(PartyId::as_str), Some("sk-1"));
+        assert_eq!(err.reason(), "protocol error: node thread panicked");
+    }
+
+    #[test]
+    fn corrupted_frames_are_dropped_and_the_round_continues() {
+        // Frames 0..8 under a seeded corrupt-only schedule: the
+        // receiver sees exactly the intact ones, the runner drops the
+        // checksum failures, and the run ends when the last frame lands.
+        struct Burst;
+        impl Node for Burst {
+            fn on_start(&mut self, ep: &Endpoint) -> Result<Step, NodeError> {
+                for t in 0..8 {
+                    ep.send(
+                        &PartyId::new("sink"),
+                        Frame::new(t, Bytes::from_static(b"row")),
+                    )?;
+                }
+                Ok(Step::Done)
+            }
+            fn on_message(&mut self, _ep: &Endpoint, _env: Envelope) -> Result<Step, NodeError> {
+                Ok(Step::Done)
+            }
+        }
+        struct Sink(Arc<std::sync::Mutex<Vec<u16>>>);
+        impl Node for Sink {
+            fn on_start(&mut self, _ep: &Endpoint) -> Result<Step, NodeError> {
+                Ok(Step::Continue)
+            }
+            fn on_message(&mut self, _ep: &Endpoint, env: Envelope) -> Result<Step, NodeError> {
+                self.0.lock().unwrap().push(env.frame.msg_type);
+                Ok(if env.frame.msg_type == 7 {
+                    Step::Done
+                } else {
+                    Step::Continue
+                })
+            }
+        }
+        let faults = crate::transport::FaultConfig {
+            corrupt_chance: 0.5,
+            seed: 7,
+            ..Default::default()
+        };
+        let board: Arc<dyn Fabric> =
+            Arc::new(Switchboard::with_faults(faults, pm_obs::Recorder::new()));
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut runner = Runner::over(Arc::clone(&board));
+        runner.add("burst", Box::new(Burst));
+        runner.add("sink", Box::new(Sink(Arc::clone(&seen))));
+        assert!(runner.run_deterministic().is_ok());
+        let seen = seen.lock().unwrap().clone();
+        assert_eq!(seen, [3, 4, 5, 7]);
+        assert_eq!(board.fault_stats().corrupted, 8 - seen.len() as u64);
+    }
+
+    #[test]
     fn immediate_done_on_start() {
         struct Quick;
         impl Node for Quick {

@@ -669,6 +669,81 @@ mod tests {
     }
 
     #[test]
+    fn faulted_schedule_accounting_is_pinned_on_both_backends() {
+        // A scripted send sequence under drop, duplicate and corrupt
+        // faults, with one send to an unregistered party mid-script:
+        // the board totals, every link's stats (digest included) and
+        // the published shared `net.*` snapshot are pinned, so a change
+        // to the one ledger both backends share cannot pass as parity.
+        let faults = FaultConfig {
+            drop_chance: 0.2,
+            duplicate_chance: 0.2,
+            corrupt_chance: 0.2,
+            seed: 2018,
+        };
+        let fnv = |text: &str| {
+            text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let bodies: [&'static [u8]; 3] = [b"", b"share", b"a longer table row"];
+        for wire in [false, true] {
+            let rec = Recorder::new();
+            let fabric: Arc<dyn Fabric> = if wire {
+                Arc::new(WireFabric::with_shape(
+                    WireShape::default(),
+                    faults,
+                    rec.clone(),
+                ))
+            } else {
+                Arc::new(Switchboard::with_faults(faults, rec.clone()))
+            };
+            let ids = ["dc-1", "dc-2", "sk-1", "ts"].map(PartyId::new);
+            let eps: Vec<Endpoint> = ids.iter().map(|id| fabric.register(id.clone())).collect();
+            let (dc1, dc2, sk, ts) = (&eps[0], &eps[1], &eps[2], &eps[3]);
+            for i in 0..24u16 {
+                let body = bodies[usize::from(i) % 3];
+                dc1.send(ts.id(), frame(i, body)).unwrap();
+                dc2.send(ts.id(), frame(100 + i, body)).unwrap();
+                ts.send(sk.id(), frame(200 + i, body)).unwrap();
+                sk.send(ts.id(), frame(300 + i, body)).unwrap();
+                if i == 12 {
+                    assert_eq!(
+                        ts.send(&PartyId::new("ghost"), frame(999, b"lost"))
+                            .unwrap_err(),
+                        TransportError::UnknownParty("ghost".into())
+                    );
+                }
+            }
+            let totals = fabric.fault_stats();
+            let links = format!("{:?}", fabric.link_stats());
+            drop(eps);
+            drop(fabric);
+            let shared: String = rec
+                .read_snapshot()
+                .entries
+                .iter()
+                .filter(|(k, _)| k.starts_with("net.") && !k.starts_with("net.wire."))
+                .map(|(k, v)| format!("{k}={v}\n"))
+                .collect();
+            assert_eq!(
+                totals,
+                FaultStats {
+                    sent: 97,
+                    dropped: 15,
+                    duplicated: 10,
+                    corrupted: 14,
+                }
+            );
+            assert_eq!(
+                (fnv(&links), fnv(&shared)),
+                (0xb33e_2ffb_1dbe_42aa, 0x24cf_be73_886e_5fd4),
+                "wire={wire}\n{links}\n{shared}"
+            );
+        }
+    }
+
+    #[test]
     fn wire_corruption_caught_by_frame_checksum() {
         let fabric = WireFabric::with_shape(
             WireShape::default(),

@@ -375,6 +375,17 @@ mod tests {
     }
 
     #[test]
+    fn event_strings_are_escaped_byte_for_byte() {
+        let json = render(&[ev("q\"b\\n\nr\rt\tc\u{1}é", "psc")]);
+        let first = json.lines().nth(1).unwrap();
+        assert_eq!(
+            first,
+            "  {\"name\": \"q\\\"b\\\\n\\nr\\rt\\tc\\u0001é\", \"cat\": \"psc\", \"ph\": \"X\", \
+             \"ts\": 10, \"dur\": 5, \"pid\": 1, \"tid\": 1, \"args\": {\"k\": \"v\\\"q\"}}"
+        );
+    }
+
+    #[test]
     fn empty_trace_validates() {
         let summary = validate(&render(&[])).unwrap();
         assert_eq!(summary.events, 0);

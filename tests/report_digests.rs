@@ -2,7 +2,8 @@
 //! report, so a refactor's "reports are byte-identical" is a test and
 //! not a hand-run `cmp` against a parent-built binary. A registry
 //! report's digest is FNV-1a-64 of `render_text() + "\n" +
-//! render_csv() + "\n"`; a campaign's covers its text, CSV and JSON
+//! render_csv() + "\n"`, and each point's `reports_json` document gets
+//! one `json` line of its own; a campaign's covers its text, CSV and JSON
 //! renderings (the §3.1 budget line, the anomaly channel and the
 //! metrics block included). A mismatch names the report that moved,
 //! and `tests/golden_reports.rs` keeps the human-readable snapshot that
@@ -16,15 +17,20 @@
 
 use pm_study::{Campaign, CampaignAttack, CampaignConfig};
 use torstudy::deployment::Deployment;
+use torstudy::report::reports_json;
 use torstudy::runner::run_some;
 
 const GOLDEN_PATH: &str = "tests/golden/report_digests.txt";
 const CAMPAIGN_GOLDEN_PATH: &str = "tests/golden/campaign_digests.txt";
-/// The PrivCount entries of a Tor day plus the two PSC-free extras; the
-/// PSC-heavy ids (T2, T3, T5, T6) stay with `golden_reports.rs` and the
-/// campaign suites, which keeps this ledger at seconds.
+const JSON_GOLDEN_PATH: &str = "tests/golden/report_json_digests.txt";
+const PSC_GOLDEN_PATH: &str = "tests/golden/psc_report_digests.txt";
+/// The PrivCount entries of a Tor day plus the two PSC-free extras.
 const IDS: [&str; 10] = ["T1", "F1", "F2", "F3", "T4", "F4", "T7", "T8", "X1", "X2"];
 const POINTS: [(f64, u64); 3] = [(2e-3, 2018), (2e-3, 7), (2e-2, 2018)];
+/// The PSC-heavy ids, at one small point so their ledger stays at
+/// seconds in a release run.
+const PSC_IDS: [&str; 4] = ["T2", "T3", "T5", "T6"];
+const PSC_POINT: (f64, u64) = (2e-4, 2018);
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf29ce484222325, |h, b| {
@@ -32,20 +38,24 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-fn ledger() -> String {
-    let mut out = String::new();
-    for (scale, seed) in POINTS {
+/// The per-report ledger and the per-point `reports_json` ledger for
+/// `ids` at each of `points`.
+fn ledger(ids: &[&str], points: &[(f64, u64)]) -> (String, String) {
+    let (mut out, mut json) = (String::new(), String::new());
+    for &(scale, seed) in points {
         // Shard count pinned for provenance, as in golden_reports.rs.
         let dep = Deployment::at_scale(scale, seed).with_shards(4);
-        let reports = run_some(&dep, &IDS);
-        assert_eq!(reports.len(), IDS.len());
+        let reports = run_some(&dep, ids);
+        assert_eq!(reports.len(), ids.len());
         for r in &reports {
             let rendered = format!("{}\n{}\n", r.render_text(), r.render_csv());
             let digest = fnv1a64(rendered.as_bytes());
             out.push_str(&format!("{} {scale:e} {seed} {digest:016x}\n", r.id));
         }
+        let digest = fnv1a64(reports_json(&reports).as_bytes());
+        json.push_str(&format!("json {scale:e} {seed} {digest:016x}\n"));
     }
-    out
+    (out, json)
 }
 
 /// The full 17-day calendar honest on two seeds, and the 7-day one
@@ -77,7 +87,15 @@ fn campaign_ledger() -> String {
 
 #[test]
 fn report_digests_match_committed_ledger() {
-    check(GOLDEN_PATH, ledger());
+    let (reports, json) = ledger(&IDS, &POINTS);
+    check(GOLDEN_PATH, reports);
+    check(JSON_GOLDEN_PATH, json);
+}
+
+#[test]
+fn psc_report_digests_match_committed_ledger() {
+    let (reports, json) = ledger(&PSC_IDS, &[PSC_POINT]);
+    check(PSC_GOLDEN_PATH, reports + &json);
 }
 
 #[test]
