@@ -13,7 +13,12 @@
 //!   real deployment runs one process per party. Valid on every
 //!   backend; the only mode for the wire fabric.
 //!
-//! Both run until every node reports [`Step::Done`] (or a node fails).
+//! Both run until every node reports [`Step::Done`] and return
+//! `Ok(())`, or stop at the first failure with a typed [`NodeError`]
+//! (attributed to the party that raised it). A node hands its results
+//! out through state it shares with its caller, never through the
+//! runner; frames that fail their checksum are dropped, and counted
+//! once, by the fabric's ledger at the send site.
 //!
 //! The runner is backend-generic: it holds an `Arc<dyn Fabric>` and
 //! registers its parties through the trait. Protocol state machines
@@ -127,12 +132,7 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// Creates a runner over a concrete fabric (e.g. a `Switchboard`).
-    pub fn new(board: impl Fabric + 'static) -> Runner {
-        Runner::over(Arc::new(board))
-    }
-
-    /// Creates a runner over an already-shared fabric handle.
+    /// Creates a runner over a shared fabric handle.
     pub fn over(board: Arc<dyn Fabric>) -> Runner {
         Runner {
             board,
@@ -146,24 +146,17 @@ impl Runner {
         self
     }
 
-    /// The underlying fabric.
-    pub fn board(&self) -> &Arc<dyn Fabric> {
-        &self.board
-    }
-
     /// Runs all nodes on a single thread with round-robin delivery until
-    /// all are done and no messages remain in flight.
-    ///
-    /// Returns the nodes (so callers can extract results) in insertion
-    /// order. Wire-corrupted messages are dropped with a count returned.
-    pub fn run_deterministic(self) -> Result<RunOutcome, NodeError> {
+    /// all are done and no messages remain in flight. A frame that fails
+    /// its checksum is dropped and the round goes on; the ledger already
+    /// counted it at the send site (`net.frames.corrupted`).
+    pub fn run_deterministic(self) -> Result<(), NodeError> {
         let mut endpoints: Vec<Endpoint> = Vec::new();
         let mut nodes = Vec::new();
         for (id, node) in self.nodes {
             endpoints.push(self.board.register(id.clone()));
             nodes.push((id, node, false)); // (id, node, done)
         }
-        let mut corrupt_dropped = 0u64;
         // Start phase.
         for (i, (id, node, done)) in nodes.iter_mut().enumerate() {
             let step = node
@@ -193,10 +186,7 @@ impl Runner {
                             }
                         }
                         Err(TransportError::Empty) => break,
-                        Err(TransportError::Wire(_)) => {
-                            corrupt_dropped += 1;
-                            delivered_any = true;
-                        }
+                        Err(TransportError::Wire(_)) => delivered_any = true,
                         Err(e) => return Err(NodeError::from(e).attributed_to(id)),
                     }
                 }
@@ -204,7 +194,7 @@ impl Runner {
             let all_done = nodes.iter().all(|(_, _, done)| *done);
             if !delivered_any {
                 if all_done {
-                    break;
+                    return Ok(());
                 }
                 // No progress and not done: the protocol is stuck.
                 let stuck: Vec<String> = nodes
@@ -218,82 +208,47 @@ impl Runner {
                 )));
             }
         }
-        Ok(RunOutcome {
-            nodes: nodes.into_iter().map(|(id, node, _)| (id, node)).collect(),
-            corrupt_dropped,
-        })
     }
 
     /// Runs each node on its own OS thread (blocking receive loop), as a
-    /// real per-process deployment would. Panics in node threads are
-    /// surfaced as errors.
-    pub fn run_threaded(self) -> Result<RunOutcome, NodeError> {
-        let board = self.board;
-        let mut handles = Vec::new();
+    /// real per-process deployment would. Checksum failures are dropped
+    /// as in [`Runner::run_deterministic`]; a node thread that panics
+    /// fails the run, attributed to its party.
+    pub fn run_threaded(self) -> Result<(), NodeError> {
         // Register all endpoints BEFORE any thread starts so early sends
         // never hit UnknownParty.
-        let mut prepared: Vec<(PartyId, Box<dyn Node>, Endpoint)> = Vec::new();
-        for (id, node) in self.nodes {
-            let ep = board.register(id.clone());
-            prepared.push((id, node, ep));
-        }
-        for (id, mut node, ep) in prepared {
-            let thread_id = id.clone();
-            handles.push((
-                id,
-                std::thread::spawn(
-                    move || -> Result<(PartyId, Box<dyn Node>, u64), NodeError> {
-                        let id = thread_id;
-                        let mut corrupt = 0u64;
-                        let mut step = node.on_start(&ep).map_err(|e| e.attributed_to(&id))?;
-                        while step == Step::Continue {
-                            match ep.recv() {
-                                Ok(env) => {
-                                    step = node
-                                        .on_message(&ep, env)
-                                        .map_err(|e| e.attributed_to(&id))?;
-                                }
-                                Err(TransportError::Wire(_)) => {
-                                    corrupt += 1;
-                                }
-                                Err(e) => return Err(NodeError::from(e).attributed_to(&id)),
-                            }
+        let prepared: Vec<(PartyId, Box<dyn Node>, Endpoint)> = self
+            .nodes
+            .into_iter()
+            .map(|(id, node)| {
+                let ep = self.board.register(id.clone());
+                (id, node, ep)
+            })
+            .collect();
+        let handles: Vec<_> = prepared
+            .into_iter()
+            .map(|(id, mut node, ep)| {
+                let handle = std::thread::spawn(move || -> Result<(), NodeError> {
+                    let mut step = node.on_start(&ep)?;
+                    while step == Step::Continue {
+                        match ep.recv() {
+                            Ok(env) => step = node.on_message(&ep, env)?,
+                            Err(TransportError::Wire(_)) => {}
+                            Err(e) => return Err(e.into()),
                         }
-                        Ok((id, node, corrupt))
-                    },
-                ),
-            ));
+                    }
+                    Ok(())
+                });
+                (id, handle)
+            })
+            .collect();
+        for (id, handle) in handles {
+            handle
+                .join()
+                .unwrap_or_else(|_| Err(NodeError::Protocol("node thread panicked".into())))
+                .map_err(|e| e.attributed_to(&id))?;
         }
-        let mut nodes = Vec::new();
-        let mut corrupt_dropped = 0;
-        for (id, h) in handles {
-            let (id, node, corrupt) = h.join().map_err(|_| {
-                NodeError::Protocol("node thread panicked".into()).attributed_to(&id)
-            })??;
-            corrupt_dropped += corrupt;
-            nodes.push((id, node));
-        }
-        Ok(RunOutcome {
-            nodes,
-            corrupt_dropped,
-        })
-    }
-}
-
-/// The result of driving a protocol to completion.
-pub struct RunOutcome {
-    /// The nodes after completion, with their party ids.
-    pub nodes: Vec<(PartyId, Box<dyn Node>)>,
-    /// Messages dropped because they failed wire validation.
-    pub corrupt_dropped: u64,
-}
-
-impl RunOutcome {
-    /// Extracts the node registered under `id`, downcasting is the
-    /// caller's business; this returns the box.
-    pub fn take(&mut self, id: &PartyId) -> Option<Box<dyn Node>> {
-        let idx = self.nodes.iter().position(|(nid, _)| nid == id)?;
-        Some(self.nodes.remove(idx).1)
+        Ok(())
     }
 }
 
@@ -356,8 +311,7 @@ mod tests {
     }
 
     fn build(count: u32) -> Runner {
-        let board = Switchboard::new();
-        let mut runner = Runner::new(board);
+        let mut runner = Runner::over(Arc::new(Switchboard::new()));
         runner.add(
             "ping",
             Box::new(Ping {
@@ -378,15 +332,12 @@ mod tests {
 
     #[test]
     fn deterministic_run_completes() {
-        let outcome = build(5).run_deterministic().unwrap();
-        assert_eq!(outcome.nodes.len(), 2);
-        assert_eq!(outcome.corrupt_dropped, 0);
+        build(5).run_deterministic().unwrap();
     }
 
     #[test]
     fn threaded_run_completes() {
-        let outcome = build(50).run_threaded().unwrap();
-        assert_eq!(outcome.nodes.len(), 2);
+        build(50).run_threaded().unwrap();
     }
 
     #[test]
@@ -401,8 +352,7 @@ mod tests {
                 Ok(Step::Done)
             }
         }
-        let board = Switchboard::new();
-        let mut runner = Runner::new(board);
+        let mut runner = Runner::over(Arc::new(Switchboard::new()));
         runner.add("waiter", Box::new(Waiter));
         match runner.run_deterministic() {
             Err(NodeError::Protocol(msg)) => assert!(msg.contains("deadlock"), "{msg}"),
@@ -421,7 +371,7 @@ mod tests {
                 unreachable!()
             }
         }
-        let mut runner = Runner::new(Switchboard::new());
+        let mut runner = Runner::over(Arc::new(Switchboard::new()));
         runner.add("sk-1", Box::new(Refuser));
         let err = match runner.run_deterministic() {
             Err(e) => e,
@@ -440,7 +390,7 @@ mod tests {
                 Ok(Step::Done)
             }
         }
-        let mut runner = Runner::new(Switchboard::new());
+        let mut runner = Runner::over(Arc::new(Switchboard::new()));
         runner.add("waiter", Box::new(Waiter));
         match runner.run_deterministic() {
             Err(e) => assert!(e.detected_by().is_none()),
@@ -541,18 +491,8 @@ mod tests {
                 unreachable!()
             }
         }
-        let board = Switchboard::new();
-        let mut runner = Runner::new(board);
+        let mut runner = Runner::over(Arc::new(Switchboard::new()));
         runner.add("quick", Box::new(Quick));
-        let outcome = runner.run_deterministic().unwrap();
-        assert_eq!(outcome.nodes.len(), 1);
-    }
-
-    #[test]
-    fn take_by_id() {
-        let mut outcome = build(1).run_deterministic().unwrap();
-        assert!(outcome.take(&PartyId::new("ping")).is_some());
-        assert!(outcome.take(&PartyId::new("ping")).is_none());
-        assert!(outcome.take(&PartyId::new("pong")).is_some());
+        runner.run_deterministic().unwrap();
     }
 }

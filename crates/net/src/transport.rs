@@ -315,11 +315,6 @@ impl Endpoint {
             TryRecvError::Disconnected => TransportError::Disconnected,
         })?)
     }
-
-    /// Number of messages waiting (approximate under concurrency).
-    pub fn pending(&self) -> usize {
-        self.inbox.len()
-    }
 }
 
 fn parse((from, wire): WireMessage) -> Result<Envelope, TransportError> {

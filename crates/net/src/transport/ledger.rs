@@ -1,6 +1,8 @@
 //! The send-side admission path every backend shares: fault
 //! configuration, per-link fault schedules, and the frame/byte/digest
-//! accounting published as the `net.*` metrics.
+//! accounting published as the `net.*` metrics. Each ordered link
+//! keeps one record behind one lock; board-wide totals are summed from
+//! the links, so every frame is counted in exactly one place.
 
 use super::PartyId;
 use crate::frame::flip_wire_bit;
@@ -9,7 +11,6 @@ use pm_obs::Recorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Fault-injection knobs, mirroring smoltcp's example options.
@@ -48,7 +49,7 @@ impl FaultConfig {
     }
 }
 
-/// Delivery statistics, for tests and the fault-injection examples.
+/// Board-wide delivery statistics: the sum of every link's.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Frames submitted for delivery.
@@ -61,29 +62,9 @@ pub struct FaultStats {
     pub corrupted: u64,
 }
 
-#[derive(Default)]
-struct AtomicStats {
-    sent: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    corrupted: AtomicU64,
-}
-
-impl AtomicStats {
-    fn snapshot(&self) -> FaultStats {
-        FaultStats {
-            sent: self.sent.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            corrupted: self.corrupted.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Per-link delivery statistics: everything that happened on one
-/// ordered `(from, to)` link, with corrupted-then-delivered frames
-/// counted apart from clean ones (the board-wide [`FaultStats`]
-/// aggregate cannot make that distinction per link).
+/// ordered `(from, to)` link, with corrupted-then-delivered copies
+/// counted apart from clean ones.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Frames submitted for delivery on this link.
@@ -124,61 +105,41 @@ fn link_seed(seed: u64, from: &PartyId, to: &PartyId) -> u64 {
     pm_stats::sampling::derive_seed(seed, &format!("link/{from}\u{0}->\u{0}{to}"))
 }
 
-/// One ordered `(from, to)` link: its counters, its running transcript
-/// digest and its fault RNG. Digest and RNG sit behind mutexes (not
-/// atomics) because both are order-sensitive: per-link send order is
-/// well-defined — one sender, per-sender FIFO — and they must observe
-/// it. The record outlives any one registration of either endpoint, so
-/// a link's schedule continues across a re-registration.
-pub(crate) struct LinkRecord {
-    sent: AtomicU64,
-    bytes: AtomicU64,
-    digest: Mutex<u64>,
-    rng: Mutex<StdRng>,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    delivered_clean: AtomicU64,
-    delivered_corrupted: AtomicU64,
+/// One ordered `(from, to)` link's state: its statistics (running
+/// transcript digest included), how many of its frames had a bit
+/// flipped, and its fault RNG. The flipped-frame count is kept apart
+/// from [`LinkStats::delivered_corrupted`], which counts *copies*: a
+/// corrupted frame the duplicate fault then doubles is one flipped
+/// frame and two corrupted copies.
+pub(crate) struct LinkState {
+    stats: LinkStats,
+    corrupted: u64,
+    rng: StdRng,
 }
 
-impl LinkRecord {
-    fn new(seed: u64) -> LinkRecord {
-        LinkRecord {
-            sent: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            digest: Mutex::new(FNV_OFFSET),
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            dropped: AtomicU64::new(0),
-            duplicated: AtomicU64::new(0),
-            delivered_clean: AtomicU64::new(0),
-            delivered_corrupted: AtomicU64::new(0),
-        }
-    }
-
-    fn snapshot(&self) -> LinkStats {
-        LinkStats {
-            sent: self.sent.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            digest: *self.digest.lock(),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            delivered_clean: self.delivered_clean.load(Ordering::Relaxed),
-            delivered_corrupted: self.delivered_corrupted.load(Ordering::Relaxed),
-        }
-    }
-}
+/// One ordered link's record: its whole [`LinkState`] behind one lock.
+/// The digest and the RNG are order-sensitive, and per-link send order
+/// is well-defined — one sender, per-sender FIFO — so a send takes the
+/// lock once to account the frame and once to roll its faults. The
+/// record outlives any one registration of either endpoint, so a link's
+/// schedule continues across a re-registration.
+pub(crate) type LinkRecord = Mutex<LinkState>;
 
 /// The admission path every backend shares: the fault configuration,
-/// the board-wide [`FaultStats`], the per-link [`LinkRecord`]s (keyed
-/// by ordered `(from, to)`, sorted so iteration is deterministic), and
-/// the publish-on-last-drop metrics contract. A backend's send is
+/// the per-link [`LinkRecord`]s (keyed by ordered `(from, to)`, sorted
+/// so iteration is deterministic), and the publish-on-last-drop metrics
+/// contract. Board-wide [`FaultStats`] are the sum over the links; no
+/// frame is counted anywhere else. A backend's send is
 /// [`LinkLedger::tally_send`], its own recipient lookup, then
 /// [`LinkLedger::roll`] — the same two calls at the same points on
 /// every backend, which is what makes the shared `net.*` counters and
-/// the fault schedules backend-invariant.
+/// the fault schedules backend-invariant (and why a send to an unknown
+/// party, which fails between the two, is counted but rolls no dice).
+///
+/// Lock order: the `links` map, then a record — never a record, then
+/// the map.
 pub(crate) struct LinkLedger {
     faults: FaultConfig,
-    stats: AtomicStats,
     links: Mutex<BTreeMap<(PartyId, PartyId), Arc<LinkRecord>>>,
     recorder: Recorder,
 }
@@ -187,47 +148,54 @@ impl LinkLedger {
     pub(crate) fn new(faults: FaultConfig, recorder: Recorder) -> LinkLedger {
         LinkLedger {
             faults,
-            stats: AtomicStats::default(),
             links: Mutex::new(BTreeMap::new()),
             recorder,
         }
     }
 
-    /// Counts one submitted frame: board-wide `sent`, the link's
-    /// `sent`/`bytes`, and the link's transcript digest (pre-fault
-    /// wire bytes, in send order). Returns the link record — created,
-    /// and its fault RNG seeded from `(seed, from, to)`, on the link's
-    /// first frame — for the caller to [`roll`](LinkLedger::roll) on.
+    /// Counts one submitted frame on its link: `sent`, `bytes`, and the
+    /// transcript digest (pre-fault wire bytes, in send order). Returns
+    /// the link record — created, and its fault RNG seeded from
+    /// `(seed, from, to)`, on the link's first frame — for the caller
+    /// to [`roll`](LinkLedger::roll) on.
     pub(crate) fn tally_send(&self, from: &PartyId, to: &PartyId, wire: &[u8]) -> Arc<LinkRecord> {
-        self.stats.sent.fetch_add(1, Ordering::Relaxed);
-        let record = {
-            let mut links = self.links.lock();
-            Arc::clone(links.entry((from.clone(), to.clone())).or_insert_with(|| {
-                Arc::new(LinkRecord::new(link_seed(self.faults.seed, from, to)))
-            }))
-        };
-        record.sent.fetch_add(1, Ordering::Relaxed);
-        record.bytes.fetch_add(wire.len() as u64, Ordering::Relaxed);
+        let record = Arc::clone(
+            self.links
+                .lock()
+                .entry((from.clone(), to.clone()))
+                .or_insert_with(|| {
+                    Arc::new(Mutex::new(LinkState {
+                        stats: LinkStats {
+                            digest: FNV_OFFSET,
+                            ..LinkStats::default()
+                        },
+                        corrupted: 0,
+                        rng: StdRng::seed_from_u64(link_seed(self.faults.seed, from, to)),
+                    }))
+                }),
+        );
         {
-            let mut digest = record.digest.lock();
-            *digest = fnv1a_fold(*digest, wire);
+            let stats = &mut record.lock().stats;
+            stats.sent += 1;
+            stats.bytes += wire.len() as u64;
+            stats.digest = fnv1a_fold(stats.digest, wire);
         }
         record
     }
 
     /// Rolls the link's fault dice for one frame, mutating `wire` on
-    /// corruption, and records the outcome board-wide and on the link.
-    /// Returns how many copies to deliver: 0 = dropped, 2 = duplicated.
-    /// The roll order (drop, corrupt, duplicate) is fixed, so a given
-    /// link sees the same schedule on every backend.
+    /// corruption, and records the outcome on the link. Returns how
+    /// many copies to deliver: 0 = dropped, 2 = duplicated. The roll
+    /// order (drop, corrupt, duplicate) is fixed, so a given link sees
+    /// the same schedule on every backend.
     pub(crate) fn roll(&self, record: &LinkRecord, wire: &mut [u8]) -> usize {
         let faults = &self.faults;
+        let link = &mut *record.lock();
         let (mut copies, mut corrupted) = (1, false);
         if faults.is_active() {
-            let mut rng = record.rng.lock();
+            let rng = &mut link.rng;
             if rng.gen::<f64>() < faults.drop_chance {
-                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                record.dropped.fetch_add(1, Ordering::Relaxed);
+                link.stats.dropped += 1;
                 return 0; // silently dropped, like a lossy link
             }
             corrupted = rng.gen::<f64>() < faults.corrupt_chance && !wire.is_empty();
@@ -235,32 +203,40 @@ impl LinkLedger {
                 let idx = rng.gen_range(0..wire.len());
                 let bit = rng.gen_range(0..8u32);
                 flip_wire_bit(wire, idx, bit);
-                self.stats.corrupted.fetch_add(1, Ordering::Relaxed);
+                link.corrupted += 1;
             }
             if rng.gen::<f64>() < faults.duplicate_chance {
                 copies = 2;
-                self.stats.duplicated.fetch_add(1, Ordering::Relaxed);
-                record.duplicated.fetch_add(1, Ordering::Relaxed);
+                link.stats.duplicated += 1;
             }
         }
         let delivered = if corrupted {
-            &record.delivered_corrupted
+            &mut link.stats.delivered_corrupted
         } else {
-            &record.delivered_clean
+            &mut link.stats.delivered_clean
         };
-        delivered.fetch_add(copies as u64, Ordering::Relaxed);
+        *delivered += copies as u64;
         copies
     }
 
+    /// Board-wide totals: the sum over every link.
     pub(crate) fn fault_stats(&self) -> FaultStats {
-        self.stats.snapshot()
+        let mut total = FaultStats::default();
+        for record in self.links.lock().values() {
+            let link = record.lock();
+            total.sent += link.stats.sent;
+            total.dropped += link.stats.dropped;
+            total.duplicated += link.stats.duplicated;
+            total.corrupted += link.corrupted;
+        }
+        total
     }
 
     pub(crate) fn link_stats(&self) -> Vec<((PartyId, PartyId), LinkStats)> {
         self.links
             .lock()
             .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
+            .map(|(k, v)| (k.clone(), v.lock().stats))
             .collect()
     }
 
@@ -272,17 +248,15 @@ impl LinkLedger {
     /// backend's `net.wire.*` family); they are published after the
     /// shared keys and never under the shared names.
     pub(crate) fn publish_metrics(&self, extra: &[(&str, u64)]) {
-        let links = self.links.lock();
-        if links.is_empty() {
+        let s = self.fault_stats();
+        if s.sent == 0 {
             return; // fabric never carried a frame
         }
-        let s = self.stats.snapshot();
         self.recorder.add("net.frames.sent", s.sent);
         self.recorder.add("net.frames.dropped", s.dropped);
         self.recorder.add("net.frames.duplicated", s.duplicated);
         self.recorder.add("net.frames.corrupted", s.corrupted);
-        for ((from, to), record) in links.iter() {
-            let s = record.snapshot();
+        for ((from, to), s) in self.link_stats() {
             self.recorder.add("net.bytes.sent", s.bytes);
             let key = |field: &str| format!("net.link.{from}->{to}.{field}");
             self.recorder.add(&key("sent"), s.sent);

@@ -75,16 +75,6 @@ impl Switchboard {
     pub fn parties(&self) -> Vec<PartyId> {
         self.inner.parties.lock().keys().cloned().collect()
     }
-
-    /// Current fault-injection statistics.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.inner.ledger.fault_stats()
-    }
-
-    /// Current per-link statistics, in `(from, to)` order.
-    pub fn link_stats(&self) -> Vec<((PartyId, PartyId), LinkStats)> {
-        self.inner.ledger.link_stats()
-    }
 }
 
 impl SendPort for Switchboard {
@@ -123,10 +113,10 @@ impl Fabric for Switchboard {
     }
 
     fn fault_stats(&self) -> FaultStats {
-        Switchboard::fault_stats(self)
+        self.inner.ledger.fault_stats()
     }
 
     fn link_stats(&self) -> Vec<((PartyId, PartyId), LinkStats)> {
-        Switchboard::link_stats(self)
+        self.inner.ledger.link_stats()
     }
 }
