@@ -21,6 +21,7 @@ pub mod tab7;
 pub mod tab8;
 
 use crate::deployment::Deployment;
+use pm_dp::bounds::Sensitivity;
 use pm_stats::sampling::derive_seed;
 use std::sync::Arc;
 use torsim::ids::RelayId;
@@ -200,13 +201,15 @@ pub fn privcount_round(
 
 /// Default PSC round config for a deployment. `expected_unique` sizes
 /// the table (4× the expectation keeps collision corrections small);
-/// `sensitivity` calibrates the per-CP binomial noise.
+/// `sensitivity`, the round's Table 1 action over its days, calibrates
+/// the per-CP binomial noise.
 pub fn psc_round(
     dep: &Deployment,
     expected_unique: f64,
-    sensitivity: u64,
+    sensitivity: Sensitivity,
     label: &str,
 ) -> psc::round::PscConfig {
+    let sensitivity = sensitivity.value() as u64;
     let table_size = ((expected_unique * 4.0) as u32)
         .next_power_of_two()
         .max(256);

@@ -4,6 +4,7 @@
 use crate::deployment::Deployment;
 use crate::experiments::{exit_streams, psc_round};
 use crate::report::{fmt_count, fmt_estimate, Report, ReportRow};
+use pm_dp::bounds::{Action, Sensitivity};
 use pm_stats::powerlaw::{extrapolate_unique_count, PowerLawConfig};
 use psc::{items, run_psc_round};
 use rand::rngs::StdRng;
@@ -29,7 +30,12 @@ pub fn run(dep: &Deployment) -> Report {
         (false, truth_all, "SLDs", "471,228 [470,357; 472,099]"),
         (true, truth_alexa, "Alexa SLDs", "35,660 [34,789; 37,393]"),
     ] {
-        let cfg = psc_round(dep, draws, 20, &format!("tab2-{label}"));
+        let cfg = psc_round(
+            dep,
+            draws,
+            Sensitivity::of(Action::ConnectToDomain),
+            &format!("tab2-{label}"),
+        );
         let gens = exit_streams(
             dep,
             fraction,

@@ -5,6 +5,7 @@
 use crate::deployment::Deployment;
 use crate::experiments::{client_ip_stream, psc_round};
 use crate::report::{fmt_count, Report, ReportRow};
+use pm_dp::bounds::{Action, Sensitivity};
 use pm_stats::guards::{fit_guard_model, single_g_consistency, GuardObservation};
 use psc::{items, run_psc_round};
 use torsim::stream::EventStream;
@@ -23,7 +24,12 @@ pub fn run(dep: &Deployment) -> Report {
         let observe = 1.0 - (1.0 - w).powi(g_true as i32);
         let expected = truth.selective_ips as f64 * dep.scale * observe
             + truth.promiscuous_ips as f64 * dep.scale;
-        let cfg = psc_round(dep, expected, 4, &format!("tab3-{idx}"));
+        let cfg = psc_round(
+            dep,
+            expected,
+            Sensitivity::of(Action::NewIpDay1),
+            &format!("tab3-{idx}"),
+        );
         let gens: Vec<EventStream> =
             vec![client_ip_stream(dep, observe, 0, &format!("tab3-{idx}"))];
         let result = run_psc_round(cfg, items::unique_client_ips(), gens).expect("tab3 round");

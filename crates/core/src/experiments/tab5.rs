@@ -4,6 +4,7 @@
 use crate::deployment::Deployment;
 use crate::experiments::{client_ip_stream, psc_round};
 use crate::report::{fmt_count, fmt_estimate, Report, ReportRow};
+use pm_dp::bounds::{Action, Sensitivity};
 use psc::{items, run_psc_round};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -45,7 +46,12 @@ pub fn run(dep: &Deployment) -> Report {
     let mut report = Report::new("T5", "Locally observed unique client statistics (PSC)");
 
     // --- one-day unique IPs ---
-    let cfg = psc_round(dep, truth_1day as f64, 4, "tab5-ips");
+    let cfg = psc_round(
+        dep,
+        truth_1day as f64,
+        Sensitivity::of(Action::NewIpDay1),
+        "tab5-ips",
+    );
     let gens: Vec<EventStream> = vec![client_ip_stream(dep, observe, 0, "tab5-ips")];
     let result = run_psc_round(cfg, items::unique_client_ips(), gens).expect("tab5 ips");
     let est_1day = result.estimate(0.95);
@@ -59,7 +65,12 @@ pub fn run(dep: &Deployment) -> Report {
     // --- countries (averaged over two runs, as in the paper) ---
     let mut country_estimates = Vec::new();
     for run_idx in 0..2 {
-        let cfg = psc_round(dep, 260.0, 4, &format!("tab5-countries-{run_idx}"));
+        let cfg = psc_round(
+            dep,
+            260.0,
+            Sensitivity::of(Action::NewIpDay1),
+            &format!("tab5-countries-{run_idx}"),
+        );
         let gens: Vec<EventStream> = vec![client_ip_stream(
             dep,
             observe,
@@ -82,7 +93,12 @@ pub fn run(dep: &Deployment) -> Report {
     ));
 
     // --- ASes ---
-    let cfg = psc_round(dep, expected_ips / 2.0, 4, "tab5-ases");
+    let cfg = psc_round(
+        dep,
+        expected_ips / 2.0,
+        Sensitivity::of(Action::NewIpDay1),
+        "tab5-ases",
+    );
     let gens: Vec<EventStream> = vec![client_ip_stream(dep, observe, 0, "tab5-ases")];
     let result =
         run_psc_round(cfg, items::unique_ases(Arc::clone(&dep.asdb)), gens).expect("tab5 ases");
@@ -97,7 +113,12 @@ pub fn run(dep: &Deployment) -> Report {
     // --- four-day unique IPs: a real measurement over the four
     // churned daily pools, sized by and compared against the measured
     // union's churned ground truth ---
-    let cfg = psc_round(dep, truth_4day as f64, 4 * 3, "tab5-ips4");
+    let cfg = psc_round(
+        dep,
+        truth_4day as f64,
+        Sensitivity::over_days(Action::NewIpDay1, 4),
+        "tab5-ips4",
+    );
     let gens: Vec<EventStream> = vec![EventStream::chain(
         (0..4)
             .map(|day| client_ip_stream(dep, observe, day, "tab5-ips"))

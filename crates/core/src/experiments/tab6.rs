@@ -4,6 +4,7 @@
 use crate::deployment::Deployment;
 use crate::experiments::{fetch_streams, psc_round, publish_stream};
 use crate::report::{fmt_count, fmt_estimate, Report, ReportRow};
+use pm_dp::bounds::{Action, Sensitivity};
 use pm_stats::extrapolate::{hsdir_extrapolate, hsdir_observe_fraction};
 use psc::{items, run_psc_round};
 use torsim::stream::EventStream;
@@ -20,7 +21,12 @@ pub fn run(dep: &Deployment) -> Report {
     let w_pub = dep.weights.tab6_publish;
     let observe_pub = hsdir_observe_fraction(w_pub, 2);
     let expected = t.published_addresses as f64 * dep.scale * observe_pub;
-    let cfg = psc_round(dep, expected.max(64.0), 3, "tab6-pub");
+    let cfg = psc_round(
+        dep,
+        expected.max(64.0),
+        Sensitivity::of(Action::UploadNewOnionAddress),
+        "tab6-pub",
+    );
     let gens: Vec<EventStream> = vec![publish_stream(dep, observe_pub, "tab6-pub")];
     let result = run_psc_round(cfg, items::unique_onions_published(), gens).expect("tab6 pub");
     let local = result.estimate(0.95);
@@ -42,7 +48,12 @@ pub fn run(dep: &Deployment) -> Report {
     let w_fetch = dep.weights.tab6_fetch;
     let observe_fetch = hsdir_observe_fraction(w_fetch, 6);
     let expected = t.fetched_addresses as f64 * dep.scale * observe_fetch;
-    let cfg = psc_round(dep, expected.max(64.0), 30, "tab6-fetch");
+    let cfg = psc_round(
+        dep,
+        expected.max(64.0),
+        Sensitivity::of(Action::FetchDescriptor),
+        "tab6-fetch",
+    );
     let gens = fetch_streams(dep, w_fetch, observe_fetch, 1, "tab6-fetch");
     let result = run_psc_round(cfg, items::unique_onions_fetched(), gens).expect("tab6 fetch");
     let local = result.estimate(0.95);

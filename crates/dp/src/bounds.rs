@@ -173,15 +173,6 @@ impl Sensitivity {
         }
     }
 
-    /// Sensitivity with a unit multiplier.
-    pub fn scaled(action: Action, units_per_action: f64) -> Sensitivity {
-        Sensitivity {
-            action,
-            units_per_action,
-            days: 1,
-        }
-    }
-
     /// Sensitivity of a multi-day measurement.
     pub fn over_days(action: Action, days: u64) -> Sensitivity {
         Sensitivity {
@@ -257,7 +248,10 @@ mod tests {
     #[test]
     fn sensitivity_scaling() {
         // A rendezvous connection creates 2 circuits at the RP.
-        let s = Sensitivity::scaled(Action::RendezvousConnection, 2.0);
+        let s = Sensitivity {
+            units_per_action: 2.0,
+            ..Sensitivity::of(Action::RendezvousConnection)
+        };
         assert_eq!(s.value(), 360.0);
         // Plain count.
         assert_eq!(Sensitivity::of(Action::ConnectToDomain).value(), 20.0);

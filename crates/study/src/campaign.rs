@@ -4,6 +4,7 @@
 use crate::anomaly::{Anomaly, AnomalyKind};
 use crate::report::CampaignReport;
 use pm_dp::accountant::{Accountant, RoundDisposition, System};
+use pm_dp::bounds::{Action, Sensitivity};
 use pm_net::party::NodeError;
 use pm_stats::guards::observe_probability;
 use pm_stats::sampling::derive_seed;
@@ -687,14 +688,9 @@ impl Campaign {
             union = union.merge(truth.clone());
             day_truths.push(truth);
         }
-        // Noise sensitivity per Table 1, matching tab5's calibration:
-        // a 1-day round bounds NewIpDay1 at 4; a multi-day round
-        // bounds NewIpMultiDay at 3 per day of the window.
-        let sensitivity = if spec.duration_days == 1 {
-            4
-        } else {
-            3 * spec.duration_days
-        };
+        // Table 1 sensitivity, as in tab5: a multi-day window takes the
+        // 2+ day new-IP bound per day.
+        let sensitivity = Sensitivity::over_days(Action::NewIpDay1, spec.duration_days);
         let expected = union.unique() as f64;
         let mut cfg = psc_round(&dep, expected, sensitivity, &spec.id);
         self.apply_psc_attack(&mut cfg);
@@ -787,7 +783,7 @@ impl Campaign {
                 .client_ip_day(day, observe, dep.shards, dep.entry_relays());
         let truth_countries: std::collections::BTreeSet<_> =
             truth.ips.iter().map(|ip| dep.geo.country_of(*ip)).collect();
-        let mut cfg = psc_round(&dep, 260.0, 4, &spec.id);
+        let mut cfg = psc_round(&dep, 260.0, Sensitivity::of(Action::NewIpDay1), &spec.id);
         self.apply_psc_attack(&mut cfg);
         let result = psc::run_psc_round(
             cfg,
@@ -910,8 +906,8 @@ impl Campaign {
             union = union.merge(truth.clone());
             day_truths.push(truth);
         }
-        // Table 1 sensitivity: tab2's SLD round bounds 20 per day.
-        let sensitivity = 20 * spec.duration_days;
+        // Table 1 sensitivity, as in tab2's SLD round, per day.
+        let sensitivity = Sensitivity::over_days(Action::ConnectToDomain, spec.duration_days);
         let expected = union.unique() as f64;
         let mut cfg = psc_round(&dep, expected, sensitivity, &spec.id);
         self.apply_psc_attack(&mut cfg);
@@ -1028,8 +1024,8 @@ impl Campaign {
             day_truths.push(hs_day.truth);
         }
         let t = &self.base.workload.onion;
-        // Table 1 sensitivity: tab6's publish round bounds 3 per day.
-        let sensitivity = 3 * spec.duration_days;
+        // Table 1 sensitivity, as in tab6's publish round, per day.
+        let sensitivity = Sensitivity::over_days(Action::UploadNewOnionAddress, spec.duration_days);
         let expected = (union.unique() as f64).max(64.0);
         let mut cfg = psc_round(&dep, expected, sensitivity, &spec.id);
         self.apply_psc_attack(&mut cfg);
