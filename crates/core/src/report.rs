@@ -1,5 +1,6 @@
 //! Experiment reports: measured vs ground truth vs paper.
 
+use pm_obs::trace::json_string;
 use pm_stats::Estimate;
 use std::fmt;
 
@@ -121,8 +122,8 @@ impl Report {
         let mut out = String::new();
         out.push_str(&format!(
             "{{\"id\": {}, \"title\": {}, \"rows\": [",
-            json_escape(&self.id),
-            json_escape(&self.title)
+            json_string(&self.id),
+            json_string(&self.title)
         ));
         for (i, row) in self.rows.iter().enumerate() {
             if i > 0 {
@@ -130,10 +131,10 @@ impl Report {
             }
             out.push_str(&format!(
                 "{{\"label\": {}, \"measured\": {}, \"truth\": {}, \"paper\": {}}}",
-                json_escape(&row.label),
-                json_escape(&row.measured),
-                json_escape(&row.truth),
-                json_escape(&row.paper)
+                json_string(&row.label),
+                json_string(&row.measured),
+                json_string(&row.truth),
+                json_string(&row.paper)
             ));
         }
         out.push_str("], \"notes\": [");
@@ -141,7 +142,7 @@ impl Report {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&json_escape(note));
+            out.push_str(&json_string(note));
         }
         out.push_str("]}");
         out
@@ -173,25 +174,6 @@ pub fn csv_escape(s: &str) -> String {
     } else {
         s.to_string()
     }
-}
-
-/// Quotes a string as a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Renders a set of reports as one JSON document — the export format
@@ -271,6 +253,7 @@ pub fn fmt_tib(bytes: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_obs::trace::json_string;
     use pm_stats::Estimate;
 
     #[test]

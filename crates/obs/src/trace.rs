@@ -13,7 +13,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::profile::TraceEvent;
 use crate::rss;
 
-fn escape(s: &str, out: &mut String) {
+/// Quotes `s` as a JSON string literal — the one escaper behind every
+/// JSON document the workspace writes (traces, reports, campaigns).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -25,6 +29,8 @@ fn escape(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
+    out.push('"');
+    out
 }
 
 /// Renders the trace-event JSON document for `events`.
@@ -38,11 +44,11 @@ pub fn render(events: &[TraceEvent]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("\n  {\"name\": \"");
-        escape(&ev.name, &mut out);
-        out.push_str("\", \"cat\": \"");
-        escape(&ev.cat, &mut out);
-        out.push_str("\", \"ph\": \"X\", \"ts\": ");
+        out.push_str("\n  {\"name\": ");
+        out.push_str(&json_string(&ev.name));
+        out.push_str(", \"cat\": ");
+        out.push_str(&json_string(&ev.cat));
+        out.push_str(", \"ph\": \"X\", \"ts\": ");
         out.push_str(&ev.ts.to_string());
         out.push_str(", \"dur\": ");
         out.push_str(&ev.dur.to_string());
@@ -53,11 +59,9 @@ pub fn render(events: &[TraceEvent]) -> String {
             if j > 0 {
                 out.push_str(", ");
             }
-            out.push('"');
-            escape(k, &mut out);
-            out.push_str("\": \"");
-            escape(v, &mut out);
-            out.push('"');
+            out.push_str(&json_string(k));
+            out.push_str(": ");
+            out.push_str(&json_string(v));
         }
         out.push_str("}}");
     }

@@ -11,10 +11,11 @@
 use crate::anomaly::{Anomaly, AnomalyKind};
 use crate::campaign::{CampaignConfig, RoundOutcome};
 use pm_dp::accountant::Accountant;
+use pm_obs::trace::json_string;
 use pm_obs::MetricsSnapshot;
 use pm_stats::union::reconcile;
 use torsim::timeline::{DayTruth, DomainDayTruth, OnionDayTruth};
-use torstudy::report::{csv_escape, fmt_estimate, json_escape, Report, ReportRow};
+use torstudy::report::{csv_escape, fmt_estimate, Report, ReportRow};
 
 /// The campaign's aggregated outcome.
 pub struct CampaignReport {
@@ -334,12 +335,12 @@ impl CampaignReport {
         for (i, a) in self.anomalies.iter().enumerate() {
             out.push_str(&format!(
                 "  {{\"kind\": {}, \"round\": {}, \"day\": {}, \"detail\": {}}}",
-                json_escape(a.kind.tag()),
-                json_escape(&a.round),
+                json_string(a.kind.tag()),
+                json_string(&a.round),
                 a.day
                     .map(|d| d.to_string())
                     .unwrap_or_else(|| "null".into()),
-                json_escape(&a.detail)
+                json_string(&a.detail)
             ));
             if i + 1 < self.anomalies.len() {
                 out.push(',');
