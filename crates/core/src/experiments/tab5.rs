@@ -42,16 +42,13 @@ pub fn run(dep: &Deployment) -> Report {
         truth.selective_ips as f64 * dep.scale * observe + truth.promiscuous_ips as f64 * dep.scale;
     let truths = unique_ip_truths(dep, observe, 4);
     let (truth_1day, truth_4day) = (truths[0], truths[3]);
+    // Table 1: countries and ASes derive from the day's new IPs.
+    let new_ip = Sensitivity::of(Action::NewIpDay1);
 
     let mut report = Report::new("T5", "Locally observed unique client statistics (PSC)");
 
     // --- one-day unique IPs ---
-    let cfg = psc_round(
-        dep,
-        truth_1day as f64,
-        Sensitivity::of(Action::NewIpDay1),
-        "tab5-ips",
-    );
+    let cfg = psc_round(dep, truth_1day as f64, new_ip, "tab5-ips");
     let gens: Vec<EventStream> = vec![client_ip_stream(dep, observe, 0, "tab5-ips")];
     let result = run_psc_round(cfg, items::unique_client_ips(), gens).expect("tab5 ips");
     let est_1day = result.estimate(0.95);
@@ -65,12 +62,7 @@ pub fn run(dep: &Deployment) -> Report {
     // --- countries (averaged over two runs, as in the paper) ---
     let mut country_estimates = Vec::new();
     for run_idx in 0..2 {
-        let cfg = psc_round(
-            dep,
-            260.0,
-            Sensitivity::of(Action::NewIpDay1),
-            &format!("tab5-countries-{run_idx}"),
-        );
+        let cfg = psc_round(dep, 260.0, new_ip, &format!("tab5-countries-{run_idx}"));
         let gens: Vec<EventStream> = vec![client_ip_stream(
             dep,
             observe,
@@ -93,12 +85,7 @@ pub fn run(dep: &Deployment) -> Report {
     ));
 
     // --- ASes ---
-    let cfg = psc_round(
-        dep,
-        expected_ips / 2.0,
-        Sensitivity::of(Action::NewIpDay1),
-        "tab5-ases",
-    );
+    let cfg = psc_round(dep, expected_ips / 2.0, new_ip, "tab5-ases");
     let gens: Vec<EventStream> = vec![client_ip_stream(dep, observe, 0, "tab5-ases")];
     let result =
         run_psc_round(cfg, items::unique_ases(Arc::clone(&dep.asdb)), gens).expect("tab5 ases");

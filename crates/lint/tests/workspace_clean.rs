@@ -54,7 +54,7 @@ fn allow_markers_only_ratchet_down() {
 /// review as the items it admits.
 #[test]
 fn public_items_only_ratchet_down() {
-    const CEILING: usize = 778;
+    const CEILING: usize = 770;
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut dirs = vec![root.join("src")];
     for krate in fs::read_dir(root.join("crates")).expect("crates/ readable") {

@@ -13,8 +13,9 @@
 # with `pub fn|struct|enum|trait|type|const` (`pub(crate)` and narrower
 # do not count).
 # Units are the directories under crates/ plus "(root)" for the root
-# package's src/, tests/ and examples/; perfbench/ and scripts/ are not
-# counted. With a revision, that tree is exported (git archive: the
+# package's src/, tests/ and examples/; perfbench/, scripts/ and the
+# vendored packages under crates/vendor/ are not counted (pm-lint and
+# the `public_items_only_ratchet_down` test skip crates/vendor too). With a revision, that tree is exported (git archive: the
 # working tree may be dirty) and the table shows parent -> now and the
 # difference per column.
 set -euo pipefail
@@ -25,7 +26,7 @@ cd "$(git rev-parse --show-toplevel)"
 # (The second awk sums the partial tables xargs produces when the file
 # list spans several invocations of the first.)
 count() {
-    (cd "$1" && find crates src tests examples -name '*.rs' -type f -print0 |
+    (cd "$1" && find crates src tests examples -path crates/vendor -prune -o -name '*.rs' -type f -print0 |
         xargs -0 awk '
             FNR == 1 {
                 in_test = 0
