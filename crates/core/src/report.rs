@@ -253,7 +253,6 @@ pub fn fmt_tib(bytes: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_obs::trace::json_string;
     use pm_stats::Estimate;
 
     #[test]
