@@ -15,9 +15,10 @@
 # Units are the directories under crates/ plus "(root)" for the root
 # package's src/, tests/ and examples/; perfbench/, scripts/ and the
 # vendored packages under crates/vendor/ are not counted (pm-lint and
-# the `public_items_only_ratchet_down` test skip crates/vendor too). With a revision, that tree is exported (git archive: the
-# working tree may be dirty) and the table shows parent -> now and the
-# difference per column.
+# the `public_items_only_ratchet_down` test skip crates/vendor too).
+# With a revision, that tree is exported (git archive: the working tree
+# may be dirty) and the table shows parent -> now and the difference
+# per column; both trees are counted by this script.
 set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
