@@ -174,10 +174,11 @@ SEED ?= 2018
 perf-pairs:
 	scripts/perf_pairs.sh "$(PARENT)" "$(WORKLOADS)" "$(PAIRS)" "$(SECONDS)" "$(SEED)"
 
-# The counts a simplicity PR reports: per crate, non-test lines (before
-# a file's first `#[cfg(test)]`), test lines, and fully-`pub` items
-# (the API surface); with PARENT=<rev>, parent -> working tree and the
-# difference. Not part of `verify`: it measures, it does not gate.
+# The counts a simplicity PR reports: per crate, non-test lines (outside
+# the items a `#[cfg(test)]` attribute line opens), test lines, and
+# fully-`pub` items (the API surface); with PARENT=<rev>, parent ->
+# working tree and the difference. Not part of `verify`: it measures, it
+# does not gate.
 #   make loc PARENT=HEAD~1
 loc:
 	scripts/loc.sh $(PARENT)

@@ -47,14 +47,14 @@ fn allow_markers_only_ratchet_down() {
 }
 
 /// The fully-`pub` API surface may only shrink. Counted by
-/// `scripts/loc.sh`'s rule: a line of a `src/` file before its first
-/// `#[cfg(test)]` that opens with `pub fn|struct|enum|trait|type|const`,
+/// `scripts/loc.sh`'s rule: a non-test line (see [`non_test_lines`]) of
+/// a `src/` file that opens with `pub fn|struct|enum|trait|type|const`,
 /// across `crates/*/src` and the root package's `src/`. Lower the
 /// ceiling when a PR shrinks the surface; raising it needs the same
 /// review as the items it admits.
 #[test]
 fn public_items_only_ratchet_down() {
-    const CEILING: usize = 770;
+    const CEILING: usize = 827;
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut dirs = vec![root.join("src")];
     for krate in fs::read_dir(root.join("crates")).expect("crates/ readable") {
@@ -71,9 +71,8 @@ fn public_items_only_ratchet_down() {
                 dirs.push(path);
             } else if path.extension().is_some_and(|e| e == "rs") {
                 let src = fs::read_to_string(&path).expect("source readable");
-                count += src
-                    .lines()
-                    .take_while(|l| !l.contains("#[cfg(test)]"))
+                count += non_test_lines(&src)
+                    .into_iter()
                     .filter(|l| opens_pub_item(l))
                     .count();
             }
@@ -146,4 +145,96 @@ fn opens_pub_item(line: &str) -> bool {
     ["fn", "struct", "enum", "trait", "type", "const"]
         .iter()
         .any(|kw| rest.starts_with(&format!("pub {kw} ")))
+}
+
+/// The lines of a `src/` file that are not test code, by the rule
+/// `scripts/loc.sh` counts with: a line is test code when it lies inside
+/// an item (a `mod`, `fn`, `use`, statement, ...) whose attribute line
+/// starts with `#[cfg(test)]`, from that line to the `}` that brings the
+/// item's brace depth back to zero, or to its `;` when the item has no
+/// body. A comment that mentions `#[cfg(test)]` cuts nothing.
+fn non_test_lines(src: &str) -> Vec<&str> {
+    let mut kept = Vec::new();
+    // (brace depth, paren/bracket depth) inside the current test item.
+    let mut item: Option<(i32, i32)> = None;
+    for line in src.lines() {
+        let text = match item {
+            Some(_) => line,
+            None => match line
+                .trim_start_matches([' ', '\t'])
+                .strip_prefix("#[cfg(test)]")
+            {
+                Some(rest) => rest,
+                None => {
+                    kept.push(line);
+                    continue;
+                }
+            },
+        };
+        let (depth, nest) = item.get_or_insert((0, 0));
+        if item_ends(text, depth, nest) {
+            item = None;
+        }
+    }
+    kept
+}
+
+/// Scans one line of a test item; true when the item ends on it. A `;`
+/// ends an item only outside braces and brackets, so `[u8; 4]` in a
+/// signature does not.
+fn item_ends(text: &str, depth: &mut i32, nest: &mut i32) -> bool {
+    for c in text.chars() {
+        match c {
+            '{' => *depth += 1,
+            '}' => {
+                *depth -= 1;
+                if *depth == 0 {
+                    return true;
+                }
+            }
+            '(' | '[' => *nest += 1,
+            ')' | ']' => *nest -= 1,
+            ';' if *depth == 0 && *nest == 0 => return true,
+            _ => {}
+        }
+    }
+    false
+}
+
+#[test]
+fn non_test_lines_follow_cfg_test_items() {
+    let src = "\
+//! Mentions `#[cfg(test)]` in a doc comment.
+use std::fmt;
+#[cfg(test)]
+use std::cell::Cell;
+pub fn a() {}
+    #[cfg(test)]
+    fn counted(x: [u8; 4]) -> usize {
+        x.len()
+    }
+#[cfg(test)]
+pub(crate) mod ops {
+    pub fn tick() {}
+}
+pub fn b() {
+    #[cfg(test)]
+    ops::tick();
+}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {}
+}
+";
+    assert_eq!(
+        non_test_lines(src),
+        [
+            "//! Mentions `#[cfg(test)]` in a doc comment.",
+            "use std::fmt;",
+            "pub fn a() {}",
+            "pub fn b() {",
+            "}",
+        ]
+    );
 }

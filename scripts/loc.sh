@@ -6,9 +6,13 @@
 #   scripts/loc.sh [<parent-rev>]
 #   make loc [PARENT=<rev>]
 #
-# A file under a `src/` directory contributes its lines before the first
-# `#[cfg(test)]` as non-test lines; the rest of that file, and every
-# .rs file outside `src/` (tests/, examples/, benches/), are test lines.
+# A line of a file under a `src/` directory is a test line when it lies
+# inside an item (a `mod`, `fn`, `use`, statement, ...) whose attribute
+# line starts with `#[cfg(test)]`: from that line to the `}` that brings
+# the item's brace depth back to zero, or to its `;` when the item has
+# no body. Every other line of a `src/` file is a non-test line, so a
+# comment that mentions `#[cfg(test)]` cuts nothing. Every .rs file
+# outside `src/` (tests/, examples/, benches/) is test lines.
 # The third column counts fully-`pub` items: non-test lines that open
 # with `pub fn|struct|enum|trait|type|const` (`pub(crate)` and narrower
 # do not count).
@@ -29,15 +33,40 @@ cd "$(git rev-parse --show-toplevel)"
 count() {
     (cd "$1" && find crates src tests examples -path crates/vendor -prune -o -name '*.rs' -type f -print0 |
         xargs -0 awk '
+            # Scans one line of a test item; 1 when the item ends on it.
+            # A `;` ends an item only outside braces and brackets, so
+            # `[u8; 4]` in a signature does not.
+            function item_ends(s,    i, c) {
+                for (i = 1; i <= length(s); i++) {
+                    c = substr(s, i, 1)
+                    if (c == "{") depth++
+                    else if (c == "}") { if (--depth == 0) return 1 }
+                    else if (c == "(" || c == "[") nest++
+                    else if (c == ")" || c == "]") nest--
+                    else if (c == ";" && depth == 0 && nest == 0) return 1
+                }
+                return 0
+            }
             FNR == 1 {
-                in_test = 0
+                in_item = 0
                 split(FILENAME, p, "/")
                 unit = p[1] == "crates" ? p[2] : "(root)"
                 in_src = p[1] == "crates" ? p[3] == "src" : p[1] == "src"
             }
-            /#\[cfg\(test\)\]/ { in_test = 1 }
-            { if (in_src && !in_test) non[unit]++; else test[unit]++ }
-            in_src && !in_test && /^[ \t]*pub (fn|struct|enum|trait|type|const) / { api[unit]++ }
+            {
+                is_test = !in_src || in_item
+                if (in_src && !in_item && /^[ \t]*#\[cfg\(test\)\]/) {
+                    in_item = is_test = 1
+                    depth = nest = 0
+                    rest = $0
+                    sub(/^[ \t]*#\[cfg\(test\)\]/, "", rest)
+                    if (item_ends(rest)) in_item = 0
+                } else if (in_item && item_ends($0)) {
+                    in_item = 0
+                }
+                if (is_test) test[unit]++; else non[unit]++
+            }
+            !is_test && /^[ \t]*pub (fn|struct|enum|trait|type|const) / { api[unit]++ }
             END { for (u in test) print u, non[u] + 0, test[u], api[u] + 0 }
         ' | awk '{ non[$1] += $2; test[$1] += $3; api[$1] += $4 }
                  END { for (u in non) print u, non[u], test[u], api[u] }' | sort)
