@@ -22,7 +22,7 @@
 //! every report is byte-identical across backends.
 
 use pm_obs::Event;
-use torstudy::cli::Cli;
+use torstudy::cli::{usage_exit, Cli};
 use torstudy::report::reports_json;
 use torstudy::runner::{registry, run_all, run_some};
 use torstudy::Deployment;
@@ -37,6 +37,13 @@ fn main() {
         .own
         .last()
         .map(|(_, ids)| ids.split(',').map(str::trim).collect());
+    let known: Vec<&str> = registry().iter().map(|e| e.id).collect();
+    if let Some(id) = only.iter().flatten().find(|id| !known.contains(id)) {
+        usage_exit(
+            USAGE,
+            format_args!("unknown experiment id {id:?} (known: {})", known.join(",")),
+        );
+    }
 
     if cli.list {
         for entry in registry() {

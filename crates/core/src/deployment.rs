@@ -5,6 +5,10 @@
 //! share keepers (PrivCount), 3 computation parties (PSC). Weight
 //! fractions vary by measurement date exactly as the paper reports
 //! them; they are recorded per experiment in [`PaperWeights`].
+//!
+//! The party counts and the cap on concurrent PSC rounds are constants,
+//! not deployment fields: every round the study runs uses the same
+//! values ([`MAX_CONCURRENT_PSC_ROUNDS`] for the cap).
 
 use pm_dp::{DELTA, EPSILON};
 use privcount::counter::CounterSpec;
@@ -71,18 +75,27 @@ impl Default for PaperWeights {
 
 /// Default ingestion shard count: the machine's parallelism, capped so
 /// shard-thread fan-out stays sane under the parallel experiment runner.
-pub fn default_shards() -> usize {
+fn default_shards() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .clamp(1, 16)
 }
 
-/// Default cap on wall-clock-concurrent PSC rounds in the parallel
-/// experiment runner. Each in-flight PSC round pins a full oblivious
-/// table (plus its mix copies) in memory, so unlike PrivCount rounds
-/// they must not scale out to `available_parallelism` unchecked.
-pub const DEFAULT_MAX_CONCURRENT_PSC_ROUNDS: usize = 4;
+/// Share Keepers per PrivCount round (3, as in the §3.1 deployment).
+pub(crate) const NUM_SKS: usize = 3;
+
+/// Computation Parties per PSC round (3; the Table 5 IP run used 2 due
+/// to an outage).
+pub(crate) const NUM_CPS: usize = 3;
+
+/// Cap on wall-clock-concurrent PSC rounds in the parallel experiment
+/// runner and the campaign engine. Each in-flight PSC round pins a full
+/// oblivious table (plus its mix copies) in memory, so unlike PrivCount
+/// rounds they must not scale out to `available_parallelism` unchecked.
+/// Like the shard count, the cap cannot change any report — only memory
+/// footprint and wall-clock shape.
+pub const MAX_CONCURRENT_PSC_ROUNDS: usize = 4;
 
 /// The simulated deployment.
 pub struct Deployment {
@@ -103,21 +116,11 @@ pub struct Deployment {
     /// The 16 instrumented relays' ids (0..6 exits, 6..16 entry/HSDir,
     /// 15 dual-role).
     pub relays: Vec<RelayId>,
-    /// Number of Share Keepers / Computation Parties (3 in the paper).
-    pub num_sks: usize,
-    /// Number of CPs (the Table 5 IP run used 2 due to an outage; we
-    /// default to 3).
-    pub num_cps: usize,
     /// Ingestion shards per DC event stream. Reports are bit-identical
     /// for every value (shard-count invariance — see
     /// `torsim::stream`), so this defaults to the machine's available
     /// parallelism and only affects wall-clock time.
     pub shards: usize,
-    /// Upper bound on PSC rounds the parallel experiment runner holds
-    /// in flight at once (each pins an oblivious table in memory);
-    /// PrivCount rounds are not throttled. Like `shards`, this cannot
-    /// change any report — only memory footprint and wall-clock shape.
-    pub max_concurrent_psc_rounds: usize,
     /// Which `pm_net::Fabric` backend carries every round this
     /// deployment runs: the in-process switchboard (default) or
     /// real loopback sockets. Under a lossless schedule the choice
@@ -165,10 +168,7 @@ impl Deployment {
             scale,
             seed,
             relays: (0..16).map(RelayId).collect(),
-            num_sks: 3,
-            num_cps: 3,
             shards: default_shards(),
-            max_concurrent_psc_rounds: DEFAULT_MAX_CONCURRENT_PSC_ROUNDS,
             fabric: pm_net::FabricChoice::default(),
             recorder: pm_obs::Recorder::new(),
         }
@@ -229,21 +229,10 @@ impl Deployment {
             scale: self.scale,
             seed: pm_stats::sampling::derive_seed(self.seed, &format!("day{}", snapshot.day)),
             relays: self.relays.clone(),
-            num_sks: self.num_sks,
-            num_cps: self.num_cps,
             shards: self.shards,
-            max_concurrent_psc_rounds: self.max_concurrent_psc_rounds,
             fabric: self.fabric,
             recorder: self.recorder.clone(),
         }
-    }
-
-    /// Overrides the concurrent-PSC-round cap (1 = PSC rounds run one
-    /// at a time; PrivCount rounds still parallelize freely).
-    pub fn with_max_concurrent_psc_rounds(mut self, cap: usize) -> Deployment {
-        assert!(cap >= 1);
-        self.max_concurrent_psc_rounds = cap;
-        self
     }
 
     /// The 6 exit relays (plus the dual-role relay carries exit traffic
@@ -304,8 +293,6 @@ mod tests {
         assert_eq!(dep.relays.len(), 16);
         assert_eq!(dep.exit_relays().len(), 6);
         assert_eq!(dep.entry_relays().len(), 10);
-        assert_eq!(dep.num_sks, 3);
-        assert_eq!(dep.num_cps, 3);
         assert!(dep.sites.config().alexa_size >= 20_000);
     }
 

@@ -20,7 +20,7 @@ pub mod tab6;
 pub mod tab7;
 pub mod tab8;
 
-use crate::deployment::Deployment;
+use crate::deployment::{Deployment, MAX_CONCURRENT_PSC_ROUNDS, NUM_CPS, NUM_SKS};
 use pm_dp::bounds::Sensitivity;
 use pm_stats::sampling::derive_seed;
 use std::sync::Arc;
@@ -189,7 +189,7 @@ pub fn privcount_round(
     privcount::round::RoundConfig {
         counters: dep.scaled_specs(schema.counters),
         mapper: schema.mapper,
-        num_sks: dep.num_sks,
+        num_sks: NUM_SKS,
         noise: privcount::round::NoiseAllocation::Equal,
         seed: derive_seed(dep.seed, label),
         faults: pm_net::transport::FaultConfig::none(),
@@ -225,17 +225,17 @@ pub fn psc_round(
     drop(calibrate_span);
     let flips = ((full as f64 * dep.scale * dep.scale).ceil() as u32).max(16);
     // Batch-phase threads share the machine with up to
-    // `max_concurrent_psc_rounds` sibling rounds under the parallel
+    // `MAX_CONCURRENT_PSC_ROUNDS` sibling rounds under the parallel
     // runner; splitting the parallelism between them avoids
     // oversubscription without changing a single transcript byte.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mix_threads = (cores / dep.max_concurrent_psc_rounds).max(1);
+    let mix_threads = (cores / MAX_CONCURRENT_PSC_ROUNDS).max(1);
     psc::round::PscConfig {
         table_size,
         noise_flips_per_cp: flips,
-        num_cps: dep.num_cps,
+        num_cps: NUM_CPS,
         verify: false,
         seed: derive_seed(dep.seed, label),
         faults: pm_net::transport::FaultConfig::none(),

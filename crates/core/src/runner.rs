@@ -15,7 +15,7 @@
 //!    guarantees for every accepted schedule — share no data and may
 //!    execute wall-clock-concurrently. Reports are returned in registry
 //!    order regardless of completion order. PSC rounds are additionally
-//!    throttled by [`Deployment::max_concurrent_psc_rounds`]: each
+//!    throttled by the constant [`MAX_CONCURRENT_PSC_ROUNDS`]: each
 //!    in-flight PSC round pins an oblivious table in memory, so only
 //!    that many may run at once while PrivCount rounds fill the
 //!    remaining workers.
@@ -31,7 +31,7 @@
 //! the longitudinal campaign engine (`pm-study`) lowers its
 //! day-indexed calendar onto the same executor.
 
-use crate::deployment::Deployment;
+use crate::deployment::{Deployment, MAX_CONCURRENT_PSC_ROUNDS};
 use crate::experiments;
 use crate::report::Report;
 use parking_lot::Mutex;
@@ -387,8 +387,8 @@ pub fn run_jobs<T: Send>(
 }
 
 /// Executes an explicit plan on up to `workers` threads via
-/// [`run_jobs`], honouring its dependency graph and the deployment's
-/// concurrent-PSC-round cap; reports come back in plan (= registry)
+/// [`run_jobs`], honouring its dependency graph and the
+/// [`MAX_CONCURRENT_PSC_ROUNDS`] cap; reports come back in plan (= registry)
 /// order. Public so tests can drive synthetic plans with instrumented
 /// run functions; study code should call [`run_all`].
 pub fn run_plan(dep: &Deployment, planned: Vec<PlannedRound>, workers: usize) -> Vec<Report> {
@@ -401,7 +401,7 @@ pub fn run_plan(dep: &Deployment, planned: Vec<PlannedRound>, workers: usize) ->
             run: Box::new(move || (p.entry.run)(dep)),
         })
         .collect();
-    run_jobs(jobs, workers, dep.max_concurrent_psc_rounds, &dep.recorder)
+    run_jobs(jobs, workers, MAX_CONCURRENT_PSC_ROUNDS, &dep.recorder)
 }
 
 /// Runs every experiment: the schedule is validated against the §3.1
@@ -430,7 +430,7 @@ pub fn run_some(dep: &Deployment, ids: &[&str]) -> Vec<Report> {
             run: Box::new(move || (e.run)(dep)),
         })
         .collect();
-    run_jobs(jobs, 1, dep.max_concurrent_psc_rounds, &dep.recorder)
+    run_jobs(jobs, 1, MAX_CONCURRENT_PSC_ROUNDS, &dep.recorder)
 }
 
 #[cfg(test)]

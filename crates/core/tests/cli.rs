@@ -8,15 +8,16 @@ use std::process::Command;
 
 #[test]
 fn usage_errors_exit_2_without_panicking() {
-    let cases: [&[&str]; 8] = [
-        &["--scale"],        // missing value
-        &["--json"],         // missing value, last argument
-        &["--only"],         // missing value, the binary's own flag
-        &["--seed", "x"],    // malformed integer
-        &["--scale", "abc"], // malformed float
-        &["--scale", "2"],   // out of (0, 1]
-        &["--scale", "0"],   // out of (0, 1]
-        &["--no-such-flag"], // unknown argument
+    let cases: [&[&str]; 9] = [
+        &["--scale"],         // missing value
+        &["--json"],          // missing value, last argument
+        &["--only"],          // missing value, the binary's own flag
+        &["--only", "T1,t4"], // unknown id (ids are case-sensitive)
+        &["--seed", "x"],     // malformed integer
+        &["--scale", "abc"],  // malformed float
+        &["--scale", "2"],    // out of (0, 1]
+        &["--scale", "0"],    // out of (0, 1]
+        &["--no-such-flag"],  // unknown argument
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -29,6 +30,17 @@ fn usage_errors_exit_2_without_panicking() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
     }
+}
+
+#[test]
+fn unknown_only_id_is_named_with_the_known_ones() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["--only", "T1,t4"])
+        .output()
+        .expect("spawn experiments");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("\"t4\""), "{stderr}");
+    assert!(stderr.contains("T1,F1,F2"), "{stderr}");
 }
 
 #[test]

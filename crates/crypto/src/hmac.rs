@@ -7,12 +7,12 @@
 use crate::sha256::{sha256, Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Computes `HMAC-SHA256(key, message)` (RFC 2104).
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
+fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
     hmac_sha256_parts(key, &[message])
 }
 
 /// HMAC over multiple message segments.
-pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
     let (mut inner, outer) = keyed_pads(key);
     for p in parts {
         inner.update(p);
@@ -49,7 +49,7 @@ fn finish(inner: Sha256, mut outer: Sha256) -> [u8; DIGEST_LEN] {
 }
 
 /// HKDF-Extract (RFC 5869): `PRK = HMAC(salt, ikm)`.
-pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
+fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
     hmac_sha256(salt, ikm)
 }
 

@@ -271,7 +271,7 @@ impl Modulus {
     }
 
     /// `a^2 mod m`.
-    pub fn sqr(&self, a: &U256) -> U256 {
+    fn sqr(&self, a: &U256) -> U256 {
         self.mul(a, a)
     }
 
@@ -414,17 +414,6 @@ impl Modulus {
             }
             r = r.wrapping_sub(&t);
         }
-    }
-
-    /// Reduces the 512-bit value `hi·2^256 + lo` modulo `m`, as
-    /// `(lo mod m) + (hi mod m)·(2^256 mod m)`.
-    pub fn reduce_wide(&self, lo: &U256, hi: &U256) -> U256 {
-        let lo_r = self.reduce(lo);
-        let hi_r = self.reduce(hi);
-        // montmul multiplies by 2^-256, so against R² = 2^512 it yields
-        // hi · 2^512 · 2^-256 = hi · 2^256 mod m.
-        let hi_shift = self.montmul(&hi_r, &self.r2);
-        self.add(&lo_r, &hi_shift)
     }
 
     /// Modular inverse via Fermat's little theorem (`m` must be prime).
@@ -642,7 +631,7 @@ pub fn is_probable_prime<R: Rng + ?Sized>(n: &U256, rounds: u32, rng: &mut R) ->
 }
 
 /// Remainder of `n` divided by a small `u64` divisor.
-pub fn div_rem_u64(n: &U256, d: u64) -> u64 {
+fn div_rem_u64(n: &U256, d: u64) -> u64 {
     debug_assert!(d != 0);
     let mut rem: u128 = 0;
     for i in (0..4).rev() {
@@ -957,20 +946,6 @@ mod tests {
             let a = m.sample_nonzero(&mut rng);
             let inv = m.inv_prime(&a);
             assert_eq!(m.mul(&a, &inv), U256::ONE);
-        }
-    }
-
-    #[test]
-    fn reduce_wide_matches() {
-        // (a*b) mod m computed two ways
-        let m = m_small();
-        let mut rng = StdRng::seed_from_u64(10);
-        for _ in 0..50 {
-            let a = U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()]);
-            let b = U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()]);
-            let (lo, hi) = a.widening_mul(&b);
-            let direct = m.mul(&m.reduce(&a), &m.reduce(&b));
-            assert_eq!(m.reduce_wide(&lo, &hi), direct);
         }
     }
 

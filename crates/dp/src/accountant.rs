@@ -205,7 +205,8 @@ impl Accountant {
     }
 
     /// The recorded disposition for a round, if any.
-    pub fn disposition(&self, name: &str) -> Option<&RoundDisposition> {
+    #[cfg(test)]
+    fn disposition(&self, name: &str) -> Option<&RoundDisposition> {
         self.dispositions.get(name)
     }
 

@@ -9,8 +9,6 @@
 //! *computed*, not just transcribed, and a unit test pins the result to
 //! Table 1.
 
-#[cfg(test)]
-use crate::bounds::bound_for;
 use crate::bounds::Action;
 
 /// MiB, as used by the byte-valued bounds.
@@ -19,18 +17,18 @@ const MB: u64 = 1 << 20;
 /// A user-activity model: how much of each protected action one day of
 /// the activity generates.
 #[derive(Clone, Debug)]
-pub struct ActivityModel {
+struct ActivityModel {
     /// Human-readable name.
-    pub name: &'static str,
+    name: &'static str,
     /// (action, daily amount) pairs this activity generates.
-    pub actions: Vec<(Action, u64)>,
+    actions: Vec<(Action, u64)>,
 }
 
 /// Web browsing with Tor Browser: two new websites for each of 10 hours
 /// per day; additional page loads within a site reuse its circuit and
 /// create no new domain connection (§3.2). Data: 400 MB of exit traffic
 /// plus cell overhead on the entry side.
-pub fn web_browsing() -> ActivityModel {
+fn web_browsing() -> ActivityModel {
     let sites_per_hour = 2;
     let hours = 10;
     let domains = sites_per_hour * hours; // 20
@@ -55,7 +53,7 @@ pub fn web_browsing() -> ActivityModel {
 /// twice a day creates 180 rendezvous connections, and the client
 /// builds a fresh circuit roughly every two minutes of its 10-hour
 /// online window plus per-contact circuits: ~651 circuits (§3.2).
-pub fn chat() -> ActivityModel {
+fn chat() -> ActivityModel {
     let contacts = 90;
     let reconnects_per_contact = 2;
     let online_minutes = 10 * 60;
@@ -82,7 +80,7 @@ pub fn chat() -> ActivityModel {
 /// descriptor on rotation and churn — up to 450 uploads across HSDir
 /// sets — and may rotate through 3 fresh addresses; it answers client
 /// rendezvous at web-scale data volumes (§3.2).
-pub fn onionsite() -> ActivityModel {
+fn onionsite() -> ActivityModel {
     let republish_per_hour = 3; // rotation + HSDir churn + both replicas
     let hsdirs_per_publish = 6;
     ActivityModel {
@@ -101,7 +99,7 @@ pub fn onionsite() -> ActivityModel {
 
 /// Actions bounded irrespective of activity (apply to every Tor client;
 /// "N/A" rows of Table 1).
-pub fn baseline_actions() -> Vec<(Action, u64)> {
+fn baseline_actions() -> Vec<(Action, u64)> {
     vec![
         // A client connects to 1 data + 2 directory guards and may retry
         // each up to 4 times across daily network churn.
@@ -115,7 +113,7 @@ pub fn baseline_actions() -> Vec<(Action, u64)> {
 
 /// The derived bound for an action: the maximum across activity models
 /// and the baseline.
-pub fn derived_bound(action: Action) -> u64 {
+fn derived_bound(action: Action) -> u64 {
     let mut max = 0;
     for model in [web_browsing(), chat(), onionsite()] {
         for (a, amount) in model.actions {
@@ -133,7 +131,7 @@ pub fn derived_bound(action: Action) -> u64 {
 }
 
 /// The activity that attains the derived bound, if any.
-pub fn defining_activity(action: Action) -> Option<&'static str> {
+fn defining_activity(action: Action) -> Option<&'static str> {
     let bound = derived_bound(action);
     for model in [web_browsing(), chat(), onionsite()] {
         if model
@@ -150,7 +148,7 @@ pub fn defining_activity(action: Action) -> Option<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds::paper_action_bounds;
+    use crate::bounds::{bound_for, paper_action_bounds};
 
     #[test]
     fn derivation_reproduces_table1() {

@@ -8,8 +8,9 @@
 //! * [`bounds`] — Table 1 of the paper: the per-24h action bounds with
 //!   their defining activities, and the mapping from measured counters to
 //!   the sensitivity those bounds induce;
-//! * [`activities`] — the §3.2 derivation of those bounds from models of
-//!   web browsing, Ricochet chat, and onionsite operation;
+//! * `activities` (test-only) — the §3.2 derivation of those bounds from
+//!   models of web browsing, Ricochet chat, and onionsite operation, the
+//!   reference a unit test holds Table 1 against;
 //! * [`budget`] — splitting a total (ε, δ) across simultaneously
 //!   collected statistics (equal and equal-relative-error allocations);
 //! * [`accountant`] — scheduling rules: PrivCount and PSC rounds never
@@ -20,7 +21,8 @@
 //! [`DELTA`].
 
 pub mod accountant;
-pub mod activities;
+#[cfg(test)]
+mod activities;
 pub mod bounds;
 pub mod budget;
 pub mod mechanism;

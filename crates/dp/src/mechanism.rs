@@ -44,7 +44,7 @@ pub fn normal_cdf(x: f64) -> f64 {
 }
 
 /// Error function approximation (A&S 7.1.26).
-pub fn erf(x: f64) -> f64 {
+fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.3275911 * x);
@@ -214,7 +214,7 @@ pub fn ln_choose(n: u64, k: u64) -> f64 {
 }
 
 /// Lanczos approximation of ln Γ(x) for x > 0 (|rel err| < 2×10⁻¹⁰).
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0);
     // Lanczos coefficients (g = 7, n = 9).
     const COEF: [f64; 9] = [

@@ -292,7 +292,7 @@ fn in_region(regions: &[(u32, u32)], line: u32) -> bool {
 /// Collapses `{…}` format placeholders to `{}` (with `{{` / `}}`
 /// escapes preserved as literal braces) so `"day{d}"` and
 /// `"day{}"` register as the same label.
-pub fn normalize_label(raw: &str) -> String {
+fn normalize_label(raw: &str) -> String {
     let chars: Vec<char> = raw.chars().collect();
     let mut out = String::with_capacity(raw.len());
     let mut i = 0usize;

@@ -62,7 +62,7 @@ pub enum NodeError {
 impl NodeError {
     /// Wraps the error with the party that raised it; already-attributed
     /// errors keep their original (innermost) detector.
-    pub fn attributed_to(self, by: &PartyId) -> NodeError {
+    fn attributed_to(self, by: &PartyId) -> NodeError {
         match self {
             NodeError::Detected { .. } => self,
             other => NodeError::Detected {

@@ -41,7 +41,7 @@ impl Recorder {
     }
 
     /// Whether the profiling plane is live.
-    pub fn profiling(&self) -> bool {
+    fn profiling(&self) -> bool {
         self.profiler.is_some()
     }
 

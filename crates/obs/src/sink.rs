@@ -63,11 +63,6 @@ impl Sink {
         Sink { verbosity }
     }
 
-    /// The configured verbosity.
-    pub fn verbosity(&self) -> Verbosity {
-        self.verbosity
-    }
-
     /// Emits `event` to stderr according to the verbosity filter.
     pub fn emit(&self, event: &Event) {
         match self.verbosity {
@@ -104,6 +99,6 @@ mod tests {
 
     #[test]
     fn default_verbosity_is_normal() {
-        assert_eq!(Sink::default().verbosity(), Verbosity::Normal);
+        assert_eq!(Sink::default().verbosity, Verbosity::Normal);
     }
 }

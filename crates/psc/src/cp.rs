@@ -491,7 +491,7 @@ pub fn mix_message_batched<R: Rng + ?Sized>(
 /// (`mix.derive` / `mix.batch`, recorded only when `recorder` profiles).
 /// The transcript is untouched — spans never feed back into the mix.
 #[allow(clippy::too_many_arguments)]
-pub fn mix_message_batched_obs<R: Rng + ?Sized>(
+fn mix_message_batched_obs<R: Rng + ?Sized>(
     gp: &GroupParams,
     key: &PublicKey,
     noise_flips: u32,

@@ -50,7 +50,7 @@ pub struct ObliviousTable {
 
 /// The trivial (unmarked) cell: encryption of the identity with
 /// randomness zero.
-pub fn trivial_cell(gp: &GroupParams) -> Ciphertext {
+fn trivial_cell(gp: &GroupParams) -> Ciphertext {
     Ciphertext {
         a: gp.identity(),
         b: gp.identity(),

@@ -93,7 +93,7 @@ pub struct Estimate {
 impl Estimate {
     /// From a Gaussian-noised observation with known σ, at confidence
     /// level `conf` (0.95 for the paper's intervals).
-    pub fn from_gaussian(value: f64, sigma: f64, conf: f64) -> Estimate {
+    fn from_gaussian(value: f64, sigma: f64, conf: f64) -> Estimate {
         assert!(sigma >= 0.0);
         assert!(conf > 0.0 && conf < 1.0);
         let z = normal_quantile(0.5 + conf / 2.0);

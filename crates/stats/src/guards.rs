@@ -47,7 +47,7 @@ pub fn observe_probability(w: f64, g: u32) -> f64 {
 }
 
 /// Expected observed unique IPs under the model.
-pub fn expected_observed(w: f64, g: u32, promiscuous: f64, selective: f64) -> f64 {
+fn expected_observed(w: f64, g: u32, promiscuous: f64, selective: f64) -> f64 {
     promiscuous + selective * observe_probability(w, g)
 }
 

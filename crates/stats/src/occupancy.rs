@@ -102,17 +102,10 @@ impl OccupancyDist {
         self.pmf.get(i).copied().unwrap_or(0.0)
     }
 
-    /// P[occupied <= m].
-    pub fn cdf(&self, m: u64) -> f64 {
-        if m < self.offset {
-            return 0.0;
-        }
-        let upto = ((m - self.offset) as usize + 1).min(self.pmf.len());
-        self.pmf[..upto].iter().sum()
-    }
-
-    /// Mean from the computed pmf.
-    pub fn mean(&self) -> f64 {
+    /// Mean from the computed pmf (the test oracle for the DP against
+    /// [`OccupancyDist::mean_exact`]).
+    #[cfg(test)]
+    fn mean(&self) -> f64 {
         self.pmf
             .iter()
             .enumerate()
@@ -121,7 +114,8 @@ impl OccupancyDist {
     }
 
     /// Variance from the computed pmf.
-    pub fn variance(&self) -> f64 {
+    #[cfg(test)]
+    fn variance(&self) -> f64 {
         let mean = self.mean();
         self.pmf
             .iter()

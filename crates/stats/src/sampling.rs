@@ -131,7 +131,8 @@ impl ZipfSampler {
     }
 
     /// The normalized probability of rank `r` (1-based).
-    pub fn prob_of_rank(&self, r: usize) -> f64 {
+    #[cfg(test)]
+    fn prob_of_rank(&self, r: usize) -> f64 {
         assert!((1..=self.n).contains(&r));
         let h: f64 = (1..=self.n).map(|k| (k as f64).powf(-self.exponent)).sum();
         (r as f64).powf(-self.exponent) / h

@@ -18,7 +18,7 @@ use torsim::stream::EventStream;
 use torsim::timeline::{
     DaySnapshot, DayTruth, DomainDayTruth, NetworkTimeline, OnionDayTruth, TimelineConfig,
 };
-use torstudy::deployment::Deployment;
+use torstudy::deployment::{Deployment, MAX_CONCURRENT_PSC_ROUNDS};
 use torstudy::experiments::{client_traffic_streams, privcount_round, psc_round};
 use torstudy::report::{fmt_count, fmt_estimate, Report, ReportRow};
 use torstudy::runner::{run_jobs, Job};
@@ -444,12 +444,7 @@ impl Campaign {
                 run: Box::new(move || self.run_round(spec)),
             })
             .collect();
-        let outcomes = run_jobs(
-            jobs,
-            workers,
-            self.base.max_concurrent_psc_rounds,
-            &self.cfg.recorder,
-        );
+        let outcomes = run_jobs(jobs, workers, MAX_CONCURRENT_PSC_ROUNDS, &self.cfg.recorder);
         // Outcome tallies are pure functions of (config, calendar) —
         // every schedule produces the same statuses and anomalies — so
         // they live in the deterministic plane. Ledger hours come from

@@ -271,7 +271,7 @@ impl CampaignReport {
     }
 
     /// Every report, calendar rounds first, cumulative last.
-    pub fn all_reports(&self) -> Vec<&Report> {
+    fn all_reports(&self) -> Vec<&Report> {
         self.rounds.iter().chain(Some(&self.cumulative)).collect()
     }
 

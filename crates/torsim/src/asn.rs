@@ -32,7 +32,7 @@ impl AsDb {
 
     /// Builds with explicit parameters. `zipf_s` shapes block
     /// concentration; higher values concentrate more blocks on top ASes.
-    pub fn with_params(total_ases: u32, zipf_s: f64, seed: u64) -> AsDb {
+    fn with_params(total_ases: u32, zipf_s: f64, seed: u64) -> AsDb {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -84,11 +84,6 @@ impl AsDb {
     pub fn rank_of(&self, asn: AsNumber) -> u32 {
         asn.0
     }
-
-    /// True if the AS is in CAIDA's top `k`.
-    pub fn in_top(&self, asn: AsNumber, k: u32) -> bool {
-        self.rank_of(asn) <= k
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +109,7 @@ mod tests {
         let mut top100 = 0u64;
         for b in 0..(1u32 << 16) {
             let asn = db.as_of(IpAddr(b << 16));
-            if db.in_top(asn, 100) {
+            if db.rank_of(asn) <= 100 {
                 top100 += 1;
             }
         }
@@ -157,9 +152,6 @@ mod tests {
 
     #[test]
     fn rank_semantics() {
-        let db = AsDb::paper_default();
-        assert!(db.in_top(AsNumber(5), 1000));
-        assert!(!db.in_top(AsNumber(5000), 1000));
-        assert_eq!(db.rank_of(AsNumber(42)), 42);
+        assert_eq!(AsDb::paper_default().rank_of(AsNumber(42)), 42);
     }
 }

@@ -25,15 +25,6 @@ pub struct ChurnModel {
 }
 
 impl ChurnModel {
-    /// Paper-calibrated local observation (1.19% guard weight).
-    pub fn paper_local() -> ChurnModel {
-        ChurnModel {
-            daily_unique: 313_213,
-            new_per_day: 119_697,
-            seed: 2018,
-        }
-    }
-
     /// Builds a scaled model.
     pub fn new(daily_unique: u64, new_per_day: u64, seed: u64) -> ChurnModel {
         assert!(new_per_day <= daily_unique);
@@ -91,7 +82,8 @@ mod tests {
 
     #[test]
     fn unique_over_matches_paper_arithmetic() {
-        let m = ChurnModel::paper_local();
+        // The paper's local observation (1.19% guard weight).
+        let m = ChurnModel::new(313_213, 119_697, 2018);
         assert_eq!(m.unique_over(1), 313_213);
         assert_eq!(m.unique_over(4), 313_213 + 3 * 119_697); // 672,304
     }

@@ -46,7 +46,7 @@ impl HsDirRing {
     }
 
     /// Descriptor ID for (address, replica, day).
-    pub fn descriptor_id(addr: &OnionAddr, replica: u32, day: u64) -> [u8; 32] {
+    fn descriptor_id(addr: &OnionAddr, replica: u32, day: u64) -> [u8; 32] {
         sha256_concat(&[
             b"desc-id",
             &addr.to_bytes(),
@@ -57,7 +57,7 @@ impl HsDirRing {
 
     /// The responsible HSDirs for a descriptor ID: the `spread` relays
     /// clockwise from the ID's position.
-    pub fn responsible_for_id(&self, desc_id: &[u8; 32]) -> Vec<RelayId> {
+    fn responsible_for_id(&self, desc_id: &[u8; 32]) -> Vec<RelayId> {
         let n = self.ring.len();
         let take = (self.spread as usize).min(n);
         let start = self

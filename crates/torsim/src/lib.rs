@@ -31,6 +31,11 @@
 //! evolution — consensus churn, weight and popularity drift, churned
 //! client pools — for longitudinal campaigns), [`events`] (the
 //! PrivCount event vocabulary).
+//!
+//! Onion services are v2 only, as in the paper (§6.1): a v3 service
+//! publishes its descriptor under a key-blinded identifier that changes
+//! every time period, so an HSDir cannot link it to the address and
+//! only v2 addresses are counted.
 
 pub mod asn;
 pub mod churn;
@@ -44,7 +49,6 @@ pub mod sampled;
 pub mod sites;
 pub mod stream;
 pub mod timeline;
-pub mod v3;
 pub mod workload;
 
 pub use events::TorEvent;

@@ -115,7 +115,7 @@ impl Consensus {
     }
 
     /// Total weight for a position.
-    pub fn total_weight(&self, pos: Position) -> f64 {
+    fn total_weight(&self, pos: Position) -> f64 {
         self.eligible(pos).map(|r| r.weight).sum()
     }
 
@@ -247,22 +247,6 @@ impl PositionSampler {
         self.ids[self.table.sample(rng)]
     }
 
-    /// Draws `k` distinct relays (rejection; `k` must be ≤ available).
-    pub fn sample_distinct<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> Vec<RelayId> {
-        assert!(k <= self.ids.len());
-        let mut out = Vec::with_capacity(k);
-        let mut guard = 0;
-        while out.len() < k {
-            let id = self.sample(rng);
-            if !out.contains(&id) {
-                out.push(id);
-            }
-            guard += 1;
-            assert!(guard < 100_000, "sample_distinct stuck");
-        }
-        out
-    }
-
     /// Number of eligible relays.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -340,19 +324,6 @@ mod tests {
         }
         let f0 = counts[0] as f64 / n as f64;
         assert!((f0 - 4.0 / 7.0).abs() < 0.01, "{f0}");
-    }
-
-    #[test]
-    fn sample_distinct_no_dupes() {
-        let c = small_consensus();
-        let s = c.sampler(Position::Middle);
-        let mut rng = StdRng::seed_from_u64(2);
-        let picks = s.sample_distinct(3, &mut rng);
-        assert_eq!(picks.len(), 3);
-        let mut sorted = picks.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 3);
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl From<ShardFn> for EventStream {
 
 impl EventStream {
     /// Builds a stream from explicit shard generators.
-    pub fn from_shards(shards: Vec<ShardFn>) -> EventStream {
+    fn from_shards(shards: Vec<ShardFn>) -> EventStream {
         assert!(!shards.is_empty(), "stream needs at least one shard");
         EventStream { shards }
     }
@@ -158,7 +158,7 @@ impl EventStream {
     }
 
     /// Number of shards.
-    pub fn num_shards(&self) -> usize {
+    fn num_shards(&self) -> usize {
         self.shards.len()
     }
 

@@ -190,7 +190,8 @@ impl TimelineCursor {
 
     /// Number of retained checkpoints (the compaction contract: one per
     /// [`CHECKPOINT_INTERVAL`] days crossed, plus the day-0 base).
-    pub fn checkpoint_count(&self) -> usize {
+    #[cfg(test)]
+    fn checkpoint_count(&self) -> usize {
         self.checkpoints.len() + 1
     }
 

@@ -14,9 +14,11 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use torstudy::deployment::Deployment;
+use torstudy::deployment::{Deployment, MAX_CONCURRENT_PSC_ROUNDS};
 use torstudy::report::Report;
-use torstudy::runner::{plan_schedule, registry, run_plan, ExperimentEntry, PlannedRound};
+use torstudy::runner::{
+    plan_schedule, registry, run_jobs, run_plan, ExperimentEntry, Job, PlannedRound,
+};
 use torstudy::Deployment as Dep;
 
 // ----- instrumented synthetic rounds -----
@@ -141,9 +143,10 @@ fn planned_schedule_is_accountant_clean() {
 // ----- PSC concurrency cap -----
 //
 // Each in-flight PSC round pins an oblivious table in memory, so the
-// executor throttles them with Deployment::max_concurrent_psc_rounds
-// while PrivCount rounds fill the remaining workers. Instrumented
-// rounds track the high-water mark of concurrent PSC executions.
+// executor throttles them to a cap (MAX_CONCURRENT_PSC_ROUNDS for the
+// registry and the campaign) while PrivCount rounds fill the remaining
+// workers. Instrumented rounds track the high-water mark of concurrent
+// PSC executions.
 
 static PSC_ACTIVE: AtomicUsize = AtomicUsize::new(0);
 static PSC_MAX: AtomicUsize = AtomicUsize::new(0);
@@ -188,18 +191,40 @@ fn capped_plan() -> Vec<PlannedRound> {
     plan
 }
 
+/// Runs `run` with fresh high-water instrumentation and returns how many
+/// PSC rounds were in flight at most.
+fn psc_high_water(run: impl FnOnce() -> Vec<Report>) -> usize {
+    PSC_ACTIVE.store(0, Ordering::SeqCst);
+    PSC_MAX.store(0, Ordering::SeqCst);
+    assert_eq!(run().len(), 8);
+    let max = PSC_MAX.load(Ordering::SeqCst);
+    assert!(max >= 1, "instrumentation saw no PSC round");
+    max
+}
+
 #[test]
 fn runner_honours_psc_concurrency_cap() {
+    let dep = &Dep::at_scale(1e-4, 1);
     for cap in [1usize, 2] {
-        PSC_ACTIVE.store(0, Ordering::SeqCst);
-        PSC_MAX.store(0, Ordering::SeqCst);
-        let dep = Dep::at_scale(1e-4, 1).with_max_concurrent_psc_rounds(cap);
-        let reports = run_plan(&dep, capped_plan(), 8);
-        assert_eq!(reports.len(), 8);
-        let max = PSC_MAX.load(Ordering::SeqCst);
+        let max = psc_high_water(|| {
+            let jobs: Vec<Job<'_>> = capped_plan()
+                .into_iter()
+                .map(|p| Job {
+                    id: p.entry.id.to_string(),
+                    is_psc: p.entry.system == pm_dp::accountant::System::Psc,
+                    deps: p.deps,
+                    run: Box::new(move || (p.entry.run)(dep)),
+                })
+                .collect();
+            run_jobs(jobs, 8, cap, &dep.recorder)
+        });
         assert!(max <= cap, "cap {cap} exceeded: {max} PSC rounds in flight");
-        assert!(max >= 1, "instrumentation saw no PSC round");
     }
+    let max = psc_high_water(|| run_plan(dep, capped_plan(), 8));
+    assert!(
+        max <= MAX_CONCURRENT_PSC_ROUNDS,
+        "run_plan exceeded its cap: {max} PSC rounds in flight"
+    );
 }
 
 #[test]
