@@ -6,9 +6,9 @@
 //! fractions vary by measurement date exactly as the paper reports
 //! them; they are recorded per experiment in [`PaperWeights`].
 //!
-//! The party counts and the cap on concurrent PSC rounds are constants,
-//! not deployment fields: every round the study runs uses the same
-//! values ([`MAX_CONCURRENT_PSC_ROUNDS`] for the cap).
+//! The party counts and the cap on concurrent PSC rounds
+//! ([`MAX_CONCURRENT_PSC_ROUNDS`]) are constants: every round the study
+//! runs uses the same values.
 
 use pm_dp::{DELTA, EPSILON};
 use privcount::counter::CounterSpec;
