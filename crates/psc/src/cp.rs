@@ -488,7 +488,9 @@ pub fn mix_message_batched<R: Rng + ?Sized>(
 
 /// [`mix_message_batched`] with observability: the sequential
 /// randomness derivation and the parallel cell phase each get a span
-/// (`mix.derive` / `mix.batch`, recorded only when `recorder` profiles).
+/// (`mix.derive` / `mix.batch`, recorded only when `recorder` profiles),
+/// and, verified, the batch's DLEQ proofs and shadow shuffles get
+/// child spans of their own (`mix.prove` / `mix.shadows`).
 /// The transcript is untouched — spans never feed back into the mix.
 #[allow(clippy::too_many_arguments)]
 fn mix_message_batched_obs<R: Rng + ?Sized>(
@@ -531,6 +533,8 @@ fn mix_message_batched_obs<R: Rng + ?Sized>(
     // Verified, each side's `pre^k` and its commitment `pre^w` share
     // one comb.
     let (post_exp, exp_proofs): (Vec<Ciphertext>, Vec<(DleqProof, DleqProof)>) = if verify {
+        let mut span = recorder.span("mix.prove", "psc");
+        span.note("cells", with_noise.len());
         par_map_indexed(with_noise.len(), threads, |j| {
             let (pre, (wa, wb)) = (&with_noise[j], &rand.exp_nonces[j]);
             let mut ta = exp_transcript(j, false);
@@ -561,10 +565,13 @@ fn mix_message_batched_obs<R: Rng + ?Sized>(
     let shuffle_proof = if verify {
         // One task per cut-and-choose round: each shadow is a full
         // shuffle of `post_exp` under its pre-drawn witness.
+        let mut span = recorder.span("mix.shadows", "psc");
+        span.note("cells", n);
         let shadows = par_map_indexed(rand.shadow_witnesses.len(), threads, |r| {
             let sw = &rand.shadow_witnesses[r];
             pk.rerandomize_all(gp, n, 1, |i| (post_exp[sw.perm.0[i]], sw.rerand[i]))
         });
+        drop(span);
         Some(ShuffleProof::from_parts(
             gp,
             key,

@@ -190,7 +190,11 @@ impl PscTsNode {
                 }
             };
             let proofs = 2 * msg.with_noise.len();
-            if let Err(i) = DleqProof::verify_batch(gp, &msg.exp_key, proofs, self.threads, claim) {
+            let mut dleq_span = self.recorder.span("ts.verify_dleq", "psc");
+            dleq_span.note("cells", msg.with_noise.len());
+            let verdict = DleqProof::verify_batch(gp, &msg.exp_key, proofs, self.threads, claim);
+            drop(dleq_span);
+            if let Err(i) = verdict {
                 let side = if i % 2 == 0 { 'a' } else { 'b' };
                 return Err(NodeError::Protocol(format!(
                     "exponentiation proof ({side}) failed at cell {}",
@@ -201,6 +205,8 @@ impl PscTsNode {
                 .shuffle_proof
                 .as_ref()
                 .ok_or_else(|| NodeError::Protocol("missing shuffle proof".into()))?;
+            let mut shuffle_span = self.recorder.span("ts.verify_shuffle", "psc");
+            shuffle_span.note("cells", msg.post_exp.len());
             let joint = PrecomputedKey::new(gp, &joint);
             if !proof.verify_with(gp, &joint, &msg.post_exp, &msg.output, self.threads) {
                 return Err(NodeError::Protocol("shuffle proof failed".into()));

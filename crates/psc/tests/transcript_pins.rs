@@ -26,14 +26,14 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A hop over ten cells with three noise cells, from CP seed 7: its
+/// A hop over `n` cells with three noise cells, from CP seed 7: its
 /// output table and the digests of its wire image on the sequential
 /// reference and the batched path at 1 and 3 threads.
-fn hop(verify: bool) -> (Vec<Ciphertext>, Vec<u64>) {
+fn hop(n: usize, verify: bool) -> (Vec<Ciphertext>, Vec<u64>) {
     let gp = GroupParams::default_params();
     let mut rng = StdRng::seed_from_u64(2018);
     let kp = keygen(&gp, &mut rng);
-    let cells: Vec<Ciphertext> = (0..10)
+    let cells: Vec<Ciphertext> = (0..n)
         .map(|_| {
             let m = if rng.gen::<bool>() {
                 gp.identity()
@@ -62,8 +62,8 @@ fn hop(verify: bool) -> (Vec<Ciphertext>, Vec<u64>) {
 
 #[test]
 fn mixing_hops_match_the_parent_digests() {
-    let (_, unverified) = hop(false);
-    let (_, verified) = hop(true);
+    let (_, unverified) = hop(10, false);
+    let (_, verified) = hop(10, true);
     assert_eq!(
         (&unverified[..], &verified[..]),
         (
@@ -74,24 +74,45 @@ fn mixing_hops_match_the_parent_digests() {
     );
 }
 
-#[test]
-fn decryption_hop_matches_the_parent_digest() {
+/// A decryption hop over `cells` from secret seed 33 and CP seed 11:
+/// the digests of its `PARTIAL_DEC` wire image, unverified and
+/// verified, at 1 and at 3 threads.
+fn decryption_hop(cells: &[Ciphertext]) -> Vec<u64> {
     let gp = GroupParams::default_params();
-    let (cells, _) = hop(true);
     let mut rng = StdRng::seed_from_u64(33);
     let secret = gp.random_nonzero_scalar(&mut rng);
-    let digests: Vec<u64> = [1, 3]
+    [1, 3]
         .into_iter()
         .flat_map(|threads| {
             [false, true].map(|verify| {
                 let mut cp = StdRng::seed_from_u64(11);
-                let msg = decrypt_message(&gp, &secret, &cells, verify, &mut cp, threads);
+                let msg = decrypt_message(&gp, &secret, cells, verify, &mut cp, threads);
                 fnv1a64(&Frame::encode_msg(tag::PARTIAL_DEC, &msg).to_wire())
             })
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn decryption_hop_matches_the_parent_digest() {
+    let (cells, _) = hop(10, true);
+    let digests = decryption_hop(&cells);
     // Unverified, verified; at 1 and at 3 threads.
     let (plain, proved) = (0x4959_c76a_f5ff_4141, 0x1a39_2556_5448_024c);
+    assert_eq!(digests, [plain, proved, plain, proved], "{digests:x?}");
+}
+
+/// A verified hop over 32 cells and three noise cells: 35 DLEQ proofs
+/// a side, two full batches of sixteen and a short one, where the
+/// ten-cell hop fills only one short batch. Its `MIX_RESULT` on the
+/// sequential reference and the batched path at 1 and 3 threads, then
+/// the decryption of its output at 1 and 3 threads.
+#[test]
+fn three_batch_hops_match_the_parent_digests() {
+    let (cells, mixed) = hop(32, true);
+    assert_eq!(mixed, [0x7e5a_1d30_aa79_8a26; 3], "{mixed:x?}");
+    let digests = decryption_hop(&cells);
+    let (plain, proved) = (0x19f2_28e8_11d4_adbe, 0x7966_ee3b_7246_44d4);
     assert_eq!(digests, [plain, proved, plain, proved], "{digests:x?}");
 }
 
