@@ -45,10 +45,12 @@ test-crates:
 # scheduling, so one lucky interleaving in the default run must not be
 # the only evidence. The TS tamper matrices join them: a batched proof
 # check must name the same cell as the per-proof scan at every
-# verification thread count. (The suites also run once each in the targets
-# above; these reruns pin them under serial and oversubscribed
-# schedules.) The name filter is checked first: a rename that leaves
-# it matching nothing would otherwise pass by running zero tests.
+# verification thread count, and the lane prover's batches must equal
+# the per-proof prover at every thread count. (The suites also run
+# once each in the targets above; these reruns pin them under serial
+# and oversubscribed schedules.) The name filter is checked first: a
+# rename that leaves it matching nothing would otherwise pass by
+# running zero tests.
 test-transcript:
 	$(CARGO) test -q -p psc --test mix_equivalence -- --test-threads=1
 	$(CARGO) test -q -p psc --test mix_equivalence -- --test-threads=8
@@ -58,6 +60,9 @@ test-transcript:
 	$(CARGO) test -q -p psc --lib -- --list tampered_ | grep -c ': test$$' > /dev/null
 	$(CARGO) test -q -p psc --lib tampered_ -- --test-threads=1
 	$(CARGO) test -q -p psc --lib tampered_ -- --test-threads=8
+	$(CARGO) test -q -p pm-crypto --lib -- --list raise_and_prove_all | grep -c ': test$$' > /dev/null
+	$(CARGO) test -q -p pm-crypto --lib raise_and_prove_all -- --test-threads=1
+	$(CARGO) test -q -p pm-crypto --lib raise_and_prove_all -- --test-threads=8
 
 # End-to-end smoke of the longitudinal campaign engine: the full
 # 17-day calendar (daily IP rounds, the confirmation repeat, the 96h

@@ -56,17 +56,14 @@ fn main() {
     }
 
     let (scale, seed) = (cli.scale, cli.seed);
-    cli.sink.emit(
-        &Event::new(
-            "deployment",
-            format!("deployment: 16 relays, 1 TS, 3 SKs, 3 CPs; scale {scale}, seed {seed}"),
-        )
-        .field("scale", scale)
-        .field("seed", seed),
-    );
     let dep = Deployment::at_scale(scale, seed)
         .with_recorder(cli.recorder.clone())
         .with_fabric(cli.fabric);
+    cli.sink.emit(
+        &Event::new("deployment", format!("deployment: {dep}"))
+            .field("scale", scale)
+            .field("seed", seed),
+    );
     let reports = match &only {
         Some(ids) => run_some(&dep, ids),
         None => run_all(&dep),

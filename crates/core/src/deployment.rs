@@ -12,6 +12,7 @@
 
 use pm_dp::{DELTA, EPSILON};
 use privcount::counter::CounterSpec;
+use std::fmt;
 use std::sync::Arc;
 use torsim::asn::AsDb;
 use torsim::geo::GeoDb;
@@ -133,6 +134,21 @@ pub struct Deployment {
     /// profiling spans are recorded only when it was built with
     /// profiling enabled. Defaults to a detached recorder.
     pub recorder: pm_obs::Recorder,
+}
+
+/// The line the `experiments` binary announces a run with: relays and
+/// parties counted from the deployment and the party constants, then
+/// scale and seed.
+impl fmt::Display for Deployment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} relays, 1 TS, {NUM_SKS} SKs, {NUM_CPS} CPs; scale {}, seed {}",
+            self.relays.len(),
+            self.scale,
+            self.seed
+        )
+    }
 }
 
 // Experiments share `&Deployment` across the parallel runner's worker
@@ -294,6 +310,8 @@ mod tests {
         assert_eq!(dep.exit_relays().len(), 6);
         assert_eq!(dep.entry_relays().len(), 10);
         assert!(dep.sites.config().alexa_size >= 20_000);
+        let counts = format!("16 relays, 1 TS, {NUM_SKS} SKs, {NUM_CPS} CPs");
+        assert_eq!(dep.to_string(), format!("{counts}; scale 0.001, seed 1"));
     }
 
     #[test]

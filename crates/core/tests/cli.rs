@@ -5,6 +5,7 @@
 //! exits 0 with a report however little volume its scale leaves.
 
 use std::process::Command;
+use torstudy::Deployment;
 
 #[test]
 fn usage_errors_exit_2_without_panicking() {
@@ -56,4 +57,26 @@ fn tiny_scale_is_a_report_not_a_panic() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(stdout.contains("== T7"), "{stdout}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// The banner is the deployment's own `Display`, which counts the
+/// relays and reads the party constants: the binary prints no counts
+/// of its own that could drift from them.
+#[test]
+fn deployment_banner_counts_come_from_the_deployment() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["--scale", "2e-5", "--seed", "2018", "--only", "T1"])
+        .output()
+        .expect("spawn experiments");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let banner = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("# deployment: "))
+        .unwrap_or_else(|| panic!("no deployment banner in {stderr}"));
+    assert_eq!(banner, Deployment::at_scale(2e-5, 2018).to_string());
+    assert!(
+        banner.starts_with("16 relays, 1 TS, 3 SKs, 3 CPs; "),
+        "{banner}"
+    );
 }

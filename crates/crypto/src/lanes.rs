@@ -1,10 +1,10 @@
 //! Exponentiations in lock step, on AVX-512 IFMA.
 //!
-//! A PSC hop makes thousands of exponentiations of two kinds, and both
+//! A PSC hop makes thousands of exponentiations of three kinds, and all
 //! suit lock-step SIMD: every lane can follow the same control flow.
-//! [`pow_batch`] and [`fixed_pow_mul_batch`] each run up to sixteen of
-//! them at once, one per 64-bit lane of a 512-bit register, in two
-//! independent chains of eight lanes.
+//! [`pow_batch`], [`pow_each_batch`] and [`fixed_pow_mul_batch`] each
+//! run up to sixteen of them at once, one per 64-bit lane of a 512-bit
+//! register, in two independent chains of eight lanes.
 //!
 //! # Same-exponent batches
 //!
@@ -13,6 +13,26 @@
 //! [`pow_batch`] raises up to sixteen bases to one exponent by the 4-bit
 //! fixed window of [`Modulus::pow`]: same table, same squarings, same
 //! skipped zero windows, since the exponent is shared.
+//!
+//! # Per-lane exponents
+//!
+//! A verified hop also proves every exponentiation, and each
+//! Chaum–Pedersen proof commits to `a^w` under a nonce `w` of its own.
+//! [`pow_each_batch`] raises up to sixteen bases each to its own
+//! exponent with the same 4-bit window table per lane as [`pow_batch`],
+//! built in-register (1 product into Montgomery form, 14 for entries 2
+//! to 15). The schedule cannot branch on sixteen exponents at once, so
+//! it does not branch at all: every lane runs all 64 windows, top
+//! first, four squarings and one product each. The product's operand
+//! is gathered per lane: the table is spilled to digits once, and per
+//! window lane `i` reads the entry its own exponent's digit names, five
+//! digits with `_mm512_set_epi64`, as the fixed-base loads read rows.
+//! Entry 0 is the Montgomery one (`2^260 mod m`, from the modulus's
+//! constants by doublings), so a zero digit multiplies by one and
+//! leaves the value alone: the window costs the same product whatever
+//! the digit, and a zero exponent comes out as 1. That is exactly
+//! 1 + 14 + 63 · 5 + 1 = 331 lane products per lane, where
+//! [`Modulus::pow`] makes at most 331 for a 256-bit exponent.
 //!
 //! # Fixed-base batches
 //!
@@ -58,8 +78,8 @@
 //! # Cost
 //!
 //! Per lane, exactly [`Modulus::pow`]'s kernel calls (≤ 331 for a
-//! 256-bit exponent) for a same-exponent batch, and exactly 33 for a
-//! fixed-base batch. The op counter of the unit tests ticks once per
+//! 256-bit exponent) for a same-exponent batch, exactly 331 for a
+//! per-lane-exponent batch, and exactly 33 for a fixed-base batch. The op counter of the unit tests ticks once per
 //! lane per product, a short batch's padding included (up to eight
 //! lanes take one chain, more take two), so counts stay comparable with
 //! the scalar kernel. A sixteen-lane product costs about one and a half
@@ -68,9 +88,9 @@
 //! with AVX-512 IFMA), a full fixed-base batch at about a quarter
 //! (≈ 0.25 µs against 1.05–1.6 µs per power).
 //!
-//! Like the rest of the crate this is not constant-time: the window
-//! schedule branches on the (shared) exponent, and the fixed-base loads
-//! index by each lane's digits.
+//! Like the rest of the crate this is not constant-time: the
+//! same-exponent schedule branches on the (shared) exponent, and the
+//! per-lane and fixed-base loads index by each lane's digits.
 //!
 //! # `unsafe`
 //!
@@ -83,7 +103,7 @@
 //! the intrinsics their features enable, lanes go in with
 //! `_mm512_set_epi64` and come out with extracts, and no pointer is
 //! involved. Calling such a function on a CPU without the features is
-//! the one unsafe act, and [`run`] does it, for both kernels, only right
+//! the one unsafe act, and [`run`] does it, for every kernel, only right
 //! after `is_x86_feature_detected!` confirmed both.
 
 use crate::batch::{digit, ENTRIES, WIDTH, WINDOWS};
@@ -136,6 +156,9 @@ pub(crate) struct Radix {
     /// `2^388 mod m`, as digits: the fixed-base correction (module
     /// docs), `2^(260 + 4 · WINDOWS)` for [`WINDOWS`] rows.
     fix: [u64; 5],
+    /// `2^260 mod m`, as digits: the Montgomery one, entry 0 of a
+    /// per-lane window table.
+    one: [u64; 5],
 }
 
 impl Radix {
@@ -150,6 +173,8 @@ impl Radix {
             rr: to_digits(&double(*r2, 8)),
             // 2^(260 + 4W) = 2^256 · 2^(4W + 4), from the Montgomery one.
             fix: to_digits(&double(*p.mont_one().raw(), 4 * WINDOWS + 4)),
+            // 2^260 = 2^256 · 2^4.
+            one: to_digits(&double(*p.mont_one().raw(), 4)),
         }
     }
 
@@ -172,6 +197,11 @@ enum Job<'a> {
     Pow {
         bases: &'a [U256; BATCH],
         e: &'a U256,
+    },
+    /// `bases[i]^exps[i]`.
+    PowEach {
+        bases: &'a [U256; BATCH],
+        exps: &'a [U256; BATCH],
     },
     /// `rows^exps[i] · ops[i]`.
     FixedPowMul {
@@ -212,6 +242,28 @@ pub(crate) fn pow_batch(k: &Radix, bases: &[U256], e: &U256) -> Option<[U256; BA
     let mut padded = [U256::ZERO; BATCH];
     padded[..bases.len()].copy_from_slice(bases);
     run(k, Job::Pow { bases: &padded, e }, bases.len())
+}
+
+/// `bases[i]^exps[i] mod m` for up to [`BATCH`] pairs, each lane with
+/// its own exponent: equal to [`Modulus::pow`] of each base reduced mod
+/// `m` (a zero exponent gives 1; entries past `bases.len()` are
+/// padding), or `None` when this CPU lacks AVX-512F or AVX-512 IFMA.
+pub(crate) fn pow_each_batch(k: &Radix, bases: &[U256], exps: &[U256]) -> Option<[U256; BATCH]> {
+    assert!(
+        bases.len() == exps.len() && bases.len() <= BATCH,
+        "at most {BATCH} base-exponent pairs per kernel call"
+    );
+    let (mut b, mut e) = ([U256::ZERO; BATCH], [U256::ZERO; BATCH]);
+    b[..bases.len()].copy_from_slice(bases);
+    e[..exps.len()].copy_from_slice(exps);
+    run(
+        k,
+        Job::PowEach {
+            bases: &b,
+            exps: &e,
+        },
+        bases.len(),
+    )
 }
 
 /// `rows^exps[i] · ops[i] mod m` for up to [`BATCH`] pairs, where
@@ -261,12 +313,17 @@ mod ifma {
     /// every lane.
     type Lanes = [__m512i; 5];
 
+    /// 4-bit windows of a 256-bit exponent.
+    const EXP_WINDOWS: u32 = 256 / WINDOW_BITS;
+
     /// `job` over one chain (`two` false: the first eight lanes) or two.
     #[target_feature(enable = "avx512f,avx512ifma")]
     pub(super) fn run(k: &Radix, job: &Job<'_>, two: bool, out: &mut [[u64; 5]; BATCH]) {
         match (job, two) {
             (Job::Pow { bases, e }, false) => pow::<1>(k, &bases[..], e, out),
             (Job::Pow { bases, e }, true) => pow::<2>(k, &bases[..], e, out),
+            (Job::PowEach { bases, exps }, false) => pow_each::<1>(k, &bases[..], &exps[..], out),
+            (Job::PowEach { bases, exps }, true) => pow_each::<2>(k, &bases[..], &exps[..], out),
             (Job::FixedPowMul { rows, exps, ops }, false) => {
                 fixed_pow_mul::<1>(k, rows, &exps[..], &ops[..], out)
             }
@@ -290,9 +347,15 @@ mod ifma {
     #[target_feature(enable = "avx512f")]
     fn load(values: &[U256]) -> Lanes {
         let d: [[u64; 5]; LANES] = std::array::from_fn(|i| to_digits(&values[i]));
+        gather(std::array::from_fn(|i| &d[i]))
+    }
+
+    /// Eight values already cut into digits, lane `i` from `digits[i]`.
+    #[target_feature(enable = "avx512f")]
+    fn gather(digits: [&[u64; 5]; LANES]) -> Lanes {
         let mut out = [_mm512_setzero_si512(); 5];
         for j in 0..5 {
-            let lane = |i: usize| d[i][j] as i64;
+            let lane = |i: usize| digits[i][j] as i64;
             out[j] = _mm512_set_epi64(
                 lane(7),
                 lane(6),
@@ -439,6 +502,48 @@ mod ifma {
             }
         }
         // Out of Montgomery form: a product with 1 lands at most at m.
+        let acc = montmul(&acc, &[splat(&[1, 0, 0, 0, 0]); C], &m, k0);
+        for (c, x) in acc.iter().enumerate() {
+            store(x, &mut out[c * LANES..]);
+        }
+    }
+
+    /// `bases[i]^exps[i]` per lane for `C · 8` lanes (module docs): the
+    /// window table of [`pow`] with entry 0 the Montgomery one, spilled
+    /// to digits, then all [`EXP_WINDOWS`] windows with each lane's
+    /// entry gathered by its own digit, into `out` as digits of a value
+    /// at most `m`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn pow_each<const C: usize>(k: &Radix, bases: &[U256], exps: &[U256], out: &mut [[u64; 5]]) {
+        let (m, k0) = (splat(&k.digits), _mm512_set1_epi64(k.k0 as i64));
+        let base: [Lanes; C] = std::array::from_fn(|c| load(&bases[c * LANES..]));
+        let mut table = [[splat(&k.one); C]; 16];
+        table[1] = montmul(&base, &[splat(&k.rr); C], &m, k0);
+        for j in 2..16 {
+            table[j] = montmul(&table[j - 1], &table[1], &m, k0);
+        }
+        // rows[j][l]: lane l's entry j.
+        let mut rows = [[[0u64; 5]; BATCH]; 16];
+        for (row, entry) in rows.iter_mut().zip(&table) {
+            for (c, x) in entry.iter().enumerate() {
+                store(x, &mut row[c * LANES..]);
+            }
+        }
+        let entries = |w: u32| -> [Lanes; C] {
+            std::array::from_fn(|c| {
+                gather(std::array::from_fn(|i| {
+                    let l = c * LANES + i;
+                    &rows[window(&exps[l], w)][l]
+                }))
+            })
+        };
+        let mut acc = entries(EXP_WINDOWS - 1);
+        for w in (0..EXP_WINDOWS - 1).rev() {
+            for _ in 0..WINDOW_BITS {
+                acc = montmul(&acc, &acc, &m, k0);
+            }
+            acc = montmul(&acc, &entries(w), &m, k0);
+        }
         let acc = montmul(&acc, &[splat(&[1, 0, 0, 0, 0]); C], &m, k0);
         for (c, x) in acc.iter().enumerate() {
             store(x, &mut out[c * LANES..]);
@@ -606,6 +711,99 @@ mod tests {
                 assert_eq!(got[..n], scalar(p, &bases[..n], &e), "n = {n}");
             }
         }
+    }
+
+    /// `Modulus::pow` of each base reduced under its own exponent, the
+    /// per-lane kernel's contract.
+    fn scalar_each(m: &Modulus, bases: &[U256], exps: &[U256]) -> Vec<U256> {
+        bases
+            .iter()
+            .zip(exps)
+            .map(|(b, e)| m.pow(&m.reduce(b), e))
+            .collect()
+    }
+
+    /// Exponents 0, 1, `q − 1`, `q` and all ones beside random words,
+    /// mixed within each batch, against bases 0, 1, `m − 1` and values
+    /// at and above `m`: every pair, in batches of sixteen and of eight.
+    #[test]
+    fn pow_each_lanes_match_scalar_pow_on_edges() {
+        if !lanes_here() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(44);
+        let q = U256::from_hex(crate::group::Q_HEX).unwrap();
+        let word = |rng: &mut StdRng| U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()]);
+        let mut cases = 0;
+        for m in moduli() {
+            let top = m.modulus().wrapping_sub(&U256::ONE);
+            let mut exps = vec![
+                U256::ZERO,
+                U256::ONE,
+                q.wrapping_sub(&U256::ONE),
+                q,
+                U256::MAX,
+            ];
+            exps.extend((0..3).map(|_| word(&mut rng)));
+            let mut bases = vec![U256::ZERO, U256::ONE, top, *m.modulus(), U256::MAX];
+            bases.extend((0..2).map(|_| m.sample(&mut rng)));
+            // Base-major pairs: each batch mixes every edge exponent.
+            let (b, e): (Vec<U256>, Vec<U256>) = bases
+                .iter()
+                .flat_map(|b| exps.iter().map(move |e| (*b, *e)))
+                .unzip();
+            for n in [BATCH, LANES] {
+                for (b, e) in b.chunks(n).zip(e.chunks(n)) {
+                    let got = pow_each_batch(&Radix::new(&m), b, e).unwrap();
+                    assert_eq!(got[..b.len()], scalar_each(&m, b, e), "mod {}", m.modulus());
+                    cases += b.len();
+                }
+            }
+        }
+        println!("{cases} per-lane-exponent results equal to Modulus::pow");
+    }
+
+    /// Every batch length the per-lane kernel takes, one chain or two.
+    #[test]
+    fn every_pow_each_batch_length_matches_scalar_pow() {
+        if !lanes_here() {
+            return;
+        }
+        let p = &moduli()[0];
+        let mut rng = StdRng::seed_from_u64(45);
+        let bases: Vec<U256> = (0..BATCH).map(|_| p.sample(&mut rng)).collect();
+        let exps: Vec<U256> = (0..BATCH)
+            .map(|_| U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()]))
+            .collect();
+        for n in 0..=BATCH {
+            let got = pow_each_batch(&Radix::new(p), &bases[..n], &exps[..n]).unwrap();
+            assert_eq!(got[..n], scalar_each(p, &bases[..n], &exps[..n]), "n = {n}");
+        }
+    }
+
+    /// Exactly 331 lane products per lane on the lane path, whatever
+    /// the exponents (zero ones included), a short batch's padding
+    /// counted: one chain to eight lanes, two past eight.
+    #[test]
+    fn pow_each_kernel_calls_are_pinned() {
+        const POW_EACH: u64 = 1 + 14 + 63 * 5 + 1; // in, table, windows, out
+        let p = &moduli()[0];
+        let k = Radix::new(p);
+        let mut rng = StdRng::seed_from_u64(46);
+        let bases: Vec<U256> = (0..BATCH).map(|_| p.sample(&mut rng)).collect();
+        let lanes = lanes_here();
+        for exps in [
+            vec![U256::MAX; BATCH],
+            vec![U256::ZERO; BATCH],
+            (0..BATCH).map(|_| p.sample(&mut rng)).collect(),
+        ] {
+            for (n, padded) in [(0, 8), (1, 8), (8, 8), (9, 16), (16, 16)] {
+                let (out, calls) = ops::count(|| pow_each_batch(&k, &bases[..n], &exps[..n]));
+                assert_eq!(out.is_some(), lanes);
+                assert_eq!(calls, if lanes { padded * POW_EACH } else { 0 }, "n = {n}");
+            }
+        }
+        assert_eq!(POW_EACH, 331);
     }
 
     /// Batch lengths around the lane width, thread counts, and a zero
@@ -868,6 +1066,20 @@ mod tests {
             let e = U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()]);
             if let Some(got) = pow_batch(&Radix::new(p), &bases, &e) {
                 prop_assert_eq!(&got[..n], &scalar(p, &bases, &e)[..]);
+            }
+        }
+
+        #[test]
+        fn pow_each_lanes_match_scalar_pow(seed in any::<u64>(), n in 0..BATCH + 1, wide in any::<bool>()) {
+            let p = &moduli()[0];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let word = |rng: &mut StdRng| U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()]);
+            let bases: Vec<U256> = (0..n)
+                .map(|_| if wide { word(&mut rng) } else { p.sample(&mut rng) })
+                .collect();
+            let exps: Vec<U256> = (0..n).map(|_| word(&mut rng)).collect();
+            if let Some(got) = pow_each_batch(&Radix::new(p), &bases, &exps) {
+                prop_assert_eq!(&got[..n], &scalar_each(p, &bases, &exps)[..]);
             }
         }
 

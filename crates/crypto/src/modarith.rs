@@ -32,6 +32,8 @@
 //! | [`crate::batch::FixedBasePowers::new`] | 8 160: 1 in + 32 rows × 254 products + 31 row steps |
 //! | [`crate::zkp::DleqProof::verify_batch`] | ≤ 116 per proof at 512 proofs (≤ 538 per proof checked alone with a table for `y`) |
 //! | [`crate::group::GroupParams::pow_all`] | ≤ 331 per base, as [`Modulus::pow`]: on AVX-512 IFMA, 8 or 16 lanes per lane-kernel product, counted once per lane (a short batch pays for its padding) |
+//! | per-lane-exponent lane batch (`PowEach` in `crate::lanes`) | exactly 331 per lane on AVX-512 IFMA: 1 in + 14 table + 64 windows' 63 · (4 squarings + 1 gathered product) + 1 out, padding included |
+//! | [`crate::zkp::DleqProof::raise_and_prove_all`] | per proof on AVX-512 IFMA: `a^x` as `pow_all` (≤ 331), 331 for the commitment `a^w` (`PowEach`), 33 for `g^w` through the generator's table, 2 for the response; ≤ 458 + 32 elsewhere, as `DleqProof::raise_and_prove` |
 //! | [`crate::batch::PrecomputedKey::g_pow_mul_all`] | per table power, exactly 33 on AVX-512 IFMA: 31 row products + 1 operand + 1 radix correction, counted per lane, padding included; ≤ 32 elsewhere, as [`crate::batch::FixedBasePowers::pow`] ([`crate::batch::PrecomputedKey::rerandomize_all`]: two per ciphertext) |
 //!
 //! [`Modulus::pow`] is a left-to-right 4-bit fixed window: the table
@@ -50,8 +52,8 @@
 //! nibbles, zero windows skip their product, and the final subtraction
 //! branches. The lane kernel behind `pow_all` follows the same
 //! window schedule, so it branches on the shared exponent in the same
-//! way, and its fixed-base batches index the table rows by each lane's
-//! digits. The crate-level security disclaimer stands.
+//! way; its per-lane-exponent batches index their window tables, and
+//! its fixed-base batches the table rows, by each lane's digits. The crate-level security disclaimer stands.
 
 use crate::u256::U256;
 use rand::Rng;

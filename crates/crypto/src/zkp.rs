@@ -4,13 +4,15 @@
 //!   computation parties to certify their ElGamal key shares.
 //! * [`DleqProof`] — Chaum–Pedersen proof that two pairs share the same
 //!   discrete log, used to verify partial decryptions and the
-//!   zero-preserving exponentiation step.
+//!   zero-preserving exponentiation step. A hop's proofs are made in
+//!   sixteen-lane batches ([`DleqProof::raise_and_prove_all`]).
 //!
 //! All challenges are derived from a [`Transcript`], which binds the
 //! statement, the prover identity, and protocol context.
 
 use crate::batch::{multi_exp, par_map_indexed};
 use crate::group::{GroupElement, GroupParams, Scalar};
+use crate::lanes::{self, Radix, BATCH};
 use crate::modarith::Mont;
 use crate::sha256::{Sha256, DIGEST_LEN};
 use crate::u256::U256;
@@ -164,20 +166,18 @@ impl DleqProof {
         rng: &mut R,
     ) -> DleqProof {
         let w = gp.random_scalar(rng);
-        Self::respond(gp, x, a, y, d, transcript, &w, &gp.pow(a, &w))
+        let commits = (gp.g_pow(&w), gp.pow(a, &w));
+        Self::respond(gp, x, a, y, d, transcript, &w, commits)
     }
 
     /// Raises `a` to the secret `x` and proves it: returns `d = a^x`
     /// with the proof [`DleqProof::prove`] would give for that `d` had
-    /// it drawn the nonce `w`.
-    ///
-    /// One comb ([`crate::modarith::Modulus::pow_pair`]) serves both
-    /// `a^x` and the commitment `a^w`. Callers that batch proof
-    /// generation (PSC's parallel mixing and decryption) draw every
-    /// nonce from a single RNG in a canonical sequential order, then
-    /// prove cells concurrently. `w` must be fresh and uniform per
-    /// proof — reuse leaks `x`.
-    pub fn raise_and_prove(
+    /// it drawn the nonce `w`. One comb
+    /// ([`crate::modarith::Modulus::pow_pair`]) serves both `a^x` and
+    /// the commitment `a^w`, and `g^w` goes through the generator's
+    /// table: [`DleqProof::raise_and_prove_all`]'s scalar path, and its
+    /// oracle.
+    pub(crate) fn raise_and_prove(
         gp: &GroupParams,
         x: &Scalar,
         a: &GroupElement,
@@ -186,10 +186,99 @@ impl DleqProof {
         w: &Scalar,
     ) -> (GroupElement, DleqProof) {
         let (d, t2) = gp.pow_pair(a, x, w);
-        (d, Self::respond(gp, x, a, y, &d, transcript, w, &t2))
+        (
+            d,
+            Self::respond(gp, x, a, y, &d, transcript, w, (gp.g_pow(w), t2)),
+        )
     }
 
-    /// The proof for nonce `w` whose commitment `a^w` is already known.
+    /// Raises every base to the secret `x` and proves it: `(d_j,
+    /// proof_j)` with `d_j = bases[j]^x` and the proof
+    /// [`DleqProof::prove`] would give for it under `transcript(j)` had
+    /// it drawn the nonce `nonces[j]`, the same bits at every `threads`.
+    ///
+    /// The bases go sixteen at a time, the batches spread over `threads`
+    /// threads ([`crate::batch::par_map_indexed`]). Where the CPU has
+    /// AVX-512F and AVX-512 IFMA each power of a batch is one lane-kernel
+    /// call (`crate::lanes`): the `d_j = a_j^x` by the shared-exponent
+    /// kernel (≤ 331 lane products each), the commitments `a_j^{w_j}` by
+    /// the per-lane-exponent one (exactly 331) and `g^{w_j}` through the
+    /// generator's table (33). Elsewhere each base of a batch takes one
+    /// scalar comb for `a_j^x` and `a_j^{w_j}` and a table power for
+    /// `g^{w_j}` (≤ 458 + 32). Challenges and responses are computed per
+    /// proof on the batch's thread.
+    ///
+    /// Callers draw every nonce from a single RNG in a canonical
+    /// sequential order (PSC's mixing and decryption hops), so the proofs
+    /// do not depend on the schedule. Each `w_j` must be fresh and
+    /// uniform — a nonce used twice leaks `x`.
+    pub fn raise_and_prove_all(
+        gp: &GroupParams,
+        x: &Scalar,
+        bases: &[GroupElement],
+        y: &GroupElement,
+        transcript: impl Fn(usize) -> Transcript + Sync,
+        nonces: &[Scalar],
+        threads: usize,
+    ) -> Vec<(GroupElement, DleqProof)> {
+        assert_eq!(bases.len(), nonces.len(), "one nonce per base");
+        let n = bases.len();
+        let k = Radix::new(gp.p_modulus());
+        par_map_indexed(n.div_ceil(BATCH), threads, |c| {
+            let range = c * BATCH..n.min((c + 1) * BATCH);
+            let (a, w) = (&bases[range.clone()], &nonces[range.clone()]);
+            match Self::lane_powers(gp, &k, x, a, w) {
+                Some([d, t1, t2]) => range
+                    .enumerate()
+                    .map(|(i, j)| {
+                        let (d, commits) = (
+                            GroupElement(d[i]),
+                            (GroupElement(t1[i]), GroupElement(t2[i])),
+                        );
+                        let t = &mut transcript(j);
+                        (d, Self::respond(gp, x, &a[i], y, &d, t, &w[i], commits))
+                    })
+                    .collect(),
+                None => range
+                    .map(|j| {
+                        Self::raise_and_prove(gp, x, &bases[j], y, &mut transcript(j), &nonces[j])
+                    })
+                    .collect::<Vec<_>>(),
+            }
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
+    /// `[a_i^x, g^{w_i}, a_i^{w_i}]` for a batch of up to [`BATCH`]
+    /// proofs, each one lane-kernel call (`g^{w_i}` from the shipped
+    /// generator's table, by the per-lane-exponent kernel for other
+    /// parameters); `None` when this CPU lacks AVX-512F or AVX-512 IFMA.
+    fn lane_powers(
+        gp: &GroupParams,
+        k: &Radix,
+        x: &Scalar,
+        bases: &[GroupElement],
+        nonces: &[Scalar],
+    ) -> Option<[[U256; BATCH]; 3]> {
+        let n = bases.len();
+        let a: Vec<U256> = bases.iter().map(|e| e.0).collect();
+        let w: Vec<U256> = nonces.iter().map(|s| s.0).collect();
+        let d = lanes::pow_batch(k, &a, &x.0)?;
+        let t1 = match gp.shipped_g_table() {
+            Some(table) => {
+                let (radix, rows) = table.lane_rows();
+                lanes::fixed_pow_mul_batch(radix, rows, &w, &[U256::ONE; BATCH][..n])?
+            }
+            None => lanes::pow_each_batch(k, &[gp.generator().0; BATCH][..n], &w)?,
+        };
+        let t2 = lanes::pow_each_batch(k, &a, &w)?;
+        Some([d, t1, t2])
+    }
+
+    /// The proof for nonce `w` whose commitments `(g^w, a^w)` are
+    /// already known.
     #[allow(clippy::too_many_arguments)]
     fn respond(
         gp: &GroupParams,
@@ -199,11 +288,11 @@ impl DleqProof {
         d: &GroupElement,
         transcript: &mut Transcript,
         w: &Scalar,
-        commit_a: &GroupElement,
+        (commit_g, commit_a): (GroupElement, GroupElement),
     ) -> DleqProof {
         let mut proof = DleqProof {
-            commit_g: gp.g_pow(w),
-            commit_a: *commit_a,
+            commit_g,
+            commit_a,
             response: Scalar::ZERO,
         };
         let c = proof.challenge(gp, a, y, d, transcript);
@@ -686,6 +775,96 @@ mod tests {
         }
     }
 
+    /// `n` bases and nonces under `x`, with the per-base calls' results.
+    fn per_base(
+        gp: &GroupParams,
+        n: usize,
+        rng: &mut StdRng,
+    ) -> (Scalar, GroupElement, Vec<GroupElement>, Vec<Scalar>) {
+        let x = gp.random_scalar(rng);
+        let bases = (0..n).map(|_| gp.random_element(rng)).collect();
+        let nonces = (0..n).map(|_| gp.random_scalar(rng)).collect();
+        (x, gp.g_pow(&x), bases, nonces)
+    }
+
+    /// The batch equals the per-base call at every length and thread
+    /// count, for the shipped group (the generator's table) and a
+    /// generated one (no table), and every proof verifies on its own:
+    /// a kernel that gave every lane one lane's nonce would commit
+    /// wrongly in the others, and a nonce used twice leaks `x`.
+    #[test]
+    fn raise_and_prove_all_matches_raise_and_prove() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let groups = [
+            GroupParams::default_params(),
+            GroupParams::generate(64, &mut rng),
+        ];
+        for gp in &groups {
+            for n in [0, 1, 15, 16, 17, 33] {
+                let (x, y, bases, nonces) = per_base(gp, n, &mut rng);
+                let expect: Vec<(GroupElement, DleqProof)> = (0..n)
+                    .map(|j| {
+                        let t = &mut batch_transcript(j);
+                        DleqProof::raise_and_prove(gp, &x, &bases[j], &y, t, &nonces[j])
+                    })
+                    .collect();
+                for threads in [1, 2, 5] {
+                    let got = DleqProof::raise_and_prove_all(
+                        gp,
+                        &x,
+                        &bases,
+                        &y,
+                        batch_transcript,
+                        &nonces,
+                        threads,
+                    );
+                    assert_eq!(got, expect, "n = {n}, threads = {threads}");
+                }
+                for (j, (d, proof)) in expect.iter().enumerate() {
+                    assert_eq!(*d, gp.pow(&bases[j], &x));
+                    assert!(proof.verify(gp, &bases[j], &y, d, &mut batch_transcript(j)));
+                }
+            }
+        }
+    }
+
+    /// Kernel calls per proof of a full batch: on the lane path exactly
+    /// `a^x`'s [`crate::modarith::Modulus::pow`] calls, 331 for `a^w`,
+    /// 33 for `g^w` and the response's scalar product, a short batch
+    /// paying for its padding; elsewhere `raise_and_prove`'s ≤ 458 + 32.
+    #[test]
+    fn raise_and_prove_all_kernel_calls_are_pinned() {
+        use crate::modarith::ops;
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(15);
+        let (x, y, bases, nonces) = per_base(&gp, BATCH + 1, &mut rng);
+        let lanes = lanes::pow_batch(&Radix::new(gp.p_modulus()), &[], &x.0).is_some();
+        let pow_x = ops::count(|| gp.pow(&bases[0], &x)).1;
+        let respond = ops::count(|| gp.scalar_mul(&x, &x)).1;
+        // This `x`: 63 windows, 60 of them nonzero below the top one.
+        assert_eq!((pow_x, respond), (15 + 252 + 60 + 1, 2));
+        for (n, padded) in [(1, 8), (BATCH, BATCH), (BATCH + 1, BATCH + 8)] {
+            let (_, calls) = ops::count(|| {
+                DleqProof::raise_and_prove_all(
+                    &gp,
+                    &x,
+                    &bases[..n],
+                    &y,
+                    batch_transcript,
+                    &nonces[..n],
+                    1,
+                )
+            });
+            if lanes {
+                // 328 + 331 + 33 + 2 = 694 per proof of a full batch.
+                let expect = padded as u64 * (pow_x + 331 + 33) + n as u64 * respond;
+                assert_eq!(calls, expect, "n = {n}");
+            } else {
+                assert!(calls <= n as u64 * (458 + 32), "n = {n}: {calls}");
+            }
+        }
+    }
+
     /// Tampering that a batch check must catch, including a pair of
     /// edits that cancel in the unweighted product of the batch: the
     /// lowest tampered proof is named, as the scan names it.
@@ -917,6 +1096,14 @@ mod tests {
                 DleqProof::raise_and_prove(&gp, &x, &a, &y, &mut Transcript::new(b"t"), &w)
             });
             assert_eq!(raised, 8, "raise_and_prove, scalar {scalar}");
+            let m = 2 * BATCH + 1;
+            let (bases, nonces) = (vec![a; m], vec![w; m]);
+            let (all, batch) = compressions::count(scalar, || {
+                let t = |_| Transcript::new(b"t");
+                DleqProof::raise_and_prove_all(&gp, &x, &bases, &y, t, &nonces, 1)
+            });
+            assert_eq!(all, vec![(d, proof); m]);
+            assert_eq!(batch, 8 * m as u64, "raise_and_prove_all, scalar {scalar}");
             let (ok, verified) = compressions::count(scalar, || {
                 proof.verify(&gp, &a, &y, &d, &mut Transcript::new(b"t"))
             });

@@ -29,13 +29,14 @@
 //!    output shuffle and each of the 16 shadow shuffles are
 //!    rerandomization batches ([`PrecomputedKey::rerandomize_all`]),
 //!    sixteen ciphertexts per call of the AVX-512 IFMA lane kernel
-//!    where the CPU has it, each lane with its own scalar. Unverified,
-//!    the hop's one exponent `k` meets all `2n` ciphertext components,
-//!    and the decryption hop's key share meets every `a`: each is one
-//!    same-exponent batch ([`GroupParams::pow_all`]) on the same
-//!    kernel. Verified, each side's `pre^k` and its proof's commitment
-//!    `pre^w` come from one scalar comb
-//!    ([`pm_crypto::zkp::DleqProof::raise_and_prove`]). The batches are
+//!    where the CPU has it, each lane with its own scalar. The hop's one
+//!    exponent `k` meets all `2n` ciphertext components, and the
+//!    decryption hop's key share meets every `a`: unverified, each is
+//!    one same-exponent batch ([`GroupParams::pow_all`]) on the same
+//!    kernel; verified, one batch of raised-and-proved powers
+//!    ([`DleqProof::raise_and_prove_all`]), whose proof commitments
+//!    `pre^w` and `g^w` take the lanes too, each lane with its own
+//!    nonce. The batches are
 //!    chunked across the same threads, and each cell owns its output
 //!    slot, so the serialized [`messages::MixResult`] is bit-identical
 //!    to the sequential reference (scalar throughout) at every thread
@@ -281,9 +282,10 @@ impl CpNode {
 /// One CP's decryption hop: its partial decryption `a^x` of every
 /// cell under its secret share `x`, with a Chaum–Pedersen proof per
 /// cell when `verify` is set. Like mixing, it splits into a sequential
-/// nonce-derivation pass and a per-cell batch phase on `threads`
-/// threads (unverified, one [`GroupParams::pow_all`] batch); the
-/// message is independent of `threads`.
+/// nonce-derivation pass and a batch phase on `threads` threads (one
+/// [`GroupParams::pow_all`] batch, or verified one
+/// [`DleqProof::raise_and_prove_all`]); the message is independent of
+/// `threads`.
 pub fn decrypt_message<R: Rng + ?Sized>(
     gp: &GroupParams,
     secret: &Scalar,
@@ -293,16 +295,13 @@ pub fn decrypt_message<R: Rng + ?Sized>(
     threads: usize,
 ) -> messages::PartialDec {
     let share = gp.g_pow(secret);
+    let bases: Vec<GroupElement> = cells.iter().map(|c| c.a).collect();
     let (partials, proofs) = if verify {
         let nonces: Vec<Scalar> = cells.iter().map(|_| gp.random_scalar(rng)).collect();
-        par_map_indexed(cells.len(), threads, |j| {
-            let mut t = dec_transcript(j);
-            DleqProof::raise_and_prove(gp, secret, &cells[j].a, &share, &mut t, &nonces[j])
-        })
-        .into_iter()
-        .unzip()
+        DleqProof::raise_and_prove_all(gp, secret, &bases, &share, dec_transcript, &nonces, threads)
+            .into_iter()
+            .unzip()
     } else {
-        let bases: Vec<GroupElement> = cells.iter().map(|c| c.a).collect();
         (gp.pow_all(&bases, secret, threads), Vec::new())
     };
     messages::PartialDec {
@@ -327,9 +326,9 @@ struct NoisePlan {
 struct MixRandomness {
     noise: Vec<NoisePlan>,
     k: Scalar,
-    /// Per-cell (a-side, b-side) Chaum–Pedersen nonces; empty unless
-    /// verifying.
-    exp_nonces: Vec<(Scalar, Scalar)>,
+    /// Chaum–Pedersen nonces, cell `j`'s a side at `2j` and b side at
+    /// `2j + 1`; empty unless verifying.
+    exp_nonces: Vec<Scalar>,
     witness: ShuffleWitness,
     /// One witness per cut-and-choose round; empty unless verifying.
     shadow_witnesses: Vec<ShuffleWitness>,
@@ -369,9 +368,7 @@ impl MixRandomness {
             .collect();
         let k = gp.random_nonzero_scalar(rng);
         let exp_nonces = if verify {
-            (0..n_total)
-                .map(|_| (gp.random_scalar(rng), gp.random_scalar(rng)))
-                .collect()
+            (0..2 * n_total).map(|_| gp.random_scalar(rng)).collect()
         } else {
             Vec::new()
         };
@@ -530,32 +527,35 @@ fn mix_message_batched_obs<R: Rng + ?Sized>(
     }));
 
     let exp_key = gp.g_pow(&rand.k);
-    // Verified, each side's `pre^k` and its commitment `pre^w` share
-    // one comb.
-    let (post_exp, exp_proofs): (Vec<Ciphertext>, Vec<(DleqProof, DleqProof)>) = if verify {
+    // Every component of every cell goes to the one `k`: part `2j` is
+    // cell `j`'s a side, `2j + 1` its b side, as the TS checks them.
+    let parts: Vec<GroupElement> = with_noise.iter().flat_map(|c| [c.a, c.b]).collect();
+    let (raised, exp_proofs) = if verify {
         let mut span = recorder.span("mix.prove", "psc");
         span.note("cells", with_noise.len());
-        par_map_indexed(with_noise.len(), threads, |j| {
-            let (pre, (wa, wb)) = (&with_noise[j], &rand.exp_nonces[j]);
-            let mut ta = exp_transcript(j, false);
-            let (a, pa) = DleqProof::raise_and_prove(gp, &rand.k, &pre.a, &exp_key, &mut ta, wa);
-            let mut tb = exp_transcript(j, true);
-            let (b, pb) = DleqProof::raise_and_prove(gp, &rand.k, &pre.b, &exp_key, &mut tb, wb);
-            (Ciphertext { a, b }, (pa, pb))
-        })
+        let transcript = |i: usize| exp_transcript(i / 2, i % 2 == 1);
+        let (raised, proofs): (Vec<GroupElement>, Vec<DleqProof>) = DleqProof::raise_and_prove_all(
+            gp,
+            &rand.k,
+            &parts,
+            &exp_key,
+            transcript,
+            &rand.exp_nonces,
+            threads,
+        )
         .into_iter()
-        .unzip()
+        .unzip();
+        (
+            raised,
+            proofs.chunks_exact(2).map(|p| (p[0], p[1])).collect(),
+        )
     } else {
-        // Unverified, every component of every cell goes to the one
-        // `k`: a single same-exponent batch.
-        let parts: Vec<GroupElement> = with_noise.iter().flat_map(|c| [c.a, c.b]).collect();
-        let raised = gp.pow_all(&parts, &rand.k, threads);
-        let post_exp = raised
-            .chunks_exact(2)
-            .map(|ab| Ciphertext { a: ab[0], b: ab[1] })
-            .collect();
-        (post_exp, Vec::new())
+        (gp.pow_all(&parts, &rand.k, threads), Vec::new())
     };
+    let post_exp: Vec<Ciphertext> = raised
+        .chunks_exact(2)
+        .map(|ab| Ciphertext { a: ab[0], b: ab[1] })
+        .collect();
 
     let n = post_exp.len();
     let witness = &rand.witness;
