@@ -473,6 +473,25 @@ mod ifma {
         out
     }
 
+    /// The 4-bit window table of `C · 8` bases, entry `j` their `j`-th
+    /// powers in Montgomery form: entry 0 the Montgomery one, then one
+    /// product into Montgomery form and 14 more.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn window_table<const C: usize>(
+        k: &Radix,
+        bases: &[U256],
+        m: &Lanes,
+        k0: __m512i,
+    ) -> [[Lanes; C]; 16] {
+        let base: [Lanes; C] = std::array::from_fn(|c| load(&bases[c * LANES..]));
+        let mut table = [[splat(&k.one); C]; 16];
+        table[1] = montmul(&base, &[splat(&k.rr); C], m, k0);
+        for j in 2..16 {
+            table[j] = montmul(&table[j - 1], &table[1], m, k0);
+        }
+        table
+    }
+
     /// `bases[i]^e` per lane for `C · 8` bases by
     /// [`crate::modarith::Modulus::pow`]'s window schedule, into `out`
     /// as digits of a value at most `m`.
@@ -483,12 +502,7 @@ mod ifma {
             return;
         }
         let (m, k0) = (splat(&k.digits), _mm512_set1_epi64(k.k0 as i64));
-        let base: [Lanes; C] = std::array::from_fn(|c| load(&bases[c * LANES..]));
-        let mut table = [[m; C]; 16];
-        table[1] = montmul(&base, &[splat(&k.rr); C], &m, k0);
-        for j in 2..16 {
-            table[j] = montmul(&table[j - 1], &table[1], &m, k0);
-        }
+        let table = window_table::<C>(k, bases, &m, k0);
         let top = (e.bits() - 1) / WINDOW_BITS;
         // The top window is nonzero by construction: start from its entry.
         let mut acc = table[window(e, top)];
@@ -509,19 +523,13 @@ mod ifma {
     }
 
     /// `bases[i]^exps[i]` per lane for `C · 8` lanes (module docs): the
-    /// window table of [`pow`] with entry 0 the Montgomery one, spilled
-    /// to digits, then all [`EXP_WINDOWS`] windows with each lane's
-    /// entry gathered by its own digit, into `out` as digits of a value
-    /// at most `m`.
+    /// window table spilled to digits, then all [`EXP_WINDOWS`] windows
+    /// with each lane's entry gathered by its own digit, into `out` as
+    /// digits of a value at most `m`.
     #[target_feature(enable = "avx512f,avx512ifma")]
     fn pow_each<const C: usize>(k: &Radix, bases: &[U256], exps: &[U256], out: &mut [[u64; 5]]) {
         let (m, k0) = (splat(&k.digits), _mm512_set1_epi64(k.k0 as i64));
-        let base: [Lanes; C] = std::array::from_fn(|c| load(&bases[c * LANES..]));
-        let mut table = [[splat(&k.one); C]; 16];
-        table[1] = montmul(&base, &[splat(&k.rr); C], &m, k0);
-        for j in 2..16 {
-            table[j] = montmul(&table[j - 1], &table[1], &m, k0);
-        }
+        let table = window_table::<C>(k, bases, &m, k0);
         // rows[j][l]: lane l's entry j.
         let mut rows = [[[0u64; 5]; BATCH]; 16];
         for (row, entry) in rows.iter_mut().zip(&table) {
