@@ -79,14 +79,17 @@
 //!
 //! Per lane, exactly [`Modulus::pow`]'s kernel calls (≤ 331 for a
 //! 256-bit exponent) for a same-exponent batch, exactly 331 for a
-//! per-lane-exponent batch, and exactly 33 for a fixed-base batch. The op counter of the unit tests ticks once per
-//! lane per product, a short batch's padding included (up to eight
-//! lanes take one chain, more take two), so counts stay comparable with
-//! the scalar kernel. A sixteen-lane product costs about one and a half
-//! scalar ones: a full same-exponent batch runs at about a tenth of the
-//! scalar cost per base (≈ 1.2 µs against ≈ 12 µs on a 2.1 GHz Xeon
-//! with AVX-512 IFMA), a full fixed-base batch at about a quarter
-//! (≈ 0.25 µs against 1.05–1.6 µs per power).
+//! per-lane-exponent batch, and exactly 33 for a fixed-base batch. The
+//! op counter of the unit tests ticks once per lane per product, a
+//! short batch's padding included (up to eight lanes take one chain,
+//! more take two), so counts stay comparable with the scalar kernel. A
+//! sixteen-lane product costs about one and a half scalar ones: a full
+//! same-exponent batch runs at about a tenth of the scalar cost per
+//! base (≈ 1.2 µs against ≈ 12 µs on a 2.1 GHz Xeon with AVX-512 IFMA),
+//! a full per-lane-exponent batch about a fifth more than that (the
+//! gathers and the zero windows it does not skip), a full fixed-base
+//! batch at about a quarter of the scalar cost (≈ 0.25 µs against
+//! 1.05–1.6 µs per power).
 //!
 //! Like the rest of the crate this is not constant-time: the
 //! same-exponent schedule branches on the (shared) exponent, and the

@@ -186,10 +186,8 @@ impl DleqProof {
         w: &Scalar,
     ) -> (GroupElement, DleqProof) {
         let (d, t2) = gp.pow_pair(a, x, w);
-        (
-            d,
-            Self::respond(gp, x, a, y, &d, transcript, w, (gp.g_pow(w), t2)),
-        )
+        let proof = Self::respond(gp, x, a, y, &d, transcript, w, (gp.g_pow(w), t2));
+        (d, proof)
     }
 
     /// Raises every base to the secret `x` and proves it: `(d_j,
@@ -198,15 +196,16 @@ impl DleqProof {
     /// it drawn the nonce `nonces[j]`, the same bits at every `threads`.
     ///
     /// The bases go sixteen at a time, the batches spread over `threads`
-    /// threads ([`crate::batch::par_map_indexed`]). Where the CPU has
-    /// AVX-512F and AVX-512 IFMA each power of a batch is one lane-kernel
-    /// call (`crate::lanes`): the `d_j = a_j^x` by the shared-exponent
-    /// kernel (≤ 331 lane products each), the commitments `a_j^{w_j}` by
-    /// the per-lane-exponent one (exactly 331) and `g^{w_j}` through the
-    /// generator's table (33). Elsewhere each base of a batch takes one
-    /// scalar comb for `a_j^x` and `a_j^{w_j}` and a table power for
-    /// `g^{w_j}` (≤ 458 + 32). Challenges and responses are computed per
-    /// proof on the batch's thread.
+    /// threads ([`crate::batch::par_map_indexed`]). For the shipped
+    /// parameters on a CPU with AVX-512F and AVX-512 IFMA, each power of
+    /// a batch is one lane-kernel call (`crate::lanes`): the `d_j =
+    /// a_j^x` by the shared-exponent kernel (≤ 331 lane products each),
+    /// the commitments `a_j^{w_j}` by the per-lane-exponent one (exactly
+    /// 331) and `g^{w_j}` through the generator's table (33). Otherwise
+    /// each base takes one scalar comb for `a_j^x` and `a_j^{w_j}` and
+    /// [`GroupParams::g_pow`] for `g^{w_j}` (≤ 458 + 32 for the shipped
+    /// parameters). Challenges and responses are computed per proof on
+    /// the batch's thread.
     ///
     /// Callers draw every nonce from a single RNG in a canonical
     /// sequential order (PSC's mixing and decryption hops), so the proofs
@@ -231,10 +230,8 @@ impl DleqProof {
                 Some([d, t1, t2]) => range
                     .enumerate()
                     .map(|(i, j)| {
-                        let (d, commits) = (
-                            GroupElement(d[i]),
-                            (GroupElement(t1[i]), GroupElement(t2[i])),
-                        );
+                        let d = GroupElement(d[i]);
+                        let commits = (GroupElement(t1[i]), GroupElement(t2[i]));
                         let t = &mut transcript(j);
                         (d, Self::respond(gp, x, &a[i], y, &d, t, &w[i], commits))
                     })
@@ -252,9 +249,9 @@ impl DleqProof {
     }
 
     /// `[a_i^x, g^{w_i}, a_i^{w_i}]` for a batch of up to [`BATCH`]
-    /// proofs, each one lane-kernel call (`g^{w_i}` from the shipped
-    /// generator's table, by the per-lane-exponent kernel for other
-    /// parameters); `None` when this CPU lacks AVX-512F or AVX-512 IFMA.
+    /// proofs, each one lane-kernel call, `g^{w_i}` through the shipped
+    /// generator's table; `None` for other parameters or when this CPU
+    /// lacks AVX-512F or AVX-512 IFMA.
     fn lane_powers(
         gp: &GroupParams,
         k: &Radix,
@@ -262,17 +259,11 @@ impl DleqProof {
         bases: &[GroupElement],
         nonces: &[Scalar],
     ) -> Option<[[U256; BATCH]; 3]> {
-        let n = bases.len();
+        let (radix, rows) = gp.shipped_g_table()?.lane_rows();
         let a: Vec<U256> = bases.iter().map(|e| e.0).collect();
         let w: Vec<U256> = nonces.iter().map(|s| s.0).collect();
         let d = lanes::pow_batch(k, &a, &x.0)?;
-        let t1 = match gp.shipped_g_table() {
-            Some(table) => {
-                let (radix, rows) = table.lane_rows();
-                lanes::fixed_pow_mul_batch(radix, rows, &w, &[U256::ONE; BATCH][..n])?
-            }
-            None => lanes::pow_each_batch(k, &[gp.generator().0; BATCH][..n], &w)?,
-        };
+        let t1 = lanes::fixed_pow_mul_batch(radix, rows, &w, &[U256::ONE; BATCH][..w.len()])?;
         let t2 = lanes::pow_each_batch(k, &a, &w)?;
         Some([d, t1, t2])
     }
@@ -788,8 +779,9 @@ mod tests {
     }
 
     /// The batch equals the per-base call at every length and thread
-    /// count, for the shipped group (the generator's table) and a
-    /// generated one (no table), and every proof verifies on its own:
+    /// count, for the shipped group (the lanes, where the CPU has them)
+    /// and a generated one (the scalar path on any CPU), and every proof
+    /// verifies on its own:
     /// a kernel that gave every lane one lane's nonce would commit
     /// wrongly in the others, and a nonce used twice leaks `x`.
     #[test]
@@ -831,7 +823,8 @@ mod tests {
     /// Kernel calls per proof of a full batch: on the lane path exactly
     /// `a^x`'s [`crate::modarith::Modulus::pow`] calls, 331 for `a^w`,
     /// 33 for `g^w` and the response's scalar product, a short batch
-    /// paying for its padding; elsewhere `raise_and_prove`'s ≤ 458 + 32.
+    /// paying for its padding; elsewhere `raise_and_prove`'s ≤ 458 + 32,
+    /// and for other parameters exactly the per-base calls.
     #[test]
     fn raise_and_prove_all_kernel_calls_are_pinned() {
         use crate::modarith::ops;
@@ -863,6 +856,20 @@ mod tests {
                 assert!(calls <= n as u64 * (458 + 32), "n = {n}: {calls}");
             }
         }
+        let gp = GroupParams::generate(64, &mut rng);
+        let (x, y, bases, nonces) = per_base(&gp, BATCH + 1, &mut rng);
+        let (all, calls) = ops::count(|| {
+            DleqProof::raise_and_prove_all(&gp, &x, &bases, &y, batch_transcript, &nonces, 1)
+        });
+        let (each, per_base_calls) = ops::count(|| {
+            (0..=BATCH)
+                .map(|j| {
+                    let t = &mut batch_transcript(j);
+                    DleqProof::raise_and_prove(&gp, &x, &bases[j], &y, t, &nonces[j])
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!((all, calls), (each, per_base_calls));
     }
 
     /// Tampering that a batch check must catch, including a pair of

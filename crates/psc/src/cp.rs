@@ -485,9 +485,8 @@ pub fn mix_message_batched<R: Rng + ?Sized>(
 
 /// [`mix_message_batched`] with observability: the sequential
 /// randomness derivation and the parallel cell phase each get a span
-/// (`mix.derive` / `mix.batch`, recorded only when `recorder` profiles),
-/// and, verified, the batch's DLEQ proofs and shadow shuffles get
-/// child spans of their own (`mix.prove` / `mix.shadows`).
+/// (`mix.derive` / `mix.batch`, verified with `mix.prove` and
+/// `mix.shadows` inside; recorded only when `recorder` profiles).
 /// The transcript is untouched — spans never feed back into the mix.
 #[allow(clippy::too_many_arguments)]
 fn mix_message_batched_obs<R: Rng + ?Sized>(
@@ -533,22 +532,13 @@ fn mix_message_batched_obs<R: Rng + ?Sized>(
     let (raised, exp_proofs) = if verify {
         let mut span = recorder.span("mix.prove", "psc");
         span.note("cells", with_noise.len());
-        let transcript = |i: usize| exp_transcript(i / 2, i % 2 == 1);
-        let (raised, proofs): (Vec<GroupElement>, Vec<DleqProof>) = DleqProof::raise_and_prove_all(
-            gp,
-            &rand.k,
-            &parts,
-            &exp_key,
-            transcript,
+        let (t, w) = (
+            |i: usize| exp_transcript(i / 2, i % 2 == 1),
             &rand.exp_nonces,
-            threads,
-        )
-        .into_iter()
-        .unzip();
-        (
-            raised,
-            proofs.chunks_exact(2).map(|p| (p[0], p[1])).collect(),
-        )
+        );
+        let proved = DleqProof::raise_and_prove_all(gp, &rand.k, &parts, &exp_key, t, w, threads);
+        let proofs = proved.chunks_exact(2).map(|p| (p[0].1, p[1].1)).collect();
+        (proved.into_iter().map(|(d, _)| d).collect(), proofs)
     } else {
         (gp.pow_all(&parts, &rand.k, threads), Vec::new())
     };
