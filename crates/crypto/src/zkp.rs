@@ -10,7 +10,7 @@
 //! All challenges are derived from a [`Transcript`], which binds the
 //! statement, the prover identity, and protocol context.
 
-use crate::batch::{multi_exp, par_map_indexed};
+use crate::batch::{multi_exp, par_batches, par_map_indexed};
 use crate::group::{GroupElement, GroupParams, Scalar};
 use crate::lanes::{self, Radix, BATCH};
 use crate::modarith::Mont;
@@ -223,25 +223,24 @@ impl DleqProof {
         assert_eq!(bases.len(), nonces.len(), "one nonce per base");
         let n = bases.len();
         let k = Radix::new(gp.p_modulus());
-        par_map_indexed(n.div_ceil(BATCH), threads, |c| {
-            let range = c * BATCH..n.min((c + 1) * BATCH);
+        // Padding slots hold `None`; `par_batches` keeps only the first
+        // `n`, so the flatten drops nothing.
+        par_batches(n, threads, |range| {
             let (a, w) = (&bases[range.clone()], &nonces[range.clone()]);
-            match Self::lane_powers(gp, &k, x, a, w) {
-                Some([d, t1, t2]) => range
-                    .enumerate()
-                    .map(|(i, j)| {
-                        let d = GroupElement(d[i]);
-                        let commits = (GroupElement(t1[i]), GroupElement(t2[i]));
-                        let t = &mut transcript(j);
-                        (d, Self::respond(gp, x, &a[i], y, &d, t, &w[i], commits))
-                    })
-                    .collect(),
-                None => range
-                    .map(|j| {
-                        Self::raise_and_prove(gp, x, &bases[j], y, &mut transcript(j), &nonces[j])
-                    })
-                    .collect::<Vec<_>>(),
-            }
+            let powers = Self::lane_powers(gp, &k, x, a, w);
+            std::array::from_fn(|i| {
+                (i < a.len()).then(|| {
+                    let t = &mut transcript(range.start + i);
+                    match &powers {
+                        Some([d, t1, t2]) => {
+                            let d = GroupElement(d[i]);
+                            let commits = (GroupElement(t1[i]), GroupElement(t2[i]));
+                            (d, Self::respond(gp, x, &a[i], y, &d, t, &w[i], commits))
+                        }
+                        None => Self::raise_and_prove(gp, x, &a[i], y, t, &w[i]),
+                    }
+                })
+            })
         })
         .into_iter()
         .flatten()
@@ -260,11 +259,13 @@ impl DleqProof {
         nonces: &[Scalar],
     ) -> Option<[[U256; BATCH]; 3]> {
         let (radix, rows) = gp.shipped_g_table()?.lane_rows();
-        let a: Vec<U256> = bases.iter().map(|e| e.0).collect();
-        let w: Vec<U256> = nonces.iter().map(|s| s.0).collect();
-        let d = lanes::pow_batch(k, &a, &x.0)?;
-        let t1 = lanes::fixed_pow_mul_batch(radix, rows, &w, &[U256::ONE; BATCH][..w.len()])?;
-        let t2 = lanes::pow_each_batch(k, &a, &w)?;
+        let n = bases.len();
+        let a: [U256; BATCH] = std::array::from_fn(|i| bases.get(i).map_or(U256::ZERO, |e| e.0));
+        let w: [U256; BATCH] = std::array::from_fn(|i| nonces.get(i).map_or(U256::ZERO, |s| s.0));
+        let (a, w) = (&a[..n], &w[..n]);
+        let d = lanes::pow_batch(k, a, &x.0)?;
+        let t1 = lanes::fixed_pow_mul_batch(radix, rows, w, &[U256::ONE; BATCH][..n])?;
+        let t2 = lanes::pow_each_batch(k, a, w)?;
         Some([d, t1, t2])
     }
 
