@@ -519,6 +519,46 @@ mod tests {
         }
     }
 
+    /// `n` bucket-method exponents: 0, 1, `q − 1` and all ones, and
+    /// runs whose digits are equal in every window (each such base lands
+    /// in one bucket per window, the same one for a whole run), 64-bit
+    /// and 256-bit, beside random scalars.
+    fn edge_exps(gp: &GroupParams, n: usize, rng: &mut StdRng) -> Vec<U256> {
+        let repeat = |byte: u64| U256([byte * 0x0101_0101_0101_0101; 4]);
+        (0..n)
+            .map(|i| match i % 8 {
+                0 => U256::ZERO,
+                1 => U256::ONE,
+                2 => gp.q().wrapping_sub(&U256::ONE),
+                3 => U256::MAX,
+                4 | 5 => repeat((i / 8 % 3 + 1) as u64),
+                6 => U256::from_u64(0x1111_1111_1111_1111),
+                _ => gp.random_scalar(rng).0,
+            })
+            .collect()
+    }
+
+    /// The edge exponents against separate powers, around the
+    /// sixteen-lane batch and at 300 bases.
+    #[test]
+    fn multi_exp_matches_separate_powers_on_edges() {
+        let gp = GroupParams::default_params();
+        let p = gp.p_modulus();
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in [0, 1, 15, 16, 17, 300] {
+            let bases: Vec<GroupElement> = (0..n).map(|_| gp.random_element(&mut rng)).collect();
+            let exps = edge_exps(&gp, n, &mut rng);
+            let expect = bases.iter().zip(&exps).fold(gp.identity(), |acc, (b, e)| {
+                gp.mul(&acc, &gp.pow(b, &Scalar(*e)))
+            });
+            let mont: Vec<Mont> = bases.iter().map(|b| p.mont_in(&b.0)).collect();
+            for threads in [1, 2, 5] {
+                let got = p.mont_out(&multi_exp(&gp, &mont, &exps, threads));
+                assert_eq!(got, expect.0, "n = {n}, threads = {threads}");
+            }
+        }
+    }
+
     #[test]
     fn precomputed_key_matches_reference_ops() {
         let mut rng = StdRng::seed_from_u64(2);

@@ -945,6 +945,208 @@ mod tests {
         assert_eq!(verify_all(&gp, &y, &[], 2), Ok(()));
     }
 
+    /// An element of a batch statement a tamper case replaces.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Part {
+        A,
+        D,
+        T1,
+        T2,
+        Y,
+    }
+
+    /// An honest batch with its witness (the secret, every base and
+    /// every nonce, and the honest `(d, t1, t2)`), so that a tamper case
+    /// can make a proof again over its tampered statement, as a cheating
+    /// prover would.
+    struct Witness {
+        x: Scalar,
+        y: GroupElement,
+        bases: Vec<GroupElement>,
+        nonces: Vec<Scalar>,
+        powers: Vec<[GroupElement; 3]>,
+    }
+
+    impl Witness {
+        /// `m` proofs under one key. `y` and, at `spots`, `a`, `d`,
+        /// `t1` and `t2` are below `2^256 − p`, so `p + e` is a 256-bit
+        /// word for each of them.
+        fn new(gp: &GroupParams, m: usize, spots: &[usize], rng: &mut StdRng) -> Witness {
+            let room = U256::ZERO.wrapping_sub(gp.p());
+            let fits = |e: &GroupElement| e.0 < room;
+            let x = loop {
+                let x = gp.random_scalar(rng);
+                if fits(&gp.g_pow(&x)) {
+                    break x;
+                }
+            };
+            let (mut bases, mut nonces, mut powers) = (Vec::new(), Vec::new(), Vec::new());
+            for j in 0..m {
+                let small = spots.contains(&j);
+                let (a, d) = loop {
+                    let a = gp.random_element(rng);
+                    let d = gp.pow(&a, &x);
+                    if !small || fits(&a) && fits(&d) {
+                        break (a, d);
+                    }
+                };
+                let (w, t1, t2) = loop {
+                    let w = gp.random_scalar(rng);
+                    let (t1, t2) = (gp.g_pow(&w), gp.pow(&a, &w));
+                    if !small || fits(&t1) && fits(&t2) {
+                        break (w, t1, t2);
+                    }
+                };
+                bases.push(a);
+                nonces.push(w);
+                powers.push([d, t1, t2]);
+            }
+            Witness {
+                x,
+                y: gp.g_pow(&x),
+                bases,
+                nonces,
+                powers,
+            }
+        }
+
+        /// The batch with element `part` of proof `j` (of every proof,
+        /// for `y`) replaced by `value` of it. Every proof is made again
+        /// over what it sends: `d`, `t1` and `t2`, unless replaced, are
+        /// the powers of the sent `a` reduced mod `p`, and the response
+        /// answers the challenge over the sent statement. So `p + e`
+        /// passes both equations, and `p − e` or `p − 1` the weighted
+        /// ones whenever the sign cancels: membership alone stops them.
+        fn tampered(
+            &self,
+            gp: &GroupParams,
+            part: Part,
+            j: usize,
+            value: impl Fn(&U256) -> U256,
+        ) -> (GroupElement, Vec<(GroupElement, GroupElement, DleqProof)>) {
+            let swap = |which: Part, i: usize, e: GroupElement| {
+                let hit = which == part && (part == Part::Y || i == j);
+                if hit {
+                    GroupElement(value(&e.0))
+                } else {
+                    e
+                }
+            };
+            let y = swap(Part::Y, 0, self.y);
+            let claims = (0..self.bases.len())
+                .map(|i| {
+                    let (x, w) = (&self.x, &self.nonces[i]);
+                    let a = swap(Part::A, i, self.bases[i]);
+                    let [d, t1, t2] = if a == self.bases[i] {
+                        self.powers[i]
+                    } else {
+                        let real = GroupElement(gp.p_modulus().reduce(&a.0));
+                        [gp.pow(&real, x), gp.g_pow(w), gp.pow(&real, w)]
+                    };
+                    let d = swap(Part::D, i, d);
+                    let commits = (swap(Part::T1, i, t1), swap(Part::T2, i, t2));
+                    let t = &mut batch_transcript(i);
+                    (a, d, DleqProof::respond(gp, x, &a, &y, &d, t, w, commits))
+                })
+                .collect();
+            (y, claims)
+        }
+
+        fn honest(
+            &self,
+            gp: &GroupParams,
+        ) -> (GroupElement, Vec<(GroupElement, GroupElement, DleqProof)>) {
+            self.tampered(gp, Part::A, usize::MAX, |e| *e)
+        }
+    }
+
+    /// The values a tamper case puts in place of an element `e`, none of
+    /// them a member: zero, `p` and `p + e` (zero and `e` mod `p`), all
+    /// ones, `p − 1` (order 2) and `p − e` (`−e`, outside the subgroup
+    /// since `−1` is).
+    #[allow(clippy::type_complexity)]
+    fn non_members(gp: &GroupParams) -> [(&'static str, Box<dyn Fn(&U256) -> U256>); 6] {
+        let p = *gp.p();
+        [
+            ("0", Box::new(|_| U256::ZERO)),
+            ("p", Box::new(move |_| p)),
+            ("p + e", Box::new(move |e| p.wrapping_add(e))),
+            ("2^256 − 1", Box::new(|_| U256::MAX)),
+            ("p − 1", Box::new(move |_| p.wrapping_sub(&U256::ONE))),
+            ("−e", Box::new(move |e| p.wrapping_sub(e))),
+        ]
+    }
+
+    /// Every non-member value in place of `a`, `d`, `t1`, `t2` and `y`,
+    /// in the first batch (lanes 0, 7, 8 and 15: each chain's ends) and
+    /// in the short last one: the batch names the cell the scan names,
+    /// at every thread count. A verifier that let any of them through
+    /// membership would accept `p + e`, and `−e` or `p − 1` wherever
+    /// the sign cancels in the weighted products.
+    #[test]
+    fn batch_rejects_non_members_in_every_lane() {
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(16);
+        let spots = [0, 7, 8, 15, BATCH];
+        let witness = Witness::new(&gp, BATCH + 1, &spots, &mut rng);
+        let (y, honest) = witness.honest(&gp);
+        assert_eq!(verify_all(&gp, &y, &honest, 2), Ok(()));
+        let mut cases = 0;
+        for part in [Part::A, Part::D, Part::T1, Part::T2, Part::Y] {
+            let spots: &[usize] = if part == Part::Y { &[0] } else { &spots };
+            for (name, value) in &non_members(&gp) {
+                for &j in spots {
+                    let (y, claims) = witness.tampered(&gp, part, j, value);
+                    assert_eq!(scan(&gp, &y, &claims), Err(j), "{part:?} = {name} at {j}");
+                    for threads in [1, 2, 5] {
+                        assert_eq!(
+                            verify_all(&gp, &y, &claims, threads),
+                            Err(j),
+                            "{part:?} = {name} at {j}, {threads} threads"
+                        );
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 4 * 6 * 5 + 6);
+    }
+
+    /// Honest batches and tampered ones around the sixteen-proof
+    /// batches: the verdict is the scan's at every length and thread
+    /// count, with the tampered proof first, in the middle and last.
+    #[test]
+    fn verify_batch_matches_the_scan_at_every_length() {
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(17);
+        let one = gp.scalar_from_u64(1);
+        for m in [1, 15, 16, 17, 33, 64] {
+            let spots = [0, m / 2, m - 1];
+            let witness = Witness::new(&gp, m, &spots, &mut rng);
+            let (y, honest) = witness.honest(&gp);
+            let mut cases = vec![(y, honest.clone())];
+            for j in spots {
+                let mut claims = honest.clone();
+                claims[j].2.response = gp.scalar_add(&claims[j].2.response, &one);
+                cases.push((y, claims));
+                cases.push(witness.tampered(&gp, Part::T1, j, |e| gp.p().wrapping_sub(e)));
+                cases.push(witness.tampered(&gp, Part::D, j, |e| gp.p().wrapping_add(e)));
+            }
+            cases.push(witness.tampered(&gp, Part::Y, 0, |e| gp.p().wrapping_sub(e)));
+            for (i, (y, claims)) in cases.iter().enumerate() {
+                let expect = scan(&gp, y, claims);
+                assert_eq!(expect.is_ok(), i == 0, "m = {m}, case {i}");
+                for threads in [1, 2, 5] {
+                    assert_eq!(
+                        verify_all(&gp, y, claims, threads),
+                        expect,
+                        "m = {m}, case {i}, {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+
     /// A pair of false proofs forged to satisfy both batch equations
     /// with every weight 1: a prover who knows the discrete logs of the
     /// bases picks a wrong `d_1`, recomputes its challenge, and solves
