@@ -302,30 +302,85 @@ impl PrecomputedKey {
     }
 }
 
-/// `Π bases[i]^exps[i]` in Montgomery form, by Pippenger's bucket
-/// method: the exponents are cut into `c`-bit windows; per window,
-/// every base is multiplied into the bucket its digit names (one
-/// product, none for a zero digit) and the buckets are folded as
-/// `Π_d B_d^d` by two running products (≤ 2 · 2^c); the windows are
-/// then joined top first by `c` squarings each. Per base that is about
-/// one product per window, against ≈ one squaring per exponent bit for
-/// a separate exponentiation. `c` minimizes
-/// `windows · (bases + 2^(c+1))`, so it grows with the batch. The
+/// `Π bases[i]^exps[i] mod p` for bases below `p`, by Pippenger's
+/// bucket method: the exponents are cut into `c`-bit windows; per
+/// window, every base is multiplied into the bucket its digit names and
+/// the buckets are folded as `Π_d B_d^d` by two running products
+/// (≤ 2 · 2^c); the windows are then joined top first by `c` squarings
+/// each. Per base that is about one product per window, against ≈ one
+/// squaring per exponent bit for a separate exponentiation. The
 /// windows are independent and run on up to `threads` threads; the
-/// result is the same at every thread count.
-pub(crate) fn multi_exp(gp: &GroupParams, bases: &[Mont], exps: &[U256], threads: usize) -> Mont {
+/// result is the same at every thread count, and on either path.
+///
+/// On a CPU with AVX-512F and AVX-512 IFMA the windows go sixteen to a
+/// lane-kernel call, one per lane ([`lane_multi_exp`]), at
+/// [`LANE_WIDTH_64`] bits for exponents up to 64 bits and
+/// [`LANE_WIDTH_WIDE`] past that; elsewhere each window is a scalar
+/// fold ([`scalar_multi_exp`]).
+pub(crate) fn multi_exp(gp: &GroupParams, bases: &[U256], exps: &[U256], threads: usize) -> U256 {
+    let bits = exps.iter().map(U256::bits).max().unwrap_or(0);
+    let width = if bits <= 64 {
+        LANE_WIDTH_64
+    } else {
+        LANE_WIDTH_WIDE
+    };
+    lane_multi_exp(gp, bases, exps, width, threads)
+        .unwrap_or_else(|| scalar_multi_exp(gp, bases, exps, threads))
+}
+
+/// Bucket-method window width on the lanes for exponents up to 64 bits
+/// (the batch weights): 16 windows, one lane-kernel call.
+const LANE_WIDTH_64: u32 = 4;
+/// Bucket-method window width on the lanes for wider exponents: 32
+/// windows of a 256-bit exponent, two lane-kernel calls.
+const LANE_WIDTH_WIDE: u32 = 8;
+
+/// [`multi_exp`] on the lane kernel, `width`-bit windows, sixteen per
+/// call ([`lanes::bucket_batch`]) and the calls spread over `threads`
+/// threads; `None` when this CPU lacks AVX-512F or AVX-512 IFMA.
+fn lane_multi_exp(
+    gp: &GroupParams,
+    bases: &[U256],
+    exps: &[U256],
+    width: u32,
+    threads: usize,
+) -> Option<U256> {
+    let p = gp.p_modulus();
+    let k = Radix::new(p);
+    let bits = exps.iter().map(U256::bits).max().unwrap_or(0);
+    let windows = bits.div_ceil(width);
+    let calls = par_map_indexed(windows.div_ceil(BATCH as u32) as usize, threads, |call| {
+        let first = call as u32 * BATCH as u32;
+        let range = first..windows.min(first + BATCH as u32);
+        let out = lanes::bucket_batch(&k, bases, exps, width, range.clone())?;
+        Some(
+            out[..range.len()]
+                .iter()
+                .map(|w| Some(p.mont_in(w)))
+                .collect::<Vec<_>>(),
+        )
+    });
+    let windows: Vec<Option<Mont>> = calls.into_iter().collect::<Option<Vec<_>>>()?.concat();
+    Some(join_windows(gp, &windows, width))
+}
+
+/// [`multi_exp`] in scalar code: `c` minimizes
+/// `windows · (bases + 2^(c+1))`, so it grows with the batch, and a
+/// zero digit or an empty bucket costs no product.
+fn scalar_multi_exp(gp: &GroupParams, bases: &[U256], exps: &[U256], threads: usize) -> U256 {
     let p = gp.p_modulus();
     let bits = exps.iter().map(U256::bits).max().unwrap_or(0);
     let c = (1..=16)
         .min_by_key(|&c: &u32| bits.div_ceil(c) as usize * (bases.len() + (2 << c)))
         .unwrap_or(1);
+    let mont: Vec<Mont> = bases.iter().map(|b| p.mont_in(b)).collect();
     let mul = |acc: Option<Mont>, x: &Mont| match acc {
         None => *x,
         Some(a) => p.mont_mul(&a, x),
     };
     let windows = par_map_indexed(bits.div_ceil(c) as usize, threads, |w| {
         let mut buckets: Vec<Option<Mont>> = vec![None; (1 << c) - 1];
-        for (base, e) in bases.iter().zip(exps) {
+        for (base, e) in mont.iter().zip(exps) {
             let d = digit(e, w as u32 * c, c);
             if d != 0 {
                 buckets[d - 1] = Some(mul(buckets[d - 1], base));
@@ -344,6 +399,13 @@ pub(crate) fn multi_exp(gp: &GroupParams, bases: &[Mont], exps: &[U256], threads
         }
         total
     });
+    join_windows(gp, &windows, c)
+}
+
+/// `Π_w windows[w]^(2^(c·w))` as a plain residue, top window first: `c`
+/// squarings per window below the top, a product per window present.
+fn join_windows(gp: &GroupParams, windows: &[Option<Mont>], c: u32) -> U256 {
+    let p = gp.p_modulus();
     let mut acc: Option<Mont> = None;
     for window in windows.iter().rev() {
         if let Some(a) = acc.as_mut() {
@@ -352,10 +414,13 @@ pub(crate) fn multi_exp(gp: &GroupParams, bases: &[Mont], exps: &[U256], threads
             }
         }
         if let Some(x) = window {
-            acc = Some(mul(acc, x));
+            acc = Some(match acc {
+                None => *x,
+                Some(a) => p.mont_mul(&a, x),
+            });
         }
     }
-    acc.unwrap_or_else(|| p.mont_one())
+    p.mont_out(&acc.unwrap_or_else(|| p.mont_one()))
 }
 
 /// `batch(range)` for the consecutive ranges of at most [`BATCH`]
@@ -493,7 +558,6 @@ mod tests {
     #[test]
     fn multi_exp_matches_separate_powers() {
         let gp = GroupParams::default_params();
-        let p = gp.p_modulus();
         let mut rng = StdRng::seed_from_u64(4);
         for (n, short) in [(0, false), (1, false), (3, true), (40, false), (300, true)] {
             let bases: Vec<GroupElement> = (0..n).map(|_| gp.random_element(&mut rng)).collect();
@@ -511,9 +575,9 @@ mod tests {
             let expect = bases.iter().zip(&exps).fold(gp.identity(), |acc, (b, e)| {
                 gp.mul(&acc, &gp.pow(b, &Scalar(*e)))
             });
-            let mont: Vec<Mont> = bases.iter().map(|b| p.mont_in(&b.0)).collect();
+            let plain: Vec<U256> = bases.iter().map(|b| b.0).collect();
             for threads in [1, 2, 5] {
-                let got = p.mont_out(&multi_exp(&gp, &mont, &exps, threads));
+                let got = multi_exp(&gp, &plain, &exps, threads);
                 assert_eq!(got, expect.0, "n = {n}, threads = {threads}");
             }
         }
@@ -543,7 +607,6 @@ mod tests {
     #[test]
     fn multi_exp_matches_separate_powers_on_edges() {
         let gp = GroupParams::default_params();
-        let p = gp.p_modulus();
         let mut rng = StdRng::seed_from_u64(5);
         for n in [0, 1, 15, 16, 17, 300] {
             let bases: Vec<GroupElement> = (0..n).map(|_| gp.random_element(&mut rng)).collect();
@@ -551,10 +614,44 @@ mod tests {
             let expect = bases.iter().zip(&exps).fold(gp.identity(), |acc, (b, e)| {
                 gp.mul(&acc, &gp.pow(b, &Scalar(*e)))
             });
-            let mont: Vec<Mont> = bases.iter().map(|b| p.mont_in(&b.0)).collect();
+            let plain: Vec<U256> = bases.iter().map(|b| b.0).collect();
             for threads in [1, 2, 5] {
-                let got = p.mont_out(&multi_exp(&gp, &mont, &exps, threads));
+                let got = multi_exp(&gp, &plain, &exps, threads);
                 assert_eq!(got, expect.0, "n = {n}, threads = {threads}");
+            }
+        }
+    }
+
+    /// The lane path against the scalar one: the shipped widths through
+    /// [`multi_exp`], for 256-bit and 64-bit exponents, and every width
+    /// 1 to 8 up to 17 bases, on 1, 2 and 5 threads.
+    #[test]
+    fn lane_multi_exp_matches_scalar_multi_exp() {
+        let gp = GroupParams::default_params();
+        let mut rng = StdRng::seed_from_u64(6);
+        let here = lane_multi_exp(&gp, &[U256::ONE], &[U256::ONE], 4, 1).is_some();
+        for n in [0, 1, 15, 16, 17, 300] {
+            let bases: Vec<U256> = (0..n).map(|_| gp.random_element(&mut rng).0).collect();
+            let wide = edge_exps(&gp, n, &mut rng);
+            let short: Vec<U256> = wide.iter().map(|e| U256::from_u64(e.0[0])).collect();
+            for exps in [wide, short] {
+                let expect = scalar_multi_exp(&gp, &bases, &exps, 1);
+                let widths: &[u32] = if n <= 17 {
+                    &[1, 2, 3, 4, 5, 6, 7, 8]
+                } else {
+                    &[]
+                };
+                for threads in [1, 2, 5] {
+                    assert_eq!(scalar_multi_exp(&gp, &bases, &exps, threads), expect);
+                    assert_eq!(multi_exp(&gp, &bases, &exps, threads), expect, "n = {n}");
+                    for &width in widths {
+                        let got = lane_multi_exp(&gp, &bases, &exps, width, threads);
+                        assert_eq!(got.is_some(), here);
+                        if let Some(got) = got {
+                            assert_eq!(got, expect, "n = {n}, width {width}, {threads} threads");
+                        }
+                    }
+                }
             }
         }
     }

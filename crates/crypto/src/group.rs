@@ -16,8 +16,13 @@
 //! `(x/p) == 1` accept exactly the same `x`, and
 //! [`GroupParams::is_element`] evaluates the symbol with the binary
 //! Jacobi algorithm ([`crate::modarith::jacobi`]: shifts and
-//! subtractions, no exponentiation). The `x^q` form is kept as the test
-//! oracle.
+//! subtractions, no exponentiation, ≈ 1.65 µs on a 2.1 GHz Xeon where
+//! `x^q` by [`Modulus::pow`] takes ≈ 7.9 µs). The `x^q` form is kept as
+//! the test oracle, and it is also what a batch of proof checks uses on
+//! a CPU with AVX-512 IFMA: sixteen values' `x^q` in one shared-exponent
+//! lane batch cost ≈ 1.08 µs a value (`crate::lanes`), so
+//! [`crate::zkp::DleqProof::verify_batch`] tests its elements that way
+//! and keeps the Jacobi symbol for CPUs without the lanes.
 //!
 //! # The generator's table
 //!
@@ -255,6 +260,24 @@ impl GroupParams {
         !x.0.is_zero() && x.0 < *self.p.modulus() && jacobi(&x.0, self.p.modulus()) == 1
     }
 
+    /// [`Self::is_element`] of up to [`BATCH`] values (entries past
+    /// `xs.len()` are `false`). On a CPU with AVX-512F and AVX-512 IFMA
+    /// by the subgroup's definition, [`Self::is_element_by_order`]'s
+    /// `0 < x < p` and `x^q == 1`, the powers one shared-exponent lane
+    /// batch ([`lanes::pow_batch`]); elsewhere a Jacobi symbol per value.
+    pub(crate) fn are_elements(&self, k: &Radix, xs: &[U256]) -> [bool; BATCH] {
+        let in_range = |x: &U256| !x.is_zero() && x < self.p.modulus();
+        match lanes::pow_batch(k, xs, self.q.modulus()) {
+            Some(powers) => {
+                std::array::from_fn(|i| i < xs.len() && in_range(&xs[i]) && powers[i] == U256::ONE)
+            }
+            None => std::array::from_fn(|i| {
+                xs.get(i)
+                    .is_some_and(|x| self.is_element(&GroupElement(*x)))
+            }),
+        }
+    }
+
     /// Membership by the subgroup's definition, `x^q == 1`: the
     /// exponentiation [`Self::is_element`] avoids, kept as its oracle.
     #[cfg(test)]
@@ -358,6 +381,7 @@ impl Scalar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modarith::ops;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -479,6 +503,63 @@ mod tests {
             }
         }
         assert!(members > 4_000 && others > 4_000, "{members} / {others}");
+    }
+
+    /// The batch membership against the order test, every edge in every
+    /// lane of batches of every length: zero, one, `p − 1` (order 2),
+    /// `p`, `p + 1`, `p + g` (`g` mod `p`), all ones, `g`, members and
+    /// non-members.
+    #[test]
+    fn batch_membership_matches_the_order_test_in_every_lane() {
+        let gp = params();
+        let k = Radix::new(&gp.p);
+        let p = *gp.p();
+        let mut rng = StdRng::seed_from_u64(52);
+        let mut values = vec![
+            U256::ZERO,
+            U256::ONE,
+            p.wrapping_sub(&U256::ONE),
+            p,
+            p.wrapping_add(&U256::ONE),
+            p.wrapping_add(&gp.generator().0),
+            U256::MAX,
+            gp.generator().0,
+        ];
+        values.extend((0..24).map(|_| gp.p.sample(&mut rng)));
+        for shift in 0..BATCH {
+            for n in [shift + 1, BATCH] {
+                let xs: Vec<U256> = (0..n).map(|i| values[(i + shift) % values.len()]).collect();
+                let got = gp.are_elements(&k, &xs);
+                for (i, x) in xs.iter().enumerate() {
+                    let x = GroupElement(*x);
+                    assert_eq!(
+                        got[i],
+                        gp.is_element_by_order(&x),
+                        "{x:?} in lane {i} of {n}"
+                    );
+                }
+                assert!(got[n..].iter().all(|member| !member), "padding");
+            }
+        }
+        assert_eq!(gp.are_elements(&k, &[]), [false; BATCH]);
+    }
+
+    /// On the lanes, a membership batch costs `x^q`'s [`Modulus::pow`]
+    /// calls per lane, padding included; the Jacobi symbols make none.
+    #[test]
+    fn batch_membership_kernel_calls_are_pinned() {
+        let gp = params();
+        let k = Radix::new(&gp.p);
+        let lanes = lanes::pow_batch(&k, &[], &U256::ONE).is_some();
+        let pow_q = ops::count(|| gp.p.pow(&U256::from_u64(2), gp.q())).1;
+        // q: 63 windows below the top one, 59 of them nonzero.
+        assert_eq!(pow_q, 15 + 252 + 59 + 1);
+        let xs = vec![gp.generator().0; BATCH];
+        for (n, padded) in [(0, 8), (1, 8), (8, 8), (9, 16), (16, 16)] {
+            let (members, calls) = ops::count(|| gp.are_elements(&k, &xs[..n]));
+            assert!(members[..n].iter().all(|m| *m));
+            assert_eq!(calls, if lanes { padded * pow_q } else { 0 }, "n = {n}");
+        }
     }
 
     proptest::proptest! {

@@ -4,7 +4,9 @@
 //! suit lock-step SIMD: every lane can follow the same control flow.
 //! [`pow_batch`], [`pow_each_batch`] and [`fixed_pow_mul_batch`] each
 //! run up to sixteen of them at once, one per 64-bit lane of a 512-bit
-//! register, in two independent chains of eight lanes.
+//! register, in two independent chains of eight lanes. Verifying the
+//! hop's proofs adds a fourth kind, a product of many powers, and
+//! [`bucket_batch`] runs sixteen of its windows at once.
 //!
 //! # Same-exponent batches
 //!
@@ -55,6 +57,27 @@
 //! exponent, which the scalar path answers with the operand untouched,
 //! comes out reduced (the caller hands such lanes their operand back).
 //!
+//! # Buckets
+//!
+//! A batch of Chaum–Pedersen proofs is checked by products of many
+//! distinct bases, each to its own exponent
+//! ([`crate::zkp::DleqProof::verify_batch`]), which Pippenger's bucket
+//! method computes window by window ([`crate::batch`]'s `multi_exp`).
+//! [`bucket_batch`] gives each lane one window. Every base is put into
+//! the lane radix once (one product per `C · 8` bases, `C` chains) and
+//! broadcast to every lane; each lane gathers its own bucket by its own
+//! digit of that base's exponent, as the per-lane-exponent kernel
+//! gathers window entries, multiplies it by the base and stores it
+//! back. Digit 0 has a bucket too, a dummy that is never read, so every
+//! lane makes exactly one product per base whatever the digits. Then
+//! each lane folds its buckets into `Π_d B_d^d` by two running products
+//! (`2 · (2^width − 2)` products), leaves Montgomery form, and the
+//! caller joins the windows by squarings in scalar code. The buckets,
+//! `2^width` per lane and all the Montgomery one to start, are one
+//! allocation per call (160 KiB at 8-bit windows, 10 KiB at 4). That
+//! is exactly `⌈n / (C · 8)⌉ + n + 2^(width+1) − 3` lane products per
+//! lane for `n` bases.
+//!
 //! # The lane product
 //!
 //! A residue is five 52-bit digits, and the eight lanes are
@@ -79,7 +102,8 @@
 //!
 //! Per lane, exactly [`Modulus::pow`]'s kernel calls (≤ 331 for a
 //! 256-bit exponent) for a same-exponent batch, exactly 331 for a
-//! per-lane-exponent batch, and exactly 33 for a fixed-base batch. The
+//! per-lane-exponent batch, exactly 33 for a fixed-base batch, and for
+//! a bucket call the count above (module section "Buckets"). The
 //! op counter of the unit tests ticks once per lane per product, a
 //! short batch's padding included (up to eight lanes take one chain,
 //! more take two), so counts stay comparable with the scalar kernel. A
@@ -89,11 +113,21 @@
 //! a full per-lane-exponent batch about a fifth more than that (the
 //! gathers and the zero windows it does not skip), a full fixed-base
 //! batch at about a quarter of the scalar cost (≈ 0.25 µs against
-//! 1.05–1.6 µs per power).
+//! 1.05–1.6 µs per power). A full batch of `x^q` membership tests costs
+//! ≈ 1.08 µs a value against ≈ 1.65 µs for a Jacobi symbol. The bucket
+//! kernel spends most of a step on its gathers and stores, about 13 ns
+//! per base per window (lane) on one thread: a 256-bit product over
+//! 1 792 bases (8-bit windows, two calls) in ≈ 0.7–0.9 ms against
+//! ≈ 2.2–3.1 ms for the scalar folds, a 64-bit one over 896 bases
+//! (4-bit windows, one call) in ≈ 0.16–0.19 ms against ≈ 0.3–0.5 ms.
+//! Those widths are a measured sweep (CHANGES.md): 5, 6 and 7 bits took
+//! a third call or longer folds for 256-bit exponents, and for 64-bit
+//! ones 4 to 8 bits timed within noise of each other, 4 with the
+//! smallest bucket table.
 //!
 //! Like the rest of the crate this is not constant-time: the
 //! same-exponent schedule branches on the (shared) exponent, and the
-//! per-lane and fixed-base loads index by each lane's digits.
+//! per-lane, fixed-base and bucket loads index by each lane's digits.
 //!
 //! # `unsafe`
 //!
@@ -112,6 +146,7 @@
 use crate::batch::{digit, ENTRIES, WIDTH, WINDOWS};
 use crate::modarith::{Modulus, Mont};
 use crate::u256::U256;
+use std::ops::Range;
 
 /// Lanes per register: eight 64-bit lanes of 512 bits.
 pub(crate) const LANES: usize = 8;
@@ -212,6 +247,14 @@ enum Job<'a> {
         exps: &'a [U256; BATCH],
         ops: &'a [U256; BATCH],
     },
+    /// Window `first + i`, `width` bits wide, of the bucket method over
+    /// `Π bases[j]^exps[j]`.
+    Buckets {
+        bases: &'a [U256],
+        exps: &'a [U256],
+        width: u32,
+        first: u32,
+    },
 }
 
 /// Runs `job` on the lane kernel, over one chain for up to eight
@@ -226,7 +269,7 @@ fn run(k: &Radix, job: Job<'_>, lanes: usize) -> Option<[U256; BATCH]> {
         // SAFETY: `ifma::run` is safe code compiled for avx512f and
         // avx512ifma; running it is sound exactly when this CPU has both
         // features, which the detection just above established.
-        unsafe { ifma::run(k, &job, lanes > LANES, &mut out) };
+        unsafe { ifma::run(k, &job, lanes, &mut out) };
         return Some(out.map(|d| k.reduce(&d)));
     }
     let _ = (k, job, lanes); // read only by the x86-64 kernels
@@ -300,6 +343,37 @@ pub(crate) fn fixed_pow_mul_batch(
     )
 }
 
+/// Windows `windows` of the bucket method over `Π bases[j]^exps[j]`,
+/// `width` bits each, one per lane: lane `i` holds `Π_d B_d^d` for
+/// window `windows.start + i`, where `B_d` is the product of the bases
+/// whose exponent has digit `d` there (1 for a window with no nonzero
+/// digit), the value [`crate::batch`]'s scalar bucket fold gives
+/// (entries past `windows.len()` are padding). At most [`BATCH`]
+/// windows of at most 8 bits, inside 256 bits. `None` when this CPU
+/// lacks AVX-512F or AVX-512 IFMA.
+pub(crate) fn bucket_batch(
+    k: &Radix,
+    bases: &[U256],
+    exps: &[U256],
+    width: u32,
+    windows: Range<u32>,
+) -> Option<[U256; BATCH]> {
+    assert_eq!(bases.len(), exps.len(), "one exponent per base");
+    assert!(
+        (1..=8).contains(&width)
+            && windows.len() <= BATCH
+            && windows.end <= 256_u32.div_ceil(width),
+        "at most {BATCH} windows of at most 8 bits per kernel call"
+    );
+    let job = Job::Buckets {
+        bases,
+        exps,
+        width,
+        first: windows.start,
+    };
+    run(k, job, windows.len())
+}
+
 #[cfg(target_arch = "x86_64")]
 mod ifma {
     use super::{digit, to_digits, Job, Radix, BATCH, ENTRIES, LANES, MASK, WIDTH};
@@ -311,6 +385,7 @@ mod ifma {
         _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512, _mm512_slli_epi64,
         _mm512_srli_epi64,
     };
+    use std::ops::Range;
 
     /// Eight residues, digit-sliced: register `j` holds digit `j` of
     /// every lane.
@@ -319,9 +394,11 @@ mod ifma {
     /// 4-bit windows of a 256-bit exponent.
     const EXP_WINDOWS: u32 = 256 / WINDOW_BITS;
 
-    /// `job` over one chain (`two` false: the first eight lanes) or two.
+    /// `job` over one chain (`two` false: the first eight lanes) or two;
+    /// `lanes` of them carry work.
     #[target_feature(enable = "avx512f,avx512ifma")]
-    pub(super) fn run(k: &Radix, job: &Job<'_>, two: bool, out: &mut [[u64; 5]; BATCH]) {
+    pub(super) fn run(k: &Radix, job: &Job<'_>, lanes: usize, out: &mut [[u64; 5]; BATCH]) {
+        let two = lanes > LANES;
         match (job, two) {
             (Job::Pow { bases, e }, false) => pow::<1>(k, &bases[..], e, out),
             (Job::Pow { bases, e }, true) => pow::<2>(k, &bases[..], e, out),
@@ -333,6 +410,24 @@ mod ifma {
             (Job::FixedPowMul { rows, exps, ops }, true) => {
                 fixed_pow_mul::<2>(k, rows, &exps[..], &ops[..], out)
             }
+            (
+                &Job::Buckets {
+                    bases,
+                    exps,
+                    width,
+                    first,
+                },
+                false,
+            ) => buckets::<1>(k, bases, exps, width, first..first + lanes as u32, out),
+            (
+                &Job::Buckets {
+                    bases,
+                    exps,
+                    width,
+                    first,
+                },
+                true,
+            ) => buckets::<2>(k, bases, exps, width, first..first + lanes as u32, out),
         }
     }
 
@@ -557,6 +652,75 @@ mod ifma {
         }
         let acc = montmul(&acc, &[splat(&[1, 0, 0, 0, 0]); C], &m, k0);
         for (c, x) in acc.iter().enumerate() {
+            store(x, &mut out[c * LANES..]);
+        }
+    }
+
+    /// Windows `windows` of the bucket method, one per lane of `C · 8`
+    /// (module docs): every base into lane radix, `C · 8` at a time, and
+    /// into every lane's bucket for its digit in that lane's window
+    /// (digit 0's bucket is the dummy), then each lane's running-product
+    /// fold, into `out` as digits of a value at most `m`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn buckets<const C: usize>(
+        k: &Radix,
+        bases: &[U256],
+        exps: &[U256],
+        width: u32,
+        windows: Range<u32>,
+        out: &mut [[u64; 5]],
+    ) {
+        let (m, k0) = (splat(&k.digits), _mm512_set1_epi64(k.k0 as i64));
+        // buckets[d][l]: lane l's bucket for digit d, the Montgomery one
+        // until a base lands in it.
+        let mut buckets = vec![[k.one; BATCH]; 1 << width];
+        // Each lane's bit offset; padding lanes take digit 0 throughout.
+        let pos: [Option<u32>; BATCH] = std::array::from_fn(|l| {
+            let w = windows.start + l as u32;
+            windows.contains(&w).then_some(w * width)
+        });
+        let rr = [splat(&k.rr); C];
+        for (bases, exps) in bases.chunks(C * LANES).zip(exps.chunks(C * LANES)) {
+            let mut padded = [U256::ZERO; BATCH];
+            padded[..bases.len()].copy_from_slice(bases);
+            let x: [Lanes; C] = std::array::from_fn(|c| load(&padded[c * LANES..]));
+            let mut radix = [[0u64; 5]; BATCH];
+            for (c, x) in montmul(&x, &rr, &m, k0).iter().enumerate() {
+                store(x, &mut radix[c * LANES..]);
+            }
+            for (base, e) in radix.iter().zip(exps) {
+                let d: [usize; BATCH] =
+                    std::array::from_fn(|l| pos[l].map_or(0, |at| digit(e, at, width)));
+                let bucket: [Lanes; C] = std::array::from_fn(|c| {
+                    gather(std::array::from_fn(|i| {
+                        let l = c * LANES + i;
+                        &buckets[d[l]][l]
+                    }))
+                });
+                let product = montmul(&bucket, &[splat(base); C], &m, k0);
+                let mut spill = [[0u64; 5]; BATCH];
+                for (c, x) in product.iter().enumerate() {
+                    store(x, &mut spill[c * LANES..]);
+                }
+                for l in 0..C * LANES {
+                    buckets[d[l]][l] = spill[l];
+                }
+            }
+        }
+        // running = Π_{d' ≥ d} B_d', and the product of the runnings
+        // over d is Π_d B_d^d.
+        let bucket = |d: usize| -> [Lanes; C] {
+            std::array::from_fn(|c| gather(std::array::from_fn(|i| &buckets[d][c * LANES + i])))
+        };
+        let top = (1 << width) - 1;
+        let mut running = bucket(top);
+        let mut total = running;
+        for d in (1..top).rev() {
+            running = montmul(&running, &bucket(d), &m, k0);
+            total = montmul(&total, &running, &m, k0);
+        }
+        let total = montmul(&total, &[splat(&[1, 0, 0, 0, 0]); C], &m, k0);
+        for (c, x) in total.iter().enumerate() {
             store(x, &mut out[c * LANES..]);
         }
     }
@@ -1056,6 +1220,135 @@ mod tests {
             g_calls(BATCH, Scalar::ZERO),
             if lanes { BATCH as u64 * FIXED } else { 0 }
         );
+    }
+
+    /// Each window's `Π_j bases[j]^d_j`, `d_j` the exponent's digit
+    /// there: the bucket kernel's contract.
+    fn scalar_windows(
+        m: &Modulus,
+        bases: &[U256],
+        exps: &[U256],
+        width: u32,
+        windows: Range<u32>,
+    ) -> Vec<U256> {
+        let one = m.reduce(&U256::ONE);
+        windows
+            .map(|w| {
+                bases.iter().zip(exps).fold(one, |acc, (b, e)| {
+                    let d = U256::from_u64(digit(e, w * width, width) as u64);
+                    m.mul(&acc, &m.pow(&m.reduce(b), &d))
+                })
+            })
+            .collect()
+    }
+
+    /// Exponents for the bucket kernel: 0, 1, `q − 1`, all ones, a run
+    /// of one word whose bytes are all equal (each base of the run lands
+    /// in the same bucket of every lane, step after step), and random
+    /// words.
+    fn bucket_exps(n: usize, rng: &mut StdRng) -> Vec<U256> {
+        let q = U256::from_hex(crate::group::Q_HEX).unwrap();
+        (0..n)
+            .map(|i| match i % 8 {
+                0 => U256::ZERO,
+                1 => U256::ONE,
+                2 => q.wrapping_sub(&U256::ONE),
+                3 => U256::MAX,
+                4..=6 => U256([0x5a5a_5a5a_5a5a_5a5a; 4]),
+                _ => U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()]),
+            })
+            .collect()
+    }
+
+    /// Every window width, every window of a 256-bit exponent sixteen
+    /// to a call (a short last call takes one chain where it fits), and
+    /// windows 3 to 7 on one chain, over 0 to 17 bases on four moduli,
+    /// and 300 bases on `p` at the shipped widths.
+    #[test]
+    fn bucket_lanes_match_the_per_window_products() {
+        if !lanes_here() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(47);
+        let mut cases = 0;
+        for (i, m) in moduli().iter().enumerate() {
+            let k = Radix::new(m);
+            for n in [0, 1, 15, 16, 17, 300] {
+                let bases: Vec<U256> = (0..n)
+                    .map(|j| match j % 4 {
+                        0 => m.modulus().wrapping_sub(&U256::ONE),
+                        1 => U256([rng.gen(), rng.gen(), rng.gen(), rng.gen()]),
+                        _ => m.sample(&mut rng),
+                    })
+                    .collect();
+                let exps = bucket_exps(n, &mut rng);
+                let widths: &[u32] = match (i, n) {
+                    (0, 300) => &[4, 8],
+                    (_, 300) => &[],
+                    _ => &[1, 2, 3, 4, 5, 6, 7, 8],
+                };
+                for &width in widths {
+                    let all = 256_u32.div_ceil(width);
+                    let mut ranges: Vec<Range<u32>> = (0..all)
+                        .step_by(BATCH)
+                        .map(|w| w..all.min(w + BATCH as u32))
+                        .collect();
+                    ranges.push(3..8);
+                    for windows in ranges {
+                        let got = bucket_batch(&k, &bases, &exps, width, windows.clone()).unwrap();
+                        let expect = scalar_windows(m, &bases, &exps, width, windows.clone());
+                        assert_eq!(
+                            got[..windows.len()],
+                            expect,
+                            "n = {n}, width {width}, windows {windows:?} mod {}",
+                            m.modulus()
+                        );
+                        cases += windows.len();
+                    }
+                }
+            }
+        }
+        println!("{cases} bucket-kernel windows equal to their per-window products");
+    }
+
+    /// Per call, exactly `C · 8` lane products (`C` chains) for each of:
+    /// the bases into lane radix (`C · 8` a call), one bucket product per
+    /// base, the fold's `2 · (2^width − 2)` and one out of Montgomery
+    /// form, whatever the digits: zero exponents cost the same.
+    #[test]
+    fn bucket_kernel_calls_are_pinned() {
+        let p = &moduli()[0];
+        let k = Radix::new(p);
+        let mut rng = StdRng::seed_from_u64(48);
+        let bases: Vec<U256> = (0..40).map(|_| p.sample(&mut rng)).collect();
+        let lanes = lanes_here();
+        for exps in [
+            (0..40).map(|_| p.sample(&mut rng)).collect(),
+            vec![U256::ZERO; 40],
+        ] {
+            for width in [1, 4, 8] {
+                for (n, windows) in [
+                    (0, 0..16),
+                    (1, 0..16),
+                    (17, 0..8),
+                    (17, 3..12),
+                    (40, 16..32),
+                ] {
+                    let (out, calls) = ops::count(|| {
+                        bucket_batch(&k, &bases[..n], &exps[..n], width, windows.clone())
+                    });
+                    assert_eq!(out.is_some(), lanes);
+                    let lanes_per_product = if windows.len() > LANES { BATCH } else { LANES };
+                    let products = n.div_ceil(lanes_per_product) + n + (2 << width) - 4 + 1;
+                    let expect = if lanes {
+                        (lanes_per_product * products) as u64
+                    } else {
+                        0
+                    };
+                    assert_eq!(calls, expect, "n = {n}, width {width}, {windows:?}");
+                }
+            }
+        }
     }
 
     proptest! {

@@ -30,7 +30,8 @@
 //! | [`Modulus::pow_pair`] | ≤ 458 for both powers: 1 in + 192 squarings + 11 table, then per exponent 63 squarings + ≤ 63 products + 1 out |
 //! | [`crate::batch::FixedBasePowers::pow`] | ≤ 32: ≤ 31 products + 1 out |
 //! | [`crate::batch::FixedBasePowers::new`] | 8 160: 1 in + 32 rows × 254 products + 31 row steps |
-//! | [`crate::zkp::DleqProof::verify_batch`] | ≤ 116 per proof at 512 proofs (≤ 538 per proof checked alone with a table for `y`) |
+//! | [`crate::zkp::DleqProof::verify_batch`] | on AVX-512 IFMA, exactly per proof: 4 × 327 lane products for membership (`x^q` of `a`, `d`, `t1`, `t2`, a short batch padding to 8 or 16 lanes), 4 for the weighted exponents, and the three bucket calls, joins and `g^Σ · y^Σ` (≈ 136 per proof at 516 proofs); ≤ 116 per proof at 512 proofs elsewhere (≤ 538 per proof checked alone with a table for `y`) |
+//! | bucket lane batch (`Buckets` in `crate::lanes`) | per lane of `C` chains over `n` bases: exactly `⌈n / 8C⌉` into lane radix + `n` bucket products + `2 · (2^width − 2)` for the fold + 1 out |
 //! | [`crate::group::GroupParams::pow_all`] | ≤ 331 per base, as [`Modulus::pow`]: on AVX-512 IFMA, 8 or 16 lanes per lane-kernel product, counted once per lane (a short batch pays for its padding) |
 //! | per-lane-exponent lane batch (`PowEach` in `crate::lanes`) | exactly 331 per lane on AVX-512 IFMA: 1 in + 14 table + 64 windows' 63 · (4 squarings + 1 gathered product) + 1 out, padding included |
 //! | [`crate::zkp::DleqProof::raise_and_prove_all`] | per proof on AVX-512 IFMA: `a^x` as `pow_all` (≤ 331), 331 for the commitment `a^w` (`PowEach`), 33 for `g^w` through the generator's table, 2 for the response; ≤ 458 + 32 elsewhere, as `DleqProof::raise_and_prove` |
@@ -487,8 +488,10 @@ fn double_mod(a: &U256, m: &U256) -> U256 {
 /// `≡ 3 mod 4`), and replace `a` by `a - n`, which leaves the symbol
 /// unchanged and makes `a` even again — about 1.4 steps per input bit.
 /// The loop runs on bare limbs, and hands over to `u128` arithmetic
-/// once both values fit (about half the steps): ≈ 1.4 µs for 256-bit
-/// inputs against ≈ 7 µs for the exponentiation.
+/// once both values fit (about half the steps): ≈ 1.65 µs for 256-bit
+/// inputs on a 2.1 GHz Xeon, against ≈ 7.9 µs for the exponentiation
+/// (and ≈ 1.08 µs a value for the exponentiation sixteen at a time on
+/// the AVX-512 IFMA lanes, which batched proof checks use instead).
 pub fn jacobi(a: &U256, n: &U256) -> i8 {
     assert!(n.is_odd(), "the Jacobi symbol needs an odd modulus");
     let (mut a, mut n) = (a.0, n.0);
