@@ -16,7 +16,8 @@
 //! challenge per proof, then two weighted products for the whole
 //! message), and checks the shuffle argument's openings against the
 //! joint key's fixed-base tables (256 KiB, beside the process-wide
-//! generator table; none when proofs are off), sixteen cells of a
+//! generator table; built once per round, at the first verified hop,
+//! and none when proofs are off), sixteen cells of a
 //! round per lane-kernel batch, each compared with its target cell.
 //! Both run through [`pm_crypto::batch::par_map_indexed`] on the thread
 //! count the round's [`crate::cp::MixStrategy`] already gives the CPs.
@@ -38,7 +39,7 @@ use pm_net::party::{Node, NodeError, Step};
 use pm_net::transport::{Endpoint, Envelope, PartyId};
 use pm_net::Frame;
 use pm_obs::Recorder;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The raw outcome the TS publishes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,6 +74,9 @@ pub struct PscTsNode {
     phase: Phase,
     cp_keys: Vec<Option<GroupElement>>,
     joint_key: Option<GroupElement>,
+    /// The joint key's fixed-base tables: built at the round's first
+    /// verified hop, read by every hop after it.
+    joint_table: OnceLock<PrecomputedKey>,
     tables: Vec<Vec<Ciphertext>>,
     /// The input the TS handed to the CP currently mixing.
     mix_input: Vec<Ciphertext>,
@@ -109,6 +113,7 @@ impl PscTsNode {
             phase: Phase::AwaitCpKeys,
             cp_keys: vec![None; ncp],
             joint_key: None,
+            joint_table: OnceLock::new(),
             tables: Vec::new(),
             mix_input: Vec::new(),
             final_table: Vec::new(),
@@ -207,8 +212,10 @@ impl PscTsNode {
                 .ok_or_else(|| NodeError::Protocol("missing shuffle proof".into()))?;
             let mut shuffle_span = self.recorder.span("ts.verify_shuffle", "psc");
             shuffle_span.note("cells", msg.post_exp.len());
-            let joint = PrecomputedKey::new(gp, &joint);
-            if !proof.verify_with(gp, &joint, &msg.post_exp, &msg.output, self.threads) {
+            let joint = self
+                .joint_table
+                .get_or_init(|| PrecomputedKey::new(gp, &joint));
+            if !proof.verify_with(gp, joint, &msg.post_exp, &msg.output, self.threads) {
                 return Err(NodeError::Protocol("shuffle proof failed".into()));
             }
         }
