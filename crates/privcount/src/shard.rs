@@ -29,7 +29,7 @@ impl ShardCounters {
     }
 
     /// Folds one event through the schema's mapper.
-    pub fn ingest(&mut self, schema: &Schema, ev: &torsim::TorEvent) {
+    fn ingest(&mut self, schema: &Schema, ev: &torsim::TorEvent) {
         (schema.mapper)(ev, &mut |idx, delta| {
             self.counts[idx] += delta;
         });

@@ -88,7 +88,6 @@ impl AliasTable {
 #[derive(Clone, Debug)]
 pub struct ZipfSampler {
     table: AliasTable,
-    exponent: f64,
     n: usize,
 }
 
@@ -100,7 +99,6 @@ impl ZipfSampler {
         let weights: Vec<f64> = (1..=n).map(|r| (r as f64).powf(-s)).collect();
         ZipfSampler {
             table: AliasTable::new(&weights),
-            exponent: s,
             n,
         }
     }
@@ -115,11 +113,6 @@ impl ZipfSampler {
         self.table.sample(rng)
     }
 
-    /// The configured exponent.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
-    }
-
     /// Number of ranks.
     pub fn len(&self) -> usize {
         self.n
@@ -128,14 +121,6 @@ impl ZipfSampler {
     /// True if empty (cannot happen post-construction).
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// The normalized probability of rank `r` (1-based).
-    #[cfg(test)]
-    fn prob_of_rank(&self, r: usize) -> f64 {
-        assert!((1..=self.n).contains(&r));
-        let h: f64 = (1..=self.n).map(|k| (k as f64).powf(-self.exponent)).sum();
-        (r as f64).powf(-self.exponent) / h
     }
 }
 
@@ -202,6 +187,14 @@ mod tests {
         AliasTable::new(&[0.0, 0.0]);
     }
 
+    /// The normalized probability of rank `r` (1-based) of a Zipf
+    /// sampler over `n` ranks with exponent `s`.
+    fn prob_of_rank(n: usize, s: f64, r: usize) -> f64 {
+        assert!((1..=n).contains(&r));
+        let h: f64 = (1..=n).map(|k| (k as f64).powf(-s)).sum();
+        (r as f64).powf(-s) / h
+    }
+
     #[test]
     fn zipf_rank_frequencies() {
         let n = 1000;
@@ -220,7 +213,7 @@ mod tests {
         }
         let f1 = count_r1 as f64 / draws as f64;
         let f2 = count_r2 as f64 / draws as f64;
-        assert!((f1 - z.prob_of_rank(1)).abs() < 0.005);
+        assert!((f1 - prob_of_rank(n, s, 1)).abs() < 0.005);
         // Rank 1 is ~2x rank 2 at s=1.
         assert!((f1 / f2 - 2.0).abs() < 0.15, "ratio {}", f1 / f2);
     }
@@ -228,15 +221,18 @@ mod tests {
     #[test]
     fn zipf_exponent_steepness() {
         // Higher exponent concentrates more mass on rank 1.
-        let z1 = ZipfSampler::new(100, 0.8);
-        let z2 = ZipfSampler::new(100, 1.5);
-        assert!(z2.prob_of_rank(1) > z1.prob_of_rank(1));
+        let (z1, z2) = (ZipfSampler::new(100, 0.8), ZipfSampler::new(100, 1.5));
+        assert!(prob_of_rank(100, 1.5, 1) > prob_of_rank(100, 0.8, 1));
+        // And so do the samplers.
+        let mut rng = StdRng::seed_from_u64(5);
+        let ones =
+            |z: &ZipfSampler, rng: &mut StdRng| (0..20_000).filter(|_| z.sample(rng) == 1).count();
+        assert!(ones(&z2, &mut rng) > ones(&z1, &mut rng));
     }
 
     #[test]
     fn zipf_probs_sum_to_one() {
-        let z = ZipfSampler::new(50, 1.1);
-        let total: f64 = (1..=50).map(|r| z.prob_of_rank(r)).sum();
+        let total: f64 = (1..=50).map(|r| prob_of_rank(50, 1.1, r)).sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
 
