@@ -45,8 +45,10 @@ test-crates:
 # scheduling, so one lucky interleaving in the default run must not be
 # the only evidence. The TS tamper matrices join them: a batched proof
 # check must name the same cell as the per-proof scan at every
-# verification thread count, and the lane prover's batches must equal
-# the per-proof prover at every thread count. (The suites also run
+# verification thread count, the lane prover's batches must equal
+# the per-proof prover at every thread count, and the lane verifier's
+# batches must give the per-proof scan's verdict, non-members in every
+# lane included, at every thread count. (The suites also run
 # once each in the targets above; these reruns pin them under serial
 # and oversubscribed schedules.) The name filter is checked first: a
 # rename that leaves it matching nothing would otherwise pass by
@@ -63,6 +65,9 @@ test-transcript:
 	$(CARGO) test -q -p pm-crypto --lib -- --list raise_and_prove_all | grep -c ': test$$' > /dev/null
 	$(CARGO) test -q -p pm-crypto --lib raise_and_prove_all -- --test-threads=1
 	$(CARGO) test -q -p pm-crypto --lib raise_and_prove_all -- --test-threads=8
+	$(CARGO) test -q -p pm-crypto --lib -- --list verify_batch_ batch_rejects_ batch_names_ | grep -c ': test$$' > /dev/null
+	$(CARGO) test -q -p pm-crypto --lib -- verify_batch_ batch_rejects_ batch_names_ --test-threads=1
+	$(CARGO) test -q -p pm-crypto --lib -- verify_batch_ batch_rejects_ batch_names_ --test-threads=8
 
 # End-to-end smoke of the longitudinal campaign engine: the full
 # 17-day calendar (daily IP rounds, the confirmation repeat, the 96h
