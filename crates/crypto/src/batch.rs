@@ -555,34 +555,6 @@ mod tests {
         assert_eq!(plain, 32 + 331 + 2 + 2);
     }
 
-    #[test]
-    fn multi_exp_matches_separate_powers() {
-        let gp = GroupParams::default_params();
-        let mut rng = StdRng::seed_from_u64(4);
-        for (n, short) in [(0, false), (1, false), (3, true), (40, false), (300, true)] {
-            let bases: Vec<GroupElement> = (0..n).map(|_| gp.random_element(&mut rng)).collect();
-            let mut exps: Vec<U256> = (0..n)
-                .map(|i| match i % 5 {
-                    0 => U256::ZERO,
-                    1 => U256::MAX,
-                    _ if short => U256::from_u64(rand::Rng::gen(&mut rng)),
-                    _ => gp.random_scalar(&mut rng).0,
-                })
-                .collect();
-            if n == 3 {
-                exps = vec![U256::ZERO; 3];
-            }
-            let expect = bases.iter().zip(&exps).fold(gp.identity(), |acc, (b, e)| {
-                gp.mul(&acc, &gp.pow(b, &Scalar(*e)))
-            });
-            let plain: Vec<U256> = bases.iter().map(|b| b.0).collect();
-            for threads in [1, 2, 5] {
-                let got = multi_exp(&gp, &plain, &exps, threads);
-                assert_eq!(got, expect.0, "n = {n}, threads = {threads}");
-            }
-        }
-    }
-
     /// `n` bucket-method exponents: 0, 1, `q − 1` and all ones, and
     /// runs whose digits are equal in every window (each such base lands
     /// in one bucket per window, the same one for a whole run), 64-bit
@@ -602,22 +574,43 @@ mod tests {
             .collect()
     }
 
-    /// The edge exponents against separate powers, around the
+    /// Random and edge exponents against separate powers, around the
     /// sixteen-lane batch and at 300 bases.
     #[test]
-    fn multi_exp_matches_separate_powers_on_edges() {
+    fn multi_exp_matches_separate_powers() {
         let gp = GroupParams::default_params();
-        let mut rng = StdRng::seed_from_u64(5);
-        for n in [0, 1, 15, 16, 17, 300] {
+        let mut rng = StdRng::seed_from_u64(4);
+        for (n, short) in [
+            (0, false),
+            (1, false),
+            (3, true),
+            (15, false),
+            (16, true),
+            (17, false),
+            (40, false),
+            (300, true),
+        ] {
             let bases: Vec<GroupElement> = (0..n).map(|_| gp.random_element(&mut rng)).collect();
-            let exps = edge_exps(&gp, n, &mut rng);
-            let expect = bases.iter().zip(&exps).fold(gp.identity(), |acc, (b, e)| {
-                gp.mul(&acc, &gp.pow(b, &Scalar(*e)))
-            });
+            let mut exps: Vec<U256> = (0..n)
+                .map(|i| match i % 5 {
+                    0 => U256::ZERO,
+                    1 => U256::MAX,
+                    _ if short => U256::from_u64(rand::Rng::gen(&mut rng)),
+                    _ => gp.random_scalar(&mut rng).0,
+                })
+                .collect();
+            if n == 3 {
+                exps = vec![U256::ZERO; 3];
+            }
             let plain: Vec<U256> = bases.iter().map(|b| b.0).collect();
-            for threads in [1, 2, 5] {
-                let got = multi_exp(&gp, &plain, &exps, threads);
-                assert_eq!(got, expect.0, "n = {n}, threads = {threads}");
+            for exps in [exps, edge_exps(&gp, n, &mut rng)] {
+                let expect = bases.iter().zip(&exps).fold(gp.identity(), |acc, (b, e)| {
+                    gp.mul(&acc, &gp.pow(b, &Scalar(*e)))
+                });
+                for threads in [1, 2, 5] {
+                    let got = multi_exp(&gp, &plain, &exps, threads);
+                    assert_eq!(got, expect.0, "n = {n}, threads = {threads}");
+                }
             }
         }
     }
