@@ -224,7 +224,7 @@ impl DleqProof {
         let k = Radix::new(gp.p_modulus());
         // Padding slots hold `None`; `par_batches` keeps only the first
         // `n`, so the flatten drops nothing.
-        par_batches(n, threads, |range| {
+        par_batches::<_, _, Vec<_>>(n, threads, |range| {
             let (a, w) = (&bases[range.clone()], &nonces[range.clone()]);
             let powers = Self::lane_powers(gp, &k, x, a, w);
             std::array::from_fn(|i| {
@@ -422,7 +422,7 @@ impl DleqProof {
         // Per proof, sixteen at a time: membership of [a, d, t1, t2], one
         // membership batch per column, then (c, s mod q) and the four
         // elements.
-        let rows = par_batches(m, threads, |range| {
+        let rows: Option<Vec<_>> = par_batches(m, threads, |range| {
             let n = range.len();
             let mut claims: [Option<DleqClaim<'a>>; BATCH] =
                 std::array::from_fn(|i| (i < n).then(|| claim(range.start + i)));
@@ -442,7 +442,7 @@ impl DleqProof {
                 Some((challenge.0, s, c.elements().map(|e| e.0)))
             })
         });
-        let Some(rows) = rows.into_iter().collect::<Option<Vec<_>>>() else {
+        let Some(rows) = rows else {
             return false;
         };
         let rho = batch_weights(y, &rows);
