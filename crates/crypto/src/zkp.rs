@@ -354,8 +354,9 @@ impl DleqProof {
     ///
     /// On a CPU with AVX-512F and AVX-512 IFMA, membership is Euler's
     /// criterion, the subgroup's definition: `0 < x < p` and `x^q == 1`,
-    /// one shared-exponent lane batch per element of sixteen proofs (a
-    /// short batch padded to eight or sixteen lanes). The products go
+    /// one shared-exponent lane batch for each of the `a`, `d`, `t1` and
+    /// `t2` of sixteen proofs (a short batch padded to eight or sixteen
+    /// lanes). The products go
     /// through the lane bucket kernel, one window per lane: 4-bit windows
     /// over the 64-bit weights (one call of sixteen windows for each `t`
     /// product), 8-bit windows over the 256-bit `a`/`d` exponents (two
