@@ -397,6 +397,54 @@ mod tests {
         assert_eq!(whole.decode_msg::<Word>().unwrap().0, 42);
     }
 
+    /// The checksum as a plain byte loop: both sums advanced per byte,
+    /// reduced mod 65535 after every 360-byte chunk.
+    fn checksum_bytewise(data: &[u8]) -> u32 {
+        let mut s1: u32 = 0xf00d;
+        let mut s2: u32 = 0xcafe;
+        for chunk in data.chunks(360) {
+            for &b in chunk {
+                s1 += b as u32;
+                s2 += s1;
+            }
+            s1 %= 65535;
+            s2 %= 65535;
+        }
+        (s2 << 16) | s1
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn checksum_matches_byte_loop(data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..1000)) {
+            proptest::prop_assert_eq!(checksum(&data), checksum_bytewise(&data));
+        }
+    }
+
+    /// Lengths around the 360-byte chunk edges, random and all-`0xFF`
+    /// (every byte at its maximum drives both sums to their largest
+    /// values before each reduction).
+    #[test]
+    fn checksum_matches_byte_loop_at_chunk_edges_and_saturation() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut noise = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state as u8
+                })
+                .collect()
+        };
+        let lengths = (0..=1000).chain([359, 360, 361, 719, 720, 721, 65_537, 1 << 20]);
+        for n in lengths {
+            let ones = vec![0xffu8; n];
+            assert_eq!(checksum(&ones), checksum_bytewise(&ones), "0xff × {n}");
+            let data = noise(n);
+            assert_eq!(checksum(&data), checksum_bytewise(&data), "noise × {n}");
+        }
+    }
+
     #[test]
     fn checksum_sensitivity() {
         // Any single-byte change must change the checksum.

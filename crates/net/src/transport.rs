@@ -444,6 +444,46 @@ mod tests {
         assert_eq!(b.try_recv().unwrap_err(), TransportError::Empty);
     }
 
+    /// The two copies of a duplicated frame are the same wire bytes:
+    /// the sent image when the link left it intact, the one corrupted
+    /// image (one bit off the sent one) when it did not.
+    #[test]
+    fn duplicated_copies_are_identical_clean_or_corrupted() {
+        for corrupt_chance in [0.0, 1.0] {
+            let board = board_with(FaultConfig {
+                duplicate_chance: 1.0,
+                corrupt_chance,
+                seed: 5,
+                ..Default::default()
+            });
+            let a = board.register("a");
+            let b = board.register("b");
+            let sent = frame(9, b"a frame worth two copies");
+            a.send(b.id(), sent.clone()).unwrap();
+            let (from1, first) = b.inbox.try_recv().unwrap();
+            let (from2, second) = b.inbox.try_recv().unwrap();
+            assert_eq!(b.inbox.try_recv().unwrap_err(), TryRecvError::Empty);
+            assert_eq!((from1.as_str(), from2.as_str()), ("a", "a"));
+            assert_eq!(first, second, "corrupt_chance {corrupt_chance}");
+            let image = sent.to_wire();
+            let flipped: u32 = first
+                .iter()
+                .zip(image.iter())
+                .map(|(x, y)| (x ^ y).count_ones())
+                .sum();
+            assert_eq!(first.len(), image.len());
+            if corrupt_chance == 0.0 {
+                assert_eq!(flipped, 0);
+                assert_eq!(Frame::from_wire(first.into()).unwrap(), sent);
+            } else {
+                assert_eq!(flipped, 1);
+                assert!(Frame::from_wire(first.into()).is_err());
+            }
+            let stats = board.fault_stats();
+            assert_eq!((stats.sent, stats.duplicated), (1, 1));
+        }
+    }
+
     #[test]
     fn deterministic_fault_schedule() {
         let run = |seed| {

@@ -556,6 +556,97 @@ mod tests {
         }
     }
 
+    /// A cell sequence whose count or bytes are wrong fails with the
+    /// error its first bad field names: an over-bound count is
+    /// `Invalid` before any cell is read, a count the bytes cannot back
+    /// (whole cells missing, or the last one cut short) is `Truncated`.
+    /// Checked bare, and as the later fields of a mix result and a
+    /// shuffle argument's shadows.
+    #[test]
+    fn malformed_cell_sequences_keep_their_errors() {
+        let (gp, cells) = cts(3, 21);
+        let cell_bytes = |n: usize| -> Vec<u8> {
+            let mut buf = BytesMut::new();
+            for c in &cells[..n] {
+                put_ciphertext(&mut buf, c);
+            }
+            buf.to_vec()
+        };
+        let seq = |count: u32, body: &[u8]| -> Vec<u8> {
+            let mut buf = count.to_be_bytes().to_vec();
+            buf.extend_from_slice(body);
+            buf
+        };
+        let over = MAX_CELLS as u32 + 1;
+        let bound = Err(WireError::Invalid("vector length exceeds bound"));
+        let full = cell_bytes(3);
+        let cases: Vec<(&str, Vec<u8>, Result<usize, WireError>)> = vec![
+            ("zero cells", seq(0, &[]), Ok(0)),
+            ("three cells", seq(3, &full), Ok(3)),
+            ("count cut short", vec![0, 0], Err(WireError::Truncated)),
+            ("count above MAX_CELLS", seq(over, &full), bound.clone()),
+            ("count u32::MAX", seq(u32::MAX, &full), bound),
+            (
+                "count MAX_CELLS, no cells",
+                seq(MAX_CELLS as u32, &[]),
+                Err(WireError::Truncated),
+            ),
+            (
+                "64·n above the bytes",
+                seq(4, &full),
+                Err(WireError::Truncated),
+            ),
+            (
+                "cut in the last cell",
+                seq(3, &full[..full.len() - 1]),
+                Err(WireError::Truncated),
+            ),
+            (
+                "cut after one element",
+                seq(3, &full[..64 * 2 + 32]),
+                Err(WireError::Truncated),
+            ),
+            (
+                "cut after one byte",
+                seq(1, &full[..1]),
+                Err(WireError::Truncated),
+            ),
+            (
+                "a byte past the cells",
+                seq(2, &full[..64 * 2 + 1]),
+                Err(WireError::Invalid("trailing bytes after message")),
+            ),
+        ];
+        for (what, payload, want) in &cases {
+            let frame = Frame::new(tag::DC_TABLE, Bytes::from(payload.clone()));
+            let got = frame.decode_msg::<Cells>().map(|m| m.cells.len());
+            assert_eq!(&got, want, "bare: {what}");
+            if let Ok(n) = want {
+                assert_eq!(frame.decode_msg::<Cells>().unwrap().cells, cells[..*n]);
+            }
+        }
+        // The failing sequences again as a mix result's `post_exp`,
+        // after a well-formed `with_noise` and key, and as a shuffle
+        // argument's one shadow.
+        let key = gp.random_element(&mut StdRng::seed_from_u64(22)).to_bytes();
+        for (what, payload, want) in &cases {
+            if want.is_ok() || *what == "a byte past the cells" {
+                continue;
+            }
+            let mut mix = seq(3, &full);
+            mix.extend_from_slice(&key);
+            mix.extend_from_slice(payload);
+            let frame = Frame::new(tag::MIX_RESULT, Bytes::from(mix));
+            let got = frame.decode_msg::<MixResult>().map(|_| 0);
+            assert_eq!(&got, want, "post_exp: {what}");
+
+            let mut proof = vec![1u8];
+            proof.extend_from_slice(&seq(1, payload));
+            let got = get_shuffle_proof(&mut Bytes::from(proof)).map(|_| 0);
+            assert_eq!(&got, want, "shadow: {what}");
+        }
+    }
+
     /// Cutting a payload anywhere short of its end is an error, never a
     /// panic and never a shorter message.
     #[test]

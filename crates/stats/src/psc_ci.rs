@@ -205,6 +205,66 @@ mod tests {
         }
     }
 
+    /// `(bins, observed, noise_flips)` points whose interval bits are
+    /// pinned: the PSC round shapes (4096/808/48, 2048/443/48,
+    /// 512/99/48), pure noise, no noise, collisions, saturation, an
+    /// observation below zero, wide noise and the normal-path cutoff.
+    const PINNED: [(u64, i64, u64); 16] = [
+        (4096, 808, 48),
+        (2048, 443, 48),
+        (512, 99, 48),
+        (1 << 16, 120, 256),
+        (1 << 16, 500, 0),
+        (8192, 3_863, 0),
+        (1 << 16, 1_000, 64),
+        (1 << 16, 3_048, 4_096),
+        (1 << 16, 1_500, 128),
+        (1 << 14, 1_900, 512),
+        (64, 70, 16),
+        (16, 16, 0),
+        (1_024, -5, 48),
+        (256, 0, 0),
+        (1 << 16, 19_000, 48),
+        (1 << 22, 464_000, 10_000),
+    ];
+
+    /// `(value, lo, hi)` of each [`PINNED`] point at 95 %, as `f64`
+    /// bit patterns.
+    const PINNED_BITS: [(u64, u64, u64); 16] = [
+        (0x408b30fec654d9df, 0x408a880000000000, 0x408be00000000000),
+        (0x407d4aad8d75215d, 0x407c400000000000, 0x407e700000000000),
+        (0x40544119a6a64803, 0x4052000000000000, 0x4056c00000000000),
+        (0x8000000000000000, 0x0, 0x4020000000000000),
+        (0x407f5e9cc7be833b, 0x407f400000000000, 0x407f900000000000),
+        (0x40b468b6fdc02ef8, 0x40b4100000000000, 0x40b4c40000000000),
+        (0x408e79b38c6108cc, 0x408e300000000000, 0x408ec80000000000),
+        (0x408f7d9a0aae60ff, 0x408d800000000000, 0x4090c00000000000),
+        (0x4096afd20cf1dd4b, 0x4096780000000000, 0x4096e80000000000),
+        (0x409b1196c153cf87, 0x409a980000000000, 0x409b900000000000),
+        (0x406b823ad4c9660f, 0x4060400000000000, 0x431b940000000000),
+        (0x40562e42fefa39ef, 0x403c000000000000, 0x42fb700000000000),
+        (0x8000000000000000, 0x0, 0x0),
+        (0x8000000000000000, 0x0, 0x0),
+        (0x40d5e0f4a0405ef5, 0x40d5c0c000000000, 0x40d6018000000000),
+        (0x411dab8104bae2c9, 0x411da5fc00000000, 0x411db10800000000),
+    ];
+
+    #[test]
+    fn interval_bits_are_pinned() {
+        let got: Vec<(u64, u64, u64)> = PINNED
+            .iter()
+            .map(|&(bins, observed, flips)| {
+                let est = psc_confidence_interval(bins, observed, flips, 0.95);
+                (
+                    est.value.to_bits(),
+                    est.ci.lo.to_bits(),
+                    est.ci.hi.to_bits(),
+                )
+            })
+            .collect();
+        assert_eq!(got, PINNED_BITS);
+    }
+
     #[test]
     fn noiseless_exact_observation() {
         // With no noise and no collisions likely, CI should tightly cover
