@@ -79,7 +79,7 @@ impl Switchboard {
 
 impl SendPort for Switchboard {
     fn deliver(&self, from: &PartyId, to: &PartyId, frame: &Frame) -> Result<(), TransportError> {
-        let mut wire = frame.to_wire().to_vec();
+        let mut wire = frame.wire_image();
         let record = self.inner.ledger.tally_send(from, to, &wire);
         // The sender is cloned out so the registry lock is never held
         // across fault rolls or inbox pushes.
@@ -90,12 +90,19 @@ impl SendPort for Switchboard {
             .get(to)
             .cloned()
             .ok_or_else(|| TransportError::UnknownParty(to.0.clone()))?;
-        for _ in 0..self.inner.ledger.roll(&record, &mut wire) {
+        let copies = self.inner.ledger.roll(&record, &mut wire);
+        if copies == 0 {
+            return Ok(());
+        }
+        // The image moves into the inbox; only a duplicate is a copy.
+        for _ in 1..copies {
             inbox
                 .send((from.clone(), wire.clone()))
                 .map_err(|_| TransportError::Disconnected)?;
         }
-        Ok(())
+        inbox
+            .send((from.clone(), wire))
+            .map_err(|_| TransportError::Disconnected)
     }
 }
 

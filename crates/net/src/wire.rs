@@ -294,7 +294,7 @@ fn read_loop(mut stream: TcpStream, from: PartyId, inbox: Sender<WireMessage>) {
 impl SendPort for WireFabric {
     fn deliver(&self, from: &PartyId, to: &PartyId, frame: &Frame) -> Result<(), TransportError> {
         let inner = &*self.inner;
-        let mut wire = frame.to_wire().to_vec();
+        let mut wire = frame.wire_image();
         // Accounting happens at the send site, before delivery can
         // fail — the same order as the in-process fabric, which is
         // what keeps the shared counters backend-invariant.

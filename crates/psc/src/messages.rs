@@ -1,6 +1,6 @@
 //! PSC wire messages and codecs.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pm_crypto::elgamal::Ciphertext;
 use pm_crypto::group::{GroupElement, Scalar};
 use pm_crypto::shuffle::{Permutation, RoundOpening, ShuffleProof};
@@ -50,13 +50,6 @@ fn put_ciphertext(buf: &mut BytesMut, c: &Ciphertext) {
     put_element(buf, &c.b);
 }
 
-fn get_ciphertext(buf: &mut Bytes) -> Result<Ciphertext, WireError> {
-    Ok(Ciphertext {
-        a: get_element(buf)?,
-        b: get_element(buf)?,
-    })
-}
-
 /// Upper bound on any sequence a PSC message carries (cells, proofs,
 /// partial decryptions, permutation entries) accepted from the wire.
 const MAX_CELLS: usize = 1 << 24;
@@ -68,8 +61,28 @@ fn put_cells(buf: &mut BytesMut, cells: &[Ciphertext]) {
     put_vec(buf, cells, put_ciphertext);
 }
 
+/// Reads a cell sequence in bulk: the count is bounded, then its
+/// `64·n` bytes must all be there, then they convert 64 at a time (`a`
+/// then `b`). The errors are those of a [`get_vec`] of two elements a
+/// cell: `Invalid` for an over-bound count, else `Truncated` if any
+/// byte is missing.
 fn get_cells(buf: &mut Bytes) -> Result<Vec<Ciphertext>, WireError> {
-    get_vec(buf, MAX_CELLS, get_ciphertext)
+    let n = get_u32(buf)? as usize;
+    if n > MAX_CELLS {
+        return Err(WireError::Invalid("vector length exceeds bound"));
+    }
+    let raw = buf.chunk().get(..64 * n).ok_or(WireError::Truncated)?;
+    let (elements, _) = raw.as_chunks::<32>();
+    let (pairs, _) = elements.as_chunks::<2>();
+    let cells = pairs
+        .iter()
+        .map(|[a, b]| Ciphertext {
+            a: GroupElement::from_bytes(a),
+            b: GroupElement::from_bytes(b),
+        })
+        .collect();
+    buf.advance(64 * n);
+    Ok(cells)
 }
 
 fn put_dleq(buf: &mut BytesMut, p: &DleqProof) {

@@ -9,6 +9,10 @@
 //! * **Exact dynamic program** (the paper's "exact algorithm based on
 //!   dynamic programming"): `P(t, m) = P(t-1, m)·m/b + P(t-1, m-1)·(b-m+1)/b`,
 //!   tracked over a pruned probability window so it stays tractable.
+//!   Each step (one more ball, `throw`) costs O(window), so the
+//!   distributions for every `u` up to some bound come out of one run
+//!   of the DP: the PSC interval ([`crate::psc_ci`]) sweeps `u` that
+//!   way instead of rerunning it from ball 0 for each probe.
 //! * **Moment-based normal approximation** for very large inputs, using
 //!   the exact mean and variance of the occupancy count.
 
@@ -29,51 +33,63 @@ pub struct OccupancyDist {
 const PRUNE_EPS: f64 = 1e-15;
 
 impl OccupancyDist {
-    /// Runs the exact DP. Complexity is O(balls × window) where the
-    /// window is the retained support (≈ O(√balls) for balls ≪ bins).
+    /// Runs the exact DP: [`OccupancyDist::throw`] `balls` times from
+    /// the empty table. Complexity is O(balls × window) where the window
+    /// is the retained support (≈ O(√balls) for balls ≪ bins).
     pub fn exact(bins: u64, balls: u64) -> OccupancyDist {
         assert!(bins > 0);
-        let b = bins as f64;
         // pmf over occupied counts; start: 0 balls -> 0 occupied.
-        let mut pmf = vec![1.0f64];
-        let mut offset = 0u64;
-        for _ in 0..balls {
-            // One throw: occupied stays m w.p. m/b, becomes m+1 w.p. (b-m)/b.
-            let mut next = vec![0.0f64; pmf.len() + 1];
-            for (i, &p) in pmf.iter().enumerate() {
-                if p == 0.0 {
-                    continue;
-                }
-                let m = offset + i as u64;
-                let stay = m as f64 / b;
-                next[i] += p * stay;
-                next[i + 1] += p * (1.0 - stay);
-            }
-            // Prune tails to keep the window small.
-            let mut lo = 0;
-            while lo < next.len() && next[lo] < PRUNE_EPS {
-                lo += 1;
-            }
-            let mut hi = next.len();
-            while hi > lo && next[hi - 1] < PRUNE_EPS {
-                hi -= 1;
-            }
-            offset += lo as u64;
-            pmf = next[lo..hi].to_vec();
-            // Renormalize the tiny pruned mass away.
-            let total: f64 = pmf.iter().sum();
-            if total > 0.0 {
-                for p in pmf.iter_mut() {
-                    *p /= total;
-                }
-            }
-        }
-        OccupancyDist {
+        let mut dist = OccupancyDist {
             bins,
-            balls,
-            pmf,
-            offset,
+            balls: 0,
+            pmf: vec![1.0f64],
+            offset: 0,
+        };
+        for _ in 0..balls {
+            dist.throw();
         }
+        dist
+    }
+
+    /// One step of the DP: the distribution after one more ball. A
+    /// sweep over `u` (the PSC interval's) takes every `u`'s
+    /// distribution from one run of `exact`'s loop; each step costs
+    /// O(window) and gives the same bits as [`OccupancyDist::exact`] at
+    /// that many balls.
+    pub(crate) fn throw(&mut self) {
+        let b = self.bins as f64;
+        // One throw: occupied stays m w.p. m/b, becomes m+1 w.p. (b-m)/b.
+        let mut next = vec![0.0f64; self.pmf.len() + 1];
+        for (i, &p) in self.pmf.iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            let m = self.offset + i as u64;
+            let stay = m as f64 / b;
+            next[i] += p * stay;
+            next[i + 1] += p * (1.0 - stay);
+        }
+        // Prune tails to keep the window small.
+        let mut lo = 0;
+        while lo < next.len() && next[lo] < PRUNE_EPS {
+            lo += 1;
+        }
+        let mut hi = next.len();
+        while hi > lo && next[hi - 1] < PRUNE_EPS {
+            hi -= 1;
+        }
+        self.offset += lo as u64;
+        next.truncate(hi);
+        next.drain(..lo);
+        self.pmf = next;
+        // Renormalize the tiny pruned mass away.
+        let total: f64 = self.pmf.iter().sum();
+        if total > 0.0 {
+            for p in self.pmf.iter_mut() {
+                *p /= total;
+            }
+        }
+        self.balls += 1;
     }
 
     /// Exact mean of the occupancy count: `b(1 − (1−1/b)^u)`.
