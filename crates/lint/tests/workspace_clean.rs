@@ -29,7 +29,7 @@ fn the_workspace_is_lint_clean() {
 /// same review as the marker it admits.
 #[test]
 fn allow_markers_only_ratchet_down() {
-    const CEILINGS: [(&str, usize); 2] = [("panic", 8), ("unordered-map", 6)];
+    const CEILINGS: [(&str, usize); 2] = [("panic", 7), ("unordered-map", 5)];
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let counts = pm_lint::allow_marker_counts(&root).expect("workspace readable");
     let over: Vec<String> = counts
@@ -55,7 +55,7 @@ fn allow_markers_only_ratchet_down() {
 /// review as the items it admits.
 #[test]
 fn public_items_only_ratchet_down() {
-    const CEILING: usize = 780;
+    const CEILING: usize = 779;
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut dirs = vec![root.join("src")];
     for krate in fs::read_dir(root.join("crates")).expect("crates/ readable") {

@@ -7,9 +7,11 @@
 //! 1. **Accumulate** (shard-parallel, crypto-free): each shard of a
 //!    [`torsim::stream::EventStream`] extracts items and pre-buckets
 //!    them into *cell indices* of the oblivious table using the pure
-//!    [`cell_index`] / [`dedup_key`] hashes. The accumulator is
-//!    a plain set; merge is set union — commutative and associative, so
-//!    the merged cell set is identical for every shard count.
+//!    [`cell_index`] hash (one SHA-256 per item). The accumulator is
+//!    a plain set, so a repeated item is a repeated insert and needs no
+//!    dedup of its own; merge is set union — commutative and
+//!    associative, so the merged cell set is identical for every shard
+//!    count.
 //! 2. **Mark** (sequential, crypto-heavy, exactly once): the merged
 //!    cell set is marked into the [`ObliviousTable`] in ascending cell
 //!    order with the DC's single RNG
@@ -25,9 +27,9 @@
 //! merged set is marked once per cell.
 
 use crate::items::ItemExtractor;
-use crate::table::{cell_index, dedup_key, ObliviousTable};
+use crate::table::{cell_index, ObliviousTable};
 use rand::Rng;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use torsim::stream::EventStream;
 
 /// One shard's accumulated marks.
@@ -35,25 +37,17 @@ use torsim::stream::EventStream;
 pub struct ShardMarks {
     /// Occupied cell indices (ordered so merged iteration is canonical).
     pub cells: BTreeSet<usize>,
-    /// Keyed item hashes seen by this shard (within-period dedup,
-    /// performance only).
-    // lint:allow(unordered-map) membership + associative set union only; counts come from len()
-    pub dedup: HashSet<u64>,
 }
 
 impl ShardMarks {
-    /// Accumulates one item.
+    /// Accumulates one item: an idempotent insert of its cell.
     pub fn observe(&mut self, salt: &[u8; 32], table_size: usize, item: &[u8]) {
-        if !self.dedup.insert(dedup_key(salt, item)) {
-            return;
-        }
         self.cells.insert(cell_index(salt, table_size, item));
     }
 
     /// Associative, commutative merge: set union.
     pub fn merge(mut self, other: ShardMarks) -> ShardMarks {
         self.cells.extend(other.cells);
-        self.dedup.extend(other.dedup);
         self
     }
 }

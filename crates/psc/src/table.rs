@@ -67,14 +67,6 @@ pub fn cell_index(salt: &[u8; 32], table_size: usize, item: &[u8]) -> usize {
     (x.low_u128() % table_size as u128) as usize
 }
 
-/// The keyed dedup hash of an item (performance-only within-period
-/// dedup, see [`crate::shard::ShardMarks::observe`]).
-pub fn dedup_key(salt: &[u8; 32], item: &[u8]) -> u64 {
-    let digest = sha256_concat(&[b"psc-dedup", salt, item]);
-    // lint:allow(panic) the slice is exactly eight bytes by construction
-    u64::from_be_bytes(digest[..8].try_into().expect("8 bytes"))
-}
-
 impl ObliviousTable {
     /// Creates a table of `size` unmarked cells under the joint key.
     pub fn new(gp: GroupParams, key: PublicKey, salt: [u8; 32], size: usize) -> ObliviousTable {
