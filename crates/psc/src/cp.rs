@@ -631,26 +631,20 @@ impl Node for CpNode {
         }
         match env.frame.msg_type {
             tag::CONFIGURE => {
-                let cfg: messages::PscConfigure = env
-                    .frame
-                    .decode_msg()
-                    .map_err(|e| NodeError::Protocol(format!("bad configure: {e}")))?;
+                let cfg: messages::PscConfigure =
+                    messages::decode(&self.recorder, "cp.decode", &env.frame, "configure")?;
                 self.cfg = Some(cfg);
                 Ok(Step::Continue)
             }
             tag::MIX_TASK => {
-                let task: messages::Cells = env
-                    .frame
-                    .decode_msg()
-                    .map_err(|e| NodeError::Protocol(format!("bad mix task: {e}")))?;
+                let task: messages::Cells =
+                    messages::decode(&self.recorder, "cp.decode", &env.frame, "mix task")?;
                 self.mix(ep, task)?;
                 Ok(Step::Continue)
             }
             tag::DECRYPT_TASK => {
-                let task: messages::Cells = env
-                    .frame
-                    .decode_msg()
-                    .map_err(|e| NodeError::Protocol(format!("bad decrypt task: {e}")))?;
+                let task: messages::Cells =
+                    messages::decode(&self.recorder, "cp.decode", &env.frame, "decrypt task")?;
                 self.decrypt(ep, task)?;
                 Ok(Step::Done)
             }

@@ -8,6 +8,9 @@ use pm_crypto::zkp::{DleqProof, SchnorrProof};
 use pm_net::frame::{
     get_array32, get_items, get_u32, get_u8, get_vec, put_vec, WireDecode, WireEncode, WireError,
 };
+use pm_net::party::NodeError;
+use pm_net::Frame;
+use pm_obs::Recorder;
 
 /// Message type tags.
 pub mod tag {
@@ -25,6 +28,22 @@ pub mod tag {
     pub const DECRYPT_TASK: u16 = 25;
     /// CP → TS: partial decryptions + proofs.
     pub const PARTIAL_DEC: u16 = 26;
+}
+
+/// Decodes `frame`'s payload as an `M` inside a span named `span` (the
+/// receiving party's `ts.decode` / `cp.decode`) with a `bytes` note;
+/// a malformed payload is a protocol error naming `what`.
+pub(crate) fn decode<M: WireDecode>(
+    recorder: &Recorder,
+    span: &'static str,
+    frame: &Frame,
+    what: &str,
+) -> Result<M, NodeError> {
+    let mut span = recorder.span(span, "psc");
+    span.note("bytes", frame.payload.len());
+    frame
+        .decode_msg()
+        .map_err(|e| NodeError::Protocol(format!("bad {what}: {e}")))
 }
 
 // ----- primitive codecs -----

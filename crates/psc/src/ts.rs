@@ -289,10 +289,8 @@ impl Node for PscTsNode {
     fn on_message(&mut self, ep: &Endpoint, env: Envelope) -> Result<Step, NodeError> {
         match (&self.phase, env.frame.msg_type) {
             (Phase::AwaitCpKeys, tag::CP_KEY) => {
-                let msg: messages::CpKey = env
-                    .frame
-                    .decode_msg()
-                    .map_err(|e| NodeError::Protocol(format!("bad CP key: {e}")))?;
+                let msg: messages::CpKey =
+                    messages::decode(&self.recorder, "ts.decode", &env.frame, "CP key")?;
                 let idx = self.cp_index(&env.from)?;
                 let mut transcript = CpNode::key_transcript(env.from.as_str());
                 if !msg.proof.verify(&self.gp, &msg.share, &mut transcript) {
@@ -323,10 +321,8 @@ impl Node for PscTsNode {
                 Ok(Step::Continue)
             }
             (Phase::AwaitTables, tag::DC_TABLE) => {
-                let msg: messages::Cells = env
-                    .frame
-                    .decode_msg()
-                    .map_err(|e| NodeError::Protocol(format!("bad DC table: {e}")))?;
+                let msg: messages::Cells =
+                    messages::decode(&self.recorder, "ts.decode", &env.frame, "DC table")?;
                 if msg.cells.len() != self.table_size as usize {
                     return Err(NodeError::Protocol("DC table size mismatch".into()));
                 }
@@ -353,10 +349,8 @@ impl Node for PscTsNode {
                         "mix result from CP {idx} during stage {stage}"
                     )));
                 }
-                let msg: messages::MixResult = env
-                    .frame
-                    .decode_msg()
-                    .map_err(|e| NodeError::Protocol(format!("bad mix result: {e}")))?;
+                let msg: messages::MixResult =
+                    messages::decode(&self.recorder, "ts.decode", &env.frame, "mix result")?;
                 self.verify_mix(&msg)?;
                 if stage + 1 < self.cp_names.len() {
                     self.mix_input = msg.output.clone();
@@ -377,10 +371,8 @@ impl Node for PscTsNode {
                 Ok(Step::Continue)
             }
             (Phase::AwaitPartials, tag::PARTIAL_DEC) => {
-                let msg: messages::PartialDec = env
-                    .frame
-                    .decode_msg()
-                    .map_err(|e| NodeError::Protocol(format!("bad partial dec: {e}")))?;
+                let msg: messages::PartialDec =
+                    messages::decode(&self.recorder, "ts.decode", &env.frame, "partial dec")?;
                 let idx = self.cp_index(&env.from)?;
                 // The share must be the one registered during keygen —
                 // otherwise a CP could decrypt under a different key.
