@@ -313,8 +313,10 @@ impl Node for PscTsNode {
                         salt: self.salt,
                         verify: self.verify,
                     };
+                    // Encoded once; each recipient's frame shares the payload.
+                    let frame = Frame::encode_msg(tag::CONFIGURE, &cfg);
                     for p in self.dc_names.iter().chain(self.cp_names.iter()) {
-                        ep.send(p, Frame::encode_msg(tag::CONFIGURE, &cfg))?;
+                        ep.send(p, frame.clone())?;
                     }
                     self.phase = Phase::AwaitTables;
                 }
@@ -334,9 +336,9 @@ impl Node for PscTsNode {
                         combine_tables(&self.gp, &self.tables)
                     };
                     self.tables.clear();
-                    self.mix_input = combined.clone();
                     let task = messages::Cells { cells: combined };
                     ep.send(&self.cp_names[0], Frame::encode_msg(tag::MIX_TASK, &task))?;
+                    self.mix_input = task.cells;
                     self.phase = Phase::Mixing { stage: 0 };
                 }
                 Ok(Step::Continue)
@@ -353,19 +355,20 @@ impl Node for PscTsNode {
                     messages::decode(&self.recorder, "ts.decode", &env.frame, "mix result")?;
                 self.verify_mix(&msg)?;
                 if stage + 1 < self.cp_names.len() {
-                    self.mix_input = msg.output.clone();
                     let task = messages::Cells { cells: msg.output };
                     ep.send(
                         &self.cp_names[stage + 1],
                         Frame::encode_msg(tag::MIX_TASK, &task),
                     )?;
+                    self.mix_input = task.cells;
                     self.phase = Phase::Mixing { stage: stage + 1 };
                 } else {
-                    self.final_table = msg.output.clone();
                     let task = messages::Cells { cells: msg.output };
+                    let frame = Frame::encode_msg(tag::DECRYPT_TASK, &task);
                     for cp in &self.cp_names {
-                        ep.send(cp, Frame::encode_msg(tag::DECRYPT_TASK, &task))?;
+                        ep.send(cp, frame.clone())?;
                     }
+                    self.final_table = task.cells;
                     self.phase = Phase::AwaitPartials;
                 }
                 Ok(Step::Continue)
