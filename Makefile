@@ -169,8 +169,10 @@ perf-smoke:
 # of the benchmark, every run printed, then per workload and metric each
 # side's median and quartiles, the ratio, a verdict by the claim rule
 # (pairs won, medians vs the parent's inter-quartile distance, spread vs
-# BENCHMARK.json's bound) and the report digests; exits nonzero when a
-# digest differs between the sides. PARENT is required; the parent tree
+# BENCHMARK.json's bound) and the report digests, then one `--trace 1`
+# pass per side and workload under `timeout` with its `ledger_s`; exits
+# nonzero when a digest differs between the sides or a traced pass times
+# out or fails. PARENT is required; the parent tree
 # is exported and built under target/perf-pairs/. SEED is the workload
 # seed both sides run with (a claim is rerun on a second one). Not part
 # of `verify`: minutes of wall-clock, and its numbers are for a human to

@@ -12,9 +12,13 @@
 # workload, alternating which side goes first. Prints every run, then
 # per workload and end-to-end metric each side's median and quartiles,
 # the change/parent ratio of medians and a verdict by the claim rule
-# (see `verdicts` below), and the report digests. Exits 1 if any digest
-# differs between the sides or any run fails its own correctness gate;
-# the verdicts are for a human to read and do not set the status.
+# (see `verdicts` below), and the report digests. After the pairs, one
+# `--trace 1` pass per side per workload (which adds the per-layer
+# ledger and the profiled runner) runs under `timeout` and prints its
+# `ledger_s`. Exits 1 if any digest differs between the sides, any run
+# fails its own correctness gate, or a traced pass times out or exits
+# nonzero; the verdicts are for a human to read and do not set the
+# status.
 set -euo pipefail
 
 parent_rev=${1:?usage: perf_pairs.sh <parent-rev> [workloads] [pairs] [seconds] [seed]}
@@ -51,6 +55,20 @@ run() { # <binary> <cwd> <workload>
     done
     printf '%s ' "$(sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p' <<<"$out" | head -1)"
     sed -n 's/.*"correct": \(true\|false\).*/\1/p' <<<"$out" | tail -1
+}
+
+# The traced pass's time limit: its timed reps, the ledger's fixed
+# work (seconds, not minutes, on any workload) and a wide margin, so
+# only a hang or a many-fold slowdown trips it.
+trace_limit=$((5 * seconds + 60))
+
+# One traced pass: prints "<exit status> <ledger_s>" (status 124 is a
+# timeout).
+traced() { # <binary> <cwd> <workload>
+    local out rc=0
+    out=$(cd "$2" && timeout "$trace_limit" "$1" --workload "$3" --seed "$seed" \
+        --seconds "$seconds" --trace 1) || rc=$?
+    printf '%s %s\n' "$rc" "$(sed -n 's/.*"ledger_s": \([0-9.e+-]*\).*/\1/p' <<<"$out" | head -1)"
 }
 
 # "<better> <bound>" of an end-to-end metric, as BENCHMARK.json fixes it.
@@ -156,5 +174,24 @@ for w in $workloads; do
         echo "!! $w: report digests differ (parent: $pd change: $cd_)" >&2
         status=1
     fi
+done
+for w in $workloads; do
+    for side in parent change; do
+        if [ "$side" = parent ]; then
+            r=$(traced "$parent_bin" "$parent_dir" "$w")
+        else
+            r=$(traced "$change_bin" "$root" "$w")
+        fi
+        # shellcheck disable=SC2086
+        set -- $r
+        printf '= %-13s traced %-6s exit %s ledger_s %s\n' "$w" "$side" "$1" "${2:-n/a}"
+        if [ "$1" = 124 ]; then
+            echo "!! $w $side: traced pass timed out after ${trace_limit} s" >&2
+            status=1
+        elif [ "$1" != 0 ]; then
+            echo "!! $w $side: traced pass exited $1" >&2
+            status=1
+        fi
+    done
 done
 exit $status
