@@ -33,7 +33,7 @@ pub struct OccupancyDist {
 const PRUNE_EPS: f64 = 1e-15;
 
 impl OccupancyDist {
-    /// Runs the exact DP: [`OccupancyDist::throw`] `balls` times from
+    /// Runs the exact DP: one-ball `throw` steps, `balls` of them, from
     /// the empty table. Complexity is O(balls × window) where the window
     /// is the retained support (≈ O(√balls) for balls ≪ bins).
     pub fn exact(bins: u64, balls: u64) -> OccupancyDist {

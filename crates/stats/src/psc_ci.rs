@@ -15,9 +15,9 @@
 //! cells) the CDF is exact and comes from one ascending sweep of the
 //! occupancy DP, memoised per `u`: an interval costs about one DP run
 //! to its largest exact probe (≈ 1 ms for a 4 096-cell table at 808
-//! observed, where a DP per probe took ≈ 5 ms) and gives the same bits
-//! as running the DP per probe. Beyond that the CDF is a moment-matched
-//! normal approximation.
+//! observed and 48 noise cells) and gives the same bits as running the
+//! DP per probe. Beyond that the CDF is a moment-matched normal
+//! approximation.
 
 use crate::ci::{Estimate, Interval};
 use crate::occupancy::OccupancyDist;
@@ -147,7 +147,7 @@ impl ObservationCdfs {
 ///
 /// Returns the point estimate (collision-corrected mean inversion after
 /// subtracting expected noise) and the test-inversion interval. Its
-/// probes read [`ObservationCdfs`]: one occupancy sweep per interval.
+/// probes read one occupancy sweep per interval.
 pub fn psc_confidence_interval(bins: u64, observed: i64, noise_flips: u64, conf: f64) -> Estimate {
     let mut cdfs = ObservationCdfs::new(bins, noise_flips, observed);
     confidence_interval(bins, observed, noise_flips, conf, |u| cdfs.at(u))
