@@ -236,6 +236,38 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-12);
     }
 
+    fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The table a 400 k-entry Zipf(0.35) sampler builds — every `prob`
+    /// bit pattern and every `alias` entry — and a short draw sequence,
+    /// pinned by digest: a change to the table's storage or worklists
+    /// must build the same table and draw the same ranks.
+    #[test]
+    fn zipf_table_and_draws_match_pins() {
+        let z = ZipfSampler::new(400_000, 0.35);
+        let prob = fnv1a64(z.table.prob.iter().flat_map(|p| p.to_bits().to_le_bytes()));
+        let alias = fnv1a64(z.table.alias.iter().flat_map(|a| (*a as u64).to_le_bytes()));
+        let mut rng = StdRng::seed_from_u64(2018);
+        let draws: Vec<usize> = (0..16).map(|_| z.sample(&mut rng)).collect();
+        assert_eq!(
+            (prob, alias),
+            (0xe0bc_b810_7fed_6024, 0x1395_4d4b_c5f5_3236),
+            "{prob:#x} {alias:#x}"
+        );
+        assert_eq!(
+            draws,
+            [
+                188_433, 129_568, 128_969, 198_739, 27_908, 16_829, 4_733, 25_378, 76_928, 227_492,
+                62_439, 235_349, 279_824, 358_323, 157_312, 228_917
+            ],
+            "{draws:?}"
+        );
+    }
+
     #[test]
     fn derive_seed_stable_and_distinct() {
         assert_eq!(derive_seed(42, "geo"), derive_seed(42, "geo"));
