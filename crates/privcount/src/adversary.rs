@@ -123,9 +123,9 @@ mod tests {
     fn cfg(adversary: Attack) -> RoundConfig {
         RoundConfig {
             counters: vec![CounterSpec::with_sigma("connections", 0.0)],
-            mapper: Arc::new(|ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| {
+            mapper: Arc::new(|ev: &TorEvent, counts: &mut [i64]| {
                 if matches!(ev, TorEvent::EntryConnection { .. }) {
-                    emit(0, 1);
+                    counts[0] += 1;
                 }
             }),
             num_sks: 2,

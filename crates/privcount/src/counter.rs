@@ -38,13 +38,16 @@ impl CounterSpec {
     }
 }
 
-/// Maps an observed event to counter increments.
+/// Maps an observed event to counter increments: it adds each
+/// increment straight into the shard's counter slice (`counts[i] +=
+/// delta`, indexed like [`Schema::counters`]), one indirect call per
+/// event however many counters the event moves.
 ///
 /// The mapper is installed at DC construction (it holds references to
 /// the site list / geo databases and is not wire-serializable); the TS
 /// only ever sees counter names. It is shared (`Arc`) across the DCs of
 /// a round.
-pub type EventMapper = std::sync::Arc<dyn Fn(&TorEvent, &mut dyn FnMut(usize, i64)) + Send + Sync>;
+pub type EventMapper = std::sync::Arc<dyn Fn(&TorEvent, &mut [i64]) + Send + Sync>;
 
 /// A round's measurement schema: counters plus the event mapping.
 pub struct Schema {
@@ -97,7 +100,7 @@ mod tests {
                 CounterSpec::with_sigma("x", 1.0),
                 CounterSpec::with_sigma("y", 2.0),
             ],
-            std::sync::Arc::new(|_ev: &TorEvent, _emit: &mut dyn FnMut(usize, i64)| {}),
+            std::sync::Arc::new(|_ev: &TorEvent, _counts: &mut [i64]| {}),
         );
         assert_eq!(schema.len(), 2);
         assert_eq!(schema.index_of("y"), Some(1));
@@ -108,18 +111,18 @@ mod tests {
     fn mapper_dispatch() {
         let schema = Schema::new(
             vec![CounterSpec::with_sigma("conn", 1.0)],
-            std::sync::Arc::new(|ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| {
+            std::sync::Arc::new(|ev: &TorEvent, counts: &mut [i64]| {
                 if matches!(ev, TorEvent::EntryConnection { .. }) {
-                    emit(0, 1);
+                    counts[0] += 1;
                 }
             }),
         );
-        let mut hits = Vec::new();
+        let mut counts = [0i64];
         let ev = TorEvent::EntryConnection {
             relay: RelayId(0),
             client_ip: IpAddr(1),
         };
-        (schema.mapper)(&ev, &mut |i, v| hits.push((i, v)));
-        assert_eq!(hits, vec![(0, 1)]);
+        (schema.mapper)(&ev, &mut counts);
+        assert_eq!(counts, [1]);
     }
 }

@@ -244,9 +244,9 @@ mod tests {
     fn counting_config(noise: NoiseAllocation, sigma: f64) -> RoundConfig {
         RoundConfig {
             counters: vec![CounterSpec::with_sigma("connections", sigma)],
-            mapper: StdArc::new(|ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| {
+            mapper: StdArc::new(|ev: &TorEvent, counts: &mut [i64]| {
                 if matches!(ev, TorEvent::EntryConnection { .. }) {
-                    emit(0, 1);
+                    counts[0] += 1;
                 }
             }),
             num_sks: 3,
@@ -319,9 +319,9 @@ mod tests {
                 CounterSpec::with_sigma("connections", 0.0),
                 CounterSpec::with_sigma("bytes", 0.0),
             ],
-            mapper: StdArc::new(|ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| match ev {
-                TorEvent::EntryConnection { .. } => emit(0, 1),
-                TorEvent::EntryBytes { bytes, .. } => emit(1, *bytes as i64),
+            mapper: StdArc::new(|ev: &TorEvent, counts: &mut [i64]| match ev {
+                TorEvent::EntryConnection { .. } => counts[0] += 1,
+                TorEvent::EntryBytes { bytes, .. } => counts[1] += *bytes as i64,
                 _ => {}
             }),
             num_sks: 2,

@@ -5,7 +5,10 @@
 //! folded inline. Each shard of a [`torsim::stream::EventStream`] is
 //! folded into its own plain `Vec<i64>` of counter totals — no
 //! blinding, no noise — and shard accumulators merge by elementwise
-//! addition. Addition is commutative and
+//! addition. Per event the fold is one call of the schema's
+//! [`EventMapper`](crate::counter::EventMapper) on the event, by
+//! reference, and the shard's counter slice, which the mapper adds
+//! into directly: no per-increment callback, no copy of the event. Addition is commutative and
 //! associative, so the merged totals are bit-identical for every shard
 //! count (the stream's shard-count invariance contract). Noise and
 //! blinding are applied exactly once, when the merged totals are folded
@@ -28,11 +31,10 @@ impl ShardCounters {
         ShardCounters { counts: vec![0; n] }
     }
 
-    /// Folds one event through the schema's mapper.
+    /// Folds one event through the schema's mapper, which adds into
+    /// this shard's counters directly.
     fn ingest(&mut self, schema: &Schema, ev: &torsim::TorEvent) {
-        (schema.mapper)(ev, &mut |idx, delta| {
-            self.counts[idx] += delta;
-        });
+        (schema.mapper)(ev, &mut self.counts);
     }
 
     /// Associative, commutative merge: elementwise addition.
@@ -49,7 +51,7 @@ impl ShardCounters {
 /// the merged per-counter totals.
 pub fn ingest_stream(stream: EventStream, schema: &Schema) -> Vec<i64> {
     let n = schema.len();
-    let parts = stream.fold_parallel(|_| ShardCounters::new(n), |acc, ev| acc.ingest(schema, &ev));
+    let parts = stream.fold_parallel(|_| ShardCounters::new(n), |acc, ev| acc.ingest(schema, ev));
     parts
         .into_iter()
         .fold(ShardCounters::new(n), |acc, part| acc.merge(&part))
@@ -71,9 +73,9 @@ mod tests {
                 CounterSpec::with_sigma("conns", 1.0),
                 CounterSpec::with_sigma("bytes", 1.0),
             ],
-            Arc::new(|ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| match ev {
-                TorEvent::EntryConnection { .. } => emit(0, 1),
-                TorEvent::EntryBytes { bytes, .. } => emit(1, *bytes as i64),
+            Arc::new(|ev: &TorEvent, counts: &mut [i64]| match ev {
+                TorEvent::EntryConnection { .. } => counts[0] += 1,
+                TorEvent::EntryBytes { bytes, .. } => counts[1] += *bytes as i64,
                 _ => {}
             }),
         )

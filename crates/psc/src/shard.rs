@@ -63,7 +63,7 @@ pub fn accumulate_stream(
     let parts = stream.fold_parallel(
         |_| ShardMarks::default(),
         |acc, ev| {
-            if let Some(item) = extractor(&ev) {
+            if let Some(item) = extractor(ev) {
                 acc.observe(salt, table_size, &item);
             }
         },

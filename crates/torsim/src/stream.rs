@@ -9,8 +9,9 @@
 //! tests in this crate). Downstream accumulators
 //! (`privcount::shard`, `psc::shard`) fold each shard independently —
 //! typically one OS thread per shard via
-//! [`EventStream::fold_parallel`] — and combine per-shard results with
-//! an associative, order-insensitive `merge`.
+//! [`EventStream::fold_parallel`], which hands the fold each event by
+//! reference — and combine per-shard results with an associative,
+//! order-insensitive `merge`.
 //!
 //! # How invariance is achieved
 //!
@@ -190,16 +191,22 @@ impl EventStream {
     /// shard when there is more than one — and returns the accumulators
     /// in shard order. Callers combine them with an associative merge;
     /// any order-insensitive merge preserves shard-count invariance.
+    ///
+    /// `ingest` sees each event by reference, once, as the generator
+    /// emits it: it reads the fields it needs (a `match *ev` copies
+    /// only those) and must not move the event into a by-value hop of
+    /// its own — at tens of millions of events per day that hop costs
+    /// as much as the counting.
     pub fn fold_parallel<A, I, F>(self, make: I, ingest: F) -> Vec<A>
     where
         A: Send,
         I: Fn(usize) -> A + Sync,
-        F: Fn(&mut A, TorEvent) + Sync,
+        F: Fn(&mut A, &TorEvent) + Sync,
     {
         if self.shards.len() == 1 {
             let mut acc = make(0);
             for shard in self.shards {
-                shard(&mut |ev| ingest(&mut acc, ev));
+                shard(&mut |ev| ingest(&mut acc, &ev));
             }
             return vec![acc];
         }
@@ -213,7 +220,7 @@ impl EventStream {
                 .map(|(j, shard)| {
                     scope.spawn(move || {
                         let mut acc = make(j);
-                        shard(&mut |ev| ingest(&mut acc, ev));
+                        shard(&mut |ev| ingest(&mut acc, &ev));
                         acc
                     })
                 })

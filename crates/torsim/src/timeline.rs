@@ -463,7 +463,7 @@ impl NetworkTimeline {
             |acc, ev| {
                 if let TorEvent::ExitStream {
                     initial, domain, ..
-                } = ev
+                } = *ev
                 {
                     acc.streams += 1;
                     if initial {
@@ -522,7 +522,7 @@ impl NetworkTimeline {
         ] {
             let parts = replica.fold_parallel(
                 |_| OnionDayTruth::default(),
-                |acc, ev| match ev {
+                |acc, ev| match *ev {
                     TorEvent::HsDescPublish { addr, .. } => {
                         acc.publishes += 1;
                         acc.published.insert(addr);

@@ -23,9 +23,9 @@ use torsim::ids::{IpAddr, RelayId};
 fn run_with(faults: FaultConfig) -> Result<i64, String> {
     let cfg = RoundConfig {
         counters: vec![CounterSpec::with_sigma("connections", 0.0)],
-        mapper: Arc::new(|ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| {
+        mapper: Arc::new(|ev: &TorEvent, counts: &mut [i64]| {
             if matches!(ev, TorEvent::EntryConnection { .. }) {
-                emit(0, 1);
+                counts[0] += 1;
             }
         }),
         num_sks: 3,

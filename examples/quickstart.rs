@@ -58,9 +58,9 @@ fn main() {
     );
     let cfg = RoundConfig {
         counters: vec![CounterSpec::with_sigma("connections", sigma)],
-        mapper: Arc::new(|ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| {
+        mapper: Arc::new(|ev: &TorEvent, counts: &mut [i64]| {
             if matches!(ev, TorEvent::EntryConnection { .. }) {
-                emit(0, 1);
+                counts[0] += 1;
             }
         }),
         num_sks: 3,

@@ -68,13 +68,11 @@ fn privcount_net_metrics(fabric: FabricChoice) -> Vec<(String, u64)> {
     let recorder = pm_obs::Recorder::new();
     let round = RoundConfig {
         counters: vec![CounterSpec::with_sigma("connections", 25.0)],
-        mapper: std::sync::Arc::new(
-            |ev: &torsim::events::TorEvent, emit: &mut dyn FnMut(usize, i64)| {
-                if matches!(ev, torsim::events::TorEvent::EntryConnection { .. }) {
-                    emit(0, 1);
-                }
-            },
-        ),
+        mapper: std::sync::Arc::new(|ev: &torsim::events::TorEvent, counts: &mut [i64]| {
+            if matches!(ev, torsim::events::TorEvent::EntryConnection { .. }) {
+                counts[0] += 1;
+            }
+        }),
         num_sks: 3,
         noise: NoiseAllocation::Equal,
         seed: 31,

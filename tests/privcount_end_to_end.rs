@@ -49,10 +49,10 @@ fn inference_recovers_ground_truth_from_full_simulation() {
             CounterSpec::with_sigma("connections", 10.0),
             CounterSpec::with_sigma("bytes", 1e6),
         ],
-        mapper: Arc::new(|ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| match ev {
-            TorEvent::ExitStream { .. } => emit(0, 1),
-            TorEvent::EntryConnection { .. } => emit(1, 1),
-            TorEvent::EntryBytes { bytes, .. } => emit(2, *bytes as i64),
+        mapper: Arc::new(|ev: &TorEvent, counts: &mut [i64]| match ev {
+            TorEvent::ExitStream { .. } => counts[0] += 1,
+            TorEvent::EntryConnection { .. } => counts[1] += 1,
+            TorEvent::EntryBytes { bytes, .. } => counts[2] += *bytes as i64,
             _ => {}
         }),
         num_sks: 3,
@@ -110,9 +110,9 @@ fn noise_floor_hides_small_counts() {
     let (events, _) = sim.run_day(&DomainMix::paper_default());
     let round = RoundConfig {
         counters: vec![CounterSpec::with_sigma("rare", 1e6)],
-        mapper: Arc::new(|ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| {
+        mapper: Arc::new(|ev: &TorEvent, counts: &mut [i64]| {
             if matches!(ev, TorEvent::HsDescFetch { .. }) {
-                emit(0, 1);
+                counts[0] += 1;
             }
         }),
         num_sks: 3,
@@ -143,7 +143,7 @@ fn dropped_party_aborts_cleanly() {
     // a protocol error, not hang or produce bogus output.
     let round = RoundConfig {
         counters: vec![CounterSpec::with_sigma("c", 0.0)],
-        mapper: Arc::new(|_: &TorEvent, _: &mut dyn FnMut(usize, i64)| {}),
+        mapper: Arc::new(|_: &TorEvent, _: &mut [i64]| {}),
         num_sks: 2,
         noise: NoiseAllocation::None,
         seed: 13,
@@ -183,9 +183,9 @@ fn wire_round_matches_in_process() {
                 CounterSpec::with_sigma("connections", 25.0),
                 CounterSpec::with_sigma("bytes", 1e3),
             ],
-            mapper: Arc::new(|ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| match ev {
-                TorEvent::EntryConnection { .. } => emit(0, 1),
-                TorEvent::EntryBytes { bytes, .. } => emit(1, *bytes as i64),
+            mapper: Arc::new(|ev: &TorEvent, counts: &mut [i64]| match ev {
+                TorEvent::EntryConnection { .. } => counts[0] += 1,
+                TorEvent::EntryBytes { bytes, .. } => counts[1] += *bytes as i64,
                 _ => {}
             }),
             num_sks: 3,

@@ -244,9 +244,9 @@ fn privcount_reports_are_shard_count_invariant() {
     // identical noisy totals.
     let cfg = || privcount::RoundConfig {
         counters: vec![privcount::CounterSpec::with_sigma("connections", 25.0)],
-        mapper: Arc::new(|ev: &TorEvent, emit: &mut dyn FnMut(usize, i64)| {
+        mapper: Arc::new(|ev: &TorEvent, counts: &mut [i64]| {
             if matches!(ev, TorEvent::EntryConnection { .. }) {
-                emit(0, 1);
+                counts[0] += 1;
             }
         }),
         num_sks: 3,
