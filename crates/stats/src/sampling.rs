@@ -11,10 +11,14 @@ use rand::Rng;
 
 /// Walker's alias method for sampling from a fixed categorical
 /// distribution in O(1) per draw.
+///
+/// Aliases are stored as `u32` (a table has at most `u32::MAX`
+/// categories): 12 bytes per category instead of 16, which is most of
+/// a 400 k-site domain sampler's footprint.
 #[derive(Clone, Debug)]
 pub struct AliasTable {
     prob: Vec<f64>,
-    alias: Vec<usize>,
+    alias: Vec<u32>,
 }
 
 impl AliasTable {
@@ -23,6 +27,10 @@ impl AliasTable {
     pub fn new(weights: &[f64]) -> AliasTable {
         assert!(!weights.is_empty(), "need at least one weight");
         let n = weights.len();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "an alias table holds at most u32::MAX categories"
+        );
         let total: f64 = weights
             .iter()
             .inspect(|w| {
@@ -35,28 +43,34 @@ impl AliasTable {
         assert!(total > 0.0, "total weight must be positive");
         let scale = n as f64 / total;
         let mut prob: Vec<f64> = weights.iter().map(|w| w * scale).collect();
-        let mut alias = vec![0usize; n];
-        let mut small: Vec<usize> = Vec::new();
-        let mut large: Vec<usize> = Vec::new();
+        let mut alias = vec![0u32; n];
+        // Neither worklist outgrows its start: `large` only shrinks,
+        // and each turn of the loop pops `small` before it may push
+        // one index onto it. So both are sized exactly from a first
+        // count and never reallocate.
+        let below = prob.iter().filter(|p| **p < 1.0).count();
+        let mut small: Vec<u32> = Vec::with_capacity(below);
+        let mut large: Vec<u32> = Vec::with_capacity(n - below);
         for (i, &p) in prob.iter().enumerate() {
             if p < 1.0 {
-                small.push(i);
+                small.push(i as u32);
             } else {
-                large.push(i);
+                large.push(i as u32);
             }
         }
         while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
             small.pop();
-            alias[s] = l;
+            alias[s as usize] = l;
+            let (s, l) = (s as usize, l as usize);
             prob[l] = (prob[l] + prob[s]) - 1.0;
             if prob[l] < 1.0 {
                 large.pop();
-                small.push(l);
+                small.push(l as u32);
             }
         }
         // Numerical leftovers sit at probability 1.
         for &i in small.iter().chain(large.iter()) {
-            prob[i] = 1.0;
+            prob[i as usize] = 1.0;
         }
         AliasTable { prob, alias }
     }
@@ -78,7 +92,7 @@ impl AliasTable {
         if coin < self.prob[i] {
             i
         } else {
-            self.alias[i]
+            self.alias[i] as usize
         }
     }
 }
