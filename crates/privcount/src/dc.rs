@@ -9,6 +9,7 @@ use pm_dp::mechanism::sample_gaussian;
 use pm_net::party::{Node, NodeError, Step};
 use pm_net::transport::{Endpoint, Envelope, PartyId};
 use pm_net::Frame;
+use pm_obs::Recorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use torsim::stream::EventStream;
@@ -42,6 +43,8 @@ pub struct DcNode {
     /// noise draws; fewer than the schema requires means it refuses to
     /// configure rather than run under-noised.
     noise_budget: Option<u32>,
+    /// Where the `dc.ingest` span lands (detached by default).
+    recorder: Recorder,
 }
 
 impl DcNode {
@@ -66,7 +69,16 @@ impl DcNode {
             inflate_factor: None,
             corrupt_shares: false,
             noise_budget: None,
+            recorder: Recorder::new(),
         }
+    }
+
+    /// Attaches the round's recorder: the collection period's fold is
+    /// its `dc.ingest` span, with a `shards` note, when the recorder
+    /// profiles.
+    pub(crate) fn with_recorder(mut self, recorder: Recorder) -> DcNode {
+        self.recorder = recorder;
+        self
     }
 
     /// Byzantine variant
@@ -178,7 +190,10 @@ impl DcNode {
         // makes the skew invisible at the protocol layer, so detection
         // is statistical, at the campaign layer.
         let factor = self.inflate_factor.unwrap_or(1);
-        let totals = crate::shard::ingest_stream(stream, &self.schema);
+        let mut span = self.recorder.span("dc.ingest", "privcount");
+        let (totals, shards) = crate::shard::ingest_shards(stream, &self.schema);
+        span.note("shards", shards);
+        drop(span);
         for (reg, total) in self.registers.iter_mut().zip(totals) {
             reg.increment(total * factor);
         }

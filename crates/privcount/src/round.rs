@@ -198,7 +198,8 @@ pub fn run_round<S: Into<EventStream>>(
             stream.into(),
             noise_scale,
             cfg.seed ^ (0xDC00 + i as u64),
-        );
+        )
+        .with_recorder(cfg.recorder.clone());
         node = match cfg.adversary {
             Attack::MalformedRegisters { dc } if dc == i => node.malformed(),
             Attack::InflatedCounts { dc, factor } if dc == i => node.inflating(factor),
@@ -281,6 +282,33 @@ mod tests {
         )
         .unwrap();
         assert_eq!(result.total("connections"), 600);
+    }
+
+    #[test]
+    fn each_dc_ingest_is_a_span_inside_the_round() {
+        let recorder = pm_obs::Recorder::with_profiling();
+        let cfg = RoundConfig {
+            recorder: recorder.clone(),
+            ..counting_config(NoiseAllocation::None, 1.0)
+        };
+        let streams = vec![
+            EventStream::from_events((0..50).map(conn_event).collect(), 3),
+            EventStream::from_events((0..70).map(conn_event).collect(), 1),
+        ];
+        assert_eq!(run_round(cfg, streams).unwrap().total("connections"), 120);
+        let events = recorder.trace_events();
+        let round = events.iter().find(|e| e.name == "round.privcount").unwrap();
+        let ingests: Vec<_> = events.iter().filter(|e| e.name == "dc.ingest").collect();
+        let mut shards: Vec<&str> = ingests
+            .iter()
+            .map(|e| {
+                assert!(e.ts >= round.ts && e.ts + e.dur <= round.ts + round.dur);
+                assert_eq!(e.args[0].0, "shards");
+                e.args[0].1.as_str()
+            })
+            .collect();
+        shards.sort_unstable();
+        assert_eq!(shards, ["1", "3"]);
     }
 
     #[test]

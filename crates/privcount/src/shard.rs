@@ -50,12 +50,19 @@ impl ShardCounters {
 /// Ingests a stream shard-parallel (one thread per shard) and returns
 /// the merged per-counter totals.
 pub fn ingest_stream(stream: EventStream, schema: &Schema) -> Vec<i64> {
+    ingest_shards(stream, schema).0
+}
+
+/// [`ingest_stream`], also returning the stream's shard count.
+pub(crate) fn ingest_shards(stream: EventStream, schema: &Schema) -> (Vec<i64>, usize) {
     let n = schema.len();
     let parts = stream.fold_parallel(|_| ShardCounters::new(n), |acc, ev| acc.ingest(schema, ev));
-    parts
+    let shards = parts.len();
+    let totals = parts
         .into_iter()
         .fold(ShardCounters::new(n), |acc, part| acc.merge(&part))
-        .counts
+        .counts;
+    (totals, shards)
 }
 
 #[cfg(test)]
