@@ -15,10 +15,11 @@
 # (see `verdicts` below), and the report digests. After the pairs, one
 # `--trace 1` pass per side per workload (which adds the per-layer
 # ledger and the profiled runner) runs under `timeout` and prints its
-# `ledger_s`. Exits 1 if any digest differs between the sides, any run
-# fails its own correctness gate, or a traced pass times out or exits
-# nonzero; the verdicts are for a human to read and do not set the
-# status.
+# `ledger_s` and `proc.cpu_s` (CPU seconds per traced rep: a CPU-bound
+# workload's saving shows there when its wall time is noisy). Exits 1
+# if any digest differs between the sides, any run fails its own
+# correctness gate, or a traced pass times out or exits nonzero; the
+# verdicts are for a human to read and do not set the status.
 set -euo pipefail
 
 parent_rev=${1:?usage: perf_pairs.sh <parent-rev> [workloads] [pairs] [seconds] [seed]}
@@ -62,13 +63,15 @@ run() { # <binary> <cwd> <workload>
 # only a hang or a many-fold slowdown trips it.
 trace_limit=$((5 * seconds + 60))
 
-# One traced pass: prints "<exit status> <ledger_s>" (status 124 is a
-# timeout).
+# One traced pass: prints "<exit status> <ledger_s> <proc.cpu_s>"
+# (status 124 is a timeout; a missing value prints as n/a).
 traced() { # <binary> <cwd> <workload>
-    local out rc=0
+    local out rc=0 ledger cpu
     out=$(cd "$2" && timeout "$trace_limit" "$1" --workload "$3" --seed "$seed" \
         --seconds "$seconds" --trace 1) || rc=$?
-    printf '%s %s\n' "$rc" "$(sed -n 's/.*"ledger_s": \([0-9.e+-]*\).*/\1/p' <<<"$out" | head -1)"
+    ledger=$(sed -n 's/.*"ledger_s": \([0-9.e+-]*\).*/\1/p' <<<"$out" | head -1)
+    cpu=$(sed -n 's/.*"proc\.cpu_s": {"value": \([0-9.e+-]*\).*/\1/p' <<<"$out" | head -1)
+    printf '%s %s %s\n' "$rc" "${ledger:-n/a}" "${cpu:-n/a}"
 }
 
 # "<better> <bound>" of an end-to-end metric, as BENCHMARK.json fixes it.
@@ -184,7 +187,7 @@ for w in $workloads; do
         fi
         # shellcheck disable=SC2086
         set -- $r
-        printf '= %-13s traced %-6s exit %s ledger_s %s\n' "$w" "$side" "$1" "${2:-n/a}"
+        printf '= %-13s traced %-6s exit %s ledger_s %s cpu_s %s\n' "$w" "$side" "$1" "$2" "$3"
         if [ "$1" = 124 ]; then
             echo "!! $w $side: traced pass timed out after ${trace_limit} s" >&2
             status=1
