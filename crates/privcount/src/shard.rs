@@ -8,12 +8,13 @@
 //! addition. Per event the fold is one call of the schema's
 //! [`EventMapper`](crate::counter::EventMapper) on the event, by
 //! reference, and the shard's counter slice, which the mapper adds
-//! into directly: no per-increment callback, no copy of the event. Addition is commutative and
-//! associative, so the merged totals are bit-identical for every shard
-//! count (the stream's shard-count invariance contract). Noise and
-//! blinding are applied exactly once, when the merged totals are folded
-//! into the DC's [`BlindedCounter`](pm_crypto::secret::BlindedCounter)
-//! registers as a single batched update per counter.
+//! into directly: no per-increment callback, no copy of the event.
+//! Addition is commutative and associative, so the merged totals are
+//! bit-identical for every shard count (the stream's shard-count
+//! invariance contract). Noise and blinding are applied exactly once,
+//! when the merged totals are folded into the DC's
+//! [`BlindedCounter`](pm_crypto::secret::BlindedCounter) registers as a
+//! single batched update per counter.
 
 use crate::counter::Schema;
 use torsim::stream::EventStream;

@@ -192,11 +192,12 @@ impl EventStream {
     /// in shard order. Callers combine them with an associative merge;
     /// any order-insensitive merge preserves shard-count invariance.
     ///
-    /// `ingest` sees each event by reference, once, as the generator
-    /// emits it: it reads the fields it needs (a `match *ev` copies
-    /// only those) and must not move the event into a by-value hop of
-    /// its own — at tens of millions of events per day that hop costs
-    /// as much as the counting.
+    /// `ingest` borrows each event once, as the generator emits it. A
+    /// fold reads the fields it needs (`match *ev` copies only those)
+    /// and must not move the event on by value: PrivCount's fold, one
+    /// mapper call per event that writes its counters in place, costs
+    /// about what generating the event costs, and with one by-value
+    /// hop per event it measured several times that.
     pub fn fold_parallel<A, I, F>(self, make: I, ingest: F) -> Vec<A>
     where
         A: Send,
