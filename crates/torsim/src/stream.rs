@@ -195,8 +195,8 @@ impl EventStream {
     /// `ingest` borrows each event once, as the generator emits it. A
     /// fold reads the fields it needs (`match *ev` copies only those)
     /// and must not move the event on by value: PrivCount's fold, one
-    /// mapper call per event that writes its counters in place, costs
-    /// about what generating the event costs, and with one by-value
+    /// mapper call per event that writes its counters in place, adds
+    /// less per event than generating it costs, and with one by-value
     /// hop per event it measured several times that.
     pub fn fold_parallel<A, I, F>(self, make: I, ingest: F) -> Vec<A>
     where
