@@ -13,8 +13,7 @@ use rand::Rng;
 /// distribution in O(1) per draw.
 ///
 /// Aliases are stored as `u32` (a table has at most `u32::MAX`
-/// categories): 12 bytes per category instead of 16, which is most of
-/// a 400 k-site domain sampler's footprint.
+/// categories): 12 bytes per category instead of 16.
 #[derive(Clone, Debug)]
 pub struct AliasTable {
     prob: Vec<f64>,
