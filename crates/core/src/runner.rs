@@ -34,10 +34,9 @@
 use crate::deployment::{Deployment, MAX_CONCURRENT_PSC_ROUNDS};
 use crate::experiments;
 use crate::report::Report;
-use parking_lot::Mutex;
 use pm_dp::accountant::{Accountant, System};
 use pm_obs::Recorder;
-use std::sync::Condvar;
+use std::sync::{Condvar, Mutex};
 
 /// An experiment's registry entry.
 pub struct ExperimentEntry {
@@ -306,7 +305,7 @@ pub fn run_jobs<T: Send>(
         for _ in 0..workers {
             scope.spawn(move || loop {
                 let idx = {
-                    let mut guard = state.lock();
+                    let mut guard = state.lock().unwrap_or_else(|e| e.into_inner());
                     loop {
                         if guard.completed == n || guard.panic.is_some() {
                             return;
@@ -351,7 +350,7 @@ pub fn run_jobs<T: Send>(
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (jobs[idx].run)()))
                         .map_err(|payload| annotate_panic(payload, &jobs[idx].id));
                 drop(run_span);
-                let mut guard = state.lock();
+                let mut guard = state.lock().unwrap_or_else(|e| e.into_inner());
                 if jobs[idx].is_psc {
                     guard.psc_running -= 1;
                 }
@@ -374,7 +373,7 @@ pub fn run_jobs<T: Send>(
             });
         }
     });
-    let mut guard = state.lock();
+    let mut guard = state.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(payload) = guard.panic.take() {
         std::panic::resume_unwind(payload);
     }

@@ -21,14 +21,14 @@
 //!
 //! # Delivery
 //!
-//! Each registered party owns **one inbox**: a FIFO channel whose
-//! receiver sits in the party's [`Endpoint`]. A send serializes the
-//! frame, accounts it on its ordered `(from, to)` link, looks the
-//! recipient up, rolls the link's fault dice, and pushes the surviving
-//! copies onto the recipient's inbox. One sender thread per party and
-//! one FIFO per recipient give per-sender FIFO, the only ordering the
-//! protocols rely on; on the switchboard a recipient's arrival order
-//! across senders is simply the order the sends ran in.
+//! Each registered party owns **one inbox**: a `std::sync::mpsc`
+//! channel whose receiver sits in the party's [`Endpoint`]. A send
+//! serializes the frame, accounts it on its ordered `(from, to)` link,
+//! looks the recipient up, rolls the link's fault dice, and pushes the
+//! surviving copies onto the recipient's inbox. One sender thread per
+//! party and one FIFO per recipient give per-sender FIFO, the only
+//! ordering the protocols rely on; on the switchboard a recipient's
+//! arrival order across senders is simply the order the sends ran in.
 //!
 //! What is **per link** is the admission path, not the queue: fault
 //! schedules (seeded from `(seed, from, to)`, so one link's schedule is
@@ -69,10 +69,10 @@ pub use ledger::{FaultConfig, FaultStats, LinkStats};
 pub use switchboard::Switchboard;
 
 use crate::frame::{Frame, WireError};
-use crossbeam::channel::{Receiver, TryRecvError};
 use pm_obs::Recorder;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A party's stable name on the fabric (e.g. `"ts"`, `"sk-1"`, `"dc-7"`).
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -146,6 +146,13 @@ impl std::error::Error for TransportError {}
 
 /// What sits in a party's inbox: the sender and one frame's wire bytes.
 pub(crate) type WireMessage = (PartyId, Vec<u8>);
+
+/// Locks `m`; every lock in this crate goes through here. A holder's
+/// panic hands the data to the next locker instead of poisoning the
+/// lock, as `torstudy::runner::run_jobs` does.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A message fabric connecting the parties of a deployment: the
 /// send/recv/link-stats/metrics-publication surface protocol drivers
@@ -297,7 +304,8 @@ impl WireShape {
 /// A party's handle on its fabric: send to anyone, receive your own
 /// inbox. Backend-generic — the same endpoint type fronts the
 /// in-process switchboard and the socket fabric; a backend differs
-/// only in what feeds the inbox.
+/// only in what feeds the inbox. It is `Send` but not `Sync`: one
+/// party's receive end belongs to one thread.
 pub struct Endpoint {
     id: PartyId,
     send: Arc<dyn SendPort>,
@@ -385,6 +393,20 @@ mod tests {
         let board = Switchboard::new();
         let a = board.register("a");
         assert_eq!(a.try_recv().unwrap_err(), TransportError::Empty);
+    }
+
+    #[test]
+    fn poisoned_lock_still_usable() {
+        let m = Arc::new(Mutex::new(0));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = lock(&m2);
+            panic!("poison it");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 1);
     }
 
     #[test]
@@ -589,10 +611,14 @@ mod tests {
         let a = board.register("a");
         let b = board.register("b");
         a.send(b.id(), frame(1, b"before")).unwrap();
+        a.send(b.id(), frame(2, b"before")).unwrap();
         board.deregister(&PartyId::new("b"));
         // Queued traffic drains, then the receiver observes the
-        // disconnection; new sends see an unknown party.
-        assert!(b.recv().is_ok());
+        // disconnection on both receive paths (never `Empty`); new
+        // sends see an unknown party.
+        assert_eq!(b.recv().unwrap().frame.msg_type, 1);
+        assert_eq!(b.try_recv().unwrap().frame.msg_type, 2);
+        assert_eq!(b.try_recv().unwrap_err(), TransportError::Disconnected);
         assert_eq!(b.recv().unwrap_err(), TransportError::Disconnected);
         assert_eq!(
             a.send(&PartyId::new("b"), frame(2, b"after")).unwrap_err(),

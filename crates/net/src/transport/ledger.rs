@@ -4,14 +4,13 @@
 //! keeps one record behind one lock; board-wide totals are summed from
 //! the links, so every frame is counted in exactly one place.
 
-use super::PartyId;
+use super::{lock, PartyId};
 use crate::frame::flip_wire_bit;
-use parking_lot::Mutex;
 use pm_obs::Recorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Fault-injection knobs, mirroring smoltcp's example options.
 #[derive(Clone, Copy, Debug)]
@@ -160,8 +159,7 @@ impl LinkLedger {
     /// to [`roll`](LinkLedger::roll) on.
     pub(crate) fn tally_send(&self, from: &PartyId, to: &PartyId, wire: &[u8]) -> Arc<LinkRecord> {
         let record = Arc::clone(
-            self.links
-                .lock()
+            lock(&self.links)
                 .entry((from.clone(), to.clone()))
                 .or_insert_with(|| {
                     Arc::new(Mutex::new(LinkState {
@@ -175,7 +173,7 @@ impl LinkLedger {
                 }),
         );
         {
-            let stats = &mut record.lock().stats;
+            let stats = &mut lock(&record).stats;
             stats.sent += 1;
             stats.bytes += wire.len() as u64;
             stats.digest = fnv1a_fold(stats.digest, wire);
@@ -190,7 +188,7 @@ impl LinkLedger {
     /// the same schedule on every backend.
     pub(crate) fn roll(&self, record: &LinkRecord, wire: &mut [u8]) -> usize {
         let faults = &self.faults;
-        let link = &mut *record.lock();
+        let link = &mut *lock(record);
         let (mut copies, mut corrupted) = (1, false);
         if faults.is_active() {
             let rng = &mut link.rng;
@@ -222,8 +220,8 @@ impl LinkLedger {
     /// Board-wide totals: the sum over every link.
     pub(crate) fn fault_stats(&self) -> FaultStats {
         let mut total = FaultStats::default();
-        for record in self.links.lock().values() {
-            let link = record.lock();
+        for record in lock(&self.links).values() {
+            let link = lock(record);
             total.sent += link.stats.sent;
             total.dropped += link.stats.dropped;
             total.duplicated += link.stats.duplicated;
@@ -233,10 +231,9 @@ impl LinkLedger {
     }
 
     pub(crate) fn link_stats(&self) -> Vec<((PartyId, PartyId), LinkStats)> {
-        self.links
-            .lock()
+        lock(&self.links)
             .iter()
-            .map(|(k, v)| (k.clone(), v.lock().stats))
+            .map(|(k, v)| (k.clone(), lock(v).stats))
             .collect()
     }
 

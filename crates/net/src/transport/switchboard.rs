@@ -1,13 +1,12 @@
 //! The in-process backend: one inbox channel per registered party.
 
 use super::ledger::{FaultConfig, FaultStats, LinkLedger, LinkStats};
-use super::{Endpoint, Fabric, PartyId, SendPort, TransportError, WireMessage};
+use super::{lock, Endpoint, Fabric, PartyId, SendPort, TransportError, WireMessage};
 use crate::frame::Frame;
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::Mutex;
 use pm_obs::Recorder;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 
 struct BoardInner {
     /// Each registered party's inbox sender; the matching receiver
@@ -61,19 +60,19 @@ impl Switchboard {
     /// replaces the previous endpoint (the old receiver disconnects).
     pub fn register(&self, id: impl Into<PartyId>) -> Endpoint {
         let id = id.into();
-        let (inbox_tx, inbox_rx) = unbounded();
-        self.inner.parties.lock().insert(id.clone(), inbox_tx);
+        let (inbox_tx, inbox_rx) = channel();
+        lock(&self.inner.parties).insert(id.clone(), inbox_tx);
         Endpoint::from_parts(id, Arc::new(self.clone()), inbox_rx)
     }
 
     /// Removes a party from the fabric.
     pub fn deregister(&self, id: &PartyId) {
-        self.inner.parties.lock().remove(id);
+        lock(&self.inner.parties).remove(id);
     }
 
     /// All registered party ids, sorted.
     pub fn parties(&self) -> Vec<PartyId> {
-        self.inner.parties.lock().keys().cloned().collect()
+        lock(&self.inner.parties).keys().cloned().collect()
     }
 }
 
@@ -83,10 +82,7 @@ impl SendPort for Switchboard {
         let record = self.inner.ledger.tally_send(from, to, &wire);
         // The sender is cloned out so the registry lock is never held
         // across fault rolls or inbox pushes.
-        let inbox = self
-            .inner
-            .parties
-            .lock()
+        let inbox = lock(&self.inner.parties)
             .get(to)
             .cloned()
             .ok_or_else(|| TransportError::UnknownParty(to.0.clone()))?;

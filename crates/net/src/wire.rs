@@ -68,17 +68,16 @@
 
 use crate::frame::{Frame, WireError};
 use crate::transport::{
-    Endpoint, Fabric, FaultConfig, FaultStats, LinkLedger, LinkStats, PartyId, SendPort,
+    lock, Endpoint, Fabric, FaultConfig, FaultStats, LinkLedger, LinkStats, PartyId, SendPort,
     TransportError, WireMessage, WireShape,
 };
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::Mutex;
 use pm_obs::Recorder;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Upper bound on a single length-prefixed blob (16 MiB). A prefix
@@ -229,9 +228,9 @@ impl WireFabric {
         let listener = TcpListener::bind(("127.0.0.1", 0))
             // lint:allow(panic) environment-fatal, see above
             .expect("bind wire fabric listener on loopback");
-        let (inbox, inbox_rx) = unbounded();
+        let (inbox, inbox_rx) = channel();
         let record = PartyRecord { listener, inbox };
-        let mut registry = self.inner.registry.lock();
+        let mut registry = lock(&self.inner.registry);
         // Re-registration replaces the previous endpoint: its listener
         // closes and its inbox sender drops here.
         if registry.insert(id.clone(), record).is_some() {
@@ -246,7 +245,7 @@ impl WireFabric {
     /// party up afterwards never pairs the new listener (or its
     /// absence) with a stale connection.
     fn evict_conns_into(&self, to: &PartyId) {
-        self.inner.conns.lock().retain(|(_, t), _| t != to);
+        lock(&self.inner.conns).retain(|(_, t), _| t != to);
     }
 }
 
@@ -300,11 +299,11 @@ impl SendPort for WireFabric {
         // what keeps the shared counters backend-invariant.
         let record = inner.ledger.tally_send(from, to, &wire);
         let conn = {
-            let registry = inner.registry.lock();
+            let registry = lock(&inner.registry);
             let party = registry
                 .get(to)
                 .ok_or_else(|| TransportError::UnknownParty(to.0.clone()))?;
-            match inner.conns.lock().entry((from.clone(), to.clone())) {
+            match lock(&inner.conns).entry((from.clone(), to.clone())) {
                 Entry::Occupied(link) => Arc::clone(link.get()),
                 // First frame on this ordered link (or the first since
                 // its recipient re-registered).
@@ -321,7 +320,7 @@ impl SendPort for WireFabric {
         }
         let blob = encode_blob(&wire);
         let delay = inner.shape.delay_ms(wire.len());
-        let mut stream = conn.lock();
+        let mut stream = lock(&conn);
         for _ in 0..copies {
             if delay > 0 {
                 // Deterministic shaping: a pure function of config and
@@ -344,14 +343,14 @@ impl Fabric for WireFabric {
     }
 
     fn deregister(&self, id: &PartyId) {
-        let mut registry = self.inner.registry.lock();
+        let mut registry = lock(&self.inner.registry);
         if registry.remove(id).is_some() {
             self.evict_conns_into(id);
         }
     }
 
     fn parties(&self) -> Vec<PartyId> {
-        self.inner.registry.lock().keys().cloned().collect()
+        lock(&self.inner.registry).keys().cloned().collect()
     }
 
     fn fault_stats(&self) -> FaultStats {
@@ -808,7 +807,7 @@ mod tests {
         let fabric = WireFabric::new();
         let a = fabric.register(PartyId::new("a"));
         let b = fabric.register(PartyId::new("b"));
-        let addr = fabric.inner.registry.lock()[b.id()]
+        let addr = lock(&fabric.inner.registry)[b.id()]
             .listener
             .local_addr()
             .unwrap();

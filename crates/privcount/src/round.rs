@@ -7,11 +7,10 @@ use crate::counter::{CounterSpec, EventMapper};
 use crate::dc::DcNode;
 use crate::sk::SkNode;
 use crate::ts::{ResultSlot, TsNode};
-use parking_lot::Mutex;
 use pm_net::party::{NodeError, Runner};
 use pm_net::transport::{FabricChoice, FaultConfig, PartyId};
 use pm_stats::ci::Estimate;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use torsim::stream::EventStream;
 
 /// How DCs split the per-counter noise.
@@ -219,6 +218,7 @@ pub fn run_round<S: Into<EventStream>>(
     }
     let totals = slot
         .lock()
+        .unwrap_or_else(|e| e.into_inner())
         .take()
         .ok_or_else(|| NodeError::Protocol("TS produced no result".into()))?;
     Ok(RoundResult {

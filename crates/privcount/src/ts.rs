@@ -6,14 +6,13 @@
 
 use crate::counter::CounterSpec;
 use crate::messages::{self, tag};
-use parking_lot::Mutex;
 use pm_crypto::group::GroupElement;
 use pm_crypto::secret::unblind_total;
 use pm_net::party::{Node, NodeError, Step};
 use pm_net::transport::{Endpoint, Envelope, PartyId};
 use pm_net::Frame;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Shared slot where the TS deposits the round's totals.
 pub type ResultSlot = Arc<Mutex<Option<Vec<i64>>>>;
@@ -100,7 +99,7 @@ impl TsNode {
             let sk_vals: Vec<u64> = self.sk_results.iter().map(|r| r[i]).collect();
             totals.push(unblind_total(&dc_vals, &sk_vals));
         }
-        *self.result.lock() = Some(totals);
+        *self.result.lock().unwrap_or_else(|e| e.into_inner()) = Some(totals);
     }
 }
 

@@ -5,12 +5,11 @@ use crate::cp::{CpNode, MixStrategy};
 use crate::dc::PscDcNode;
 use crate::items::ItemExtractor;
 use crate::ts::{PscResultSlot, PscTsNode, RawCount};
-use parking_lot::Mutex;
 use pm_net::party::{NodeError, Runner};
 use pm_net::transport::{FabricChoice, FaultConfig, PartyId};
 use pm_stats::ci::Estimate;
 use pm_stats::psc_ci::psc_confidence_interval;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use torsim::stream::EventStream;
 
 /// PSC round configuration.
@@ -209,6 +208,7 @@ pub fn run_psc_round<S: Into<EventStream>>(
     }
     let raw = slot
         .lock()
+        .unwrap_or_else(|e| e.into_inner())
         .take()
         .ok_or_else(|| NodeError::Protocol("PSC TS produced no result".into()))?;
     Ok(PscResult { raw })

@@ -30,7 +30,6 @@
 use crate::cp::{dec_transcript, exp_transcript, CpNode};
 use crate::messages::{self, tag};
 use crate::table::combine_tables;
-use parking_lot::Mutex;
 use pm_crypto::batch::PrecomputedKey;
 use pm_crypto::elgamal::{Ciphertext, PublicKey};
 use pm_crypto::group::{GroupElement, GroupParams};
@@ -39,7 +38,7 @@ use pm_net::party::{Node, NodeError, Step};
 use pm_net::transport::{Endpoint, Envelope, PartyId};
 use pm_net::Frame;
 use pm_obs::Recorder;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The raw outcome the TS publishes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -272,7 +271,7 @@ impl PscTsNode {
                 marked += 1;
             }
         }
-        *self.result.lock() = Some(RawCount {
+        *self.result.lock().unwrap_or_else(|e| e.into_inner()) = Some(RawCount {
             marked,
             table_size: self.table_size as u64,
             noise_total: self.noise_flips as u64 * self.cp_names.len() as u64,

@@ -17,9 +17,12 @@
 # with `pub fn|struct|enum|trait|type|const` (`pub(crate)` and narrower
 # do not count).
 # Units are the directories under crates/ plus "(root)" for the root
-# package's src/, tests/ and examples/; perfbench/, scripts/ and the
-# vendored packages under crates/vendor/ are not counted (pm-lint and
-# the `public_items_only_ratchet_down` test skip crates/vendor too).
+# package's src/, tests/ and examples/; perfbench/ and scripts/ are not
+# counted. The vendored packages (crates/vendor/<name>/, whose src/ sits
+# one level deeper) form one more unit, "crates/vendor": its row comes
+# below `total`, is not part of it, and has no pub-item count (pm-lint
+# and the `public_items_only_ratchet_down` test skip crates/vendor too),
+# so deleting vendored code shows on the ruler without moving `total`.
 # With a revision, that tree is exported (git archive: the working tree
 # may be dirty) and the table shows parent -> now and the difference
 # per column; both trees are counted by this script.
@@ -27,11 +30,12 @@ set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
 
-# Prints "unit non-test test pub" for the tree rooted at $1, sorted by unit.
+# Prints "unit non-test test pub" for the tree rooted at $1, sorted by
+# unit; the vendored packages are the unit "crates/vendor".
 # (The second awk sums the partial tables xargs produces when the file
 # list spans several invocations of the first.)
 count() {
-    (cd "$1" && find crates src tests examples -path crates/vendor -prune -o -name '*.rs' -type f -print0 |
+    (cd "$1" && find crates src tests examples -name '*.rs' -type f -print0 |
         xargs -0 awk '
             # Scans one line of a test item; 1 when the item ends on it.
             # A `;` ends an item only outside braces and brackets, so
@@ -50,8 +54,9 @@ count() {
             FNR == 1 {
                 in_item = 0
                 split(FILENAME, p, "/")
-                unit = p[1] == "crates" ? p[2] : "(root)"
-                in_src = p[1] == "crates" ? p[3] == "src" : p[1] == "src"
+                vendored = p[1] == "crates" && p[2] == "vendor"
+                unit = vendored ? "crates/vendor" : p[1] == "crates" ? p[2] : "(root)"
+                in_src = vendored ? p[4] == "src" : p[1] == "crates" ? p[3] == "src" : p[1] == "src"
             }
             {
                 is_test = !in_src || in_item
@@ -74,9 +79,13 @@ count() {
 
 if [ $# -eq 0 ] || [ -z "$1" ]; then
     count . | awk '
-        BEGIN { printf "%-10s %9s %9s %9s\n", "crate", "non-test", "test", "pub items" }
-        { printf "%-10s %9d %9d %9d\n", $1, $2, $3, $4; non += $2; test += $3; api += $4 }
-        END { printf "%-10s %9d %9d %9d\n", "total", non, test, api }'
+        BEGIN { printf "%-13s %9s %9s %9s\n", "crate", "non-test", "test", "pub items" }
+        $1 == "crates/vendor" { vn = $2; vt = $3; next }
+        { printf "%-13s %9d %9d %9d\n", $1, $2, $3, $4; non += $2; test += $3; api += $4 }
+        END {
+            printf "%-13s %9d %9d %9d\n", "total", non, test, api
+            printf "%-13s %9d %9d\n", "crates/vendor", vn, vt
+        }'
     exit
 fi
 
@@ -88,11 +97,19 @@ git archive "$rev" | tar -x -C "$parent_dir"
 
 echo "# parent $(git rev-parse --short "$rev") -> working tree"
 join -a1 -a2 -e0 -o 0,1.2,2.2,1.3,2.3,1.4,2.4 <(count "$parent_dir") <(count .) | awk '
-    function row(name, n0, n1, t0, t1, a0, a1) {
-        printf "%-10s %7d -> %7d (%+5d) %7d -> %7d (%+5d) %5d -> %5d (%+4d)\n",
-            name, n0, n1, n1 - n0, t0, t1, t1 - t0, a0, a1, a1 - a0
+    function lines(name, n0, n1, t0, t1) {
+        printf "%-13s %7d -> %7d (%+5d) %7d -> %7d (%+5d)", name, n0, n1, n1 - n0, t0, t1, t1 - t0
     }
-    BEGIN { printf "%-10s %28s %28s %22s\n", "crate", "non-test", "test", "pub items" }
+    function row(name, n0, n1, t0, t1, a0, a1) {
+        lines(name, n0, n1, t0, t1)
+        printf " %5d -> %5d (%+4d)\n", a0, a1, a1 - a0
+    }
+    BEGIN { printf "%-13s %28s %28s %22s\n", "crate", "non-test", "test", "pub items" }
+    $1 == "crates/vendor" { vn0 = $2; vn1 = $3; vt0 = $4; vt1 = $5; next }
     { row($1, $2, $3, $4, $5, $6, $7); n0 += $2; n1 += $3; t0 += $4; t1 += $5; a0 += $6; a1 += $7 }
-    END { row("total", n0, n1, t0, t1, a0, a1) }'
+    END {
+        row("total", n0, n1, t0, t1, a0, a1)
+        lines("crates/vendor", vn0, vn1, vt0, vt1)
+        printf "\n"
+    }'
 rm -rf "$parent_dir"
