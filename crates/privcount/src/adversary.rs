@@ -98,7 +98,8 @@ mod tests {
     use crate::counter::CounterSpec;
     use crate::dc::EventGenerator;
     use crate::round::{run_round, NoiseAllocation, RoundConfig};
-    use pm_net::transport::FaultConfig;
+    use pm_net::party::NodeError;
+    use pm_net::transport::{FabricChoice, FaultConfig};
     use std::sync::Arc;
     use torsim::events::TorEvent;
     use torsim::ids::{IpAddr, RelayId};
@@ -204,5 +205,60 @@ mod tests {
         )
         .unwrap();
         assert_eq!(result.total("connections"), 12);
+    }
+
+    /// Every attack aimed at the first party, at the last one and past
+    /// the end of three DCs and three SKs: each outcome is pinned, so
+    /// an attack that lands on the wrong party (or on none) changes a
+    /// total or the detector an error names.
+    #[test]
+    fn each_attack_lands_on_the_party_it_names() {
+        let table = [
+            (Attack::None, "total 15"),
+            (Attack::MalformedRegisters { dc: 0 }, "protocol error: DC result length mismatch (detected by ts)"),
+            (Attack::MalformedRegisters { dc: 2 }, "protocol error: DC result length mismatch (detected by ts)"),
+            (Attack::MalformedRegisters { dc: 9 }, "total 15"),
+            (Attack::InflatedCounts { dc: 0, factor: 10 }, "total 42"),
+            (Attack::InflatedCounts { dc: 2, factor: 10 }, "total 78"),
+            (Attack::InflatedCounts { dc: 9, factor: 10 }, "total 15"),
+            (Attack::SkDeath { sk: 0, after_messages: 1 }, "protocol error: deadlock: no messages in flight but parties not done: ts (privcount-ts), sk-1 (privcount-sk), sk-2 (privcount-sk), dc-0 (privcount-dc), dc-1 (privcount-dc), dc-2 (privcount-dc)"),
+            (Attack::SkDeath { sk: 2, after_messages: 1 }, "protocol error: deadlock: no messages in flight but parties not done: ts (privcount-ts), sk-0 (privcount-sk), sk-1 (privcount-sk), dc-0 (privcount-dc), dc-1 (privcount-dc), dc-2 (privcount-dc)"),
+            (Attack::SkDeath { sk: 9, after_messages: 1 }, "total 15"),
+            (Attack::BadSharePayload { dc: 0 }, "protocol error: share payload from dc-0 has invalid length 5 (detected by sk-0)"),
+            (Attack::BadSharePayload { dc: 2 }, "protocol error: share payload from dc-2 has invalid length 5 (detected by sk-0)"),
+            (Attack::BadSharePayload { dc: 9 }, "total 15"),
+            (Attack::NoiseExhaustion { dc: 0, budget: 0 }, "protocol error: noise budget exhausted: 0 of 1 counter draws available (detected by dc-0)"),
+            (Attack::NoiseExhaustion { dc: 2, budget: 0 }, "protocol error: noise budget exhausted: 0 of 1 counter draws available (detected by dc-2)"),
+            (Attack::NoiseExhaustion { dc: 9, budget: 0 }, "total 15"),
+        ];
+        for (attack, want) in table {
+            let config = RoundConfig {
+                num_sks: 3,
+                ..cfg(attack)
+            };
+            let got = match run_round(config, generators(&[3, 5, 7])) {
+                Ok(result) => format!("total {}", result.total("connections")),
+                Err(e) => e.to_string(),
+            };
+            assert_eq!(got, want, "{attack:?}");
+        }
+    }
+
+    #[test]
+    fn wire_fabric_refuses_an_active_attack() {
+        let config = RoundConfig {
+            fabric: FabricChoice::Wire(Default::default()),
+            ..cfg(Attack::SkDeath {
+                sk: 0,
+                after_messages: 1,
+            })
+        };
+        let err = run_round(config, generators(&[3])).unwrap_err();
+        assert!(matches!(err, NodeError::Protocol(_)), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "protocol error: adversarial scenarios need the deterministic scheduler, \
+             which the wire fabric cannot provide"
+        );
     }
 }

@@ -99,6 +99,8 @@ mod tests {
     use super::*;
     use crate::items;
     use crate::round::{run_psc_round, PscConfig};
+    use pm_net::party::NodeError;
+    use pm_net::transport::FabricChoice;
     use torsim::events::TorEvent;
     use torsim::ids::{IpAddr, RelayId};
 
@@ -228,5 +230,68 @@ mod tests {
         )
         .unwrap();
         assert!(result.raw.marked >= 3);
+    }
+
+    /// Every attack aimed at the first party, at the last one and past
+    /// the end of three DCs and three CPs: each outcome is pinned, so
+    /// an attack that lands on the wrong party (or on none) changes a
+    /// count or the detector an error names.
+    #[test]
+    fn each_attack_lands_on_the_party_it_names() {
+        let table = [
+            (Attack::None, "marked 9"),
+            (Attack::MalformedTable { dc: 0 }, "protocol error: DC table size mismatch (detected by psc-ts)"),
+            (Attack::MalformedTable { dc: 2 }, "protocol error: DC table size mismatch (detected by psc-ts)"),
+            (Attack::MalformedTable { dc: 9 }, "marked 9"),
+            (Attack::SkewedShares { dc: 0, extra_marks: 5 }, "marked 11"),
+            (Attack::SkewedShares { dc: 2, extra_marks: 5 }, "marked 11"),
+            (Attack::SkewedShares { dc: 9, extra_marks: 5 }, "marked 9"),
+            (Attack::CpDeath { cp: 0, after_messages: 1 }, "protocol error: deadlock: no messages in flight but parties not done: psc-ts (psc-ts), psc-cp-1 (psc-cp), psc-cp-2 (psc-cp)"),
+            (Attack::CpDeath { cp: 2, after_messages: 1 }, "protocol error: deadlock: no messages in flight but parties not done: psc-ts (psc-ts), psc-cp-0 (psc-cp), psc-cp-1 (psc-cp)"),
+            (Attack::CpDeath { cp: 9, after_messages: 1 }, "marked 9"),
+            (Attack::InvalidProof { cp: 0 }, "protocol error: exponentiation proof (a) failed at cell 0 (detected by psc-ts)"),
+            (Attack::InvalidProof { cp: 2 }, "protocol error: exponentiation proof (a) failed at cell 0 (detected by psc-ts)"),
+            (Attack::InvalidProof { cp: 9 }, "marked 9"),
+            (Attack::NoiseExhaustion { cp: 0, budget: 1 }, "protocol error: noise budget exhausted: 1 of 2 required flips available (detected by psc-cp-0)"),
+            (Attack::NoiseExhaustion { cp: 2, budget: 1 }, "protocol error: noise budget exhausted: 1 of 2 required flips available (detected by psc-cp-2)"),
+            (Attack::NoiseExhaustion { cp: 9, budget: 1 }, "marked 9"),
+        ];
+        for (attack, want) in table {
+            let name = format!("{attack:?}");
+            let got = match run_psc_round(
+                PscConfig {
+                    table_size: 16,
+                    noise_flips_per_cp: 2,
+                    num_cps: 3,
+                    verify: matches!(attack, Attack::InvalidProof { .. }),
+                    ..cfg(attack)
+                },
+                items::unique_client_ips(),
+                generators(vec![vec![1, 2], vec![3], vec![4, 5]]),
+            ) {
+                Ok(result) => format!("marked {}", result.raw.marked),
+                Err(e) => e.to_string(),
+            };
+            assert_eq!(got, want, "{name}");
+        }
+    }
+
+    #[test]
+    fn wire_fabric_refuses_an_active_attack() {
+        let err = run_psc_round(
+            PscConfig {
+                fabric: FabricChoice::Wire(Default::default()),
+                ..cfg(Attack::InvalidProof { cp: 0 })
+            },
+            items::unique_client_ips(),
+            generators(vec![vec![1]]),
+        )
+        .unwrap_err();
+        assert!(matches!(err, NodeError::Protocol(_)), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "protocol error: adversarial scenarios need the deterministic scheduler, \
+             which the wire fabric cannot provide"
+        );
     }
 }
