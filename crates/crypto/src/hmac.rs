@@ -68,7 +68,7 @@ pub struct KeyStream {
 
 impl KeyStream {
     /// Creates a keystream bound to `key` and a domain-separating `label`.
-    pub fn new(key: &[u8], label: &[u8]) -> KeyStream {
+    fn new(key: &[u8], label: &[u8]) -> KeyStream {
         let (inner, outer) = keyed_pads(&hkdf_extract(label, key));
         let mut ks = KeyStream {
             inner,

@@ -24,11 +24,6 @@ use rand::Rng;
 pub struct Permutation(pub Vec<usize>);
 
 impl Permutation {
-    /// The identity permutation on `n` items.
-    pub fn identity(n: usize) -> Permutation {
-        Permutation((0..n).collect())
-    }
-
     /// A uniformly random permutation (Fisher–Yates).
     pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Permutation {
         let mut v: Vec<usize> = (0..n).collect();

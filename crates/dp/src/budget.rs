@@ -19,17 +19,6 @@ pub struct StatSpec {
     pub expected: f64,
 }
 
-impl StatSpec {
-    /// Convenience constructor.
-    pub fn new(name: impl Into<String>, sensitivity: f64, expected: f64) -> StatSpec {
-        StatSpec {
-            name: name.into(),
-            sensitivity,
-            expected,
-        }
-    }
-}
-
 /// Equal split: each of `n` statistics gets ε/n.
 pub fn allocate_equal(stats: &[StatSpec], eps_total: f64) -> Vec<f64> {
     assert!(!stats.is_empty());
@@ -66,11 +55,19 @@ mod tests {
     use super::*;
     use crate::mechanism::gaussian_sigma;
 
+    fn stat(name: &str, sensitivity: f64, expected: f64) -> StatSpec {
+        StatSpec {
+            name: name.into(),
+            sensitivity,
+            expected,
+        }
+    }
+
     fn specs() -> Vec<StatSpec> {
         vec![
-            StatSpec::new("streams", 20.0, 30e6),
-            StatSpec::new("circuits", 651.0, 2e6),
-            StatSpec::new("bytes", 400e6, 5e12),
+            stat("streams", 20.0, 30e6),
+            stat("circuits", 651.0, 2e6),
+            stat("bytes", 400e6, 5e12),
         ]
     }
 
@@ -104,10 +101,7 @@ mod tests {
         // A statistic with high sensitivity and low expected value must
         // receive more budget than one with low sensitivity and a huge
         // expected value.
-        let stats = vec![
-            StatSpec::new("needy", 651.0, 1e3),
-            StatSpec::new("comfortable", 20.0, 1e9),
-        ];
+        let stats = vec![stat("needy", 651.0, 1e3), stat("comfortable", 20.0, 1e9)];
         let eps = allocate_equal_relative(&stats, 0.3);
         assert!(eps[0] > eps[1] * 1000.0);
     }
@@ -119,7 +113,7 @@ mod tests {
 
     #[test]
     fn single_stat_gets_everything() {
-        let stats = vec![StatSpec::new("only", 5.0, 100.0)];
+        let stats = vec![stat("only", 5.0, 100.0)];
         assert_eq!(allocate_equal(&stats, 0.3), vec![0.3]);
         assert_eq!(allocate_equal_relative(&stats, 0.3), vec![0.3]);
     }

@@ -18,10 +18,10 @@
 //!   deterministic latency/bandwidth shaping for WAN-like wall-clock
 //!   measurements;
 //! * [`party`] — an event-loop runner that drives protocol state
-//!   machines to completion over any fabric, with a deterministic
-//!   single-threaded scheduler (for tests) and a threaded runner (one
-//!   OS thread per party, as a real deployment would run one process
-//!   per party).
+//!   machines to completion over any fabric: a deterministic
+//!   single-threaded scheduler on the in-process backend, one OS
+//!   thread per party (as a real deployment would run one process per
+//!   party) on the wire.
 //!
 //! Protocol crates (`privcount`, `psc`) define their message types as
 //! [`frame::WireEncode`]/[`frame::WireDecode`] implementations and state
@@ -66,7 +66,7 @@ pub mod transport;
 pub mod wire;
 
 pub use frame::{Frame, WireDecode, WireEncode, WireError};
-pub use party::{Node, Runner, Step};
+pub use party::{Node, Step};
 pub use transport::{
     Endpoint, Fabric, FabricChoice, FaultConfig, PartyId, Switchboard, TransportError, WireShape,
 };

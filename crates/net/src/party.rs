@@ -1,17 +1,20 @@
 //! Protocol party runner: drives [`Node`] state machines over any
 //! [`Fabric`] backend.
 //!
-//! Two execution modes:
+//! A round door hands [`run`] its parties and the backend it chose;
+//! the backend fixes the execution mode:
 //!
-//! * [`Runner::run_deterministic`] — a single-threaded round-robin
+//! * The in-process switchboard runs on a single-threaded round-robin
 //!   scheduler. Messages are delivered in a reproducible order, which
-//!   makes protocol tests deterministic and debuggable. Only valid on
-//!   the in-process backends: the scheduler equates "no message
-//!   immediately available" with "nothing in flight", which is false
-//!   on a socket fabric where frames sit in kernel buffers.
-//! * [`Runner::run_threaded`] — one OS thread per party, matching how a
-//!   real deployment runs one process per party. Valid on every
-//!   backend; the only mode for the wire fabric.
+//!   makes protocol tests deterministic and debuggable, and a round
+//!   that wedges fails with a deadlock report naming the stuck
+//!   parties. The scheduler equates "no message immediately available"
+//!   with "nothing in flight", which is false on a socket fabric where
+//!   frames sit in kernel buffers.
+//! * The wire fabric runs one OS thread per party, matching how a real
+//!   deployment runs one process per party. It has no deadlock
+//!   detector, so a dead party would hang it: [`run`] refuses an
+//!   attacked round over the wire.
 //!
 //! Both run until every node reports [`Step::Done`] and return
 //! `Ok(())`, or stop at the first failure with a typed [`NodeError`]
@@ -26,7 +29,10 @@
 //! is a schedule artifact on every backend (send order, OS scheduler,
 //! or TCP timing).
 
-use crate::transport::{Endpoint, Envelope, Fabric, PartyId, TransportError};
+use crate::transport::{
+    Endpoint, Envelope, Fabric, FabricChoice, FaultConfig, PartyId, TransportError,
+};
+use pm_obs::Recorder;
 use std::fmt;
 use std::sync::Arc;
 
@@ -125,15 +131,46 @@ pub trait Node: Send {
     }
 }
 
+/// Runs one protocol round: `parties` over the backend `fabric` builds
+/// (its counters published into `recorder`, `faults` injected), in the
+/// execution mode that backend fixes (see the module docs). An
+/// `adversarial` round needs the deterministic scheduler's deadlock
+/// detector, so over the wire fabric it is refused before any backend
+/// is built.
+pub fn run(
+    fabric: FabricChoice,
+    faults: FaultConfig,
+    recorder: &Recorder,
+    adversarial: bool,
+    parties: Vec<(PartyId, Box<dyn Node>)>,
+) -> Result<(), NodeError> {
+    if fabric.is_wire() && adversarial {
+        return Err(NodeError::Protocol(
+            "adversarial scenarios need the deterministic scheduler, which the \
+             wire fabric cannot provide"
+                .into(),
+        ));
+    }
+    let mut runner = Runner::over(fabric.build_obs(faults, recorder.clone()));
+    for (id, node) in parties {
+        runner.add(id, node);
+    }
+    if fabric.is_wire() {
+        runner.run_threaded()
+    } else {
+        runner.run_deterministic()
+    }
+}
+
 /// Binds nodes to party ids and runs them over a [`Fabric`] backend.
-pub struct Runner {
+struct Runner {
     board: Arc<dyn Fabric>,
     nodes: Vec<(PartyId, Box<dyn Node>)>,
 }
 
 impl Runner {
     /// Creates a runner over a shared fabric handle.
-    pub fn over(board: Arc<dyn Fabric>) -> Runner {
+    fn over(board: Arc<dyn Fabric>) -> Runner {
         Runner {
             board,
             nodes: Vec::new(),
@@ -141,7 +178,7 @@ impl Runner {
     }
 
     /// Adds a node under a party id.
-    pub fn add(&mut self, id: impl Into<PartyId>, node: Box<dyn Node>) -> &mut Self {
+    fn add(&mut self, id: impl Into<PartyId>, node: Box<dyn Node>) -> &mut Self {
         self.nodes.push((id.into(), node));
         self
     }
@@ -150,7 +187,7 @@ impl Runner {
     /// all are done and no messages remain in flight. A frame that fails
     /// its checksum is dropped and the round goes on; the ledger already
     /// counted it at the send site (`net.frames.corrupted`).
-    pub fn run_deterministic(self) -> Result<(), NodeError> {
+    fn run_deterministic(self) -> Result<(), NodeError> {
         let mut endpoints: Vec<Endpoint> = Vec::new();
         let mut nodes = Vec::new();
         for (id, node) in self.nodes {
@@ -214,7 +251,7 @@ impl Runner {
     /// real per-process deployment would. Checksum failures are dropped
     /// as in [`Runner::run_deterministic`]; a node thread that panics
     /// fails the run, attributed to its party.
-    pub fn run_threaded(self) -> Result<(), NodeError> {
+    fn run_threaded(self) -> Result<(), NodeError> {
         // Register all endpoints BEFORE any thread starts so early sends
         // never hit UnknownParty.
         let prepared: Vec<(PartyId, Box<dyn Node>, Endpoint)> = self

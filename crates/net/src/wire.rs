@@ -103,11 +103,6 @@ pub struct StreamDecoder {
 }
 
 impl StreamDecoder {
-    /// An empty decoder.
-    pub fn new() -> StreamDecoder {
-        StreamDecoder::default()
-    }
-
     /// Consumes the next chunk of stream bytes, returning every blob it
     /// completed (possibly none). Chunk boundaries are arbitrary: a
     /// blob may arrive across many pushes, and one push may complete
@@ -272,7 +267,7 @@ fn dial(from: &PartyId, to: &PartyRecord) -> std::io::Result<TcpStream> {
 /// wire image, forwarded to the recipient's inbox as sent by `from`.
 /// Exits on stream close, decode error, or a gone receiver.
 fn read_loop(mut stream: TcpStream, from: PartyId, inbox: Sender<WireMessage>) {
-    let mut decoder = StreamDecoder::new();
+    let mut decoder = StreamDecoder::default();
     let mut buf = [0u8; 4096];
     loop {
         let n = match stream.read(&mut buf) {
@@ -380,7 +375,7 @@ mod tests {
             stream.extend_from_slice(&encode_blob(b));
         }
         // Byte-at-a-time is the worst chunking.
-        let mut dec = StreamDecoder::new();
+        let mut dec = StreamDecoder::default();
         let mut got = Vec::new();
         for byte in &stream {
             got.extend(dec.push(std::slice::from_ref(byte)).unwrap());
@@ -393,7 +388,7 @@ mod tests {
     fn decoder_flags_truncated_tail() {
         let blob = encode_blob(b"whole");
         for cut in 1..blob.len() {
-            let mut dec = StreamDecoder::new();
+            let mut dec = StreamDecoder::default();
             assert!(dec.push(&blob[..cut]).unwrap().is_empty(), "cut={cut}");
             assert_eq!(
                 dec.finish().unwrap_err(),
@@ -405,7 +400,7 @@ mod tests {
 
     #[test]
     fn decoder_rejects_absurd_length_prefix() {
-        let mut dec = StreamDecoder::new();
+        let mut dec = StreamDecoder::default();
         let bad = (MAX_BLOB_LEN as u32 + 1).to_be_bytes();
         assert!(matches!(
             dec.push(&bad).unwrap_err(),

@@ -68,13 +68,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// An empty snapshot (reports assembled without a recorder).
-    pub fn empty() -> MetricsSnapshot {
-        MetricsSnapshot {
-            entries: Vec::new(),
-        }
-    }
-
     /// The value recorded under `name`, if any.
     pub fn get(&self, name: &str) -> Option<u64> {
         self.entries

@@ -24,11 +24,19 @@
 //! | [`Attack::BadSharePayload`] | DC truncates an encrypted blinding-share payload | the receiving SK (`invalid length`) |
 //! | [`Attack::NoiseExhaustion`] | DC's noise budget covers fewer counters than configured | the exhausted DC itself, which refuses to run under-noised |
 //!
+//! An attack reaches its party in one step. The round door hands each
+//! party's one constructor the round's attack narrowed to that party —
+//! `Attack::on_dc(i)` for DC `i`, `Attack::on_sk(i)` for SK `i` — which
+//! is the attack when it names that party and [`Attack::None`]
+//! otherwise, so an out-of-range index injects nothing. The node keeps
+//! that one value and matches on it where it acts: a DC when it
+//! configures, folds and publishes, an SK as each message arrives.
+//!
 //! Attacks need the deterministic scheduler, which every round over
 //! the in-process board runs on: the threaded runner has no deadlock
 //! detector, so a dead keeper would hang it forever instead of failing
-//! loudly. The wire fabric runs one thread per party and therefore
-//! refuses a round with an active attack.
+//! loudly. The wire fabric runs one thread per party, so
+//! [`pm_net::party::run`] refuses a round with an active attack there.
 
 /// A Byzantine behaviour to inject into one PrivCount round.
 ///
@@ -89,6 +97,29 @@ impl Attack {
     /// True when any behaviour is injected.
     pub fn is_active(&self) -> bool {
         *self != Attack::None
+    }
+
+    /// The attack when it names DC `i`, [`Attack::None`] otherwise.
+    pub(crate) fn on_dc(self, i: usize) -> Attack {
+        match self {
+            Attack::MalformedRegisters { dc }
+            | Attack::InflatedCounts { dc, .. }
+            | Attack::BadSharePayload { dc }
+            | Attack::NoiseExhaustion { dc, .. }
+                if dc == i =>
+            {
+                self
+            }
+            _ => Attack::None,
+        }
+    }
+
+    /// The attack when it names SK `i`, [`Attack::None`] otherwise.
+    pub(crate) fn on_sk(self, i: usize) -> Attack {
+        match self {
+            Attack::SkDeath { sk, .. } if sk == i => self,
+            _ => Attack::None,
+        }
     }
 }
 

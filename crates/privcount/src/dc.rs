@@ -1,5 +1,6 @@
 //! The Data Collector node: one per instrumented relay.
 
+use crate::adversary::Attack;
 use crate::counter::Schema;
 use crate::messages::{self, tag};
 use pm_crypto::elgamal::{hybrid_encrypt, PublicKey};
@@ -32,30 +33,26 @@ pub struct DcNode {
     noise_scale: f64,
     registers: Vec<BlindedCounter>,
     rng: StdRng,
-    /// Byzantine knob: publish one register too few.
-    malformed: bool,
-    /// Byzantine knob: multiply every observed increment.
-    inflate_factor: Option<i64>,
-    /// Byzantine knob: truncate the encrypted share payload sent to
-    /// the first SK.
-    corrupt_shares: bool,
-    /// Byzantine knob: the DC can afford only this many per-counter
-    /// noise draws; fewer than the schema requires means it refuses to
-    /// configure rather than run under-noised.
-    noise_budget: Option<u32>,
-    /// Where the `dc.ingest` span lands (detached by default).
+    /// The attack aimed at this DC ([`Attack::None`] when honest).
+    attack: Attack,
+    /// Where the `dc.ingest` span lands.
     recorder: Recorder,
 }
 
 impl DcNode {
     /// Creates a DC bound to a tally server, with its local schema,
-    /// the event stream of its collection period, and its noise share.
+    /// the event stream of its collection period, its noise share, the
+    /// attack it carries out (see [`crate::adversary`]) and the round's
+    /// recorder: the collection period's fold is its `dc.ingest` span,
+    /// with a `shards` note, when the recorder profiles.
     pub fn new(
         ts: PartyId,
         schema: Schema,
         stream: EventStream,
         noise_scale: f64,
         seed: u64,
+        attack: Attack,
+        recorder: Recorder,
     ) -> DcNode {
         DcNode {
             ts,
@@ -65,51 +62,9 @@ impl DcNode {
             noise_scale,
             registers: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            malformed: false,
-            inflate_factor: None,
-            corrupt_shares: false,
-            noise_budget: None,
-            recorder: Recorder::new(),
+            attack,
+            recorder,
         }
-    }
-
-    /// Attaches the round's recorder: the collection period's fold is
-    /// its `dc.ingest` span, with a `shards` note, when the recorder
-    /// profiles.
-    pub(crate) fn with_recorder(mut self, recorder: Recorder) -> DcNode {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Byzantine variant
-    /// ([`crate::adversary::Attack::MalformedRegisters`]): the DC
-    /// publishes one register too few.
-    pub fn malformed(mut self) -> DcNode {
-        self.malformed = true;
-        self
-    }
-
-    /// Byzantine variant ([`crate::adversary::Attack::InflatedCounts`]):
-    /// the DC multiplies every observed increment by `factor`.
-    pub fn inflating(mut self, factor: i64) -> DcNode {
-        self.inflate_factor = Some(factor);
-        self
-    }
-
-    /// Byzantine variant
-    /// ([`crate::adversary::Attack::BadSharePayload`]): the DC
-    /// truncates the encrypted blinding-share payload it sends to the
-    /// first SK.
-    pub fn corrupting_shares(mut self) -> DcNode {
-        self.corrupt_shares = true;
-        self
-    }
-
-    /// Failure variant ([`crate::adversary::Attack::NoiseExhaustion`]):
-    /// the DC can afford only `budget` noise draws.
-    pub fn with_noise_budget(mut self, budget: u32) -> DcNode {
-        self.noise_budget = Some(budget);
-        self
     }
 
     fn on_configure(&mut self, ep: &Endpoint, cfg: messages::Configure) -> Result<(), NodeError> {
@@ -131,7 +86,7 @@ impl DcNode {
         // would silently weaken the round's differential privacy, so
         // it refuses the round loudly instead (the campaign layer
         // turns this into an aborted round, not a panic).
-        if let Some(budget) = self.noise_budget {
+        if let Attack::NoiseExhaustion { budget, .. } = self.attack {
             let needed = self.schema.counters.len();
             if (budget as usize) < needed {
                 return Err(NodeError::Protocol(format!(
@@ -163,7 +118,7 @@ impl DcNode {
             // stream cipher decrypts the stump to a wrong-length share
             // vector, which the SK rejects naming this DC.
             let mut payload = ct.payload;
-            if self.corrupt_shares && k == 0 {
+            if matches!(self.attack, Attack::BadSharePayload { .. }) && k == 0 {
                 payload.truncate(payload.len().saturating_sub(3));
             }
             let msg = messages::EncryptedShares {
@@ -189,7 +144,10 @@ impl DcNode {
         // An inflating DC scales every observed increment — blinding
         // makes the skew invisible at the protocol layer, so detection
         // is statistical, at the campaign layer.
-        let factor = self.inflate_factor.unwrap_or(1);
+        let factor = match self.attack {
+            Attack::InflatedCounts { factor, .. } => factor,
+            _ => 1,
+        };
         let mut span = self.recorder.span("dc.ingest", "privcount");
         let (totals, shards) = crate::shard::ingest_shards(stream, &self.schema);
         span.note("shards", shards);
@@ -200,7 +158,7 @@ impl DcNode {
         // Publish the blinded registers (a malformed DC drops one —
         // the TS's structural check rejects the short vector).
         let mut values: Vec<u64> = self.registers.iter().map(|r| r.publish()).collect();
-        if self.malformed {
+        if let Attack::MalformedRegisters { .. } = self.attack {
             values.pop();
         }
         let msg = messages::Registers { values };

@@ -7,7 +7,7 @@ use crate::counter::{CounterSpec, EventMapper};
 use crate::dc::DcNode;
 use crate::sk::SkNode;
 use crate::ts::{ResultSlot, TsNode};
-use pm_net::party::{NodeError, Runner};
+use pm_net::party::{self, Node, NodeError};
 use pm_net::transport::{FabricChoice, FaultConfig, PartyId};
 use pm_stats::ci::Estimate;
 use std::sync::{Arc, Mutex};
@@ -49,7 +49,7 @@ pub struct RoundConfig {
     /// ([`crate::adversary`]). Needs the deterministic scheduler's
     /// deadlock detector — a dead keeper would hang a threaded round
     /// forever — so an active attack is refused over the wire fabric.
-    pub adversary: crate::adversary::Attack,
+    pub adversary: Attack,
     /// Observability handle threaded to the switchboard: deterministic
     /// counters (`privcount.rounds`, `net.link.*`) plus profiling spans
     /// when built with profiling enabled. Defaults to a detached
@@ -148,16 +148,6 @@ pub fn run_round<S: Into<EventStream>>(
     let mut round_span = cfg.recorder.span("round.privcount", "round");
     round_span.note("dcs", num_dcs);
     round_span.note("sks", cfg.num_sks);
-    if cfg.fabric.is_wire() && cfg.adversary.is_active() {
-        return Err(NodeError::Protocol(
-            "adversarial scenarios need the deterministic scheduler, which the \
-             wire fabric cannot provide"
-                .into(),
-        ));
-    }
-    let board = cfg.fabric.build_obs(cfg.faults, cfg.recorder.clone());
-    let mut runner = Runner::over(board);
-
     let ts_id = PartyId::new("ts");
     let dc_names: Vec<PartyId> = (0..num_dcs)
         .map(|i| PartyId::new(format!("dc-{i}")))
@@ -167,55 +157,41 @@ pub fn run_round<S: Into<EventStream>>(
         .collect();
 
     let slot: ResultSlot = Arc::new(Mutex::new(None));
-    runner.add(
-        ts_id.clone(),
-        Box::new(TsNode::new(
-            cfg.counters.clone(),
-            dc_names.clone(),
-            sk_names.clone(),
-            slot.clone(),
-        )),
+    let ts = TsNode::new(
+        cfg.counters.clone(),
+        dc_names.clone(),
+        sk_names.clone(),
+        slot.clone(),
     );
-    for (i, sk) in sk_names.iter().enumerate() {
-        let mut node = SkNode::new(ts_id.clone(), num_dcs, cfg.seed ^ (0x5100 + i as u64));
-        if let Attack::SkDeath { sk, after_messages } = cfg.adversary {
-            if sk == i {
-                node = node.dying_after(after_messages);
-            }
-        }
-        runner.add(sk.clone(), Box::new(node));
+    let mut parties: Vec<(PartyId, Box<dyn Node>)> = vec![(ts_id.clone(), Box::new(ts))];
+    for (i, sk) in sk_names.into_iter().enumerate() {
+        let seed = cfg.seed ^ (0x5100 + i as u64);
+        let node = SkNode::new(ts_id.clone(), num_dcs, seed, cfg.adversary.on_sk(i));
+        parties.push((sk, Box::new(node)));
     }
-    for (i, (dc, stream)) in dc_names.iter().zip(dc_streams).enumerate() {
-        let noise_scale = match cfg.noise {
-            NoiseAllocation::Equal => 1.0 / (num_dcs as f64).sqrt(),
-            NoiseAllocation::None => 0.0,
-        };
-        let schema = crate::counter::Schema::new(cfg.counters.clone(), cfg.mapper.clone());
-        let mut node = DcNode::new(
+    let noise_scale = match cfg.noise {
+        NoiseAllocation::Equal => 1.0 / (num_dcs as f64).sqrt(),
+        NoiseAllocation::None => 0.0,
+    };
+    for (i, (dc, stream)) in dc_names.into_iter().zip(dc_streams).enumerate() {
+        let node = DcNode::new(
             ts_id.clone(),
-            schema,
+            crate::counter::Schema::new(cfg.counters.clone(), cfg.mapper.clone()),
             stream.into(),
             noise_scale,
             cfg.seed ^ (0xDC00 + i as u64),
-        )
-        .with_recorder(cfg.recorder.clone());
-        node = match cfg.adversary {
-            Attack::MalformedRegisters { dc } if dc == i => node.malformed(),
-            Attack::InflatedCounts { dc, factor } if dc == i => node.inflating(factor),
-            Attack::BadSharePayload { dc } if dc == i => node.corrupting_shares(),
-            Attack::NoiseExhaustion { dc, budget } if dc == i => node.with_noise_budget(budget),
-            _ => node,
-        };
-        runner.add(dc.clone(), Box::new(node));
+            cfg.adversary.on_dc(i),
+            cfg.recorder.clone(),
+        );
+        parties.push((dc, Box::new(node)));
     }
-
-    // The wire fabric has no deterministic scheduler, so it runs one
-    // thread per party; active attacks were refused above.
-    if cfg.fabric.is_wire() {
-        runner.run_threaded()?;
-    } else {
-        runner.run_deterministic()?;
-    }
+    party::run(
+        cfg.fabric,
+        cfg.faults,
+        &cfg.recorder,
+        cfg.adversary.is_active(),
+        parties,
+    )?;
     let totals = slot
         .lock()
         .unwrap_or_else(|e| e.into_inner())

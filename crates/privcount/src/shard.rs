@@ -28,7 +28,7 @@ pub struct ShardCounters {
 
 impl ShardCounters {
     /// Zeroed accumulator for `n` counters.
-    pub fn new(n: usize) -> ShardCounters {
+    fn new(n: usize) -> ShardCounters {
         ShardCounters { counts: vec![0; n] }
     }
 

@@ -4,6 +4,7 @@
 //! rests on at least one SK being honest: the sum it publishes at round
 //! end is useless without every other party's registers.
 
+use crate::adversary::Attack;
 use crate::messages::{self, tag};
 use pm_crypto::elgamal::{hybrid_decrypt, keygen, KeyPair};
 use pm_crypto::group::GroupParams;
@@ -22,14 +23,15 @@ pub struct SkNode {
     accumulators: Vec<ShareAccumulator>,
     expected_dcs: usize,
     seen_dcs: usize,
-    /// Failure knob: go silent after handling this many messages.
-    die_after: Option<u32>,
+    /// The attack aimed at this SK ([`Attack::None`] when honest). A
+    /// dying SK counts its remaining messages down in place.
+    attack: Attack,
 }
 
 impl SkNode {
     /// Creates an SK expecting shares from `expected_dcs` Data
-    /// Collectors.
-    pub fn new(ts: PartyId, expected_dcs: usize, seed: u64) -> SkNode {
+    /// Collectors and carrying out `attack` (see [`crate::adversary`]).
+    pub fn new(ts: PartyId, expected_dcs: usize, seed: u64, attack: Attack) -> SkNode {
         let gp = GroupParams::default_params();
         let mut rng = StdRng::seed_from_u64(seed);
         let keypair = keygen(&gp, &mut rng);
@@ -40,17 +42,8 @@ impl SkNode {
             accumulators: Vec::new(),
             expected_dcs,
             seen_dcs: 0,
-            die_after: None,
+            attack,
         }
-    }
-
-    /// Failure variant ([`crate::adversary::Attack::SkDeath`]): the SK
-    /// handles `messages` messages, then goes silent. The round can no
-    /// longer telescope the blinding away; the deterministic runner's
-    /// deadlock detector reports the stuck parties.
-    pub fn dying_after(mut self, messages: u32) -> SkNode {
-        self.die_after = Some(messages);
-        self
     }
 
     fn absorb(&mut self, msg: messages::EncryptedShares) -> Result<(), NodeError> {
@@ -98,11 +91,11 @@ impl Node for SkNode {
     fn on_message(&mut self, ep: &Endpoint, env: Envelope) -> Result<Step, NodeError> {
         // A dying SK pretends to finish: it stops reading without
         // error, leaving the rest of the round stuck mid-protocol.
-        if let Some(remaining) = self.die_after.as_mut() {
-            if *remaining == 0 {
+        if let Attack::SkDeath { after_messages, .. } = &mut self.attack {
+            if *after_messages == 0 {
                 return Ok(Step::Done);
             }
-            *remaining -= 1;
+            *after_messages -= 1;
         }
         match env.frame.msg_type {
             tag::SHARES_FWD => {

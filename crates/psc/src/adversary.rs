@@ -23,18 +23,26 @@
 //! | [`Attack::InvalidProof`] | CP swaps exponentiation proofs mid-mix | TS proof verification (requires `verify`) |
 //! | [`Attack::NoiseExhaustion`] | CP's noise budget is smaller than the required flips | the exhausted CP itself, which refuses to publish under-noised cells |
 //!
+//! An attack reaches its party in one step. The round door hands each
+//! party's one constructor the round's attack narrowed to that party —
+//! `Attack::on_dc(i)` for DC `i`, `Attack::on_cp(i)` for CP `i` — which
+//! is the attack when it names that party and [`Attack::None`]
+//! otherwise, so an out-of-range index injects nothing. The node keeps
+//! that one value and matches on it where it acts: a DC when it sizes
+//! and marks its table, a CP as each message arrives and when it mixes.
+//!
 //! Attacks need the deterministic scheduler, which every round over
 //! the in-process board runs on: the threaded runner has no deadlock
 //! detector, so a dead keeper would hang it forever instead of failing
-//! loudly. The wire fabric runs one thread per party and therefore
-//! refuses a round with an active attack.
+//! loudly. The wire fabric runs one thread per party, so
+//! [`pm_net::party::run`] refuses a round with an active attack there.
 
 /// A Byzantine behaviour to inject into one PSC round.
 ///
 /// Party indices refer to the round's DC/CP ordering
 /// (`psc-dc-{i}` / `psc-cp-{i}`); an out-of-range index injects
 /// nothing.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Attack {
     /// Honest round (the default).
     #[default]
@@ -91,6 +99,28 @@ impl Attack {
     /// True when any behaviour is injected.
     pub fn is_active(&self) -> bool {
         *self != Attack::None
+    }
+
+    /// The attack when it names DC `i`, [`Attack::None`] otherwise.
+    pub(crate) fn on_dc(self, i: usize) -> Attack {
+        match self {
+            Attack::MalformedTable { dc } | Attack::SkewedShares { dc, .. } if dc == i => self,
+            _ => Attack::None,
+        }
+    }
+
+    /// The attack when it names CP `i`, [`Attack::None`] otherwise.
+    pub(crate) fn on_cp(self, i: usize) -> Attack {
+        match self {
+            Attack::CpDeath { cp, .. }
+            | Attack::InvalidProof { cp }
+            | Attack::NoiseExhaustion { cp, .. }
+                if cp == i =>
+            {
+                self
+            }
+            _ => Attack::None,
+        }
     }
 }
 

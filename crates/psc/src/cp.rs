@@ -50,6 +50,7 @@
 //! the error text are as thread-count-independent as the transcript
 //! (see [`crate::ts`]).
 
+use crate::adversary::Attack;
 use crate::messages::{self, tag};
 use pm_crypto::batch::{par_map_indexed, PrecomputedKey};
 use pm_crypto::elgamal::{encrypt, exponentiate, Ciphertext, PublicKey};
@@ -119,26 +120,27 @@ pub struct CpNode {
     cfg: Option<messages::PscConfigure>,
     rng: StdRng,
     strategy: MixStrategy,
-    /// Adversarial knob: messages left before this CP goes silent.
-    die_after: Option<u32>,
-    /// Adversarial knob: emit an invalid exponentiation proof mid-mix.
-    corrupt_proof: bool,
-    /// Adversarial knob: noise encryptions this CP can still afford.
-    noise_budget: Option<u32>,
+    /// The attack aimed at this CP ([`Attack::None`] when honest). A
+    /// dying CP counts its remaining messages down in place.
+    attack: Attack,
     /// Observability handle: `mix.*` phase spans (profiling plane) and
     /// the `psc.mix.cells` counter (deterministic plane).
     recorder: Recorder,
 }
 
 impl CpNode {
-    /// Creates a CP bound to the tally server, mixing with the default
-    /// batched strategy.
-    pub fn new(ts: PartyId, seed: u64) -> CpNode {
-        CpNode::with_strategy(ts, seed, MixStrategy::default())
-    }
-
-    /// Creates a CP with an explicit execution strategy.
-    pub fn with_strategy(ts: PartyId, seed: u64, strategy: MixStrategy) -> CpNode {
+    /// Creates a CP bound to the tally server, executing its per-cell
+    /// crypto under `strategy`, carrying out `attack` (see
+    /// [`crate::adversary`]), and recording into `recorder`: metrics
+    /// land in its deterministic registry, spans only when it was
+    /// built with profiling enabled.
+    pub fn new(
+        ts: PartyId,
+        seed: u64,
+        strategy: MixStrategy,
+        attack: Attack,
+        recorder: Recorder,
+    ) -> CpNode {
         let gp = GroupParams::default_params();
         let mut rng = StdRng::seed_from_u64(seed);
         let secret = gp.random_nonzero_scalar(&mut rng);
@@ -151,45 +153,9 @@ impl CpNode {
             cfg: None,
             rng,
             strategy,
-            die_after: None,
-            corrupt_proof: false,
-            noise_budget: None,
-            recorder: Recorder::new(),
+            attack,
+            recorder,
         }
-    }
-
-    /// Attaches an observability recorder. Metrics land in its
-    /// deterministic registry; spans are recorded only when the
-    /// recorder was built with profiling enabled.
-    pub fn with_recorder(mut self, recorder: Recorder) -> CpNode {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Adversarial variant ([`crate::adversary::Attack::CpDeath`]):
-    /// the CP handles `messages` messages, then goes silent — a share
-    /// keeper dying mid-round.
-    pub fn dying_after(mut self, messages: u32) -> CpNode {
-        self.die_after = Some(messages);
-        self
-    }
-
-    /// Adversarial variant ([`crate::adversary::Attack::InvalidProof`]):
-    /// the CP's exponentiation proofs are swapped before sending, so
-    /// each verifies against the wrong transcript.
-    pub fn corrupting_proofs(mut self) -> CpNode {
-        self.corrupt_proof = true;
-        self
-    }
-
-    /// Adversarial variant
-    /// ([`crate::adversary::Attack::NoiseExhaustion`]): the CP can
-    /// afford only `budget` noise encryptions. If the round demands
-    /// more, the CP refuses its hop rather than publish under-noised
-    /// cells.
-    pub fn with_noise_budget(mut self, budget: u32) -> CpNode {
-        self.noise_budget = Some(budget);
-        self
     }
 
     /// The transcript binding a CP's key-share proof to its identity.
@@ -205,7 +171,7 @@ impl CpNode {
             .as_ref()
             .ok_or_else(|| NodeError::Protocol("mix before configure".into()))?
             .clone();
-        if let Some(budget) = self.noise_budget {
+        if let Attack::NoiseExhaustion { budget, .. } = self.attack {
             if budget < cfg.noise_flips {
                 // Publishing with less than the calibrated noise would
                 // silently weaken the round's differential privacy.
@@ -244,7 +210,7 @@ impl CpNode {
                 &self.recorder,
             ),
         };
-        if self.corrupt_proof {
+        if let Attack::InvalidProof { .. } = self.attack {
             // Swap the per-cell proofs so each verifies against the
             // wrong transcript; with a single cell, swap the pair's
             // own components instead.
@@ -620,14 +586,14 @@ impl Node for CpNode {
     }
 
     fn on_message(&mut self, ep: &Endpoint, env: Envelope) -> Result<Step, NodeError> {
-        if let Some(remaining) = self.die_after.as_mut() {
-            if *remaining == 0 {
+        if let Attack::CpDeath { after_messages, .. } = &mut self.attack {
+            if *after_messages == 0 {
                 // Dead keeper: drop the message on the floor. The
                 // round deadlocks and the deterministic runner's
                 // detector reports the stuck parties.
                 return Ok(Step::Done);
             }
-            *remaining -= 1;
+            *after_messages -= 1;
         }
         match env.frame.msg_type {
             tag::CONFIGURE => {

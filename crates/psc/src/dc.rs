@@ -4,6 +4,7 @@
 //! oblivious counter table; IP addresses and onion addresses are never
 //! stored (§5.1, §6.1 — "PSC uses oblivious counters").
 
+use crate::adversary::Attack;
 use crate::items::ItemExtractor;
 use crate::messages::{self, tag};
 use crate::table::ObliviousTable;
@@ -29,40 +30,28 @@ pub struct PscDcNode {
     /// [`crate::shard`]).
     stream: Option<EventStream>,
     rng: StdRng,
-    /// Byzantine knob: submit a wrong-size table.
-    malformed: bool,
-    /// Byzantine knob: mark this many bogus items on top of the honest
-    /// observations, drawn from the DC's seeded RNG.
-    skew_marks: u32,
+    /// The attack aimed at this DC ([`Attack::None`] when honest).
+    attack: Attack,
 }
 
 impl PscDcNode {
-    /// Creates a DC with its item extractor and the event stream of
-    /// its collection period.
-    pub fn new(ts: PartyId, extractor: ItemExtractor, stream: EventStream, seed: u64) -> PscDcNode {
+    /// Creates a DC with its item extractor, the event stream of its
+    /// collection period, and the attack it carries out (see
+    /// [`crate::adversary`]).
+    pub fn new(
+        ts: PartyId,
+        extractor: ItemExtractor,
+        stream: EventStream,
+        seed: u64,
+        attack: Attack,
+    ) -> PscDcNode {
         PscDcNode {
             ts,
             extractor,
             stream: Some(stream),
             rng: StdRng::seed_from_u64(seed),
-            malformed: false,
-            skew_marks: 0,
+            attack,
         }
-    }
-
-    /// Byzantine variant ([`crate::adversary::Attack::MalformedTable`]):
-    /// the DC submits a table of the wrong size.
-    pub fn malformed(mut self) -> PscDcNode {
-        self.malformed = true;
-        self
-    }
-
-    /// Byzantine variant ([`crate::adversary::Attack::SkewedShares`]):
-    /// the DC marks `extra` bogus items on top of its honest
-    /// observations, deterministically in its seed.
-    pub fn skewed(mut self, extra: u32) -> PscDcNode {
-        self.skew_marks = extra;
-        self
     }
 }
 
@@ -84,10 +73,9 @@ impl Node for PscDcNode {
                 }
                 // A malformed DC provisions the wrong table size; the
                 // TS's structural check rejects it before mixing.
-                let table_size = if self.malformed {
-                    (cfg.table_size as usize / 2).max(1)
-                } else {
-                    cfg.table_size as usize
+                let table_size = match self.attack {
+                    Attack::MalformedTable { .. } => (cfg.table_size as usize / 2).max(1),
+                    _ => cfg.table_size as usize,
                 };
                 let mut table =
                     ObliviousTable::new(gp, PublicKey(cfg.joint_key), cfg.salt, table_size);
@@ -99,9 +87,11 @@ impl Node for PscDcNode {
                 // A skewed DC stuffs bogus items after honest
                 // ingestion: indistinguishable from real marks at the
                 // protocol layer, detectable only statistically.
-                for i in 0..self.skew_marks {
-                    let bogus = format!("byzantine-skew-{i}");
-                    table.mark_cell(table.cell_of(bogus.as_bytes()), &mut self.rng);
+                if let Attack::SkewedShares { extra_marks, .. } = self.attack {
+                    for i in 0..extra_marks {
+                        let bogus = format!("byzantine-skew-{i}");
+                        table.mark_cell(table.cell_of(bogus.as_bytes()), &mut self.rng);
+                    }
                 }
                 let msg = messages::Cells {
                     cells: table.into_cells(),

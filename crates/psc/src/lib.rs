@@ -67,10 +67,13 @@
 //! undetectable *by design* (the oblivious counter hides what a DC
 //! marked); callers are expected to plausibility-check published
 //! counts against their provisioning, as the campaign layer in
-//! `pm-study` does. The deadlock detector lives in the deterministic
-//! scheduler, which every round over the in-process board runs on;
-//! the wire fabric runs one thread per party and refuses a round with
-//! an active adversary.
+//! `pm-study` does. An attack reaches the one party it names through
+//! that party's constructor, and the node acts on it where the honest
+//! code would act (see [`adversary`]). The deadlock detector lives in
+//! the deterministic scheduler, which every round over the in-process
+//! board runs on; the wire fabric runs one thread per party, so the
+//! runner both protocols share ([`pm_net::party::run`]) refuses a
+//! round with an active adversary there.
 
 pub mod adversary;
 pub mod cp;

@@ -5,7 +5,7 @@ use crate::cp::{CpNode, MixStrategy};
 use crate::dc::PscDcNode;
 use crate::items::ItemExtractor;
 use crate::ts::{PscResultSlot, PscTsNode, RawCount};
-use pm_net::party::{NodeError, Runner};
+use pm_net::party::{self, Node, NodeError};
 use pm_net::transport::{FabricChoice, FaultConfig, PartyId};
 use pm_stats::ci::Estimate;
 use pm_stats::psc_ci::psc_confidence_interval;
@@ -125,16 +125,6 @@ pub fn run_psc_round<S: Into<EventStream>>(
     let mut round_span = cfg.recorder.span("round.psc", "round");
     round_span.note("dcs", dc_streams.len());
     round_span.note("cps", cfg.num_cps);
-    if cfg.fabric.is_wire() && cfg.adversary.is_active() {
-        return Err(NodeError::Protocol(
-            "adversarial scenarios need the deterministic scheduler, which the \
-             wire fabric cannot provide"
-                .into(),
-        ));
-    }
-    let board = cfg.fabric.build_obs(cfg.faults, cfg.recorder.clone());
-    let mut runner = Runner::over(board);
-
     let ts_id = PartyId::new("psc-ts");
     let dc_names: Vec<PartyId> = (0..dc_streams.len())
         .map(|i| PartyId::new(format!("psc-dc-{i}")))
@@ -143,69 +133,34 @@ pub fn run_psc_round<S: Into<EventStream>>(
         .map(|i| PartyId::new(format!("psc-cp-{i}")))
         .collect();
 
-    // Per-round salt, derived from the seed (all parties receive it in
-    // Configure; a deployment would draw it jointly).
-    let salt = pm_crypto::sha256::sha256_concat(&[b"psc-round-salt", &cfg.seed.to_be_bytes()]);
-
     let slot: PscResultSlot = Arc::new(Mutex::new(None));
-    runner.add(
-        ts_id.clone(),
-        Box::new(
-            PscTsNode::new(
-                dc_names.clone(),
-                cp_names.clone(),
-                cfg.table_size,
-                cfg.noise_flips_per_cp,
-                salt,
-                cfg.verify,
-                slot.clone(),
-            )
-            .with_verify_threads(cfg.mix.threads())
-            .with_recorder(cfg.recorder.clone()),
-        ),
-    );
-    for (i, cp) in cp_names.iter().enumerate() {
-        let mut node =
-            CpNode::with_strategy(ts_id.clone(), cfg.seed ^ (0xC9_0000 + i as u64), cfg.mix)
-                .with_recorder(cfg.recorder.clone());
-        match cfg.adversary {
-            Attack::CpDeath { cp, after_messages } if cp == i => {
-                node = node.dying_after(after_messages);
-            }
-            Attack::InvalidProof { cp } if cp == i => {
-                node = node.corrupting_proofs();
-            }
-            Attack::NoiseExhaustion { cp, budget } if cp == i => {
-                node = node.with_noise_budget(budget);
-            }
-            _ => {}
-        }
-        runner.add(cp.clone(), Box::new(node));
+    let ts = PscTsNode::new(&cfg, dc_names.clone(), cp_names.clone(), slot.clone());
+    let mut parties: Vec<(PartyId, Box<dyn Node>)> = vec![(ts_id.clone(), Box::new(ts))];
+    for (i, cp) in cp_names.into_iter().enumerate() {
+        let seed = cfg.seed ^ (0xC9_0000 + i as u64);
+        let attack = cfg.adversary.on_cp(i);
+        let node = CpNode::new(ts_id.clone(), seed, cfg.mix, attack, cfg.recorder.clone());
+        parties.push((cp, Box::new(node)));
     }
-    for (i, (dc, stream)) in dc_names.iter().zip(dc_streams).enumerate() {
-        let mut node = PscDcNode::new(
+    for (i, (dc, stream)) in dc_names.into_iter().zip(dc_streams).enumerate() {
+        let seed = cfg.seed ^ (0xDC_0000 + i as u64);
+        let attack = cfg.adversary.on_dc(i);
+        let node = PscDcNode::new(
             ts_id.clone(),
             extractor.clone(),
             stream.into(),
-            cfg.seed ^ (0xDC_0000 + i as u64),
+            seed,
+            attack,
         );
-        match cfg.adversary {
-            Attack::MalformedTable { dc } if dc == i => node = node.malformed(),
-            Attack::SkewedShares { dc, extra_marks } if dc == i => node = node.skewed(extra_marks),
-            _ => {}
-        }
-        runner.add(dc.clone(), Box::new(node));
+        parties.push((dc, Box::new(node)));
     }
-
-    // The wire fabric has no deterministic scheduler: frames in kernel
-    // buffers are invisible to a try_recv round-robin, so socket-backed
-    // rounds always run one thread per party (as a deployment would);
-    // active attacks were refused above.
-    if cfg.fabric.is_wire() {
-        runner.run_threaded()?;
-    } else {
-        runner.run_deterministic()?;
-    }
+    party::run(
+        cfg.fabric,
+        cfg.faults,
+        &cfg.recorder,
+        cfg.adversary.is_active(),
+        parties,
+    )?;
     let raw = slot
         .lock()
         .unwrap_or_else(|e| e.into_inner())

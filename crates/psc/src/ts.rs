@@ -29,6 +29,7 @@
 
 use crate::cp::{dec_transcript, exp_transcript, CpNode};
 use crate::messages::{self, tag};
+use crate::round::PscConfig;
 use crate::table::combine_tables;
 use pm_crypto::batch::PrecomputedKey;
 use pm_crypto::elgamal::{Ciphertext, PublicKey};
@@ -89,26 +90,30 @@ pub struct PscTsNode {
 }
 
 impl PscTsNode {
-    /// Creates the TS for a round.
+    /// Creates the TS for a round of `cfg` between `dc_names` and
+    /// `cp_names`, publishing into `result`. It verifies proofs (when
+    /// `cfg.verify` asks) on `cfg.mix`'s thread count — verdicts and
+    /// error strings do not depend on it (see the module docs) — and
+    /// records its `ts.*` spans into `cfg.recorder` when that profiles.
     pub fn new(
+        cfg: &PscConfig,
         dc_names: Vec<PartyId>,
         cp_names: Vec<PartyId>,
-        table_size: u32,
-        noise_flips: u32,
-        salt: [u8; 32],
-        verify: bool,
         result: PscResultSlot,
     ) -> PscTsNode {
         assert!(!dc_names.is_empty() && !cp_names.is_empty());
         let ncp = cp_names.len();
+        // Per-round salt, derived from the seed (all parties receive it
+        // in Configure; a deployment would draw it jointly).
+        let salt = pm_crypto::sha256::sha256_concat(&[b"psc-round-salt", &cfg.seed.to_be_bytes()]);
         PscTsNode {
             gp: GroupParams::default_params(),
             dc_names,
             cp_names,
-            table_size,
-            noise_flips,
+            table_size: cfg.table_size,
+            noise_flips: cfg.noise_flips_per_cp,
             salt,
-            verify,
+            verify: cfg.verify,
             phase: Phase::AwaitCpKeys,
             cp_keys: vec![None; ncp],
             joint_key: None,
@@ -118,23 +123,9 @@ impl PscTsNode {
             final_table: Vec::new(),
             partials: vec![None; ncp],
             result,
-            threads: 1,
-            recorder: Recorder::new(),
+            threads: cfg.mix.threads(),
+            recorder: cfg.recorder.clone(),
         }
-    }
-
-    /// Verifies proofs on up to `threads` threads. Verdicts and error
-    /// strings do not depend on the count (see the module docs).
-    pub fn with_verify_threads(mut self, threads: usize) -> PscTsNode {
-        self.threads = threads;
-        self
-    }
-
-    /// Attaches an observability recorder for the `ts.*` spans,
-    /// recorded only when it was built with profiling enabled.
-    pub fn with_recorder(mut self, recorder: Recorder) -> PscTsNode {
-        self.recorder = recorder;
-        self
     }
 
     fn cp_index(&self, id: &PartyId) -> Result<usize, NodeError> {
@@ -406,7 +397,7 @@ impl Node for PscTsNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cp::{mix_message_batched, SHUFFLE_ROUNDS};
+    use crate::cp::{mix_message_batched, MixStrategy, SHUFFLE_ROUNDS};
     use pm_crypto::elgamal::{encrypt, keygen, partial_decrypt, KeyPair};
     use pm_crypto::group::Scalar;
     use pm_crypto::shuffle::{apply_shuffle, shuffle, RoundOpening, ShuffleProof};
@@ -423,16 +414,19 @@ mod tests {
         verify: bool,
         threads: usize,
     ) -> PscTsNode {
+        let cfg = PscConfig {
+            table_size: input.len() as u32,
+            noise_flips_per_cp: NOISE,
+            verify,
+            mix: MixStrategy::Batched { threads },
+            ..Default::default()
+        };
         let mut ts = PscTsNode::new(
+            &cfg,
             vec![PartyId::new("dc")],
             vec![PartyId::new("cp")],
-            input.len() as u32,
-            NOISE,
-            [0u8; 32],
-            verify,
             Arc::new(Mutex::new(None)),
-        )
-        .with_verify_threads(threads);
+        );
         ts.joint_key = Some(joint.0);
         ts.mix_input = input.to_vec();
         ts.phase = Phase::Mixing { stage: 0 };

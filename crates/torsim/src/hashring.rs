@@ -22,7 +22,7 @@ pub struct HsDirRing {
 
 impl HsDirRing {
     /// Builds a ring from the HSDir-flagged relays.
-    pub fn new(hsdirs: &[RelayId], replicas: u32, spread: u32) -> HsDirRing {
+    fn new(hsdirs: &[RelayId], replicas: u32, spread: u32) -> HsDirRing {
         assert!(!hsdirs.is_empty(), "need at least one HSDir");
         assert!(replicas >= 1 && spread >= 1);
         let mut ring: Vec<([u8; 32], RelayId)> = hsdirs

@@ -69,7 +69,7 @@ pub struct DomainMix {
 
 impl ExitTruth {
     /// Paper-calibrated defaults.
-    pub fn paper_default() -> ExitTruth {
+    fn paper_default() -> ExitTruth {
         ExitTruth {
             streams_per_day: 2.0e9,
             initial_fraction: 0.05,
@@ -373,7 +373,7 @@ pub struct OnionTruth {
 
 impl OnionTruth {
     /// Paper-calibrated defaults.
-    pub fn paper_default() -> OnionTruth {
+    fn paper_default() -> OnionTruth {
         OnionTruth {
             published_addresses: 70_826,
             publishes_per_address: 24.0,
