@@ -421,6 +421,31 @@ mod tests {
         );
     }
 
+    /// The reader's input: a copy of `b`.
+    fn input(b: &[u8]) -> Bytes {
+        Bytes::copy_from_slice(b)
+    }
+
+    /// Every reader one byte short of what it reads fails with
+    /// `Truncated`, whether the missing byte is in a length prefix, a
+    /// fixed field or an item.
+    #[test]
+    fn every_reader_one_byte_short_is_truncated() {
+        let lp = |n: u32, body: usize| [&n.to_be_bytes()[..], &vec![b'x'; body]].concat();
+        let t = Some(WireError::Truncated);
+        assert_eq!(get_u8(&mut input(&[])).err(), t);
+        assert_eq!(get_u32(&mut input(&[0; 3])).err(), t);
+        assert_eq!(get_u64(&mut input(&[0; 7])).err(), t);
+        assert_eq!(get_array32(&mut input(&[0; 31])).err(), t);
+        assert_eq!(get_lp_bytes(&mut input(&[0; 3])).err(), t);
+        assert_eq!(get_lp_bytes(&mut input(&lp(5, 4))).err(), t);
+        assert_eq!(get_lp_str(&mut input(&[0; 3])).err(), t);
+        assert_eq!(get_lp_str(&mut input(&lp(5, 4))).err(), t);
+        assert_eq!(get_vec(&mut input(&[0; 3]), 2, get_u64).err(), t);
+        assert_eq!(get_vec(&mut input(&lp(2, 15)), 2, get_u64).err(), t);
+        assert_eq!(get_items(&mut input(&[0; 15]), 2, get_u64).err(), t);
+    }
+
     #[test]
     fn invalid_utf8_rejected() {
         let mut buf = BytesMut::new();

@@ -279,15 +279,105 @@ mod tests {
         }
     }
 
-    /// Cutting any message's payload anywhere short of its end is an
-    /// error, never a panic and never a shorter message.
+    /// Cutting any message's payload anywhere short of its end is
+    /// `Truncated`, never a panic and never a shorter message.
     #[test]
     fn truncated_rejected() {
         for f in samples() {
             for cut in 0..f.payload.len() {
                 let short = Frame::new(f.msg_type, f.payload.slice(..cut));
-                assert!(reencode(&short).is_err(), "tag {} cut {cut}", f.msg_type);
+                let got = reencode(&short).map(|_| ());
+                assert_eq!(
+                    got,
+                    Err(WireError::Truncated),
+                    "tag {} cut {cut}",
+                    f.msg_type
+                );
             }
+        }
+    }
+
+    /// A payload whose count, name or length is wrong fails with the
+    /// error its first bad field names: a count above its bound is
+    /// `Invalid` before anything is read, a count at the bound that the
+    /// bytes cannot back is `Truncated`, a name that is not UTF-8 and a
+    /// byte past any message are `Invalid`.
+    #[test]
+    fn malformed_payloads_keep_their_errors() {
+        let count = |n: u32| n.to_be_bytes().to_vec();
+        let name = |raw: &[u8]| [count(raw.len() as u32), raw.to_vec()].concat();
+        let key = [7u8; 32];
+        let bound = Err(WireError::Invalid("vector length exceeds bound"));
+        let utf8 = Err(WireError::Invalid("utf-8 string"));
+        let cases = [
+            (
+                "1 000 001 counter names",
+                tag::CONFIGURE,
+                count(1_000_001),
+                bound.clone(),
+            ),
+            (
+                "1 000 000 counter names, none sent",
+                tag::CONFIGURE,
+                count(1_000_000),
+                Err(WireError::Truncated),
+            ),
+            (
+                "1 001 SK keys",
+                tag::CONFIGURE,
+                [count(0), count(1_001)].concat(),
+                bound.clone(),
+            ),
+            (
+                "1 000 SK keys, none sent",
+                tag::CONFIGURE,
+                [count(0), count(1_000)].concat(),
+                Err(WireError::Truncated),
+            ),
+            (
+                "10 000 001 registers",
+                tag::DC_RESULT,
+                count(10_000_001),
+                bound,
+            ),
+            (
+                "10 000 000 registers, none sent",
+                tag::DC_RESULT,
+                count(10_000_000),
+                Err(WireError::Truncated),
+            ),
+            (
+                "non-UTF-8 SK name in a configure",
+                tag::CONFIGURE,
+                [count(0), count(1), name(&[0xc3, 0x28]), key.to_vec()].concat(),
+                utf8.clone(),
+            ),
+            (
+                "non-UTF-8 counter name",
+                tag::CONFIGURE,
+                [count(1), name(&[0xff]), count(0)].concat(),
+                utf8.clone(),
+            ),
+            (
+                "non-UTF-8 DC name in shares",
+                tag::SHARES,
+                [name(b"sk-1"), name(&[0xfe]), key.to_vec(), name(&[])].concat(),
+                utf8,
+            ),
+        ];
+        for (what, t, payload, want) in cases {
+            let got = reencode(&Frame::new(t, payload.into())).map(|_| ());
+            assert_eq!(got, want, "{what}");
+        }
+        for f in samples() {
+            let long = [f.payload.to_vec(), vec![0]].concat();
+            let got = reencode(&Frame::new(f.msg_type, long.into())).map(|_| ());
+            assert_eq!(
+                got,
+                Err(WireError::Invalid("trailing bytes after message")),
+                "a byte past tag {}",
+                f.msg_type
+            );
         }
     }
 }
