@@ -3,9 +3,12 @@
 //! A [`Frame`] is the unit of delivery between parties. The payload is an
 //! opaque byte string produced by the protocol crates' own codecs
 //! (implementations of [`WireEncode`]/[`WireDecode`]), built from this
-//! module's helpers: every sequence field is a [`put_vec`]/[`get_vec`]
-//! pair given the item's codec ([`get_items`] when another field carries
-//! the count). The checksum is a
+//! module's helpers on std types: encoders append to a `Vec<u8>`,
+//! decoders read from a `&[u8]` cursor that each read advances. Every
+//! sequence field is a [`put_vec`]/[`get_vec`] pair given the item's
+//! codec ([`get_items`] when another field carries the count). The
+//! payload is carried as a [`Bytes`], a shared view that frames, their
+//! clones and their wire parses hand on without copying. The checksum is a
 //! Fletcher-style 32-bit sum that lets the transport detect (injected or
 //! accidental) corruption, mirroring what TLS record MACs give the real
 //! deployments.
@@ -15,7 +18,7 @@
 //!  | magic | type | payload len | payload n | checksum |
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use std::fmt;
 
 /// Frame magic: "PMN1".
@@ -126,16 +129,16 @@ impl Frame {
 
     /// Creates a frame by encoding a message.
     pub fn encode_msg<M: WireEncode>(msg_type: u16, msg: &M) -> Frame {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         msg.encode(&mut buf);
-        Frame::new(msg_type, buf.freeze())
+        Frame::new(msg_type, Bytes::from(buf))
     }
 
     /// Decodes the payload as a message of type `M`.
     pub fn decode_msg<M: WireDecode>(&self) -> Result<M, WireError> {
-        let mut buf = self.payload.clone();
+        let mut buf = &self.payload[..];
         let msg = M::decode(&mut buf)?;
-        if buf.has_remaining() {
+        if !buf.is_empty() {
             return Err(WireError::Invalid("trailing bytes after message"));
         }
         Ok(msg)
@@ -151,37 +154,34 @@ impl Frame {
     /// ledger, fault roll and inbox or socket without another copy.
     pub(crate) fn wire_image(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(14 + self.payload.len());
-        buf.put_u32(MAGIC);
-        buf.put_u16(self.msg_type);
-        buf.put_u32(self.payload.len() as u32);
-        buf.put_slice(&self.payload);
+        buf.extend_from_slice(&MAGIC.to_be_bytes());
+        buf.extend_from_slice(&self.msg_type.to_be_bytes());
+        buf.extend_from_slice(&(self.payload.len() as u32).to_be_bytes());
+        buf.extend_from_slice(&self.payload);
         let sum = checksum(&buf);
-        buf.put_u32(sum);
+        buf.extend_from_slice(&sum.to_be_bytes());
         buf
     }
 
     /// Parses a frame from wire bytes, verifying magic and checksum.
-    pub fn from_wire(mut data: Bytes) -> Result<Frame, WireError> {
-        if data.len() < 14 {
-            return Err(WireError::Truncated);
-        }
-        let body = data.slice(..data.len() - 4);
-        let magic = data.get_u32();
-        if magic != MAGIC {
+    /// The payload is a view of `data`, not a copy.
+    pub fn from_wire(data: Bytes) -> Result<Frame, WireError> {
+        let (body, stated) = data.split_last_chunk().ok_or(WireError::Truncated)?;
+        let (header, payload) = body.split_first_chunk().ok_or(WireError::Truncated)?;
+        let [m0, m1, m2, m3, t0, t1, l0, l1, l2, l3] = *header;
+        if u32::from_be_bytes([m0, m1, m2, m3]) != MAGIC {
             return Err(WireError::BadMagic);
         }
-        let msg_type = data.get_u16();
-        let len = data.get_u32() as usize;
-        if data.remaining() != len + 4 {
+        if u32::from_be_bytes([l0, l1, l2, l3]) as usize != payload.len() {
             return Err(WireError::Truncated);
         }
-        let payload = data.slice(..len);
-        data.advance(len);
-        let stated = data.get_u32();
-        if checksum(&body) != stated {
+        if checksum(body) != u32::from_be_bytes(*stated) {
             return Err(WireError::BadChecksum);
         }
-        Ok(Frame { msg_type, payload })
+        Ok(Frame {
+            msg_type: u16::from_be_bytes([t0, t1]),
+            payload: data.slice(10..body.len()),
+        })
     }
 }
 
@@ -198,90 +198,76 @@ pub(crate) fn flip_wire_bit(wire: &mut [u8], idx: usize, bit: u32) {
 /// Types that can serialize themselves onto a byte buffer.
 pub trait WireEncode {
     /// Appends the canonical encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
+    fn encode(&self, buf: &mut Vec<u8>);
 }
 
 /// Types that can parse themselves from a byte buffer.
 pub trait WireDecode: Sized {
-    /// Consumes the canonical encoding of `Self` from `buf`.
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError>;
+    /// Consumes the canonical encoding of `Self` from the front of
+    /// `buf`, advancing it past what was read.
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError>;
 }
 
 // ----- codec helpers used by protocol crates -----
 
-/// Reads `n` bytes or errors with `Truncated`.
-fn get_bytes(buf: &mut Bytes, n: usize) -> Result<Bytes, WireError> {
-    if buf.remaining() < n {
-        return Err(WireError::Truncated);
-    }
-    let out = buf.slice(..n);
-    buf.advance(n);
-    Ok(out)
+/// Reads the next `N` bytes, or errors with `Truncated`.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], WireError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(WireError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
 }
 
 /// Reads a `u8`.
-pub fn get_u8(buf: &mut Bytes) -> Result<u8, WireError> {
-    if buf.remaining() < 1 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u8())
+pub fn get_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
+    take(buf).map(u8::from_be_bytes)
 }
 
 /// Reads a big-endian `u32`.
-pub fn get_u32(buf: &mut Bytes) -> Result<u32, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u32())
+pub fn get_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
+    take(buf).map(u32::from_be_bytes)
 }
 
 /// Reads a big-endian `u64`.
-pub fn get_u64(buf: &mut Bytes) -> Result<u64, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u64())
+pub fn get_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
+    take(buf).map(u64::from_be_bytes)
+}
+
+/// Reads a fixed 32-byte array.
+pub fn get_array32(buf: &mut &[u8]) -> Result<[u8; 32], WireError> {
+    take(buf)
 }
 
 /// Writes a length-prefixed byte string (u32 length).
-pub fn put_lp_bytes(buf: &mut BytesMut, data: &[u8]) {
-    buf.put_u32(data.len() as u32);
-    buf.put_slice(data);
+pub fn put_lp_bytes(buf: &mut Vec<u8>, data: &[u8]) {
+    buf.extend_from_slice(&(data.len() as u32).to_be_bytes());
+    buf.extend_from_slice(data);
 }
 
-/// Reads a length-prefixed byte string (u32 length).
-pub fn get_lp_bytes(buf: &mut Bytes) -> Result<Bytes, WireError> {
+/// Reads a length-prefixed byte string (u32 length), borrowed from the
+/// input.
+pub fn get_lp_bytes<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
     let len = get_u32(buf)? as usize;
-    get_bytes(buf, len)
+    let (out, rest) = buf.split_at_checked(len).ok_or(WireError::Truncated)?;
+    *buf = rest;
+    Ok(out)
 }
 
 /// Writes a length-prefixed UTF-8 string.
-pub fn put_lp_str(buf: &mut BytesMut, s: &str) {
+pub fn put_lp_str(buf: &mut Vec<u8>, s: &str) {
     put_lp_bytes(buf, s.as_bytes());
 }
 
 /// Reads a length-prefixed UTF-8 string.
-pub fn get_lp_str(buf: &mut Bytes) -> Result<String, WireError> {
+pub fn get_lp_str(buf: &mut &[u8]) -> Result<String, WireError> {
     let raw = get_lp_bytes(buf)?;
     String::from_utf8(raw.to_vec()).map_err(|_| WireError::Invalid("utf-8 string"))
-}
-
-/// Reads a fixed 32-byte array, copied straight out of the buffer (no
-/// `Bytes` handle per element).
-pub fn get_array32(buf: &mut Bytes) -> Result<[u8; 32], WireError> {
-    let out = *buf
-        .chunk()
-        .first_chunk::<32>()
-        .ok_or(WireError::Truncated)?;
-    buf.advance(32);
-    Ok(out)
 }
 
 /// Writes a sequence: a u32 count, then each item by `put`. Every
 /// counted sequence in every protocol message goes through this pair;
 /// the item codec is the caller's.
-pub fn put_vec<T>(buf: &mut BytesMut, items: &[T], mut put: impl FnMut(&mut BytesMut, &T)) {
-    buf.put_u32(items.len() as u32);
+pub fn put_vec<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    buf.extend_from_slice(&(items.len() as u32).to_be_bytes());
     for item in items {
         put(buf, item);
     }
@@ -290,9 +276,9 @@ pub fn put_vec<T>(buf: &mut BytesMut, items: &[T], mut put: impl FnMut(&mut Byte
 /// Reads a sequence written by [`put_vec`], each item by `get`. A count
 /// above `max` is rejected before anything is read.
 pub fn get_vec<T>(
-    buf: &mut Bytes,
+    buf: &mut &[u8],
     max: usize,
-    get: impl FnMut(&mut Bytes) -> Result<T, WireError>,
+    get: impl FnMut(&mut &[u8]) -> Result<T, WireError>,
 ) -> Result<Vec<T>, WireError> {
     let n = get_u32(buf)? as usize;
     if n > max {
@@ -307,11 +293,11 @@ pub fn get_vec<T>(
 /// left in `buf`, so a forged count reserves no more items than the
 /// frame that carried it has bytes.
 pub fn get_items<T>(
-    buf: &mut Bytes,
+    buf: &mut &[u8],
     n: usize,
-    mut get: impl FnMut(&mut Bytes) -> Result<T, WireError>,
+    mut get: impl FnMut(&mut &[u8]) -> Result<T, WireError>,
 ) -> Result<Vec<T>, WireError> {
-    let mut out = Vec::with_capacity(n.min(buf.remaining()));
+    let mut out = Vec::with_capacity(n.min(buf.len()));
     for _ in 0..n {
         out.push(get(buf)?);
     }
@@ -327,7 +313,7 @@ mod tests {
     struct Word(u64);
 
     impl WireDecode for Word {
-        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
             get_u64(buf).map(Word)
         }
     }
@@ -387,43 +373,40 @@ mod tests {
 
     #[test]
     fn lp_helpers_roundtrip() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_lp_str(&mut buf, "tally-server");
         put_lp_bytes(&mut buf, &[1, 2, 3]);
-        buf.put_u64(0xdeadbeef);
-        let mut rd = buf.freeze();
+        buf.extend_from_slice(&0xdeadbeef_u64.to_be_bytes());
+        let mut rd = &buf[..];
         assert_eq!(get_lp_str(&mut rd).unwrap(), "tally-server");
-        assert_eq!(get_lp_bytes(&mut rd).unwrap().as_ref(), &[1, 2, 3]);
+        assert_eq!(get_lp_bytes(&mut rd).unwrap(), &[1, 2, 3]);
         assert_eq!(get_u64(&mut rd).unwrap(), 0xdeadbeef);
-        assert!(!rd.has_remaining());
+        assert!(rd.is_empty());
     }
 
     #[test]
     fn vec_codec_bounds() {
         let items: Vec<u64> = (0..10).collect();
-        let mut buf = BytesMut::new();
-        put_vec(&mut buf, &items, |b, v| b.put_u64(*v));
-        let wire = buf.freeze();
-        assert_eq!(get_vec(&mut wire.clone(), 10, get_u64).unwrap(), items);
-        assert_eq!(get_items(&mut wire.slice(4..), 10, get_u64).unwrap(), items);
+        let mut wire = Vec::new();
+        put_vec(&mut wire, &items, |b, v| b.extend(v.to_be_bytes()));
+        assert_eq!(get_vec(&mut &wire[..], 10, get_u64).unwrap(), items);
+        assert_eq!(get_items(&mut &wire[4..], 10, get_u64).unwrap(), items);
         assert_eq!(
-            get_vec(&mut wire.clone(), 9, get_u64),
+            get_vec(&mut &wire[..], 9, get_u64),
             Err(WireError::Invalid("vector length exceeds bound"))
         );
         // A count within bound that the bytes cannot back is truncation,
         // found without reserving room for the count.
-        let mut forged = BytesMut::new();
-        forged.put_u32(u32::MAX);
-        forged.put_u64(7);
+        let forged = [u32::MAX.to_be_bytes(), [0, 0, 0, 0], 7u32.to_be_bytes()].concat();
         assert_eq!(
-            get_vec(&mut forged.freeze(), usize::MAX, get_u64),
+            get_vec(&mut &forged[..], usize::MAX, get_u64),
             Err(WireError::Truncated)
         );
     }
 
-    /// The reader's input: a copy of `b`.
-    fn input(b: &[u8]) -> Bytes {
-        Bytes::copy_from_slice(b)
+    /// The reader's input: `b` itself.
+    fn input(b: &[u8]) -> &[u8] {
+        b
     }
 
     /// Every reader one byte short of what it reads fails with
@@ -448,18 +431,15 @@ mod tests {
 
     #[test]
     fn invalid_utf8_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_lp_bytes(&mut buf, &[0xff, 0xfe, 0xfd]);
-        let mut rd = buf.freeze();
-        assert!(get_lp_str(&mut rd).is_err());
+        assert!(get_lp_str(&mut &buf[..]).is_err());
     }
 
     #[test]
     fn decode_msg_rejects_trailing() {
-        let mut buf = BytesMut::new();
-        buf.put_u64(42);
-        buf.put_u8(0);
-        let f = Frame::new(1, buf.freeze());
+        let payload = [42u64.to_be_bytes().to_vec(), vec![0]].concat();
+        let f = Frame::new(1, Bytes::from(payload));
         assert_eq!(
             f.decode_msg::<Word>().unwrap_err(),
             WireError::Invalid("trailing bytes after message")

@@ -1,6 +1,5 @@
 //! PrivCount wire messages and their codecs.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use pm_crypto::elgamal::HybridCiphertext;
 use pm_crypto::group::GroupElement;
 use pm_net::frame::{
@@ -38,13 +37,13 @@ pub struct SkKey {
 }
 
 impl WireEncode for SkKey {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_slice(&self.key.to_bytes());
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.key.to_bytes());
     }
 }
 
 impl WireDecode for SkKey {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(SkKey {
             key: GroupElement::from_bytes(&get_array32(buf)?),
         })
@@ -62,17 +61,17 @@ pub struct Configure {
 }
 
 impl WireEncode for Configure {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_vec(buf, &self.counter_names, |b, name| put_lp_str(b, name));
         put_vec(buf, &self.sk_keys, |b, (name, key)| {
             put_lp_str(b, name);
-            b.put_slice(&key.to_bytes());
+            b.extend_from_slice(&key.to_bytes());
         });
     }
 }
 
 impl WireDecode for Configure {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(Configure {
             counter_names: get_vec(buf, 1_000_000, get_lp_str)?,
             sk_keys: get_vec(buf, 1_000, |b| {
@@ -106,16 +105,16 @@ impl EncryptedShares {
 }
 
 impl WireEncode for EncryptedShares {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_lp_str(buf, &self.sk_name);
         put_lp_str(buf, &self.dc_name);
-        buf.put_slice(&self.kem.to_bytes());
+        buf.extend_from_slice(&self.kem.to_bytes());
         put_lp_bytes(buf, &self.payload);
     }
 }
 
 impl WireDecode for EncryptedShares {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(EncryptedShares {
             sk_name: get_lp_str(buf)?,
             dc_name: get_lp_str(buf)?,
@@ -133,13 +132,13 @@ pub struct Registers {
 }
 
 impl WireEncode for Registers {
-    fn encode(&self, buf: &mut BytesMut) {
-        put_vec(buf, &self.values, |b, v| b.put_u64(*v));
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_vec(buf, &self.values, |b, v| b.extend(v.to_be_bytes()));
     }
 }
 
 impl WireDecode for Registers {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(Registers {
             values: get_vec(buf, 10_000_000, get_u64)?,
         })

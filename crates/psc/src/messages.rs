@@ -1,6 +1,5 @@
 //! PSC wire messages and codecs.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pm_crypto::elgamal::Ciphertext;
 use pm_crypto::group::{GroupElement, Scalar};
 use pm_crypto::shuffle::{Permutation, RoundOpening, ShuffleProof};
@@ -48,23 +47,23 @@ pub(crate) fn decode<M: WireDecode>(
 
 // ----- primitive codecs -----
 
-fn put_element(buf: &mut BytesMut, e: &GroupElement) {
-    buf.put_slice(&e.to_bytes());
+fn put_element(buf: &mut Vec<u8>, e: &GroupElement) {
+    buf.extend_from_slice(&e.to_bytes());
 }
 
-fn get_element(buf: &mut Bytes) -> Result<GroupElement, WireError> {
+fn get_element(buf: &mut &[u8]) -> Result<GroupElement, WireError> {
     Ok(GroupElement::from_bytes(&get_array32(buf)?))
 }
 
-fn put_scalar(buf: &mut BytesMut, s: &Scalar) {
-    buf.put_slice(&s.to_bytes());
+fn put_scalar(buf: &mut Vec<u8>, s: &Scalar) {
+    buf.extend_from_slice(&s.to_bytes());
 }
 
-fn get_scalar(buf: &mut Bytes) -> Result<Scalar, WireError> {
+fn get_scalar(buf: &mut &[u8]) -> Result<Scalar, WireError> {
     Ok(Scalar::from_bytes(&get_array32(buf)?))
 }
 
-fn put_ciphertext(buf: &mut BytesMut, c: &Ciphertext) {
+fn put_ciphertext(buf: &mut Vec<u8>, c: &Ciphertext) {
     put_element(buf, &c.a);
     put_element(buf, &c.b);
 }
@@ -76,7 +75,9 @@ const MAX_CELLS: usize = 1 << 24;
 /// Upper bound on the cut-and-choose rounds of a shuffle argument.
 const MAX_SHUFFLE_ROUNDS: usize = 256;
 
-fn put_cells(buf: &mut BytesMut, cells: &[Ciphertext]) {
+/// Writes a cell sequence, reserving its `4 + 64·n` bytes first.
+fn put_cells(buf: &mut Vec<u8>, cells: &[Ciphertext]) {
+    buf.reserve(4 + 64 * cells.len());
     put_vec(buf, cells, put_ciphertext);
 }
 
@@ -85,12 +86,13 @@ fn put_cells(buf: &mut BytesMut, cells: &[Ciphertext]) {
 /// then `b`). The errors are those of a [`get_vec`] of two elements a
 /// cell: `Invalid` for an over-bound count, else `Truncated` if any
 /// byte is missing.
-fn get_cells(buf: &mut Bytes) -> Result<Vec<Ciphertext>, WireError> {
+fn get_cells(buf: &mut &[u8]) -> Result<Vec<Ciphertext>, WireError> {
     let n = get_u32(buf)? as usize;
     if n > MAX_CELLS {
         return Err(WireError::Invalid("vector length exceeds bound"));
     }
-    let raw = buf.chunk().get(..64 * n).ok_or(WireError::Truncated)?;
+    let (raw, rest) = buf.split_at_checked(64 * n).ok_or(WireError::Truncated)?;
+    *buf = rest;
     let (elements, _) = raw.as_chunks::<32>();
     let (pairs, _) = elements.as_chunks::<2>();
     let cells = pairs
@@ -100,17 +102,16 @@ fn get_cells(buf: &mut Bytes) -> Result<Vec<Ciphertext>, WireError> {
             b: GroupElement::from_bytes(b),
         })
         .collect();
-    buf.advance(64 * n);
     Ok(cells)
 }
 
-fn put_dleq(buf: &mut BytesMut, p: &DleqProof) {
+fn put_dleq(buf: &mut Vec<u8>, p: &DleqProof) {
     put_element(buf, &p.commit_g);
     put_element(buf, &p.commit_a);
     put_scalar(buf, &p.response);
 }
 
-fn get_dleq(buf: &mut Bytes) -> Result<DleqProof, WireError> {
+fn get_dleq(buf: &mut &[u8]) -> Result<DleqProof, WireError> {
     Ok(DleqProof {
         commit_g: get_element(buf)?,
         commit_a: get_element(buf)?,
@@ -121,19 +122,19 @@ fn get_dleq(buf: &mut Bytes) -> Result<DleqProof, WireError> {
 /// One round of a shuffle argument: which side it opens, the
 /// permutation as a sequence, then one rerandomizer per permuted cell
 /// (counted by the permutation, so not again).
-fn put_opening(buf: &mut BytesMut, opening: &RoundOpening) {
+fn put_opening(buf: &mut Vec<u8>, opening: &RoundOpening) {
     let (side, perm, rerand) = match opening {
         RoundOpening::InputToShadow { perm, rerand } => (0u8, perm, rerand),
         RoundOpening::ShadowToOutput { perm, rerand } => (1u8, perm, rerand),
     };
-    buf.put_u8(side);
-    put_vec(buf, &perm.0, |b, p| b.put_u32(*p as u32));
+    buf.push(side);
+    put_vec(buf, &perm.0, |b, p| b.extend((*p as u32).to_be_bytes()));
     for r in rerand {
         put_scalar(buf, r);
     }
 }
 
-fn get_opening(buf: &mut Bytes) -> Result<RoundOpening, WireError> {
+fn get_opening(buf: &mut &[u8]) -> Result<RoundOpening, WireError> {
     let side = get_u8(buf)?;
     let perm = Permutation(get_vec(buf, MAX_CELLS, |b| Ok(get_u32(b)? as usize))?);
     let rerand = get_items(buf, perm.0.len(), get_scalar)?;
@@ -146,18 +147,18 @@ fn get_opening(buf: &mut Bytes) -> Result<RoundOpening, WireError> {
 
 /// An optional shuffle argument: a presence byte, then the shadows as a
 /// sequence and one opening per shadow (counted by the shadows).
-fn put_shuffle_proof(buf: &mut BytesMut, proof: Option<&ShuffleProof>) {
+fn put_shuffle_proof(buf: &mut Vec<u8>, proof: Option<&ShuffleProof>) {
     let Some(proof) = proof else {
-        return buf.put_u8(0);
+        return buf.push(0);
     };
-    buf.put_u8(1);
+    buf.push(1);
     put_vec(buf, &proof.shadows, |b, shadow| put_cells(b, shadow));
     for opening in &proof.openings {
         put_opening(buf, opening);
     }
 }
 
-fn get_shuffle_proof(buf: &mut Bytes) -> Result<Option<ShuffleProof>, WireError> {
+fn get_shuffle_proof(buf: &mut &[u8]) -> Result<Option<ShuffleProof>, WireError> {
     match get_u8(buf)? {
         0 => Ok(None),
         1 => {
@@ -181,7 +182,7 @@ pub struct CpKey {
 }
 
 impl WireEncode for CpKey {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_element(buf, &self.share);
         put_element(buf, &self.proof.commit);
         put_scalar(buf, &self.proof.response);
@@ -189,7 +190,7 @@ impl WireEncode for CpKey {
 }
 
 impl WireDecode for CpKey {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(CpKey {
             share: get_element(buf)?,
             proof: SchnorrProof {
@@ -216,17 +217,17 @@ pub struct PscConfigure {
 }
 
 impl WireEncode for PscConfigure {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_element(buf, &self.joint_key);
-        buf.put_u32(self.table_size);
-        buf.put_u32(self.noise_flips);
-        buf.put_slice(&self.salt);
-        buf.put_u8(self.verify as u8);
+        buf.extend_from_slice(&self.table_size.to_be_bytes());
+        buf.extend_from_slice(&self.noise_flips.to_be_bytes());
+        buf.extend_from_slice(&self.salt);
+        buf.push(self.verify as u8);
     }
 }
 
 impl WireDecode for PscConfigure {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(PscConfigure {
             joint_key: get_element(buf)?,
             table_size: get_u32(buf)?,
@@ -248,13 +249,13 @@ pub struct Cells {
 }
 
 impl WireEncode for Cells {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_cells(buf, &self.cells);
     }
 }
 
 impl WireDecode for Cells {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(Cells {
             cells: get_cells(buf)?,
         })
@@ -294,7 +295,7 @@ pub struct MixResult {
 }
 
 impl WireEncode for MixResult {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_cells(buf, &self.with_noise);
         put_element(buf, &self.exp_key);
         put_cells(buf, &self.post_exp);
@@ -308,7 +309,7 @@ impl WireEncode for MixResult {
 }
 
 impl WireDecode for MixResult {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(MixResult {
             with_noise: get_cells(buf)?,
             exp_key: get_element(buf)?,
@@ -332,7 +333,7 @@ pub struct PartialDec {
 }
 
 impl WireEncode for PartialDec {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_element(buf, &self.share);
         put_vec(buf, &self.partials, put_element);
         put_vec(buf, &self.proofs, put_dleq);
@@ -340,7 +341,7 @@ impl WireEncode for PartialDec {
 }
 
 impl WireDecode for PartialDec {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(PartialDec {
             share: get_element(buf)?,
             partials: get_vec(buf, MAX_CELLS, get_element)?,
@@ -588,9 +589,9 @@ mod tests {
         }
     }
 
-    /// A codec reader's input: a copy of `b`.
-    fn input(b: &[u8]) -> Bytes {
-        Bytes::copy_from_slice(b)
+    /// A codec reader's input: `b` itself.
+    fn input(b: &[u8]) -> &[u8] {
+        b
     }
 
     /// A cell sequence whose count or bytes are wrong fails with the

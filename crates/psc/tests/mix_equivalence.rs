@@ -4,7 +4,6 @@
 //! to the sequential reference [`psc::cp::mix_message_sequential`] for
 //! every thread count, table size, key pair, and verification setting.
 
-use bytes::Bytes;
 use pm_crypto::elgamal::{encrypt, keygen, Ciphertext, KeyPair, PublicKey};
 use pm_crypto::group::GroupParams;
 use pm_net::Frame;
@@ -42,13 +41,13 @@ fn wire_of(
     cells: &[Ciphertext],
     seed: u64,
     threads: Option<usize>,
-) -> Bytes {
+) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
     let msg = match threads {
         None => mix_message_sequential(gp, key, noise_flips, verify, cells.to_vec(), &mut rng),
         Some(t) => mix_message_batched(gp, key, noise_flips, verify, cells.to_vec(), &mut rng, t),
     };
-    Frame::encode_msg(tag::MIX_RESULT, &msg).to_wire()
+    Frame::encode_msg(tag::MIX_RESULT, &msg).to_wire().to_vec()
 }
 
 proptest! {
