@@ -12,9 +12,11 @@
 //!   with "nothing in flight", which is false on a socket fabric where
 //!   frames sit in kernel buffers.
 //! * The wire fabric runs one OS thread per party, matching how a real
-//!   deployment runs one process per party. It has no deadlock
-//!   detector, so a dead party would hang it: [`run`] refuses an
-//!   attacked round over the wire.
+//!   deployment runs one process per party. A party that fails ends
+//!   the round: every party is deregistered, which ends the others'
+//!   blocked receives. It has no deadlock detector, so a party that
+//!   goes silent would hang it: [`run`] refuses an attacked round over
+//!   the wire.
 //!
 //! Both run until every node reports [`Step::Done`] and return
 //! `Ok(())`, or stop at the first failure with a typed [`NodeError`]
@@ -34,6 +36,8 @@ use crate::transport::{
 };
 use pm_obs::Recorder;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 /// What a node wants after handling an event.
@@ -249,8 +253,12 @@ impl Runner {
 
     /// Runs each node on its own OS thread (blocking receive loop), as a
     /// real per-process deployment would. Checksum failures are dropped
-    /// as in [`Runner::run_deterministic`]; a node thread that panics
-    /// fails the run, attributed to its party.
+    /// as in [`Runner::run_deterministic`]. The first node to fail, by
+    /// an error or a panic, fails the run, attributed to its party.
+    /// Every party is then deregistered, which ends the blocked
+    /// receives of the others (their `Disconnected` goes unreported),
+    /// so the run returns rather than wait on a peer that will never
+    /// send.
     fn run_threaded(self) -> Result<(), NodeError> {
         // Register all endpoints BEFORE any thread starts so early sends
         // never hit UnknownParty.
@@ -262,30 +270,43 @@ impl Runner {
                 (id, node, ep)
             })
             .collect();
+        let (done, outcomes) = channel();
         let handles: Vec<_> = prepared
             .into_iter()
             .map(|(id, mut node, ep)| {
-                let handle = std::thread::spawn(move || -> Result<(), NodeError> {
-                    let mut step = node.on_start(&ep)?;
-                    while step == Step::Continue {
-                        match ep.recv() {
-                            Ok(env) => step = node.on_message(&ep, env)?,
-                            Err(TransportError::Wire(_)) => {}
-                            Err(e) => return Err(e.into()),
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    let run = AssertUnwindSafe(|| -> Result<(), NodeError> {
+                        let mut step = node.on_start(&ep)?;
+                        while step == Step::Continue {
+                            match ep.recv() {
+                                Ok(env) => step = node.on_message(&ep, env)?,
+                                Err(TransportError::Wire(_)) => {}
+                                Err(e) => return Err(e.into()),
+                            }
                         }
-                    }
-                    Ok(())
-                });
-                (id, handle)
+                        Ok(())
+                    });
+                    let outcome = catch_unwind(run).unwrap_or_else(|_| {
+                        Err(NodeError::Protocol("node thread panicked".into()))
+                    });
+                    let _ = done.send(outcome.map_err(|e| e.attributed_to(&id)));
+                })
             })
             .collect();
-        for (id, handle) in handles {
-            handle
-                .join()
-                .unwrap_or_else(|_| Err(NodeError::Protocol("node thread panicked".into())))
-                .map_err(|e| e.attributed_to(&id))?;
+        drop(done);
+        // Outcomes in the order the nodes finish; the channel closes
+        // once every thread has sent its own.
+        let failure = outcomes.iter().find_map(Result::err);
+        if failure.is_some() {
+            for id in self.board.parties() {
+                self.board.deregister(&id);
+            }
         }
-        Ok(())
+        for handle in handles {
+            let _ = handle.join();
+        }
+        failure.map_or(Ok(()), Err)
     }
 }
 
@@ -464,6 +485,64 @@ mod tests {
         };
         assert_eq!(err.detected_by().map(PartyId::as_str), Some("sk-1"));
         assert_eq!(err.reason(), "protocol error: node thread panicked");
+    }
+
+    /// Over the wire fabric, a sender whose frame is too long for the
+    /// wire fails the round with that typed error, attributed to it,
+    /// although the party listed first waits in a blocking receive for
+    /// that very frame: the runner deregisters every party, which ends
+    /// the wait. Bounded, so a runner that hangs fails the test.
+    #[test]
+    fn oversize_frame_over_the_wire_fails_the_round_with_the_senders_error() {
+        use crate::transport::WireShape;
+        use crate::wire::MAX_BLOB_LEN;
+        struct Oversize;
+        impl Node for Oversize {
+            fn on_start(&mut self, ep: &Endpoint) -> Result<Step, NodeError> {
+                let payload = Bytes::from(vec![0; MAX_BLOB_LEN]);
+                ep.send(&PartyId::new("sink"), Frame::new(1, payload))?;
+                Ok(Step::Continue)
+            }
+            fn on_message(&mut self, _ep: &Endpoint, _env: Envelope) -> Result<Step, NodeError> {
+                Ok(Step::Done)
+            }
+        }
+        struct Sink;
+        impl Node for Sink {
+            fn on_start(&mut self, _ep: &Endpoint) -> Result<Step, NodeError> {
+                Ok(Step::Continue)
+            }
+            fn on_message(&mut self, _ep: &Endpoint, _env: Envelope) -> Result<Step, NodeError> {
+                Ok(Step::Done)
+            }
+        }
+        let parties: Vec<(PartyId, Box<dyn Node>)> = vec![
+            (PartyId::new("sink"), Box::new(Sink)),
+            (PartyId::new("big"), Box::new(Oversize)),
+        ];
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let wire = FabricChoice::Wire(WireShape::default());
+            let _ = tx.send(run(
+                wire,
+                FaultConfig::none(),
+                &Recorder::new(),
+                false,
+                parties,
+            ));
+        });
+        let err = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the round must end, not hang")
+            .expect_err("an oversize frame must fail the round");
+        assert_eq!(err.detected_by().map(PartyId::as_str), Some("big"));
+        assert_eq!(
+            err.reason(),
+            format!(
+                "transport error: wire image of {} bytes exceeds the bound of {MAX_BLOB_LEN} bytes",
+                MAX_BLOB_LEN + 14
+            )
+        );
     }
 
     #[test]

@@ -129,6 +129,15 @@ pub enum TransportError {
     /// The received bytes failed to parse as a frame (or the wire
     /// stream failed to reassemble into frames).
     Wire(WireError),
+    /// The frame's wire image is longer than the backend carries (the
+    /// wire fabric's [`MAX_BLOB_LEN`](crate::wire::MAX_BLOB_LEN)): it
+    /// was counted at the send site but never sent.
+    Oversize {
+        /// The wire image's length in bytes.
+        len: usize,
+        /// The longest wire image the backend carries.
+        max: usize,
+    },
 }
 
 impl fmt::Display for TransportError {
@@ -138,6 +147,12 @@ impl fmt::Display for TransportError {
             TransportError::Disconnected => write!(f, "party disconnected"),
             TransportError::Empty => write!(f, "no message available"),
             TransportError::Wire(e) => write!(f, "wire error: {e}"),
+            TransportError::Oversize { len, max } => {
+                write!(
+                    f,
+                    "wire image of {len} bytes exceeds the bound of {max} bytes"
+                )
+            }
         }
     }
 }

@@ -81,7 +81,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Upper bound on a single length-prefixed blob (16 MiB). A prefix
-/// beyond this is stream desync or hostile input, not a real frame.
+/// beyond this is stream desync or hostile input, not a real frame; a
+/// frame whose wire image is longer is refused at the sender
+/// ([`TransportError::Oversize`]), never written.
 pub const MAX_BLOB_LEN: usize = 16 << 20;
 
 /// Encodes one blob for the stream: `u32` big-endian length, then the
@@ -293,6 +295,15 @@ impl SendPort for WireFabric {
         // fail — the same order as the in-process fabric, which is
         // what keeps the shared counters backend-invariant.
         let record = inner.ledger.tally_send(from, to, &wire);
+        // An image the receiver's stream decoder would refuse, dropping
+        // the connection, is refused here: no dial, no write, and the
+        // link stays usable.
+        if wire.len() > MAX_BLOB_LEN {
+            return Err(TransportError::Oversize {
+                len: wire.len(),
+                max: MAX_BLOB_LEN,
+            });
+        }
         let conn = {
             let registry = lock(&inner.registry);
             let party = registry
@@ -360,7 +371,7 @@ impl Fabric for WireFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::Switchboard;
+    use crate::transport::{Envelope, Switchboard};
     use bytes::Bytes;
 
     fn frame(t: u16, body: &'static [u8]) -> Frame {
@@ -406,6 +417,53 @@ mod tests {
             dec.push(&bad).unwrap_err(),
             TransportError::Wire(WireError::Invalid(_))
         ));
+    }
+
+    /// Receives on `ep` from another thread, giving up after `secs`: a
+    /// receive that would block forever fails the test instead.
+    fn recv_within(ep: Endpoint, secs: u64) -> (Endpoint, Envelope) {
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let env = ep.recv();
+            let _ = tx.send((ep, env));
+        });
+        let (ep, env) = rx
+            .recv_timeout(Duration::from_secs(secs))
+            .expect("the receive must end, not block");
+        (ep, env.expect("a frame"))
+    }
+
+    /// A frame whose wire image is one byte over [`MAX_BLOB_LEN`] is
+    /// refused at the sender with an error naming the bound, counted
+    /// but neither dialed nor written; an image at the bound arrives,
+    /// and so does the next small frame on the same link.
+    #[test]
+    fn oversize_frame_is_refused_at_the_sender_and_the_link_stays_usable() {
+        let fabric = WireFabric::new();
+        let a = fabric.register(PartyId::new("a"));
+        let b = fabric.register(PartyId::new("b"));
+        let sized = |t, image: usize| Frame::new(t, Bytes::from(vec![t as u8; image - 14]));
+        assert_eq!(
+            a.send(b.id(), sized(1, MAX_BLOB_LEN + 1)),
+            Err(TransportError::Oversize {
+                len: MAX_BLOB_LEN + 1,
+                max: MAX_BLOB_LEN
+            })
+        );
+        assert_eq!(fabric.inner.links.load(Ordering::Relaxed), 0, "no dial");
+        a.send(b.id(), sized(2, MAX_BLOB_LEN)).unwrap();
+        a.send(b.id(), frame(3, b"ok")).unwrap();
+        let (b, at_bound) = recv_within(b, 60);
+        assert_eq!(at_bound.frame.msg_type, 2);
+        assert_eq!(at_bound.frame.payload.len(), MAX_BLOB_LEN - 14);
+        let (_b, small) = recv_within(b, 60);
+        assert_eq!(
+            (small.frame.msg_type, &small.frame.payload[..]),
+            (3, &b"ok"[..])
+        );
+        let stats = fabric.link_stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].1.sent, 3, "the refused frame is counted too");
     }
 
     #[test]
