@@ -85,6 +85,40 @@ fn public_items_only_ratchet_down() {
     );
 }
 
+/// The vendored stand-ins may only shrink: the non-test lines (see
+/// [`non_test_lines`]) of every `.rs` file under `crates/vendor/*/src`,
+/// the `crates/vendor` row of `scripts/loc.sh`. Lower the ceiling when
+/// a PR cuts vendored code; raising it needs the same review as the
+/// code it admits.
+#[test]
+fn vendored_lines_only_ratchet_down() {
+    const CEILING: usize = 662;
+    let vendor = Path::new(env!("CARGO_MANIFEST_DIR")).join("../vendor");
+    let mut dirs = Vec::new();
+    for krate in fs::read_dir(&vendor).expect("crates/vendor readable") {
+        dirs.push(krate.expect("crates/vendor entry").path().join("src"));
+    }
+    let mut count = 0;
+    while let Some(dir) = dirs.pop() {
+        for path in fs::read_dir(&dir)
+            .expect("vendored src readable")
+            .map(|e| e.expect("dir entry").path())
+        {
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let src = fs::read_to_string(&path).expect("source readable");
+                count += non_test_lines(&src).len();
+            }
+        }
+    }
+    assert!(
+        count <= CEILING,
+        "{count} vendored non-test lines, above the ceiling of {CEILING}"
+    );
+    assert!(count > 0, "no vendored source found: is the scan looking?");
+}
+
 /// A fully-`pub` fn, method included, that no other file uses is
 /// surface nobody uses: narrow it, make it test-only, or delete it. A
 /// finding is a non-test `pub fn` of a `src/` file whose name is among

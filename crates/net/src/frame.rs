@@ -1,14 +1,11 @@
 //! Wire format: length-prefixed, type-tagged, checksummed frames.
 //!
 //! A [`Frame`] is the unit of delivery between parties. The payload is an
-//! opaque byte string produced by the protocol crates' own codecs
-//! (implementations of [`WireEncode`]/[`WireDecode`]), built from this
-//! module's helpers on std types: encoders append to a `Vec<u8>`,
-//! decoders read from a `&[u8]` cursor that each read advances. Every
-//! sequence field is a [`put_vec`]/[`get_vec`] pair given the item's
-//! codec ([`get_items`] when another field carries the count). The
-//! payload is carried as a [`Bytes`], a shared view that frames, their
-//! clones and their wire parses hand on without copying. The checksum is a
+//! opaque byte string produced by the protocol crates' own codecs on std
+//! types ([`WireEncode`] appends to a `Vec<u8>`, [`WireDecode`] reads a
+//! `&[u8]` cursor), built from this module's helpers: every sequence
+//! field is a [`put_vec`]/[`get_vec`] pair given the item's codec
+//! ([`get_items`] when another field carries the count). The checksum is a
 //! Fletcher-style 32-bit sum that lets the transport detect (injected or
 //! accidental) corruption, mirroring what TLS record MACs give the real
 //! deployments.
@@ -243,8 +240,7 @@ pub fn put_lp_bytes(buf: &mut Vec<u8>, data: &[u8]) {
     buf.extend_from_slice(data);
 }
 
-/// Reads a length-prefixed byte string (u32 length), borrowed from the
-/// input.
+/// Reads a length-prefixed byte string (u32 length), borrowed from `buf`.
 pub fn get_lp_bytes<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
     let len = get_u32(buf)? as usize;
     let (out, rest) = buf.split_at_checked(len).ok_or(WireError::Truncated)?;

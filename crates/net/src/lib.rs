@@ -6,8 +6,8 @@
 //! inspectable substrate in the style of an event-driven network stack:
 //!
 //! * [`frame`] — a length-prefixed, type-tagged, checksummed wire format
-//!   built directly on [`bytes`] (hand-written codecs, no serde on the
-//!   wire);
+//!   with hand-written codecs on std (`Vec<u8>` in, `&[u8]` out; no
+//!   serde on the wire);
 //! * [`transport`] — the [`transport::Fabric`] trait and the in-memory
 //!   [`transport::Switchboard`] backend: one inbox per party, with
 //!   fault injection (smoltcp-style drop/duplicate/corrupt knobs),

@@ -254,29 +254,21 @@ impl Runner {
     /// Runs each node on its own OS thread (blocking receive loop), as a
     /// real per-process deployment would. Checksum failures are dropped
     /// as in [`Runner::run_deterministic`]. The first node to fail, by
-    /// an error or a panic, fails the run, attributed to its party.
-    /// Every party is then deregistered, which ends the blocked
-    /// receives of the others (their `Disconnected` goes unreported),
-    /// so the run returns rather than wait on a peer that will never
-    /// send.
+    /// an error or a panic, fails the run, attributed to its party;
+    /// every party is then deregistered, which ends the others' blocked
+    /// receives.
     fn run_threaded(self) -> Result<(), NodeError> {
         // Register all endpoints BEFORE any thread starts so early sends
         // never hit UnknownParty.
-        let prepared: Vec<(PartyId, Box<dyn Node>, Endpoint)> = self
-            .nodes
-            .into_iter()
-            .map(|(id, node)| {
-                let ep = self.board.register(id.clone());
-                (id, node, ep)
-            })
+        let prepared: Vec<_> = (self.nodes.into_iter())
+            .map(|(id, node)| (self.board.register(id.clone()), id, node))
             .collect();
         let (done, outcomes) = channel();
-        let handles: Vec<_> = prepared
-            .into_iter()
-            .map(|(id, mut node, ep)| {
+        let handles: Vec<_> = (prepared.into_iter())
+            .map(|(ep, id, mut node)| {
                 let done = done.clone();
                 std::thread::spawn(move || {
-                    let run = AssertUnwindSafe(|| -> Result<(), NodeError> {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), NodeError> {
                         let mut step = node.on_start(&ep)?;
                         while step == Step::Continue {
                             match ep.recv() {
@@ -286,17 +278,15 @@ impl Runner {
                             }
                         }
                         Ok(())
-                    });
-                    let outcome = catch_unwind(run).unwrap_or_else(|_| {
-                        Err(NodeError::Protocol("node thread panicked".into()))
-                    });
+                    }))
+                    .unwrap_or_else(|_| Err(NodeError::Protocol("node thread panicked".into())));
                     let _ = done.send(outcome.map_err(|e| e.attributed_to(&id)));
                 })
             })
             .collect();
         drop(done);
-        // Outcomes in the order the nodes finish; the channel closes
-        // once every thread has sent its own.
+        // Outcomes arrive as nodes finish; the channel closes once every
+        // thread has sent its own.
         let failure = outcomes.iter().find_map(Result::err);
         if failure.is_some() {
             for id in self.board.parties() {
@@ -539,7 +529,7 @@ mod tests {
         assert_eq!(
             err.reason(),
             format!(
-                "transport error: wire image of {} bytes exceeds the bound of {MAX_BLOB_LEN} bytes",
+                "transport error: {}-byte wire image over the {MAX_BLOB_LEN} bound",
                 MAX_BLOB_LEN + 14
             )
         );

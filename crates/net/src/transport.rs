@@ -69,6 +69,7 @@ pub use ledger::{FaultConfig, FaultStats, LinkStats};
 pub use switchboard::Switchboard;
 
 use crate::frame::{Frame, WireError};
+use crate::wire::MAX_BLOB_LEN;
 use pm_obs::Recorder;
 use std::fmt;
 use std::sync::mpsc::{Receiver, TryRecvError};
@@ -129,15 +130,9 @@ pub enum TransportError {
     /// The received bytes failed to parse as a frame (or the wire
     /// stream failed to reassemble into frames).
     Wire(WireError),
-    /// The frame's wire image is longer than the backend carries (the
-    /// wire fabric's [`MAX_BLOB_LEN`](crate::wire::MAX_BLOB_LEN)): it
-    /// was counted at the send site but never sent.
-    Oversize {
-        /// The wire image's length in bytes.
-        len: usize,
-        /// The longest wire image the backend carries.
-        max: usize,
-    },
+    /// A wire image of this many bytes, over the wire fabric's
+    /// [`MAX_BLOB_LEN`]: counted at the send site, never sent.
+    Oversize(usize),
 }
 
 impl fmt::Display for TransportError {
@@ -147,11 +142,8 @@ impl fmt::Display for TransportError {
             TransportError::Disconnected => write!(f, "party disconnected"),
             TransportError::Empty => write!(f, "no message available"),
             TransportError::Wire(e) => write!(f, "wire error: {e}"),
-            TransportError::Oversize { len, max } => {
-                write!(
-                    f,
-                    "wire image of {len} bytes exceeds the bound of {max} bytes"
-                )
+            TransportError::Oversize(n) => {
+                write!(f, "{n}-byte wire image over the {MAX_BLOB_LEN} bound")
             }
         }
     }
@@ -364,10 +356,8 @@ impl Endpoint {
 }
 
 fn parse((from, wire): WireMessage) -> Result<Envelope, TransportError> {
-    match Frame::from_wire(wire.into()) {
-        Ok(frame) => Ok(Envelope { from, frame }),
-        Err(e) => Err(TransportError::Wire(e)),
-    }
+    let frame = Frame::from_wire(wire.into()).map_err(TransportError::Wire)?;
+    Ok(Envelope { from, frame })
 }
 
 #[cfg(test)]

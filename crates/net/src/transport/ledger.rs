@@ -132,8 +132,9 @@ pub(crate) type LinkRecord = Mutex<LinkState>;
 /// [`LinkLedger::tally_send`], its own recipient lookup, then
 /// [`LinkLedger::roll`] — the same two calls at the same points on
 /// every backend, which is what makes the shared `net.*` counters and
-/// the fault schedules backend-invariant (and why a send to an unknown
-/// party, which fails between the two, is counted but rolls no dice).
+/// the fault schedules backend-invariant (and why a send that fails
+/// between the two, to an unknown party or too long for the wire, is
+/// counted but rolls no dice).
 ///
 /// Lock order: the `links` map, then a record — never a record, then
 /// the map.

@@ -89,10 +89,7 @@ pub const MAX_BLOB_LEN: usize = 16 << 20;
 /// Encodes one blob for the stream: `u32` big-endian length, then the
 /// bytes.
 pub fn encode_blob(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + data.len());
-    out.extend_from_slice(&(data.len() as u32).to_be_bytes());
-    out.extend_from_slice(data);
-    out
+    [&(data.len() as u32).to_be_bytes(), data].concat()
 }
 
 /// Reassembles length-prefixed blobs from an arbitrarily chunked byte
@@ -113,13 +110,8 @@ impl StreamDecoder {
         self.buf.extend_from_slice(chunk);
         let mut out = Vec::new();
         let mut cursor = 0usize;
-        while self.buf.len() - cursor >= 4 {
-            let len = u32::from_be_bytes([
-                self.buf[cursor],
-                self.buf[cursor + 1],
-                self.buf[cursor + 2],
-                self.buf[cursor + 3],
-            ]) as usize;
+        while let Some(&prefix) = self.buf[cursor..].first_chunk() {
+            let len = u32::from_be_bytes(prefix) as usize;
             if len > MAX_BLOB_LEN {
                 return Err(TransportError::Wire(WireError::Invalid(
                     "wire blob length exceeds bound",
@@ -299,10 +291,7 @@ impl SendPort for WireFabric {
         // the connection, is refused here: no dial, no write, and the
         // link stays usable.
         if wire.len() > MAX_BLOB_LEN {
-            return Err(TransportError::Oversize {
-                len: wire.len(),
-                max: MAX_BLOB_LEN,
-            });
+            return Err(TransportError::Oversize(wire.len()));
         }
         let conn = {
             let registry = lock(&inner.registry);
@@ -445,10 +434,7 @@ mod tests {
         let sized = |t, image: usize| Frame::new(t, Bytes::from(vec![t as u8; image - 14]));
         assert_eq!(
             a.send(b.id(), sized(1, MAX_BLOB_LEN + 1)),
-            Err(TransportError::Oversize {
-                len: MAX_BLOB_LEN + 1,
-                max: MAX_BLOB_LEN
-            })
+            Err(TransportError::Oversize(MAX_BLOB_LEN + 1))
         );
         assert_eq!(fabric.inner.links.load(Ordering::Relaxed), 0, "no dial");
         a.send(b.id(), sized(2, MAX_BLOB_LEN)).unwrap();

@@ -139,9 +139,7 @@ impl WireEncode for Registers {
 
 impl WireDecode for Registers {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Registers {
-            values: get_vec(buf, 10_000_000, get_u64)?,
-        })
+        get_vec(buf, 10_000_000, get_u64).map(|values| Registers { values })
     }
 }
 

@@ -75,7 +75,6 @@ const MAX_CELLS: usize = 1 << 24;
 /// Upper bound on the cut-and-choose rounds of a shuffle argument.
 const MAX_SHUFFLE_ROUNDS: usize = 256;
 
-/// Writes a cell sequence, reserving its `4 + 64·n` bytes first.
 fn put_cells(buf: &mut Vec<u8>, cells: &[Ciphertext]) {
     buf.reserve(4 + 64 * cells.len());
     put_vec(buf, cells, put_ciphertext);
@@ -95,14 +94,13 @@ fn get_cells(buf: &mut &[u8]) -> Result<Vec<Ciphertext>, WireError> {
     *buf = rest;
     let (elements, _) = raw.as_chunks::<32>();
     let (pairs, _) = elements.as_chunks::<2>();
-    let cells = pairs
+    Ok(pairs
         .iter()
         .map(|[a, b]| Ciphertext {
             a: GroupElement::from_bytes(a),
             b: GroupElement::from_bytes(b),
         })
-        .collect();
-    Ok(cells)
+        .collect())
 }
 
 fn put_dleq(buf: &mut Vec<u8>, p: &DleqProof) {
@@ -256,9 +254,7 @@ impl WireEncode for Cells {
 
 impl WireDecode for Cells {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Cells {
-            cells: get_cells(buf)?,
-        })
+        get_cells(buf).map(|cells| Cells { cells })
     }
 }
 

@@ -12,7 +12,7 @@
 //! campaign reports — must be a pure function of the configured seed.
 //! That contract is machine-checked by `pm-lint` (`crates/lint`), a
 //! dependency-free static-analysis pass that CI runs via `make lint`
-//! (part of `make verify`). Its five rules:
+//! (part of `make verify`). Its seven rules:
 //!
 //! 1. **entropy** — ambient randomness and wall-clock reads
 //!    (`thread_rng`, `from_entropy`, `SystemTime::now`, `Instant::now`)
@@ -37,6 +37,11 @@
 //!    `net`) may write metrics but never read them (`read_snapshot`,
 //!    `read_counter`): a readback would let observability feed back
 //!    into transcripts.
+//! 6. **raw-socket** — sockets (`TcpListener`, `TcpStream`,
+//!    `UdpSocket`, `std::net`) only in the wire backend,
+//!    `crates/net/src/wire.rs`, behind the `Fabric` trait.
+//! 7. **unsafe-code** — `unsafe` and `std::arch` only in the two
+//!    crypto kernels, `crates/crypto/src/{lanes,sha_ni}.rs`.
 //!
 //! Intentional exceptions are annotated in place as
 //! `// lint:allow(<rule>) <reason>` on the offending line or the line
